@@ -471,6 +471,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and (args.model is None) == (args.random is None):
         parser.error("verify needs exactly one of: a model file, or --random N")
+    if args.command == "verify" and args.random is not None and args.random < 1:
+        parser.error(f"--random needs N >= 1, got {args.random}")
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -1,17 +1,16 @@
-"""Dense real linear algebra for small matrices.
+"""Validated dense matrices and symmetric spectral decompositions.
 
-Exactly what the distortion-rate computations need and nothing more:
-symmetric eigendecomposition by cyclic Jacobi rotations, a Moore-Penrose
-pseudoinverse built on the same rotation scheme, and shape-checked
-products.  The matrices involved are at most a few hundred square, so the
-implementation favours determinism and numerical robustness over speed.
+Every spectrum and pseudoinverse in the package comes from here.
+:class:`Matrix` holds a finite, non-empty, read-only 2-D array;
+:func:`sym_eig` and :func:`pinv` check that their input is square and
+symmetric, then diagonalize it with LAPACK's symmetric eigensolver
+through :func:`numpy.linalg.eigh`.  Results are bit-identical from run to
+run on one platform and numpy/BLAS build.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,19 +23,12 @@ class NotSymmetric(ValueError):
     """A symmetric-only operation received an asymmetric (or non-square) matrix."""
 
 
-class NoConvergence(RuntimeError):
-    """Iterative diagonalization did not reach the target accuracy in budget."""
-
-
 #: Maximum absolute asymmetry |S - S^T| accepted by symmetric routines.
 SYMMETRY_ATOL = 1e-10
 
-#: Off-diagonal Frobenius norm target, relative to ||S||_F, for convergence.
-_OFFDIAG_RTOL = 1e-12
-
-#: Default sweep budget.  Cyclic Jacobi converges quadratically; well under
-#: ten sweeps suffice for the matrix sizes used here.
-_MAX_SWEEPS = 50
+#: :func:`pinv` treats eigenvalues at most this fraction of the largest
+#: magnitude as zero.
+PINV_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,97 +63,8 @@ class Matrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def entries(self) -> tuple[float, ...]:
-        """All entries in row-major order."""
-        return tuple(float(x) for x in self.data.ravel())
 
-
-def identity(n: int) -> Matrix:
-    return Matrix(np.eye(n))
-
-
-def diagonal(values: Sequence[float]) -> Matrix:
-    return Matrix(np.diag(np.asarray(values, dtype=float)))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return Matrix(a.data @ b.data)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return Matrix(a.data.T)
-
-
-def trace(a: Matrix) -> float:
-    if a.rows != a.cols:
-        raise DimensionMismatch(f"trace requires a square matrix, got {a.rows}x{a.cols}")
-    return float(np.trace(a.data))
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return math.sqrt(float((off * off).sum()))
-
-
-def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float]:
-    """Cosine/sine of the Jacobi rotation annihilating the (p, q) entry.
-
-    Uses the smaller-angle root of the tangent quadratic in a form that
-    cannot overflow however small the pivot is.
-    """
-    delta = (aqq - app) / 2.0
-    t = apq * math.copysign(1.0, delta) / (abs(delta) + math.hypot(delta, apq))
-    c = 1.0 / math.hypot(1.0, t)
-    return c, t * c
-
-
-def _jacobi(sym: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns (unsorted eigenvalues, eigenvector columns).  Deterministic:
-    pivots are visited in fixed row-major order and every step is pure
-    floating-point arithmetic.
-    """
-    n = sym.shape[0]
-    a = sym.copy()
-    v = np.eye(n)
-    if n == 1:
-        return np.diag(a).copy(), v
-    fro = math.sqrt(float((sym * sym).sum()))
-    target = _OFFDIAG_RTOL * max(fro, np.finfo(float).tiny)
-    for sweep in range(max_sweeps + 1):
-        if _offdiag_norm(a) <= target:
-            return np.diag(a).copy(), v
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                c, s = _rotation(a[p, p], a[q, q], apq)
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise NoConvergence(
-        f"off-diagonal norm {_offdiag_norm(a):.3e} above target {target:.3e} "
-        f"after {max_sweeps} sweeps"
-    )
-
-
-def sym_eig(s: Matrix, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, Matrix]:
+def sym_eig(s: Matrix) -> tuple[np.ndarray, Matrix]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns ``(w, V)`` with eigenvalues ``w`` sorted descending (stable
@@ -169,8 +72,7 @@ def sym_eig(s: Matrix, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, Matri
     so that ``S = V diag(w) V^T``.
 
     Raises :class:`NotSymmetric` when the input is not square or its
-    asymmetry exceeds ``SYMMETRY_ATOL``, and :class:`NoConvergence` when
-    the sweep budget is exhausted.
+    asymmetry exceeds ``SYMMETRY_ATOL``.
     """
     m = s.data
     if m.shape[0] != m.shape[1]:
@@ -178,73 +80,23 @@ def sym_eig(s: Matrix, max_sweeps: int = _MAX_SWEEPS) -> tuple[np.ndarray, Matri
     asym = float(np.abs(m - m.T).max())
     if asym > SYMMETRY_ATOL:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_ATOL:.0e}")
-    w, v = _jacobi((m + m.T) / 2.0, max_sweeps)
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
     order = np.argsort(-w, kind="stable")
     return w[order], Matrix(v[:, order])
 
 
-def _orthogonalize_columns(b: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Jacobi: rotate column pairs of ``b`` until mutually orthogonal.
+def pinv(s: Matrix) -> Matrix:
+    """Moore-Penrose pseudoinverse of a symmetric matrix.
 
-    Returns the rotated matrix and the accumulated right rotations ``v``
-    (so ``b_in @ v = b_out``).  This diagonalizes ``b^T b`` implicitly,
-    which resolves small singular values far more accurately than forming
-    the Gram matrix would.
+    Eigenvalues at most ``PINV_RTOL`` times the largest magnitude are
+    treated as zero.  Raises :class:`NotSymmetric` as :func:`sym_eig` does.
     """
-    n = b.shape[1]
-    v = np.eye(n)
-    # columns this small relative to the whole matrix carry no resolvable
-    # singular value; pairs of them stay parallel forever, so skip them
-    negligible = (1e-15 * math.sqrt(float((b * b).sum()))) ** 2
-    for sweep in range(max_sweeps + 1):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                alpha = float(b[:, i] @ b[:, i])
-                beta = float(b[:, j] @ b[:, j])
-                if alpha <= negligible or beta <= negligible:
-                    continue
-                gamma = float(b[:, i] @ b[:, j])
-                if gamma == 0.0 or abs(gamma) <= 1e-15 * math.sqrt(alpha * beta):
-                    continue
-                c, s = _rotation(alpha, beta, gamma)
-                bi, bj = b[:, i].copy(), b[:, j].copy()
-                b[:, i] = c * bi - s * bj
-                b[:, j] = s * bi + c * bj
-                vi, vj = v[:, i].copy(), v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
-                rotated = True
-        if not rotated:
-            return b, v
-    raise NoConvergence(f"column orthogonalization still rotating after {max_sweeps} sweeps")
-
-
-def pinv(s: Matrix, tol: float = 1e-12) -> Matrix:
-    """Moore-Penrose pseudoinverse.
-
-    Singular values below ``tol`` times the largest are treated as zero.
-    Symmetric inputs go through :func:`sym_eig` directly; general inputs
-    use one-sided Jacobi orthogonalization of the columns.
-    """
-    m = s.data
-    if m.shape[0] == m.shape[1] and float(np.abs(m - m.T).max()) <= SYMMETRY_ATOL:
-        w, vecs = sym_eig(s)
-        v = vecs.data
-        scale = float(np.abs(w).max())
-        if scale == 0.0:
-            return Matrix(np.zeros_like(m))
-        inv_w = np.zeros_like(w)
-        keep = np.abs(w) > tol * scale
-        inv_w[keep] = 1.0 / w[keep]
-        return Matrix((v * inv_w) @ v.T)
-
-    b, v = _orthogonalize_columns(m.copy(), _MAX_SWEEPS)
-    sig2 = (b * b).sum(axis=0)
-    top = float(sig2.max())
-    if top == 0.0:
-        return Matrix(np.zeros((m.shape[1], m.shape[0])))
-    keep = sig2 > (tol * math.sqrt(top)) ** 2
-    if not keep.any():
-        return Matrix(np.zeros((m.shape[1], m.shape[0])))
-    return Matrix((v[:, keep] / sig2[keep]) @ b[:, keep].T)
+    w, vecs = sym_eig(s)
+    v = vecs.data
+    scale = float(np.abs(w).max())
+    if scale == 0.0:
+        return Matrix(np.zeros_like(s.data))
+    inv_w = np.zeros_like(w)
+    keep = np.abs(w) > PINV_RTOL * scale
+    inv_w[keep] = 1.0 / w[keep]
+    return Matrix((v * inv_w) @ v.T)

@@ -67,37 +67,20 @@ class McEstimate:
     seed: int
 
 
-def _observation_basis(model: ObservationModel) -> np.ndarray:
-    """Eigenbasis of A A^T (equivalently of the observation covariance).
-
-    Columns ordered by descending eigenvalue, ties kept in diagonalization
-    output order, signs fixed so the largest-magnitude entry is positive.
-    """
-    a = model.A.data
-    gram = a @ a.T
-    _, vecs = linalg.sym_eig(Matrix((gram + gram.T) / 2.0))
-    u = vecs.data.copy()
-    for j in range(u.shape[1]):
-        lead = int(np.argmax(np.abs(u[:, j])))
-        if u[lead, j] < 0.0:
-            u[:, j] = -u[:, j]
-    return u
-
-
 def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
     """Build the test-channel matrices for compress-and-estimate at rate ``R``."""
-    u = _observation_basis(model)
+    u = model.basis.data
     alloc = waterfill.rate_allocation(model.observation, R)
     gain = np.array([1.0 - 2.0 ** (-2.0 * r) for r in alloc.rates])
     dist = np.array(alloc.distortions)
     channel = (gain[:, None] * u.T) @ model.A.data
     noise = model.sigma2 * gain * gain + gain * dist
     return CEMatrixParts(
-        basis=Matrix(u),
-        gain=linalg.diagonal(gain),
-        distortion=linalg.diagonal(dist),
+        basis=model.basis,
+        gain=Matrix(np.diag(gain)),
+        distortion=Matrix(np.diag(dist)),
         channel=Matrix(channel),
-        noise_cov=linalg.diagonal(noise),
+        noise_cov=Matrix(np.diag(noise)),
     )
 
 
@@ -109,11 +92,10 @@ def ce_matrix_form(model: ObservationModel, R: float) -> float:
     rate; this is the primary cross-check of the piecewise formulas.
     """
     parts = ce_matrix_parts(model, R)
-    p = parts.channel
-    cov = linalg.matmul(p, linalg.transpose(p)).data + parts.noise_cov.data
-    w = linalg.pinv(Matrix((cov + cov.T) / 2.0))
-    reduced = linalg.matmul(linalg.matmul(linalg.transpose(p), w), p)
-    return (model.M - linalg.trace(reduced)) / model.M
+    p = parts.channel.data
+    cov = p @ p.T + parts.noise_cov.data
+    w = linalg.pinv(Matrix((cov + cov.T) / 2.0)).data
+    return (model.M - float(np.trace(p.T @ w @ p))) / model.M
 
 
 def _accumulate(n_samples: int, seed: int,
@@ -157,9 +139,7 @@ def mc_ce(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEst
     gain_ut = parts.gain.data @ parts.basis.data.T
     q_scale = np.sqrt(np.diag(parts.gain.data) * np.diag(parts.distortion.data))
     cov = p @ p.T + parts.noise_cov.data
-    estimator = linalg.matmul(
-        linalg.transpose(parts.channel), linalg.pinv(Matrix((cov + cov.T) / 2.0))
-    ).data  # M x L
+    estimator = p.T @ linalg.pinv(Matrix((cov + cov.T) / 2.0)).data  # M x L
     sig = math.sqrt(model.sigma2)
     M, L = model.M, model.L
 

@@ -10,8 +10,8 @@ distortion-rate formulas consume:
   MMSE estimate of ``x`` from ``y``,
 
 plus the estimation-error floor and source whitening for non-identity
-source covariances.  Every downstream formula is purely spectral, so
-eigenvectors are not kept here.
+source covariances.  Every closed form is purely spectral; the
+eigenvectors of ``A A^T`` are kept only for the matrix oracles.
 """
 
 from __future__ import annotations
@@ -78,10 +78,16 @@ def _monotone_clamp(values: list[float]) -> tuple[float, ...]:
 class ObservationModel:
     """Source ``x ~ N(0, I_M)`` observed as ``y = A x + z``, ``z ~ N(0, sigma2 I_L)``.
 
-    The spectrum of ``A A^T`` is computed once at construction; the derived
-    observation and estimate spectra are cached with it.  ``full_rank``
-    records whether ``A`` has numerical rank ``min(M, L)``; rank-deficient
-    models are accepted and handled throughout.
+    ``A A^T`` is diagonalized once, at construction.  ``gram`` holds its
+    spectrum, with the derived observation and estimate spectra cached
+    beside it.  ``basis`` holds the aligned orthogonal eigenvectors as
+    columns, each signed so that its largest-magnitude entry is positive
+    (the first such entry on ties).  ``full_rank`` records whether ``A``
+    has numerical rank ``min(M, L)``; rank-deficient models are accepted
+    and handled throughout.
+
+    Raises :class:`ValueError` when ``sigma2`` is not a positive finite
+    real, or when ``A A^T`` overflows double precision.
     """
 
     def __init__(self, A: Matrix, sigma2: float):
@@ -93,8 +99,18 @@ class ObservationModel:
         self.L = A.rows
         self.M = A.cols
         self.r = min(self.M, self.L)
-        gram_mat = A.data @ A.data.T
-        w, _ = linalg.sym_eig(Matrix((gram_mat + gram_mat.T) / 2.0))
+        with np.errstate(over="ignore"):
+            gram_mat = A.data @ A.data.T
+            gram_mat = (gram_mat + gram_mat.T) / 2.0
+        if not np.isfinite(gram_mat).all():
+            raise ValueError(
+                f"A A^T overflows double precision (largest |A| entry "
+                f"{float(np.abs(A.data).max()):.3e})"
+            )
+        w, vecs = linalg.sym_eig(Matrix(gram_mat))
+        u = vecs.data
+        lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        self.basis = Matrix(np.where(lead < 0.0, -u, u))
         self.gram = Spectrum.from_values(np.clip(w, 0.0, None))
         self.full_rank = self.gram.rank == self.r
         self.observation = observation_spectrum(self.gram, s2)
@@ -109,11 +125,6 @@ class ObservationModel:
             f"ObservationModel(M={self.M}, L={self.L}, sigma2={self.sigma2}, "
             f"rank={self.gram.rank})"
         )
-
-
-def gram_spectrum(model: ObservationModel) -> Spectrum:
-    """Eigenvalues of ``A A^T``, descending, clamped at zero."""
-    return model.gram
 
 
 def observation_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_gram_overflow_names_the_cause(tmp_path):
+    # A is finite, but A A^T is not representable in double precision
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"A": [[1e160, 0.0], [0.0, 1.0]], "sigma2": 1.0}))
+    src = str(Path(cedrf.drf.__file__).resolve().parents[1])
+    path_dirs = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cedrf.cli", "analyze", str(path), "--rate", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "InvalidModel: A A^T overflows double precision" in proc.stderr
+    assert "must be finite" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 def test_sweep_csv_round_trip(model_file, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", str(model_file), "--min", "0", "--max", "4.5",
@@ -241,6 +262,10 @@ def test_verify_requires_one_source(model_file):
         main(["verify"])
     with pytest.raises(SystemExit):
         main(["verify", str(model_file), "--random", "2"])
+    for n in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--random", n])
+        assert exc.value.code == 2
 
 
 def test_example_outputs(tmp_path, capsys):

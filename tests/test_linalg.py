@@ -2,19 +2,7 @@
 import numpy as np
 import pytest
 
-from cedrf.linalg import (
-    DimensionMismatch,
-    Matrix,
-    NoConvergence,
-    NotSymmetric,
-    diagonal,
-    identity,
-    matmul,
-    pinv,
-    sym_eig,
-    trace,
-    transpose,
-)
+from cedrf.linalg import DimensionMismatch, Matrix, NotSymmetric, pinv, sym_eig
 
 
 def frob(a: np.ndarray) -> float:
@@ -37,18 +25,18 @@ def test_matrix_rejects_bad_input():
 def test_matrix_entries_row_major():
     m = Matrix([[1.0, 2.0], [3.0, 4.0]])
     assert m.rows == 2 and m.cols == 2
-    assert m.entries == (1.0, 2.0, 3.0, 4.0)
+    assert m.data.flags.c_contiguous and m.data[0, 1] == 2.0
     assert not m.data.flags.writeable
 
 
 def test_sym_eig_identity():
-    w, v = sym_eig(identity(2))
+    w, v = sym_eig(Matrix(np.eye(2)))
     assert np.allclose(w, [1.0, 1.0])
     assert np.allclose(v.data @ v.data.T, np.eye(2), atol=1e-12)
 
 
 def test_sym_eig_diagonal_sorted_descending():
-    w, _ = sym_eig(diagonal([0.5, 20.0]))
+    w, _ = sym_eig(Matrix(np.diag([0.5, 20.0])))
     assert np.allclose(w, [20.0, 0.5], atol=0.0)
 
 
@@ -97,20 +85,16 @@ def test_sym_eig_accepts_tiny_asymmetry():
     assert np.allclose(w, [1.0, 1.0], atol=1e-10)
 
 
-def test_sym_eig_no_convergence_with_zero_budget():
-    with pytest.raises(NoConvergence):
-        sym_eig(Matrix([[2.0, 1.0], [1.0, 2.0]]), max_sweeps=0)
-
-
 def test_pinv_diagonal_cases():
-    assert np.allclose(pinv(diagonal([2.0, 4.0])).data, np.diag([0.5, 0.25]), atol=1e-14)
-    assert np.allclose(pinv(Matrix(np.zeros((2, 3)))).data, np.zeros((3, 2)), atol=0.0)
-    assert np.allclose(pinv(diagonal([1.0, 0.0])).data, np.diag([1.0, 0.0]), atol=1e-14)
+    assert np.allclose(pinv(Matrix(np.diag([2.0, 4.0]))).data, np.diag([0.5, 0.25]), atol=1e-14)
+    with pytest.raises(NotSymmetric):
+        pinv(Matrix(np.zeros((2, 3))))
+    assert np.allclose(pinv(Matrix(np.diag([1.0, 0.0]))).data, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_pinv_inverts_nonsingular():
-    a = diagonal([2.0, 5.0])
-    assert np.allclose(matmul(a, pinv(a)).data, np.eye(2), atol=1e-12)
+    a = Matrix(np.diag([2.0, 5.0]))
+    assert np.allclose(a.data @ pinv(a).data, np.eye(2), atol=1e-12)
 
 
 def _penrose_errors(a: np.ndarray, p: np.ndarray) -> float:
@@ -135,8 +119,9 @@ def test_pinv_penrose_identities_all_ranks(seed):
             a = rng.uniform(-3.0, 3.0, size=(l_dim, rank)) @ rng.uniform(
                 -3.0, 3.0, size=(rank, m)
             )
-        p = pinv(Matrix(a)).data
-        assert _penrose_errors(a, p) < 1e-8
+        s = a @ a.T
+        p = pinv(Matrix(s)).data
+        assert _penrose_errors(s, p) < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -148,28 +133,6 @@ def test_pinv_matches_numpy_on_symmetric_psd(seed):
     ours = pinv(Matrix(s)).data
     ref = np.linalg.pinv(s, rcond=1e-12, hermitian=True)
     assert np.allclose(ours, ref, atol=1e-8 * max(1.0, frob(ref)))
-
-
-def test_matmul_shapes_and_transpose_identity():
-    rng = np.random.default_rng(0)
-    a = Matrix(rng.uniform(-1, 1, size=(2, 3)))
-    b = Matrix(rng.uniform(-1, 1, size=(3, 2)))
-    ab = matmul(a, b)
-    assert np.allclose(
-        transpose(ab).data, matmul(transpose(b), transpose(a)).data, atol=1e-14
-    )
-    with pytest.raises(DimensionMismatch):
-        matmul(a, a)
-
-
-def test_trace_contracts():
-    assert trace(identity(3)) == 3.0
-    rng = np.random.default_rng(1)
-    a = Matrix(rng.uniform(-1, 1, size=(2, 3)))
-    b = Matrix(rng.uniform(-1, 1, size=(3, 2)))
-    assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) < 1e-12
-    with pytest.raises(DimensionMismatch):
-        trace(a)
 
 
 def test_sym_eig_medium_size():

@@ -12,8 +12,8 @@ from support import (
     rank_deficient_model,
 )
 
-from cedrf import drf, waterfill
-from cedrf.linalg import Matrix, identity
+from cedrf import drf, linalg, waterfill
+from cedrf.linalg import Matrix
 from cedrf.oracle import (
     InvalidSampleCount,
     ce_matrix_form,
@@ -23,6 +23,16 @@ from cedrf.oracle import (
     mc_mmse,
 )
 from cedrf.spectral import ObservationModel
+
+
+def test_parts_reuse_the_model_basis(monkeypatch):
+    model = random_model(np.random.default_rng(12))
+    calls = []
+    real = linalg.sym_eig
+    monkeypatch.setattr(linalg, "sym_eig", lambda s: calls.append(1) or real(s))
+    for r in (0.0, 0.5, 2.0):
+        assert ce_matrix_parts(model, r).basis is model.basis
+    assert calls == []
 
 
 def test_parts_at_zero_rate():
@@ -162,7 +172,7 @@ def test_mc_mmse_matches_floor():
     assert _within_ci(est, MMSE_EXAMPLE)
     noisy = model_from_eigs([1.0], 1e6)
     assert _within_ci(mc_mmse(noisy, 50_000, seed=31), 1.0, floor=2e-2)
-    clean = ObservationModel(identity(2), 1e-6)
+    clean = ObservationModel(Matrix(np.eye(2)), 1e-6)
     est = mc_mmse(clean, 50_000, seed=32)
     assert est.mean == pytest.approx(0.0, abs=1e-4)
 

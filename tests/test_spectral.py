@@ -2,19 +2,22 @@
 import numpy as np
 import pytest
 
-from support import MMSE_EXAMPLE, example_model, random_model
+from support import MMSE_EXAMPLE, example_model, random_model, rank_deficient_model
 
-from cedrf.linalg import Matrix, identity, sym_eig
+from cedrf.linalg import Matrix, sym_eig
 from cedrf.spectral import (
     NotPositiveDefinite,
     ObservationModel,
     Spectrum,
     conditional_spectrum,
-    gram_spectrum,
     mmse_floor,
     observation_spectrum,
     whiten,
 )
+
+
+def frob(a: np.ndarray) -> float:
+    return float(np.sqrt((a * a).sum()))
 
 
 def test_spectrum_validation():
@@ -38,13 +41,29 @@ def test_spectrum_from_values_sorts_and_ranks():
 
 
 def test_gram_spectrum_examples():
-    assert gram_spectrum(ObservationModel(identity(2), 1.0)).values == (1.0, 1.0)
+    assert ObservationModel(Matrix(np.eye(2)), 1.0).gram.values == (1.0, 1.0)
     g = example_model().gram
     assert g.values == pytest.approx((20.0, 0.5), abs=1e-12)
     ones = ObservationModel(Matrix([[1.0, 1.0], [1.0, 1.0]]), 1.0)
     assert ones.gram.values == pytest.approx((4.0, 0.0), abs=1e-12)
     assert ones.gram.rank == 1
     assert not ones.full_rank
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_model_basis_diagonalizes_gram(seed):
+    rng = np.random.default_rng(450 + seed)
+    model = random_model(rng) if seed % 2 else rank_deficient_model(rng)
+    u = model.basis.data
+    assert not u.flags.writeable
+    assert frob(u.T @ u - np.eye(model.L)) < 1e-9
+    a = model.A.data
+    d = u.T @ (a @ a.T) @ u
+    scale = max(model.gram.values[0], 1e-300)
+    assert frob(d - np.diag(np.diag(d))) <= 1e-9 * scale
+    assert np.abs(np.diag(d) - model.gram.values).max() <= 1e-9 * scale
+    for j in range(model.L):
+        assert u[int(np.argmax(np.abs(u[:, j]))), j] > 0.0
 
 
 def test_observation_spectrum_examples():
@@ -94,7 +113,7 @@ def test_mmse_floor_increasing_in_noise():
 
 def test_whiten_identity_and_scaling():
     a = Matrix([[1.0, 0.0], [0.0, 1.0]])
-    same = whiten(identity(2), a, 1.0)
+    same = whiten(Matrix(np.eye(2)), a, 1.0)
     assert np.allclose(same.A.data, a.data, atol=1e-12)
     scaled = whiten(Matrix(4.0 * np.eye(2)), a, 1.0)
     assert np.allclose(scaled.A.data, 2.0 * np.eye(2), atol=1e-12)
@@ -104,7 +123,7 @@ def test_whiten_identity_and_scaling():
 
 
 def test_whiten_rejects_non_pd():
-    a = identity(2)
+    a = Matrix(np.eye(2))
     with pytest.raises(NotPositiveDefinite):
         whiten(Matrix([[1.0, 0.0], [0.0, 0.0]]), a, 1.0)
     with pytest.raises(NotPositiveDefinite):
@@ -127,8 +146,8 @@ def test_whiten_matches_direct_covariance_spectrum(seed):
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        ObservationModel(identity(2), 0.0)
+        ObservationModel(Matrix(np.eye(2)), 0.0)
     with pytest.raises(ValueError):
-        ObservationModel(identity(2), -1.0)
+        ObservationModel(Matrix(np.eye(2)), -1.0)
     with pytest.raises(ValueError):
-        ObservationModel(identity(2), float("nan"))
+        ObservationModel(Matrix(np.eye(2)), float("nan"))

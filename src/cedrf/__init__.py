@@ -23,7 +23,17 @@ from .drf import (
     sweep,
 )
 from .linalg import Matrix
-from .oracle import CEMatrixParts, McEstimate, ce_matrix_form, ce_matrix_parts, mc_ce, mc_idrf, mc_mmse
+from .oracle import (
+    CEMatrixParts,
+    McEstimate,
+    McEstimates,
+    ce_matrix_form,
+    ce_matrix_parts,
+    mc_ce,
+    mc_estimates,
+    mc_idrf,
+    mc_mmse,
+)
 from .spectral import ObservationModel, Spectrum, mmse_floor, whiten
 from .waterfill import WaterfillResult, active_count, rate_allocation, rate_thresholds, water_level
 
@@ -36,6 +46,7 @@ __all__ = [
     "EqualityRegion",
     "Matrix",
     "McEstimate",
+    "McEstimates",
     "ObservationModel",
     "Spectrum",
     "WaterfillResult",
@@ -52,6 +63,7 @@ __all__ = [
     "idrf",
     "max_gap_2d",
     "mc_ce",
+    "mc_estimates",
     "mc_idrf",
     "mc_mmse",
     "mmse_floor",

@@ -225,12 +225,6 @@ def _sweep_rows(model: ObservationModel, grid_input: list[float], nats: bool) ->
     rows = []
     points = drf.sweep(model, [_to_bits(r, nats) for r in grid_input])
     for r_in, pt in zip(grid_input, points):
-        theta_i = (
-            waterfill.water_level(model.conditional, pt.R)[1]
-            if model.conditional.rank
-            else 0.0
-        )
-        theta_c = waterfill.water_level(model.observation, pt.R)[1]
         rows.append(
             {
                 "R": r_in,
@@ -241,8 +235,8 @@ def _sweep_rows(model: ObservationModel, grid_input: list[float], nats: bool) ->
                 "gap_lb": pt.gap_lb,
                 "k_idrf": pt.k_idrf,
                 "k_ce": pt.k_ce,
-                "theta_idrf": theta_i,
-                "theta_ce": theta_c,
+                "theta_idrf": pt.theta_idrf,
+                "theta_ce": pt.theta_ce,
             }
         )
     return rows
@@ -344,20 +338,21 @@ def _check_bounds_and_monotonicity(model: ObservationModel) -> list[CheckResult]
 
 
 def _check_monte_carlo(model: ObservationModel, samples: int, seed: int) -> list[CheckResult]:
+    rates = (0.5, 1.0, 3.0)
+    run = oracle.mc_estimates(model, samples, seed, ce_rates=rates, idrf_rates=rates, mmse=True)
     results = []
-    for name, mc_fn, closed_fn in (
-        ("monte-carlo-ce", oracle.mc_ce, drf.ce_drf),
-        ("monte-carlo-idrf", oracle.mc_idrf, drf.idrf),
+    for name, estimates, closed_fn in (
+        ("monte-carlo-ce", run.ce, drf.ce_drf),
+        ("monte-carlo-idrf", run.idrf, drf.idrf),
     ):
         worst = None
-        for r in (0.5, 1.0, 3.0):
-            est = mc_fn(model, r, samples, seed)
+        for r, est in zip(rates, estimates):
             diff = abs(est.mean - closed_fn(model, r))
             tol = max(4.0 * est.stderr, 1e-3)
             if worst is None or diff - tol > worst[0] - worst[1]:
                 worst = (diff, tol)
         results.append(CheckResult(name, worst[1], worst[0], worst[0] < worst[1]))
-    est = oracle.mc_mmse(model, samples, seed)
+    est = run.mmse
     diff = abs(est.mean - model.mmse_floor)
     tol = max(4.0 * est.stderr, 1e-3)
     results.append(CheckResult("monte-carlo-mmse", tol, diff, diff < tol))
@@ -473,6 +468,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("verify needs exactly one of: a model file, or --random N")
     if args.command == "verify" and args.random is not None and args.random < 1:
         parser.error(f"--random needs N >= 1, got {args.random}")
+    if args.command == "verify" and args.samples < 1:
+        parser.error(f"--samples needs N >= 1, got {args.samples}")
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -46,6 +46,8 @@ class DistortionPoint:
     gap_lb: float
     k_idrf: int
     k_ce: int
+    theta_idrf: float
+    theta_ce: float
 
 
 @dataclass(frozen=True)
@@ -75,17 +77,27 @@ class AmGmBounds(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _idrf_spectral(cond: Spectrum, M: int, R: float) -> float:
-    if cond.rank == 0:
-        return 1.0
-    k, theta = waterfill.water_level(cond, R)
+def _idrf_level(cond: Spectrum, R: float) -> tuple[int, float]:
+    """Water level of the estimate spectrum; ``(0, 0.0)`` when it is all zero."""
+    return waterfill.water_level(cond, R) if cond.rank > 0 else (0, 0.0)
+
+
+def _idrf_at(cond: Spectrum, M: int, k: int, theta: float) -> float:
     return 1.0 - (sum(cond.values[:k]) - k * theta) / M
+
+
+def _ce_at(cond_vals: Sequence[float], quad_vals: Sequence[float],
+           M: int, k: int, theta: float) -> float:
+    return 1.0 - (sum(cond_vals[:k]) - theta * sum(quad_vals[:k])) / M
+
+
+def _idrf_spectral(cond: Spectrum, M: int, R: float) -> float:
+    return _idrf_at(cond, M, *_idrf_level(cond, R))
 
 
 def _ce_spectral(obs: Spectrum, cond_vals: Sequence[float], quad_vals: Sequence[float],
                  M: int, R: float) -> float:
-    k, theta = waterfill.water_level(obs, R)
-    return 1.0 - (sum(cond_vals[:k]) - theta * sum(quad_vals[:k])) / M
+    return _ce_at(cond_vals, quad_vals, M, *waterfill.water_level(obs, R))
 
 
 def _quad_values(model: ObservationModel) -> list[float]:
@@ -297,10 +309,10 @@ def sweep(model: ObservationModel, R_grid: Sequence[float]) -> list[DistortionPo
     quad = _quad_values(model)
     points = []
     for r in grid:
-        d_i = _idrf_spectral(cond, model.M, r)
-        d_c = _ce_spectral(obs, cond.values, quad, model.M, r)
-        k_i = waterfill.active_count(cond, r) if cond.rank > 0 else 0
-        k_c = waterfill.active_count(obs, r)
+        k_i, theta_i = _idrf_level(cond, r)
+        k_c, theta_c = waterfill.water_level(obs, r)
+        d_i = _idrf_at(cond, model.M, k_i, theta_i)
+        d_c = _ce_at(cond.values, quad, model.M, k_c, theta_c)
         points.append(
             DistortionPoint(
                 R=r,
@@ -311,6 +323,8 @@ def sweep(model: ObservationModel, R_grid: Sequence[float]) -> list[DistortionPo
                 gap_lb=gap_lower_bound(model, r),
                 k_idrf=k_i,
                 k_ce=k_c,
+                theta_idrf=theta_i,
+                theta_ce=theta_c,
             )
         )
     return points

@@ -13,14 +13,22 @@ Monte Carlo runs are deterministic: samples are drawn in fixed-size
 chunks, each chunk from its own counter-based Philox substream derived
 from ``(seed, chunk_index)``, and accumulated in chunk order, so a given
 ``(model, R, n_samples, seed)`` always produces the same estimate
-bit-for-bit.
+bit-for-bit.  Within a chunk of ``m`` samples the substream is read in a
+fixed order, which is part of that contract: the source ``x`` (m x M),
+then the observation noise (m x L), then one quantization-noise draw
+(m x L) shared by every rate.  Compress-and-estimate uses all of it; the
+optimal scheme with ``k`` active components uses its first ``m * k``
+values in C order, as an (m, k) array.  :func:`mc_estimates` evaluates
+any set of estimates from one such pass; each one is bit-identical to a
+separate :func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse` call, and to
+the single-estimate samplers these functions replaced.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -98,31 +106,128 @@ def ce_matrix_form(model: ObservationModel, R: float) -> float:
     return (model.M - float(np.trace(p.T @ w @ p))) / model.M
 
 
-def _accumulate(n_samples: int, seed: int,
-                sampler: Callable[[np.random.Generator, int], np.ndarray]) -> McEstimate:
+class _Moments:
+    """Running sums of one estimate's per-sample normalized squared errors."""
+
+    def __init__(self) -> None:
+        self.s1 = 0.0
+        self.s2 = 0.0
+
+    def add(self, err: np.ndarray) -> None:
+        """Fold in one chunk of errors ``x - x_hat`` (m x M); squares ``err`` in place."""
+        err *= err
+        d = err.sum(axis=1) / err.shape[1]
+        self.s1 += float(d.sum())
+        self.s2 += float((d * d).sum())
+
+    def estimate(self, n_samples: int, seed: int) -> McEstimate:
+        mean = self.s1 / n_samples
+        if n_samples > 1:
+            var = max(0.0, (self.s2 - n_samples * mean * mean) / (n_samples - 1))
+            stderr = math.sqrt(var / n_samples)
+        else:
+            stderr = 0.0
+        return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
+
+
+@dataclass(frozen=True)
+class McEstimates:
+    """The estimates of one :func:`mc_estimates` run, each in the order requested."""
+
+    ce: tuple[McEstimate, ...]
+    idrf: tuple[McEstimate, ...]
+    mmse: McEstimate | None
+
+
+def _ce_channel(model: ObservationModel, R: float):
+    """Channel, noise rotation, quantization scale and estimator of compress-and-estimate."""
+    parts = ce_matrix_parts(model, R)
+    p = parts.channel.data
+    gain_ut = parts.gain.data @ parts.basis.data.T
+    q_scale = np.sqrt(np.diag(parts.gain.data) * np.diag(parts.distortion.data))
+    cov = p @ p.T + parts.noise_cov.data
+    estimator = p.T @ linalg.pinv(Matrix((cov + cov.T) / 2.0)).data  # M x L
+    return p, gain_ut, q_scale, estimator
+
+
+def _idrf_channel(model: ObservationModel, R: float):
+    """Active components, their gains and quantization deviations in the optimal scheme."""
+    M, L = model.M, model.L
+    lam = list(model.conditional.values[:M]) + [0.0] * max(0, M - L)
+    if model.conditional.rank > 0:
+        k, theta = waterfill.water_level(model.conditional, R)
+    else:
+        k, theta = 0, 0.0
+    active = [l for l in range(k) if lam[l] > theta]
+    gains = np.array([(lam[l] - theta) / lam[l] for l in active])
+    q_sd = np.array([math.sqrt(theta * lam[l] / (lam[l] - theta)) for l in active])
+    return active, gains, q_sd
+
+
+def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
+                 ce_rates: Sequence[float] = (), idrf_rates: Sequence[float] = (),
+                 mmse: bool = False) -> McEstimates:
+    """Simulate any mix of the three schemes on one set of draws per chunk.
+
+    Returns compress-and-estimate estimates at ``ce_rates``, optimal-scheme
+    estimates at ``idrf_rates`` and, if ``mmse``, the estimation floor.
+    The draws follow the per-chunk order in the module docstring, so each
+    estimate is the one :func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse`
+    returns for the same arguments, bit for bit.
+    """
+    for R in (*ce_rates, *idrf_rates):
+        waterfill._check_rate(R)
     if n_samples < 1:
         raise InvalidSampleCount(f"n_samples must be >= 1, got {n_samples}")
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    chunk_index = 0
-    while done < n_samples:
+    a = model.A.data
+    M, L = model.M, model.L
+    sig = math.sqrt(model.sigma2)
+    ce = [_ce_channel(model, R) for R in ce_rates]
+    idrf = [_idrf_channel(model, R) for R in idrf_rates]
+    if idrf or mmse:
+        obs_cov = a @ a.T + model.sigma2 * np.eye(L)
+        estimator = a.T @ linalg.pinv(Matrix((obs_cov + obs_cov.T) / 2.0)).data  # M x L
+    if idrf:
+        est_cov = estimator @ a
+        _, vecs = linalg.sym_eig(Matrix((est_cov + est_cov.T) / 2.0))
+        v = vecs.data  # M x M, columns aligned with descending estimate spectrum
+    ce_sums = [_Moments() for _ in ce]
+    idrf_sums = [_Moments() for _ in idrf]
+    mmse_sums = _Moments()
+
+    for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
         m = min(_CHUNK, n_samples - done)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         )
-        d = sampler(rng, m)
-        s1 += float(d.sum())
-        s2 += float((d * d).sum())
-        done += m
-        chunk_index += 1
-    mean = s1 / n_samples
-    if n_samples > 1:
-        var = max(0.0, (s2 - n_samples * mean * mean) / (n_samples - 1))
-        stderr = math.sqrt(var / n_samples)
-    else:
-        stderr = 0.0
-    return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
+        x = rng.standard_normal((m, M))
+        z = rng.standard_normal((m, L))
+        z *= sig
+        q = rng.standard_normal((m, L)) if ce or idrf else None
+        # Each (m, M) intermediate is dropped before the next one is formed,
+        # so peak memory stays near that of a single-estimate pass.
+        if idrf or mmse:
+            estimate = (x @ a.T + z) @ estimator.T
+            if mmse:
+                mmse_sums.add(x - estimate)
+            comp = estimate @ v if idrf else None
+            del estimate
+            for sums, (active, gains, q_sd) in zip(idrf_sums, idrf):
+                recon = np.zeros((m, M))
+                if active:
+                    q_k = q.reshape(-1)[: m * len(active)].reshape(m, len(active))
+                    recon[:, active] = gains * (comp[:, active] + q_k * q_sd)
+                sums.add(x - recon @ v.T)
+            del comp
+        for sums, (p, gain_ut, q_scale, ce_estimator) in zip(ce_sums, ce):
+            y_hat = x @ p.T + z @ gain_ut.T + q * q_scale
+            sums.add(x - y_hat @ ce_estimator.T)
+
+    return McEstimates(
+        ce=tuple(s.estimate(n_samples, seed) for s in ce_sums),
+        idrf=tuple(s.estimate(n_samples, seed) for s in idrf_sums),
+        mmse=mmse_sums.estimate(n_samples, seed) if mmse else None,
+    )
 
 
 def mc_ce(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEstimate:
@@ -133,25 +238,7 @@ def mc_ce(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEst
     noise), estimate the source linearly from the representation, and
     accumulate the normalized squared error.
     """
-    waterfill._check_rate(R)
-    parts = ce_matrix_parts(model, R)
-    p = parts.channel.data
-    gain_ut = parts.gain.data @ parts.basis.data.T
-    q_scale = np.sqrt(np.diag(parts.gain.data) * np.diag(parts.distortion.data))
-    cov = p @ p.T + parts.noise_cov.data
-    estimator = p.T @ linalg.pinv(Matrix((cov + cov.T) / 2.0)).data  # M x L
-    sig = math.sqrt(model.sigma2)
-    M, L = model.M, model.L
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        x = rng.standard_normal((m, M))
-        w = rng.standard_normal((m, L)) * sig
-        q = rng.standard_normal((m, L))
-        y_hat = x @ p.T + w @ gain_ut.T + q * q_scale
-        err = x - y_hat @ estimator.T
-        return (err * err).sum(axis=1) / M
-
-    return _accumulate(n_samples, seed, sampler)
+    return mc_estimates(model, n_samples, seed, ce_rates=(R,)).ce[0]
 
 
 def mc_idrf(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEstimate:
@@ -164,52 +251,9 @@ def mc_idrf(model: ObservationModel, R: float, n_samples: int, seed: int) -> McE
     Components sitting exactly at the water level reconstruct as zero,
     avoiding the degenerate zero-gain channel.
     """
-    waterfill._check_rate(R)
-    a = model.A.data
-    M, L = model.M, model.L
-    obs_cov = a @ a.T + model.sigma2 * np.eye(L)
-    estimator = a.T @ linalg.pinv(Matrix((obs_cov + obs_cov.T) / 2.0)).data  # M x L
-    est_cov = estimator @ a
-    _, vecs = linalg.sym_eig(Matrix((est_cov + est_cov.T) / 2.0))
-    v = vecs.data  # M x M, columns aligned with descending estimate spectrum
-
-    lam = list(model.conditional.values[:M]) + [0.0] * max(0, M - L)
-    if model.conditional.rank > 0:
-        k, theta = waterfill.water_level(model.conditional, R)
-    else:
-        k, theta = 0, 0.0
-    active = [l for l in range(k) if lam[l] > theta]
-    gains = np.array([(lam[l] - theta) / lam[l] for l in active])
-    q_sd = np.array([math.sqrt(theta * lam[l] / (lam[l] - theta)) for l in active])
-    sig = math.sqrt(model.sigma2)
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        x = rng.standard_normal((m, M))
-        z = rng.standard_normal((m, L)) * sig
-        estimate = (x @ a.T + z) @ estimator.T
-        comp = estimate @ v
-        recon = np.zeros((m, M))
-        if active:
-            q = rng.standard_normal((m, len(active)))
-            recon[:, active] = gains * (comp[:, active] + q * q_sd)
-        err = x - recon @ v.T
-        return (err * err).sum(axis=1) / M
-
-    return _accumulate(n_samples, seed, sampler)
+    return mc_estimates(model, n_samples, seed, idrf_rates=(R,)).idrf[0]
 
 
 def mc_mmse(model: ObservationModel, n_samples: int, seed: int) -> McEstimate:
     """Estimate the no-compression error floor by direct simulation."""
-    a = model.A.data
-    M, L = model.M, model.L
-    obs_cov = a @ a.T + model.sigma2 * np.eye(L)
-    estimator = a.T @ linalg.pinv(Matrix((obs_cov + obs_cov.T) / 2.0)).data
-    sig = math.sqrt(model.sigma2)
-
-    def sampler(rng: np.random.Generator, m: int) -> np.ndarray:
-        x = rng.standard_normal((m, M))
-        z = rng.standard_normal((m, L)) * sig
-        err = x - (x @ a.T + z) @ estimator.T
-        return (err * err).sum(axis=1) / M
-
-    return _accumulate(n_samples, seed, sampler)
+    return mc_estimates(model, n_samples, seed, mmse=True).mmse

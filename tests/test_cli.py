@@ -177,6 +177,29 @@ def test_sweep_csv_round_trip(model_file, tmp_path, capsys):
         assert int(cells[7]) == waterfill.active_count(model.observation, r)
         assert float(cells[8]) == waterfill.water_level(model.conditional, r)[1]
         assert float(cells[9]) == waterfill.water_level(model.observation, r)[1]
+    # the sweep points carry the levels the CSV prints
+    rates = [float(line.split(",")[0]) for line in lines[1:]]
+    for line, pt in zip(lines[1:], drf.sweep(model, rates)):
+        cells = line.split(",")
+        assert (float(cells[8]), float(cells[9])) == (pt.theta_idrf, pt.theta_ce)
+
+
+def test_sweep_without_signal(tmp_path, capsys):
+    # A = 0: the estimate spectrum is empty, so the optimal scheme has no
+    # water level and reports theta_idrf = 0 while the blind one still fills
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"A": [[0.0, 0.0], [0.0, 0.0]], "sigma2": 2.0}))
+    out = tmp_path / "zero.csv"
+    assert main(["sweep", str(path), "--min", "0", "--max", "3",
+                 "--steps", "7", "--out", str(out)]) == 0
+    capsys.readouterr()
+    model = load_model(path)
+    for line in out.read_text().strip().split("\n")[1:]:
+        cells = line.split(",")
+        r = float(cells[0])
+        assert float(cells[1]) == 1.0 and cells[6] == "0"
+        assert float(cells[8]) == 0.0
+        assert float(cells[9]) == waterfill.water_level(model.observation, r)[1]
 
 
 def test_sweep_gap_profile(model_file, tmp_path, capsys):
@@ -266,6 +289,17 @@ def test_verify_requires_one_source(model_file):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--random", n])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_rejects_bad_sample_count(model_file, capsys, n):
+    for source in (["--random", "1"], [str(model_file)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *source, "--samples", n])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--samples needs N >= 1, got {n}" in captured.err
 
 
 def test_example_outputs(tmp_path, capsys):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import mc_reference as ref
 from support import (
     CE_AT_1,
     IDRF_AT_1,
@@ -13,12 +14,14 @@ from support import (
 )
 
 from cedrf import drf, linalg, waterfill
+from cedrf.cli import _check_monte_carlo
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
     InvalidSampleCount,
     ce_matrix_form,
     ce_matrix_parts,
     mc_ce,
+    mc_estimates,
     mc_idrf,
     mc_mmse,
 )
@@ -186,3 +189,86 @@ def test_mc_nonsquare_models():
             assert _within_ci(mc_ce(model, r, 120_000, seed=40), drf.ce_drf(model, r))
             assert _within_ci(mc_idrf(model, r, 120_000, seed=41), drf.idrf(model, r))
         assert _within_ci(mc_mmse(model, 120_000, seed=42), model.mmse_floor)
+
+
+# ---------------------------------------------------------------------------
+# fused sampler against the per-call reference samplers
+# ---------------------------------------------------------------------------
+
+FUSED_RATES = (0.0, 0.5, 1.0, 3.0)
+
+
+def _special_models():
+    rng = np.random.default_rng(2024)
+    return [
+        ObservationModel(Matrix(rng.uniform(-2, 2, size=(2, 4))), 1.0),  # M > L
+        ObservationModel(Matrix(rng.uniform(-2, 2, size=(5, 3))), 0.1),  # L > M
+        rank_deficient_model(rng),
+        model_from_eigs([20.0, 0.5, 0.0], 1.0),  # pure-noise component
+    ]
+
+
+def _assert_fused_matches_reference(model, n_samples, seed, rates=FUSED_RATES):
+    run = mc_estimates(model, n_samples, seed, ce_rates=rates, idrf_rates=rates, mmse=True)
+    assert len(run.ce) == len(run.idrf) == len(rates)
+    for r, est in zip(rates, run.ce):
+        assert est == ref.mc_ce(model, r, n_samples, seed), ("ce", r)
+    for r, est in zip(rates, run.idrf):
+        assert est == ref.mc_idrf(model, r, n_samples, seed), ("idrf", r)
+    assert run.mmse == ref.mc_mmse(model, n_samples, seed)
+
+
+def test_fused_matches_reference_on_random_models():
+    rng = np.random.default_rng(4242)
+    models = [random_model(rng) for _ in range(196)] + _special_models()
+    assert any(m.M > m.L for m in models) and any(m.L > m.M for m in models)
+    assert any(m.gram.rank < min(m.L, m.M) for m in models)
+    for i, model in enumerate(models):
+        _assert_fused_matches_reference(model, n_samples=1 + (i % 2) * 999, seed=i)
+
+
+def test_single_estimate_calls_match_reference():
+    rng = np.random.default_rng(4343)
+    for i, model in enumerate([random_model(rng) for _ in range(20)] + _special_models()):
+        for r in FUSED_RATES:
+            assert mc_ce(model, r, 700, i) == ref.mc_ce(model, r, 700, i)
+            assert mc_idrf(model, r, 700, i) == ref.mc_idrf(model, r, 700, i)
+        assert mc_mmse(model, 700, i) == ref.mc_mmse(model, 700, i)
+
+
+@pytest.mark.parametrize("n_samples", [65_536, 65_537, 100_000])
+def test_fused_matches_reference_across_chunk_boundaries(n_samples):
+    for i, model in enumerate(_special_models()):
+        _assert_fused_matches_reference(model, n_samples, seed=90 + i)
+
+
+def test_fused_verify_run_matches_seven_reference_calls():
+    # the run `verify` makes per model: three rates per scheme plus the floor
+    _assert_fused_matches_reference(example_model(), 100_000, 20240117, rates=(0.5, 1.0, 3.0))
+
+
+def test_fused_rejects_bad_input():
+    model = example_model()
+    with pytest.raises(InvalidSampleCount):
+        mc_estimates(model, 0, 1, mmse=True)
+    with pytest.raises(ValueError, match="rate"):
+        mc_estimates(model, 10, 1, ce_rates=(1.0,), idrf_rates=(-1.0,))
+    empty = mc_estimates(model, 10, 1)
+    assert empty.ce == empty.idrf == () and empty.mmse is None
+
+
+def test_verify_monte_carlo_shares_the_observation_estimator(monkeypatch):
+    # one pinv for the observation estimator plus one per CE rate; sym_eig
+    # runs inside each pinv and once for the estimate covariance
+    model = random_model(np.random.default_rng(12))
+    calls = {"pinv": 0, "sym_eig": 0}
+    for name in calls:
+        real = getattr(linalg, name)
+
+        def counted(s, name=name, real=real):
+            calls[name] += 1
+            return real(s)
+
+        monkeypatch.setattr(linalg, name, counted)
+    _check_monte_carlo(model, 1000, 5)
+    assert calls == {"pinv": 4, "sym_eig": 5}

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import drf, oracle, waterfill
 from .linalg import Matrix
 from .spectral import ObservationModel, whiten
 
-CSV_HEADER = "R,d_idrf,d_ce,gap,gap_ub,gap_lb,k_idrf,k_ce,theta_idrf,theta_ce"
+CSV_HEADER = ",".join(f.name for f in fields(drf.DistortionPoint))
 
 _LN2 = math.log(2.0)
 
@@ -110,17 +110,8 @@ def example_model() -> ObservationModel:
 
 def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> dict:
     region = drf.equality_region(model)
-    thr_obs = waterfill.rate_thresholds(model.observation)
-    thr_cond = (
-        waterfill.rate_thresholds(model.conditional) if model.conditional.rank else [0.0]
-    )
-    d_i = drf.idrf(model, rate_bits)
-    d_c = drf.ce_drf(model, rate_bits)
-    alloc_cond = (
-        waterfill.rate_allocation(model.conditional, rate_bits)
-        if model.conditional.rank
-        else None
-    )
+    point = drf.sweep(model, [rate_bits])[0]
+    alloc_cond = waterfill.rate_allocation(model.conditional, rate_bits)
     alloc_obs = waterfill.rate_allocation(model.observation, rate_bits)
     unit = "nats" if nats else "bits"
     return {
@@ -140,30 +131,21 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
             "conditional": list(model.conditional.values),
         },
         "thresholds": {
-            "observation": [_json_safe(_from_bits(t, nats)) for t in thr_obs],
-            "conditional": [_json_safe(_from_bits(t, nats)) for t in thr_cond],
+            "observation": [
+                _json_safe(_from_bits(t, nats)) for t in model.observation.thresholds
+            ],
+            "conditional": [
+                _json_safe(_from_bits(t, nats)) for t in model.conditional.thresholds
+            ],
         },
         "equality_region": {
             "r0": region.r0,
             "R_limit": _json_safe(_from_bits(region.R_limit, nats)),
             "unconditional": region.unconditional,
         },
-        "point": {
-            "R": _from_bits(rate_bits, nats),
-            "d_idrf": d_i,
-            "d_ce": d_c,
-            "gap": max(0.0, d_c - d_i),
-            "gap_ub": drf.gap_upper_bound(model, rate_bits),
-            "gap_lb": drf.gap_lower_bound(model, rate_bits),
-            "k_idrf": alloc_cond.k if alloc_cond else 0,
-            "k_ce": alloc_obs.k,
-            "theta_idrf": alloc_cond.theta if alloc_cond else 0.0,
-            "theta_ce": alloc_obs.theta,
-        },
+        "point": dict(vars(point), R=_from_bits(rate_bits, nats)),
         "rates": {
-            "idrf": [
-                _from_bits(r, nats) for r in (alloc_cond.rates if alloc_cond else [0.0] * model.L)
-            ],
+            "idrf": [_from_bits(r, nats) for r in alloc_cond.rates],
             "ce": [_from_bits(r, nats) for r in alloc_obs.rates],
         },
     }
@@ -222,46 +204,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _sweep_rows(model: ObservationModel, grid_input: list[float], nats: bool) -> list[dict]:
-    rows = []
     points = drf.sweep(model, [_to_bits(r, nats) for r in grid_input])
-    for r_in, pt in zip(grid_input, points):
-        rows.append(
-            {
-                "R": r_in,
-                "d_idrf": pt.d_idrf,
-                "d_ce": pt.d_ce,
-                "gap": pt.gap,
-                "gap_ub": pt.gap_ub,
-                "gap_lb": pt.gap_lb,
-                "k_idrf": pt.k_idrf,
-                "k_ce": pt.k_ce,
-                "theta_idrf": pt.theta_idrf,
-                "theta_ce": pt.theta_ce,
-            }
-        )
-    return rows
+    # vars(), not dataclasses.asdict, which deep-copies every field
+    return [dict(vars(pt), R=r_in) for r_in, pt in zip(grid_input, points)]
 
 
 def _write_rows(rows: list[dict], out_path: str, fmt: str) -> None:
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row["R"]),
-                        _fmt(row["d_idrf"]),
-                        _fmt(row["d_ce"]),
-                        _fmt(row["gap"]),
-                        _fmt(row["gap_ub"]),
-                        _fmt(row["gap_lb"]),
-                        str(row["k_idrf"]),
-                        str(row["k_ce"]),
-                        _fmt(row["theta_idrf"]),
-                        _fmt(row["theta_ce"]),
-                    ]
-                )
-            )
+        lines = [CSV_HEADER] + [",".join(_fmt(v) for v in row.values()) for row in rows]
         Path(out_path).write_text("\n".join(lines) + "\n")
     else:
         Path(out_path).write_text(json.dumps({"rows": rows}, indent=2) + "\n")
@@ -303,7 +253,7 @@ def _random_verify_model(rng: np.random.Generator) -> ObservationModel:
 
 def _check_oracle_equivalence(model: ObservationModel) -> CheckResult:
     grid = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0]
-    for t in waterfill.rate_thresholds(model.observation)[:-1]:
+    for t in model.observation.thresholds[:-1]:
         if t > 0.0:
             grid.extend([max(0.0, t - 0.05), t + 0.05])
     worst = max(abs(oracle.ce_matrix_form(model, r) - drf.ce_drf(model, r)) for r in grid)
@@ -390,8 +340,8 @@ def cmd_example(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    thr_cond = waterfill.rate_thresholds(model.conditional)[1]
-    thr_obs = waterfill.rate_thresholds(model.observation)[1]
+    thr_cond = model.conditional.thresholds[1]
+    thr_obs = model.observation.thresholds[1]
     region = drf.equality_region(model)
     r_star, g_star = drf.max_gap_2d(20.0, 0.5, 1.0)
     print(f"second activation (conditional): {thr_cond:.6f} bits")

@@ -77,32 +77,26 @@ class AmGmBounds(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _idrf_level(cond: Spectrum, R: float) -> tuple[int, float]:
-    """Water level of the estimate spectrum; ``(0, 0.0)`` when it is all zero."""
-    return waterfill.water_level(cond, R) if cond.rank > 0 else (0, 0.0)
+def _ce_weights(obs: Spectrum, cond: Spectrum) -> list[float]:
+    """``lam/(lam+s2)^2`` per component, formed as ``cond/obs``.
+
+    Nothing is squared, so a weight underflows or overflows only where its
+    value itself lies outside double precision.
+    """
+    return [c / o for c, o in zip(cond.values, obs.values)]
 
 
-def _idrf_at(cond: Spectrum, M: int, k: int, theta: float) -> float:
-    return 1.0 - (sum(cond.values[:k]) - k * theta) / M
+def _idrf_point(cond: Spectrum, M: int, R: float) -> tuple[float, int, float]:
+    """Distortion, active count and water level of the optimal scheme."""
+    k, theta = waterfill.water_level(cond, R)
+    return 1.0 - (sum(cond.values[:k]) - k * theta) / M, k, theta
 
 
-def _ce_at(cond_vals: Sequence[float], quad_vals: Sequence[float],
-           M: int, k: int, theta: float) -> float:
-    return 1.0 - (sum(cond_vals[:k]) - theta * sum(quad_vals[:k])) / M
-
-
-def _idrf_spectral(cond: Spectrum, M: int, R: float) -> float:
-    return _idrf_at(cond, M, *_idrf_level(cond, R))
-
-
-def _ce_spectral(obs: Spectrum, cond_vals: Sequence[float], quad_vals: Sequence[float],
-                 M: int, R: float) -> float:
-    return _ce_at(cond_vals, quad_vals, M, *waterfill.water_level(obs, R))
-
-
-def _quad_values(model: ObservationModel) -> list[float]:
-    s2 = model.sigma2
-    return [g / ((g + s2) * (g + s2)) for g in model.gram.values]
+def _ce_point(obs: Spectrum, cond: Spectrum, weights: Sequence[float],
+              M: int, R: float) -> tuple[float, int, float]:
+    """Distortion, active count and water level of compress-and-estimate."""
+    k, theta = waterfill.water_level(obs, R)
+    return 1.0 - (sum(cond.values[:k]) - theta * sum(weights[:k])) / M, k, theta
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +111,7 @@ def idrf(model: ObservationModel, R: float) -> float:
     ``1 - (1/M) sum_{l<=k} lam_l/(lam_l+s2) + (k/M) theta``.  Equals 1 at
     ``R = 0``, decreases to the estimation floor as ``R`` grows.
     """
-    return _idrf_spectral(model.conditional, model.M, R)
+    return _idrf_point(model.conditional, model.M, R)[0]
 
 
 def ce_drf(model: ObservationModel, R: float) -> float:
@@ -128,33 +122,27 @@ def ce_drf(model: ObservationModel, R: float) -> float:
     ``1 - (1/M) sum_{l<=k} lam_l/(lam_l+s2) + (theta/M) sum_{l<=k} lam_l/(lam_l+s2)^2``.
     Never below :func:`idrf`.
     """
-    return _ce_spectral(model.observation, model.conditional.values,
-                        _quad_values(model), model.M, R)
+    obs, cond = model.observation, model.conditional
+    return _ce_point(obs, cond, _ce_weights(obs, cond), model.M, R)[0]
 
 
 def equality_region(model: ObservationModel) -> EqualityRegion:
     """Largest leading block and rate limit where both curves coincide."""
-    g = model.gram.values
-    s2 = model.sigma2
+    cond = model.conditional
     r0 = 1
     if model.gram.rank == 0:
         r0 = model.r
     else:
-        c1 = g[0] / ((g[0] + s2) * (g[0] + s2))
+        c = _ce_weights(model.observation, cond)
         for l in range(1, model.r):
-            cl = g[l] / ((g[l] + s2) * (g[l] + s2))
-            if abs(cl - c1) <= 1e-10 * c1:
+            if abs(c[l] - c[0]) <= 1e-10 * c[0]:
                 r0 = l + 1
             else:
                 break
-    limit_obs = waterfill.rate_thresholds(model.observation)[r0]
-    if model.conditional.rank == 0 or r0 > model.conditional.rank:
-        limit_cond = math.inf
-    else:
-        limit_cond = waterfill.rate_thresholds(model.conditional)[r0]
+    limit_cond = cond.thresholds[r0] if r0 <= cond.rank else math.inf
     return EqualityRegion(
         r0=r0,
-        R_limit=min(limit_obs, limit_cond),
+        R_limit=min(model.observation.thresholds[r0], limit_cond),
         unconditional=(r0 == model.L == model.M),
     )
 
@@ -188,7 +176,7 @@ def gap_lower_bound(model: ObservationModel, R: float) -> float:
     waterfill._check_rate(R)
     if model.L < 2 or model.conditional.rank == 0:
         return 0.0
-    if R <= waterfill.rate_thresholds(model.observation)[1]:
+    if R <= model.observation.thresholds[1]:
         return 0.0
     k_ce = waterfill.active_count(model.observation, R)
     if waterfill.active_count(model.conditional, R) < k_ce:
@@ -223,8 +211,7 @@ def _spectra_2d(lambda1: float, lambda2: float, sigma2: float):
     cond = Spectrum(
         (lambda1 / (lambda1 + sigma2), lambda2 / (lambda2 + sigma2)), gram.rank
     )
-    quad = [lambda1 / (lambda1 + sigma2) ** 2, lambda2 / (lambda2 + sigma2) ** 2]
-    return obs, cond, quad
+    return obs, cond
 
 
 def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
@@ -250,10 +237,9 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     r2_obs = 0.5 * math.log2((lambda1 + sigma2) / (lambda2 + sigma2))
     if R <= r2_obs + waterfill.BOUNDARY_SLACK:
         return 0.5 * (math.sqrt(c1) * 2.0 ** (-R) - math.sqrt(c2)) ** 2
-    obs, cond, quad = _spectra_2d(lambda1, lambda2, sigma2)
-    d_ce = _ce_spectral(obs, cond.values, quad, 2, R)
-    d_idrf = _idrf_spectral(cond, 2, R)
-    return max(0.0, d_ce - d_idrf)
+    obs, cond = _spectra_2d(lambda1, lambda2, sigma2)
+    d_ce = _ce_point(obs, cond, _ce_weights(obs, cond), 2, R)[0]
+    return max(0.0, d_ce - _idrf_point(cond, 2, R)[0])
 
 
 def max_gap_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[float, float]:
@@ -285,10 +271,7 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
             raise NonPositiveInput(f"values must be positive finite reals, got {v!r}")
     n = len(vals)
     am = math.fsum(vals) / n
-    if n <= 20:
-        gm = math.prod(vals) ** (1.0 / n)
-    else:
-        gm = 2.0 ** (math.fsum(math.log2(v) for v in vals) / n)
+    gm = 2.0 ** (math.fsum(math.log2(v) for v in vals) / n)
     hi, lo = max(vals), min(vals)
     reverse_bound = gm + (n - 1) / n * (hi - lo)
     lower_bound = gm + (math.sqrt(hi) - math.sqrt(lo)) ** 2 / n
@@ -304,15 +287,12 @@ def sweep(model: ObservationModel, R_grid: Sequence[float]) -> list[DistortionPo
         raise InvalidGrid("rates must be finite and non-negative")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidGrid("rates must be strictly increasing")
-    cond = model.conditional
-    obs = model.observation
-    quad = _quad_values(model)
+    obs, cond, M = model.observation, model.conditional, model.M
+    weights = _ce_weights(obs, cond)
     points = []
     for r in grid:
-        k_i, theta_i = _idrf_level(cond, r)
-        k_c, theta_c = waterfill.water_level(obs, r)
-        d_i = _idrf_at(cond, model.M, k_i, theta_i)
-        d_c = _ce_at(cond.values, quad, model.M, k_c, theta_c)
+        d_i, k_i, theta_i = _idrf_point(cond, M, r)
+        d_c, k_c, theta_c = _ce_point(obs, cond, weights, M, r)
         points.append(
             DistortionPoint(
                 R=r,

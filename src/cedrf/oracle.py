@@ -154,10 +154,7 @@ def _idrf_channel(model: ObservationModel, R: float):
     """Active components, their gains and quantization deviations in the optimal scheme."""
     M, L = model.M, model.L
     lam = list(model.conditional.values[:M]) + [0.0] * max(0, M - L)
-    if model.conditional.rank > 0:
-        k, theta = waterfill.water_level(model.conditional, R)
-    else:
-        k, theta = 0, 0.0
+    k, theta = waterfill.water_level(model.conditional, R)
     active = [l for l in range(k) if lam[l] > theta]
     gains = np.array([(lam[l] - theta) / lam[l] for l in active])
     q_sd = np.array([math.sqrt(theta * lam[l] / (lam[l] - theta)) for l in active])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,10 @@ class NotPositiveDefinite(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Non-increasing list of non-negative eigenvalues with a numerical rank."""
+    """Non-increasing list of non-negative eigenvalues with a numerical rank.
+
+    Immutable, so derived tables are built on first use and kept.
+    """
 
     values: tuple[float, ...]
     rank: int
@@ -58,6 +62,26 @@ class Spectrum:
         """Sort descending and classify near-zero values by the rank tolerance."""
         vals = tuple(sorted((float(v) for v in values), reverse=True))
         return cls(vals, _numerical_rank(vals))
+
+    @cached_property
+    def thresholds(self) -> tuple[float, ...]:
+        """Total rates (bits) at which successive components become active in reverse water-filling.
+
+        ``(R_1 = 0, R_2, ..., R_rank, inf)``, non-decreasing, with
+        ``R_k = (1/2) sum_{l<=k} log2(lam_l / lam_k)``.  A spectrum of rank 0
+        has the table ``(0.0,)``: no component ever becomes active.
+        """
+        logs = [math.log2(v) for v in self.values[: self.rank]]
+        if not logs:
+            return (0.0,)
+        out = [0.0]
+        prefix = logs[0]
+        for k in range(2, self.rank + 1):
+            prefix += logs[k - 1]
+            # clamp repairs ulp-level inversions between near-tied thresholds
+            out.append(max(0.5 * (prefix - k * logs[k - 1]), out[-1]))
+        out.append(math.inf)
+        return tuple(out)
 
 
 def _numerical_rank(sorted_desc: Sequence[float]) -> int:

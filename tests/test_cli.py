@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from support import GAP_AT_3, MAX_GAP, R2_COND, R2_OBS, example_model
 import cedrf.drf
 from cedrf import drf, waterfill
 from cedrf.cli import CSV_HEADER, load_model, main
+from cedrf.spectral import Spectrum
 
 
 EXAMPLE_JSON = {
@@ -200,6 +202,52 @@ def test_sweep_without_signal(tmp_path, capsys):
         assert float(cells[1]) == 1.0 and cells[6] == "0"
         assert float(cells[8]) == 0.0
         assert float(cells[9]) == waterfill.water_level(model.observation, r)[1]
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (1, 3)])
+def test_analyze_without_signal(tmp_path, capsys, rows, cols):
+    # A = 0: the estimate spectrum has rank 0, so its threshold table is
+    # [0.0], the optimal scheme never activates and the curves stay at 1
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"A": [[0.0] * cols] * rows, "sigma2": 2.0}))
+    report_path = tmp_path / "zero_report.json"
+    assert main(["analyze", str(path), "--rate", "1.9", "--json", str(report_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(report_path.read_text())
+    assert doc["equality_region"] == {
+        "r0": min(rows, cols), "R_limit": None, "unconditional": rows == cols,
+    }
+    assert doc["thresholds"]["conditional"] == [0.0]
+    p = doc["point"]
+    assert (p["k_idrf"], p["theta_idrf"]) == (0, 0.0)
+    assert p["d_idrf"] == p["d_ce"] == 1.0
+    assert doc["rates"]["idrf"] == [0.0] * rows
+
+
+def test_thresholds_built_once_per_spectrum(tmp_path, monkeypatch, capsys):
+    builds = []
+    real = Spectrum.__dict__["thresholds"].func
+
+    def counted(spectrum):
+        builds.append(spectrum)
+        return real(spectrum)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Spectrum, "thresholds")
+    monkeypatch.setattr(Spectrum, "thresholds", prop)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": [[1.0, 0.5, -0.3], [0.2, -1.1, 0.7]], "sigma2": 0.5}))
+    assert main(["analyze", str(path), "--rate", "1.9"]) == 0
+    capsys.readouterr()
+    assert 1 <= len(builds) <= 2  # the observation and estimate spectra
+    assert len({id(s) for s in builds}) == len(builds)
+
+    builds.clear()
+    model = example_model()
+    drf.sweep(model, [4.5 * i / 450 for i in range(451)])
+    assert len(builds) <= 2
+    assert len({id(s) for s in builds}) == len(builds)
+    assert all(s is model.observation or s is model.conditional for s in builds)
 
 
 def test_sweep_gap_profile(model_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from support import (
 )
 
 from cedrf import drf, waterfill
+from cedrf.linalg import Matrix
+from cedrf.spectral import ObservationModel
 from cedrf.drf import (
     ConditionViolated,
     InvalidGrid,
@@ -373,8 +376,8 @@ def test_rank_deficient_models_supported():
 
 
 def test_long_spectrum_paths():
-    # 25 observations drive the active count past the log-space switch in
-    # the water level; the matrix oracle must still match the closed form
+    # 25 observations, all active: the water level of a long spectrum must
+    # still match the matrix oracle's closed form
     from cedrf.linalg import Matrix
     from cedrf.oracle import ce_matrix_form
     from cedrf.spectral import ObservationModel
@@ -390,6 +393,8 @@ def test_long_spectrum_paths():
 
 
 def test_am_gm_long_vector_log_space():
+    # the geometric mean is a log-space sum at every length; a 30-term
+    # vector must match the natural-log form
     rng = np.random.default_rng(89)
     vals = list(rng.lognormal(0.0, 1.0, size=30))
     got = am_gm_pair(vals)
@@ -397,3 +402,83 @@ def test_am_gm_long_vector_log_space():
     assert got.gm == pytest.approx(direct_gm, rel=1e-12)
     assert got.gm <= got.am <= got.reverse_bound + 1e-12
     assert got.am >= got.lower_bound - 1e-12
+
+
+# Models whose eigenvalue products or squares leave double precision: the
+# product in the water level overflowed (NaN), a long tied spectrum
+# overflowed it too (inf), and (lam+s2)^2 underflowed to 0 (ZeroDivisionError).
+SCALE_DEFECTS = {
+    "diag(1e100,2e100)": (np.diag([1e100, 2e100]), 1.0),
+    "1e17*I_19": (1e17 * np.eye(19), 1.0),
+    "diag(1e-160,2e-160)": (np.diag([1e-160, 2e-160]), 1e-300),
+}
+
+
+@pytest.mark.parametrize("name", SCALE_DEFECTS)
+def test_extreme_scales_stay_finite(name):
+    a, sigma2 = SCALE_DEFECTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = ObservationModel(Matrix(a), sigma2)
+        region = equality_region(model)
+        assert 1 <= region.r0 <= model.r
+        assert not math.isnan(region.R_limit)
+        for r in (0.0, 0.3, 1.0, 3.0, 8.0):
+            assert math.isfinite(idrf(model, r)) and math.isfinite(ce_drf(model, r))
+        points = sweep(model, list(np.linspace(0.0, 12.0, 50)))
+    assert len(points) == 50
+    assert all(math.isfinite(v) for pt in points for v in vars(pt).values())
+
+
+def test_huge_spectrum_exact_values():
+    # lam = (4e200, 1e200), s2 = 1: both estimate components are 1, so the
+    # optimal scheme spends one bit on each (water level 1/2); the blind
+    # scheme sits exactly at its second threshold and spends it all on the
+    # first component (water level 1e200).
+    a, sigma2 = SCALE_DEFECTS["diag(1e100,2e100)"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = ObservationModel(Matrix(a), sigma2)
+        assert idrf(model, 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert ce_drf(model, 1.0) == pytest.approx(0.625, abs=1e-12)
+        assert not equality_region(model).unconditional
+
+
+def _twin_close(a: float, b: float, tol: float = 1e-9) -> bool:
+    # the benchmark's scale-twin comparison: relative, absolute below 1
+    return a == b or abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _rel_close(a: float, b: float, tol: float = 1e-9) -> bool:
+    return a == b or abs(a - b) <= tol * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_scale_invariance(seed):
+    # the curves depend on lam/s2 only: (A, s2) and (cA, c^2 s2) must agree
+    rng = np.random.default_rng(1700 + seed)
+    l_dim, m = (int(n) for n in rng.integers(1, 9, size=2))
+    if seed % 4 == 0 and min(l_dim, m) > 1:
+        rank = int(rng.integers(1, min(l_dim, m)))
+        a = rng.uniform(-2.0, 2.0, size=(l_dim, rank)) @ rng.uniform(-2.0, 2.0, size=(rank, m))
+    else:
+        a = rng.uniform(-2.0, 2.0, size=(l_dim, m))
+    sigma2 = float(rng.choice([0.1, 1.0, 10.0]))
+    c = 10.0 ** float(rng.uniform(-150.0, 150.0))
+    base = ObservationModel(Matrix(a), sigma2)
+    twin = ObservationModel(Matrix(c * a), c * c * sigma2)
+    assert twin.gram.rank == base.gram.rank
+    for spectrum in ("observation", "conditional"):
+        got = waterfill.rate_thresholds(getattr(twin, spectrum))
+        want = waterfill.rate_thresholds(getattr(base, spectrum))
+        assert len(got) == len(want)
+        assert all(_twin_close(x, y) for x, y in zip(got, want)), spectrum
+    got, want = equality_region(twin), equality_region(base)
+    assert (got.r0, got.unconditional) == (want.r0, want.unconditional)
+    assert _twin_close(got.R_limit, want.R_limit)
+    rates = [0.0, 0.3, 1.0, 3.0, 8.0]
+    for pt, ref in zip(sweep(twin, rates), sweep(base, rates)):
+        assert (pt.k_idrf, pt.k_ce) == (ref.k_idrf, ref.k_ce), pt.R
+        assert _twin_close(pt.d_idrf, ref.d_idrf) and _twin_close(pt.d_ce, ref.d_ce), pt.R
+        assert _rel_close(pt.theta_idrf, ref.theta_idrf), pt.R
+        assert _rel_close(pt.theta_ce / (c * c), ref.theta_ce), pt.R

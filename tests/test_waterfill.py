@@ -201,13 +201,14 @@ def test_theta_invariant_within_tied_block():
 
 
 def test_water_level_long_spectrum_uses_log_space():
-    # 30 components forces the log-space product path; the bisection oracle
-    # and the rate-sum identity must still hold
+    # 30 components, all active: the water level comes from the threshold
+    # table, not from an eigenvalue product; the bisection oracle and the
+    # rate-sum identity must still hold
     rng = np.random.default_rng(77)
     vals = tuple(sorted(rng.uniform(0.5, 30.0, size=30), reverse=True))
     s = Spectrum(vals, 30)
     thr = rate_thresholds(s)
-    big_r = thr[-2] + 5.0  # all components active: k = 30 > 20
+    big_r = thr[-2] + 5.0  # all components active: k = 30
     k, theta = water_level(s, big_r)
     assert k == 30
     assert theta == pytest.approx(_theta_by_bisection(vals, big_r), abs=1e-9)

@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,9 @@ from . import drf, oracle, waterfill
 from .linalg import Matrix
 from .spectral import ObservationModel, whiten
 
-CSV_HEADER = ",".join(f.name for f in fields(drf.DistortionPoint))
+CSV_HEADER = ",".join(drf.DistortionPoint._fields)
+# one sweep row; "%.17g" round-trips every double
+_CSV_LINE = ",".join(["%.17g"] * len(drf.DistortionPoint._fields))
 
 _LN2 = math.log(2.0)
 
@@ -38,11 +40,6 @@ class ParseError(ValueError):
 
 class InvalidModel(ValueError):
     """Model file violates a model invariant."""
-
-
-def _fmt(x: float) -> str:
-    """Round-trippable decimal rendering of a double."""
-    return format(x, ".17g")
 
 
 def _to_bits(rate: float, nats: bool) -> float:
@@ -111,8 +108,9 @@ def example_model() -> ObservationModel:
 def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> dict:
     region = drf.equality_region(model)
     point = drf.sweep(model, [rate_bits])[0]
-    alloc_cond = waterfill.rate_allocation(model.conditional, rate_bits)
-    alloc_obs = waterfill.rate_allocation(model.observation, rate_bits)
+    # the point carries both water levels; the allocations reuse them
+    alloc_cond = waterfill._allocation(model.conditional, rate_bits, point.k_idrf, point.theta_idrf)
+    alloc_obs = waterfill._allocation(model.observation, rate_bits, point.k_ce, point.theta_ce)
     unit = "nats" if nats else "bits"
     return {
         "units": unit,
@@ -143,7 +141,7 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
             "R_limit": _json_safe(_from_bits(region.R_limit, nats)),
             "unconditional": region.unconditional,
         },
-        "point": dict(vars(point), R=_from_bits(rate_bits, nats)),
+        "point": dict(point._asdict(), R=_from_bits(rate_bits, nats)),
         "rates": {
             "idrf": [_from_bits(r, nats) for r in alloc_cond.rates],
             "ce": [_from_bits(r, nats) for r in alloc_obs.rates],
@@ -203,17 +201,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_rows(model: ObservationModel, grid_input: list[float], nats: bool) -> list[dict]:
-    points = drf.sweep(model, [_to_bits(r, nats) for r in grid_input])
-    # vars(), not dataclasses.asdict, which deep-copies every field
-    return [dict(vars(pt), R=r_in) for r_in, pt in zip(grid_input, points)]
+def _sweep_points(model: ObservationModel, grid_input: np.ndarray,
+                  nats: bool) -> list[drf.DistortionPoint]:
+    """Sweep points with ``R`` in the input unit."""
+    points = drf.sweep(model, grid_input / _LN2 if nats else grid_input)
+    if not nats:
+        return points
+    return [pt._replace(R=r_in) for r_in, pt in zip(grid_input.tolist(), points)]
 
 
-def _write_rows(rows: list[dict], out_path: str, fmt: str) -> None:
+def _write_rows(points: list[drf.DistortionPoint], out_path: str, fmt: str) -> None:
     if fmt == "csv":
-        lines = [CSV_HEADER] + [",".join(_fmt(v) for v in row.values()) for row in rows]
+        lines = [CSV_HEADER] + [_CSV_LINE % pt for pt in points]
         Path(out_path).write_text("\n".join(lines) + "\n")
     else:
+        rows = [pt._asdict() for pt in points]
         Path(out_path).write_text(json.dumps({"rows": rows}, indent=2) + "\n")
 
 
@@ -223,10 +225,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise drf.InvalidGrid(f"steps must be >= 2, got {args.steps}")
     if not (0.0 <= args.min < args.max):
         raise drf.InvalidGrid(f"need 0 <= min < max, got min={args.min}, max={args.max}")
-    grid = [float(r) for r in np.linspace(args.min, args.max, args.steps)]
-    rows = _sweep_rows(model, grid, args.nats)
-    _write_rows(rows, args.out, args.format)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    grid = np.linspace(args.min, args.max, args.steps)
+    points = _sweep_points(model, grid, args.nats)
+    _write_rows(points, args.out, args.format)
+    print(f"wrote {len(points)} rows to {args.out}")
     return 0
 
 
@@ -252,11 +254,12 @@ def _random_verify_model(rng: np.random.Generator) -> ObservationModel:
 
 
 def _check_oracle_equivalence(model: ObservationModel) -> CheckResult:
-    grid = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+    rates = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0]
     for t in model.observation.thresholds[:-1]:
         if t > 0.0:
-            grid.extend([max(0.0, t - 0.05), t + 0.05])
-    worst = max(abs(oracle.ce_matrix_form(model, r) - drf.ce_drf(model, r)) for r in grid)
+            rates.extend([max(0.0, t - 0.05), t + 0.05])
+    points = drf.sweep(model, sorted(set(rates)))
+    worst = max(abs(oracle.ce_matrix_form(model, pt.R) - pt.d_ce) for pt in points)
     return CheckResult("oracle-equivalence", 1e-9, worst, worst < 1e-9)
 
 
@@ -264,7 +267,7 @@ def _check_equality_region(model: ObservationModel, rng: np.random.Generator) ->
     region = drf.equality_region(model)
     cap = min(region.R_limit, 12.0)
     rates = [float(rng.uniform(0.0, cap)) for _ in range(20)] + [cap]
-    worst = max(abs(drf.ce_drf(model, r) - drf.idrf(model, r)) for r in rates)
+    worst = max(abs(pt.d_ce - pt.d_idrf) for pt in drf.sweep(model, sorted(set(rates))))
     return CheckResult("equality-region", 1e-10, worst, worst < 1e-10)
 
 
@@ -350,20 +353,13 @@ def cmd_example(args: argparse.Namespace) -> int:
     print(f"max gap: {g_star:.6f} at R = {r_star:.6f} bits")
     print(f"mmse floor: {model.mmse_floor:.6f}")
 
-    grid = [float(r) for r in np.linspace(0.0, 4.5, 451)]
-    points = drf.sweep(model, grid)
+    points = drf.sweep(model, np.linspace(0.0, 4.5, 451))
     curves = out_dir / "drf_curves.csv"
     gaps = out_dir / "gap_curve.csv"
     curves.write_text(
-        "\n".join(
-            ["R,d_idrf,d_ce"]
-            + [f"{_fmt(p.R)},{_fmt(p.d_idrf)},{_fmt(p.d_ce)}" for p in points]
-        )
-        + "\n"
+        "\n".join(["R,d_idrf,d_ce"] + ["%.17g,%.17g,%.17g" % (p.R, p.d_idrf, p.d_ce) for p in points]) + "\n"
     )
-    gaps.write_text(
-        "\n".join(["R,gap"] + [f"{_fmt(p.R)},{_fmt(p.gap)}" for p in points]) + "\n"
-    )
+    gaps.write_text("\n".join(["R,gap"] + ["%.17g,%.17g" % (p.R, p.gap) for p in points]) + "\n")
     print(f"wrote {curves} and {gaps}")
     return 0
 

@@ -10,6 +10,14 @@ those results rest on.
 
 All rates are bits per source vector; distortions are normalized by the
 source dimension so the zero-rate value is 1.
+
+Curves and bounds are evaluated a whole rate grid at a time: active counts
+and water levels come from :func:`waterfill._levels`, the partial sums
+over the active components from prefix sums that add left to right, and
+every power of two from the C library's ``pow``.  The
+one-rate functions (:func:`idrf`, :func:`ce_drf`, the gap and its bounds)
+evaluate that grid at a single rate, so they equal :func:`sweep` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,8 +26,21 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from . import waterfill
-from .spectral import ObservationModel, Spectrum
+from .spectral import ObservationModel, Spectrum, prefix_sums
+
+#: Leading weights ``lam/(lam+s2)^2`` within this relative distance of the
+#: first one count as tied in :func:`equality_region`.  Eigenvalues that are
+#: equal in exact arithmetic come back from the eigensolver a few ulps apart;
+#: this absorbs that with about five orders of magnitude to spare.
+TIE_RTOL = 1e-10
+
+#: The two-component forms accept ``lambda1/(lambda1+s2)^2`` up to this much
+#: (relative) above ``lambda2/(lambda2+s2)^2``, so the condition's boundary
+#: case, equal weights, is not rejected for the rounding of the two quotients.
+CONDITION_2D_RTOL = 1e-12
 
 
 class ConditionViolated(ValueError):
@@ -34,8 +55,7 @@ class InvalidGrid(ValueError):
     """A rate grid must be non-empty, non-negative, and increasing."""
 
 
-@dataclass(frozen=True)
-class DistortionPoint:
+class DistortionPoint(NamedTuple):
     """Both distortion-rate curves and the gap bounds evaluated at one rate."""
 
     R: float
@@ -77,26 +97,57 @@ class AmGmBounds(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _ce_weights(obs: Spectrum, cond: Spectrum) -> list[float]:
+def _ce_weights(obs: Spectrum, cond: Spectrum) -> np.ndarray:
     """``lam/(lam+s2)^2`` per component, formed as ``cond/obs``.
 
     Nothing is squared, so a weight underflows or overflows only where its
     value itself lies outside double precision.
     """
-    return [c / o for c, o in zip(cond.values, obs.values)]
+    return cond.arrays[1] / obs.arrays[1]
 
 
-def _idrf_point(cond: Spectrum, M: int, R: float) -> tuple[float, int, float]:
-    """Distortion, active count and water level of the optimal scheme."""
-    k, theta = waterfill.water_level(cond, R)
-    return 1.0 - (sum(cond.values[:k]) - k * theta) / M, k, theta
+def _idrf_grid(cond: Spectrum, M: int, R: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Distortions, active counts and water levels of the optimal scheme."""
+    k, theta = waterfill._levels(cond, R)
+    return 1.0 - (cond.arrays[2][k] - k * theta) / M, k, theta
 
 
-def _ce_point(obs: Spectrum, cond: Spectrum, weights: Sequence[float],
-              M: int, R: float) -> tuple[float, int, float]:
-    """Distortion, active count and water level of compress-and-estimate."""
-    k, theta = waterfill.water_level(obs, R)
-    return 1.0 - (sum(cond.values[:k]) - theta * sum(weights[:k])) / M, k, theta
+def _ce_grid(obs: Spectrum, cond: Spectrum, M: int, R: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Distortions, active counts and water levels of compress-and-estimate."""
+    k, theta = waterfill._levels(obs, R)
+    kept = cond.arrays[2][k] - theta * prefix_sums(_ce_weights(obs, cond))[k]
+    return 1.0 - kept / M, k, theta
+
+
+def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
+                     k_ce: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`gap_upper_bound` and :func:`gap_lower_bound` over a grid, given both active counts."""
+    s2, L = model.sigma2, model.L
+    g = model.gram.values
+    decay = waterfill._exp2(-2.0 * R / L)
+    upper = (L / model.M) * (g[0] + s2) / (4.0 * s2) * decay
+    if L < 2 or model.conditional.rank == 0:
+        return upper, np.zeros_like(R)
+    f1 = math.sqrt(g[0]) / (g[0] + s2)
+    f2 = math.sqrt(g[1]) / (g[1] + s2)
+    valid = (R > model.observation.thresholds[1]) & (k_idrf >= k_ce)
+    return upper, np.where(valid, (g[L - 1] + s2) / model.M * (f1 - f2) ** 2 * decay, 0.0)
+
+
+def _points(model: ObservationModel, grid: np.ndarray) -> list[DistortionPoint]:
+    """Every :class:`DistortionPoint` field on a validated grid, one column at a time."""
+    d_i, k_i, theta_i = _idrf_grid(model.conditional, model.M, grid)
+    d_c, k_c, theta_c = _ce_grid(model.observation, model.conditional, model.M, grid)
+    upper, lower = _gap_bounds_grid(model, grid, k_i, k_c)
+    diff = d_c - d_i
+    gap = np.where(diff > 0.0, diff, 0.0)
+    columns = (grid, d_i, d_c, gap, upper, lower, k_i, k_c, theta_i, theta_c)
+    return list(map(DistortionPoint, *(c.tolist() for c in columns)))
+
+
+def _point(model: ObservationModel, R: float) -> DistortionPoint:
+    """The sweep at the single rate ``R``."""
+    return _points(model, np.array([waterfill._check_rate(R)]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +162,7 @@ def idrf(model: ObservationModel, R: float) -> float:
     ``1 - (1/M) sum_{l<=k} lam_l/(lam_l+s2) + (k/M) theta``.  Equals 1 at
     ``R = 0``, decreases to the estimation floor as ``R`` grows.
     """
-    return _idrf_point(model.conditional, model.M, R)[0]
+    return _point(model, R).d_idrf
 
 
 def ce_drf(model: ObservationModel, R: float) -> float:
@@ -122,8 +173,7 @@ def ce_drf(model: ObservationModel, R: float) -> float:
     ``1 - (1/M) sum_{l<=k} lam_l/(lam_l+s2) + (theta/M) sum_{l<=k} lam_l/(lam_l+s2)^2``.
     Never below :func:`idrf`.
     """
-    obs, cond = model.observation, model.conditional
-    return _ce_point(obs, cond, _ce_weights(obs, cond), model.M, R)[0]
+    return _point(model, R).d_ce
 
 
 def equality_region(model: ObservationModel) -> EqualityRegion:
@@ -135,7 +185,7 @@ def equality_region(model: ObservationModel) -> EqualityRegion:
     else:
         c = _ce_weights(model.observation, cond)
         for l in range(1, model.r):
-            if abs(c[l] - c[0]) <= 1e-10 * c[0]:
+            if abs(c[l] - c[0]) <= TIE_RTOL * c[0]:
                 r0 = l + 1
             else:
                 break
@@ -149,15 +199,12 @@ def equality_region(model: ObservationModel) -> EqualityRegion:
 
 def gap(model: ObservationModel, R: float) -> float:
     """Distortion penalty of encoder ignorance, ``ce_drf - idrf``, clamped at 0."""
-    return max(0.0, ce_drf(model, R) - idrf(model, R))
+    return _point(model, R).gap
 
 
 def gap_upper_bound(model: ObservationModel, R: float) -> float:
     """Closed-form upper bound ``(L/M) (lam_1+s2)/(4 s2) 2^{-2R/L}`` on the gap."""
-    waterfill._check_rate(R)
-    s2 = model.sigma2
-    lam1 = model.gram.values[0]
-    return (model.L / model.M) * (lam1 + s2) / (4.0 * s2) * 2.0 ** (-2.0 * R / model.L)
+    return _point(model, R).gap_ub
 
 
 def gap_lower_bound(model: ObservationModel, R: float) -> float:
@@ -173,20 +220,7 @@ def gap_lower_bound(model: ObservationModel, R: float) -> float:
     active) the gap can approach zero while the expression stays positive,
     so the trivial bound 0 is returned instead.
     """
-    waterfill._check_rate(R)
-    if model.L < 2 or model.conditional.rank == 0:
-        return 0.0
-    if R <= model.observation.thresholds[1]:
-        return 0.0
-    k_ce = waterfill.active_count(model.observation, R)
-    if waterfill.active_count(model.conditional, R) < k_ce:
-        return 0.0
-    g = model.gram.values
-    s2 = model.sigma2
-    f1 = math.sqrt(g[0]) / (g[0] + s2)
-    f2 = math.sqrt(g[1]) / (g[1] + s2)
-    lam_last = g[model.L - 1]
-    return (lam_last + s2) / model.M * (f1 - f2) ** 2 * 2.0 ** (-2.0 * R / model.L)
+    return _point(model, R).gap_lb
 
 
 def _check_condition_2d(lambda1: float, lambda2: float, sigma2: float) -> None:
@@ -198,7 +232,7 @@ def _check_condition_2d(lambda1: float, lambda2: float, sigma2: float) -> None:
         raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
     a1 = lambda1 / (lambda1 + sigma2) ** 2
     a2 = lambda2 / (lambda2 + sigma2) ** 2
-    if a1 > a2 * (1.0 + 1e-12):
+    if a1 > a2 * (1.0 + CONDITION_2D_RTOL):
         raise ConditionViolated(
             "two-component form requires lambda1/(lambda1+s2)^2 <= lambda2/(lambda2+s2)^2; "
             f"got {a1:.6g} > {a2:.6g}"
@@ -238,8 +272,9 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     if R <= r2_obs + waterfill.BOUNDARY_SLACK:
         return 0.5 * (math.sqrt(c1) * 2.0 ** (-R) - math.sqrt(c2)) ** 2
     obs, cond = _spectra_2d(lambda1, lambda2, sigma2)
-    d_ce = _ce_point(obs, cond, _ce_weights(obs, cond), 2, R)[0]
-    return max(0.0, d_ce - _idrf_point(cond, 2, R)[0])
+    rate = np.array([R], dtype=np.float64)
+    diff = float(_ce_grid(obs, cond, 2, rate)[0][0] - _idrf_grid(cond, 2, rate)[0][0])
+    return max(0.0, diff)
 
 
 def max_gap_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[float, float]:
@@ -280,31 +315,13 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
 
 def sweep(model: ObservationModel, R_grid: Sequence[float]) -> list[DistortionPoint]:
     """Evaluate both curves, the gap, and its bounds on an increasing rate grid."""
-    grid = [float(r) for r in R_grid]
-    if not grid:
+    grid = np.asarray(R_grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise InvalidGrid("rate grid must be one-dimensional")
+    if grid.size == 0:
         raise InvalidGrid("rate grid is empty")
-    if grid[0] < 0.0 or not all(math.isfinite(r) for r in grid):
+    if grid[0] < 0.0 or not np.isfinite(grid).all():
         raise InvalidGrid("rates must be finite and non-negative")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if (grid[1:] <= grid[:-1]).any():
         raise InvalidGrid("rates must be strictly increasing")
-    obs, cond, M = model.observation, model.conditional, model.M
-    weights = _ce_weights(obs, cond)
-    points = []
-    for r in grid:
-        d_i, k_i, theta_i = _idrf_point(cond, M, r)
-        d_c, k_c, theta_c = _ce_point(obs, cond, weights, M, r)
-        points.append(
-            DistortionPoint(
-                R=r,
-                d_idrf=d_i,
-                d_ce=d_c,
-                gap=max(0.0, d_c - d_i),
-                gap_ub=gap_upper_bound(model, r),
-                gap_lb=gap_lower_bound(model, r),
-                k_idrf=k_i,
-                k_ce=k_c,
-                theta_idrf=theta_i,
-                theta_ce=theta_c,
-            )
-        )
-    return points
+    return _points(model, grid)

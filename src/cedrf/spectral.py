@@ -83,6 +83,23 @@ class Spectrum:
         out.append(math.inf)
         return tuple(out)
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only float64 ``(thresholds, values, prefix_sums(values))``.
+
+        The form in which grid evaluations index the table by active count.
+        """
+        values = np.array(self.values)
+        out = (np.array(self.thresholds), values, prefix_sums(values))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+
+def prefix_sums(values: Sequence[float]) -> np.ndarray:
+    """``[0, v_1, v_1 + v_2, ...]``, added left to right: entry ``k`` sums the first ``k`` values."""
+    return np.add.accumulate(np.concatenate(([0.0], values)))
+
 
 def _numerical_rank(sorted_desc: Sequence[float]) -> int:
     top = sorted_desc[0] if sorted_desc else 0.0

@@ -11,6 +11,10 @@ the ``k`` leading eigenvalues times ``2^{-2R/k}`` rewritten through the
 k-th threshold.  It forms no eigenvalue product, so no spectrum scale or
 length can overflow it, and ``R = 0`` gives exactly ``lam_1``.
 
+Active counts and water levels are evaluated a whole rate grid at a time
+(:func:`_levels`); :func:`active_count` and :func:`water_level` are that
+grid at one rate, so a scalar call and a sweep agree bit for bit.
+
 Interval convention: the k-th component count applies on the half-open
 interval ``(R_k, R_{k+1}]``.  ``R = 0`` maps to ``k = 1`` with the water
 level at the top of the spectrum, which keeps the distortion-rate curves
@@ -25,12 +29,14 @@ every rate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .spectral import Spectrum
 
-#: Comparison slack for interval membership at computed thresholds.
+#: Comparison slack for interval membership at computed thresholds: a rate
+#: within this many bits above a threshold still belongs to the lower interval.
 BOUNDARY_SLACK = 1e-12
 
 
@@ -43,8 +49,8 @@ class WaterfillResult:
     """Active count, water level, and per-component rates/distortions.
 
     ``rates`` and ``distortions`` have one entry per spectrum value; the
-    rates sum to the requested total and are positive exactly for the
-    components strictly above the water level.
+    rates sum to the requested total, and only the ``k`` active components
+    carry a positive rate.
     """
 
     k: int
@@ -58,6 +64,32 @@ def _check_rate(R: float) -> float:
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"rate must be a finite non-negative real, got {R!r}")
     return r
+
+
+def _exp2(e: np.ndarray) -> np.ndarray:
+    """``2 ** e`` elementwise through the C library's ``pow``.
+
+    ``np.power`` and ``np.exp2`` may use SIMD kernels that differ from
+    ``pow`` in the last ulp, which would make a grid and a scalar call
+    disagree; Python's float power is ``pow`` itself.
+    """
+    return np.array([2.0 ** x for x in e.tolist()])
+
+
+def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Active counts and water levels on a float64 array of valid rates.
+
+    ``k`` is the number of thresholds ``t`` with ``t + BOUNDARY_SLACK < R``,
+    at least 1 (``R = 0``); the table's final ``inf`` keeps it at most
+    ``rank``.  ``theta = lam_k 2^{2 (R_k - R) / k}``.  Both are 0 at every
+    rate for a spectrum of rank 0.
+    """
+    if spectrum.rank == 0:
+        return np.zeros(R.shape, dtype=np.intp), np.zeros_like(R)
+    thr, lam, _ = spectrum.arrays
+    k = np.maximum(np.searchsorted(thr + BOUNDARY_SLACK, R, side="left"), 1)
+    i = k - 1
+    return k, lam[i] * _exp2(2.0 * (thr[i] - R) / k)
 
 
 def rate_thresholds(spectrum: Spectrum) -> list[float]:
@@ -77,9 +109,7 @@ def active_count(spectrum: Spectrum, R: float) -> int:
 
     0 when the spectrum has no positive eigenvalue.
     """
-    r = _check_rate(R)
-    k = bisect_left(spectrum.thresholds, r, key=lambda t: t + BOUNDARY_SLACK)
-    return min(max(k, 1), spectrum.rank)
+    return water_level(spectrum, R)[0]
 
 
 def water_level(spectrum: Spectrum, R: float) -> tuple[int, float]:
@@ -90,25 +120,29 @@ def water_level(spectrum: Spectrum, R: float) -> tuple[int, float]:
     eigenvalue and its successor and is continuous in ``R`` across the
     interval boundaries.  ``(0, 0.0)`` for a spectrum of rank 0.
     """
-    r = _check_rate(R)
-    k = active_count(spectrum, r)
-    if k == 0:
-        return 0, 0.0
-    return k, spectrum.values[k - 1] * 2.0 ** (2.0 * (spectrum.thresholds[k - 1] - r) / k)
+    k, theta = _levels(spectrum, np.array([_check_rate(R)]))
+    return int(k[0]), float(theta[0])
 
 
 def rate_allocation(spectrum: Spectrum, R: float) -> WaterfillResult:
     """Per-component rates ``(1/2) log2^+(lam_l / theta)`` and distortions ``min(lam_l, theta)``.
 
-    Zero eigenvalues, and every component of a rank-0 spectrum, receive
-    zero rate and zero distortion.
+    The rate of each active component is formed as
+    ``(1/2) log2(lam_l / lam_k) + (R - R_k) / k``, which never divides by
+    ``theta``, so it stays finite where ``theta`` underflows to 0.  Zero
+    eigenvalues, and every component of a rank-0 spectrum, receive zero
+    rate and zero distortion.
     """
-    k, theta = water_level(spectrum, R)
-    rates = []
-    for l, v in enumerate(spectrum.values):
-        if l < spectrum.rank and v > theta:
-            rates.append(0.5 * math.log2(v / theta))
-        else:
-            rates.append(0.0)
+    r = _check_rate(R)
+    return _allocation(spectrum, r, *water_level(spectrum, r))
+
+
+def _allocation(spectrum: Spectrum, r: float, k: int, theta: float) -> WaterfillResult:
+    """:func:`rate_allocation` at rate ``r``, given its active count and water level."""
+    rates = [0.0] * len(spectrum.values)
+    if k:
+        lam_k = spectrum.values[k - 1]
+        excess = (r - spectrum.thresholds[k - 1]) / k
+        rates[:k] = [0.5 * math.log2(v / lam_k) + excess for v in spectrum.values[:k]]
     distortions = tuple(min(v, theta) for v in spectrum.values)
     return WaterfillResult(k, theta, tuple(rates), distortions)

@@ -224,6 +224,22 @@ def test_analyze_without_signal(tmp_path, capsys, rows, cols):
     assert doc["rates"]["idrf"] == [0.0] * rows
 
 
+def test_analyze_where_water_level_underflows(tmp_path, capsys):
+    # 2^(-2R) is 0.0 in double precision at R = 1100, so theta_ce is 0; the
+    # rates must still be finite and sum to the requested total
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"A": [[1.0]], "sigma2": 1.0}))
+    report_path = tmp_path / "one_report.json"
+    assert main(["analyze", str(path), "--rate", "1100", "--json", str(report_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(report_path.read_text())
+    assert doc["point"]["theta_ce"] == 0.0
+    for scheme in ("idrf", "ce"):
+        rates = doc["rates"][scheme]
+        assert all(math.isfinite(r) for r in rates)
+        assert math.fsum(rates) == pytest.approx(1100.0, rel=1e-9)
+
+
 def test_thresholds_built_once_per_spectrum(tmp_path, monkeypatch, capsys):
     builds = []
     real = Spectrum.__dict__["thresholds"].func
@@ -319,9 +335,15 @@ def test_verify_random_models_deterministic(capsys):
 
 
 def test_verify_negative_control(model_file, capsys, monkeypatch):
-    # corrupt the closed form: verification must fail and name the check
+    # corrupt the closed form, both at one rate and on a grid (the
+    # oracle-equivalence check reads d_ce from one sweep): verification
+    # must fail and name the check
     real = cedrf.drf.ce_drf
     monkeypatch.setattr(cedrf.drf, "ce_drf", lambda model, r: real(model, r) + 1e-6)
+    real_sweep = cedrf.drf.sweep
+    monkeypatch.setattr(cedrf.drf, "sweep", lambda model, grid: [
+        pt._replace(d_ce=pt.d_ce + 1e-6) for pt in real_sweep(model, grid)
+    ])
     code = main(["verify", str(model_file), "--samples", "2000", "--seed", "11"])
     out = capsys.readouterr().out
     assert code != 0

@@ -427,7 +427,7 @@ def test_extreme_scales_stay_finite(name):
             assert math.isfinite(idrf(model, r)) and math.isfinite(ce_drf(model, r))
         points = sweep(model, list(np.linspace(0.0, 12.0, 50)))
     assert len(points) == 50
-    assert all(math.isfinite(v) for pt in points for v in vars(pt).values())
+    assert all(math.isfinite(v) for pt in points for v in pt._asdict().values())
 
 
 def test_huge_spectrum_exact_values():

@@ -1,0 +1,98 @@
+"""Generative checks that a sweep and the one-rate functions agree bit for bit.
+
+Models are drawn with L, M <= 8: dense, low-rank, and diagonal with
+repeated and zero entries (exactly tied and rank-deficient spectra).  Each
+grid holds every finite threshold of both spectra, the threshold +-1 ulp,
++-BOUNDARY_SLACK, and the slack boundary itself +-1 ulp, where the active
+count changes.
+"""
+
+import functools
+import math
+import operator
+from bisect import bisect_left
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cedrf import drf, waterfill
+from cedrf.linalg import Matrix
+from cedrf.spectral import ObservationModel
+from cedrf.waterfill import BOUNDARY_SLACK
+
+
+@st.composite
+def models(draw):
+    l_dim, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    sigma2 = draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+    kind = draw(st.sampled_from(["dense", "low-rank", "diagonal"]))
+    if kind == "diagonal":
+        r = min(l_dim, m)
+        diag = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5, 4.0]), min_size=r, max_size=r))
+        a = np.zeros((l_dim, m))
+        a[range(r), range(r)] = diag
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "low-rank" and min(l_dim, m) > 1:
+            rank = draw(st.integers(1, min(l_dim, m) - 1))
+            a = rng.uniform(-2.0, 2.0, (l_dim, rank)) @ rng.uniform(-2.0, 2.0, (rank, m))
+        else:
+            a = rng.uniform(-2.0, 2.0, (l_dim, m))
+    return ObservationModel(Matrix(a), sigma2)
+
+
+def boundary_grid(model, extra):
+    rates = set(extra)
+    for spectrum in (model.observation, model.conditional):
+        for t in spectrum.thresholds:
+            if not math.isfinite(t):
+                continue
+            key = t + BOUNDARY_SLACK
+            for r in (t, t - BOUNDARY_SLACK, key):
+                rates.update((r, np.nextafter(r, -math.inf), np.nextafter(r, math.inf)))
+    return sorted(float(r) for r in rates if r >= 0.0)
+
+
+def reference_count(spectrum, r):
+    """The bisect form of the slack convention."""
+    if spectrum.rank == 0:
+        return 0
+    k = bisect_left(spectrum.thresholds, r, key=lambda t: t + BOUNDARY_SLACK)
+    return min(max(k, 1), spectrum.rank)
+
+
+def reference_level(spectrum, k, r):
+    """``lam_k 2^{2 (R_k - R) / k}`` one rate at a time, in scalar arithmetic."""
+    if k == 0:
+        return 0.0
+    return spectrum.values[k - 1] * 2.0 ** (2.0 * (spectrum.thresholds[k - 1] - r) / k)
+
+
+def left_sum(values):
+    return functools.reduce(operator.add, values, 0.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(models(), st.lists(st.floats(0.0, 30.0), max_size=12))
+def test_sweep_equals_one_rate_functions(model, extra):
+    obs, cond, M = model.observation, model.conditional, model.M
+    weights = [c / o for c, o in zip(cond.values, obs.values)]
+    for pt in drf.sweep(model, boundary_grid(model, extra)):
+        r = pt.R
+        assert (pt.k_idrf, pt.theta_idrf) == waterfill.water_level(cond, r)
+        assert (pt.k_ce, pt.theta_ce) == waterfill.water_level(obs, r)
+        assert pt.k_idrf == waterfill.active_count(cond, r) == reference_count(cond, r)
+        assert pt.k_ce == waterfill.active_count(obs, r) == reference_count(obs, r)
+        assert pt.theta_idrf == reference_level(cond, pt.k_idrf, r)
+        assert pt.theta_ce == reference_level(obs, pt.k_ce, r)
+        assert pt.d_idrf == drf.idrf(model, r)
+        assert pt.d_ce == drf.ce_drf(model, r)
+        k = pt.k_idrf
+        assert pt.d_idrf == 1.0 - (left_sum(cond.values[:k]) - k * pt.theta_idrf) / M
+        k = pt.k_ce
+        kept = left_sum(cond.values[:k]) - pt.theta_ce * left_sum(weights[:k])
+        assert pt.d_ce == 1.0 - kept / M
+        assert pt.gap == drf.gap(model, r) == max(0.0, pt.d_ce - pt.d_idrf)
+        assert pt.gap_ub == drf.gap_upper_bound(model, r)
+        assert pt.gap_lb == drf.gap_lower_bound(model, r)

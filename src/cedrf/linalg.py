@@ -1,11 +1,11 @@
-"""Validated dense matrices and symmetric spectral decompositions.
+"""Validated input matrices and symmetric spectral decompositions.
 
 Every spectrum and pseudoinverse in the package comes from here.
-:class:`Matrix` holds a finite, non-empty, read-only 2-D array;
-:func:`sym_eig` and :func:`pinv` check that their input is square and
-symmetric, then diagonalize it with LAPACK's symmetric eigensolver
-through :func:`numpy.linalg.eigh`.  Results are bit-identical from run to
-run on one platform and numpy/BLAS build.
+:class:`Matrix` holds a finite, non-empty, read-only 2-D array and is kept
+for user input.  :func:`sym_eig` and :func:`pinv` take plain arrays, check
+that they are finite, square and symmetric, then diagonalize them with
+LAPACK's symmetric eigensolver through :func:`numpy.linalg.eigh`.  Results
+are bit-identical from run to run on one platform and numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -64,39 +64,41 @@ class Matrix:
         return self.data.shape[1]
 
 
-def sym_eig(s: Matrix) -> tuple[np.ndarray, Matrix]:
+def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a symmetric matrix.
 
     Returns ``(w, V)`` with eigenvalues ``w`` sorted descending (stable
     order on ties) and orthogonal eigenvector columns aligned with them,
     so that ``S = V diag(w) V^T``.
 
-    Raises :class:`NotSymmetric` when the input is not square or its
-    asymmetry exceeds ``SYMMETRY_ATOL``.
+    Raises :class:`NotSymmetric` unless the input is a non-empty square
+    array symmetric within ``SYMMETRY_ATOL``; :class:`ValueError` on NaN/inf.
     """
-    m = s.data
-    if m.shape[0] != m.shape[1]:
-        raise NotSymmetric(f"matrix is not square: {m.shape[0]}x{m.shape[1]}")
+    m = np.asarray(s, dtype=float)
+    if m.ndim != 2 or m.size == 0 or m.shape[0] != m.shape[1]:
+        raise NotSymmetric(f"expected a non-empty square 2-D array, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     asym = float(np.abs(m - m.T).max())
     if asym > SYMMETRY_ATOL:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_ATOL:.0e}")
     w, v = np.linalg.eigh((m + m.T) / 2.0)
     order = np.argsort(-w, kind="stable")
-    return w[order], Matrix(v[:, order])
+    # kept C-ordered: matmul's rounding depends on operand layout
+    return w[order], np.ascontiguousarray(v[:, order])
 
 
-def pinv(s: Matrix) -> Matrix:
+def pinv(s: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix.
 
     Eigenvalues at most ``PINV_RTOL`` times the largest magnitude are
-    treated as zero.  Raises :class:`NotSymmetric` as :func:`sym_eig` does.
+    treated as zero.  Raises as :func:`sym_eig` does.
     """
-    w, vecs = sym_eig(s)
-    v = vecs.data
+    w, v = sym_eig(s)
     scale = float(np.abs(w).max())
     if scale == 0.0:
-        return Matrix(np.zeros_like(s.data))
+        return np.zeros_like(v)
     inv_w = np.zeros_like(w)
     keep = np.abs(w) > PINV_RTOL * scale
     inv_w[keep] = 1.0 / w[keep]
-    return Matrix((v * inv_w) @ v.T)
+    return (v * inv_w) @ v.T

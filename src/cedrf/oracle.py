@@ -21,7 +21,8 @@ optimal scheme with ``k`` active components uses its first ``m * k``
 values in C order, as an (m, k) array.  :func:`mc_estimates` evaluates
 any set of estimates from one such pass; each one is bit-identical to a
 separate :func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse` call, and to
-the single-estimate samplers these functions replaced.
+the single-estimate samplers these functions replaced.  Both routes use
+one compress-and-estimate decoder; every matrix here is a plain array.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg, waterfill
-from .linalg import Matrix
 from .spectral import ObservationModel
 
 #: Samples per RNG substream; part of the determinism contract.
@@ -46,23 +46,23 @@ class InvalidSampleCount(ValueError):
 
 @dataclass(frozen=True)
 class CEMatrixParts:
-    """Matrices of the compress-and-estimate test channel at one rate.
+    """Read-only arrays of the compress-and-estimate test channel at one rate.
 
     ``basis``: orthogonal eigenbasis of the observation covariance,
     columns in descending-eigenvalue order with deterministic signs.
-    ``gain``: diagonal per-component forward gains ``1 - 2^{-2 r_l}``;
+    ``gain``: 1-D per-component forward gains ``1 - 2^{-2 r_l}``;
     zero exactly for inactive components.
-    ``distortion``: diagonal per-component distortions ``min(lam_l + s2, theta)``.
-    ``channel``: effective source-to-representation matrix ``gain @ basis^T @ A``.
-    ``noise_cov``: diagonal covariance ``s2 gain^2 + gain distortion`` of the
-    effective additive noise.
+    ``distortion``: 1-D per-component distortions ``min(lam_l + s2, theta)``.
+    ``channel``: source-to-representation matrix ``diag(gain) @ basis^T @ A``.
+    ``noise_cov``: 1-D diagonal ``s2 gain^2 + gain distortion`` of the
+    effective additive noise's covariance.
     """
 
-    basis: Matrix
-    gain: Matrix
-    distortion: Matrix
-    channel: Matrix
-    noise_cov: Matrix
+    basis: np.ndarray
+    gain: np.ndarray
+    distortion: np.ndarray
+    channel: np.ndarray
+    noise_cov: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,33 +77,33 @@ class McEstimate:
 
 def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
     """Build the test-channel matrices for compress-and-estimate at rate ``R``."""
-    u = model.basis.data
+    u = model.basis
     alloc = waterfill.rate_allocation(model.observation, R)
     gain = np.array([1.0 - 2.0 ** (-2.0 * r) for r in alloc.rates])
     dist = np.array(alloc.distortions)
     channel = (gain[:, None] * u.T) @ model.A.data
     noise = model.sigma2 * gain * gain + gain * dist
-    return CEMatrixParts(
-        basis=model.basis,
-        gain=Matrix(np.diag(gain)),
-        distortion=Matrix(np.diag(dist)),
-        channel=Matrix(channel),
-        noise_cov=Matrix(np.diag(noise)),
-    )
+    for a in (gain, dist, channel, noise):
+        a.flags.writeable = False
+    return CEMatrixParts(basis=u, gain=gain, distortion=dist, channel=channel, noise_cov=noise)
+
+
+def _lmmse(p: np.ndarray, noise_var: np.ndarray) -> np.ndarray:
+    """Linear MMSE estimator ``P^T (P P^T + diag(noise_var))^+`` of ``x`` from ``P x + n``."""
+    return p.T @ linalg.pinv(p @ p.T + np.diag(noise_var))
 
 
 def ce_matrix_form(model: ObservationModel, R: float) -> float:
     """Compress-and-estimate distortion evaluated as a pseudoinverse trace.
 
-    ``(1/M) tr(I - P^T (P P^T + noise_cov)^+ P)`` with ``P`` the channel
-    matrix.  Must agree with the spectral closed form for every model and
-    rate; this is the primary cross-check of the piecewise formulas.
+    ``(1/M) tr(I - P^T (P P^T + diag(noise_cov))^+ P)`` with ``P`` the
+    channel matrix.  Must agree with the spectral closed form for every
+    model and rate; this is the primary cross-check of the piecewise
+    formulas.
     """
     parts = ce_matrix_parts(model, R)
-    p = parts.channel.data
-    cov = p @ p.T + parts.noise_cov.data
-    w = linalg.pinv(Matrix((cov + cov.T) / 2.0)).data
-    return (model.M - float(np.trace(p.T @ w @ p))) / model.M
+    decoder = _lmmse(parts.channel, parts.noise_cov)
+    return (model.M - float(np.trace(decoder @ parts.channel))) / model.M
 
 
 class _Moments:
@@ -139,21 +139,9 @@ class McEstimates:
     mmse: McEstimate | None
 
 
-def _ce_channel(model: ObservationModel, R: float):
-    """Channel, noise rotation, quantization scale and estimator of compress-and-estimate."""
-    parts = ce_matrix_parts(model, R)
-    p = parts.channel.data
-    gain_ut = parts.gain.data @ parts.basis.data.T
-    q_scale = np.sqrt(np.diag(parts.gain.data) * np.diag(parts.distortion.data))
-    cov = p @ p.T + parts.noise_cov.data
-    estimator = p.T @ linalg.pinv(Matrix((cov + cov.T) / 2.0)).data  # M x L
-    return p, gain_ut, q_scale, estimator
-
-
 def _idrf_channel(model: ObservationModel, R: float):
     """Active components, their gains and quantization deviations in the optimal scheme."""
-    M, L = model.M, model.L
-    lam = list(model.conditional.values[:M]) + [0.0] * max(0, M - L)
+    lam = model.conditional.values
     k, theta = waterfill.water_level(model.conditional, R)
     active = [l for l in range(k) if lam[l] > theta]
     gains = np.array([(lam[l] - theta) / lam[l] for l in active])
@@ -179,15 +167,15 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
     a = model.A.data
     M, L = model.M, model.L
     sig = math.sqrt(model.sigma2)
-    ce = [_ce_channel(model, R) for R in ce_rates]
+    # gain_ut is a matmul, not a row scaling: that gives F order, and z @ gain_ut.T rounds by layout
+    ce = [(p.channel, np.diag(p.gain) @ p.basis.T, np.sqrt(p.gain * p.distortion),
+           _lmmse(p.channel, p.noise_cov))
+          for p in (ce_matrix_parts(model, R) for R in ce_rates)]
     idrf = [_idrf_channel(model, R) for R in idrf_rates]
     if idrf or mmse:
-        obs_cov = a @ a.T + model.sigma2 * np.eye(L)
-        estimator = a.T @ linalg.pinv(Matrix((obs_cov + obs_cov.T) / 2.0)).data  # M x L
+        estimator = _lmmse(a, np.full(L, model.sigma2))  # M x L
     if idrf:
-        est_cov = estimator @ a
-        _, vecs = linalg.sym_eig(Matrix((est_cov + est_cov.T) / 2.0))
-        v = vecs.data  # M x M, columns aligned with descending estimate spectrum
+        _, v = linalg.sym_eig(estimator @ a)  # M x M, columns by descending estimate spectrum
     ce_sums = [_Moments() for _ in ce]
     idrf_sums = [_Moments() for _ in idrf]
     mmse_sums = _Moments()

@@ -121,11 +121,11 @@ class ObservationModel:
 
     ``A A^T`` is diagonalized once, at construction.  ``gram`` holds its
     spectrum, with the derived observation and estimate spectra cached
-    beside it.  ``basis`` holds the aligned orthogonal eigenvectors as
-    columns, each signed so that its largest-magnitude entry is positive
-    (the first such entry on ties).  ``full_rank`` records whether ``A``
-    has numerical rank ``min(M, L)``; rank-deficient models are accepted
-    and handled throughout.
+    beside it.  ``basis``, a read-only array, holds the aligned orthogonal
+    eigenvectors as columns, each signed so that its largest-magnitude
+    entry is positive (the first such entry on ties).  ``full_rank``
+    records whether ``A`` has numerical rank ``min(M, L)``; rank-deficient
+    models are accepted and handled throughout.
 
     Raises :class:`ValueError` when ``sigma2`` is not a positive finite
     real, or when ``A A^T`` overflows double precision.
@@ -148,10 +148,10 @@ class ObservationModel:
                 f"A A^T overflows double precision (largest |A| entry "
                 f"{float(np.abs(A.data).max()):.3e})"
             )
-        w, vecs = linalg.sym_eig(Matrix(gram_mat))
-        u = vecs.data
+        w, u = linalg.sym_eig(gram_mat)
         lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-        self.basis = Matrix(np.where(lead < 0.0, -u, u))
+        self.basis = np.where(lead < 0.0, -u, u)
+        self.basis.flags.writeable = False
         self.gram = Spectrum.from_values(np.clip(w, 0.0, None))
         self.full_rank = self.gram.rank == self.r
         self.observation = observation_spectrum(self.gram, s2)
@@ -205,13 +205,10 @@ def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:
     Raises :class:`NotPositiveDefinite` when the smallest eigenvalue of
     ``sigma_x`` is at or below the rank tolerance.
     """
-    w, vecs = linalg.sym_eig(sigma_x)
-    top = float(w[0])
-    cutoff = RANK_RTOL * top if top > 0.0 else RANK_ATOL
-    if float(w[-1]) <= cutoff:
+    w, v = linalg.sym_eig(sigma_x.data)
+    if _numerical_rank(w.tolist()) < len(w):
         raise NotPositiveDefinite(
             f"smallest eigenvalue {float(w[-1]):.3e} is not above the rank tolerance"
         )
-    v = vecs.data
     sqrt_sx = (v * np.sqrt(w)) @ v.T
     return ObservationModel(Matrix(A.data @ sqrt_sx), sigma2)

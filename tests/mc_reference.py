@@ -13,7 +13,6 @@ from typing import Callable
 import numpy as np
 
 from cedrf import linalg, waterfill
-from cedrf.linalg import Matrix
 from cedrf.oracle import _CHUNK, InvalidSampleCount, McEstimate, ce_matrix_parts
 from cedrf.spectral import ObservationModel
 
@@ -55,11 +54,11 @@ def mc_ce(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEst
     """
     waterfill._check_rate(R)
     parts = ce_matrix_parts(model, R)
-    p = parts.channel.data
-    gain_ut = parts.gain.data @ parts.basis.data.T
-    q_scale = np.sqrt(np.diag(parts.gain.data) * np.diag(parts.distortion.data))
-    cov = p @ p.T + parts.noise_cov.data
-    estimator = p.T @ linalg.pinv(Matrix((cov + cov.T) / 2.0)).data  # M x L
+    p = parts.channel
+    gain_ut = np.diag(parts.gain) @ parts.basis.T
+    q_scale = np.sqrt(parts.gain * parts.distortion)
+    cov = p @ p.T + np.diag(parts.noise_cov)
+    estimator = p.T @ linalg.pinv((cov + cov.T) / 2.0)  # M x L
     sig = math.sqrt(model.sigma2)
     M, L = model.M, model.L
 
@@ -88,10 +87,10 @@ def mc_idrf(model: ObservationModel, R: float, n_samples: int, seed: int) -> McE
     a = model.A.data
     M, L = model.M, model.L
     obs_cov = a @ a.T + model.sigma2 * np.eye(L)
-    estimator = a.T @ linalg.pinv(Matrix((obs_cov + obs_cov.T) / 2.0)).data  # M x L
+    estimator = a.T @ linalg.pinv((obs_cov + obs_cov.T) / 2.0)  # M x L
     est_cov = estimator @ a
-    _, vecs = linalg.sym_eig(Matrix((est_cov + est_cov.T) / 2.0))
-    v = vecs.data  # M x M, columns aligned with descending estimate spectrum
+    # M x M, columns aligned with descending estimate spectrum
+    _, v = linalg.sym_eig((est_cov + est_cov.T) / 2.0)
 
     lam = list(model.conditional.values[:M]) + [0.0] * max(0, M - L)
     if model.conditional.rank > 0:
@@ -123,7 +122,7 @@ def mc_mmse(model: ObservationModel, n_samples: int, seed: int) -> McEstimate:
     a = model.A.data
     M, L = model.M, model.L
     obs_cov = a @ a.T + model.sigma2 * np.eye(L)
-    estimator = a.T @ linalg.pinv(Matrix((obs_cov + obs_cov.T) / 2.0)).data
+    estimator = a.T @ linalg.pinv((obs_cov + obs_cov.T) / 2.0)
     sig = math.sqrt(model.sigma2)
 
     def sampler(rng: np.random.Generator, m: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 from support import GAP_AT_3, MAX_GAP, R2_COND, R2_OBS, example_model
 
 import cedrf.drf
-from cedrf import drf, waterfill
+from cedrf import cli, drf, waterfill
 from cedrf.cli import CSV_HEADER, load_model, main
 from cedrf.spectral import Spectrum
 
@@ -390,3 +390,29 @@ def test_example_outputs(tmp_path, capsys):
     three = min(by_rate, key=lambda r: abs(r - 3.0))
     assert by_rate[half] <= 1e-12
     assert by_rate[three] == pytest.approx(GAP_AT_3, abs=1e-9)
+
+
+def test_parser_is_built_once_per_process(model_file, tmp_path, capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    runs = [
+        (["analyze", str(model_file), "--rate", "1.5"], 0),
+        (["analyze", "/nonexistent/model.json", "--rate", "1"], 2),
+        (["sweep", str(model_file), "--min", "0", "--max", "3", "--steps", "7",
+          "--out", str(tmp_path / "s.csv")], 0),
+    ]
+    outputs = []
+    for _ in range(3):
+        for argv, code in runs:
+            assert main(argv) == code
+            outputs.append(capsys.readouterr())
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(model_file), "--random", "2"])
+        assert exc.value.code == 2
+        outputs.append(capsys.readouterr())
+    assert outputs[:4] == outputs[4:8] == outputs[8:]
+    assert cli.build_parser.cache_info().misses == 1
+    # commands are looked up when called, so a replaced one runs
+    called = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: called.append(args.rate) or 0)
+    assert main(["analyze", str(model_file), "--rate", "2"]) == 0
+    assert called == [2.0]

@@ -30,21 +30,21 @@ def test_matrix_entries_row_major():
 
 
 def test_sym_eig_identity():
-    w, v = sym_eig(Matrix(np.eye(2)))
+    w, v = sym_eig(np.eye(2))
     assert np.allclose(w, [1.0, 1.0])
-    assert np.allclose(v.data @ v.data.T, np.eye(2), atol=1e-12)
+    assert np.allclose(v @ v.T, np.eye(2), atol=1e-12)
 
 
 def test_sym_eig_diagonal_sorted_descending():
-    w, _ = sym_eig(Matrix(np.diag([0.5, 20.0])))
+    w, _ = sym_eig(np.diag([0.5, 20.0]))
     assert np.allclose(w, [20.0, 0.5], atol=0.0)
 
 
 def test_sym_eig_hand_derived_2x2():
     # characteristic polynomial of [[2,1],[1,2]]: (2-x)^2 - 1 = 0 -> x = 3, 1
-    w, v = sym_eig(Matrix([[2.0, 1.0], [1.0, 2.0]]))
+    w, v = sym_eig([[2.0, 1.0], [1.0, 2.0]])
     assert np.allclose(w, [3.0, 1.0], atol=1e-12)
-    s = v.data @ np.diag(w) @ v.data.T
+    s = v @ np.diag(w) @ v.T
     assert np.allclose(s, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
 
 
@@ -54,11 +54,11 @@ def test_sym_eig_reconstruction_random(seed):
     n = int(rng.integers(1, 9))
     s = rng.uniform(-10.0, 10.0, size=(n, n))
     s = (s + s.T) / 2.0
-    w, v = sym_eig(Matrix(s))
+    w, v = sym_eig(s)
     assert all(a >= b for a, b in zip(w, w[1:]))
     scale = max(frob(s), 1e-30)
-    assert frob(v.data @ np.diag(w) @ v.data.T - s) / scale < 1e-9
-    assert frob(v.data @ v.data.T - np.eye(n)) < 1e-9
+    assert frob(v @ np.diag(w) @ v.T - s) / scale < 1e-9
+    assert frob(v @ v.T - np.eye(n)) < 1e-9
     assert abs(float(w.sum()) - float(np.trace(s))) < 1e-9 * max(1.0, scale)
 
 
@@ -68,33 +68,33 @@ def test_sym_eig_matches_lapack(seed):
     n = int(rng.integers(2, 8))
     s = rng.uniform(-10.0, 10.0, size=(n, n))
     s = (s + s.T) / 2.0
-    w, _ = sym_eig(Matrix(s))
+    w, _ = sym_eig(s)
     ref = np.linalg.eigvalsh(s)[::-1]
     assert np.allclose(w, ref, atol=1e-9 * max(1.0, frob(s)))
 
 
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        sym_eig(Matrix([[1.0, 2.0], [0.5, 1.0]]))
+        sym_eig([[1.0, 2.0], [0.5, 1.0]])
     with pytest.raises(NotSymmetric):
-        sym_eig(Matrix([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]]))
+        sym_eig([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]])
 
 
 def test_sym_eig_accepts_tiny_asymmetry():
-    w, _ = sym_eig(Matrix([[1.0, 1e-11], [0.0, 1.0]]))
+    w, _ = sym_eig([[1.0, 1e-11], [0.0, 1.0]])
     assert np.allclose(w, [1.0, 1.0], atol=1e-10)
 
 
 def test_pinv_diagonal_cases():
-    assert np.allclose(pinv(Matrix(np.diag([2.0, 4.0]))).data, np.diag([0.5, 0.25]), atol=1e-14)
+    assert np.allclose(pinv(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-14)
     with pytest.raises(NotSymmetric):
-        pinv(Matrix(np.zeros((2, 3))))
-    assert np.allclose(pinv(Matrix(np.diag([1.0, 0.0]))).data, np.diag([1.0, 0.0]), atol=1e-14)
+        pinv(np.zeros((2, 3)))
+    assert np.allclose(pinv(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_pinv_inverts_nonsingular():
-    a = Matrix(np.diag([2.0, 5.0]))
-    assert np.allclose(a.data @ pinv(a).data, np.eye(2), atol=1e-12)
+    a = np.diag([2.0, 5.0])
+    assert np.allclose(a @ pinv(a), np.eye(2), atol=1e-12)
 
 
 def _penrose_errors(a: np.ndarray, p: np.ndarray) -> float:
@@ -120,7 +120,7 @@ def test_pinv_penrose_identities_all_ranks(seed):
                 -3.0, 3.0, size=(rank, m)
             )
         s = a @ a.T
-        p = pinv(Matrix(s)).data
+        p = pinv(s)
         assert _penrose_errors(s, p) < 1e-8
 
 
@@ -130,7 +130,7 @@ def test_pinv_matches_numpy_on_symmetric_psd(seed):
     n = int(rng.integers(2, 6))
     b = rng.uniform(-2.0, 2.0, size=(n, n))
     s = b @ b.T
-    ours = pinv(Matrix(s)).data
+    ours = pinv(s)
     ref = np.linalg.pinv(s, rcond=1e-12, hermitian=True)
     assert np.allclose(ours, ref, atol=1e-8 * max(1.0, frob(ref)))
 
@@ -140,6 +140,31 @@ def test_sym_eig_medium_size():
     n = 40
     s = rng.uniform(-5.0, 5.0, size=(n, n))
     s = (s + s.T) / 2.0
-    w, v = sym_eig(Matrix(s))
-    assert frob(v.data @ np.diag(w) @ v.data.T - s) / frob(s) < 1e-9
-    assert frob(v.data @ v.data.T - np.eye(n)) < 1e-9
+    w, v = sym_eig(s)
+    assert frob(v @ np.diag(w) @ v.T - s) / frob(s) < 1e-9
+    assert frob(v @ v.T - np.eye(n)) < 1e-9
+
+
+@pytest.mark.parametrize("fn", [sym_eig, pinv])
+@pytest.mark.parametrize(
+    "bad, error, cause",
+    [
+        (np.array([1.0, 2.0]), NotSymmetric, "square 2-D"),
+        (np.zeros((0, 0)), NotSymmetric, "non-empty"),
+        (np.zeros((2, 3)), NotSymmetric, "square"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError, "finite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), ValueError, "finite"),
+        (np.array([[1.0, 2.0], [0.5, 1.0]]), NotSymmetric, "asymmetry"),
+    ],
+)
+def test_array_routines_name_what_is_wrong(fn, bad, error, cause):
+    with pytest.raises(error, match=cause):
+        fn(bad)
+
+
+def test_array_routines_return_c_ordered_arrays():
+    # products with these arrays round by their layout; callers rely on C order
+    s = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
+    w, v = sym_eig(s)
+    for out in (w, v, pinv(s), pinv(np.zeros((2, 2)))):
+        assert out.flags.c_contiguous

@@ -40,33 +40,33 @@ def test_parts_reuse_the_model_basis(monkeypatch):
 
 def test_parts_at_zero_rate():
     parts = ce_matrix_parts(example_model(), 0.0)
-    assert np.allclose(parts.gain.data, 0.0, atol=0.0)
-    assert np.allclose(parts.channel.data, 0.0, atol=0.0)
-    assert np.allclose(np.diag(parts.distortion.data), [21.0, 1.5], atol=1e-12)
+    assert np.allclose(parts.gain, 0.0, atol=0.0)
+    assert np.allclose(parts.channel, 0.0, atol=0.0)
+    assert np.allclose(parts.distortion, [21.0, 1.5], atol=1e-12)
 
 
 def test_parts_reference_values_at_one_bit():
     parts = ce_matrix_parts(example_model(), 1.0)
-    assert np.allclose(np.diag(parts.gain.data), [1.0 - 5.25 / 21.0, 0.0], atol=1e-12)
-    assert np.allclose(np.diag(parts.distortion.data), [5.25, 1.5], atol=1e-12)
+    assert np.allclose(parts.gain, [1.0 - 5.25 / 21.0, 0.0], atol=1e-12)
+    assert np.allclose(parts.distortion, [5.25, 1.5], atol=1e-12)
     # noise covariance sigma2 J^2 + J D, diagonal PSD
-    j = np.diag(parts.gain.data)
-    d = np.diag(parts.distortion.data)
-    assert np.allclose(np.diag(parts.noise_cov.data), j * j + j * d, atol=1e-12)
-    assert np.all(np.diag(parts.noise_cov.data) >= 0.0)
+    j = parts.gain
+    d = parts.distortion
+    assert np.allclose(parts.noise_cov, j * j + j * d, atol=1e-12)
+    assert np.all(parts.noise_cov >= 0.0)
 
 
 def test_parts_lossless_limit():
     parts = ce_matrix_parts(example_model(), 40.0)
-    assert np.allclose(np.diag(parts.gain.data), 1.0, atol=1e-9)
-    assert np.all(np.diag(parts.distortion.data) < 1e-9)
+    assert np.allclose(parts.gain, 1.0, atol=1e-9)
+    assert np.all(parts.distortion < 1e-9)
 
 
 def test_basis_is_orthogonal_with_fixed_signs():
     rng = np.random.default_rng(3)
     model = random_model(rng)
     parts = ce_matrix_parts(model, 1.0)
-    u = parts.basis.data
+    u = parts.basis
     assert np.allclose(u @ u.T, np.eye(model.L), atol=1e-9)
     for col in u.T:
         assert col[int(np.argmax(np.abs(col)))] > 0.0
@@ -272,3 +272,20 @@ def test_verify_monte_carlo_shares_the_observation_estimator(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     _check_monte_carlo(model, 1000, 5)
     assert calls == {"pinv": 4, "sym_eig": 5}
+
+
+@pytest.mark.parametrize("c", [1e-100, 1e100])
+def test_oracles_accept_scale_twins(c):
+    # (cA, c^2 s2) has the curves of (A, s2); the oracle covariances scale
+    # by c^2, far from the absolute symmetry tolerance
+    rng = np.random.default_rng(5150)
+    rates = (0.5, 1.0, 3.0)
+    for i in range(8):
+        base = random_model(rng)
+        twin = ObservationModel(Matrix(c * base.A.data), c * c * base.sigma2)
+        for r in (0.0, *rates, 8.0):
+            assert abs(ce_matrix_form(twin, r) - drf.ce_drf(twin, r)) < 1e-9
+        got = mc_estimates(twin, 3000, i, ce_rates=rates, idrf_rates=rates, mmse=True)
+        want = mc_estimates(base, 3000, i, ce_rates=rates, idrf_rates=rates, mmse=True)
+        for g, w in zip((*got.ce, *got.idrf, got.mmse), (*want.ce, *want.idrf, want.mmse)):
+            assert abs(g.mean - w.mean) < 1e-9

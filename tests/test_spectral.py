@@ -1,4 +1,6 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ def test_gram_spectrum_examples():
 def test_model_basis_diagonalizes_gram(seed):
     rng = np.random.default_rng(450 + seed)
     model = random_model(rng) if seed % 2 else rank_deficient_model(rng)
-    u = model.basis.data
+    u = model.basis
     assert not u.flags.writeable
     assert frob(u.T @ u - np.eye(model.L)) < 1e-9
     a = model.A.data
@@ -140,7 +142,7 @@ def test_whiten_matches_direct_covariance_spectrum(seed):
     sigma_x = b @ b.T + 0.5 * np.eye(m)  # safely PD
     model = whiten(Matrix(sigma_x), Matrix(a), 1.0)
     target = a @ sigma_x @ a.T
-    w, _ = sym_eig(Matrix((target + target.T) / 2.0))
+    w, _ = sym_eig((target + target.T) / 2.0)
     assert np.allclose(model.gram.values, np.clip(w, 0.0, None), atol=1e-9)
 
 
@@ -151,3 +153,12 @@ def test_model_validation():
         ObservationModel(Matrix(np.eye(2)), -1.0)
     with pytest.raises(ValueError):
         ObservationModel(Matrix(np.eye(2)), float("nan"))
+
+
+def test_gram_overflow_is_rejected_without_warnings():
+    # A A^T = 1.44e308 I is finite, but symmetrizing it overflows; the model
+    # must say so rather than pass inf on or warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"A A\^T overflows"):
+            ObservationModel(Matrix(1.2e154 * np.eye(2)), 1.0)

@@ -48,8 +48,6 @@ def _to_bits(rate: float, nats: bool) -> float:
 
 
 def _from_bits(rate: float, nats: bool) -> float:
-    if math.isinf(rate):
-        return rate
     return rate * _LN2 if nats else rate
 
 

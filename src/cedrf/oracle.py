@@ -90,7 +90,8 @@ def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
 
 def _lmmse(p: np.ndarray, noise_var: np.ndarray) -> np.ndarray:
     """Linear MMSE estimator ``P^T (P P^T + diag(noise_var))^+`` of ``x`` from ``P x + n``."""
-    return p.T @ linalg.pinv(p @ p.T + np.diag(noise_var))
+    cov = p @ p.T + np.diag(noise_var)
+    return p.T @ linalg.pinv((cov + cov.T) / 2.0)
 
 
 def ce_matrix_form(model: ObservationModel, R: float) -> float:
@@ -175,7 +176,9 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
     if idrf or mmse:
         estimator = _lmmse(a, np.full(L, model.sigma2))  # M x L
     if idrf:
-        _, v = linalg.sym_eig(estimator @ a)  # M x M, columns by descending estimate spectrum
+        # rounding can leave est_cov asymmetric by about eps |A|^2 / s2, above SYMMETRY_ATOL
+        est_cov = estimator @ a
+        _, v = linalg.sym_eig((est_cov + est_cov.T) / 2.0)  # M x M, by descending spectrum
     ce_sums = [_Moments() for _ in ce]
     idrf_sums = [_Moments() for _ in idrf]
     mmse_sums = _Moments()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from support import GAP_AT_3, MAX_GAP, R2_COND, R2_OBS, example_model
@@ -322,6 +323,19 @@ def test_verify_example_model_passes(model_file, capsys):
     assert "all checks passed" in out
     assert "PASS oracle-equivalence" in out
     assert "PASS monte-carlo-mmse" in out
+
+
+def test_verify_runs_every_check_on_an_ill_conditioned_model(tmp_path, capsys):
+    # a valid 4x2 model with |A|^2 / s2 near 1e10; its oracle covariances
+    # are not exactly symmetric after rounding
+    a = np.random.default_rng(7).normal(size=(4, 2))
+    path = tmp_path / "ill.json"
+    path.write_text(json.dumps({"A": a.tolist(), "sigma2": 1e-9}))
+    code = main(["verify", str(path), "--samples", "20000", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code in (0, 1) and captured.err == ""
+    for name in ("monte-carlo-ce", "monte-carlo-idrf", "monte-carlo-mmse"):
+        assert f"PASS {name}" in captured.out
 
 
 def test_verify_random_models_deterministic(capsys):

@@ -205,6 +205,8 @@ def _special_models():
         ObservationModel(Matrix(rng.uniform(-2, 2, size=(5, 3))), 0.1),  # L > M
         rank_deficient_model(rng),
         model_from_eigs([20.0, 0.5, 0.0], 1.0),  # pure-noise component
+        # |A|^2 / s2 near 1e10: rounding leaves the oracle covariances asymmetric
+        ObservationModel(Matrix(rng.normal(size=(4, 2))), 1e-9),
     ]
 
 

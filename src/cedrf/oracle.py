@@ -13,16 +13,20 @@ Monte Carlo runs are deterministic: samples are drawn in fixed-size
 chunks, each chunk from its own counter-based Philox substream derived
 from ``(seed, chunk_index)``, and accumulated in chunk order, so a given
 ``(model, R, n_samples, seed)`` always produces the same estimate
-bit-for-bit.  Within a chunk of ``m`` samples the substream is read in a
-fixed order, which is part of that contract: the source ``x`` (m x M),
-then the observation noise (m x L), then one quantization-noise draw
-(m x L) shared by every rate.  Compress-and-estimate uses all of it; the
-optimal scheme with ``k`` active components uses its first ``m * k``
-values in C order, as an (m, k) array.  :func:`mc_estimates` evaluates
-any set of estimates from one such pass; each one is bit-identical to a
-separate :func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse` call, and to
-the single-estimate samplers these functions replaced.  Both routes use
-one compress-and-estimate decoder; every matrix here is a plain array.
+bit-for-bit.  A chunk of ``m`` samples is one ``(M + 2L, m)`` standard
+normal draw, one sample per column, whose rows are the source ``x`` (M
+rows), the observation noise before scaling by ``sigma`` (L rows) and one
+quantization-noise draw ``q`` (L rows) shared by every rate.  All of it is
+drawn whatever is requested; compress-and-estimate reads all of ``q``, the
+optimal scheme with ``k`` active components its first ``k`` rows, and the
+estimation floor none.  Every scheme's error is linear in that draw, so
+each estimate is one ``M x (M + 2L)`` map of it, built before sampling.
+:func:`mc_estimates` evaluates any set of estimates on one draw per chunk;
+each one is bit-identical to a separate :func:`mc_ce`, :func:`mc_idrf` or
+:func:`mc_mmse` call.  This layout replaced a row-per-sample one that read
+``x``, the noise and ``q`` as separate draws, which changed every Monte
+Carlo estimate's bits once.  Both routes use one compress-and-estimate
+decoder; every matrix here is a plain array.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ from .spectral import ObservationModel
 
 #: Samples per RNG substream; part of the determinism contract.
 _CHUNK = 1 << 16
+#: Samples per error-map product: keeps each product cache-sized.  The sums
+#: run block by block, so this is part of the determinism contract too.
+_BLOCK = 1 << 12
 
 
 class InvalidSampleCount(ValueError):
@@ -107,30 +114,6 @@ def ce_matrix_form(model: ObservationModel, R: float) -> float:
     return (model.M - float(np.trace(decoder @ parts.channel))) / model.M
 
 
-class _Moments:
-    """Running sums of one estimate's per-sample normalized squared errors."""
-
-    def __init__(self) -> None:
-        self.s1 = 0.0
-        self.s2 = 0.0
-
-    def add(self, err: np.ndarray) -> None:
-        """Fold in one chunk of errors ``x - x_hat`` (m x M); squares ``err`` in place."""
-        err *= err
-        d = err.sum(axis=1) / err.shape[1]
-        self.s1 += float(d.sum())
-        self.s2 += float((d * d).sum())
-
-    def estimate(self, n_samples: int, seed: int) -> McEstimate:
-        mean = self.s1 / n_samples
-        if n_samples > 1:
-            var = max(0.0, (self.s2 - n_samples * mean * mean) / (n_samples - 1))
-            stderr = math.sqrt(var / n_samples)
-        else:
-            stderr = 0.0
-        return McEstimate(mean=mean, stderr=stderr, n_samples=n_samples, seed=seed)
-
-
 @dataclass(frozen=True)
 class McEstimates:
     """The estimates of one :func:`mc_estimates` run, each in the order requested."""
@@ -140,81 +123,103 @@ class McEstimates:
     mmse: McEstimate | None
 
 
-def _idrf_channel(model: ObservationModel, R: float):
-    """Active components, their gains and quantization deviations in the optimal scheme."""
-    lam = model.conditional.values
+def _error_map(M: int, L: int, fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
+    """``[I - fx | -fz | -fq | 0]``: draws ``[x; z; q]`` to the error of ``fx x + fz z + fq q``.
+
+    Always ``M x (M + 2L)``; ``fq`` acts on the leading ``fq.shape[1]`` rows of ``q``.
+    """
+    out = np.zeros((M, M + 2 * L))
+    out[:, :M] = np.eye(M) - fx
+    out[:, M:M + L] = -fz
+    out[:, M + L:M + L + fq.shape[1]] = -fq
+    return out
+
+
+def _ce_map(model: ObservationModel, R: float) -> np.ndarray:
+    """Compress-and-estimate, ``x_hat = E (P x + sigma diag(gain) U^T z + sqrt(gain dist) q)``."""
+    p = ce_matrix_parts(model, R)
+    e = _lmmse(p.channel, p.noise_cov)
+    fz = (math.sqrt(model.sigma2) * e * p.gain) @ p.basis.T
+    return _error_map(model.M, model.L, e @ p.channel, fz, e * np.sqrt(p.gain * p.distortion))
+
+
+def _idrf_map(model: ObservationModel, R: float, fx: np.ndarray, fz: np.ndarray,
+              v: np.ndarray) -> np.ndarray:
+    """The optimal scheme on the estimate ``fx x + fz z``, with ``v`` its covariance's eigenbasis.
+
+    Each active component ``c`` passes through the scalar forward test channel
+    ``g (c + q sqrt(theta lam / (lam - theta)))``, ``g = 1 - theta / lam``;
+    the others, and any sitting exactly at the water level, reconstruct as zero.
+    """
+    lam = np.array(model.conditional.values)
     k, theta = waterfill.water_level(model.conditional, R)
-    active = [l for l in range(k) if lam[l] > theta]
-    gains = np.array([(lam[l] - theta) / lam[l] for l in active])
-    q_sd = np.array([math.sqrt(theta * lam[l] / (lam[l] - theta)) for l in active])
-    return active, gains, q_sd
+    lam = lam[:k][lam[:k] > theta]  # a leading block, since lam is non-increasing
+    g = (lam - theta) / lam
+    v_a = v[:, :len(lam)]
+    proj = (v_a * g) @ v_a.T
+    return _error_map(model.M, model.L, proj @ fx, proj @ fz, v_a * np.sqrt(theta * g))
 
 
 def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
                  ce_rates: Sequence[float] = (), idrf_rates: Sequence[float] = (),
                  mmse: bool = False) -> McEstimates:
-    """Simulate any mix of the three schemes on one set of draws per chunk.
+    """Simulate any mix of the three schemes on one draw per chunk.
 
     Returns compress-and-estimate estimates at ``ce_rates``, optimal-scheme
     estimates at ``idrf_rates`` and, if ``mmse``, the estimation floor.
-    The draws follow the per-chunk order in the module docstring, so each
-    estimate is the one :func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse`
-    returns for the same arguments, bit for bit.
+    Every estimate's error is one fixed ``M x (M + 2L)`` map of the chunk's
+    draws, built before sampling and independent of what else is
+    requested, so each estimate is the one :func:`mc_ce`, :func:`mc_idrf`
+    or :func:`mc_mmse` returns for the same arguments, bit for bit.
     """
     for R in (*ce_rates, *idrf_rates):
         waterfill._check_rate(R)
     if n_samples < 1:
         raise InvalidSampleCount(f"n_samples must be >= 1, got {n_samples}")
-    a = model.A.data
     M, L = model.M, model.L
-    sig = math.sqrt(model.sigma2)
-    # gain_ut is a matmul, not a row scaling: that gives F order, and z @ gain_ut.T rounds by layout
-    ce = [(p.channel, np.diag(p.gain) @ p.basis.T, np.sqrt(p.gain * p.distortion),
-           _lmmse(p.channel, p.noise_cov))
-          for p in (ce_matrix_parts(model, R) for R in ce_rates)]
-    idrf = [_idrf_channel(model, R) for R in idrf_rates]
-    if idrf or mmse:
-        estimator = _lmmse(a, np.full(L, model.sigma2))  # M x L
-    if idrf:
-        # rounding can leave est_cov asymmetric by about eps |A|^2 / s2, above SYMMETRY_ATOL
-        est_cov = estimator @ a
-        _, v = linalg.sym_eig((est_cov + est_cov.T) / 2.0)  # M x M, by descending spectrum
-    ce_sums = [_Moments() for _ in ce]
-    idrf_sums = [_Moments() for _ in idrf]
-    mmse_sums = _Moments()
+    maps = [_ce_map(model, R) for R in ce_rates]
+    if idrf_rates or mmse:
+        estimator = _lmmse(model.A.data, np.full(L, model.sigma2))  # M x L
+        fx = estimator @ model.A.data
+        fz = math.sqrt(model.sigma2) * estimator
+    if idrf_rates:
+        # rounding can leave fx asymmetric by about eps |A|^2 / s2, above SYMMETRY_ATOL
+        _, v = linalg.sym_eig((fx + fx.T) / 2.0)  # M x M, by descending spectrum
+        maps += [_idrf_map(model, R, fx, fz, v) for R in idrf_rates]
+    if mmse:
+        maps.append(_error_map(M, L, fx, fz, np.zeros((M, 0))))
 
+    s1 = np.zeros(len(maps))
+    s2 = np.zeros(len(maps))
     for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
         m = min(_CHUNK, n_samples - done)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         )
-        x = rng.standard_normal((m, M))
-        z = rng.standard_normal((m, L))
-        z *= sig
-        q = rng.standard_normal((m, L)) if ce or idrf else None
-        # Each (m, M) intermediate is dropped before the next one is formed,
-        # so peak memory stays near that of a single-estimate pass.
-        if idrf or mmse:
-            estimate = (x @ a.T + z) @ estimator.T
-            if mmse:
-                mmse_sums.add(x - estimate)
-            comp = estimate @ v if idrf else None
-            del estimate
-            for sums, (active, gains, q_sd) in zip(idrf_sums, idrf):
-                recon = np.zeros((m, M))
-                if active:
-                    q_k = q.reshape(-1)[: m * len(active)].reshape(m, len(active))
-                    recon[:, active] = gains * (comp[:, active] + q_k * q_sd)
-                sums.add(x - recon @ v.T)
-            del comp
-        for sums, (p, gain_ut, q_scale, ce_estimator) in zip(ce_sums, ce):
-            y_hat = x @ p.T + z @ gain_ut.T + q * q_scale
-            sums.add(x - y_hat @ ce_estimator.T)
+        w = rng.standard_normal((M + 2 * L, m))  # rows: x, then z, then q
+        for lo in range(0, m, _BLOCK):
+            block = w[:, lo:lo + _BLOCK]
+            for j, b in enumerate(maps):
+                err = b @ block
+                err *= err
+                d = err.sum(axis=0) / M
+                s1[j] += d.sum()
+                d *= d
+                s2[j] += d.sum()
 
+    mean = s1 / n_samples
+    if n_samples > 1:
+        stderr = np.sqrt(np.maximum(0.0, (s2 - n_samples * mean * mean) / (n_samples - 1))
+                         / n_samples)
+    else:
+        stderr = np.zeros_like(mean)
+    est = [McEstimate(mean=float(a), stderr=float(b), n_samples=n_samples, seed=seed)
+           for a, b in zip(mean, stderr)]
+    n_ce, n_idrf = len(ce_rates), len(idrf_rates)
     return McEstimates(
-        ce=tuple(s.estimate(n_samples, seed) for s in ce_sums),
-        idrf=tuple(s.estimate(n_samples, seed) for s in idrf_sums),
-        mmse=mmse_sums.estimate(n_samples, seed) if mmse else None,
+        ce=tuple(est[:n_ce]),
+        idrf=tuple(est[n_ce:n_ce + n_idrf]),
+        mmse=est[-1] if mmse else None,
     )
 
 

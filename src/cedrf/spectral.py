@@ -152,7 +152,11 @@ class ObservationModel:
         lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
         self.basis = np.where(lead < 0.0, -u, u)
         self.basis.flags.writeable = False
-        self.gram = Spectrum.from_values(np.clip(w, 0.0, None))
+        # values at or below the rank cut-off are rounding noise of about
+        # eps |A|^2; kept, they would weigh lam / (lam + s2)^2 >> 1 at small s2
+        w = np.clip(w, 0.0, None)
+        w[_numerical_rank(w.tolist()):] = 0.0
+        self.gram = Spectrum.from_values(w)
         self.full_rank = self.gram.rank == self.r
         self.observation = observation_spectrum(self.gram, s2)
         self.conditional = conditional_spectrum(self.gram, s2)

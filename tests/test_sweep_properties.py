@@ -96,3 +96,27 @@ def test_sweep_equals_one_rate_functions(model, extra):
         assert pt.gap == drf.gap(model, r) == max(0.0, pt.d_ce - pt.d_idrf)
         assert pt.gap_ub == drf.gap_upper_bound(model, r)
         assert pt.gap_lb == drf.gap_lower_bound(model, r)
+
+
+@st.composite
+def tall_models(draw):
+    """L >= M, a quarter of them rank-deficient, sigma2 log-uniform in [1e-12, 10]."""
+    m = draw(st.integers(1, 5))
+    l_dim = draw(st.integers(m, 6))
+    rank = m if m == 1 or draw(st.integers(0, 3)) else draw(st.integers(1, m - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(l_dim, rank)) @ rng.normal(size=(rank, m))
+    return ObservationModel(Matrix(a), 10.0 ** draw(st.floats(-12.0, 1.0)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tall_models())
+def test_curves_keep_their_order(model):
+    # mmse_floor <= d_idrf <= d_ce <= 1 at every rate; the structural zeros of
+    # A A^T (L > M) come back from the eigensolver as rounding noise, which
+    # used to put d_ce below d_idrf, and even below 0, at small sigma2
+    slack = 1e-12
+    floor = model.mmse_floor
+    for pt in drf.sweep(model, np.linspace(0.0, 60.0, 241)):
+        assert floor - slack <= pt.d_idrf <= pt.d_ce + slack, pt
+        assert pt.d_ce <= 1.0 + slack, pt

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -31,6 +32,10 @@ from .spectral import ObservationModel, whiten
 CSV_HEADER = ",".join(drf.DistortionPoint._fields)
 # one sweep row; "%.17g" round-trips every double
 _CSV_LINE = ",".join(["%.17g"] * len(drf.DistortionPoint._fields))
+# one row of json.dumps(..., indent=2), whose finite floats are float.__repr__ ("%r")
+_JSON_ROW = "    {\n%s\n    }" % ",\n".join(
+    f'      "{f}": %{"d" if f.startswith("k_") else "r"}' for f in drf.DistortionPoint._fields
+)
 
 _LN2 = math.log(2.0)
 
@@ -200,22 +205,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_points(model: ObservationModel, grid_input: np.ndarray,
-                  nats: bool) -> list[drf.DistortionPoint]:
-    """Sweep points with ``R`` in the input unit."""
-    points = drf.sweep(model, grid_input / _LN2 if nats else grid_input)
-    if not nats:
-        return points
-    return [pt._replace(R=r_in) for r_in, pt in zip(grid_input.tolist(), points)]
+def _table(head: str, row: str, n: int, values, sep: str = "\n", tail: str = "\n") -> str:
+    """``head``, then ``n`` copies of the ``%`` template ``row`` filled from ``values`` by one ``%``."""
+    return head + sep.join([row] * n) % tuple(values) + tail
 
 
-def _write_rows(points: list[drf.DistortionPoint], out_path: str, fmt: str) -> None:
+def _write_rows(values: list, n: int, out_path: str, fmt: str) -> None:
+    """Write ``n`` sweep rows, given as their fields flattened row by row."""
     if fmt == "csv":
-        lines = [CSV_HEADER] + [_CSV_LINE % pt for pt in points]
-        Path(out_path).write_text("\n".join(lines) + "\n")
+        text = _table(CSV_HEADER + "\n", _CSV_LINE, n, values)
     else:
-        rows = [pt._asdict() for pt in points]
-        Path(out_path).write_text(json.dumps({"rows": rows}, indent=2) + "\n")
+        text = _table('{\n  "rows": [\n', _JSON_ROW, n, values, ",\n", "\n  ]\n}\n")
+        # no key and no finite float's repr contains "nan" or "inf"
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    Path(out_path).write_text(text)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -225,8 +228,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (0.0 <= args.min < args.max):
         raise drf.InvalidGrid(f"need 0 <= min < max, got min={args.min}, max={args.max}")
     grid = np.linspace(args.min, args.max, args.steps)
-    points = _sweep_points(model, grid, args.nats)
-    _write_rows(points, args.out, args.format)
+    points = drf.sweep(model, grid / _LN2 if args.nats else grid)
+    values = list(itertools.chain.from_iterable(points))
+    if args.nats:  # the R column in the input unit
+        values[0::len(drf.DistortionPoint._fields)] = grid.tolist()
+    _write_rows(values, len(points), args.out, args.format)
     print(f"wrote {len(points)} rows to {args.out}")
     return 0
 
@@ -353,10 +359,9 @@ def cmd_example(args: argparse.Namespace) -> int:
     points = drf.sweep(model, np.linspace(0.0, 4.5, 451))
     curves = out_dir / "drf_curves.csv"
     gaps = out_dir / "gap_curve.csv"
-    curves.write_text(
-        "\n".join(["R,d_idrf,d_ce"] + ["%.17g,%.17g,%.17g" % (p.R, p.d_idrf, p.d_ce) for p in points]) + "\n"
-    )
-    gaps.write_text("\n".join(["R,gap"] + ["%.17g,%.17g" % (p.R, p.gap) for p in points]) + "\n")
+    flat, n = itertools.chain.from_iterable, len(points)
+    curves.write_text(_table("R,d_idrf,d_ce\n", "%.17g,%.17g,%.17g", n, flat(p[:3] for p in points)))
+    gaps.write_text(_table("R,gap\n", "%.17g,%.17g", n, flat((p.R, p.gap) for p in points)))
     print(f"wrote {curves} and {gaps}")
     return 0
 

@@ -316,6 +316,84 @@ def test_sweep_nats_round_trip(model_file, tmp_path, capsys):
         assert float(cells[1]) == drf.idrf(model, r_bits)
 
 
+# Sweep files as they were written one ``%`` per row (CSV) and by
+# ``json.dumps(..., indent=2)`` (JSON); the one-``%`` writer must keep their bytes.
+def _reference_sweep(model, grid, fmt, nats):
+    points = drf.sweep(model, grid / math.log(2.0) if nats else grid)
+    if nats:
+        points = [pt._replace(R=r) for r, pt in zip(grid.tolist(), points)]
+    if fmt == "csv":
+        return "\n".join([CSV_HEADER] + [cli._CSV_LINE % pt for pt in points]) + "\n"
+    return json.dumps({"rows": [pt._asdict() for pt in points]}, indent=2) + "\n"
+
+
+BYTE_MODELS = {
+    "example": EXAMPLE_JSON,
+    "rank-deficient 4x3": {"A": [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]], "sigma2": 0.5},
+    "rank 0": {"A": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], "sigma2": 2.0},
+    "1x1": {"A": [[1.3]], "sigma2": 0.7},
+    "whitened": {"A": [[1.0, 0.5], [0.2, 2.0]], "sigma2": 0.3,
+                 "sigma_x": [[2.0, 0.3], [0.3, 1.0]]},
+    # (g_1 + sigma2) / sigma2 overflows, so gap_ub is inf at every rate
+    "infinite gap bound": {"A": [[1e100, 0.0], [0.0, 1.0]], "sigma2": 1e-300},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(BYTE_MODELS))
+def test_sweep_files_keep_their_bytes(name, fmt, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(BYTE_MODELS[name]))
+    model = load_model(path)
+    out = tmp_path / "sweep.out"
+    for steps in (2, 2001):
+        for nats in (False, True):
+            argv = ["sweep", str(path), "--min", "0", "--max", "12", "--steps", str(steps),
+                    "--out", str(out), "--format", fmt] + ["--nats"] * nats
+            assert main(argv) == 0
+            expected = _reference_sweep(model, np.linspace(0.0, 12.0, steps), fmt, nats)
+            assert out.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == f"wrote 2 rows to {out}\n" * 2 + f"wrote 2001 rows to {out}\n" * 2
+    if name == "infinite gap bound":
+        assert ("Infinity" if fmt == "json" else "inf") in out.read_text()
+
+
+def test_sweep_files_spell_non_finite_values_as_before(model_file, tmp_path, capsys, monkeypatch):
+    inf, nan = math.inf, math.nan
+    points = [
+        drf.DistortionPoint(0.0, 1.0, 1.0, 0.0, inf, 0.0, 1, 1, 20.0, 0.5),
+        drf.DistortionPoint(1.5, nan, -inf, inf, -0.0, 5e-324, 2, 0, nan, 1e300),
+    ]
+    monkeypatch.setattr(cedrf.drf, "sweep", lambda model, grid: list(points))
+    out = tmp_path / "sweep.out"
+    for fmt in ("csv", "json"):
+        for nats in (False, True):
+            argv = ["sweep", str(model_file), "--min", "0", "--max", "1.5", "--steps", "2",
+                    "--out", str(out), "--format", fmt] + ["--nats"] * nats
+            assert main(argv) == 0
+            expected = _reference_sweep(None, np.array([0.0, 1.5]), fmt, nats)
+            assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+    text = out.read_text()
+    assert '"gap_ub": Infinity' in text and '"d_ce": -Infinity' in text and '"d_idrf": NaN' in text
+    assert json.loads(text)["rows"][1]["theta_ce"] == 1e300
+
+
+def test_python_dash_m_cedrf_writes_what_main_writes(model_file, tmp_path, capsys):
+    src = str(Path(cedrf.drf.__file__).resolve().parents[1])
+    argv = ["sweep", str(model_file), "--min", "0", "--max", "12", "--steps", "2001",
+            "--format", "json", "--out"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cedrf", *argv, str(tmp_path / "sub.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote 2001 rows to {tmp_path / 'sub.json'}\n"
+    assert main(argv + [str(tmp_path / "main.json")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
 def test_verify_example_model_passes(model_file, capsys):
     code = main(["verify", str(model_file), "--samples", "40000", "--seed", "11"])
     out = capsys.readouterr().out
@@ -406,6 +484,16 @@ def test_example_outputs(tmp_path, capsys):
     three = min(by_rate, key=lambda r: abs(r - 3.0))
     assert by_rate[half] <= 1e-12
     assert by_rate[three] == pytest.approx(GAP_AT_3, abs=1e-9)
+
+
+def test_example_files_keep_their_bytes(tmp_path, capsys):
+    assert main(["example", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    points = drf.sweep(cli.example_model(), np.linspace(0.0, 4.5, 451))
+    curves = ["%.17g,%.17g,%.17g" % (p.R, p.d_idrf, p.d_ce) for p in points]
+    gaps = ["%.17g,%.17g" % (p.R, p.gap) for p in points]
+    assert (tmp_path / "drf_curves.csv").read_text() == "\n".join(["R,d_idrf,d_ce"] + curves) + "\n"
+    assert (tmp_path / "gap_curve.csv").read_text() == "\n".join(["R,gap"] + gaps) + "\n"
 
 
 def test_parser_is_built_once_per_process(model_file, tmp_path, capsys, monkeypatch):

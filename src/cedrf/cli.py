@@ -60,6 +60,29 @@ def _json_safe(x: float) -> float | None:
     return None if math.isinf(x) else x
 
 
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_indent2(doc, pad: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)`` of dicts, lists, str, bool, int, float and None, byte for byte.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder; this joins
+    ``float.__repr__`` strings, which is how ``json`` writes floats.
+    """
+    if isinstance(doc, float):
+        r = float.__repr__(doc)
+        return _JSON_NON_FINITE.get(r, r)
+    if not isinstance(doc, (dict, list)) or not doc:
+        return json.dumps(doc)  # other scalars and empty containers
+    inner = pad + "  "
+    if isinstance(doc, dict):
+        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_indent2(v, inner)}"
+                 for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    items = [float.__repr__(v) if v.__class__ is float else _json_indent2(v, inner) for v in doc]
+    return "[" + inner + ("," + inner).join([_JSON_NON_FINITE.get(r, r) for r in items]) + pad + "]"
+
+
 def load_model(path: str | Path) -> ObservationModel:
     """Read and validate a model JSON file."""
     text = Path(path).read_text()
@@ -196,7 +219,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = _analysis_report(model, rate_bits, args.nats)
     _print_analysis(report)
     if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.json).write_text(_json_indent2(report) + "\n")
     return 0
 
 
@@ -225,6 +248,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     if args.steps < 2:
         raise drf.InvalidGrid(f"steps must be >= 2, got {args.steps}")
+    if not math.isfinite(args.max):
+        raise drf.InvalidGrid(f"--max must be finite, got {args.max}")
     if not (0.0 <= args.min < args.max):
         raise drf.InvalidGrid(f"need 0 <= min < max, got min={args.min}, max={args.max}")
     grid = np.linspace(args.min, args.max, args.steps)

@@ -33,7 +33,7 @@ from .spectral import ObservationModel, Spectrum, prefix_sums
 
 #: Leading weights ``lam/(lam+s2)^2`` within this relative distance of the
 #: first one count as tied in :func:`equality_region`.  Eigenvalues that are
-#: equal in exact arithmetic come back from the eigensolver a few ulps apart;
+#: equal in exact arithmetic come back from the SVD a few ulps apart;
 #: this absorbs that with about five orders of magnitude to spare.
 TIE_RTOL = 1e-10
 
@@ -124,7 +124,8 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
     """:func:`gap_upper_bound` and :func:`gap_lower_bound` over a grid, given both active counts."""
     s2, L = model.sigma2, model.L
     g = model.gram.values
-    decay = waterfill._exp2(-2.0 * R / L)
+    with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: the decay is 2^-inf = 0
+        decay = waterfill._exp2(-2.0 * R / L)
     upper = (L / model.M) * (g[0] + s2) / (4.0 * s2) * decay
     if L < 2 or model.conditional.rank == 0:
         return upper, np.zeros_like(R)

@@ -10,8 +10,9 @@ distortion-rate formulas consume:
   MMSE estimate of ``x`` from ``y``,
 
 plus the estimation-error floor and source whitening for non-identity
-source covariances.  Every closed form is purely spectral; the
-eigenvectors of ``A A^T`` are kept only for the matrix oracles.
+source covariances.  Every closed form is purely spectral, so ``lam_l``
+comes from the singular values of ``A``; the eigenvectors of ``A A^T`` are
+built on first use, for the matrix and Monte Carlo oracles only.
 """
 
 from __future__ import annotations
@@ -119,16 +120,16 @@ def _monotone_clamp(values: list[float]) -> tuple[float, ...]:
 class ObservationModel:
     """Source ``x ~ N(0, I_M)`` observed as ``y = A x + z``, ``z ~ N(0, sigma2 I_L)``.
 
-    ``A A^T`` is diagonalized once, at construction.  ``gram`` holds its
-    spectrum, with the derived observation and estimate spectra cached
-    beside it.  ``basis``, a read-only array, holds the aligned orthogonal
-    eigenvectors as columns, each signed so that its largest-magnitude
-    entry is positive (the first such entry on ties).  ``full_rank``
-    records whether ``A`` has numerical rank ``min(M, L)``; rank-deficient
-    models are accepted and handled throughout.
+    ``gram``, the spectrum of ``A A^T``, is the squared singular values of
+    ``A`` zero-padded to ``L``: ``eps kappa`` relative error in the small
+    eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  The derived
+    spectra are cached beside it; ``basis`` is built on first use.
+    ``full_rank`` records whether ``A`` has numerical rank ``min(M, L)``;
+    rank-deficient models are accepted and handled throughout.
 
     Raises :class:`ValueError` when ``sigma2`` is not a positive finite
-    real, or when ``A A^T`` overflows double precision.
+    real, or when ``A A^T`` overflows double precision, judged as ``2 s_1^2``
+    overflowing: ``s_1 = |A|_2`` bounds every entry of ``A A^T``.
     """
 
     def __init__(self, A: Matrix, sigma2: float):
@@ -140,26 +141,32 @@ class ObservationModel:
         self.L = A.rows
         self.M = A.cols
         self.r = min(self.M, self.L)
-        with np.errstate(over="ignore"):
-            gram_mat = A.data @ A.data.T
-            gram_mat = (gram_mat + gram_mat.T) / 2.0
-        if not np.isfinite(gram_mat).all():
+        s = np.linalg.svd(A.data, compute_uv=False)
+        if not math.isfinite(2.0 * float(s[0]) * float(s[0])):  # Python floats: inf, no warning
             raise ValueError(
                 f"A A^T overflows double precision (largest |A| entry "
                 f"{float(np.abs(A.data).max()):.3e})"
             )
-        w, u = linalg.sym_eig(gram_mat)
-        lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-        self.basis = np.where(lead < 0.0, -u, u)
-        self.basis.flags.writeable = False
+        w = np.zeros(self.L)
+        w[: s.size] = s * s
         # values at or below the rank cut-off are rounding noise of about
-        # eps |A|^2; kept, they would weigh lam / (lam + s2)^2 >> 1 at small s2
-        w = np.clip(w, 0.0, None)
+        # (eps |A|)^2; kept, they would weigh lam / (lam + s2)^2 >> 1 at small s2
         w[_numerical_rank(w.tolist()):] = 0.0
         self.gram = Spectrum.from_values(w)
         self.full_rank = self.gram.rank == self.r
         self.observation = observation_spectrum(self.gram, s2)
         self.conditional = conditional_spectrum(self.gram, s2)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Read-only orthogonal eigenvectors of ``A A^T`` as columns, by descending eigenvalue,
+        each signed so that its largest-magnitude entry (the first on ties) is positive."""
+        gram_mat = self.A.data @ self.A.data.T
+        _, u = linalg.sym_eig((gram_mat + gram_mat.T) / 2.0)
+        lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        basis = np.where(lead < 0.0, -u, u)
+        basis.flags.writeable = False
+        return basis
 
     @property
     def mmse_floor(self) -> float:

@@ -89,7 +89,8 @@ def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     thr, lam, _ = spectrum.arrays
     k = np.maximum(np.searchsorted(thr + BOUNDARY_SLACK, R, side="left"), 1)
     i = k - 1
-    return k, lam[i] * _exp2(2.0 * (thr[i] - R) / k)
+    with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: theta is 2^-inf = 0
+        return k, lam[i] * _exp2(2.0 * (thr[i] - R) / k)
 
 
 def rate_thresholds(spectrum: Spectrum) -> list[float]:

@@ -130,6 +130,44 @@ def test_analyze_nats_conversion(model_file, tmp_path, capsys):
     )
 
 
+def test_json_writer_spells_every_kind_of_value_as_json_does():
+    inf, nan = math.inf, math.nan
+    doc = {"floats": [1.0, -0.0, 5e-324, 1e300, inf, -inf, nan, 0.1], "ints": [0, 1, -7, 2**70],
+           "words": [None, True, False], "empty": [[], {}], "nested": {"a": {"b": [[1.5]]}},
+           "text": ["bits", "inf", "nan", "quote \" \\ é \n"], "scalar": nan, "none": None}
+    assert cli._json_indent2(doc) == json.dumps(doc, indent=2)
+    for value in ({}, [], 2.5, 3, True, None, "s"):
+        assert cli._json_indent2(value) == json.dumps(value, indent=2)
+
+
+def test_analyze_and_sweep_run_no_eigensolver(model_file, tmp_path, capsys, monkeypatch):
+    # the spectrum comes from A's singular values; only the oracles build the basis
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(cedrf.linalg, "sym_eig", refuse)
+    assert main(["analyze", str(model_file), "--rate", "1.5",
+                 "--json", str(tmp_path / "report.json")]) == 0
+    assert main(["sweep", str(model_file), "--min", "0", "--max", "12", "--steps", "201",
+                 "--out", str(tmp_path / "sweep.json"), "--format", "json"]) == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "report.json").read_text())["spectra"]["gram"] == pytest.approx(
+        [20.0, 0.5], rel=1e-15)
+
+
+def test_analyze_at_huge_rates_warns_nothing(model_file, tmp_path, capsys):
+    # pytest turns any RuntimeWarning into an error
+    reports = []
+    for rate in ("1e300", "1e308", "1.7e308"):
+        out = tmp_path / f"{rate}.json"
+        assert main(["analyze", str(model_file), "--rate", rate, "--json", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    capsys.readouterr()
+    for report in reports[1:]:
+        assert {**report["point"], "R": 0} == {**reports[0]["point"], "R": 0}
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["analyze", "/nonexistent/model.json", "--rate", "1"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -304,6 +342,18 @@ def test_sweep_invalid_grid(model_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_rejects_an_infinite_max_without_warnings(model_file, tmp_path):
+    src = str(Path(cedrf.drf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cedrf", "sweep", str(model_file), "--min", "0", "--max", "inf",
+         "--steps", "5", "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --max must be finite, got inf\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sweep_nats_round_trip(model_file, tmp_path, capsys):
     out = tmp_path / "nats.csv"
     assert main(["sweep", str(model_file), "--min", "0", "--max", "2",
@@ -356,6 +406,20 @@ def test_sweep_files_keep_their_bytes(name, fmt, tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote 2 rows to {out}\n" * 2 + f"wrote 2001 rows to {out}\n" * 2
     if name == "infinite gap bound":
         assert ("Infinity" if fmt == "json" else "inf") in out.read_text()
+
+
+@pytest.mark.parametrize("name", list(BYTE_MODELS))
+def test_analyze_json_keeps_json_dumps_bytes(name, tmp_path, capsys):
+    path, out = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps(BYTE_MODELS[name]))
+    model = load_model(path)
+    for rate in (0.0, 0.3, 1.9037, 40.0):
+        for nats in (False, True):
+            argv = ["analyze", str(path), "--rate", repr(rate), "--json", str(out)]
+            assert main(argv + ["--nats"] * nats) == 0
+            report = cli._analysis_report(model, rate / math.log(2.0) if nats else rate, nats)
+            assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
+    capsys.readouterr()
 
 
 def test_sweep_files_spell_non_finite_values_as_before(model_file, tmp_path, capsys, monkeypatch):

@@ -444,6 +444,29 @@ def test_huge_spectrum_exact_values():
         assert not equality_region(model).unconditional
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_huge_rates_give_the_values_at_1e300(seed):
+    # above DBL_MAX / 2 bits the exponents 2 (R_k - R) / k and -2R/L overflow
+    # to -inf; the water levels and the bounds' decay are 0 either way
+    rng = np.random.default_rng(3300 + seed)
+    model = (example_model(), random_model(rng), rank_deficient_model(rng),
+             model_from_eigs([20.0, 0.5, 0.0], 1.0),
+             ObservationModel(Matrix(rng.uniform(-2, 2, size=(1, 3))), 0.1),  # L = 1
+             ObservationModel(Matrix(rng.uniform(-2, 2, size=(2, 4))), 1.0))[seed]
+    one_rate = (idrf, ce_drf, gap, gap_upper_bound, gap_lower_bound)
+    spectra = (model.observation, model.conditional)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [f(model, 1e300) for f in one_rate] + [waterfill.water_level(s, 1e300) for s in spectra]
+        for r in (1e308, 1.7e308):
+            got = [f(model, r) for f in one_rate] + [waterfill.water_level(s, r) for s in spectra]
+            assert got == want
+            assert [waterfill.active_count(s, r) for s in spectra] == [k for k, _ in want[-2:]]
+        points = sweep(model, [1e300, 1e308, 1.7e308])
+    assert [pt[1:] for pt in points[1:]] == [points[0][1:]] * 2
+    assert points[0][1:6] == tuple(want[:5])
+
+
 def _twin_close(a: float, b: float, tol: float = 1e-9) -> bool:
     # the benchmark's scale-twin comparison: relative, absolute below 1
     return a == b or abs(a - b) <= tol * max(1.0, abs(a), abs(b))

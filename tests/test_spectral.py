@@ -1,11 +1,15 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import MMSE_EXAMPLE, example_model, random_model, rank_deficient_model
 
+from cedrf import drf
 from cedrf.linalg import Matrix, sym_eig
 from cedrf.spectral import (
     NotPositiveDefinite,
@@ -162,3 +166,90 @@ def test_gram_overflow_is_rejected_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"A A\^T overflows"):
             ObservationModel(Matrix(1.2e154 * np.eye(2)), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# accuracy of the spectrum against a 60-digit SVD of the same float matrix
+# ---------------------------------------------------------------------------
+
+
+def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _mp_gram(a: np.ndarray) -> list[float]:
+    """Squared singular values of the float matrix ``a``, at 60 digits, descending."""
+    with mpmath.workdps(60):
+        s = mpmath.svd_r(mpmath.matrix(a.tolist()), compute_uv=False)
+        return sorted((float(v * v) for v in s), reverse=True)
+
+
+def _max_rel(got, want) -> float:
+    return max(abs(g - w) / w for g, w in zip(got, want))
+
+
+ILL_CONDITIONED = (1.0, 1e-3, 1e-4, 3e-5)  # lam down to 9e-10: cond(A A^T) ~ 1e9
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_keeps_small_eigenvalues_of_an_ill_conditioned_a(seed):
+    # squaring A first lost about eps cond(A)^2 ~ 1e-7 relative here
+    rng = np.random.default_rng(seed)
+    a = _orthogonal(rng, 4) @ np.diag(ILL_CONDITIONED) @ _orthogonal(rng, 4).T
+    assert _max_rel(ObservationModel(Matrix(a), 1.0).gram.values, _mp_gram(a)) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_curves_of_a_rotated_ill_conditioned_model_match_the_diagonal_one(seed):
+    rng = np.random.default_rng(seed)
+    a = _orthogonal(rng, 4) @ np.diag(ILL_CONDITIONED) @ _orthogonal(rng, 4).T
+    rotated = ObservationModel(Matrix(a), 1e-12)
+    diagonal = ObservationModel(Matrix(np.diag(ILL_CONDITIONED)), 1e-12)
+    rates = np.arange(61.0)
+    for got, want in zip(drf.sweep(rotated, rates), drf.sweep(diagonal, rates)):
+        assert abs(got.d_idrf - want.d_idrf) <= 1e-10 * want.d_idrf
+        assert abs(got.d_ce - want.d_ce) <= 1e-10 * want.d_ce
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.floats(0.0, 4.99), st.integers(0, 2**32 - 1))
+def test_gram_is_accurate_up_to_condition_1e5(l_dim, m, log10_cond, seed):
+    # log10_cond stops short of 5, so lam_r stays above the rank cut-off at 1e-10 lam_1
+    rng = np.random.default_rng(seed)
+    r = min(l_dim, m)
+    inner = np.sort(rng.uniform(0.0, log10_cond, size=max(r - 2, 0)))
+    s = 10.0 ** -np.concatenate(([0.0], inner, [log10_cond]))[:r]  # 1 down to 1/cond
+    a = _orthogonal(rng, l_dim)[:, :r] @ np.diag(s) @ _orthogonal(rng, m)[:, :r].T
+    gram = ObservationModel(Matrix(a), 1.0).gram
+    assert gram.rank == r
+    assert _max_rel(gram.values[:r], _mp_gram(a)[:r]) <= 1e-10
+    assert gram.values[r:] == (0.0,) * (l_dim - r)
+
+
+# ---------------------------------------------------------------------------
+# invariance under row and column permutations and orthogonal mixing of rows
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["rows", "columns", "rotation"]))
+def test_spectrum_and_curves_ignore_permutations_and_rotations(seed, kind):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng)
+    a = model.A.data
+    if kind == "rows":
+        b = a[rng.permutation(model.L)]
+    elif kind == "columns":
+        b = a[:, rng.permutation(model.M)]
+    else:
+        b = _orthogonal(rng, model.L) @ a
+    twin = ObservationModel(Matrix(b), model.sigma2)
+    # relative to the largest value: a small value's own error is eps cond(A)
+    assert twin.gram.rank == model.gram.rank
+    top = model.gram.values[0]
+    assert all(abs(x - y) <= 1e-12 * top for x, y in zip(twin.gram.values, model.gram.values))
+    rates = np.linspace(0.0, 12.0, 25)
+    for got, want in zip(drf.sweep(twin, rates), drf.sweep(model, rates)):
+        assert abs(got.d_idrf - want.d_idrf) <= 1e-12 * want.d_idrf
+        assert abs(got.d_ce - want.d_ce) <= 1e-12 * want.d_ce

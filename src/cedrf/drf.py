@@ -125,8 +125,17 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
     s2, L = model.sigma2, model.L
     g = model.gram.values
     with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: the decay is 2^-inf = 0
-        decay = waterfill._exp2(-2.0 * R / L)
-    upper = (L / model.M) * (g[0] + s2) / (4.0 * s2) * decay
+        exponent = -2.0 * R / L
+    decay = waterfill._exp2(exponent)
+    scale = (L / model.M) * (g[0] + s2) / (4.0 * s2)
+    if math.isfinite(scale):
+        upper = scale * decay
+    else:  # only the prefactor overflows: move its binary exponent into the decay's
+        (mg, eg), (ms, es) = math.frexp(g[0] + s2), math.frexp(s2)
+        t = np.minimum(exponent + (eg - es - 2), 1100.0)  # past 2^1100 the bound is inf anyway
+        high = np.where(t > 1000.0, 100.0, 0.0)  # pow raises past 2^1023: take 2^100 out
+        with np.errstate(over="ignore"):
+            upper = (L / model.M) * (mg / ms) * waterfill._exp2(t - high) * waterfill._exp2(high)
     if L < 2 or model.conditional.rank == 0:
         return upper, np.zeros_like(R)
     f1 = math.sqrt(g[0]) / (g[0] + s2)

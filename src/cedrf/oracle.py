@@ -10,23 +10,25 @@ Two routes that never touch the spectral formulas directly:
   estimation floor.
 
 Monte Carlo runs are deterministic: samples are drawn in fixed-size
-chunks, each chunk from its own counter-based Philox substream derived
-from ``(seed, chunk_index)``, and accumulated in chunk order, so a given
-``(model, R, n_samples, seed)`` always produces the same estimate
-bit-for-bit.  A chunk of ``m`` samples is one ``(M + 2L, m)`` standard
-normal draw, one sample per column, whose rows are the source ``x`` (M
-rows), the observation noise before scaling by ``sigma`` (L rows) and one
-quantization-noise draw ``q`` (L rows) shared by every rate.  All of it is
-drawn whatever is requested; compress-and-estimate reads all of ``q``, the
-optimal scheme with ``k`` active components its first ``k`` rows, and the
-estimation floor none.  Every scheme's error is linear in that draw, so
-each estimate is one ``M x (M + 2L)`` map of it, built before sampling.
-:func:`mc_estimates` evaluates any set of estimates on one draw per chunk;
-each one is bit-identical to a separate :func:`mc_ce`, :func:`mc_idrf` or
-:func:`mc_mmse` call.  This layout replaced a row-per-sample one that read
-``x``, the noise and ``q`` as separate draws, which changed every Monte
-Carlo estimate's bits once.  Both routes use one compress-and-estimate
-decoder; every matrix here is a plain array.
+chunks, each chunk from its own SFC64 substream seeded through
+``SeedSequence(entropy=seed, spawn_key=(chunk_index,))``, and accumulated
+in chunk order, so a given ``(model, R, n_samples, seed)`` always produces
+the same estimate bit-for-bit.  A chunk of ``m`` samples is one
+``(M + 2L, m)`` standard normal draw, one sample per column, whose rows are
+the source ``x`` (M rows), the observation noise before scaling by
+``sigma`` (L rows) and one quantization-noise draw ``q`` (L rows) shared by
+every rate.  All of it is drawn whatever is requested; compress-and-estimate
+reads all of ``q``, the optimal scheme with ``k`` active components its
+first ``k`` rows, and the estimation floor none.  Every scheme's error is
+linear in that draw, so each estimate is one ``M x (M + 2L)`` map of it,
+built before sampling.  :func:`mc_estimates` evaluates any set of estimates
+on one draw per chunk; each one is bit-identical to a separate
+:func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse` call.  Two changes moved
+every Monte Carlo estimate's bits once: this layout replaced a
+row-per-sample one that read ``x``, the noise and ``q`` as separate draws,
+and SFC64 replaced Philox substreams, which draw normals more slowly.
+Both routes use one compress-and-estimate decoder; every matrix here is a
+plain array.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
     for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
         m = min(_CHUNK, n_samples - done)
         rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
+            np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         )
         w = rng.standard_normal((M + 2 * L, m))  # rows: x, then z, then q
         for lo in range(0, m, _BLOCK):

@@ -168,6 +168,16 @@ def test_analyze_at_huge_rates_warns_nothing(model_file, tmp_path, capsys):
         assert {**report["point"], "R": 0} == {**reports[0]["point"], "R": 0}
 
 
+def test_analyze_with_an_overflowing_gap_prefactor_warns_nothing(tmp_path, capsys):
+    # the bound's prefactor 2.5e499 overflows; at 1e300 bits the bound is 0, not NaN
+    model = tmp_path / "big.json"
+    model.write_text(json.dumps({"A": [[1e100, 0], [0, 1]], "sigma2": 1e-300}))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(model), "--rate", "1e300", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["point"]["gap_ub"] == 0.0
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["analyze", "/nonexistent/model.json", "--rate", "1"]) == 2
     assert "not found" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -465,6 +466,23 @@ def test_huge_rates_give_the_values_at_1e300(seed):
         points = sweep(model, [1e300, 1e308, 1.7e308])
     assert [pt[1:] for pt in points[1:]] == [points[0][1:]] * 2
     assert points[0][1:6] == tuple(want[:5])
+
+
+def test_gap_upper_bound_past_an_overflowing_prefactor():
+    # (L/M) (lam_1 + s2) / (4 s2) = 2.5e499 overflows, the bound 2.5e499 2^-R
+    # is finite from R = 633 and underflows past R = 2735
+    model = ObservationModel(Matrix(np.diag([1e100, 1.0])), 1e-300)
+    lam1 = mpmath.mpf(model.gram.values[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1000.0, 1076.0, 2000.0):
+            want = (lam1 + mpmath.mpf(1e-300)) / (4 * mpmath.mpf(1e-300)) * mpmath.mpf(2) ** -r
+            assert gap_upper_bound(model, r) == pytest.approx(float(want), rel=1e-12), r
+        assert gap_upper_bound(model, 1.0) == math.inf
+        assert gap_upper_bound(model, 2750.0) == gap_upper_bound(model, 1e300) == 0.0
+        points = sweep(model, [0.0, 1.0, 1000.0, 1076.0, 2000.0, 2750.0, 1e300, 1.7e308])
+    assert [pt.gap_ub for pt in points] == [gap_upper_bound(model, pt.R) for pt in points]
+    assert not any(math.isnan(v) for pt in points for v in pt)
 
 
 def _twin_close(a: float, b: float, tol: float = 1e-9) -> bool:

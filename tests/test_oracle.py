@@ -22,6 +22,7 @@ from cedrf import drf, linalg, waterfill
 from cedrf.cli import _check_monte_carlo
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
+    _CHUNK,
     InvalidSampleCount,
     ce_matrix_form,
     ce_matrix_parts,
@@ -207,14 +208,15 @@ VERIFY_RATES = (0.5, 1.0, 3.0)
 
 
 def _special_models():
+    """``(label, model)`` pairs."""
     rng = np.random.default_rng(2024)
     return [
-        ObservationModel(Matrix(rng.uniform(-2, 2, size=(2, 4))), 1.0),  # M > L
-        ObservationModel(Matrix(rng.uniform(-2, 2, size=(5, 3))), 0.1),  # L > M
-        rank_deficient_model(rng),
-        model_from_eigs([20.0, 0.5, 0.0], 1.0),  # pure-noise component
-        # |A|^2 / s2 near 1e10: rounding leaves the oracle covariances asymmetric
-        ObservationModel(Matrix(rng.normal(size=(4, 2))), 1e-9),
+        ("M > L", ObservationModel(Matrix(rng.uniform(-2, 2, size=(2, 4))), 1.0)),
+        ("L > M", ObservationModel(Matrix(rng.uniform(-2, 2, size=(5, 3))), 0.1)),
+        ("rank-deficient", rank_deficient_model(rng)),
+        ("pure-noise component", model_from_eigs([20.0, 0.5, 0.0], 1.0)),
+        # rounding leaves the oracle covariances asymmetric
+        ("|A|^2 / s2 near 1e10", ObservationModel(Matrix(rng.normal(size=(4, 2))), 1e-9)),
     ]
 
 
@@ -222,84 +224,128 @@ def _flat(run):
     return (*run.ce, *run.idrf, run.mmse)
 
 
+def frozen_runs():
+    """``(label, model, seed, run)`` of each :data:`FROZEN_ESTIMATES` row, in its order."""
+    cases = [("example model, seed 20240117", example_model(), 20240117)]
+    cases += [(label, m, 90 + i) for i, (label, m) in enumerate(_special_models())]
+    return [(label, model, seed, mc_estimates(model, 100_000, seed, ce_rates=VERIFY_RATES,
+                                              idrf_rates=VERIFY_RATES, mmse=True))
+            for label, model, seed in cases]
+
+
+def frozen_rows(runs):
+    """Each run's ``(mean, stderr)`` pairs as ``float.hex``: the rows of :data:`FROZEN_ESTIMATES`."""
+    return [tuple((e.mean.hex(), e.stderr.hex()) for e in _flat(run)) for *_, run in runs]
+
+
+def format_frozen_table(runs) -> str:
+    """``FROZEN_ESTIMATES = (...)`` as it stands in this file, for a re-freeze."""
+    lines = ["FROZEN_ESTIMATES = ("]
+    for (label, *_), row in zip(runs, frozen_rows(runs)):
+        lines.append(f"    (  # {label}")
+        lines += [f'        ("{mean}", "{stderr}"),' for mean, stderr in row]
+        lines.append("    ),")
+    return "\n".join(lines + [")"])
+
+
 # (mean, stderr) as float.hex of verify's run at 100 000 samples (two
 # chunks): CE then the optimal scheme at VERIFY_RATES, then the floor.
-# Frozen with numpy 2.4 on OpenBLAS 0.3.31 (Haswell kernels, x86-64); like
-# every Monte Carlo bit they hold for one platform and BLAS build.  The
-# spectrum enters through the water levels: taking it from A's singular
-# values moved ten estimates, in the M > L, L > M, rank-deficient and
-# 1e-9 rows, by at most 7.1e-16 relative.
+# Frozen with SFC64 chunk streams, numpy 2.4.6 and OpenBLAS 0.3.31 on its
+# SkylakeX core (x86-64); like every Monte Carlo bit they hold for one
+# platform and BLAS build.  `PYTHONPATH=src python tests/test_oracle.py`
+# prints the table as it stands here, to regenerate it.
 FROZEN_ESTIMATES = (
     (  # example model, seed 20240117
-        ("0x1.861d092f7bc11p-1", "0x1.4b5b339fb4756p-9"),
-        ("0x1.491030bd196a6p-1", "0x1.314ab7cfffe2bp-9"),
-        ("0x1.ccaee9a7e6346p-2", "0x1.e43db20c691cdp-10"),
-        ("0x1.861d092f7bc11p-1", "0x1.4b5b339fb4756p-9"),
-        ("0x1.46c4bef8a5274p-1", "0x1.266c29b4a401dp-9"),
-        ("0x1.b48802f0ff9d2p-2", "0x1.b520bc3d9c215p-10"),
-        ("0x1.6c60ec354a3f0p-2", "0x1.87d3437243cd9p-10"),
+        ("0x1.8666c03a5f27dp-1", "0x1.49c5cdd8b7a2ap-9"),
+        ("0x1.495e23e1d1e5bp-1", "0x1.2f5e86e5ffa88p-9"),
+        ("0x1.cdedb55f1e428p-2", "0x1.e1763bfe4c32cp-10"),
+        ("0x1.8666c03a5f27dp-1", "0x1.49c5cdd8b7a2ap-9"),
+        ("0x1.4770760a66651p-1", "0x1.2502c1a3948a2p-9"),
+        ("0x1.b661fb0d8a061p-2", "0x1.b330cd28660eap-10"),
+        ("0x1.6decaa3644e41p-2", "0x1.8646c9b5a4f08p-10"),
     ),
     (  # M > L
-        ("0x1.c5c7063b43f53p-1", "0x1.0a7d63bc2ea8cp-9"),
-        ("0x1.a22079ccdf5dep-1", "0x1.fab605014ec79p-10"),
-        ("0x1.4905d9c03c238p-1", "0x1.b3aecfefafa3dp-10"),
-        ("0x1.c1aa99a9dd9f5p-1", "0x1.03ec4d9dd7131p-9"),
-        ("0x1.95b72c5963e7dp-1", "0x1.e0a3807f4f9e6p-10"),
-        ("0x1.46633fe6455c7p-1", "0x1.af4ea0b313e37p-10"),
-        ("0x1.2be15a7cfd06dp-1", "0x1.a6789e03f058fp-10"),
+        ("0x1.c539ecc84d191p-1", "0x1.0980b8e2c614bp-9"),
+        ("0x1.a21a3882cb825p-1", "0x1.f9099a01ed046p-10"),
+        ("0x1.49928dd028a06p-1", "0x1.b2e4b465f8e27p-10"),
+        ("0x1.c0f86559740bdp-1", "0x1.03fb5af99bf17p-9"),
+        ("0x1.953907ba5fe14p-1", "0x1.e0f7589f1bcf0p-10"),
+        ("0x1.4653de982e61cp-1", "0x1.af281d6e48e1cp-10"),
+        ("0x1.2c19f20ed0cbbp-1", "0x1.a5d95758704e8p-10"),
     ),
     (  # L > M
-        ("0x1.aba4da30eececp-1", "0x1.24f10a12a2bf4p-9"),
-        ("0x1.6986df528f8f7p-1", "0x1.00fb24f3d9a32p-9"),
-        ("0x1.3e1b599cf8217p-2", "0x1.d8fb1cbe24292p-11"),
-        ("0x1.98bdff318938ap-1", "0x1.0dae497c1248fp-9"),
-        ("0x1.470db11fd6577p-1", "0x1.afe2998fbc6b8p-10"),
-        ("0x1.12fe0ff5f423dp-2", "0x1.6ccbdb1bacd97p-11"),
-        ("0x1.981de5a56987dp-6", "0x1.32365255847bcp-14"),
+        ("0x1.adaf3aad7a3a4p-1", "0x1.28764dd26f9cfp-9"),
+        ("0x1.6b49df133d717p-1", "0x1.030162950e3cep-9"),
+        ("0x1.3ff7e5c7f0f30p-2", "0x1.dda6bd7beee61p-11"),
+        ("0x1.9a8bb34b8612cp-1", "0x1.113205cb80946p-9"),
+        ("0x1.484023e0604afp-1", "0x1.b4993039b0576p-10"),
+        ("0x1.136ab54c17c0dp-2", "0x1.6d5d9b245bc5bp-11"),
+        ("0x1.9870b69f9d609p-6", "0x1.2fc4d661c88ffp-14"),
     ),
     (  # rank-deficient
-        ("0x1.ad0ce5d9f28d0p-1", "0x1.27dcebc1f0cebp-9"),
-        ("0x1.838056cf8b434p-1", "0x1.1b4eb99b9e20dp-9"),
-        ("0x1.14c3e58ad9f31p-1", "0x1.c1b480d55955ap-10"),
-        ("0x1.a8daeef796a2bp-1", "0x1.1f1e143e9b035p-9"),
-        ("0x1.6d63c94280975p-1", "0x1.fd09fcaa2b4b0p-10"),
-        ("0x1.02027a96b70dfp-1", "0x1.a7f21750a4386p-10"),
-        ("0x1.bd0a4d79147cfp-2", "0x1.989b28840506fp-10"),
+        ("0x1.acd1b0739a8f1p-1", "0x1.25c95cd5e45d1p-9"),
+        ("0x1.83667edaf6df1p-1", "0x1.190c38a8f4165p-9"),
+        ("0x1.14c8dbd8ecf31p-1", "0x1.bf65205ff9ef0p-10"),
+        ("0x1.a8b603346cfecp-1", "0x1.1dd27c2769a4cp-9"),
+        ("0x1.6dde3d4706affp-1", "0x1.fb31fbfd1345ap-10"),
+        ("0x1.02d1329caf9a7p-1", "0x1.a44dd29dd45f6p-10"),
+        ("0x1.bd9e7b7d8c639p-2", "0x1.94b49a1cd68a7p-10"),
     ),
     (  # pure-noise component
-        ("0x1.af69056be35efp-1", "0x1.281df090c9778p-9"),
-        ("0x1.86f83cc1d79e2p-1", "0x1.1b714bc7434a0p-9"),
-        ("0x1.49c8e212edd2cp-1", "0x1.01e4b693bac20p-9"),
-        ("0x1.af69056be35efp-1", "0x1.281df090c9778p-9"),
-        ("0x1.85b551d64b348p-1", "0x1.167bd0f5196a1p-9"),
-        ("0x1.3d92141f9fa87p-1", "0x1.ebc17804d6f58p-10"),
-        ("0x1.250595f95820bp-1", "0x1.d953fcdb18d0bp-10"),
+        ("0x1.afad68cec554ep-1", "0x1.2797e1dafb12bp-9"),
+        ("0x1.8728afb7dea27p-1", "0x1.1aee449fe7767p-9"),
+        ("0x1.49224b939ff5ap-1", "0x1.00ff2b5c863a8p-9"),
+        ("0x1.afad68cec554ep-1", "0x1.2797e1dafb12bp-9"),
+        ("0x1.8569ca5505d18p-1", "0x1.15e0e3ea2c997p-9"),
+        ("0x1.3d4f1853b4031p-1", "0x1.ea43e9888731dp-10"),
+        ("0x1.25b95f1bb6b25p-1", "0x1.d923ca8111893p-10"),
     ),
     (  # |A|^2 / s2 near 1e10
-        ("0x1.7d1c116203a0dp-1", "0x1.435b1ed880b55p-9"),
-        ("0x1.0dda8ebb24159p-1", "0x1.c865024b3b1e7p-10"),
-        ("0x1.0eb36e8b492cap-3", "0x1.cc4788323c9d8p-12"),
-        ("0x1.6910d075a83d8p-1", "0x1.23968b8983c83p-9"),
-        ("0x1.ff2066b7ff65fp-2", "0x1.9cae861be6028p-10"),
-        ("0x1.005ee0f7d4156p-3", "0x1.9eec343502a0cp-12"),
-        ("0x1.cb77c40a5c134p-33", "0x1.894a1f2001cb2p-41"),
+        ("0x1.7d6541f01dc60p-1", "0x1.41f5686d1f7a4p-9"),
+        ("0x1.0dd80279c7718p-1", "0x1.c8fff1958b3e1p-10"),
+        ("0x1.0d7095e25557cp-3", "0x1.c91b19ac84433p-12"),
+        ("0x1.6a6671793b2cap-1", "0x1.2445d0504e106p-9"),
+        ("0x1.000e8276d73e0p-1", "0x1.9d764291b1899p-10"),
+        ("0x1.ff70dafdd5e2dp-4", "0x1.9dd1902fecfafp-12"),
+        ("0x1.cc62c695971f6p-33", "0x1.8582c0f04103ep-41"),
     ),
 )
 
 
 def test_estimates_match_the_frozen_table():
-    cases = [(example_model(), 20240117)] + [(m, 90 + i) for i, m in enumerate(_special_models())]
-    for (model, seed), want in zip(cases, FROZEN_ESTIMATES, strict=True):
-        run = mc_estimates(model, 100_000, seed,
-                           ce_rates=VERIFY_RATES, idrf_rates=VERIFY_RATES, mmse=True)
-        got = [(e.mean.hex(), e.stderr.hex()) for e in _flat(run)]
-        assert got == list(want), (model, seed)
-        assert all(e.n_samples == 100_000 and e.seed == seed for e in _flat(run))
+    runs = frozen_runs()
+    assert frozen_rows(runs) == list(FROZEN_ESTIMATES)
+    assert all(e.n_samples == 100_000 and e.seed == seed
+               for _, _, seed, run in runs for e in _flat(run))
+
+
+def test_frozen_estimates_track_the_closed_forms():
+    for _, model, _, run in frozen_runs():
+        want = [*(drf.ce_drf(model, r) for r in VERIFY_RATES),
+                *(drf.idrf(model, r) for r in VERIFY_RATES), model.mmse_floor]
+        for est, target in zip(_flat(run), want, strict=True):
+            assert _within_ci(est, target), (model, est, target)
+
+
+def test_chunks_are_sfc64_substreams():
+    # a 1x1 model's floor error is (1 - f) x - sqrt(s2) e z with e = a / (a^2 + s2),
+    # f = e a: rows 0 and 1 of each chunk's (M + 2L, m) draw
+    model = ObservationModel(Matrix(np.array([[2.0]])), 1.0)
+    seed, n = 17, _CHUNK + 5_000
+    err = []
+    for c, m in enumerate((_CHUNK, n - _CHUNK)):
+        bits = np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
+        x, z, _ = np.random.Generator(bits).standard_normal((3, m))
+        err.append(0.2 * x - 0.4 * z)
+    d = np.concatenate(err) ** 2
+    est = mc_mmse(model, n, seed)
+    assert est.mean == pytest.approx(d.mean(), rel=1e-12)
+    assert est.stderr == pytest.approx(d.std(ddof=1) / np.sqrt(n), rel=1e-9)
 
 
 def test_single_estimate_calls_match_the_joint_run():
     rng = np.random.default_rng(4242)
-    models = [random_model(rng) for _ in range(196)] + _special_models()
+    models = [random_model(rng) for _ in range(196)] + [m for _, m in _special_models()]
     assert any(m.M > m.L for m in models) and any(m.L > m.M for m in models)
     assert any(m.gram.rank < min(m.L, m.M) for m in models)
     for i, model in enumerate(models):
@@ -382,3 +428,7 @@ def test_oracles_accept_scale_twins(c):
         want = mc_estimates(base, 3000, i, ce_rates=rates, idrf_rates=rates, mmse=True)
         for g, w in zip((*got.ce, *got.idrf, got.mmse), (*want.ce, *want.idrf, want.mmse)):
             assert abs(g.mean - w.mean) < 1e-9
+
+
+if __name__ == "__main__":
+    print(format_frozen_table(frozen_runs()))

@@ -120,3 +120,26 @@ def test_curves_keep_their_order(model):
     for pt in drf.sweep(model, np.linspace(0.0, 60.0, 241)):
         assert floor - slack <= pt.d_idrf <= pt.d_ce + slack, pt
         assert pt.d_ce <= 1.0 + slack, pt
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(models(), st.lists(st.floats(0.0, 30.0), max_size=12))
+def test_curves_do_not_increase_with_rate(model, extra):
+    # verify's monotonicity tolerance, on a grid through every threshold
+    grid = sorted(set(boundary_grid(model, extra)) | set(np.linspace(0.0, 30.0, 121).tolist()))
+    points = drf.sweep(model, grid)
+    for a, b in zip(points, points[1:]):
+        assert b.d_idrf - a.d_idrf <= 1e-12, (a, b)
+        assert b.d_ce - a.d_ce <= 1e-12, (a, b)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(models(), st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=12))
+def test_curves_coincide_on_the_equality_region(model, fractions):
+    # verify's equality tolerance on (0, min(R_limit, 12)], its thresholds included
+    cap = min(drf.equality_region(model).R_limit, 12.0)
+    rates = {cap * f for f in (*fractions, *np.linspace(0.0, 1.0, 41)[1:].tolist())}
+    rates.update(r for r in boundary_grid(model, ()) if 0.0 < r <= cap)
+    grid = sorted(r for r in rates if r > 0.0)
+    for pt in drf.sweep(model, grid) if grid else ():  # R_limit = 0: an empty region
+        assert abs(pt.d_ce - pt.d_idrf) <= 1e-10, pt

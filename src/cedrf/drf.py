@@ -189,16 +189,15 @@ def ce_drf(model: ObservationModel, R: float) -> float:
 def equality_region(model: ObservationModel) -> EqualityRegion:
     """Largest leading block and rate limit where both curves coincide."""
     cond = model.conditional
+    if cond.rank == 0:  # both curves are 1 at every rate
+        return EqualityRegion(r0=model.r, R_limit=math.inf, unconditional=model.L == model.M)
     r0 = 1
-    if model.gram.rank == 0:
-        r0 = model.r
-    else:
-        c = _ce_weights(model.observation, cond)
-        for l in range(1, model.r):
-            if abs(c[l] - c[0]) <= TIE_RTOL * c[0]:
-                r0 = l + 1
-            else:
-                break
+    c = _ce_weights(model.observation, cond)
+    for l in range(1, model.r):
+        if abs(c[l] - c[0]) <= TIE_RTOL * c[0]:
+            r0 = l + 1
+        else:
+            break
     limit_cond = cond.thresholds[r0] if r0 <= cond.rank else math.inf
     return EqualityRegion(
         r0=r0,

@@ -23,12 +23,18 @@ first ``k`` rows, and the estimation floor none.  Every scheme's error is
 linear in that draw, so each estimate is one ``M x (M + 2L)`` map of it,
 built before sampling.  :func:`mc_estimates` evaluates any set of estimates
 on one draw per chunk; each one is bit-identical to a separate
-:func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse` call.  Two changes moved
-every Monte Carlo estimate's bits once: this layout replaced a
-row-per-sample one that read ``x``, the noise and ``q`` as separate draws,
-and SFC64 replaced Philox substreams, which draw normals more slowly.
-Both routes use one compress-and-estimate decoder; every matrix here is a
-plain array.
+:func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse` call.
+
+The optimal scheme's and the floor's maps come from the model's cached SVD
+of ``A``, which gives the MMSE estimator and the eigenbasis of its
+estimate's covariance at once.  The compress-and-estimate maps and the
+matrix form share one decoder: a pseudoinverse of the channel covariance
+they form, not a formula in the singular values.  Every matrix here is a
+plain array.  Three changes moved every Monte Carlo estimate's bits once:
+this layout replaced a row-per-sample one that read ``x``, the noise and
+``q`` as separate draws; SFC64 replaced Philox substreams, which draw
+normals more slowly; and the SVD replaced a pseudoinverse of
+``A A^T + sigma2 I`` and an eigendecomposition of ``E A``.
 """
 
 from __future__ import annotations
@@ -162,6 +168,23 @@ def _idrf_map(model: ObservationModel, R: float, fx: np.ndarray, fz: np.ndarray,
     return _error_map(model.M, model.L, proj @ fx, proj @ fz, v_a * np.sqrt(theta * g))
 
 
+def _maps(model: ObservationModel, ce_rates: Sequence[float] = (),
+          idrf_rates: Sequence[float] = (), mmse: bool = False) -> list[np.ndarray]:
+    """The error maps :func:`mc_estimates` samples: CE, the optimal scheme, the floor."""
+    maps = [_ce_map(model, R) for R in ce_rates]
+    if idrf_rates or mmse:
+        # the MMSE estimate fx x + fz z, with E = V diag(s / (s^2 + s2)) U^T:
+        # fx = E A, whose eigenbasis is V, and fz = sigma E
+        u, s, v = model.svd
+        obs = s * s + model.sigma2
+        fx = (v * (s * s / obs)) @ v.T
+        fz = (v * (math.sqrt(model.sigma2) * s / obs)) @ u[:, :s.size].T
+    maps += [_idrf_map(model, R, fx, fz, v) for R in idrf_rates]
+    if mmse:
+        maps.append(_error_map(model.M, model.L, fx, fz, np.zeros((model.M, 0))))
+    return maps
+
+
 def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
                  ce_rates: Sequence[float] = (), idrf_rates: Sequence[float] = (),
                  mmse: bool = False) -> McEstimates:
@@ -179,17 +202,7 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
     if n_samples < 1:
         raise InvalidSampleCount(f"n_samples must be >= 1, got {n_samples}")
     M, L = model.M, model.L
-    maps = [_ce_map(model, R) for R in ce_rates]
-    if idrf_rates or mmse:
-        estimator = _lmmse(model.A.data, np.full(L, model.sigma2))  # M x L
-        fx = estimator @ model.A.data
-        fz = math.sqrt(model.sigma2) * estimator
-    if idrf_rates:
-        # rounding can leave fx asymmetric by about eps |A|^2 / s2, above SYMMETRY_ATOL
-        _, v = linalg.sym_eig((fx + fx.T) / 2.0)  # M x M, by descending spectrum
-        maps += [_idrf_map(model, R, fx, fz, v) for R in idrf_rates]
-    if mmse:
-        maps.append(_error_map(M, L, fx, fz, np.zeros((M, 0))))
+    maps = _maps(model, ce_rates, idrf_rates, mmse)
 
     s1 = np.zeros(len(maps))
     s2 = np.zeros(len(maps))

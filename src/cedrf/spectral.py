@@ -11,8 +11,10 @@ distortion-rate formulas consume:
 
 plus the estimation-error floor and source whitening for non-identity
 source covariances.  Every closed form is purely spectral, so ``lam_l``
-comes from the singular values of ``A``; the eigenvectors of ``A A^T`` are
-built on first use, for the matrix and Monte Carlo oracles only.
+comes from the singular values of ``A``.  One full SVD of ``A``, with its
+singular vectors, is built on first use and kept, for the matrix and
+Monte Carlo oracles only: its ``U`` is the eigenbasis of ``A A^T``, and
+its ``V`` that of the MMSE estimate's covariance.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ class ObservationModel:
     ``gram``, the spectrum of ``A A^T``, is the squared singular values of
     ``A`` zero-padded to ``L``: ``eps kappa`` relative error in the small
     eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  The derived
-    spectra are cached beside it; ``basis`` is built on first use.
+    spectra are cached beside it; ``svd``, and ``basis`` with it, is built
+    on first use.
     ``full_rank`` records whether ``A`` has numerical rank ``min(M, L)``;
     rank-deficient models are accepted and handled throughout.
 
@@ -158,15 +161,28 @@ class ObservationModel:
         self.conditional = conditional_spectrum(self.gram, s2)
 
     @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(U, s, V)`` of ``A``, built on first use, for the oracles only.
+
+        ``U`` holds all ``L`` left singular vectors by descending singular
+        value, each signed so that its largest-magnitude entry (the first on
+        ties) is positive.  ``s`` and the ``M x rank`` ``V`` keep the leading
+        ``gram.rank`` triplets, ``V``'s columns signed with their partners,
+        so that ``A = U[:, :rank] diag(s) V^T`` up to the rank cut-off.
+        """
+        u, s, vt = np.linalg.svd(self.A.data)
+        lead = u[np.argmax(np.abs(u), axis=0), np.arange(self.L)]
+        sign = np.where(lead < 0.0, -1.0, 1.0)
+        k = self.gram.rank
+        out = (u * sign, s[:k], vt[:k].T * sign[:k])
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    @property
     def basis(self) -> np.ndarray:
-        """Read-only orthogonal eigenvectors of ``A A^T`` as columns, by descending eigenvalue,
-        each signed so that its largest-magnitude entry (the first on ties) is positive."""
-        gram_mat = self.A.data @ self.A.data.T
-        _, u = linalg.sym_eig((gram_mat + gram_mat.T) / 2.0)
-        lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-        basis = np.where(lead < 0.0, -u, u)
-        basis.flags.writeable = False
-        return basis
+        """``svd``'s ``U``: eigenvectors of ``A A^T`` as columns, by descending eigenvalue."""
+        return self.svd[0]
 
     @property
     def mmse_floor(self) -> float:

@@ -141,11 +141,20 @@ def test_json_writer_spells_every_kind_of_value_as_json_does():
 
 
 def test_analyze_and_sweep_run_no_eigensolver(model_file, tmp_path, capsys, monkeypatch):
-    # the spectrum comes from A's singular values; only the oracles build the basis
+    # the spectrum comes from A's singular values; only the oracles build
+    # singular vectors, through the model's cached full SVD
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolver called")
 
+    svd = np.linalg.svd
+
+    def values_only(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            raise AssertionError("full SVD called")
+        return svd(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", values_only)
     monkeypatch.setattr(cedrf.linalg, "sym_eig", refuse)
     assert main(["analyze", str(model_file), "--rate", "1.5",
                  "--json", str(tmp_path / "report.json")]) == 0
@@ -478,10 +487,10 @@ def test_verify_example_model_passes(model_file, capsys):
 
 
 def test_verify_runs_every_check_on_an_ill_conditioned_model(tmp_path, capsys):
-    # a valid 4x2 model with |A|^2 / s2 near 1e10 and 1e13: its oracle
-    # covariances are not exactly symmetric after rounding, and the two zeros
-    # of A A^T come back from the eigensolver as rounding noise, which must
-    # count as exact zeros or d_ce misses the matrix form (and goes negative)
+    # a valid 4x2 model with |A|^2 / s2 near 1e10 and 1e13: its estimate
+    # covariance's eigenvalues tie to about s2 / |A|^2, and the two zeros of
+    # A A^T must count as exact zeros or d_ce misses the matrix form (and
+    # goes negative)
     a = np.random.default_rng(7).normal(size=(4, 2))
     path = tmp_path / "ill.json"
     for sigma2 in (1e-9, 1e-12):

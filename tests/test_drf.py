@@ -95,6 +95,18 @@ def test_equality_region_property(seed):
         assert abs(ce_drf(model, float(r)) - idrf(model, float(r))) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2), (3, 3)])
+def test_equality_region_of_a_zero_matrix_is_every_rate(shape):
+    # both curves are 1 at every rate, whatever the shape
+    model = ObservationModel(Matrix(np.zeros(shape)), 0.01)
+    region = equality_region(model)
+    assert region.r0 == min(shape)
+    assert region.R_limit == math.inf
+    assert region.unconditional == (shape[0] == shape[1])
+    for r in (0.0, 1.0, 5.0):
+        assert idrf(model, r) == ce_drf(model, r) == 1.0
+
+
 def test_unconditional_equality_all_rates():
     model = model_from_eigs([2.0, 0.5], 1.0)
     for r in (0.0, 0.25, 1.0, 3.0, 7.0, 12.0):

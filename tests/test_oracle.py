@@ -23,6 +23,7 @@ from cedrf.cli import _check_monte_carlo
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
     _CHUNK,
+    _maps,
     InvalidSampleCount,
     ce_matrix_form,
     ce_matrix_parts,
@@ -34,16 +35,31 @@ from cedrf.oracle import (
 from cedrf.spectral import ObservationModel
 
 
-def test_parts_reuse_the_model_basis(monkeypatch):
-    # the basis is built on the first read, once, and every later call reuses it
-    model = random_model(np.random.default_rng(12))
+def _count_full_svds(monkeypatch):
+    """Patch ``np.linalg.svd`` to record each call that builds singular vectors."""
     calls = []
-    real = linalg.sym_eig
-    monkeypatch.setattr(linalg, "sym_eig", lambda s: calls.append(1) or real(s))
-    assert "basis" not in vars(model)
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_parts_reuse_the_model_basis(monkeypatch):
+    # the basis is the cached SVD's U: built on the first read, once, and
+    # every later call, the optimal-scheme and floor maps included, reuses it
+    model = random_model(np.random.default_rng(12))
+    calls = _count_full_svds(monkeypatch)
+    assert "svd" not in vars(model)
     for r in (0.0, 0.5, 2.0):
         assert ce_matrix_parts(model, r).basis is model.basis
-        assert calls == [1]
+        assert calls == [(model.L, model.M)]
+    mc_estimates(model, 10, 1, idrf_rates=(1.0,), mmse=True)
+    assert len(calls) == 1
 
 
 def test_parts_at_zero_rate():
@@ -215,7 +231,7 @@ def _special_models():
         ("L > M", ObservationModel(Matrix(rng.uniform(-2, 2, size=(5, 3))), 0.1)),
         ("rank-deficient", rank_deficient_model(rng)),
         ("pure-noise component", model_from_eigs([20.0, 0.5, 0.0], 1.0)),
-        # rounding leaves the oracle covariances asymmetric
+        # the estimate covariance's eigenvalues tie to about 1e-10
         ("|A|^2 / s2 near 1e10", ObservationModel(Matrix(rng.normal(size=(4, 2))), 1e-9)),
     ]
 
@@ -224,13 +240,20 @@ def _flat(run):
     return (*run.ce, *run.idrf, run.mmse)
 
 
+def frozen_cases():
+    """``(label, model, seed)`` of each :data:`FROZEN_ESTIMATES` row, in its order."""
+    cases = [("example model, seed 20240117", example_model(), 20240117)]
+    return cases + [(label, m, 90 + i) for i, (label, m) in enumerate(_special_models())]
+
+
+def frozen_run(model, seed):
+    return mc_estimates(model, 100_000, seed, ce_rates=VERIFY_RATES,
+                        idrf_rates=VERIFY_RATES, mmse=True)
+
+
 def frozen_runs():
     """``(label, model, seed, run)`` of each :data:`FROZEN_ESTIMATES` row, in its order."""
-    cases = [("example model, seed 20240117", example_model(), 20240117)]
-    cases += [(label, m, 90 + i) for i, (label, m) in enumerate(_special_models())]
-    return [(label, model, seed, mc_estimates(model, 100_000, seed, ce_rates=VERIFY_RATES,
-                                              idrf_rates=VERIFY_RATES, mmse=True))
-            for label, model, seed in cases]
+    return [(label, model, seed, frozen_run(model, seed)) for label, model, seed in frozen_cases()]
 
 
 def frozen_rows(runs):
@@ -259,55 +282,55 @@ FROZEN_ESTIMATES = (
         ("0x1.8666c03a5f27dp-1", "0x1.49c5cdd8b7a2ap-9"),
         ("0x1.495e23e1d1e5bp-1", "0x1.2f5e86e5ffa88p-9"),
         ("0x1.cdedb55f1e428p-2", "0x1.e1763bfe4c32cp-10"),
-        ("0x1.8666c03a5f27dp-1", "0x1.49c5cdd8b7a2ap-9"),
+        ("0x1.8666c03a5f27ap-1", "0x1.49c5cdd8b7a2ap-9"),
         ("0x1.4770760a66651p-1", "0x1.2502c1a3948a2p-9"),
-        ("0x1.b661fb0d8a061p-2", "0x1.b330cd28660eap-10"),
-        ("0x1.6decaa3644e41p-2", "0x1.8646c9b5a4f08p-10"),
+        ("0x1.b661fb0d8a062p-2", "0x1.b330cd28660eap-10"),
+        ("0x1.6decaa3644e40p-2", "0x1.8646c9b5a4f08p-10"),
     ),
     (  # M > L
-        ("0x1.c539ecc84d191p-1", "0x1.0980b8e2c614bp-9"),
-        ("0x1.a21a3882cb825p-1", "0x1.f9099a01ed046p-10"),
-        ("0x1.49928dd028a06p-1", "0x1.b2e4b465f8e27p-10"),
-        ("0x1.c0f86559740bdp-1", "0x1.03fb5af99bf17p-9"),
-        ("0x1.953907ba5fe14p-1", "0x1.e0f7589f1bcf0p-10"),
-        ("0x1.4653de982e61cp-1", "0x1.af281d6e48e1cp-10"),
-        ("0x1.2c19f20ed0cbbp-1", "0x1.a5d95758704e8p-10"),
+        ("0x1.c539ecc84d191p-1", "0x1.0980b8e2c614ap-9"),
+        ("0x1.a21a3882cb825p-1", "0x1.f9099a01ed045p-10"),
+        ("0x1.49928dd028a05p-1", "0x1.b2e4b465f8e27p-10"),
+        ("0x1.c130cf1753996p-1", "0x1.03e12af5e29e1p-9"),
+        ("0x1.95755db281474p-1", "0x1.e0b76d7741588p-10"),
+        ("0x1.466656e3fb955p-1", "0x1.af2814a1dbc56p-10"),
+        ("0x1.2c19f20ed0cbcp-1", "0x1.a5d95758704e8p-10"),
     ),
     (  # L > M
         ("0x1.adaf3aad7a3a4p-1", "0x1.28764dd26f9cfp-9"),
-        ("0x1.6b49df133d717p-1", "0x1.030162950e3cep-9"),
-        ("0x1.3ff7e5c7f0f30p-2", "0x1.dda6bd7beee61p-11"),
-        ("0x1.9a8bb34b8612cp-1", "0x1.113205cb80946p-9"),
-        ("0x1.484023e0604afp-1", "0x1.b4993039b0576p-10"),
-        ("0x1.136ab54c17c0dp-2", "0x1.6d5d9b245bc5bp-11"),
-        ("0x1.9870b69f9d609p-6", "0x1.2fc4d661c88ffp-14"),
+        ("0x1.6b49df133d71ap-1", "0x1.030162950e3cdp-9"),
+        ("0x1.3ff7e5c7f0f34p-2", "0x1.dda6bd7beee64p-11"),
+        ("0x1.9a899dc3907c4p-1", "0x1.0f4c0726b7a2ep-9"),
+        ("0x1.4852d450e1605p-1", "0x1.b1f3705c63058p-10"),
+        ("0x1.13c9d9a0cdde5p-2", "0x1.6d684f42f175ep-11"),
+        ("0x1.9870b69f9d600p-6", "0x1.2fc4d661c88fdp-14"),
     ),
     (  # rank-deficient
         ("0x1.acd1b0739a8f1p-1", "0x1.25c95cd5e45d1p-9"),
         ("0x1.83667edaf6df1p-1", "0x1.190c38a8f4165p-9"),
         ("0x1.14c8dbd8ecf31p-1", "0x1.bf65205ff9ef0p-10"),
-        ("0x1.a8b603346cfecp-1", "0x1.1dd27c2769a4cp-9"),
-        ("0x1.6dde3d4706affp-1", "0x1.fb31fbfd1345ap-10"),
-        ("0x1.02d1329caf9a7p-1", "0x1.a44dd29dd45f6p-10"),
-        ("0x1.bd9e7b7d8c639p-2", "0x1.94b49a1cd68a7p-10"),
+        ("0x1.a9087e52c46b6p-1", "0x1.1e064187c828bp-9"),
+        ("0x1.6e0dfd6161c86p-1", "0x1.fbb467490a3f8p-10"),
+        ("0x1.02a8beb43e126p-1", "0x1.a52d09ac43015p-10"),
+        ("0x1.bd9e7b7d8c63bp-2", "0x1.94b49a1cd68a6p-10"),
     ),
     (  # pure-noise component
         ("0x1.afad68cec554ep-1", "0x1.2797e1dafb12bp-9"),
         ("0x1.8728afb7dea27p-1", "0x1.1aee449fe7767p-9"),
         ("0x1.49224b939ff5ap-1", "0x1.00ff2b5c863a8p-9"),
-        ("0x1.afad68cec554ep-1", "0x1.2797e1dafb12bp-9"),
-        ("0x1.8569ca5505d18p-1", "0x1.15e0e3ea2c997p-9"),
-        ("0x1.3d4f1853b4031p-1", "0x1.ea43e9888731dp-10"),
-        ("0x1.25b95f1bb6b25p-1", "0x1.d923ca8111893p-10"),
+        ("0x1.afad68cec554bp-1", "0x1.2797e1dafb12dp-9"),
+        ("0x1.8569ca5505d18p-1", "0x1.15e0e3ea2c996p-9"),
+        ("0x1.3d4f1853b4031p-1", "0x1.ea43e9888731fp-10"),
+        ("0x1.25b95f1bb6b24p-1", "0x1.d923ca8111893p-10"),
     ),
     (  # |A|^2 / s2 near 1e10
-        ("0x1.7d6541f01dc60p-1", "0x1.41f5686d1f7a4p-9"),
-        ("0x1.0dd80279c7718p-1", "0x1.c8fff1958b3e1p-10"),
+        ("0x1.7d6541f01dc5dp-1", "0x1.41f5686d1f7a7p-9"),
+        ("0x1.0dd80279c7717p-1", "0x1.c8fff1958b3e1p-10"),
         ("0x1.0d7095e25557cp-3", "0x1.c91b19ac84433p-12"),
-        ("0x1.6a6671793b2cap-1", "0x1.2445d0504e106p-9"),
-        ("0x1.000e8276d73e0p-1", "0x1.9d764291b1899p-10"),
-        ("0x1.ff70dafdd5e2dp-4", "0x1.9dd1902fecfafp-12"),
-        ("0x1.cc62c695971f6p-33", "0x1.8582c0f04103ep-41"),
+        ("0x1.6a953d95d13e3p-1", "0x1.24ed7e8d73dd5p-9"),
+        ("0x1.0032dd960e141p-1", "0x1.9eb05c868aa08p-10"),
+        ("0x1.ffa0f37ed8519p-4", "0x1.9ed5c28235fd9p-12"),
+        ("0x1.cc6152b551846p-33", "0x1.85814ecaba973p-41"),
     ),
 )
 
@@ -396,9 +419,8 @@ def test_fused_rejects_bad_input():
 
 
 def test_verify_monte_carlo_shares_the_observation_estimator(monkeypatch):
-    # one pinv for the observation estimator plus one per CE rate; sym_eig
-    # runs inside each pinv, once for the estimate covariance and once for
-    # the model's basis, which the first CE map builds
+    # one pinv per CE rate, for the CE decoder, each running one sym_eig;
+    # the basis and the optimal-scheme and floor maps share one full SVD of A
     model = random_model(np.random.default_rng(12))
     calls = {"pinv": 0, "sym_eig": 0}
     for name in calls:
@@ -409,8 +431,56 @@ def test_verify_monte_carlo_shares_the_observation_estimator(monkeypatch):
             return real(s)
 
         monkeypatch.setattr(linalg, name, counted)
+    svds = _count_full_svds(monkeypatch)
     _check_monte_carlo(model, 1000, 5)
-    assert calls == {"pinv": 4, "sym_eig": 6}
+    assert calls == {"pinv": 3, "sym_eig": 3}
+    assert svds == [(model.L, model.M)]
+
+
+def _moment_models():
+    """``_special_models()`` plus 5x1 and 4x2 models with ``|A|^2 / s2`` near 1e10."""
+    models = [m for _, m in _special_models()]
+    for seed, shape in ((5, (5, 1)), (7, (4, 2))):
+        a = np.random.default_rng(seed).normal(size=shape)
+        models.append(ObservationModel(Matrix(a), 1e-9))
+    return models
+
+
+@pytest.mark.parametrize("model", _moment_models())
+def test_maps_have_the_closed_forms_as_exact_moments(model):
+    # each estimate's error is B w with w standard normal, so its exact mean is |B|_F^2 / M
+    *idrf_maps, floor_map = _maps(model, idrf_rates=VERIFY_RATES, mmse=True)
+    for r, b in zip(VERIFY_RATES, idrf_maps, strict=True):
+        assert abs(np.sum(b * b) / model.M - drf.idrf(model, r)) <= 1e-14, r
+    assert abs(np.sum(floor_map * floor_map) / model.M - model.mmse_floor) <= 1e-14
+
+
+_KERNEL_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_oracle import frozen_cases, frozen_run
+label, model, seed = frozen_cases()[-1]
+assert label == "|A|^2 / s2 near 1e10", label
+run = frozen_run(model, seed)
+print(*(e.mean.hex() for e in (*run.ce, *run.idrf, run.mmse)))
+"""
+
+
+def test_ill_conditioned_row_does_not_depend_on_the_blas_kernel():
+    # the frozen table's 4x2 |A|^2 / s2 ~ 1e10 row, under two OpenBLAS kernels;
+    # the variable only selects a kernel in builds that dispatch at run time
+    src = str(Path(cedrf.__file__).resolve().parents[1])
+    rows = []
+    for core in ("Haswell", "Sandybridge"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_RUN, str(Path(__file__).parent)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rows.append([float.fromhex(h) for h in proc.stdout.split()])
+    assert len(rows[0]) == len(rows[1]) == 7
+    for a, b in zip(*rows):
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("c", [1e-100, 1e100])

@@ -113,8 +113,8 @@ def tall_models(draw):
 @given(tall_models())
 def test_curves_keep_their_order(model):
     # mmse_floor <= d_idrf <= d_ce <= 1 at every rate; the structural zeros of
-    # A A^T (L > M) come back from the eigensolver as rounding noise, which
-    # used to put d_ce below d_idrf, and even below 0, at small sigma2
+    # A A^T (L > M) must count as exact zeros, or d_ce falls below d_idrf,
+    # and even below 0, at small sigma2
     slack = 1e-12
     floor = model.mmse_floor
     for pt in drf.sweep(model, np.linspace(0.0, 60.0, 241)):
@@ -141,5 +141,5 @@ def test_curves_coincide_on_the_equality_region(model, fractions):
     rates = {cap * f for f in (*fractions, *np.linspace(0.0, 1.0, 41)[1:].tolist())}
     rates.update(r for r in boundary_grid(model, ()) if 0.0 < r <= cap)
     grid = sorted(r for r in rates if r > 0.0)
-    for pt in drf.sweep(model, grid) if grid else ():  # R_limit = 0: an empty region
+    for pt in drf.sweep(model, grid):
         assert abs(pt.d_ce - pt.d_idrf) <= 1e-10, pt

@@ -190,7 +190,7 @@ def equality_region(model: ObservationModel) -> EqualityRegion:
     """Largest leading block and rate limit where both curves coincide."""
     cond = model.conditional
     if cond.rank == 0:  # both curves are 1 at every rate
-        return EqualityRegion(r0=model.r, R_limit=math.inf, unconditional=model.L == model.M)
+        return EqualityRegion(r0=model.r, R_limit=math.inf, unconditional=True)
     r0 = 1
     c = _ce_weights(model.observation, cond)
     for l in range(1, model.r):
@@ -199,11 +199,8 @@ def equality_region(model: ObservationModel) -> EqualityRegion:
         else:
             break
     limit_cond = cond.thresholds[r0] if r0 <= cond.rank else math.inf
-    return EqualityRegion(
-        r0=r0,
-        R_limit=min(model.observation.thresholds[r0], limit_cond),
-        unconditional=(r0 == model.L == model.M),
-    )
+    limit = min(model.observation.thresholds[r0], limit_cond)
+    return EqualityRegion(r0=r0, R_limit=limit, unconditional=limit == math.inf)
 
 
 def gap(model: ObservationModel, R: float) -> float:

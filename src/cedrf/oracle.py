@@ -13,28 +13,38 @@ Monte Carlo runs are deterministic: samples are drawn in fixed-size
 chunks, each chunk from its own SFC64 substream seeded through
 ``SeedSequence(entropy=seed, spawn_key=(chunk_index,))``, and accumulated
 in chunk order, so a given ``(model, R, n_samples, seed)`` always produces
-the same estimate bit-for-bit.  A chunk of ``m`` samples is one
-``(M + 2L, m)`` standard normal draw, one sample per column, whose rows are
-the source ``x`` (M rows), the observation noise before scaling by
-``sigma`` (L rows) and one quantization-noise draw ``q`` (L rows) shared by
-every rate.  All of it is drawn whatever is requested; compress-and-estimate
-reads all of ``q``, the optimal scheme with ``k`` active components its
-first ``k`` rows, and the estimation floor none.  Every scheme's error is
-linear in that draw, so each estimate is one ``M x (M + 2L)`` map of it,
-built before sampling.  :func:`mc_estimates` evaluates any set of estimates
-on one draw per chunk; each one is bit-identical to a separate
-:func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse` call.
+the same estimate bit-for-bit.
+
+Every scheme's error is linear in the source ``x`` (M entries), the
+observation noise before scaling by ``sigma`` (L entries) and one
+quantization-noise draw ``q`` (L entries) shared by every rate, all
+standard normal.  :func:`_maps` still defines each estimate by that
+``M x (M + 2L)`` map ``B``: compress-and-estimate reads all of ``q``, the
+optimal scheme with ``k`` active components its first ``k`` entries, and
+the estimation floor none.  The error ``B w`` is Gaussian with covariance
+``B B^T``, and the simulation samples that law, not ``w`` itself: each map
+is factored once, before sampling, into an ``M x M`` matrix
+``T = qr(B^T).R^T`` with ``T T^T = B B^T``, which needs no eigensolver and
+no positive definite ``B B^T``.  A chunk of ``m`` samples is one ``(M, m)``
+standard normal draw ``g``, one sample per column, and each estimate's
+error is ``T g``.  Each estimate's law is exact; only the correlation
+between estimates differs from a simulation of ``w``.
+:func:`mc_estimates` evaluates any set of estimates on one draw per chunk;
+each one is bit-identical to a separate :func:`mc_ce`, :func:`mc_idrf` or
+:func:`mc_mmse` call.
 
 The optimal scheme's and the floor's maps come from the model's cached SVD
 of ``A``, which gives the MMSE estimator and the eigenbasis of its
 estimate's covariance at once.  The compress-and-estimate maps and the
 matrix form share one decoder: a pseudoinverse of the channel covariance
 they form, not a formula in the singular values.  Every matrix here is a
-plain array.  Three changes moved every Monte Carlo estimate's bits once:
-this layout replaced a row-per-sample one that read ``x``, the noise and
-``q`` as separate draws; SFC64 replaced Philox substreams, which draw
-normals more slowly; and the SVD replaced a pseudoinverse of
-``A A^T + sigma2 I`` and an eigendecomposition of ``E A``.
+plain array.  Four changes moved every Monte Carlo estimate's bits once:
+an ``(M + 2L, m)`` draw of ``[x; z; q]`` replaced a row-per-sample one
+that read ``x``, the noise and ``q`` as separate draws; SFC64 replaced
+Philox substreams, which draw normals more slowly; the SVD replaced a
+pseudoinverse of ``A A^T + sigma2 I`` and an eigendecomposition of
+``E A``; and the ``(M, m)`` draw of the error law replaced the
+``(M + 2L, m)`` draw of ``[x; z; q]``.
 """
 
 from __future__ import annotations
@@ -170,7 +180,7 @@ def _idrf_map(model: ObservationModel, R: float, fx: np.ndarray, fz: np.ndarray,
 
 def _maps(model: ObservationModel, ce_rates: Sequence[float] = (),
           idrf_rates: Sequence[float] = (), mmse: bool = False) -> list[np.ndarray]:
-    """The error maps :func:`mc_estimates` samples: CE, the optimal scheme, the floor."""
+    """The error maps ``B`` whose laws :func:`mc_estimates` samples: CE, optimal, floor."""
     maps = [_ce_map(model, R) for R in ce_rates]
     if idrf_rates or mmse:
         # the MMSE estimate fx x + fz z, with E = V diag(s / (s^2 + s2)) U^T:
@@ -185,6 +195,11 @@ def _maps(model: ObservationModel, ce_rates: Sequence[float] = (),
     return maps
 
 
+def _factor(b: np.ndarray) -> np.ndarray:
+    """``M x M`` ``T`` with ``T T^T = B B^T``, so ``T g`` has the law of ``B w``."""
+    return np.ascontiguousarray(np.linalg.qr(b.T, mode="r").T)
+
+
 def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
                  ce_rates: Sequence[float] = (), idrf_rates: Sequence[float] = (),
                  mmse: bool = False) -> McEstimates:
@@ -192,30 +207,30 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
 
     Returns compress-and-estimate estimates at ``ce_rates``, optimal-scheme
     estimates at ``idrf_rates`` and, if ``mmse``, the estimation floor.
-    Every estimate's error is one fixed ``M x (M + 2L)`` map of the chunk's
-    draws, built before sampling and independent of what else is
-    requested, so each estimate is the one :func:`mc_ce`, :func:`mc_idrf`
+    Every estimate's error is one fixed ``M x M`` factor of its map applied
+    to the chunk's draw, built before sampling and independent of what else
+    is requested, so each estimate is the one :func:`mc_ce`, :func:`mc_idrf`
     or :func:`mc_mmse` returns for the same arguments, bit for bit.
     """
     for R in (*ce_rates, *idrf_rates):
         waterfill._check_rate(R)
     if n_samples < 1:
         raise InvalidSampleCount(f"n_samples must be >= 1, got {n_samples}")
-    M, L = model.M, model.L
-    maps = _maps(model, ce_rates, idrf_rates, mmse)
+    M = model.M
+    factors = [_factor(b) for b in _maps(model, ce_rates, idrf_rates, mmse)]
 
-    s1 = np.zeros(len(maps))
-    s2 = np.zeros(len(maps))
+    s1 = np.zeros(len(factors))
+    s2 = np.zeros(len(factors))
     for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
         m = min(_CHUNK, n_samples - done)
         rng = np.random.Generator(
             np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         )
-        w = rng.standard_normal((M + 2 * L, m))  # rows: x, then z, then q
+        g = rng.standard_normal((M, m))
         for lo in range(0, m, _BLOCK):
-            block = w[:, lo:lo + _BLOCK]
-            for j, b in enumerate(maps):
-                err = b @ block
+            block = g[:, lo:lo + _BLOCK]
+            for j, t in enumerate(factors):
+                err = t @ block
                 err *= err
                 d = err.sum(axis=0) / M
                 s1[j] += d.sum()
@@ -241,10 +256,11 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
 def mc_ce(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEstimate:
     """Simulate compress-and-estimate coding and estimate its distortion.
 
-    Per sample: draw the source, push it through the forward test channel
-    (channel matrix plus rotated observation noise plus quantization
-    noise), estimate the source linearly from the representation, and
-    accumulate the normalized squared error.
+    Each sample's error has the law of this: draw the source, push it
+    through the forward test channel (channel matrix plus rotated
+    observation noise plus quantization noise), and estimate the source
+    linearly from the representation.  The normalized squared errors are
+    accumulated.
     """
     return mc_estimates(model, n_samples, seed, ce_rates=(R,)).ce[0]
 
@@ -252,10 +268,11 @@ def mc_ce(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEst
 def mc_idrf(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEstimate:
     """Simulate the optimal scheme: estimate first, then compress the estimate.
 
-    Per sample: form the observation, compute the source estimate, rotate
-    it into the eigenbasis of its covariance, pass each active component
-    through the scalar Gaussian forward test channel at the water-filling
-    distortion, reconstruct inactive components as zero, and rotate back.
+    Each sample's error has the law of this: form the observation, compute
+    the source estimate, rotate it into the eigenbasis of its covariance,
+    pass each active component through the scalar Gaussian forward test
+    channel at the water-filling distortion, reconstruct inactive
+    components as zero, and rotate back.
     Components sitting exactly at the water level reconstruct as zero,
     avoiding the degenerate zero-gain channel.
     """
@@ -263,5 +280,5 @@ def mc_idrf(model: ObservationModel, R: float, n_samples: int, seed: int) -> McE
 
 
 def mc_mmse(model: ObservationModel, n_samples: int, seed: int) -> McEstimate:
-    """Estimate the no-compression error floor by direct simulation."""
+    """Estimate the no-compression error floor by sampling its error law."""
     return mc_estimates(model, n_samples, seed, mmse=True).mmse

@@ -273,7 +273,7 @@ def test_analyze_without_signal(tmp_path, capsys, rows, cols):
     capsys.readouterr()
     doc = json.loads(report_path.read_text())
     assert doc["equality_region"] == {
-        "r0": min(rows, cols), "R_limit": None, "unconditional": rows == cols,
+        "r0": min(rows, cols), "R_limit": None, "unconditional": True,
     }
     assert doc["thresholds"]["conditional"] == [0.0]
     p = doc["point"]

@@ -102,9 +102,20 @@ def test_equality_region_of_a_zero_matrix_is_every_rate(shape):
     region = equality_region(model)
     assert region.r0 == min(shape)
     assert region.R_limit == math.inf
-    assert region.unconditional == (shape[0] == shape[1])
+    assert region.unconditional
     for r in (0.0, 1.0, 5.0):
         assert idrf(model, r) == ce_drf(model, r) == 1.0
+
+
+@pytest.mark.parametrize("row", [[1.0, 0.0], [1.0, 2.0]])
+def test_equality_region_of_one_observation_is_every_rate(row):
+    # L = 1 < M: the one observed component is the whole leading block, so
+    # the curves coincide at every rate although the model is not square
+    model = ObservationModel(Matrix(np.array([row])), 0.5)
+    region = equality_region(model)
+    assert (region.r0, region.R_limit, region.unconditional) == (1, math.inf, True)
+    for r in (0.0, 1.0, 5.0, 40.0):
+        assert idrf(model, r) == ce_drf(model, r)
 
 
 def test_unconditional_equality_all_rates():

@@ -23,6 +23,7 @@ from cedrf.cli import _check_monte_carlo
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
     _CHUNK,
+    _factor,
     _maps,
     InvalidSampleCount,
     ce_matrix_form,
@@ -273,64 +274,65 @@ def format_frozen_table(runs) -> str:
 
 # (mean, stderr) as float.hex of verify's run at 100 000 samples (two
 # chunks): CE then the optimal scheme at VERIFY_RATES, then the floor.
-# Frozen with SFC64 chunk streams, numpy 2.4.6 and OpenBLAS 0.3.31 on its
-# SkylakeX core (x86-64); like every Monte Carlo bit they hold for one
-# platform and BLAS build.  `PYTHONPATH=src python tests/test_oracle.py`
-# prints the table as it stands here, to regenerate it.
+# Frozen with SFC64 chunk streams drawn as (M, m) error-space normals,
+# numpy 2.4.6 and OpenBLAS 0.3.31 on its SkylakeX core (x86-64); like
+# every Monte Carlo bit they hold for one platform and BLAS build.
+# `PYTHONPATH=src python tests/test_oracle.py` prints the table as it
+# stands here, to regenerate it.
 FROZEN_ESTIMATES = (
     (  # example model, seed 20240117
-        ("0x1.8666c03a5f27dp-1", "0x1.49c5cdd8b7a2ap-9"),
-        ("0x1.495e23e1d1e5bp-1", "0x1.2f5e86e5ffa88p-9"),
-        ("0x1.cdedb55f1e428p-2", "0x1.e1763bfe4c32cp-10"),
-        ("0x1.8666c03a5f27ap-1", "0x1.49c5cdd8b7a2ap-9"),
-        ("0x1.4770760a66651p-1", "0x1.2502c1a3948a2p-9"),
-        ("0x1.b661fb0d8a062p-2", "0x1.b330cd28660eap-10"),
-        ("0x1.6decaa3644e40p-2", "0x1.8646c9b5a4f08p-10"),
+        ("0x1.8582af9de2778p-1", "0x1.48bbea3c97077p-9"),
+        ("0x1.48c0c66f05d43p-1", "0x1.2ed1c64ad133ap-9"),
+        ("0x1.cd709f7948f81p-2", "0x1.e16013e0e4caep-10"),
+        ("0x1.8582af9de2777p-1", "0x1.48bbea3c97076p-9"),
+        ("0x1.46ade73af5590p-1", "0x1.244fc42973a0bp-9"),
+        ("0x1.b56934fbed20ep-2", "0x1.b2c54453d3479p-10"),
+        ("0x1.6d6dac7dedf08p-2", "0x1.8559186ccc33fp-10"),
     ),
     (  # M > L
-        ("0x1.c539ecc84d191p-1", "0x1.0980b8e2c614ap-9"),
-        ("0x1.a21a3882cb825p-1", "0x1.f9099a01ed045p-10"),
-        ("0x1.49928dd028a05p-1", "0x1.b2e4b465f8e27p-10"),
-        ("0x1.c130cf1753996p-1", "0x1.03e12af5e29e1p-9"),
-        ("0x1.95755db281474p-1", "0x1.e0b76d7741588p-10"),
-        ("0x1.466656e3fb955p-1", "0x1.af2814a1dbc56p-10"),
-        ("0x1.2c19f20ed0cbcp-1", "0x1.a5d95758704e8p-10"),
+        ("0x1.c5896a0983905p-1", "0x1.09c59dece1749p-9"),
+        ("0x1.a257ec16f1445p-1", "0x1.f98b1404eda57p-10"),
+        ("0x1.49fa6b873204bp-1", "0x1.b3df23a7650edp-10"),
+        ("0x1.c14a62646cad2p-1", "0x1.04363a6962193p-9"),
+        ("0x1.95abba212d521p-1", "0x1.e16a3ca7f04c2p-10"),
+        ("0x1.46cd40521981ep-1", "0x1.b01e65698575ep-10"),
+        ("0x1.2c7f8488b1dcap-1", "0x1.a70ab7fd6934dp-10"),
     ),
     (  # L > M
-        ("0x1.adaf3aad7a3a4p-1", "0x1.28764dd26f9cfp-9"),
-        ("0x1.6b49df133d71ap-1", "0x1.030162950e3cdp-9"),
-        ("0x1.3ff7e5c7f0f34p-2", "0x1.dda6bd7beee64p-11"),
-        ("0x1.9a899dc3907c4p-1", "0x1.0f4c0726b7a2ep-9"),
-        ("0x1.4852d450e1605p-1", "0x1.b1f3705c63058p-10"),
-        ("0x1.13c9d9a0cdde5p-2", "0x1.6d684f42f175ep-11"),
-        ("0x1.9870b69f9d600p-6", "0x1.2fc4d661c88fdp-14"),
+        ("0x1.ade26f3f6b9e3p-1", "0x1.28f0d1a6f2f40p-9"),
+        ("0x1.6b6fe92e4cee6p-1", "0x1.046cf6489af4ap-9"),
+        ("0x1.40865d375c55cp-2", "0x1.df54b3efadd6cp-11"),
+        ("0x1.9ad4827eb4ff3p-1", "0x1.10930f1b93a6ap-9"),
+        ("0x1.48b96987148c7p-1", "0x1.b43e21d58f027p-10"),
+        ("0x1.1464d3b63ea47p-2", "0x1.6f3811498cbd5p-11"),
+        ("0x1.9abdcf97910bep-6", "0x1.345ae50929752p-14"),
     ),
     (  # rank-deficient
-        ("0x1.acd1b0739a8f1p-1", "0x1.25c95cd5e45d1p-9"),
-        ("0x1.83667edaf6df1p-1", "0x1.190c38a8f4165p-9"),
-        ("0x1.14c8dbd8ecf31p-1", "0x1.bf65205ff9ef0p-10"),
-        ("0x1.a9087e52c46b6p-1", "0x1.1e064187c828bp-9"),
-        ("0x1.6e0dfd6161c86p-1", "0x1.fbb467490a3f8p-10"),
-        ("0x1.02a8beb43e126p-1", "0x1.a52d09ac43015p-10"),
-        ("0x1.bd9e7b7d8c63bp-2", "0x1.94b49a1cd68a6p-10"),
+        ("0x1.abe3d879915fcp-1", "0x1.250809f72d156p-9"),
+        ("0x1.82b8d884d912fp-1", "0x1.18b51070aea99p-9"),
+        ("0x1.142daa36f803cp-1", "0x1.be7395b38f31ap-10"),
+        ("0x1.a7c946bbd64ecp-1", "0x1.1cc2802fb705fp-9"),
+        ("0x1.6cd1762e34c4cp-1", "0x1.f966bbe2b26bcp-10"),
+        ("0x1.020c022df6ab4p-1", "0x1.a4b736381b03ep-10"),
+        ("0x1.bca33735c0b4dp-2", "0x1.948e72dceae9bp-10"),
     ),
     (  # pure-noise component
-        ("0x1.afad68cec554ep-1", "0x1.2797e1dafb12bp-9"),
-        ("0x1.8728afb7dea27p-1", "0x1.1aee449fe7767p-9"),
-        ("0x1.49224b939ff5ap-1", "0x1.00ff2b5c863a8p-9"),
-        ("0x1.afad68cec554bp-1", "0x1.2797e1dafb12dp-9"),
-        ("0x1.8569ca5505d18p-1", "0x1.15e0e3ea2c996p-9"),
-        ("0x1.3d4f1853b4031p-1", "0x1.ea43e9888731fp-10"),
-        ("0x1.25b95f1bb6b24p-1", "0x1.d923ca8111893p-10"),
+        ("0x1.af14af862906bp-1", "0x1.26da268d26a07p-9"),
+        ("0x1.86bf6aaebab74p-1", "0x1.1a6f8f34745ffp-9"),
+        ("0x1.4973dcfc3bb48p-1", "0x1.00d593aa0ab56p-9"),
+        ("0x1.af14af862906bp-1", "0x1.26da268d26a05p-9"),
+        ("0x1.854d1d664b3c6p-1", "0x1.155b62fc89c5dp-9"),
+        ("0x1.3d568dd9ed187p-1", "0x1.e96aced386a97p-10"),
+        ("0x1.2559b355cdb73p-1", "0x1.d80bcd0e8694cp-10"),
     ),
     (  # |A|^2 / s2 near 1e10
-        ("0x1.7d6541f01dc5dp-1", "0x1.41f5686d1f7a7p-9"),
-        ("0x1.0dd80279c7717p-1", "0x1.c8fff1958b3e1p-10"),
-        ("0x1.0d7095e25557cp-3", "0x1.c91b19ac84433p-12"),
-        ("0x1.6a953d95d13e3p-1", "0x1.24ed7e8d73dd5p-9"),
-        ("0x1.0032dd960e141p-1", "0x1.9eb05c868aa08p-10"),
-        ("0x1.ffa0f37ed8519p-4", "0x1.9ed5c28235fd9p-12"),
-        ("0x1.cc6152b551846p-33", "0x1.85814ecaba973p-41"),
+        ("0x1.7db2959bc89ebp-1", "0x1.41dc4d41e948ap-9"),
+        ("0x1.0de6a53004a15p-1", "0x1.c72df7ad6d057p-10"),
+        ("0x1.0de6a53563444p-3", "0x1.c72df7b67b4dbp-12"),
+        ("0x1.6ad9dd0133185p-1", "0x1.241a5369d2d32p-9"),
+        ("0x1.00930d604bb93p-1", "0x1.9d1885c7ae749p-10"),
+        ("0x1.00930d65aaa10p-3", "0x1.9d1885d0528f9p-12"),
+        ("0x1.ca364accde7cep-33", "0x1.826154d4e9f64p-41"),
     ),
 )
 
@@ -351,16 +353,15 @@ def test_frozen_estimates_track_the_closed_forms():
 
 
 def test_chunks_are_sfc64_substreams():
-    # a 1x1 model's floor error is (1 - f) x - sqrt(s2) e z with e = a / (a^2 + s2),
-    # f = e a: rows 0 and 1 of each chunk's (M + 2L, m) draw
+    # a 1x1 model's floor map is B = [1 - f, -sqrt(s2) e, 0] with e = a / (a^2 + s2),
+    # f = e a, so its error is t g with t^2 = |B|^2 = 0.2 and g each chunk's (M, m) draw
     model = ObservationModel(Matrix(np.array([[2.0]])), 1.0)
     seed, n = 17, _CHUNK + 5_000
-    err = []
+    g = []
     for c, m in enumerate((_CHUNK, n - _CHUNK)):
         bits = np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        x, z, _ = np.random.Generator(bits).standard_normal((3, m))
-        err.append(0.2 * x - 0.4 * z)
-    d = np.concatenate(err) ** 2
+        g.append(np.random.Generator(bits).standard_normal((1, m))[0])
+    d = 0.2 * np.concatenate(g) ** 2
     est = mc_mmse(model, n, seed)
     assert est.mean == pytest.approx(d.mean(), rel=1e-12)
     assert est.stderr == pytest.approx(d.std(ddof=1) / np.sqrt(n), rel=1e-9)
@@ -379,6 +380,30 @@ def test_single_estimate_calls_match_the_joint_run():
             assert ce == mc_ce(model, r, n, i), ("ce", i, r)
             assert idrf == mc_idrf(model, r, n, i), ("idrf", i, r)
         assert run.mmse == mc_mmse(model, n, i), ("mmse", i)
+
+
+def test_factors_reproduce_each_maps_law():
+    # the models of test_single_estimate_calls_match_the_joint_run: each M x M
+    # factor T must carry its map's covariance, T T^T = B B^T, and each
+    # estimate's error |T g|^2 / M has mean |B|_F^2 / M and variance
+    # 2 |B B^T|_F^2 / M^2 per sample
+    rng = np.random.default_rng(4242)
+    models = [random_model(rng) for _ in range(196)] + [m for _, m in _special_models()]
+    assert any(m.M > m.L for m in models) and any(m.L > m.M for m in models)
+    assert any(m.gram.rank < min(m.L, m.M) for m in models)
+    assert any(m.L == m.M == 1 for m in models)
+    assert any((m.L, m.M, m.sigma2) == (4, 2, 1e-9) for m in models)
+    n = 1000
+    for i, model in enumerate(models):
+        maps = _maps(model, FUSED_RATES, FUSED_RATES, mmse=True)
+        run = mc_estimates(model, n, i, ce_rates=FUSED_RATES, idrf_rates=FUSED_RATES, mmse=True)
+        for j, (b, est) in enumerate(zip(maps, _flat(run), strict=True)):
+            t = _factor(b)
+            cov = b @ b.T
+            assert t.shape == (model.M, model.M) and t.flags.c_contiguous
+            assert np.max(np.abs(t @ t.T - cov)) <= 1e-13 * max(1.0, np.sum(b * b)), (i, j)
+            sd = np.sqrt(2.0 * np.sum(cov * cov) / n) / model.M
+            assert abs(est.mean - np.sum(b * b) / model.M) <= 5.0 * sd, (i, j)
 
 
 _TWO_PROCESS_RUN = """

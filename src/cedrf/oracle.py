@@ -18,17 +18,18 @@ the same estimate bit-for-bit.
 Every scheme's error is linear in the source ``x`` (M entries), the
 observation noise before scaling by ``sigma`` (L entries) and one
 quantization-noise draw ``q`` (L entries) shared by every rate, all
-standard normal.  :func:`_maps` still defines each estimate by that
-``M x (M + 2L)`` map ``B``: compress-and-estimate reads all of ``q``, the
-optimal scheme with ``k`` active components its first ``k`` entries, and
-the estimation floor none.  The error ``B w`` is Gaussian with covariance
-``B B^T``, and the simulation samples that law, not ``w`` itself: each map
-is factored once, before sampling, into an ``M x M`` matrix
-``T = qr(B^T).R^T`` with ``T T^T = B B^T``, which needs no eigensolver and
-no positive definite ``B B^T``.  A chunk of ``m`` samples is one ``(M, m)``
+standard normal.  :func:`_maps` defines each estimate by that linear map
+``B``: compress-and-estimate reads all of ``q``, the optimal scheme with
+``k`` active components its first ``k`` entries, and the estimation floor
+none.  The error ``B w`` is Gaussian with covariance ``B B^T``, so its
+squared norm has the law of the weighted chi-square ``sum_i mu_i g_i^2``,
+with ``mu`` the eigenvalues of ``B B^T`` and ``g`` standard normal.  The
+simulation samples that law: :func:`_weights` takes ``mu`` once per map,
+before sampling, as the squared singular values of ``B``, which needs no
+eigensolver and no ``B B^T``.  A chunk of ``m`` samples is one ``(M, m)``
 standard normal draw ``g``, one sample per column, and each estimate's
-error is ``T g``.  Each estimate's law is exact; only the correlation
-between estimates differs from a simulation of ``w``.
+samples are ``(mu / M) @ g^2``.  Each estimate's law is exact; only the
+correlation between estimates differs from a simulation of ``w``.
 :func:`mc_estimates` evaluates any set of estimates on one draw per chunk;
 each one is bit-identical to a separate :func:`mc_ce`, :func:`mc_idrf` or
 :func:`mc_mmse` call.
@@ -38,13 +39,7 @@ of ``A``, which gives the MMSE estimator and the eigenbasis of its
 estimate's covariance at once.  The compress-and-estimate maps and the
 matrix form share one decoder: a pseudoinverse of the channel covariance
 they form, not a formula in the singular values.  Every matrix here is a
-plain array.  Four changes moved every Monte Carlo estimate's bits once:
-an ``(M + 2L, m)`` draw of ``[x; z; q]`` replaced a row-per-sample one
-that read ``x``, the noise and ``q`` as separate draws; SFC64 replaced
-Philox substreams, which draw normals more slowly; the SVD replaced a
-pseudoinverse of ``A A^T + sigma2 I`` and an eigendecomposition of
-``E A``; and the ``(M, m)`` draw of the error law replaced the
-``(M + 2L, m)`` draw of ``[x; z; q]``.
+plain array.
 """
 
 from __future__ import annotations
@@ -60,9 +55,6 @@ from .spectral import ObservationModel
 
 #: Samples per RNG substream; part of the determinism contract.
 _CHUNK = 1 << 16
-#: Samples per error-map product: keeps each product cache-sized.  The sums
-#: run block by block, so this is part of the determinism contract too.
-_BLOCK = 1 << 12
 
 
 class InvalidSampleCount(ValueError):
@@ -141,16 +133,12 @@ class McEstimates:
     mmse: McEstimate | None
 
 
-def _error_map(M: int, L: int, fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
-    """``[I - fx | -fz | -fq | 0]``: draws ``[x; z; q]`` to the error of ``fx x + fz z + fq q``.
+def _error_map(fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
+    """``[I - fx | -fz | -fq]``: ``[x; z; q]`` to the error of ``fx x + fz z + fq q``.
 
-    Always ``M x (M + 2L)``; ``fq`` acts on the leading ``fq.shape[1]`` rows of ``q``.
+    ``fq`` acts on the leading ``fq.shape[1]`` entries of ``q``.
     """
-    out = np.zeros((M, M + 2 * L))
-    out[:, :M] = np.eye(M) - fx
-    out[:, M:M + L] = -fz
-    out[:, M + L:M + L + fq.shape[1]] = -fq
-    return out
+    return np.hstack([np.eye(len(fx)) - fx, -fz, -fq])
 
 
 def _ce_map(model: ObservationModel, R: float) -> np.ndarray:
@@ -158,7 +146,7 @@ def _ce_map(model: ObservationModel, R: float) -> np.ndarray:
     p = ce_matrix_parts(model, R)
     e = _lmmse(p.channel, p.noise_cov)
     fz = (math.sqrt(model.sigma2) * e * p.gain) @ p.basis.T
-    return _error_map(model.M, model.L, e @ p.channel, fz, e * np.sqrt(p.gain * p.distortion))
+    return _error_map(e @ p.channel, fz, e * np.sqrt(p.gain * p.distortion))
 
 
 def _idrf_map(model: ObservationModel, R: float, fx: np.ndarray, fz: np.ndarray,
@@ -175,7 +163,7 @@ def _idrf_map(model: ObservationModel, R: float, fx: np.ndarray, fz: np.ndarray,
     g = (lam - theta) / lam
     v_a = v[:, :len(lam)]
     proj = (v_a * g) @ v_a.T
-    return _error_map(model.M, model.L, proj @ fx, proj @ fz, v_a * np.sqrt(theta * g))
+    return _error_map(proj @ fx, proj @ fz, v_a * np.sqrt(theta * g))
 
 
 def _maps(model: ObservationModel, ce_rates: Sequence[float] = (),
@@ -191,13 +179,14 @@ def _maps(model: ObservationModel, ce_rates: Sequence[float] = (),
         fz = (v * (math.sqrt(model.sigma2) * s / obs)) @ u[:, :s.size].T
     maps += [_idrf_map(model, R, fx, fz, v) for R in idrf_rates]
     if mmse:
-        maps.append(_error_map(model.M, model.L, fx, fz, np.zeros((model.M, 0))))
+        maps.append(_error_map(fx, fz, np.zeros((model.M, 0))))
     return maps
 
 
-def _factor(b: np.ndarray) -> np.ndarray:
-    """``M x M`` ``T`` with ``T T^T = B B^T``, so ``T g`` has the law of ``B w``."""
-    return np.ascontiguousarray(np.linalg.qr(b.T, mode="r").T)
+def _weights(b: np.ndarray) -> np.ndarray:
+    """``B B^T``'s ``M`` eigenvalues ``mu``, descending: ``|B w|^2`` has the law of ``mu @ g^2``."""
+    s = np.linalg.svd(b, compute_uv=False)
+    return s * s
 
 
 def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
@@ -207,35 +196,34 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
 
     Returns compress-and-estimate estimates at ``ce_rates``, optimal-scheme
     estimates at ``idrf_rates`` and, if ``mmse``, the estimation floor.
-    Every estimate's error is one fixed ``M x M`` factor of its map applied
-    to the chunk's draw, built before sampling and independent of what else
-    is requested, so each estimate is the one :func:`mc_ce`, :func:`mc_idrf`
-    or :func:`mc_mmse` returns for the same arguments, bit for bit.
+    Each chunk's ``(M, m)`` standard normal draw ``g`` is squared once, and
+    an estimate's samples are the weighted chi-squares ``(mu / M) @ g^2``,
+    with ``mu`` the eigenvalues of its map's ``B B^T``.  The weights are
+    taken before sampling and do not depend on what else is requested, so
+    each estimate is the one :func:`mc_ce`, :func:`mc_idrf` or
+    :func:`mc_mmse` returns for the same arguments, bit for bit.
     """
     for R in (*ce_rates, *idrf_rates):
         waterfill._check_rate(R)
     if n_samples < 1:
         raise InvalidSampleCount(f"n_samples must be >= 1, got {n_samples}")
     M = model.M
-    factors = [_factor(b) for b in _maps(model, ce_rates, idrf_rates, mmse)]
+    weights = [_weights(b) / M for b in _maps(model, ce_rates, idrf_rates, mmse)]
 
-    s1 = np.zeros(len(factors))
-    s2 = np.zeros(len(factors))
+    s1 = np.zeros(len(weights))
+    s2 = np.zeros(len(weights))
     for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
         m = min(_CHUNK, n_samples - done)
         rng = np.random.Generator(
             np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
         )
         g = rng.standard_normal((M, m))
-        for lo in range(0, m, _BLOCK):
-            block = g[:, lo:lo + _BLOCK]
-            for j, t in enumerate(factors):
-                err = t @ block
-                err *= err
-                d = err.sum(axis=0) / M
-                s1[j] += d.sum()
-                d *= d
-                s2[j] += d.sum()
+        g *= g
+        for j, w in enumerate(weights):
+            d = w @ g
+            s1[j] += d.sum()
+            d *= d
+            s2[j] += d.sum()
 
     mean = s1 / n_samples
     if n_samples > 1:

@@ -1,5 +1,6 @@
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +24,8 @@ from cedrf.cli import _check_monte_carlo
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
     _CHUNK,
-    _factor,
     _maps,
+    _weights,
     InvalidSampleCount,
     ce_matrix_form,
     ce_matrix_parts,
@@ -262,6 +263,13 @@ def frozen_rows(runs):
     return [tuple((e.mean.hex(), e.stderr.hex()) for e in _flat(run)) for *_, run in runs]
 
 
+def provenance() -> str:
+    """The build line of :data:`FROZEN_ESTIMATES`' comment: numpy, its BLAS, the machine."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"# Frozen with numpy {np.__version__} and {blas['name']} {blas['version']}"
+            f" on {platform.machine()}.")
+
+
 def format_frozen_table(runs) -> str:
     """``FROZEN_ESTIMATES = (...)`` as it stands in this file, for a re-freeze."""
     lines = ["FROZEN_ESTIMATES = ("]
@@ -274,65 +282,66 @@ def format_frozen_table(runs) -> str:
 
 # (mean, stderr) as float.hex of verify's run at 100 000 samples (two
 # chunks): CE then the optimal scheme at VERIFY_RATES, then the floor.
-# Frozen with SFC64 chunk streams drawn as (M, m) error-space normals,
-# numpy 2.4.6 and OpenBLAS 0.3.31 on its SkylakeX core (x86-64); like
-# every Monte Carlo bit they hold for one platform and BLAS build.
-# `PYTHONPATH=src python tests/test_oracle.py` prints the table as it
-# stands here, to regenerate it.
+# Each estimate's samples are the weighted chi-squares (mu / M) @ g^2, with
+# mu = _weights(B) and g each SFC64 chunk stream's (M, m) normal draw; like
+# every Monte Carlo bit they hold for one platform and BLAS build, the one
+# named below.  `PYTHONPATH=src python tests/test_oracle.py` prints that
+# line and the table as they stand here, to regenerate both.
+# Frozen with numpy 2.4.6 and scipy-openblas 0.3.31.188.0 on x86_64.
 FROZEN_ESTIMATES = (
     (  # example model, seed 20240117
-        ("0x1.8582af9de2778p-1", "0x1.48bbea3c97077p-9"),
-        ("0x1.48c0c66f05d43p-1", "0x1.2ed1c64ad133ap-9"),
-        ("0x1.cd709f7948f81p-2", "0x1.e16013e0e4caep-10"),
-        ("0x1.8582af9de2777p-1", "0x1.48bbea3c97076p-9"),
-        ("0x1.46ade73af5590p-1", "0x1.244fc42973a0bp-9"),
-        ("0x1.b56934fbed20ep-2", "0x1.b2c54453d3479p-10"),
-        ("0x1.6d6dac7dedf08p-2", "0x1.8559186ccc33fp-10"),
+        ("0x1.8531e5b0c1b64p-1", "0x1.499058dc29167p-9"),
+        ("0x1.4847978b54b25p-1", "0x1.2ff57644e87a1p-9"),
+        ("0x1.cc7477e27b926p-2", "0x1.e377a3ef0b24fp-10"),
+        ("0x1.8531e5b0c1b62p-1", "0x1.499058dc29167p-9"),
+        ("0x1.4644e0b9e45dap-1", "0x1.25540eefe6250p-9"),
+        ("0x1.b49727f9cb2a7p-2", "0x1.b49998d53293fp-10"),
+        ("0x1.6c9b9f7bcbfa2p-2", "0x1.870de1a7d5fcdp-10"),
     ),
     (  # M > L
-        ("0x1.c5896a0983905p-1", "0x1.09c59dece1749p-9"),
-        ("0x1.a257ec16f1445p-1", "0x1.f98b1404eda57p-10"),
-        ("0x1.49fa6b873204bp-1", "0x1.b3df23a7650edp-10"),
-        ("0x1.c14a62646cad2p-1", "0x1.04363a6962193p-9"),
-        ("0x1.95abba212d521p-1", "0x1.e16a3ca7f04c2p-10"),
-        ("0x1.46cd40521981ep-1", "0x1.b01e65698575ep-10"),
-        ("0x1.2c7f8488b1dcap-1", "0x1.a70ab7fd6934dp-10"),
+        ("0x1.c539cf2206e79p-1", "0x1.09fab75060a65p-9"),
+        ("0x1.a1de60379c0c7p-1", "0x1.f9f2c601a17abp-10"),
+        ("0x1.498b26225beabp-1", "0x1.b3837a636849fp-10"),
+        ("0x1.c12f5eb4fbec7p-1", "0x1.0456a6829486bp-9"),
+        ("0x1.9585036c9f5a0p-1", "0x1.e194939dde2b3p-10"),
+        ("0x1.4674ceef9cbe1p-1", "0x1.afb8147ea055dp-10"),
+        ("0x1.2c1a12c5f134dp-1", "0x1.a677626105188p-10"),
     ),
     (  # L > M
-        ("0x1.ade26f3f6b9e3p-1", "0x1.28f0d1a6f2f40p-9"),
-        ("0x1.6b6fe92e4cee6p-1", "0x1.046cf6489af4ap-9"),
-        ("0x1.40865d375c55cp-2", "0x1.df54b3efadd6cp-11"),
-        ("0x1.9ad4827eb4ff3p-1", "0x1.10930f1b93a6ap-9"),
-        ("0x1.48b96987148c7p-1", "0x1.b43e21d58f027p-10"),
-        ("0x1.1464d3b63ea47p-2", "0x1.6f3811498cbd5p-11"),
-        ("0x1.9abdcf97910bep-6", "0x1.345ae50929752p-14"),
+        ("0x1.ad553b4cd4688p-1", "0x1.284e58e069f0ep-9"),
+        ("0x1.6adddbe316657p-1", "0x1.03f32698670a5p-9"),
+        ("0x1.400df45bb0a6ap-2", "0x1.defb847abe462p-11"),
+        ("0x1.9acf8281fcd0cp-1", "0x1.10918fb1cd3a3p-9"),
+        ("0x1.48b46635c5ac1p-1", "0x1.b43b0a8aed82ap-10"),
+        ("0x1.145aa182257ecp-2", "0x1.6f30a05c09b93p-11"),
+        ("0x1.9a238b0caf4cap-6", "0x1.3426972ff471bp-14"),
     ),
     (  # rank-deficient
-        ("0x1.abe3d879915fcp-1", "0x1.250809f72d156p-9"),
-        ("0x1.82b8d884d912fp-1", "0x1.18b51070aea99p-9"),
-        ("0x1.142daa36f803cp-1", "0x1.be7395b38f31ap-10"),
-        ("0x1.a7c946bbd64ecp-1", "0x1.1cc2802fb705fp-9"),
-        ("0x1.6cd1762e34c4cp-1", "0x1.f966bbe2b26bcp-10"),
-        ("0x1.020c022df6ab4p-1", "0x1.a4b736381b03ep-10"),
-        ("0x1.bca33735c0b4dp-2", "0x1.948e72dceae9bp-10"),
+        ("0x1.ab90cf742038ep-1", "0x1.24a8773c22bd6p-9"),
+        ("0x1.82419aaa0e767p-1", "0x1.18107a005e03dp-9"),
+        ("0x1.13549121e58cdp-1", "0x1.bc91789c21d2dp-10"),
+        ("0x1.a7725048db080p-1", "0x1.1c74f32606e69p-9"),
+        ("0x1.6c3e3ec887343p-1", "0x1.f8495c0676a41p-10"),
+        ("0x1.010bc1829bc46p-1", "0x1.a2985325a8357p-10"),
+        ("0x1.baa084d69a935p-2", "0x1.92b581182680cp-10"),
     ),
     (  # pure-noise component
-        ("0x1.af14af862906bp-1", "0x1.26da268d26a07p-9"),
-        ("0x1.86bf6aaebab74p-1", "0x1.1a6f8f34745ffp-9"),
-        ("0x1.4973dcfc3bb48p-1", "0x1.00d593aa0ab56p-9"),
-        ("0x1.af14af862906bp-1", "0x1.26da268d26a05p-9"),
-        ("0x1.854d1d664b3c6p-1", "0x1.155b62fc89c5dp-9"),
-        ("0x1.3d568dd9ed187p-1", "0x1.e96aced386a97p-10"),
-        ("0x1.2559b355cdb73p-1", "0x1.d80bcd0e8694cp-10"),
+        ("0x1.ae3e945f0e783p-1", "0x1.25c4b91144a99p-9"),
+        ("0x1.857e41f412e16p-1", "0x1.18f79fa01c78dp-9"),
+        ("0x1.47d7c030ec567p-1", "0x1.fe2c79bb67042p-10"),
+        ("0x1.ae3e945f0e782p-1", "0x1.25c4b91144a99p-9"),
+        ("0x1.841f91cf31d67p-1", "0x1.13ec8554bf450p-9"),
+        ("0x1.3bca02397ee91p-1", "0x1.e5dc19b9189a0p-10"),
+        ("0x1.23ad7d079899fp-1", "0x1.d454958cc41c1p-10"),
     ),
     (  # |A|^2 / s2 near 1e10
-        ("0x1.7db2959bc89ebp-1", "0x1.41dc4d41e948ap-9"),
-        ("0x1.0de6a53004a15p-1", "0x1.c72df7ad6d057p-10"),
-        ("0x1.0de6a53563444p-3", "0x1.c72df7b67b4dbp-12"),
-        ("0x1.6ad9dd0133185p-1", "0x1.241a5369d2d32p-9"),
-        ("0x1.00930d604bb93p-1", "0x1.9d1885c7ae749p-10"),
-        ("0x1.00930d65aaa10p-3", "0x1.9d1885d0528f9p-12"),
-        ("0x1.ca364accde7cep-33", "0x1.826154d4e9f64p-41"),
+        ("0x1.7dae0c58c6010p-1", "0x1.41d347409bcd6p-9"),
+        ("0x1.0de3700d2f83ap-1", "0x1.c72134d64053fp-10"),
+        ("0x1.0de370128e166p-3", "0x1.c72134df4e5b6p-12"),
+        ("0x1.6ad9dd0132fc0p-1", "0x1.241a5369d296dp-9"),
+        ("0x1.00930d604b9cdp-1", "0x1.9d1885c7adfc0p-10"),
+        ("0x1.00930d65aa2f6p-3", "0x1.9d1885d050ad2p-12"),
+        ("0x1.ca30d8c0fca60p-33", "0x1.82567fc447aecp-41"),
     ),
 )
 
@@ -353,18 +362,21 @@ def test_frozen_estimates_track_the_closed_forms():
 
 
 def test_chunks_are_sfc64_substreams():
-    # a 1x1 model's floor map is B = [1 - f, -sqrt(s2) e, 0] with e = a / (a^2 + s2),
-    # f = e a, so its error is t g with t^2 = |B|^2 = 0.2 and g each chunk's (M, m) draw
-    model = ObservationModel(Matrix(np.array([[2.0]])), 1.0)
+    # the floor map of A = diag(a) is B = [I - f, -sqrt(s2) e] with e = diag(a / (a^2 + s2))
+    # and f = e A, so B B^T = diag(s2 / (a^2 + s2)).  Its weights are those, descending,
+    # and row i of each chunk's (M, m) draw g pairs with the i-th: diag(2, 1) lists them
+    # as [0.2, 0.5] but its error is (0.5 g_0^2 + 0.2 g_1^2) / 2
     seed, n = 17, _CHUNK + 5_000
-    g = []
-    for c, m in enumerate((_CHUNK, n - _CHUNK)):
-        bits = np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        g.append(np.random.Generator(bits).standard_normal((1, m))[0])
-    d = 0.2 * np.concatenate(g) ** 2
-    est = mc_mmse(model, n, seed)
-    assert est.mean == pytest.approx(d.mean(), rel=1e-12)
-    assert est.stderr == pytest.approx(d.std(ddof=1) / np.sqrt(n), rel=1e-9)
+    for a, mu in (([2.0], [0.2]), ([2.0, 1.0], [0.5, 0.2])):
+        model = ObservationModel(Matrix(np.diag(a)), 1.0)
+        g = []
+        for c, m in enumerate((_CHUNK, n - _CHUNK)):
+            bits = np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
+            g.append(np.random.Generator(bits).standard_normal((len(a), m)))
+        d = np.array(mu) @ np.concatenate(g, axis=1) ** 2 / len(a)
+        est = mc_mmse(model, n, seed)
+        assert est.mean == pytest.approx(d.mean(), rel=1e-12), a
+        assert est.stderr == pytest.approx(d.std(ddof=1) / np.sqrt(n), rel=1e-9), a
 
 
 def test_single_estimate_calls_match_the_joint_run():
@@ -382,11 +394,11 @@ def test_single_estimate_calls_match_the_joint_run():
         assert run.mmse == mc_mmse(model, n, i), ("mmse", i)
 
 
-def test_factors_reproduce_each_maps_law():
-    # the models of test_single_estimate_calls_match_the_joint_run: each M x M
-    # factor T must carry its map's covariance, T T^T = B B^T, and each
-    # estimate's error |T g|^2 / M has mean |B|_F^2 / M and variance
-    # 2 |B B^T|_F^2 / M^2 per sample
+def test_weights_reproduce_each_maps_law():
+    # the models of test_single_estimate_calls_match_the_joint_run: each map's
+    # weights must be the M eigenvalues of B B^T, descending, and each
+    # estimate's samples mu @ g^2 / M have mean |B|_F^2 / M and variance
+    # 2 |B B^T|_F^2 / M^2
     rng = np.random.default_rng(4242)
     models = [random_model(rng) for _ in range(196)] + [m for _, m in _special_models()]
     assert any(m.M > m.L for m in models) and any(m.L > m.M for m in models)
@@ -398,10 +410,11 @@ def test_factors_reproduce_each_maps_law():
         maps = _maps(model, FUSED_RATES, FUSED_RATES, mmse=True)
         run = mc_estimates(model, n, i, ce_rates=FUSED_RATES, idrf_rates=FUSED_RATES, mmse=True)
         for j, (b, est) in enumerate(zip(maps, _flat(run), strict=True)):
-            t = _factor(b)
+            mu = _weights(b)
             cov = b @ b.T
-            assert t.shape == (model.M, model.M) and t.flags.c_contiguous
-            assert np.max(np.abs(t @ t.T - cov)) <= 1e-13 * max(1.0, np.sum(b * b)), (i, j)
+            assert mu.shape == (model.M,) and np.all(mu >= 0.0), (i, j)
+            err = np.abs(mu[::-1] - np.linalg.eigvalsh(cov))
+            assert np.max(err) <= 1e-13 * max(1.0, np.sum(b * b)), (i, j)
             sd = np.sqrt(2.0 * np.sum(cov * cov) / n) / model.M
             assert abs(est.mean - np.sum(b * b) / model.M) <= 5.0 * sd, (i, j)
 
@@ -526,4 +539,5 @@ def test_oracles_accept_scale_twins(c):
 
 
 if __name__ == "__main__":
+    print(provenance())
     print(format_frozen_table(frozen_runs()))

@@ -1,4 +1,5 @@
 
+import ctypes
 import os
 import platform
 import subprocess
@@ -263,11 +264,28 @@ def frozen_rows(runs):
     return [tuple((e.mean.hex(), e.stderr.hex()) for e in _flat(run)) for *_, run in runs]
 
 
+def _openblas_core() -> str:
+    """The core numpy's bundled OpenBLAS picked at run time, or "" if it has none."""
+    for lib in (Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*"):
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            get = getattr(ctypes.CDLL(str(lib)), name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return ""
+
+
 def provenance() -> str:
-    """The build line of :data:`FROZEN_ESTIMATES`' comment: numpy, its BLAS, the machine."""
+    """The build line of :data:`FROZEN_ESTIMATES`' comment: numpy, its BLAS and core, the machine.
+
+    ``np.show_config`` names only the BLAS build; the core comes from the
+    bundled OpenBLAS itself, and the frozen bits depend on it.
+    """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas_core()
+    core = f"{core} core" if core else "core unknown: name it by hand"
     return (f"# Frozen with numpy {np.__version__} and {blas['name']} {blas['version']}"
-            f" on {platform.machine()}.")
+            f" ({core}) on {platform.machine()}.")
 
 
 def format_frozen_table(runs) -> str:
@@ -284,10 +302,11 @@ def format_frozen_table(runs) -> str:
 # chunks): CE then the optimal scheme at VERIFY_RATES, then the floor.
 # Each estimate's samples are the weighted chi-squares (mu / M) @ g^2, with
 # mu = _weights(B) and g each SFC64 chunk stream's (M, m) normal draw; like
-# every Monte Carlo bit they hold for one platform and BLAS build, the one
-# named below.  `PYTHONPATH=src python tests/test_oracle.py` prints that
-# line and the table as they stand here, to regenerate both.
-# Frozen with numpy 2.4.6 and scipy-openblas 0.3.31.188.0 on x86_64.
+# every Monte Carlo bit they hold for one platform, BLAS build and OpenBLAS
+# core (the kernel it picks at run time), the ones named below.
+# `PYTHONPATH=src python tests/test_oracle.py` prints that line and the
+# table as they stand here, to regenerate both.
+# Frozen with numpy 2.4.6 and scipy-openblas 0.3.31.188.0 (SkylakeX core) on x86_64.
 FROZEN_ESTIMATES = (
     (  # example model, seed 20240117
         ("0x1.8531e5b0c1b64p-1", "0x1.499058dc29167p-9"),

@@ -102,20 +102,18 @@ def load_model(path: str | Path) -> ObservationModel:
     sigma2 = doc["sigma2"]
     if not isinstance(sigma2, (int, float)) or isinstance(sigma2, bool):
         raise ParseError(f"field 'sigma2': expected a number, got {type(sigma2).__name__}")
+    sx = doc.get("sigma_x")
+    if sx is not None:
+        try:
+            sx = Matrix(sx)
+        except (ValueError, TypeError) as exc:
+            raise InvalidModel(f"field 'sigma_x': {exc}") from exc
+        if sx.rows != sx.cols or sx.rows != a.cols:
+            raise InvalidModel(
+                f"field 'sigma_x': expected {a.cols}x{a.cols}, got {sx.rows}x{sx.cols}"
+            )
     try:
-        if "sigma_x" in doc and doc["sigma_x"] is not None:
-            try:
-                sx = Matrix(doc["sigma_x"])
-            except (ValueError, TypeError) as exc:
-                raise InvalidModel(f"field 'sigma_x': {exc}") from exc
-            if sx.rows != sx.cols or sx.rows != a.cols:
-                raise InvalidModel(
-                    f"field 'sigma_x': expected {a.cols}x{a.cols}, got {sx.rows}x{sx.cols}"
-                )
-            return whiten(sx, a, float(sigma2))
-        return ObservationModel(a, float(sigma2))
-    except InvalidModel:
-        raise
+        return ObservationModel(a, float(sigma2)) if sx is None else whiten(sx, a, float(sigma2))
     except ValueError as exc:
         raise InvalidModel(str(exc)) from exc
 

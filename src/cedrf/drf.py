@@ -29,7 +29,13 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import waterfill
-from .spectral import ObservationModel, Spectrum, prefix_sums
+from .spectral import (
+    ObservationModel,
+    Spectrum,
+    conditional_spectrum,
+    observation_spectrum,
+    prefix_sums,
+)
 
 #: Leading weights ``lam/(lam+s2)^2`` within this relative distance of the
 #: first one count as tied in :func:`equality_region`.  Eigenvalues that are
@@ -93,7 +99,7 @@ class AmGmBounds(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # spectral-level evaluators (shared by the model-level operations and the
-# exact two-component forms, which build their spectra without round-off)
+# two-component forms)
 # ---------------------------------------------------------------------------
 
 
@@ -229,28 +235,22 @@ def gap_lower_bound(model: ObservationModel, R: float) -> float:
     return _point(model, R).gap_lb
 
 
-def _check_condition_2d(lambda1: float, lambda2: float, sigma2: float) -> None:
+def _check_condition_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[Spectrum, Spectrum]:
+    """The observation and estimate spectra of a two-component pair that meets the condition."""
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)) or lambda1 < lambda2 or lambda2 < 0:
         raise ValueError(
             f"eigenvalues must satisfy lambda1 >= lambda2 >= 0, got {lambda1!r}, {lambda2!r}"
         )
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
-    a1 = lambda1 / (lambda1 + sigma2) ** 2
-    a2 = lambda2 / (lambda2 + sigma2) ** 2
+    gram = Spectrum.from_values((lambda1, lambda2))
+    obs, cond = observation_spectrum(gram, sigma2), conditional_spectrum(gram, sigma2)
+    a1, a2 = _ce_weights(obs, cond).tolist()
     if a1 > a2 * (1.0 + CONDITION_2D_RTOL):
         raise ConditionViolated(
             "two-component form requires lambda1/(lambda1+s2)^2 <= lambda2/(lambda2+s2)^2; "
             f"got {a1:.6g} > {a2:.6g}"
         )
-
-
-def _spectra_2d(lambda1: float, lambda2: float, sigma2: float):
-    gram = Spectrum.from_values((lambda1, lambda2))
-    obs = Spectrum((lambda1 + sigma2, lambda2 + sigma2), 2)
-    cond = Spectrum(
-        (lambda1 / (lambda1 + sigma2), lambda2 / (lambda2 + sigma2)), gram.rank
-    )
     return obs, cond
 
 
@@ -263,21 +263,13 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     Agrees with :func:`gap` on the matching diagonal model everywhere.
     """
     waterfill._check_rate(R)
-    _check_condition_2d(lambda1, lambda2, sigma2)
-    if lambda1 == 0.0:
+    obs, cond = _check_condition_2d(lambda1, lambda2, sigma2)
+    (c1, c2), (o1, o2) = cond.values, obs.values
+    # c2 = 0: the estimate spectrum's second component never activates
+    if c2 == 0.0 or R <= 0.5 * math.log2(c1 / c2) + waterfill.BOUNDARY_SLACK:
         return 0.0
-    c1 = lambda1 / (lambda1 + sigma2)
-    c2 = lambda2 / (lambda2 + sigma2)
-    if c2 == 0.0:
-        r2_cond = math.inf
-    else:
-        r2_cond = 0.5 * math.log2(c1 / c2)
-    if R <= r2_cond + waterfill.BOUNDARY_SLACK:
-        return 0.0
-    r2_obs = 0.5 * math.log2((lambda1 + sigma2) / (lambda2 + sigma2))
-    if R <= r2_obs + waterfill.BOUNDARY_SLACK:
+    if R <= 0.5 * math.log2(o1 / o2) + waterfill.BOUNDARY_SLACK:
         return 0.5 * (math.sqrt(c1) * 2.0 ** (-R) - math.sqrt(c2)) ** 2
-    obs, cond = _spectra_2d(lambda1, lambda2, sigma2)
     rate = np.array([R], dtype=np.float64)
     diff = float(_ce_grid(obs, cond, 2, rate)[0][0] - _idrf_grid(cond, 2, rate)[0][0])
     return max(0.0, diff)
@@ -289,12 +281,10 @@ def max_gap_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[float, fl
     The maximum sits at the second activation rate of the observation
     spectrum: ``(1/2)(lam_2+s2)(sqrt(lam_1)/(lam_1+s2) - sqrt(lam_2)/(lam_2+s2))^2``.
     """
-    _check_condition_2d(lambda1, lambda2, sigma2)
-    r_star = 0.5 * math.log2((lambda1 + sigma2) / (lambda2 + sigma2))
-    f1 = math.sqrt(lambda1) / (lambda1 + sigma2)
-    f2 = math.sqrt(lambda2) / (lambda2 + sigma2)
-    g_star = 0.5 * (lambda2 + sigma2) * (f1 - f2) ** 2
-    return r_star, g_star
+    o1, o2 = _check_condition_2d(lambda1, lambda2, sigma2)[0].values
+    f1 = math.sqrt(lambda1) / o1
+    f2 = math.sqrt(lambda2) / o2
+    return 0.5 * math.log2(o1 / o2), 0.5 * o2 * (f1 - f2) ** 2
 
 
 def am_gm_pair(values: Iterable[float]) -> AmGmBounds:

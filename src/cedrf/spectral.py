@@ -111,7 +111,7 @@ def _numerical_rank(sorted_desc: Sequence[float]) -> int:
 
 
 def _monotone_clamp(values: list[float]) -> tuple[float, ...]:
-    # The maps applied to an already-sorted spectrum are monotone; this only
+    # lam / (lam + s2) is monotone on an already-sorted spectrum; this only
     # repairs last-ulp rounding inversions so Spectrum validation stays strict.
     for i in range(1, len(values)):
         if values[i] > values[i - 1]:
@@ -198,17 +198,20 @@ class ObservationModel:
 def observation_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
     """Spectrum of the observation covariance: ``lam_l + sigma2``.
 
-    Full rank by construction since ``sigma2 > 0``.
+    Full rank by construction since ``sigma2 > 0``.  Adding one constant
+    with correct rounding keeps the order, so unlike
+    :func:`conditional_spectrum` this needs no clamp.
     """
-    vals = _monotone_clamp([v + sigma2 for v in gram.values])
+    vals = tuple(v + sigma2 for v in gram.values)
     return Spectrum(vals, len(vals))
 
 
 def conditional_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
     """Spectrum of the MMSE-estimate covariance: ``lam_l / (lam_l + sigma2)``.
 
-    The map is monotone increasing, so descending order is preserved and
-    the rank equals the number of nonzero ``lam_l``.
+    The map is monotone increasing, so descending order is preserved (up to
+    the rounded division's last-ulp inversions, which are clamped) and the
+    rank equals the number of nonzero ``lam_l``.
     """
     vals = _monotone_clamp([v / (v + sigma2) for v in gram.values])
     return Spectrum(vals, gram.rank)

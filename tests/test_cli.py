@@ -199,6 +199,24 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+_IDENTITY_2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([[1.0]], "ParseError: {path}: top-level document must be a JSON object\n"),
+    ({"A": [[1.0]], "sigma2": "1"}, "ParseError: field 'sigma2': expected a number, got str\n"),
+    ({"A": _IDENTITY_2, "sigma2": 1.0, "sigma_x": [["a", 0.0], [0.0, 1.0]]},
+     "InvalidModel: field 'sigma_x': not a rectangular real matrix: "),
+    ({"A": _IDENTITY_2, "sigma2": 1.0, "sigma_x": [[1.0]]},
+     "InvalidModel: field 'sigma_x': expected 2x2, got 1x1\n"),
+])
+def test_analyze_names_each_malformed_field(tmp_path, capsys, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--rate", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+
+
 def test_gram_overflow_names_the_cause(tmp_path):
     # A is finite, but A A^T is not representable in double precision
     path = tmp_path / "huge.json"
@@ -359,6 +377,10 @@ def test_sweep_invalid_grid(model_file, tmp_path, capsys):
     assert main(["sweep", str(model_file), "--min", "0", "--max", "2",
                  "--steps", "1", "--out", str(out)]) == 2
     capsys.readouterr()
+    assert main(["sweep", str(model_file), "--min", "0", "--max", "inf",
+                 "--steps", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --max must be finite, got inf\n"
+    assert not out.exists()
 
 
 def test_sweep_rejects_an_infinite_max_without_warnings(model_file, tmp_path):

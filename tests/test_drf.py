@@ -162,6 +162,7 @@ def test_gap_2d_reference_values():
     assert gap_2d(20.0, 0.5, 1.0, R2_COND) == 0.0
     assert gap_2d(20.0, 0.5, 1.0, 1.9037) == pytest.approx(GAP_AT_19037, abs=1e-9)
     assert gap_2d(20.0, 0.5, 1.0, 0.3) == 0.0
+    assert gap_2d(0.0, 0.0, 1.0, 2.0) == 0.0
 
 
 def test_gap_2d_condition_checked():
@@ -172,6 +173,11 @@ def test_gap_2d_condition_checked():
         gap_2d(0.5, 2.0, 1.0, 1.0)  # lambda1 < lambda2
     with pytest.raises(ConditionViolated):
         max_gap_2d(1.2, 0.2, 1.0)
+    # lam1/(lam1+s2)^2 = 1e-200 > 1e-300: the condition fails, nothing overflows
+    with pytest.raises(ConditionViolated):
+        max_gap_2d(1e200, 1e-300, 1.0)
+    with pytest.raises(ValueError, match="sigma2"):
+        max_gap_2d(1.0, 0.5, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -197,6 +203,45 @@ def test_gap_2d_agrees_with_general_gap(seed):
     ]
     for r in rates:
         assert gap_2d(lam1, lam2, s2, r) == pytest.approx(gap(model, r), abs=1e-10)
+
+
+# (lam1, lam2, s2) meeting the condition, with rates in all three regions:
+# below r2_cond, between r2_cond and r2_obs, and past r2_obs
+_TWO_COMPONENT_CASES = [
+    ((20.0, 0.5, 1.0), (0.3, 1.0, 1.9, 3.0, 8.0)),
+    ((9.0, 1.0, 1.0), (0.2, 0.6, 0.79, 1.5, 5.0)),
+    ((40.0, 0.05, 0.1), (0.5, 1.3, 2.6, 4.0, 6.0)),
+]
+
+
+@pytest.mark.parametrize("c2", [1e-300, 1e-170, 1e155, 1e300])
+def test_two_component_forms_are_scale_invariant(c2):
+    # the forms depend on lam/s2 only; at these scales (lam+s2)^2 leaves
+    # double precision, so the weights must be formed without squaring
+    for (lam1, lam2, s2), rates in _TWO_COMPONENT_CASES:
+        scaled = (c2 * lam1, c2 * lam2, c2 * s2)
+        got, want = max_gap_2d(*scaled), max_gap_2d(lam1, lam2, s2)
+        assert _rel_close(got[0], want[0]) and _rel_close(got[1], want[1]), lam1
+        model = model_from_eigs(scaled[:2], scaled[2])
+        for r in rates:
+            got = gap_2d(*scaled, r)
+            assert _rel_close(got, gap_2d(lam1, lam2, s2, r)), (lam1, r)
+            assert got == pytest.approx(gap(model, r), abs=1e-10), (lam1, r)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_component_forms_accept_one_ulp_ties(seed):
+    # lam1 one ulp above lam2: lam/(lam+s2) may round the other way round
+    rng = np.random.default_rng(2400 + seed)
+    for _ in range(100):
+        lam2 = float(10.0 ** rng.uniform(-6.0, 6.0))
+        s2 = lam2 * float(10.0 ** rng.uniform(-2.0, 2.0))  # inverts about 4 pairs in 100
+        lam1 = math.nextafter(lam2, math.inf)
+        r_star, g_star = max_gap_2d(lam1, lam2, s2)
+        assert abs(r_star) < 1e-12 and g_star < 1e-12
+        model = model_from_eigs([lam1, lam2], s2)
+        for r in (0.0, 0.5, 2.0, 9.0):
+            assert gap_2d(lam1, lam2, s2, r) == pytest.approx(gap(model, r), abs=1e-10)
 
 
 def test_max_gap_2d_examples():
@@ -268,6 +313,8 @@ def test_sweep_degenerate_and_invalid():
         sweep(m, [-1.0, 2.0])
     with pytest.raises(InvalidGrid):
         sweep(m, [0.0, 1.0, 1.0])
+    with pytest.raises(InvalidGrid, match="one-dimensional"):
+        sweep(m, [[0.0, 1.0], [2.0, 3.0]])
 
 
 @pytest.mark.parametrize("seed", range(12))

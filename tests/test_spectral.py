@@ -1,3 +1,4 @@
+import math
 
 import warnings
 
@@ -78,6 +79,21 @@ def test_observation_spectrum_examples():
     assert observation_spectrum(Spectrum((0.0,), 0), 1.0).rank == 1
     got = observation_spectrum(Spectrum((4.0, 0.0), 1), 0.25)
     assert got.values == (4.25, 0.25) and got.rank == 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 1e300), st.floats(1e-300, 1e300),
+       st.lists(st.one_of(st.just(-1.0), st.floats(0.0, 200.0)), max_size=7))
+def test_observation_spectrum_is_the_shifted_gram(top, sigma2, drops):
+    # each next value is one ulp below the last (-1), tied with it (0), or
+    # up to 2^-200 times it: near ties and ranges far wider than a model's
+    vals = [top]
+    for d in drops:
+        vals.append(math.nextafter(vals[-1], 0.0) if d < 0.0 else vals[-1] * 2.0 ** -d)
+    gram = Spectrum.from_values(vals)
+    got = observation_spectrum(gram, sigma2)
+    assert got.values == tuple(v + sigma2 for v in vals)
+    assert got.rank == len(vals)
 
 
 def test_conditional_spectrum_examples():

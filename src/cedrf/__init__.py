@@ -34,7 +34,7 @@ from .oracle import (
     mc_idrf,
     mc_mmse,
 )
-from .spectral import ObservationModel, Spectrum, mmse_floor, whiten
+from .spectral import ObservationModel, Spectrum, whiten
 from .waterfill import WaterfillResult, active_count, rate_allocation, rate_thresholds, water_level
 
 __version__ = "0.1.0"
@@ -66,7 +66,6 @@ __all__ = [
     "mc_estimates",
     "mc_idrf",
     "mc_mmse",
-    "mmse_floor",
     "rate_allocation",
     "rate_thresholds",
     "sweep",

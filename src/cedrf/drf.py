@@ -236,14 +236,16 @@ def gap_lower_bound(model: ObservationModel, R: float) -> float:
 
 
 def _check_condition_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[Spectrum, Spectrum]:
-    """The observation and estimate spectra of a two-component pair that meets the condition."""
+    """Observation and estimate spectra of an exact two-component pair that meets the condition."""
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)) or lambda1 < lambda2 or lambda2 < 0:
         raise ValueError(
             f"eigenvalues must satisfy lambda1 >= lambda2 >= 0, got {lambda1!r}, {lambda2!r}"
         )
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
-    gram = Spectrum.from_values((lambda1, lambda2))
+    if math.isinf(float(lambda1) + float(sigma2)):
+        raise ValueError(f"lambda1 + sigma2 overflows double precision: {lambda1!r} + {sigma2!r}")
+    gram = Spectrum((float(lambda1), float(lambda2)))
     obs, cond = observation_spectrum(gram, sigma2), conditional_spectrum(gram, sigma2)
     a1, a2 = _ce_weights(obs, cond).tolist()
     if a1 > a2 * (1.0 + CONDITION_2D_RTOL):
@@ -260,15 +262,17 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     Three regions: zero up to the second activation rate of the estimate
     spectrum, an explicit square up to the second activation rate of the
     observation spectrum, and the general spectral difference beyond that.
-    Agrees with :func:`gap` on the matching diagonal model everywhere.
+    ``lambda1``, ``lambda2`` are exact, and the regions end where :func:`gap`
+    switches ``k``, so the two agree on the diagonal model wherever it keeps
+    ``lambda2`` (``lambda2 > RANK_RTOL lambda1``).
     """
     waterfill._check_rate(R)
     obs, cond = _check_condition_2d(lambda1, lambda2, sigma2)
-    (c1, c2), (o1, o2) = cond.values, obs.values
-    # c2 = 0: the estimate spectrum's second component never activates
-    if c2 == 0.0 or R <= 0.5 * math.log2(c1 / c2) + waterfill.BOUNDARY_SLACK:
+    # rank 1: the estimate spectrum's second component never activates
+    if cond.rank < 2 or R <= cond.thresholds[1] + waterfill.BOUNDARY_SLACK:
         return 0.0
-    if R <= 0.5 * math.log2(o1 / o2) + waterfill.BOUNDARY_SLACK:
+    if R <= obs.thresholds[1] + waterfill.BOUNDARY_SLACK:
+        c1, c2 = cond.values
         return 0.5 * (math.sqrt(c1) * 2.0 ** (-R) - math.sqrt(c2)) ** 2
     rate = np.array([R], dtype=np.float64)
     diff = float(_ce_grid(obs, cond, 2, rate)[0][0] - _idrf_grid(cond, 2, rate)[0][0])

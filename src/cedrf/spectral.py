@@ -20,7 +20,7 @@ its ``V`` that of the MMSE estimate's covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -29,10 +29,9 @@ import numpy as np
 from . import linalg
 from .linalg import Matrix
 
-#: An eigenvalue counts as zero when it is at most RANK_RTOL times the
-#: largest one (RANK_ATOL absolute when the largest is itself zero).
+#: An eigenvalue of ``A A^T`` counts as zero when it is at most RANK_RTOL
+#: times the largest one; the model stores it as 0.
 RANK_RTOL = 1e-10
-RANK_ATOL = 1e-14
 
 
 class NotPositiveDefinite(ValueError):
@@ -41,13 +40,13 @@ class NotPositiveDefinite(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Non-increasing list of non-negative eigenvalues with a numerical rank.
+    """Non-increasing list of non-negative eigenvalues; ``rank`` counts the positive ones.
 
     Immutable, so derived tables are built on first use and kept.
     """
 
     values: tuple[float, ...]
-    rank: int
+    rank: int = field(init=False)
 
     def __post_init__(self) -> None:
         if len(self.values) == 0:
@@ -57,14 +56,7 @@ class Spectrum:
                 raise ValueError(f"spectrum values must be finite and >= 0, got {v!r}")
             if i > 0 and v > self.values[i - 1]:
                 raise ValueError("spectrum values must be non-increasing")
-        if not 0 <= self.rank <= len(self.values):
-            raise ValueError(f"rank {self.rank} out of range for {len(self.values)} values")
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "Spectrum":
-        """Sort descending and classify near-zero values by the rank tolerance."""
-        vals = tuple(sorted((float(v) for v in values), reverse=True))
-        return cls(vals, _numerical_rank(vals))
+        object.__setattr__(self, "rank", sum(1 for v in self.values if v > 0.0))
 
     @cached_property
     def thresholds(self) -> tuple[float, ...]:
@@ -105,8 +97,7 @@ def prefix_sums(values: Sequence[float]) -> np.ndarray:
 
 
 def _numerical_rank(sorted_desc: Sequence[float]) -> int:
-    top = sorted_desc[0] if sorted_desc else 0.0
-    cutoff = RANK_RTOL * top if top > 0.0 else RANK_ATOL
+    cutoff = RANK_RTOL * sorted_desc[0]
     return sum(1 for v in sorted_desc if v > cutoff)
 
 
@@ -155,7 +146,7 @@ class ObservationModel:
         # values at or below the rank cut-off are rounding noise of about
         # (eps |A|)^2; kept, they would weigh lam / (lam + s2)^2 >> 1 at small s2
         w[_numerical_rank(w.tolist()):] = 0.0
-        self.gram = Spectrum.from_values(w)
+        self.gram = Spectrum(tuple(w.tolist()))
         self.full_rank = self.gram.rank == self.r
         self.observation = observation_spectrum(self.gram, s2)
         self.conditional = conditional_spectrum(self.gram, s2)
@@ -186,7 +177,8 @@ class ObservationModel:
 
     @property
     def mmse_floor(self) -> float:
-        return mmse_floor(self.gram, self.sigma2, self.M)
+        """Both curves' limit ``1 - (1/M) sum lam/(lam+s2)``, summed as they sum it."""
+        return 1.0 - float(self.conditional.arrays[2][-1]) / self.M
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -202,27 +194,17 @@ def observation_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
     with correct rounding keeps the order, so unlike
     :func:`conditional_spectrum` this needs no clamp.
     """
-    vals = tuple(v + sigma2 for v in gram.values)
-    return Spectrum(vals, len(vals))
+    return Spectrum(tuple(v + sigma2 for v in gram.values))
 
 
 def conditional_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
     """Spectrum of the MMSE-estimate covariance: ``lam_l / (lam_l + sigma2)``.
 
     The map is monotone increasing, so descending order is preserved (up to
-    the rounded division's last-ulp inversions, which are clamped) and the
-    rank equals the number of nonzero ``lam_l``.
+    the rounded division's last-ulp inversions, which are clamped).  A value
+    that underflows to 0 drops out of the rank.
     """
-    vals = _monotone_clamp([v / (v + sigma2) for v in gram.values])
-    return Spectrum(vals, gram.rank)
-
-
-def mmse_floor(gram: Spectrum, sigma2: float, M: int) -> float:
-    """Normalized error of estimating the source from the raw observation.
-
-    This is the common large-rate limit of both distortion-rate functions.
-    """
-    return 1.0 - sum(v / (v + sigma2) for v in gram.values) / M
+    return Spectrum(_monotone_clamp([v / (v + sigma2) for v in gram.values]))
 
 
 def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:

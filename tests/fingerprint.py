@@ -1,0 +1,80 @@
+"""One sha256 per group of user-visible outputs on seeded inputs.
+
+Groups: ``analyze`` (text and ``--json``), ``sweep`` (CSV, JSON, ``--nats``),
+``verify --random 3``, ``example``, ``gap_2d`` and ``max_gap_2d``; each hashes
+exit codes, stdout, stderr and the files written.  Run it on two checkouts
+and ``diff`` the output to show that a change keeps every output's bits (see
+README, "Install and test").
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from cedrf import cli, drf
+
+N_MODELS, N_PAIRS = 100, 500
+GAP_RATES = np.linspace(0.0, 40.0, 81).tolist()
+
+
+def models(rng):
+    """Dense models over six decades of scale; every third has a column near the rank cut-off."""
+    for i in range(N_MODELS):
+        l_dim, m = (int(v) for v in rng.integers(1, 6, size=2))
+        a = rng.standard_normal((l_dim, m)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        if i % 3 == 0:
+            a[:, 0] *= 10.0 ** rng.uniform(-12.0, 0.0)
+        yield {"A": a.tolist(), "sigma2": 10.0 ** rng.uniform(-6.0, 6.0)}
+
+
+def run(h, tmp, *argv):
+    """Feed ``cedrf argv``'s exit code, stdout, stderr and written files to ``h``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    h.update(f"{code}\n{out.getvalue()}{err.getvalue()}".replace(str(tmp), "TMP").encode())
+    for p in sorted(set(tmp.iterdir()) - {tmp / "model.json"}):
+        h.update(p.name.encode() + p.read_bytes())
+        p.unlink()
+
+
+def outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def main():
+    groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", "sweep-csv", "sweep-json",
+                                            "sweep-nats", "verify", "example", "gap_2d", "max_gap_2d")}
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        model = tmp / "model.json"
+        sweep = ("sweep", model, "--min", 0, "--max", 30, "--steps", 401, "--out", tmp / "out")
+        for doc, rate in zip(models(np.random.default_rng(15)), [0.0, 0.5, 3.0, 40.0, 1e4] * N_MODELS):
+            model.write_text(json.dumps(doc))
+            run(groups["analyze"], tmp, "analyze", model, "--rate", rate)
+            run(groups["analyze-json"], tmp, "analyze", model, "--rate", rate, "--json", tmp / "r")
+            run(groups["sweep-csv"], tmp, *sweep)
+            run(groups["sweep-json"], tmp, *sweep, "--format", "json")
+            run(groups["sweep-nats"], tmp, *sweep, "--nats")
+        run(groups["verify"], tmp, "verify", "--random", 3)
+        run(groups["example"], tmp, "example", "--out", tmp)
+    rng = np.random.default_rng(16)
+    for _ in range(N_PAIRS):  # t = lam / sigma2 with t1 t2 >= 1, so most pairs meet the condition
+        s2, t2 = (float(v) for v in 10.0 ** rng.uniform([-3.0, -3.0], [3.0, 1.0]))
+        pair = (max(t2, 1.0 / t2) * 10.0 ** rng.uniform(-0.5, 3.0) * s2, t2 * s2, s2)
+        groups["max_gap_2d"].update(outcome(drf.max_gap_2d, *pair).encode())
+        for r in GAP_RATES:
+            groups["gap_2d"].update(outcome(drf.gap_2d, *pair, r).encode())
+    print("\n".join(f"{h.hexdigest()}  {name}" for name, h in groups.items()))
+
+
+if __name__ == "__main__":
+    main()

@@ -300,6 +300,21 @@ def test_analyze_without_signal(tmp_path, capsys, rows, cols):
     assert doc["rates"]["idrf"] == [0.0] * rows
 
 
+def test_analyze_where_the_estimate_spectrum_underflows(tmp_path, capsys):
+    # lam = 1e-320 is positive, but lam / (lam + 1e10) underflows to 0: the
+    # estimate spectrum has rank 0 and no threshold takes log2(0)
+    path = tmp_path / "faint.json"
+    path.write_text(json.dumps({"A": [[1e-160]], "sigma2": 1e10}))
+    report_path = tmp_path / "faint_report.json"
+    assert main(["analyze", str(path), "--rate", "1", "--json", str(report_path)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads(report_path.read_text())
+    assert doc["model"]["rank"] == 1 and doc["spectra"]["conditional"] == [0.0]
+    assert doc["equality_region"]["unconditional"] is True
+    p = doc["point"]
+    assert p["d_idrf"] == p["d_ce"] == 1.0 and p["gap"] == 0.0
+
+
 def test_analyze_where_water_level_underflows(tmp_path, capsys):
     # 2^(-2R) is 0.0 in double precision at R = 1100, so theta_ce is 0; the
     # rates must still be finite and sum to the requested total

@@ -178,6 +178,11 @@ def test_gap_2d_condition_checked():
         max_gap_2d(1e200, 1e-300, 1.0)
     with pytest.raises(ValueError, match="sigma2"):
         max_gap_2d(1.0, 0.5, 0.0)
+    # every input is finite, but the observation spectrum is not
+    with pytest.raises(ValueError, match=r"lambda1 \+ sigma2 overflows"):
+        max_gap_2d(1.7e308, 1.0, 1e308)
+    with pytest.raises(ValueError, match=r"lambda1 \+ sigma2 overflows"):
+        gap_2d(1.7e308, 1.0, 1e308, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -242,6 +247,16 @@ def test_two_component_forms_accept_one_ulp_ties(seed):
         model = model_from_eigs([lam1, lam2], s2)
         for r in (0.0, 0.5, 2.0, 9.0):
             assert gap_2d(lam1, lam2, s2, r) == pytest.approx(gap(model, r), abs=1e-10)
+
+
+@pytest.mark.parametrize("pair", [(4e12, 1e-3, 1.0), (1e13, 5e-4, 1.0)])
+def test_gap_2d_is_continuous_at_its_maximum(pair):
+    # lam2 is below RANK_RTOL lam1; taken as exact, it stays in every region,
+    # so the gap does not jump to 0 at the observation threshold
+    r_star, g_star = max_gap_2d(*pair)
+    for r in (r_star - 1e-9, r_star + 1e-9):
+        assert gap_2d(*pair, r) == pytest.approx(g_star, rel=1e-6), r
+    assert all(gap_2d(*pair, r) <= g_star for r in np.linspace(0.0, 40.0, 4001))
 
 
 def test_max_gap_2d_examples():
@@ -536,6 +551,42 @@ def test_huge_rates_give_the_values_at_1e300(seed):
         points = sweep(model, [1e300, 1e308, 1.7e308])
     assert [pt[1:] for pt in points[1:]] == [points[0][1:]] * 2
     assert points[0][1:6] == tuple(want[:5])
+
+
+def _wide_model(rng: np.random.Generator, i: int) -> ObservationModel:
+    """L, M in 1..5, |A| from 1e-160 to 1e150, sigma2 from 1e-300 to 1e300."""
+    l_dim, m = (int(n) for n in rng.integers(1, 6, size=2))
+    a = rng.standard_normal((l_dim, m)) * 10.0 ** rng.uniform(-160.0, 150.0)
+    if i % 3 == 0:  # one column far below the others, often under the rank cut-off
+        a[:, 0] *= 10.0 ** rng.uniform(-12.0, 0.0)
+    return ObservationModel(Matrix(a), 10.0 ** rng.uniform(-300.0, 300.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wide_range_models_give_finite_curves(seed):
+    # lam / (lam + s2) underflows to 0 on about one model in nine; the
+    # estimate spectrum's rank must then drop, or its thresholds take log2(0)
+    rng = np.random.default_rng(3500 + seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(500):
+            model = _wide_model(rng, i)
+            for s in (model.gram, model.observation, model.conditional):
+                assert s.rank == sum(v > 0.0 for v in s.values)
+            for pt in sweep(model, [0.0, 0.5, 3.0, 40.0, 1e4]):
+                # gap_ub may be inf: (lam_1 + s2) / (4 s2) can exceed double range
+                finite = (pt.d_idrf, pt.d_ce, pt.gap, pt.gap_lb, pt.theta_idrf, pt.theta_ce)
+                assert all(math.isfinite(v) for v in finite), (i, pt)
+            equality_region(model)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_floor_is_both_curves_at_1e300_bit_for_bit(seed):
+    # the floor sums lam / (lam + s2) as the curves do, left to right
+    rng = np.random.default_rng(3600 + seed)
+    for i in range(50):
+        for model in (random_model(rng), rank_deficient_model(rng), _wide_model(rng, i)):
+            assert model.mmse_floor == idrf(model, 1e300) == ce_drf(model, 1e300), i
 
 
 def test_gap_upper_bound_past_an_overflowing_prefactor():

@@ -17,7 +17,6 @@ from cedrf.spectral import (
     ObservationModel,
     Spectrum,
     conditional_spectrum,
-    mmse_floor,
     observation_spectrum,
     whiten,
 )
@@ -29,22 +28,29 @@ def frob(a: np.ndarray) -> float:
 
 def test_spectrum_validation():
     with pytest.raises(ValueError):
-        Spectrum((1.0, 2.0), 2)  # increasing
+        Spectrum((1.0, 2.0))  # increasing
     with pytest.raises(ValueError):
-        Spectrum((2.0, -1.0), 1)  # negative
+        Spectrum((2.0, -1.0))  # negative
     with pytest.raises(ValueError):
-        Spectrum((2.0, 1.0), 3)  # rank out of range
-    with pytest.raises(ValueError):
-        Spectrum((), 0)
+        Spectrum(())
+    with pytest.raises(TypeError):
+        Spectrum((2.0, 1.0), 1)  # the rank is counted, not given
 
 
-def test_spectrum_from_values_sorts_and_ranks():
-    s = Spectrum.from_values([0.5, 20.0, 0.0])
-    assert s.values == (20.0, 0.5, 0.0)
-    assert s.rank == 2
-    # relative rank cutoff: 1e-10 of the largest
-    s = Spectrum.from_values([1.0, 5e-11])
-    assert s.rank == 1
+def test_spectrum_rank_counts_positive_values():
+    assert Spectrum((20.0, 0.5, 0.0)).rank == 2
+    assert Spectrum((0.0, 0.0)).rank == 0
+    # values are exact: no cut-off, down to the smallest subnormal
+    assert Spectrum((1.0, 5e-11)).rank == 2
+    assert Spectrum((1.0, 5e-324)).rank == 2
+
+
+def test_model_zeroes_gram_values_at_the_rank_cutoff():
+    # 5e-11 is at most RANK_RTOL = 1e-10 of the largest: rounding noise to the model
+    model = ObservationModel(Matrix(np.diag([1.0, math.sqrt(5e-11)])), 1.0)
+    assert model.gram.values == (1.0, 0.0)
+    assert model.gram.rank == model.conditional.rank == 1
+    assert not model.full_rank
 
 
 def test_gram_spectrum_examples():
@@ -74,10 +80,10 @@ def test_model_basis_diagonalizes_gram(seed):
 
 
 def test_observation_spectrum_examples():
-    assert observation_spectrum(Spectrum((20.0, 0.5), 2), 1.0).values == (21.0, 1.5)
-    assert observation_spectrum(Spectrum((0.0,), 0), 1.0).values == (1.0,)
-    assert observation_spectrum(Spectrum((0.0,), 0), 1.0).rank == 1
-    got = observation_spectrum(Spectrum((4.0, 0.0), 1), 0.25)
+    assert observation_spectrum(Spectrum((20.0, 0.5)), 1.0).values == (21.0, 1.5)
+    assert observation_spectrum(Spectrum((0.0,)), 1.0).values == (1.0,)
+    assert observation_spectrum(Spectrum((0.0,)), 1.0).rank == 1
+    got = observation_spectrum(Spectrum((4.0, 0.0)), 0.25)
     assert got.values == (4.25, 0.25) and got.rank == 2
 
 
@@ -90,25 +96,28 @@ def test_observation_spectrum_is_the_shifted_gram(top, sigma2, drops):
     vals = [top]
     for d in drops:
         vals.append(math.nextafter(vals[-1], 0.0) if d < 0.0 else vals[-1] * 2.0 ** -d)
-    gram = Spectrum.from_values(vals)
+    gram = Spectrum(tuple(vals))
     got = observation_spectrum(gram, sigma2)
     assert got.values == tuple(v + sigma2 for v in vals)
     assert got.rank == len(vals)
 
 
 def test_conditional_spectrum_examples():
-    got = conditional_spectrum(Spectrum((20.0, 0.5), 2), 1.0)
+    got = conditional_spectrum(Spectrum((20.0, 0.5)), 1.0)
     assert got.values == pytest.approx((20.0 / 21.0, 1.0 / 3.0), abs=1e-15)
     assert got.rank == 2
-    assert conditional_spectrum(Spectrum((0.0,), 0), 1.0).values == (0.0,)
-    assert conditional_spectrum(Spectrum((1.0,), 1), 1.0).values == (0.5,)
+    assert conditional_spectrum(Spectrum((0.0,)), 1.0).values == (0.0,)
+    assert conditional_spectrum(Spectrum((1.0,)), 1.0).values == (0.5,)
+    # lam / (lam + sigma2) underflows to 0: that component leaves the rank
+    got = conditional_spectrum(Spectrum((1.0, 1e-320)), 1e10)
+    assert got.values == (1.0 / (1.0 + 1e10), 0.0) and got.rank == 1
 
 
 def test_mmse_floor_examples():
-    assert mmse_floor(Spectrum((20.0, 0.5), 2), 1.0, 2) == pytest.approx(MMSE_EXAMPLE, abs=1e-12)
-    assert mmse_floor(Spectrum((0.0, 0.0), 0), 1.0, 2) == 1.0
+    assert example_model().mmse_floor == pytest.approx(MMSE_EXAMPLE, abs=1e-12)
+    assert ObservationModel(Matrix(np.zeros((2, 2))), 1.0).mmse_floor == 1.0
     # near-noiseless invertible observation
-    assert mmse_floor(Spectrum((1.0,), 1), 1e-12, 1) == pytest.approx(0.0, abs=1e-11)
+    assert ObservationModel(Matrix([[1.0]]), 1e-12).mmse_floor == pytest.approx(0.0, abs=1e-11)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -128,7 +137,7 @@ def test_mmse_floor_increasing_in_noise():
     rng = np.random.default_rng(5)
     model = random_model(rng)
     floors = [
-        mmse_floor(model.gram, s2, model.M) for s2 in (0.01, 0.1, 1.0, 10.0, 100.0)
+        ObservationModel(model.A, s2).mmse_floor for s2 in (0.01, 0.1, 1.0, 10.0, 100.0)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(floors, floors[1:]))
 

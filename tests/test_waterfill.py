@@ -15,9 +15,8 @@ from cedrf.waterfill import (
 )
 
 
-def spec(*values, rank=None):
-    vals = tuple(float(v) for v in values)
-    return Spectrum(vals, len([v for v in vals if v > 0]) if rank is None else rank)
+def spec(*values):
+    return Spectrum(tuple(float(v) for v in values))
 
 
 def test_thresholds_hand_cases():
@@ -33,7 +32,7 @@ def test_thresholds_non_decreasing_and_empty():
     assert thr[0] == 0.0 and thr[-1] == math.inf
     assert all(b >= a for a, b in zip(thr, thr[1:]))
     with pytest.raises(EmptySpectrum):
-        rate_thresholds(Spectrum((0.0,), 0))
+        rate_thresholds(Spectrum((0.0,)))
 
 
 def test_active_count_half_open_intervals():
@@ -69,7 +68,7 @@ def test_water_level_within_bracket():
     rng = np.random.default_rng(7)
     for _ in range(50):
         vals = tuple(sorted(rng.uniform(0.05, 30.0, size=4), reverse=True))
-        s = Spectrum(vals, 4)
+        s = Spectrum(vals)
         r = float(rng.uniform(0.0, 10.0))
         k, theta = water_level(s, r)
         hi = vals[k - 1]
@@ -94,7 +93,7 @@ def test_rate_allocation_hand_cases():
 
 
 def test_zero_eigenvalues_get_nothing():
-    s = Spectrum((4.0, 0.0), 1)
+    s = Spectrum((4.0, 0.0))
     assert rate_thresholds(s) == [0.0, math.inf]
     got = rate_allocation(s, 3.0)
     assert got.rates[1] == 0.0
@@ -107,7 +106,7 @@ def test_rates_sum_to_total(seed):
     rng = np.random.default_rng(600 + seed)
     n = int(rng.integers(1, 6))
     vals = tuple(sorted(rng.uniform(0.01, 50.0, size=n), reverse=True))
-    s = Spectrum(vals, n)
+    s = Spectrum(vals)
     for r in rng.uniform(0.0, 12.0, size=8):
         got = rate_allocation(s, float(r))
         assert math.fsum(got.rates) == pytest.approx(float(r), abs=1e-9)
@@ -117,7 +116,7 @@ def test_rates_sum_to_total(seed):
 def test_monotonicity_in_rate():
     rng = np.random.default_rng(11)
     vals = tuple(sorted(rng.uniform(0.1, 20.0, size=5), reverse=True))
-    s = Spectrum(vals, 5)
+    s = Spectrum(vals)
     grid = np.linspace(0.0, 10.0, 200)
     ks, thetas = zip(*(water_level(s, float(r)) for r in grid))
     assert all(b >= a for a, b in zip(ks, ks[1:]))
@@ -127,7 +126,7 @@ def test_monotonicity_in_rate():
 def test_positive_rates_exactly_for_active_components():
     rng = np.random.default_rng(12)
     vals = tuple(sorted(rng.uniform(0.1, 20.0, size=5), reverse=True))
-    s = Spectrum(vals, 5)
+    s = Spectrum(vals)
     thr = rate_thresholds(s)
     for k in range(1, 6):
         lo = thr[k - 1]
@@ -142,7 +141,7 @@ def test_positive_rates_exactly_for_active_components():
 def test_theta_continuous_at_thresholds():
     rng = np.random.default_rng(13)
     vals = tuple(sorted(rng.uniform(0.1, 20.0, size=5), reverse=True))
-    s = Spectrum(vals, 5)
+    s = Spectrum(vals)
     thr = rate_thresholds(s)
     for k in range(2, 6):
         rk = thr[k - 1]
@@ -177,7 +176,7 @@ def test_water_level_matches_bisection_oracle(seed):
     rng = np.random.default_rng(700 + seed)
     n = int(rng.integers(1, 6))
     vals = tuple(sorted(rng.uniform(0.05, 40.0, size=n), reverse=True))
-    s = Spectrum(vals, n)
+    s = Spectrum(vals)
     for r in [0.1, 0.5, 1.0, 2.0, 3.7, 6.0, 9.5]:
         _, theta = water_level(s, r)
         assert theta == pytest.approx(_theta_by_bisection(vals, r), abs=1e-9)
@@ -188,7 +187,7 @@ def test_theta_invariant_within_tied_block():
     # rate the water level is the same whichever count inside the tied block
     # is used, so resolving ties to the largest k is value-neutral
     vals = (8.0, 2.0, 2.0, 0.5)
-    s = Spectrum(vals, 4)
+    s = Spectrum(vals)
     thr = rate_thresholds(s)
     assert thr[1] == thr[2] == 1.0
     for k in (1, 2, 3):
@@ -206,7 +205,7 @@ def test_water_level_long_spectrum_uses_log_space():
     # rate-sum identity must still hold
     rng = np.random.default_rng(77)
     vals = tuple(sorted(rng.uniform(0.5, 30.0, size=30), reverse=True))
-    s = Spectrum(vals, 30)
+    s = Spectrum(vals)
     thr = rate_thresholds(s)
     big_r = thr[-2] + 5.0  # all components active: k = 30
     k, theta = water_level(s, big_r)

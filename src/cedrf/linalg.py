@@ -1,10 +1,11 @@
 """Validated input matrices and symmetric spectral decompositions.
 
 :class:`Matrix` holds a finite, non-empty, read-only 2-D array and is kept
-for user input.  The model spectrum and the oracles' singular vectors come
-from ``numpy.linalg.svd`` of ``A`` in :mod:`cedrf.spectral`; what is left
-here whitens a source covariance and inverts the compress-and-estimate
-decoder's covariance.  :func:`sym_eig` and :func:`pinv` take plain arrays,
+for user input.  The model spectrum, the oracles' singular vectors and the
+compress-and-estimate decoder come from ``numpy.linalg.svd`` in
+:mod:`cedrf.spectral` and :mod:`cedrf.oracle`; what is left here whitens a
+source covariance (:func:`sym_eig`).  :func:`pinv` has no caller in the
+library: the tests check the decoder against it.  Both take plain arrays,
 check that they are finite, square and symmetric, then diagonalize them with
 LAPACK's symmetric eigensolver through :func:`numpy.linalg.eigh`.  Results
 are bit-identical from run to run on one platform and numpy/BLAS build.

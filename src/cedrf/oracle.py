@@ -4,7 +4,7 @@ Two routes that never touch the spectral formulas directly:
 
 * an explicit matrix construction of the compress-and-estimate test
   channel (representation = channel @ source + noise) whose normalized
-  estimation error is evaluated through a pseudoinverse trace, and
+  estimation error is evaluated from one SVD of the whitened channel, and
 * seeded Monte Carlo simulation of the forward test channels for the
   compress-and-estimate scheme, the optimal scheme, and the raw
   estimation floor.
@@ -37,9 +37,10 @@ each one is bit-identical to a separate :func:`mc_ce`, :func:`mc_idrf` or
 The optimal scheme's and the floor's maps come from the model's cached SVD
 of ``A``, which gives the MMSE estimator and the eigenbasis of its
 estimate's covariance at once.  The compress-and-estimate maps and the
-matrix form share one decoder: a pseudoinverse of the channel covariance
-they form, not a formula in the singular values.  Every matrix here is a
-plain array.
+matrix form share one decoder, :func:`_ce_decoder`, built from one SVD of
+the channel whitened by its noise, with no rank cut-off of its own: the
+channel uses the model's ``A``, whose singular values past ``gram.rank``
+are 0, as the other maps do.  Every matrix here is a plain array.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg, waterfill
+from . import waterfill
 from .spectral import ObservationModel
 
 #: Samples per RNG substream; part of the determinism contract.
@@ -70,7 +71,8 @@ class CEMatrixParts:
     ``gain``: 1-D per-component forward gains ``1 - 2^{-2 r_l}``;
     zero exactly for inactive components.
     ``distortion``: 1-D per-component distortions ``min(lam_l + s2, theta)``.
-    ``channel``: source-to-representation matrix ``diag(gain) @ basis^T @ A``.
+    ``channel``: source-to-representation matrix ``diag(gain) @ basis^T @ A``,
+    with rows past ``gram.rank`` 0, as the model's ``A`` has them.
     ``noise_cov``: 1-D diagonal ``s2 gain^2 + gain distortion`` of the
     effective additive noise's covariance.
     """
@@ -99,29 +101,43 @@ def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
     gain = np.array([1.0 - 2.0 ** (-2.0 * r) for r in alloc.rates])
     dist = np.array(alloc.distortions)
     channel = (gain[:, None] * u.T) @ model.A.data
+    channel[model.gram.rank:] = 0.0  # the model's A: its singular values past the rank are 0
     noise = model.sigma2 * gain * gain + gain * dist
     for a in (gain, dist, channel, noise):
         a.flags.writeable = False
     return CEMatrixParts(basis=u, gain=gain, distortion=dist, channel=channel, noise_cov=noise)
 
 
-def _lmmse(p: np.ndarray, noise_var: np.ndarray) -> np.ndarray:
-    """Linear MMSE estimator ``P^T (P P^T + diag(noise_var))^+`` of ``x`` from ``P x + n``."""
-    cov = p @ p.T + np.diag(noise_var)
-    return p.T @ linalg.pinv((cov + cov.T) / 2.0)
+def _ce_decoder(p: CEMatrixParts) -> tuple[np.ndarray, np.ndarray]:
+    """Linear MMSE decoder ``E`` of ``x`` from ``P x + n``, and the whitened channel's singular values.
+
+    ``n`` has covariance ``D = diag(noise_cov)``.  Rows with ``D = 0`` are
+    the inactive ones, whose gain and channel row are 0: they carry nothing,
+    and ``E`` is 0 on them.  Over the others, with ``Q = D^{-1/2} P`` and its
+    SVD ``Q = U diag(s) V^T``, ``E = V diag(s / (1 + s^2)) U^T D^{-1/2}``, and
+    ``I - E P = (I + Q^T Q)^{-1}``, whose eigenvalues are ``1 / (1 + s^2)``
+    and ``M - len(s)`` ones.
+    """
+    rows = p.noise_cov > 0.0
+    scale = 1.0 / np.sqrt(p.noise_cov[rows])
+    u, s, vt = np.linalg.svd(scale[:, None] * p.channel[rows], full_matrices=False)
+    e = np.zeros(p.channel.T.shape)
+    e[:, rows] = ((vt.T * (s / (1.0 + s * s))) @ u.T) * scale
+    return e, s
 
 
 def ce_matrix_form(model: ObservationModel, R: float) -> float:
-    """Compress-and-estimate distortion evaluated as a pseudoinverse trace.
+    """Compress-and-estimate distortion evaluated from the test channel's matrices.
 
-    ``(1/M) tr(I - P^T (P P^T + diag(noise_cov))^+ P)`` with ``P`` the
-    channel matrix.  Must agree with the spectral closed form for every
-    model and rate; this is the primary cross-check of the piecewise
-    formulas.
+    ``(1/M) tr(I - E P)`` with ``P`` the channel matrix and ``E`` the
+    linear MMSE decoder of :func:`_ce_decoder`: ``(1/M) (sum 1 / (1 + s^2)
+    + M - len(s))`` over the singular values ``s`` of the whitened channel,
+    a sum of non-negative terms.  Must agree with the spectral closed form
+    for every model and rate; this is the primary cross-check of the
+    piecewise formulas.
     """
-    parts = ce_matrix_parts(model, R)
-    decoder = _lmmse(parts.channel, parts.noise_cov)
-    return (model.M - float(np.trace(decoder @ parts.channel))) / model.M
+    s = _ce_decoder(ce_matrix_parts(model, R))[1]
+    return (float(np.sum(1.0 / (1.0 + s * s))) + (model.M - s.size)) / model.M
 
 
 @dataclass(frozen=True)
@@ -144,7 +160,7 @@ def _error_map(fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
 def _ce_map(model: ObservationModel, R: float) -> np.ndarray:
     """Compress-and-estimate, ``x_hat = E (P x + sigma diag(gain) U^T z + sqrt(gain dist) q)``."""
     p = ce_matrix_parts(model, R)
-    e = _lmmse(p.channel, p.noise_cov)
+    e = _ce_decoder(p)[0]
     fz = (math.sqrt(model.sigma2) * e * p.gain) @ p.basis.T
     return _error_map(e @ p.channel, fz, e * np.sqrt(p.gain * p.distortion))
 

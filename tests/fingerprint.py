@@ -2,9 +2,11 @@
 
 Groups: ``analyze`` (text and ``--json``), ``sweep`` (CSV, JSON, ``--nats``),
 ``verify --random 3``, ``example``, ``gap_2d`` and ``max_gap_2d``; each hashes
-exit codes, stdout, stderr and the files written.  Run it on two checkouts
-and ``diff`` the output to show that a change keeps every output's bits (see
-README, "Install and test").
+exit codes, stdout, stderr and the files written.  The ``oracle`` group hashes
+the ``float.hex`` of ``ce_matrix_form`` and of every ``mc_estimates`` mean and
+stderr at 2,000 samples, on the seeded models; ``verify`` prints only three
+digits of them.  Run it on two checkouts and ``diff`` the output to show that
+a change keeps every output's bits (see README, "Install and test").
 """
 
 import contextlib
@@ -16,10 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from cedrf import cli, drf
+from cedrf import cli, drf, oracle
+from cedrf.linalg import Matrix
+from cedrf.spectral import ObservationModel
 
 N_MODELS, N_PAIRS = 100, 500
 GAP_RATES = np.linspace(0.0, 40.0, 81).tolist()
+ORACLE_RATES = (0.0, 0.5, 3.0, 40.0)
 
 
 def models(rng):
@@ -52,7 +57,8 @@ def outcome(f, *args):
 
 def main():
     groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", "sweep-csv", "sweep-json",
-                                            "sweep-nats", "verify", "example", "gap_2d", "max_gap_2d")}
+                                            "sweep-nats", "verify", "example", "gap_2d", "max_gap_2d",
+                                            "oracle")}
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         model = tmp / "model.json"
@@ -66,6 +72,13 @@ def main():
             run(groups["sweep-nats"], tmp, *sweep, "--nats")
         run(groups["verify"], tmp, "verify", "--random", 3)
         run(groups["example"], tmp, "example", "--out", tmp)
+    for i, doc in enumerate(models(np.random.default_rng(15))):
+        model = ObservationModel(Matrix(doc["A"]), doc["sigma2"])
+        est = oracle.mc_estimates(model, 2000, i, ce_rates=ORACLE_RATES, idrf_rates=ORACLE_RATES,
+                                  mmse=True)
+        values = [oracle.ce_matrix_form(model, r) for r in ORACLE_RATES]
+        values += [v for e in (*est.ce, *est.idrf, est.mmse) for v in (e.mean, e.stderr)]
+        groups["oracle"].update(" ".join(v.hex() for v in values).encode())
     rng = np.random.default_rng(16)
     for _ in range(N_PAIRS):  # t = lam / sigma2 with t1 t2 >= 1, so most pairs meet the condition
         s2, t2 = (float(v) for v in 10.0 ** rng.uniform([-3.0, -3.0], [3.0, 1.0]))

@@ -538,6 +538,19 @@ def test_verify_runs_every_check_on_an_ill_conditioned_model(tmp_path, capsys):
         assert captured.out.rstrip().endswith("all checks passed"), sigma2
 
 
+def test_verify_uses_the_models_rank_truncated_matrix(tmp_path, capsys):
+    # A A^T has 9e-12 below the rank cut-off, so the closed forms take it as 0;
+    # at s2 = 1e-10 the raw column would still carry signal into the CE channel
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, 3e-6]], "sigma2": 1e-10}))
+    code = main(["verify", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    checks = [line for line in lines if not line.startswith("==")][:-1]
+    assert len(checks) == 7 and all(line.startswith("  PASS ") for line in checks)
+    assert lines[-1] == "all checks passed"
+
+
 def test_verify_random_models_deterministic(capsys):
     code = main(["verify", "--random", "3", "--samples", "20000", "--seed", "7"])
     first = capsys.readouterr().out

@@ -1,5 +1,6 @@
 
 import ctypes
+import math
 import os
 import platform
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mp_reference
 from support import (
     CE_AT_1,
     IDRF_AT_1,
@@ -21,10 +23,11 @@ from support import (
 
 import cedrf
 from cedrf import drf, linalg, waterfill
-from cedrf.cli import _check_monte_carlo
+from cedrf.cli import _check_monte_carlo, _random_verify_model
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
     _CHUNK,
+    _ce_decoder,
     _maps,
     _weights,
     InvalidSampleCount,
@@ -127,6 +130,51 @@ def test_matrix_form_rank_deficient():
     model = rank_deficient_model(rng)
     for r in (0.5, 2.0, 5.0, 9.0):
         assert abs(ce_matrix_form(model, r) - drf.ce_drf(model, r)) < 1e-9
+
+
+def _wide_column_models(n):
+    """Dense models, L and M in 1..5, each column scaled by 10^U(-6, 6), s2 = 10^U(-12, 4).
+
+    Columns far below the others sit near or under the rank cut-off, where
+    the channel must use the model's rank-truncated ``A``.
+    """
+    rng = np.random.default_rng(11)
+    for _ in range(n):
+        l_dim, m = (int(v) for v in rng.integers(1, 6, size=2))
+        a = rng.standard_normal((l_dim, m)) * 10.0 ** rng.uniform(-6.0, 6.0, size=m)
+        yield ObservationModel(Matrix(a), 10.0 ** rng.uniform(-12.0, 4.0))
+
+
+def test_ce_oracles_match_the_closed_form_on_wide_column_models():
+    rates = (0.5, 3.0, 10.0, 30.0, 60.0)
+    for i, model in enumerate(_wide_column_models(300)):
+        want = [drf.ce_drf(model, r) for r in rates]
+        for r, w, b in zip(rates, want, _maps(model, rates), strict=True):
+            assert abs(ce_matrix_form(model, r) - w) < 1e-9, (i, r)
+            assert abs(np.sum(b * b) / model.M - w) <= 1e-12, (i, r)
+
+
+def test_matrix_form_at_high_snr_matches_60_digits():
+    # (M - tr(E P)) / M cancels down to the floor, about 1e-12 here; the
+    # singular-value sum has no cancellation
+    assert float(mp_reference.ce_drf((20.0, 0.5), 1.0, 2, 1.0)) == pytest.approx(CE_AT_1, rel=1e-15)
+    model = ObservationModel(Matrix(np.diag([2.0, math.sqrt(2.0), 1.0])), 1e-12)
+    for r in range(1, 61):
+        want = mp_reference.ce_drf(model.gram.values, model.sigma2, model.M, r)
+        assert abs(ce_matrix_form(model, r) - want) <= 1e-13 * want, r
+
+
+def test_decoder_is_the_pseudoinverse_form():
+    # Woodbury: V diag(s / (1 + s^2)) U^T D^{-1/2} = P^T (P P^T + D)^+, with the
+    # pseudoinverse's zero rows and columns where the gain is 0
+    rng = np.random.default_rng(1)
+    for i in range(300):
+        model = _random_verify_model(rng)
+        for r in (0.0, 0.5, 3.0, 12.0):
+            p = ce_matrix_parts(model, r)
+            cov = p.channel @ p.channel.T + np.diag(p.noise_cov)
+            want = p.channel.T @ linalg.pinv((cov + cov.T) / 2.0)
+            assert np.max(np.abs(_ce_decoder(p)[0] - want)) <= 1e-12, (i, r)
 
 
 def test_pure_noise_component_activation():
@@ -322,16 +370,16 @@ FROZEN_ESTIMATES = (
     (  # M > L
         ("0x1.c539cf2206e79p-1", "0x1.09fab75060a65p-9"),
         ("0x1.a1de60379c0c7p-1", "0x1.f9f2c601a17abp-10"),
-        ("0x1.498b26225beabp-1", "0x1.b3837a636849fp-10"),
+        ("0x1.498b26225beadp-1", "0x1.b3837a636849fp-10"),
         ("0x1.c12f5eb4fbec7p-1", "0x1.0456a6829486bp-9"),
         ("0x1.9585036c9f5a0p-1", "0x1.e194939dde2b3p-10"),
         ("0x1.4674ceef9cbe1p-1", "0x1.afb8147ea055dp-10"),
         ("0x1.2c1a12c5f134dp-1", "0x1.a677626105188p-10"),
     ),
     (  # L > M
-        ("0x1.ad553b4cd4688p-1", "0x1.284e58e069f0ep-9"),
-        ("0x1.6adddbe316657p-1", "0x1.03f32698670a5p-9"),
-        ("0x1.400df45bb0a6ap-2", "0x1.defb847abe462p-11"),
+        ("0x1.ad553b4cd4686p-1", "0x1.284e58e069f0ep-9"),
+        ("0x1.6adddbe316654p-1", "0x1.03f32698670a5p-9"),
+        ("0x1.400df45bb0a69p-2", "0x1.defb847abe462p-11"),
         ("0x1.9acf8281fcd0cp-1", "0x1.10918fb1cd3a3p-9"),
         ("0x1.48b46635c5ac1p-1", "0x1.b43b0a8aed82ap-10"),
         ("0x1.145aa182257ecp-2", "0x1.6f30a05c09b93p-11"),
@@ -340,7 +388,7 @@ FROZEN_ESTIMATES = (
     (  # rank-deficient
         ("0x1.ab90cf742038ep-1", "0x1.24a8773c22bd6p-9"),
         ("0x1.82419aaa0e767p-1", "0x1.18107a005e03dp-9"),
-        ("0x1.13549121e58cdp-1", "0x1.bc91789c21d2dp-10"),
+        ("0x1.13549121e58cfp-1", "0x1.bc91789c21d32p-10"),
         ("0x1.a7725048db080p-1", "0x1.1c74f32606e69p-9"),
         ("0x1.6c3e3ec887343p-1", "0x1.f8495c0676a41p-10"),
         ("0x1.010bc1829bc46p-1", "0x1.a2985325a8357p-10"),
@@ -357,8 +405,8 @@ FROZEN_ESTIMATES = (
     ),
     (  # |A|^2 / s2 near 1e10
         ("0x1.7dae0c58c6010p-1", "0x1.41d347409bcd6p-9"),
-        ("0x1.0de3700d2f83ap-1", "0x1.c72134d64053fp-10"),
-        ("0x1.0de370128e166p-3", "0x1.c72134df4e5b6p-12"),
+        ("0x1.0de3700d2f83cp-1", "0x1.c72134d640541p-10"),
+        ("0x1.0de370128e163p-3", "0x1.c72134df4e5b2p-12"),
         ("0x1.6ad9dd0132fc0p-1", "0x1.241a5369d296dp-9"),
         ("0x1.00930d604b9cdp-1", "0x1.9d1885c7adfc0p-10"),
         ("0x1.00930d65aa2f6p-3", "0x1.9d1885d050ad2p-12"),
@@ -488,8 +536,9 @@ def test_fused_rejects_bad_input():
 
 
 def test_verify_monte_carlo_shares_the_observation_estimator(monkeypatch):
-    # one pinv per CE rate, for the CE decoder, each running one sym_eig;
-    # the basis and the optimal-scheme and floor maps share one full SVD of A
+    # no pinv and no eigensolver: the basis and the optimal-scheme and floor
+    # maps share one full SVD of A, and each CE rate adds one SVD of its
+    # whitened channel (active rows by M)
     model = random_model(np.random.default_rng(12))
     calls = {"pinv": 0, "sym_eig": 0}
     for name in calls:
@@ -502,8 +551,9 @@ def test_verify_monte_carlo_shares_the_observation_estimator(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     svds = _count_full_svds(monkeypatch)
     _check_monte_carlo(model, 1000, 5)
-    assert calls == {"pinv": 3, "sym_eig": 3}
-    assert svds == [(model.L, model.M)]
+    assert calls == {"pinv": 0, "sym_eig": 0}
+    assert svds[0] == (model.L, model.M) and len(svds) == 4
+    assert all(0 < rows <= model.L and cols == model.M for rows, cols in svds[1:])
 
 
 def _moment_models():
@@ -518,9 +568,12 @@ def _moment_models():
 @pytest.mark.parametrize("model", _moment_models())
 def test_maps_have_the_closed_forms_as_exact_moments(model):
     # each estimate's error is B w with w standard normal, so its exact mean is |B|_F^2 / M
-    *idrf_maps, floor_map = _maps(model, idrf_rates=VERIFY_RATES, mmse=True)
-    for r, b in zip(VERIFY_RATES, idrf_maps, strict=True):
-        assert abs(np.sum(b * b) / model.M - drf.idrf(model, r)) <= 1e-14, r
+    maps = _maps(model, VERIFY_RATES, VERIFY_RATES, mmse=True)
+    n = len(VERIFY_RATES)
+    for r, b_ce, b_idrf in zip(VERIFY_RATES, maps[:n], maps[n:2 * n], strict=True):
+        assert abs(np.sum(b_ce * b_ce) / model.M - drf.ce_drf(model, r)) <= 1e-14, r
+        assert abs(np.sum(b_idrf * b_idrf) / model.M - drf.idrf(model, r)) <= 1e-14, r
+    floor_map = maps[-1]
     assert abs(np.sum(floor_map * floor_map) / model.M - model.mmse_floor) <= 1e-14
 
 

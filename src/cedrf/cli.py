@@ -83,11 +83,24 @@ def _json_indent2(doc, pad: str = "\n") -> str:
     return "[" + inner + ("," + inner).join([_JSON_NON_FINITE.get(r, r) for r in items]) + pad + "]"
 
 
+def _matrix(doc: dict, field: str) -> Matrix:
+    """``doc[field]`` as a :class:`Matrix`: rows of JSON numbers."""
+    rows = doc[field]
+    if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
+        kinds = set(map(type, itertools.chain.from_iterable(rows))) - {float, list}
+        if kinds:
+            raise ParseError(f"field '{field}': expected numbers, got {min(k.__name__ for k in kinds)}")
+    try:
+        return Matrix(rows)
+    except (ValueError, TypeError) as exc:
+        raise InvalidModel(f"field '{field}': {exc}") from exc
+
+
 def load_model(path: str | Path) -> ObservationModel:
     """Read and validate a model JSON file."""
     text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
+    try:  # integers too are doubles: one too large for a double is inf, as 1e400 is
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -95,25 +108,15 @@ def load_model(path: str | Path) -> ObservationModel:
     for field in ("A", "sigma2"):
         if field not in doc:
             raise ParseError(f"{path}: missing field '{field}'")
-    try:
-        a = Matrix(doc["A"])
-    except (ValueError, TypeError) as exc:
-        raise InvalidModel(f"field 'A': {exc}") from exc
+    a = _matrix(doc, "A")
     sigma2 = doc["sigma2"]
-    if not isinstance(sigma2, (int, float)) or isinstance(sigma2, bool):
+    if type(sigma2) is not float:
         raise ParseError(f"field 'sigma2': expected a number, got {type(sigma2).__name__}")
-    sx = doc.get("sigma_x")
-    if sx is not None:
-        try:
-            sx = Matrix(sx)
-        except (ValueError, TypeError) as exc:
-            raise InvalidModel(f"field 'sigma_x': {exc}") from exc
-        if sx.rows != sx.cols or sx.rows != a.cols:
-            raise InvalidModel(
-                f"field 'sigma_x': expected {a.cols}x{a.cols}, got {sx.rows}x{sx.cols}"
-            )
+    sx = None if doc.get("sigma_x") is None else _matrix(doc, "sigma_x")
+    if sx is not None and (sx.rows != sx.cols or sx.rows != a.cols):
+        raise InvalidModel(f"field 'sigma_x': expected {a.cols}x{a.cols}, got {sx.rows}x{sx.cols}")
     try:
-        return ObservationModel(a, float(sigma2)) if sx is None else whiten(sx, a, float(sigma2))
+        return ObservationModel(a, sigma2) if sx is None else whiten(sx, a, sigma2)
     except ValueError as exc:
         raise InvalidModel(str(exc)) from exc
 

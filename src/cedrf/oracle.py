@@ -27,12 +27,13 @@ with ``mu`` the eigenvalues of ``B B^T`` and ``g`` standard normal.  The
 simulation samples that law: :func:`_weights` takes ``mu`` once per map,
 before sampling, as the squared singular values of ``B``, which needs no
 eigensolver and no ``B B^T``.  A chunk of ``m`` samples is one ``(M, m)``
-standard normal draw ``g``, one sample per column, and each estimate's
-samples are ``(mu / M) @ g^2``.  Each estimate's law is exact; only the
-correlation between estimates differs from a simulation of ``w``.
-:func:`mc_estimates` evaluates any set of estimates on one draw per chunk;
-each one is bit-identical to a separate :func:`mc_ce`, :func:`mc_idrf` or
-:func:`mc_mmse` call.
+standard normal draw ``g``, one sample per column, and a run keeps only the
+row sums ``S`` of ``g^2``.  With ``v = mu / M``, an estimate's mean is
+``v @ S / n``, and its standard error is exact, ``sqrt(2 v @ v / n)``: one
+sample's variance is ``2 v @ v``.  So the draw tests only ``mu`` and the
+generator.  :func:`mc_estimates` evaluates any set of estimates from one
+``S``; each one is bit-identical to a separate :func:`mc_ce`,
+:func:`mc_idrf` or :func:`mc_mmse` call.
 
 The optimal scheme's and the floor's maps come from the model's cached SVD
 of ``A``, which gives the MMSE estimator and the eigenbasis of its
@@ -86,7 +87,7 @@ class CEMatrixParts:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Empirical normalized distortion with its standard error."""
+    """Simulated normalized distortion with its exact standard error."""
 
     mean: float
     stderr: float
@@ -212,12 +213,13 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
 
     Returns compress-and-estimate estimates at ``ce_rates``, optimal-scheme
     estimates at ``idrf_rates`` and, if ``mmse``, the estimation floor.
-    Each chunk's ``(M, m)`` standard normal draw ``g`` is squared once, and
-    an estimate's samples are the weighted chi-squares ``(mu / M) @ g^2``,
-    with ``mu`` the eigenvalues of its map's ``B B^T``.  The weights are
-    taken before sampling and do not depend on what else is requested, so
-    each estimate is the one :func:`mc_ce`, :func:`mc_idrf` or
-    :func:`mc_mmse` returns for the same arguments, bit for bit.
+    Each chunk's ``(M, m)`` standard normal draw ``g`` is squared once and
+    summed over its columns into ``S``.  With ``w = mu / M``, ``mu`` the
+    eigenvalues of an estimate's ``B B^T``, its mean is ``w @ S / n`` and its
+    standard error ``sqrt(2 w @ w / n)``.  Neither ``w`` nor ``S`` depends
+    on what else is requested, so each estimate is the one :func:`mc_ce`,
+    :func:`mc_idrf` or :func:`mc_mmse` returns for the same arguments, bit
+    for bit.
     """
     for R in (*ce_rates, *idrf_rates):
         waterfill._check_rate(R)
@@ -226,8 +228,7 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
     M = model.M
     weights = [_weights(b) / M for b in _maps(model, ce_rates, idrf_rates, mmse)]
 
-    s1 = np.zeros(len(weights))
-    s2 = np.zeros(len(weights))
+    chi2 = np.zeros(M)
     for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
         m = min(_CHUNK, n_samples - done)
         rng = np.random.Generator(
@@ -235,20 +236,12 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
         )
         g = rng.standard_normal((M, m))
         g *= g
-        for j, w in enumerate(weights):
-            d = w @ g
-            s1[j] += d.sum()
-            d *= d
-            s2[j] += d.sum()
+        chi2 += g.sum(axis=1)
 
-    mean = s1 / n_samples
-    if n_samples > 1:
-        stderr = np.sqrt(np.maximum(0.0, (s2 - n_samples * mean * mean) / (n_samples - 1))
-                         / n_samples)
-    else:
-        stderr = np.zeros_like(mean)
-    est = [McEstimate(mean=float(a), stderr=float(b), n_samples=n_samples, seed=seed)
-           for a, b in zip(mean, stderr)]
+    est = [McEstimate(mean=float(w @ chi2) / n_samples,
+                      stderr=math.sqrt(2.0 * float(w @ w) / n_samples),
+                      n_samples=n_samples, seed=seed)
+           for w in weights]
     n_ce, n_idrf = len(ce_rates), len(idrf_rates)
     return McEstimates(
         ce=tuple(est[:n_ce]),

@@ -200,21 +200,35 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 _IDENTITY_2 = [[1.0, 0.0], [0.0, 1.0]]
+_HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
 
 
 @pytest.mark.parametrize("doc, message", [
     ([[1.0]], "ParseError: {path}: top-level document must be a JSON object\n"),
     ({"A": [[1.0]], "sigma2": "1"}, "ParseError: field 'sigma2': expected a number, got str\n"),
     ({"A": _IDENTITY_2, "sigma2": 1.0, "sigma_x": [["a", 0.0], [0.0, 1.0]]},
-     "InvalidModel: field 'sigma_x': not a rectangular real matrix: "),
+     "ParseError: field 'sigma_x': expected numbers, got str\n"),
     ({"A": _IDENTITY_2, "sigma2": 1.0, "sigma_x": [[1.0]]},
      "InvalidModel: field 'sigma_x': expected 2x2, got 1x1\n"),
+    ({"A": [[_HUGE, 1]], "sigma2": 1}, "InvalidModel: field 'A': matrix entries must be finite"),
+    ({"A": [[1]], "sigma2": _HUGE}, "InvalidModel: sigma2 must be a positive finite real, got inf\n"),
+    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1, 0], [0, -_HUGE]]},
+     "InvalidModel: field 'sigma_x': matrix entries must be finite"),
+    ({"A": [["1.5", True]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got bool\n"),
+    ({"A": [[1.5, "2"]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got str\n"),
+    ({"A": [[1.5, None]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got NoneType\n"),
+    ({"A": [[1.5]], "sigma2": True}, "ParseError: field 'sigma2': expected a number, got bool\n"),
 ])
 def test_analyze_names_each_malformed_field(tmp_path, capsys, doc, message):
+    # every command that reads a model exits 2 with the field named; for
+    # verify, 1 would mean a failed check
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    assert main(["analyze", str(path), "--rate", "1"]) == 2
-    assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+    out = tmp_path / "out.csv"
+    for argv in (["analyze", str(path), "--rate", "1"], ["verify", str(path)],
+                 ["sweep", str(path), "--min", "0", "--max", "1", "--steps", "2", "--out", str(out)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=path)), argv
 
 
 def test_gram_overflow_names_the_cause(tmp_path):

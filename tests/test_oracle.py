@@ -348,69 +348,70 @@ def format_frozen_table(runs) -> str:
 
 # (mean, stderr) as float.hex of verify's run at 100 000 samples (two
 # chunks): CE then the optimal scheme at VERIFY_RATES, then the floor.
-# Each estimate's samples are the weighted chi-squares (mu / M) @ g^2, with
-# mu = _weights(B) and g each SFC64 chunk stream's (M, m) normal draw; like
-# every Monte Carlo bit they hold for one platform, BLAS build and OpenBLAS
-# core (the kernel it picks at run time), the ones named below.  On
-# another core the test compares to within rounding instead.
+# Each estimate's mean is w @ S / n, with w = _weights(B) / M and S the row
+# sums of g^2 over each SFC64 chunk stream's (M, m) normal draw g, and its
+# stderr the exact sqrt(2 w @ w / n).  Like every Monte Carlo bit they hold
+# for one platform, BLAS build and OpenBLAS core (the kernel it picks at run
+# time), the ones named below.  On another core the test compares to within
+# rounding instead.
 # `PYTHONPATH=src python tests/test_oracle.py` prints that line, the core
 # and the table as they stand here, to regenerate all three.
 # Frozen with numpy 2.4.6 and scipy-openblas 0.3.31.188.0 (SkylakeX core) on x86_64.
 FROZEN_CORE = "SkylakeX"
 FROZEN_ESTIMATES = (
     (  # example model, seed 20240117
-        ("0x1.8531e5b0c1b64p-1", "0x1.499058dc29167p-9"),
-        ("0x1.4847978b54b25p-1", "0x1.2ff57644e87a1p-9"),
-        ("0x1.cc7477e27b926p-2", "0x1.e377a3ef0b24fp-10"),
-        ("0x1.8531e5b0c1b62p-1", "0x1.499058dc29167p-9"),
-        ("0x1.4644e0b9e45dap-1", "0x1.25540eefe6250p-9"),
-        ("0x1.b49727f9cb2a7p-2", "0x1.b49998d53293fp-10"),
-        ("0x1.6c9b9f7bcbfa2p-2", "0x1.870de1a7d5fcdp-10"),
+        ("0x1.8531e5b0c1b64p-1", "0x1.4adc114c9a3f6p-9"),
+        ("0x1.4847978b54b25p-1", "0x1.30d05e4ed375fp-9"),
+        ("0x1.cc7477e27b926p-2", "0x1.e468edd0d99fdp-10"),
+        ("0x1.8531e5b0c1b63p-1", "0x1.4adc114c9a3f5p-9"),
+        ("0x1.4644e0b9e45dbp-1", "0x1.263da610167b3p-9"),
+        ("0x1.b49727f9cb2a7p-2", "0x1.b5922b327dfc9p-10"),
+        ("0x1.6c9b9f7bcbfa2p-2", "0x1.87c6de02a08e7p-10"),
     ),
     (  # M > L
-        ("0x1.c539cf2206e79p-1", "0x1.09fab75060a65p-9"),
-        ("0x1.a1de60379c0c7p-1", "0x1.f9f2c601a17abp-10"),
-        ("0x1.498b26225beadp-1", "0x1.b3837a636849fp-10"),
-        ("0x1.c12f5eb4fbec7p-1", "0x1.0456a6829486bp-9"),
-        ("0x1.9585036c9f5a0p-1", "0x1.e194939dde2b3p-10"),
-        ("0x1.4674ceef9cbe1p-1", "0x1.afb8147ea055dp-10"),
-        ("0x1.2c1a12c5f134dp-1", "0x1.a677626105188p-10"),
+        ("0x1.c539cf2206e7bp-1", "0x1.09dfd7da75a7ep-9"),
+        ("0x1.a1de60379c0c7p-1", "0x1.f9b1115a59a35p-10"),
+        ("0x1.498b26225beacp-1", "0x1.b33ff6a69555ap-10"),
+        ("0x1.c12f5eb4fbec7p-1", "0x1.04378d60275e8p-9"),
+        ("0x1.9585036c9f5a0p-1", "0x1.e155935f64313p-10"),
+        ("0x1.4674ceef9cbe2p-1", "0x1.af7d063449024p-10"),
+        ("0x1.2c1a12c5f134dp-1", "0x1.a63fa1e0570e4p-10"),
     ),
     (  # L > M
-        ("0x1.ad553b4cd4686p-1", "0x1.284e58e069f0ep-9"),
-        ("0x1.6adddbe316654p-1", "0x1.03f32698670a5p-9"),
-        ("0x1.400df45bb0a69p-2", "0x1.defb847abe462p-11"),
-        ("0x1.9acf8281fcd0cp-1", "0x1.10918fb1cd3a3p-9"),
-        ("0x1.48b46635c5ac1p-1", "0x1.b43b0a8aed82ap-10"),
-        ("0x1.145aa182257ecp-2", "0x1.6f30a05c09b93p-11"),
-        ("0x1.9a238b0caf4cap-6", "0x1.3426972ff471bp-14"),
+        ("0x1.ad553b4cd4687p-1", "0x1.2565d85bf3717p-9"),
+        ("0x1.6adddbe316654p-1", "0x1.01296f7c12d13p-9"),
+        ("0x1.400df45bb0a69p-2", "0x1.d99089072b2a5p-11"),
+        ("0x1.9acf8281fcd0cp-1", "0x1.0e5c3b1953b61p-9"),
+        ("0x1.48b46635c5ac1p-1", "0x1.b0ae1612a1fc4p-10"),
+        ("0x1.145aa182257ecp-2", "0x1.6c1b825d267e7p-11"),
+        ("0x1.9a238b0caf4cap-6", "0x1.30a7c7916faedp-14"),
     ),
     (  # rank-deficient
-        ("0x1.ab90cf742038ep-1", "0x1.24a8773c22bd6p-9"),
-        ("0x1.82419aaa0e767p-1", "0x1.18107a005e03dp-9"),
-        ("0x1.13549121e58cfp-1", "0x1.bc91789c21d32p-10"),
-        ("0x1.a7725048db080p-1", "0x1.1c74f32606e69p-9"),
-        ("0x1.6c3e3ec887343p-1", "0x1.f8495c0676a41p-10"),
-        ("0x1.010bc1829bc46p-1", "0x1.a2985325a8357p-10"),
-        ("0x1.baa084d69a935p-2", "0x1.92b581182680cp-10"),
+        ("0x1.ab90cf742038ep-1", "0x1.260d7a189fdabp-9"),
+        ("0x1.82419aaa0e769p-1", "0x1.1963443e5bb7ap-9"),
+        ("0x1.13549121e58cfp-1", "0x1.bf1a3c7f3ac3dp-10"),
+        ("0x1.a7725048db080p-1", "0x1.1de28cd8ffb4cp-9"),
+        ("0x1.6c3e3ec887343p-1", "0x1.faf5edb965bafp-10"),
+        ("0x1.010bc1829bc46p-1", "0x1.a53066da21847p-10"),
+        ("0x1.baa084d69a936p-2", "0x1.955b6a2ea105ap-10"),
     ),
     (  # pure-noise component
-        ("0x1.ae3e945f0e783p-1", "0x1.25c4b91144a99p-9"),
-        ("0x1.857e41f412e16p-1", "0x1.18f79fa01c78dp-9"),
-        ("0x1.47d7c030ec567p-1", "0x1.fe2c79bb67042p-10"),
-        ("0x1.ae3e945f0e782p-1", "0x1.25c4b91144a99p-9"),
-        ("0x1.841f91cf31d67p-1", "0x1.13ec8554bf450p-9"),
-        ("0x1.3bca02397ee91p-1", "0x1.e5dc19b9189a0p-10"),
-        ("0x1.23ad7d079899fp-1", "0x1.d454958cc41c1p-10"),
+        ("0x1.ae3e945f0e783p-1", "0x1.26ab5502c9f28p-9"),
+        ("0x1.857e41f412e16p-1", "0x1.19e82aff92e62p-9"),
+        ("0x1.47d7c030ec565p-1", "0x1.ffed72a0b0252p-10"),
+        ("0x1.ae3e945f0e782p-1", "0x1.26ab5502c9f28p-9"),
+        ("0x1.841f91cf31d66p-1", "0x1.14de771b17f20p-9"),
+        ("0x1.3bca02397ee92p-1", "0x1.e7a792ef9c99fp-10"),
+        ("0x1.23ad7d079899fp-1", "0x1.d607707e6df71p-10"),
     ),
     (  # |A|^2 / s2 near 1e10
-        ("0x1.7dae0c58c6010p-1", "0x1.41d347409bcd6p-9"),
-        ("0x1.0de3700d2f83cp-1", "0x1.c72134d640541p-10"),
-        ("0x1.0de370128e163p-3", "0x1.c72134df4e5b2p-12"),
-        ("0x1.6ad9dd0132fc0p-1", "0x1.241a5369d296dp-9"),
-        ("0x1.00930d604b9cdp-1", "0x1.9d1885c7adfc0p-10"),
-        ("0x1.00930d65aa2f6p-3", "0x1.9d1885d050ad2p-12"),
-        ("0x1.ca30d8c0fca60p-33", "0x1.82567fc447aecp-41"),
+        ("0x1.7dae0c58c600ep-1", "0x1.43968097efe9fp-9"),
+        ("0x1.0de3700d2f83bp-1", "0x1.c99f555edf51dp-10"),
+        ("0x1.0de370128e163p-3", "0x1.c99f5567fa0aep-12"),
+        ("0x1.6ad9dd0132fbep-1", "0x1.2515fdabf0f09p-9"),
+        ("0x1.00930d604b9cdp-1", "0x1.9e7c6e44aba4dp-10"),
+        ("0x1.00930d65aa2f6p-3", "0x1.9e7c6e4d5b3b9p-12"),
+        ("0x1.ca30d8c0fca60p-33", "0x1.84742cb9c5099p-41"),
     ),
 )
 
@@ -455,7 +456,9 @@ def test_chunks_are_sfc64_substreams():
         d = np.array(mu) @ np.concatenate(g, axis=1) ** 2 / len(a)
         est = mc_mmse(model, n, seed)
         assert est.mean == pytest.approx(d.mean(), rel=1e-12), a
-        assert est.stderr == pytest.approx(d.std(ddof=1) / np.sqrt(n), rel=1e-9), a
+        # exact: one sample's variance is 2 sum mu^2 / M^2
+        assert est.stderr == pytest.approx(np.sqrt(2.0 * np.sum(np.square(mu)) / n) / len(a),
+                                           rel=1e-12), a
 
 
 def test_single_estimate_calls_match_the_joint_run():
@@ -477,7 +480,7 @@ def test_weights_reproduce_each_maps_law():
     # the models of test_single_estimate_calls_match_the_joint_run: each map's
     # weights must be the M eigenvalues of B B^T, descending, and each
     # estimate's samples mu @ g^2 / M have mean |B|_F^2 / M and variance
-    # 2 |B B^T|_F^2 / M^2
+    # 2 |B B^T|_F^2 / M^2, which gives the standard error at any n, 1 included
     rng = np.random.default_rng(4242)
     models = [random_model(rng) for _ in range(196)] + [m for _, m in _special_models()]
     assert any(m.M > m.L for m in models) and any(m.L > m.M for m in models)
@@ -488,7 +491,8 @@ def test_weights_reproduce_each_maps_law():
     for i, model in enumerate(models):
         maps = _maps(model, FUSED_RATES, FUSED_RATES, mmse=True)
         run = mc_estimates(model, n, i, ce_rates=FUSED_RATES, idrf_rates=FUSED_RATES, mmse=True)
-        for j, (b, est) in enumerate(zip(maps, _flat(run), strict=True)):
+        one = mc_estimates(model, 1, i, ce_rates=FUSED_RATES, idrf_rates=FUSED_RATES, mmse=True)
+        for j, (b, est, est1) in enumerate(zip(maps, _flat(run), _flat(one), strict=True)):
             mu = _weights(b)
             cov = b @ b.T
             assert mu.shape == (model.M,) and np.all(mu >= 0.0), (i, j)
@@ -496,6 +500,8 @@ def test_weights_reproduce_each_maps_law():
             assert np.max(err) <= 1e-13 * max(1.0, np.sum(b * b)), (i, j)
             sd = np.sqrt(2.0 * np.sum(cov * cov) / n) / model.M
             assert abs(est.mean - np.sum(b * b) / model.M) <= 5.0 * sd, (i, j)
+            assert est.stderr == pytest.approx(sd, rel=1e-12, abs=0.0), (i, j)
+            assert est1.stderr == pytest.approx(sd * np.sqrt(n), rel=1e-12, abs=0.0), (i, j)
 
 
 _TWO_PROCESS_RUN = """

@@ -86,10 +86,15 @@ def _json_indent2(doc, pad: str = "\n") -> str:
 def _matrix(doc: dict, field: str) -> Matrix:
     """``doc[field]`` as a :class:`Matrix`: rows of JSON numbers."""
     rows = doc[field]
-    if isinstance(rows, list) and all(isinstance(row, list) for row in rows):
-        kinds = set(map(type, itertools.chain.from_iterable(rows))) - {float, list}
-        if kinds:
-            raise ParseError(f"field '{field}': expected numbers, got {min(k.__name__ for k in kinds)}")
+    if not isinstance(rows, list):
+        raise ParseError(f"field '{field}': expected an array of arrays, got {type(rows).__name__}")
+    for row in rows:
+        if not isinstance(row, list):
+            raise ParseError(f"field '{field}': expected an array of arrays, "
+                             f"got an array holding {type(row).__name__}")
+    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {float, list}
+    if kinds:
+        raise ParseError(f"field '{field}': expected numbers, got {min(k.__name__ for k in kinds)}")
     try:
         return Matrix(rows)
     except (ValueError, TypeError) as exc:

@@ -40,13 +40,9 @@ from .spectral import (
 #: Leading weights ``lam/(lam+s2)^2`` within this relative distance of the
 #: first one count as tied in :func:`equality_region`.  Eigenvalues that are
 #: equal in exact arithmetic come back from the SVD a few ulps apart;
-#: this absorbs that with about five orders of magnitude to spare.
+#: this absorbs that with about five orders of magnitude to spare.  The
+#: two-component forms accept a pair whose weights tie by this test.
 TIE_RTOL = 1e-10
-
-#: The two-component forms accept ``lambda1/(lambda1+s2)^2`` up to this much
-#: (relative) above ``lambda2/(lambda2+s2)^2``, so the condition's boundary
-#: case, equal weights, is not rejected for the rounding of the two quotients.
-CONDITION_2D_RTOL = 1e-12
 
 
 class ConditionViolated(ValueError):
@@ -146,7 +142,7 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
         return upper, np.zeros_like(R)
     f1 = math.sqrt(g[0]) / (g[0] + s2)
     f2 = math.sqrt(g[1]) / (g[1] + s2)
-    valid = (R > model.observation.thresholds[1]) & (k_idrf >= k_ce)
+    valid = (k_ce >= 2) & (k_idrf >= k_ce)
     return upper, np.where(valid, (g[L - 1] + s2) / model.M * (f1 - f2) ** 2 * decay, 0.0)
 
 
@@ -248,7 +244,7 @@ def _check_condition_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[
     gram = Spectrum((float(lambda1), float(lambda2)))
     obs, cond = observation_spectrum(gram, sigma2), conditional_spectrum(gram, sigma2)
     a1, a2 = _ce_weights(obs, cond).tolist()
-    if a1 > a2 * (1.0 + CONDITION_2D_RTOL):
+    if a1 - a2 > TIE_RTOL * a1:  # not tied, as equality_region tests it
         raise ConditionViolated(
             "two-component form requires lambda1/(lambda1+s2)^2 <= lambda2/(lambda2+s2)^2; "
             f"got {a1:.6g} > {a2:.6g}"
@@ -266,17 +262,17 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     switches ``k``, so the two agree on the diagonal model wherever it keeps
     ``lambda2`` (``lambda2 > RANK_RTOL lambda1``).
     """
-    waterfill._check_rate(R)
+    R = waterfill._check_rate(R)
     obs, cond = _check_condition_2d(lambda1, lambda2, sigma2)
-    # rank 1: the estimate spectrum's second component never activates
-    if cond.rank < 2 or R <= cond.thresholds[1] + waterfill.BOUNDARY_SLACK:
+    rate = np.array([R])
+    d_idrf, k_idrf, _ = _idrf_grid(cond, 2, rate)
+    d_ce, k_ce, _ = _ce_grid(obs, cond, 2, rate)
+    if k_idrf[0] < 2:  # at rank 1 the estimate spectrum's second component never activates
         return 0.0
-    if R <= obs.thresholds[1] + waterfill.BOUNDARY_SLACK:
+    if k_ce[0] < 2:
         c1, c2 = cond.values
         return 0.5 * (math.sqrt(c1) * 2.0 ** (-R) - math.sqrt(c2)) ** 2
-    rate = np.array([R], dtype=np.float64)
-    diff = float(_ce_grid(obs, cond, 2, rate)[0][0] - _idrf_grid(cond, 2, rate)[0][0])
-    return max(0.0, diff)
+    return max(0.0, float(d_ce[0] - d_idrf[0]))
 
 
 def max_gap_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[float, float]:

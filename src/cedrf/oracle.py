@@ -9,11 +9,10 @@ Two routes that never touch the spectral formulas directly:
   compress-and-estimate scheme, the optimal scheme, and the raw
   estimation floor.
 
-Monte Carlo runs are deterministic: samples are drawn in fixed-size
-chunks, each chunk from its own SFC64 substream seeded through
-``SeedSequence(entropy=seed, spawn_key=(chunk_index,))``, and accumulated
-in chunk order, so a given ``(model, R, n_samples, seed)`` always produces
-the same estimate bit-for-bit.
+Monte Carlo runs are deterministic: one SFC64 stream, seeded through
+``SeedSequence(seed)``, draws every run's sums, so a given
+``(model, R, n_samples, seed)`` always produces the same estimate
+bit-for-bit.
 
 Every scheme's error is linear in the source ``x`` (M entries), the
 observation noise before scaling by ``sigma`` (L entries) and one
@@ -26,14 +25,15 @@ squared norm has the law of the weighted chi-square ``sum_i mu_i g_i^2``,
 with ``mu`` the eigenvalues of ``B B^T`` and ``g`` standard normal.  The
 simulation samples that law: :func:`_weights` takes ``mu`` once per map,
 before sampling, as the squared singular values of ``B``, which needs no
-eigensolver and no ``B B^T``.  A chunk of ``m`` samples is one ``(M, m)``
-standard normal draw ``g``, one sample per column, and a run keeps only the
-row sums ``S`` of ``g^2``.  With ``v = mu / M``, an estimate's mean is
-``v @ S / n``, and its standard error is exact, ``sqrt(2 v @ v / n)``: one
-sample's variance is ``2 v @ v``.  So the draw tests only ``mu`` and the
-generator.  :func:`mc_estimates` evaluates any set of estimates from one
-``S``; each one is bit-identical to a separate :func:`mc_ce`,
-:func:`mc_idrf` or :func:`mc_mmse` call.
+eigensolver and no ``B B^T``.  Over ``n`` samples the estimate needs only
+``S_i``, the sum of ``n`` independent ``g_i^2``, and each ``S_i`` is an
+independent chi-square with ``n`` degrees of freedom, so a run draws the
+``M`` sums ``S`` directly, whatever ``n`` is.  With ``v = mu / M``, an
+estimate's mean is ``v @ S / n``, and its standard error is exact,
+``sqrt(2 v @ v / n)``: one sample's variance is ``2 v @ v``.  So the draw
+tests only ``mu`` and the generator.  :func:`mc_estimates` evaluates any
+set of estimates from one ``S``; each one is bit-identical to a separate
+:func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse` call.
 
 The optimal scheme's and the floor's maps come from the model's cached SVD
 of ``A``, which gives the MMSE estimator and the eigenbasis of its
@@ -54,10 +54,6 @@ import numpy as np
 
 from . import waterfill
 from .spectral import ObservationModel
-
-#: Samples per RNG substream; part of the determinism contract.
-_CHUNK = 1 << 16
-
 
 class InvalidSampleCount(ValueError):
     """Monte Carlo needs at least one sample."""
@@ -209,12 +205,13 @@ def _weights(b: np.ndarray) -> np.ndarray:
 def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
                  ce_rates: Sequence[float] = (), idrf_rates: Sequence[float] = (),
                  mmse: bool = False) -> McEstimates:
-    """Simulate any mix of the three schemes on one draw per chunk.
+    """Simulate any mix of the three schemes on one draw of ``M`` chi-square sums.
 
     Returns compress-and-estimate estimates at ``ce_rates``, optimal-scheme
     estimates at ``idrf_rates`` and, if ``mmse``, the estimation floor.
-    Each chunk's ``(M, m)`` standard normal draw ``g`` is squared once and
-    summed over its columns into ``S``.  With ``w = mu / M``, ``mu`` the
+    ``S`` is one ``chisquare(n_samples, size=M)`` draw from
+    ``Generator(SFC64(seed))``: ``S_i`` has the law of the sum of
+    ``n_samples`` squared standard normals.  With ``w = mu / M``, ``mu`` the
     eigenvalues of an estimate's ``B B^T``, its mean is ``w @ S / n`` and its
     standard error ``sqrt(2 w @ w / n)``.  Neither ``w`` nor ``S`` depends
     on what else is requested, so each estimate is the one :func:`mc_ce`,
@@ -227,17 +224,7 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
         raise InvalidSampleCount(f"n_samples must be >= 1, got {n_samples}")
     M = model.M
     weights = [_weights(b) / M for b in _maps(model, ce_rates, idrf_rates, mmse)]
-
-    chi2 = np.zeros(M)
-    for chunk_index, done in enumerate(range(0, n_samples, _CHUNK)):
-        m = min(_CHUNK, n_samples - done)
-        rng = np.random.Generator(
-            np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-        )
-        g = rng.standard_normal((M, m))
-        g *= g
-        chi2 += g.sum(axis=1)
-
+    chi2 = np.random.Generator(np.random.SFC64(seed)).chisquare(n_samples, size=M)
     est = [McEstimate(mean=float(w @ chi2) / n_samples,
                       stderr=math.sqrt(2.0 * float(w @ w) / n_samples),
                       n_samples=n_samples, seed=seed)

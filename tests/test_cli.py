@@ -218,6 +218,18 @@ _HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
     ({"A": [[1.5, "2"]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got str\n"),
     ({"A": [[1.5, None]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got NoneType\n"),
     ({"A": [[1.5]], "sigma2": True}, "ParseError: field 'sigma2': expected a number, got bool\n"),
+    ({"A": "abc", "sigma2": 1}, "ParseError: field 'A': expected an array of arrays, got str\n"),
+    ({"A": 3.0, "sigma2": 1}, "ParseError: field 'A': expected an array of arrays, got float\n"),
+    ({"A": [1.0, 2.0], "sigma2": 1},
+     "ParseError: field 'A': expected an array of arrays, got an array holding float\n"),
+    ({"A": [[1.0], 2.0], "sigma2": 1},
+     "ParseError: field 'A': expected an array of arrays, got an array holding float\n"),
+    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": {"a": 1}},
+     "ParseError: field 'sigma_x': expected an array of arrays, got dict\n"),
+    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], "0 1"]},
+     "ParseError: field 'sigma_x': expected an array of arrays, got an array holding str\n"),
+    ({"A": [[1.0], [1.0, 2.0]], "sigma2": 1}, "InvalidModel: field 'A': not a rectangular real matrix"),
+    ({"A": [], "sigma2": 1}, "InvalidModel: field 'A': expected a 2-D array, got ndim=1\n"),
 ])
 def test_analyze_names_each_malformed_field(tmp_path, capsys, doc, message):
     # every command that reads a model exits 2 with the field named; for

@@ -157,6 +157,16 @@ def test_gap_lower_bound_values():
     assert gap_lower_bound(scalar, 5.0) == 0.0
 
 
+def test_gap_lower_bound_applies_the_boundary_slack():
+    # a rate within BOUNDARY_SLACK above the second observation threshold
+    # still has one CE component active, where the bound is not valid
+    m = example_model()
+    thr, slack = m.observation.thresholds[1], waterfill.BOUNDARY_SLACK
+    inside, past = sweep(m, [thr + 0.5 * slack, thr + 2.0 * slack])
+    assert inside.k_ce == 1 and inside.gap_lb == 0.0
+    assert past.k_ce == 2 and past.gap_lb > 0.0
+
+
 def test_gap_2d_reference_values():
     assert gap_2d(20.0, 0.5, 1.0, 1.0) == pytest.approx(GAP_AT_1, abs=1e-12)
     assert gap_2d(20.0, 0.5, 1.0, R2_COND) == 0.0
@@ -247,6 +257,19 @@ def test_two_component_forms_accept_one_ulp_ties(seed):
         model = model_from_eigs([lam1, lam2], s2)
         for r in (0.0, 0.5, 2.0, 9.0):
             assert gap_2d(lam1, lam2, s2, r) == pytest.approx(gap(model, r), abs=1e-10)
+
+
+def test_two_component_forms_accept_the_ties_of_equality_region():
+    # lam/(lam+s2)^2 is 2/9 at both 2 and 0.5; 1e-11 below 2 the first weight
+    # is 6.7e-12 (relative) above the second, within TIE_RTOL
+    lam1, lam2, s2 = 2.0 * (1.0 - 1e-11), 0.5, 1.0
+    model = model_from_eigs([lam1, lam2], s2)
+    region = equality_region(model)
+    assert region.r0 == 2 and region.unconditional
+    r_star, g_star = max_gap_2d(lam1, lam2, s2)
+    assert r_star == pytest.approx(0.5, abs=1e-9) and g_star < 1e-20
+    for r in (0.0, 0.3, 0.5, 1.0, 3.0, 9.0):
+        assert gap_2d(lam1, lam2, s2, r) == pytest.approx(gap(model, r), abs=1e-10), r
 
 
 @pytest.mark.parametrize("pair", [(4e12, 1e-3, 1.0), (1e13, 5e-4, 1.0)])

@@ -26,7 +26,6 @@ from cedrf import drf, linalg, waterfill
 from cedrf.cli import _check_monte_carlo, _random_verify_model
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
-    _CHUNK,
     _ce_decoder,
     _maps,
     _weights,
@@ -193,7 +192,7 @@ def test_pure_noise_component_activation():
 
 def test_mc_determinism():
     model = example_model()
-    a = mc_ce(model, 1.0, 70_000, seed=123)  # spans two RNG chunks
+    a = mc_ce(model, 1.0, 70_000, seed=123)
     b = mc_ce(model, 1.0, 70_000, seed=123)
     assert a == b
     c = mc_ce(model, 1.0, 70_000, seed=124)
@@ -346,72 +345,71 @@ def format_frozen_table(runs) -> str:
     return "\n".join(lines + [")"])
 
 
-# (mean, stderr) as float.hex of verify's run at 100 000 samples (two
-# chunks): CE then the optimal scheme at VERIFY_RATES, then the floor.
-# Each estimate's mean is w @ S / n, with w = _weights(B) / M and S the row
-# sums of g^2 over each SFC64 chunk stream's (M, m) normal draw g, and its
-# stderr the exact sqrt(2 w @ w / n).  Like every Monte Carlo bit they hold
-# for one platform, BLAS build and OpenBLAS core (the kernel it picks at run
-# time), the ones named below.  On another core the test compares to within
-# rounding instead.
+# (mean, stderr) as float.hex of verify's run at 100 000 samples: CE then
+# the optimal scheme at VERIFY_RATES, then the floor.  Each estimate's mean
+# is w @ S / n, with w = _weights(B) / M and S one chisquare(n, size=M) draw
+# of the SFC64 stream seeded by the row's seed, and its stderr the exact
+# sqrt(2 w @ w / n).  Like every Monte Carlo bit they hold for one platform,
+# BLAS build and OpenBLAS core (the kernel it picks at run time), the ones
+# named below.  On another core the test compares to within rounding instead.
 # `PYTHONPATH=src python tests/test_oracle.py` prints that line, the core
 # and the table as they stand here, to regenerate all three.
 # Frozen with numpy 2.4.6 and scipy-openblas 0.3.31.188.0 (SkylakeX core) on x86_64.
 FROZEN_CORE = "SkylakeX"
 FROZEN_ESTIMATES = (
     (  # example model, seed 20240117
-        ("0x1.8531e5b0c1b64p-1", "0x1.4adc114c9a3f6p-9"),
-        ("0x1.4847978b54b25p-1", "0x1.30d05e4ed375fp-9"),
-        ("0x1.cc7477e27b926p-2", "0x1.e468edd0d99fdp-10"),
-        ("0x1.8531e5b0c1b63p-1", "0x1.4adc114c9a3f5p-9"),
-        ("0x1.4644e0b9e45dbp-1", "0x1.263da610167b3p-9"),
-        ("0x1.b49727f9cb2a7p-2", "0x1.b5922b327dfc9p-10"),
-        ("0x1.6c9b9f7bcbfa2p-2", "0x1.87c6de02a08e7p-10"),
+        ("0x1.87315a9575abep-1", "0x1.4adc114c9a3f6p-9"),
+        ("0x1.4a996e837e6ffp-1", "0x1.30d05e4ed375fp-9"),
+        ("0x1.d0b115619a435p-2", "0x1.e468edd0d99fdp-10"),
+        ("0x1.87315a9575abbp-1", "0x1.4adc114c9a3f5p-9"),
+        ("0x1.4863deab9aac1p-1", "0x1.263da610167b3p-9"),
+        ("0x1.b842a2fc53a9bp-2", "0x1.b5922b327dfc9p-10"),
+        ("0x1.701644de086f7p-2", "0x1.87c6de02a08e7p-10"),
     ),
     (  # M > L
-        ("0x1.c539cf2206e7bp-1", "0x1.09dfd7da75a7ep-9"),
-        ("0x1.a1de60379c0c7p-1", "0x1.f9b1115a59a35p-10"),
-        ("0x1.498b26225beacp-1", "0x1.b33ff6a69555ap-10"),
-        ("0x1.c12f5eb4fbec7p-1", "0x1.04378d60275e8p-9"),
-        ("0x1.9585036c9f5a0p-1", "0x1.e155935f64313p-10"),
-        ("0x1.4674ceef9cbe2p-1", "0x1.af7d063449024p-10"),
-        ("0x1.2c1a12c5f134dp-1", "0x1.a63fa1e0570e4p-10"),
+        ("0x1.c5b56af402dd4p-1", "0x1.09dfd7da75a7ep-9"),
+        ("0x1.a23b6a08c9080p-1", "0x1.f9b1115a59a35p-10"),
+        ("0x1.49550e5eb7c24p-1", "0x1.b33ff6a69555ap-10"),
+        ("0x1.c1879f56775dfp-1", "0x1.04378d60275e8p-9"),
+        ("0x1.95a5359452dbap-1", "0x1.e155935f64313p-10"),
+        ("0x1.462f81419a371p-1", "0x1.af7d063449024p-10"),
+        ("0x1.2bb2efd0b2005p-1", "0x1.a63fa1e0570e4p-10"),
     ),
     (  # L > M
-        ("0x1.ad553b4cd4687p-1", "0x1.2565d85bf3717p-9"),
-        ("0x1.6adddbe316654p-1", "0x1.01296f7c12d13p-9"),
-        ("0x1.400df45bb0a69p-2", "0x1.d99089072b2a5p-11"),
-        ("0x1.9acf8281fcd0cp-1", "0x1.0e5c3b1953b61p-9"),
-        ("0x1.48b46635c5ac1p-1", "0x1.b0ae1612a1fc4p-10"),
-        ("0x1.145aa182257ecp-2", "0x1.6c1b825d267e7p-11"),
-        ("0x1.9a238b0caf4cap-6", "0x1.30a7c7916faedp-14"),
+        ("0x1.ab0df5c652f83p-1", "0x1.2565d85bf3717p-9"),
+        ("0x1.68bfc8066b724p-1", "0x1.01296f7c12d13p-9"),
+        ("0x1.3de87025cc448p-2", "0x1.d99089072b2a5p-11"),
+        ("0x1.986ce1672d1e4p-1", "0x1.0e5c3b1953b61p-9"),
+        ("0x1.46cb2c2c2b601p-1", "0x1.b0ae1612a1fc4p-10"),
+        ("0x1.12bb9c166c376p-2", "0x1.6c1b825d267e7p-11"),
+        ("0x1.975eafae2f2bdp-6", "0x1.30a7c7916faedp-14"),
     ),
     (  # rank-deficient
-        ("0x1.ab90cf742038ep-1", "0x1.260d7a189fdabp-9"),
-        ("0x1.82419aaa0e769p-1", "0x1.1963443e5bb7ap-9"),
-        ("0x1.13549121e58cfp-1", "0x1.bf1a3c7f3ac3dp-10"),
-        ("0x1.a7725048db080p-1", "0x1.1de28cd8ffb4cp-9"),
-        ("0x1.6c3e3ec887343p-1", "0x1.faf5edb965bafp-10"),
-        ("0x1.010bc1829bc46p-1", "0x1.a53066da21847p-10"),
-        ("0x1.baa084d69a936p-2", "0x1.955b6a2ea105ap-10"),
+        ("0x1.ae84ff38b7860p-1", "0x1.260d7a189fdabp-9"),
+        ("0x1.84d4dd71f8befp-1", "0x1.1963443e5bb7ap-9"),
+        ("0x1.15353839f92ebp-1", "0x1.bf1a3c7f3ac3dp-10"),
+        ("0x1.aa74efcd3fe07p-1", "0x1.1de28cd8ffb4cp-9"),
+        ("0x1.6ed59e4ce4336p-1", "0x1.faf5edb965bafp-10"),
+        ("0x1.02e0ef8a9543dp-1", "0x1.a53066da21847p-10"),
+        ("0x1.bdc96a93a0926p-2", "0x1.955b6a2ea105ap-10"),
     ),
     (  # pure-noise component
-        ("0x1.ae3e945f0e783p-1", "0x1.26ab5502c9f28p-9"),
-        ("0x1.857e41f412e16p-1", "0x1.19e82aff92e62p-9"),
-        ("0x1.47d7c030ec565p-1", "0x1.ffed72a0b0252p-10"),
-        ("0x1.ae3e945f0e782p-1", "0x1.26ab5502c9f28p-9"),
-        ("0x1.841f91cf31d66p-1", "0x1.14de771b17f20p-9"),
-        ("0x1.3bca02397ee92p-1", "0x1.e7a792ef9c99fp-10"),
-        ("0x1.23ad7d079899fp-1", "0x1.d607707e6df71p-10"),
+        ("0x1.adff8f9032235p-1", "0x1.26ab5502c9f28p-9"),
+        ("0x1.858931778bea7p-1", "0x1.19e82aff92e62p-9"),
+        ("0x1.483f0645d9755p-1", "0x1.ffed72a0b0252p-10"),
+        ("0x1.adff8f9032234p-1", "0x1.26ab5502c9f28p-9"),
+        ("0x1.84269a120531ap-1", "0x1.14de771b17f20p-9"),
+        ("0x1.3c3a280686d40p-1", "0x1.e7a792ef9c99fp-10"),
+        ("0x1.2440acad5cb4cp-1", "0x1.d607707e6df71p-10"),
     ),
     (  # |A|^2 / s2 near 1e10
-        ("0x1.7dae0c58c600ep-1", "0x1.43968097efe9fp-9"),
-        ("0x1.0de3700d2f83bp-1", "0x1.c99f555edf51dp-10"),
-        ("0x1.0de370128e163p-3", "0x1.c99f5567fa0aep-12"),
-        ("0x1.6ad9dd0132fbep-1", "0x1.2515fdabf0f09p-9"),
-        ("0x1.00930d604b9cdp-1", "0x1.9e7c6e44aba4dp-10"),
-        ("0x1.00930d65aa2f6p-3", "0x1.9e7c6e4d5b3b9p-12"),
-        ("0x1.ca30d8c0fca60p-33", "0x1.84742cb9c5099p-41"),
+        ("0x1.7d04482e036e2p-1", "0x1.43968097efe9fp-9"),
+        ("0x1.0d6b65129b5edp-1", "0x1.c99f555edf51dp-10"),
+        ("0x1.0d6b6517f78dfp-3", "0x1.c99f5567fa0aep-12"),
+        ("0x1.69ddcb9bed015p-1", "0x1.2515fdabf0f09p-9"),
+        ("0x1.ffc1a067e7427p-2", "0x1.9e7c6e44aba4dp-10"),
+        ("0x1.ffc1a0729fa0dp-4", "0x1.9e7c6e4d5b3b9p-12"),
+        ("0x1.c9650ca1c6799p-33", "0x1.84742cb9c5099p-41"),
     ),
 )
 
@@ -441,24 +439,54 @@ def test_frozen_estimates_track_the_closed_forms():
             assert _within_ci(est, target), (model, est, target)
 
 
-def test_chunks_are_sfc64_substreams():
+def test_sums_are_one_sfc64_chisquare_draw():
     # the floor map of A = diag(a) is B = [I - f, -sqrt(s2) e] with e = diag(a / (a^2 + s2))
     # and f = e A, so B B^T = diag(s2 / (a^2 + s2)).  Its weights are those, descending,
-    # and row i of each chunk's (M, m) draw g pairs with the i-th: diag(2, 1) lists them
-    # as [0.2, 0.5] but its error is (0.5 g_0^2 + 0.2 g_1^2) / 2
-    seed, n = 17, _CHUNK + 5_000
-    for a, mu in (([2.0], [0.2]), ([2.0, 1.0], [0.5, 0.2])):
-        model = ObservationModel(Matrix(np.diag(a)), 1.0)
-        g = []
-        for c, m in enumerate((_CHUNK, n - _CHUNK)):
-            bits = np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-            g.append(np.random.Generator(bits).standard_normal((len(a), m)))
-        d = np.array(mu) @ np.concatenate(g, axis=1) ** 2 / len(a)
-        est = mc_mmse(model, n, seed)
-        assert est.mean == pytest.approx(d.mean(), rel=1e-12), a
-        # exact: one sample's variance is 2 sum mu^2 / M^2
-        assert est.stderr == pytest.approx(np.sqrt(2.0 * np.sum(np.square(mu)) / n) / len(a),
-                                           rel=1e-12), a
+    # and the i-th pairs with the i-th chi-square sum: diag(2, 1) lists them as
+    # [0.2, 0.5] but its error is (0.5 S_0 + 0.2 S_1) / (2 n)
+    seed = 17
+    for n in (1, 70_000):
+        for a, mu in (([2.0], [0.2]), ([2.0, 1.0], [0.5, 0.2])):
+            model = ObservationModel(Matrix(np.diag(a)), 1.0)
+            s = np.random.Generator(np.random.SFC64(seed)).chisquare(n, size=len(a))
+            est = mc_mmse(model, n, seed)
+            assert est.mean == pytest.approx(np.array(mu) / len(a) @ s / n, rel=1e-12), (n, a)
+            # exact: one sample's variance is 2 sum mu^2 / M^2
+            sd = np.sqrt(2.0 * np.sum(np.square(mu)) / n) / len(a)
+            assert est.stderr == pytest.approx(sd, rel=1e-12), (n, a)
+
+
+def _calibration_models():
+    """One weight, two unequal ones, and M > L with zero and unit weights."""
+    rng = np.random.default_rng(2024)
+    return [pytest.param(model_from_eigs([2.0], 1.0), id="1x1"),
+            pytest.param(example_model(), id="example"),
+            pytest.param(ObservationModel(Matrix(rng.uniform(-2, 2, size=(2, 4))), 1.0), id="2x4")]
+
+
+@pytest.mark.parametrize("n", [1, 10, 100_000])
+@pytest.mark.parametrize("model", _calibration_models())
+def test_estimates_are_calibrated_over_seeds(model, n):
+    # z = (mean - closed form) / stderr over N seeds, for one estimate of each
+    # scheme.  Each z has mean 0 and variance 1 exactly, so the mean of N of
+    # them has sd 1 / sqrt(N): 4 sds are 0.089 at N = 2000.  With w = mu / M,
+    # z's excess kurtosis is kappa = 12 sum w^4 / (n (sum w^2)^2), so the
+    # sample variance of N of them has sd sqrt(kappa / N + 2 / (N - 1)), and
+    # their sample sd about half that: its 4-sd band around 1 is 0.063 wide
+    # on each side at kappa = 0 (n = 1e5) and 0.167 at kappa = 12 (one
+    # weight, n = 1).
+    n_seeds, r = 2000, 1.0
+    want = np.array([drf.ce_drf(model, r), drf.idrf(model, r), model.mmse_floor])
+    z = np.array([[(e.mean - t) / e.stderr for e, t in zip(_flat(run), want, strict=True)]
+                  for run in (mc_estimates(model, n, seed, ce_rates=(r,), idrf_rates=(r,), mmse=True)
+                              for seed in range(n_seeds))])
+    for j, b in enumerate(_maps(model, (r,), (r,), mmse=True)):
+        w = _weights(b) / model.M
+        kappa = 12.0 * np.sum(w ** 4) / (n * np.sum(w * w) ** 2)
+        where = (model.L, model.M, n, j)
+        assert abs(z[:, j].mean()) <= 4.0 / np.sqrt(n_seeds), where
+        band = 2.0 * np.sqrt(kappa / n_seeds + 2.0 / (n_seeds - 1))
+        assert abs(z[:, j].std(ddof=1) - 1.0) <= band, where
 
 
 def test_single_estimate_calls_match_the_joint_run():

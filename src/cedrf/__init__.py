@@ -28,6 +28,7 @@ from .oracle import (
     McEstimate,
     McEstimates,
     ce_matrix_form,
+    ce_matrix_forms,
     ce_matrix_parts,
     mc_ce,
     mc_estimates,
@@ -54,6 +55,7 @@ __all__ = [
     "am_gm_pair",
     "ce_drf",
     "ce_matrix_form",
+    "ce_matrix_forms",
     "ce_matrix_parts",
     "equality_region",
     "gap",

@@ -92,7 +92,7 @@ def _matrix(doc: dict, field: str) -> Matrix:
         if not isinstance(row, list):
             raise ParseError(f"field '{field}': expected an array of arrays, "
                              f"got an array holding {type(row).__name__}")
-    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {float, list}
+    kinds = set(map(type, itertools.chain.from_iterable(rows))) - {float}
     if kinds:
         raise ParseError(f"field '{field}': expected numbers, got {min(k.__name__ for k in kinds)}")
     try:
@@ -294,8 +294,9 @@ def _check_oracle_equivalence(model: ObservationModel) -> CheckResult:
     for t in model.observation.thresholds[:-1]:
         if t > 0.0:
             rates.extend([max(0.0, t - 0.05), t + 0.05])
-    points = drf.sweep(model, sorted(set(rates)))
-    worst = max(abs(oracle.ce_matrix_form(model, pt.R) - pt.d_ce) for pt in points)
+    grid = sorted(set(rates))
+    forms = oracle.ce_matrix_forms(model, grid)
+    worst = max(abs(f - pt.d_ce) for f, pt in zip(forms, drf.sweep(model, grid)))
     return CheckResult("oracle-equivalence", 1e-9, worst, worst < 1e-9)
 
 

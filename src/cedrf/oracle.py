@@ -38,10 +38,15 @@ set of estimates from one ``S``; each one is bit-identical to a separate
 The optimal scheme's and the floor's maps come from the model's cached SVD
 of ``A``, which gives the MMSE estimator and the eigenbasis of its
 estimate's covariance at once.  The compress-and-estimate maps and the
-matrix form share one decoder, :func:`_ce_decoder`, built from one SVD of
-the channel whitened by its noise, with no rank cut-off of its own: the
-channel uses the model's ``A``, whose singular values past ``gram.rank``
-are 0, as the other maps do.  Every matrix here is a plain array.
+matrix form share :func:`_ce_grid`, which builds the test channel for a
+whole rate grid, and one SVD of the channel whitened by its noise per
+rate, with no rank cut-off of its own: the channel uses the model's ``A``,
+whose singular values past ``gram.rank`` are 0, as the other maps do.  The
+rates that share a set of active rows share one stacked SVD
+(:func:`_whitened_svds`).  Every grid takes one water-filling call per
+spectrum, and the one-rate functions (:func:`ce_matrix_parts`,
+:func:`ce_matrix_form`) are that grid at one rate, so they equal it bit for
+bit.  Every matrix here is a plain array.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ class InvalidSampleCount(ValueError):
 class CEMatrixParts:
     """Read-only arrays of the compress-and-estimate test channel at one rate.
 
+    On a rate grid every array but ``basis`` gains a leading axis, one
+    entry per rate.
     ``basis``: orthogonal eigenbasis of the observation covariance,
     columns in descending-eigenvalue order with deterministic signs.
     ``gain``: 1-D per-component forward gains ``1 - 2^{-2 r_l}``;
@@ -91,50 +98,99 @@ class McEstimate:
     seed: int
 
 
-def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
-    """Build the test-channel matrices for compress-and-estimate at rate ``R``."""
+def _ce_grid(model: ObservationModel, rates: Sequence[float]) -> CEMatrixParts:
+    """The test-channel matrices of compress-and-estimate on a rate grid, stacked.
+
+    Active counts and water levels come from one :func:`waterfill._levels`
+    call over the grid, the per-component rates from
+    :func:`waterfill._allocations`, every power of two from ``pow``.
+    """
+    R = np.array([waterfill._check_rate(r) for r in rates], dtype=float)
+    obs = model.observation
+    k, theta = waterfill._levels(obs, R)
+    r, dist = waterfill._allocations(obs, R, k, theta)
+    gain = 1.0 - waterfill._exp2(-2.0 * r)
     u = model.basis
-    alloc = waterfill.rate_allocation(model.observation, R)
-    gain = np.array([1.0 - 2.0 ** (-2.0 * r) for r in alloc.rates])
-    dist = np.array(alloc.distortions)
-    channel = (gain[:, None] * u.T) @ model.A.data
-    channel[model.gram.rank:] = 0.0  # the model's A: its singular values past the rank are 0
+    channel = (gain[:, :, None] * u.T) @ model.A.data
+    channel[:, model.gram.rank:] = 0.0  # the model's A: its singular values past the rank are 0
     noise = model.sigma2 * gain * gain + gain * dist
     for a in (gain, dist, channel, noise):
         a.flags.writeable = False
     return CEMatrixParts(basis=u, gain=gain, distortion=dist, channel=channel, noise_cov=noise)
 
 
-def _ce_decoder(p: CEMatrixParts) -> tuple[np.ndarray, np.ndarray]:
-    """Linear MMSE decoder ``E`` of ``x`` from ``P x + n``, and the whitened channel's singular values.
+def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
+    """Build the test-channel matrices for compress-and-estimate at rate ``R``.
 
-    ``n`` has covariance ``D = diag(noise_cov)``.  Rows with ``D = 0`` are
-    the inactive ones, whose gain and channel row are 0: they carry nothing,
-    and ``E`` is 0 on them.  Over the others, with ``Q = D^{-1/2} P`` and its
-    SVD ``Q = U diag(s) V^T``, ``E = V diag(s / (1 + s^2)) U^T D^{-1/2}``, and
+    The grid of :func:`_ce_grid` at one rate.
+    """
+    p = _ce_grid(model, (R,))
+    return CEMatrixParts(basis=p.basis, gain=p.gain[0], distortion=p.distortion[0],
+                         channel=p.channel[0], noise_cov=p.noise_cov[0])
+
+
+def _whitened_svds(p: CEMatrixParts):
+    """The SVD of each rate's whitened channel, one stacked SVD per set of active rows.
+
+    ``p`` holds a rate grid.  The rows with ``noise_cov > 0`` are a rate's
+    active ones; the others have gain and channel row 0 and carry nothing.
+    Over the active rows, with ``D = diag(noise_cov)``, the whitened channel
+    is ``Q = D^{-1/2} P``.  Yields ``(at, rows, scale, (u, s, vt))`` per set:
+    the grid indices ``at`` that share the active rows ``rows``, their
+    ``D^{-1/2}`` diagonals and the SVDs ``Q = U diag(s) V^T``, each stacked
+    in the order of ``at``.
+    """
+    active = p.noise_cov > 0.0
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(active):
+        groups.setdefault(row.tobytes(), []).append(i)
+    for at in groups.values():
+        rows = active[at[0]]
+        scale = 1.0 / np.sqrt(p.noise_cov[at][:, rows])
+        q = scale[:, :, None] * p.channel[at][:, rows]
+        yield at, rows, scale, np.linalg.svd(q, full_matrices=False)
+
+
+def _ce_decoders(p: CEMatrixParts) -> np.ndarray:
+    """Linear MMSE decoder ``E`` of ``x`` from ``P x + n`` at each rate of a grid, stacked.
+
+    ``n`` has covariance ``D = diag(noise_cov)``.  ``E`` is 0 on the
+    inactive rows.  Over the others, with the SVD ``Q = U diag(s) V^T`` of
+    :func:`_whitened_svds`, ``E = V diag(s / (1 + s^2)) U^T D^{-1/2}``, and
     ``I - E P = (I + Q^T Q)^{-1}``, whose eigenvalues are ``1 / (1 + s^2)``
     and ``M - len(s)`` ones.
     """
-    rows = p.noise_cov > 0.0
-    scale = 1.0 / np.sqrt(p.noise_cov[rows])
-    u, s, vt = np.linalg.svd(scale[:, None] * p.channel[rows], full_matrices=False)
-    e = np.zeros(p.channel.T.shape)
-    e[:, rows] = ((vt.T * (s / (1.0 + s * s))) @ u.T) * scale
-    return e, s
+    n, L, M = p.channel.shape
+    e = np.zeros((n, M, L))
+    for at, rows, scale, (u, s, vt) in _whitened_svds(p):
+        d = (vt.transpose(0, 2, 1) * (s / (1.0 + s * s))[:, None, :]) @ u.transpose(0, 2, 1)
+        e[np.ix_(at, range(M), rows)] = d * scale[:, None, :]
+    return e
 
 
-def ce_matrix_form(model: ObservationModel, R: float) -> float:
-    """Compress-and-estimate distortion evaluated from the test channel's matrices.
+def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[float]:
+    """Compress-and-estimate distortions from the test channel's matrices on a rate grid.
 
     ``(1/M) tr(I - E P)`` with ``P`` the channel matrix and ``E`` the
-    linear MMSE decoder of :func:`_ce_decoder`: ``(1/M) (sum 1 / (1 + s^2)
+    linear MMSE decoder of :func:`_ce_decoders`: ``(1/M) (sum 1 / (1 + s^2)
     + M - len(s))`` over the singular values ``s`` of the whitened channel,
     a sum of non-negative terms.  Must agree with the spectral closed form
     for every model and rate; this is the primary cross-check of the
-    piecewise formulas.
+    piecewise formulas.  The rates may come in any order.
     """
-    s = _ce_decoder(ce_matrix_parts(model, R))[1]
-    return (float(np.sum(1.0 / (1.0 + s * s))) + (model.M - s.size)) / model.M
+    p = _ce_grid(model, rates)
+    d = np.empty(len(p.gain))
+    for at, _, _, (_, s, _) in _whitened_svds(p):
+        d[at] = (np.sum(1.0 / (1.0 + s * s), axis=-1) + (model.M - s.shape[-1])) / model.M
+    return d.tolist()
+
+
+def ce_matrix_form(model: ObservationModel, R: float) -> float:
+    """Compress-and-estimate distortion from the test channel's matrices at rate ``R``.
+
+    :func:`ce_matrix_forms` at one rate.
+    """
+    return ce_matrix_forms(model, (R,))[0]
 
 
 @dataclass(frozen=True)
@@ -154,25 +210,28 @@ def _error_map(fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
     return np.hstack([np.eye(len(fx)) - fx, -fz, -fq])
 
 
-def _ce_map(model: ObservationModel, R: float) -> np.ndarray:
-    """Compress-and-estimate, ``x_hat = E (P x + sigma diag(gain) U^T z + sqrt(gain dist) q)``."""
-    p = ce_matrix_parts(model, R)
-    e = _ce_decoder(p)[0]
-    fz = (math.sqrt(model.sigma2) * e * p.gain) @ p.basis.T
-    return _error_map(e @ p.channel, fz, e * np.sqrt(p.gain * p.distortion))
+def _ce_maps(model: ObservationModel, rates: Sequence[float]) -> list[np.ndarray]:
+    """Compress-and-estimate at each rate of a grid.
+
+    ``x_hat = E (P x + sigma diag(gain) U^T z + sqrt(gain dist) q)``.
+    """
+    p = _ce_grid(model, rates)
+    sigma = math.sqrt(model.sigma2)
+    return [_error_map(e @ channel, (sigma * e * gain) @ p.basis.T, e * np.sqrt(gain * dist))
+            for e, gain, dist, channel in zip(_ce_decoders(p), p.gain, p.distortion, p.channel)]
 
 
-def _idrf_map(model: ObservationModel, R: float, fx: np.ndarray, fz: np.ndarray,
+def _idrf_map(model: ObservationModel, k: int, theta: float, fx: np.ndarray, fz: np.ndarray,
               v: np.ndarray) -> np.ndarray:
     """The optimal scheme on the estimate ``fx x + fz z``, with ``v`` its covariance's eigenbasis.
 
-    Each active component ``c`` passes through the scalar forward test channel
+    ``k`` active components at water level ``theta``.  Each active component
+    ``c`` passes through the scalar forward test channel
     ``g (c + q sqrt(theta lam / (lam - theta)))``, ``g = 1 - theta / lam``;
     the others, and any sitting exactly at the water level, reconstruct as zero.
     """
-    lam = np.array(model.conditional.values)
-    k, theta = waterfill.water_level(model.conditional, R)
-    lam = lam[:k][lam[:k] > theta]  # a leading block, since lam is non-increasing
+    lam = model.conditional.arrays[1][:k]
+    lam = lam[lam > theta]  # a leading block, since lam is non-increasing
     g = (lam - theta) / lam
     v_a = v[:, :len(lam)]
     proj = (v_a * g) @ v_a.T
@@ -182,7 +241,7 @@ def _idrf_map(model: ObservationModel, R: float, fx: np.ndarray, fz: np.ndarray,
 def _maps(model: ObservationModel, ce_rates: Sequence[float] = (),
           idrf_rates: Sequence[float] = (), mmse: bool = False) -> list[np.ndarray]:
     """The error maps ``B`` whose laws :func:`mc_estimates` samples: CE, optimal, floor."""
-    maps = [_ce_map(model, R) for R in ce_rates]
+    maps = _ce_maps(model, ce_rates) if ce_rates else []
     if idrf_rates or mmse:
         # the MMSE estimate fx x + fz z, with E = V diag(s / (s^2 + s2)) U^T:
         # fx = E A, whose eigenbasis is V, and fz = sigma E
@@ -190,7 +249,8 @@ def _maps(model: ObservationModel, ce_rates: Sequence[float] = (),
         obs = s * s + model.sigma2
         fx = (v * (s * s / obs)) @ v.T
         fz = (v * (math.sqrt(model.sigma2) * s / obs)) @ u[:, :s.size].T
-    maps += [_idrf_map(model, R, fx, fz, v) for R in idrf_rates]
+    k, theta = waterfill._levels(model.conditional, np.array(idrf_rates, dtype=float))
+    maps += [_idrf_map(model, n, t, fx, fz, v) for n, t in zip(k.tolist(), theta.tolist())]
     if mmse:
         maps.append(_error_map(fx, fz, np.zeros((model.M, 0))))
     return maps

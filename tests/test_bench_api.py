@@ -1,5 +1,9 @@
-"""The benchmark's tracer wraps cedrf functions by name; keep those names alive."""
+"""The benchmark's tracer wraps cedrf functions by name, and its checks and worker call them.
 
+Keep those names alive.
+"""
+
+import ast
 import importlib
 import runpy
 from pathlib import Path
@@ -16,4 +20,29 @@ def test_traced_functions_exist():
         for attr in attrs
         if not hasattr(importlib.import_module(f"cedrf.{layer}"), attr)
     ]
+    assert missing == []
+
+
+def _layer_attributes(path: Path, layers: tuple[str, ...]) -> set[tuple[str, str]]:
+    """Every ``<layer>.<attr>`` the file reads through a name ``<layer>``, such as ``cli.main``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in layers:
+                found.add((base.id, node.attr))
+    return found
+
+
+def test_bench_checks_and_worker_use_existing_functions():
+    # the correctness gate and the worker reach cedrf through `cli` and
+    # `oracle` handles; a rename would otherwise surface only when the
+    # benchmark runs
+    bench = SPANS.parent
+    used = set()
+    for name in ("checks.py", "worker.py"):
+        used |= _layer_attributes(bench / name, ("cli", "oracle"))
+    assert ("oracle", "ce_matrix_form") in used and ("cli", "main") in used
+    missing = [f"{layer}.{attr}" for layer, attr in sorted(used)
+               if not hasattr(importlib.import_module(f"cedrf.{layer}"), attr)]
     assert missing == []

@@ -230,6 +230,10 @@ _HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
      "ParseError: field 'sigma_x': expected an array of arrays, got an array holding str\n"),
     ({"A": [[1.0], [1.0, 2.0]], "sigma2": 1}, "InvalidModel: field 'A': not a rectangular real matrix"),
     ({"A": [], "sigma2": 1}, "InvalidModel: field 'A': expected a 2-D array, got ndim=1\n"),
+    ({"A": [[[1.0]]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got list\n"),
+    ({"A": [[1.0, [2.0]]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got list\n"),
+    ({"A": [[]], "sigma2": 1},
+     "InvalidModel: field 'A': matrix dimensions must be positive, got (1, 0)\n"),
 ])
 def test_analyze_names_each_malformed_field(tmp_path, capsys, doc, message):
     # every command that reads a model exits 2 with the field named; for

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fingerprint
 import mp_reference
 from support import (
     CE_AT_1,
@@ -26,11 +27,13 @@ from cedrf import drf, linalg, waterfill
 from cedrf.cli import _check_monte_carlo, _random_verify_model
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
-    _ce_decoder,
+    _ce_decoders,
+    _ce_grid,
     _maps,
     _weights,
     InvalidSampleCount,
     ce_matrix_form,
+    ce_matrix_forms,
     ce_matrix_parts,
     mc_ce,
     mc_estimates,
@@ -153,6 +156,62 @@ def test_ce_oracles_match_the_closed_form_on_wide_column_models():
             assert abs(np.sum(b * b) / model.M - w) <= 1e-12, (i, r)
 
 
+def _grid_models():
+    """The fingerprint's seeded models, ``A = 0``, wide-column models and a rank-deficient one."""
+    models = [ObservationModel(Matrix(d["A"]), d["sigma2"])
+              for d in fingerprint.models(np.random.default_rng(15))]
+    models.append(ObservationModel(Matrix(np.zeros((3, 2))), 0.5))
+    models += list(_wide_column_models(40))
+    models.append(rank_deficient_model(np.random.default_rng(78)))
+    return models
+
+
+def _grid(model):
+    """Rate 0, each observation threshold +- the boundary slack, 40 and 1e4."""
+    rates = [0.0]
+    for t in model.observation.thresholds[:-1]:
+        rates += [max(0.0, t - waterfill.BOUNDARY_SLACK), t + waterfill.BOUNDARY_SLACK]
+    return rates + [40.0, 1e4]
+
+
+def test_matrix_forms_are_the_one_rate_forms_bit_for_bit():
+    models = _grid_models()
+    assert any(m.gram.rank == 0 for m in models)
+    assert any(m.gram.rank < min(m.L, m.M) for m in models if m.gram.rank)
+    for i, model in enumerate(models):
+        grid = _grid(model)
+        got = ce_matrix_forms(model, grid)
+        want = [ce_matrix_form(model, r) for r in grid]
+        assert [v.hex() for v in got] == [v.hex() for v in want], i
+        # any order, and a grid that repeats a rate
+        assert ce_matrix_forms(model, grid[::-1] + grid[:1]) == want[::-1] + want[:1], i
+    assert ce_matrix_forms(models[0], []) == []
+
+
+def test_estimates_on_rate_grids_are_the_one_rate_estimates_bit_for_bit():
+    for i, model in enumerate(_grid_models()):
+        grid = _grid(model)
+        ce_rates, idrf_rates = tuple(grid[:3]), tuple(grid[-3:])
+        run = mc_estimates(model, 500, i, ce_rates=ce_rates, idrf_rates=idrf_rates)
+        for r, est in zip(ce_rates, run.ce, strict=True):
+            assert est == mc_ce(model, r, 500, i), ("ce", i, r)
+        for r, est in zip(idrf_rates, run.idrf, strict=True):
+            assert est == mc_idrf(model, r, 500, i), ("idrf", i, r)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.inf, math.nan])
+def test_grids_reject_an_invalid_rate_as_the_one_rate_calls_do(bad):
+    model = example_model()
+    with pytest.raises(ValueError) as one:
+        ce_matrix_form(model, bad)
+    with pytest.raises(ValueError) as grid:
+        ce_matrix_forms(model, [0.5, bad, 1.0])
+    assert type(grid.value) is type(one.value) and str(grid.value) == str(one.value)
+    with pytest.raises(ValueError) as grid:
+        mc_estimates(model, 10, 1, ce_rates=(0.5,), idrf_rates=(1.0, bad))
+    assert type(grid.value) is type(one.value) and str(grid.value) == str(one.value)
+
+
 def test_matrix_form_at_high_snr_matches_60_digits():
     # (M - tr(E P)) / M cancels down to the floor, about 1e-12 here; the
     # singular-value sum has no cancellation
@@ -167,13 +226,14 @@ def test_decoder_is_the_pseudoinverse_form():
     # Woodbury: V diag(s / (1 + s^2)) U^T D^{-1/2} = P^T (P P^T + D)^+, with the
     # pseudoinverse's zero rows and columns where the gain is 0
     rng = np.random.default_rng(1)
+    rates = (0.0, 0.5, 3.0, 12.0)
     for i in range(300):
         model = _random_verify_model(rng)
-        for r in (0.0, 0.5, 3.0, 12.0):
+        for r, e in zip(rates, _ce_decoders(_ce_grid(model, rates)), strict=True):
             p = ce_matrix_parts(model, r)
             cov = p.channel @ p.channel.T + np.diag(p.noise_cov)
             want = p.channel.T @ linalg.pinv((cov + cov.T) / 2.0)
-            assert np.max(np.abs(_ce_decoder(p)[0] - want)) <= 1e-12, (i, r)
+            assert np.max(np.abs(e - want)) <= 1e-12, (i, r)
 
 
 def test_pure_noise_component_activation():
@@ -571,8 +631,8 @@ def test_fused_rejects_bad_input():
 
 def test_verify_monte_carlo_shares_the_observation_estimator(monkeypatch):
     # no pinv and no eigensolver: the basis and the optimal-scheme and floor
-    # maps share one full SVD of A, and each CE rate adds one SVD of its
-    # whitened channel (active rows by M)
+    # maps share one full SVD of A, and the CE rates add one stacked SVD of
+    # their whitened channels (rates by active rows by M) per set of active rows
     model = random_model(np.random.default_rng(12))
     calls = {"pinv": 0, "sym_eig": 0}
     for name in calls:
@@ -586,8 +646,9 @@ def test_verify_monte_carlo_shares_the_observation_estimator(monkeypatch):
     svds = _count_full_svds(monkeypatch)
     _check_monte_carlo(model, 1000, 5)
     assert calls == {"pinv": 0, "sym_eig": 0}
-    assert svds[0] == (model.L, model.M) and len(svds) == 4
-    assert all(0 < rows <= model.L and cols == model.M for rows, cols in svds[1:])
+    assert svds[0] == (model.L, model.M) and 2 <= len(svds) <= 4
+    assert sum(n for n, _, _ in svds[1:]) == 3
+    assert all(0 < rows <= model.L and cols == model.M for _, rows, cols in svds[1:])
 
 
 def _moment_models():

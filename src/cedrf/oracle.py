@@ -39,11 +39,13 @@ The optimal scheme's and the floor's maps come from the model's cached SVD
 of ``A``, which gives the MMSE estimator and the eigenbasis of its
 estimate's covariance at once.  The compress-and-estimate maps and the
 matrix form share :func:`_ce_grid`, which builds the test channel for a
-whole rate grid, and one SVD of the channel whitened by its noise per
-rate, with no rank cut-off of its own: the channel uses the model's ``A``,
-whose singular values past ``gram.rank`` are 0, as the other maps do.  The
-rates that share a set of active rows share one stacked SVD
-(:func:`_whitened_svds`).  Every grid takes one water-filling call per
+whole rate grid, and the SVD of the channel whitened by its noise, with no
+rank cut-off of its own: the channel uses the model's ``A``, whose singular
+values past ``gram.rank`` are 0, as the other maps do.  The whitening keeps
+every rate's full ``L x M`` shape (:func:`_whitened`): a rate's inactive
+rows carry no noise, get the weight 0 and become zero rows, which add only
+zero singular values.  So a grid takes one stacked SVD, and the matrix form
+only its singular values.  Every grid takes one water-filling call per
 spectrum, and the one-rate functions (:func:`ce_matrix_parts`,
 :func:`ce_matrix_form`) are that grid at one rate, so they equal it bit for
 bit.  Every matrix here is a plain array.
@@ -129,43 +131,30 @@ def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
                          channel=p.channel[0], noise_cov=p.noise_cov[0])
 
 
-def _whitened_svds(p: CEMatrixParts):
-    """The SVD of each rate's whitened channel, one stacked SVD per set of active rows.
+def _whitened(p: CEMatrixParts) -> tuple[np.ndarray, np.ndarray]:
+    """``D^{-1/2}`` and the whitened channel ``Q = D^{-1/2} P`` at each rate of a grid, stacked.
 
-    ``p`` holds a rate grid.  The rows with ``noise_cov > 0`` are a rate's
-    active ones; the others have gain and channel row 0 and carry nothing.
-    Over the active rows, with ``D = diag(noise_cov)``, the whitened channel
-    is ``Q = D^{-1/2} P``.  Yields ``(at, rows, scale, (u, s, vt))`` per set:
-    the grid indices ``at`` that share the active rows ``rows``, their
-    ``D^{-1/2}`` diagonals and the SVDs ``Q = U diag(s) V^T``, each stacked
-    in the order of ``at``.
+    ``D = diag(noise_cov)``.  A rate's inactive rows, ``noise_cov == 0``,
+    have gain and channel row 0 and carry nothing: their ``D^{-1/2}`` is 0,
+    so they are zero rows of ``Q`` and add only zero singular values.  Each
+    rate's ``Q`` is the same ``L x M`` matrix in any grid.
     """
-    active = p.noise_cov > 0.0
-    groups: dict[bytes, list[int]] = {}
-    for i, row in enumerate(active):
-        groups.setdefault(row.tobytes(), []).append(i)
-    for at in groups.values():
-        rows = active[at[0]]
-        scale = 1.0 / np.sqrt(p.noise_cov[at][:, rows])
-        q = scale[:, :, None] * p.channel[at][:, rows]
-        yield at, rows, scale, np.linalg.svd(q, full_matrices=False)
+    scale = 1.0 / np.sqrt(np.where(p.noise_cov > 0.0, p.noise_cov, np.inf))
+    return scale, scale[:, :, None] * p.channel
 
 
 def _ce_decoders(p: CEMatrixParts) -> np.ndarray:
     """Linear MMSE decoder ``E`` of ``x`` from ``P x + n`` at each rate of a grid, stacked.
 
-    ``n`` has covariance ``D = diag(noise_cov)``.  ``E`` is 0 on the
-    inactive rows.  Over the others, with the SVD ``Q = U diag(s) V^T`` of
-    :func:`_whitened_svds`, ``E = V diag(s / (1 + s^2)) U^T D^{-1/2}``, and
-    ``I - E P = (I + Q^T Q)^{-1}``, whose eigenvalues are ``1 / (1 + s^2)``
-    and ``M - len(s)`` ones.
+    ``n`` has covariance ``D = diag(noise_cov)``.  With the SVD
+    ``Q = U diag(s) V^T`` of the whitened channel of :func:`_whitened`,
+    ``E = V diag(s / (1 + s^2)) U^T D^{-1/2}``, whose columns for the
+    inactive rows are 0, and ``I - E P = (I + Q^T Q)^{-1}``, whose
+    eigenvalues are ``1 / (1 + s^2)`` and ``M - len(s)`` ones.
     """
-    n, L, M = p.channel.shape
-    e = np.zeros((n, M, L))
-    for at, rows, scale, (u, s, vt) in _whitened_svds(p):
-        d = (vt.transpose(0, 2, 1) * (s / (1.0 + s * s))[:, None, :]) @ u.transpose(0, 2, 1)
-        e[np.ix_(at, range(M), rows)] = d * scale[:, None, :]
-    return e
+    scale, q = _whitened(p)
+    u, s, vt = np.linalg.svd(q, full_matrices=False)
+    return ((vt.mT * (s / (1.0 + s * s))[:, None, :]) @ u.mT) * scale[:, None, :]
 
 
 def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[float]:
@@ -178,11 +167,8 @@ def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[flo
     for every model and rate; this is the primary cross-check of the
     piecewise formulas.  The rates may come in any order.
     """
-    p = _ce_grid(model, rates)
-    d = np.empty(len(p.gain))
-    for at, _, _, (_, s, _) in _whitened_svds(p):
-        d[at] = (np.sum(1.0 / (1.0 + s * s), axis=-1) + (model.M - s.shape[-1])) / model.M
-    return d.tolist()
+    s = np.linalg.svd(_whitened(_ce_grid(model, rates))[1], compute_uv=False)
+    return ((np.sum(1.0 / (1.0 + s * s), axis=-1) + (model.M - s.shape[-1])) / model.M).tolist()
 
 
 def ce_matrix_form(model: ObservationModel, R: float) -> float:

@@ -591,6 +591,23 @@ def test_verify_random_models_deterministic(capsys):
     assert first == second
 
 
+def test_verify_random_draws_each_models_sums_afresh(capsys):
+    # model i draws its Monte Carlo sums from seed + i.  With one seed for
+    # all, every chisquare(n, size=M) draw would start with the same sums,
+    # and random[0]'s fluctuation at seed 3867 (README, verify) failed 82
+    # checks over 50 models; alone it fails only random[0]'s three
+    code = main(["verify", "--random", "50", "--seed", "3867"])
+    out = capsys.readouterr().out
+    failed, label = [], None
+    for line in out.splitlines():
+        if line.startswith("== "):
+            label = line[3:line.index(":")]
+        elif line.startswith("  FAIL "):
+            failed.append((label, line.split()[1]))
+    assert code == 1 and out.endswith("\n3 check(s) FAILED\n")
+    assert failed == [("random[0]", f"monte-carlo-{name}") for name in ("ce", "idrf", "mmse")]
+
+
 def test_verify_negative_control(model_file, capsys, monkeypatch):
     # corrupt the closed form, both at one rate and on a grid (the
     # oracle-equivalence check reads d_ce from one sweep): verification

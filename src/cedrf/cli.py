@@ -2,8 +2,9 @@
 
 Subcommands: ``analyze`` (one-rate report), ``sweep`` (rate grid to
 CSV/JSON), ``verify`` (closed forms against the matrix/Monte-Carlo
-oracles), and ``example`` (the built-in two-component demonstration
-model with its figure data).
+oracles, from one closed-form grid and one compress-and-estimate test
+channel per model), and ``example`` (the built-in two-component
+demonstration model with its figure data).
 
 Model files are JSON documents with keys ``A`` (nested array of L rows of
 M reals), ``sigma2`` (positive real), and optionally ``sigma_x`` (an M x M
@@ -289,62 +290,62 @@ def _random_verify_model(rng: np.random.Generator) -> ObservationModel:
     return ObservationModel(Matrix(a), sigma2)
 
 
-def _check_oracle_equivalence(model: ObservationModel) -> CheckResult:
-    rates = [0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0]
-    for t in model.observation.thresholds[:-1]:
-        if t > 0.0:
-            rates.extend([max(0.0, t - 0.05), t + 0.05])
-    grid = sorted(set(rates))
-    forms = oracle.ce_matrix_forms(model, grid)
-    worst = max(abs(f - pt.d_ce) for f, pt in zip(forms, drf.sweep(model, grid)))
-    return CheckResult("oracle-equivalence", 1e-9, worst, worst < 1e-9)
+#: oracle-equivalence rates; each model adds the rates 0.05 either side of its thresholds
+_ORACLE_RATES = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+#: Monte Carlo rates, all in ``_ORACLE_RATES``: they add no rate to the CE test channel
+_MC_RATES = (0.5, 1.0, 3.0)
 
 
-def _check_equality_region(model: ObservationModel, rng: np.random.Generator) -> CheckResult:
-    region = drf.equality_region(model)
-    cap = min(region.R_limit, 12.0)
-    rates = [float(rng.uniform(0.0, cap)) for _ in range(20)] + [cap]
-    worst = max(abs(pt.d_ce - pt.d_idrf) for pt in drf.sweep(model, sorted(set(rates))))
-    return CheckResult("equality-region", 1e-10, worst, worst < 1e-10)
+def _worst_mc(name: str, estimates, closed) -> CheckResult:
+    """The estimate furthest past its tolerance ``max(4 stderr, 1e-3)``, the first on ties."""
+    pairs = [(abs(e.mean - v), max(4.0 * e.stderr, 1e-3)) for e, v in zip(estimates, closed)]
+    diff, tol = max(pairs, key=lambda d: d[0] - d[1])
+    return CheckResult(name, tol, diff, diff < tol)
 
 
-def _check_bounds_and_monotonicity(model: ObservationModel) -> list[CheckResult]:
-    points = drf.sweep(model, [float(r) for r in np.linspace(0.0, 12.0, 50)])
-    violation = 0.0
-    for pt in points:
-        violation = max(
-            violation,
-            pt.gap_lb - pt.gap,
-            pt.gap - pt.gap_ub,
-            -(pt.d_ce - pt.d_idrf),
-        )
-    increase = 0.0
-    for a, b in zip(points, points[1:]):
-        increase = max(increase, b.d_idrf - a.d_idrf, b.d_ce - a.d_ce)
-    return [
-        CheckResult("bound-sandwich", 1e-10, violation, violation <= 1e-10),
-        CheckResult("monotonicity", 1e-12, increase, increase <= 1e-12),
-    ]
+def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: int,
+                  seed: int) -> list[CheckResult]:
+    """Every check on one model, from one closed-form grid and one CE test channel.
 
+    Each check has its own rates; the closed forms are evaluated once, on
+    the union of them, and each check reads its rates' rows, which are the
+    bits a grid of its rates alone gives.  The matrix form and the Monte
+    Carlo CE maps share one test channel, on the oracle-equivalence rates
+    joined with the Monte Carlo rates.  The equality-region rates are
+    drawn from ``rng``, so the draws of later models depend on this one's.
+    """
+    neighbours = (r for t in model.observation.thresholds[:-1] if t > 0.0
+                  for r in (max(0.0, t - 0.05), t + 0.05))
+    ce_rates = sorted({*_ORACLE_RATES, *neighbours, *_MC_RATES})
+    parts = oracle._ce_grid(model, ce_rates)
+    cap = min(drf.equality_region(model).R_limit, 12.0)
+    region = sorted({*rng.uniform(0.0, cap, 20).tolist(), cap})
+    steps = np.linspace(0.0, 12.0, 50).tolist()
+    grid = np.array(sorted({*ce_rates, *region, *steps}))  # np.unique would import numpy.ma
+    _, d_idrf, d_ce, gap, gap_ub, gap_lb = (c.tolist() for c in drf._columns(model, grid)[:6])
 
-def _check_monte_carlo(model: ObservationModel, samples: int, seed: int) -> list[CheckResult]:
-    rates = (0.5, 1.0, 3.0)
-    run = oracle.mc_estimates(model, samples, seed, ce_rates=rates, idrf_rates=rates, mmse=True)
-    points = drf.sweep(model, rates)
-    results = []
-    for name, estimates, closed in (
-        ("monte-carlo-ce", run.ce, [pt.d_ce for pt in points]),
-        ("monte-carlo-idrf", run.idrf, [pt.d_idrf for pt in points]),
-        ("monte-carlo-mmse", (run.mmse,), (model.mmse_floor,)),
-    ):
-        worst = None
-        for est, value in zip(estimates, closed):
-            diff = abs(est.mean - value)
-            tol = max(4.0 * est.stderr, 1e-3)
-            if worst is None or diff - tol > worst[0] - worst[1]:
-                worst = (diff, tol)
-        results.append(CheckResult(name, worst[1], worst[0], worst[0] < worst[1]))
-    return results
+    def rows(rates):
+        return np.searchsorted(grid, rates).tolist()
+
+    worst = max(abs(f - d_ce[i]) for f, i in zip(oracle._ce_forms(model, parts), rows(ce_rates)))
+    checks = [CheckResult("oracle-equivalence", 1e-9, worst, worst < 1e-9)]
+    worst = max(abs(d_ce[i] - d_idrf[i]) for i in rows(region))
+    checks.append(CheckResult("equality-region", 1e-10, worst, worst < 1e-10))
+    violation = increase = 0.0
+    on_steps = rows(steps)
+    for i in on_steps:
+        violation = max(violation, gap_lb[i] - gap[i], gap[i] - gap_ub[i], -(d_ce[i] - d_idrf[i]))
+    for a, b in zip(on_steps, on_steps[1:]):
+        increase = max(increase, d_idrf[b] - d_idrf[a], d_ce[b] - d_ce[a])
+    checks.append(CheckResult("bound-sandwich", 1e-10, violation, violation <= 1e-10))
+    checks.append(CheckResult("monotonicity", 1e-12, increase, increase <= 1e-12))
+    mc = oracle._rows(parts, [ce_rates.index(r) for r in _MC_RATES])
+    run = oracle._estimates(model, samples, seed, mc, _MC_RATES, mmse=True)
+    at_mc = rows(_MC_RATES)
+    checks.append(_worst_mc("monte-carlo-ce", run.ce, [d_ce[i] for i in at_mc]))
+    checks.append(_worst_mc("monte-carlo-idrf", run.idrf, [d_idrf[i] for i in at_mc]))
+    checks.append(_worst_mc("monte-carlo-mmse", (run.mmse,), (model.mmse_floor,)))
+    return checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -356,11 +357,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for i, (model, label) in enumerate(models):
         print(f"== {label}: M={model.M} L={model.L} sigma2={model.sigma2}")
-        checks = [_check_oracle_equivalence(model), _check_equality_region(model, rng)]
-        checks.extend(_check_bounds_and_monotonicity(model))
         # each model its own draw: under one seed every chisquare(n, size=M) starts alike
-        checks.extend(_check_monte_carlo(model, args.samples, args.seed + i))
-        for c in checks:
+        for c in _verify_model(model, rng, args.samples, args.seed + i):
             status = "PASS" if c.passed else "FAIL"
             print(f"  {status} {c.name:<18} observed {c.observed:.3e}  tol {c.tolerance:.3e}")
             failures += 0 if c.passed else 1

@@ -146,15 +146,23 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
     return upper, np.where(valid, (g[L - 1] + s2) / model.M * (f1 - f2) ** 2 * decay, 0.0)
 
 
-def _points(model: ObservationModel, grid: np.ndarray) -> list[DistortionPoint]:
-    """Every :class:`DistortionPoint` field on a validated grid, one column at a time."""
+def _columns(model: ObservationModel, grid: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every :class:`DistortionPoint` field on a validated grid, as one array per field.
+
+    Each rate's entries depend on that rate alone, so a rate's row is the
+    same bits in any grid that holds it.
+    """
     d_i, k_i, theta_i = _idrf_grid(model.conditional, model.M, grid)
     d_c, k_c, theta_c = _ce_grid(model.observation, model.conditional, model.M, grid)
     upper, lower = _gap_bounds_grid(model, grid, k_i, k_c)
     diff = d_c - d_i
     gap = np.where(diff > 0.0, diff, 0.0)
-    columns = (grid, d_i, d_c, gap, upper, lower, k_i, k_c, theta_i, theta_c)
-    return list(map(DistortionPoint, *(c.tolist() for c in columns)))
+    return grid, d_i, d_c, gap, upper, lower, k_i, k_c, theta_i, theta_c
+
+
+def _points(model: ObservationModel, grid: np.ndarray) -> list[DistortionPoint]:
+    """The rows of :func:`_columns`, one :class:`DistortionPoint` per rate."""
+    return list(map(DistortionPoint, *(c.tolist() for c in _columns(model, grid))))
 
 
 def _point(model: ObservationModel, R: float) -> DistortionPoint:

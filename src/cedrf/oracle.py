@@ -45,10 +45,13 @@ values past ``gram.rank`` are 0, as the other maps do.  The whitening keeps
 every rate's full ``L x M`` shape (:func:`_whitened`): a rate's inactive
 rows carry no noise, get the weight 0 and become zero rows, which add only
 zero singular values.  So a grid takes one stacked SVD, and the matrix form
-only its singular values.  Every grid takes one water-filling call per
-spectrum, and the one-rate functions (:func:`ce_matrix_parts`,
-:func:`ce_matrix_form`) are that grid at one rate, so they equal it bit for
-bit.  Every matrix here is a plain array.
+only its singular values.  A rate's rows are the same bits in any grid
+that holds it, so one channel can serve both (``verify`` builds one per
+model, and :func:`_rows` takes the Monte Carlo rates' rows from it).
+Every grid takes one water-filling call per spectrum, and the one-rate
+functions (:func:`ce_matrix_parts`, :func:`ce_matrix_form`) are that grid
+at one rate, so they equal it bit for bit.  Every matrix here is a plain
+array.
 """
 
 from __future__ import annotations
@@ -126,9 +129,13 @@ def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
 
     The grid of :func:`_ce_grid` at one rate.
     """
-    p = _ce_grid(model, (R,))
-    return CEMatrixParts(basis=p.basis, gain=p.gain[0], distortion=p.distortion[0],
-                         channel=p.channel[0], noise_cov=p.noise_cov[0])
+    return _rows(_ce_grid(model, (R,)), 0)
+
+
+def _rows(p: CEMatrixParts, i) -> CEMatrixParts:
+    """The parts of a grid at the rates ``i`` indexes: one rate for an int, else a grid."""
+    return CEMatrixParts(basis=p.basis, gain=p.gain[i], distortion=p.distortion[i],
+                         channel=p.channel[i], noise_cov=p.noise_cov[i])
 
 
 def _whitened(p: CEMatrixParts) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +174,12 @@ def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[flo
     for every model and rate; this is the primary cross-check of the
     piecewise formulas.  The rates may come in any order.
     """
-    s = np.linalg.svd(_whitened(_ce_grid(model, rates))[1], compute_uv=False)
+    return _ce_forms(model, _ce_grid(model, rates))
+
+
+def _ce_forms(model: ObservationModel, p: CEMatrixParts) -> list[float]:
+    """:func:`ce_matrix_forms` on a grid's test channel ``p``, from one values-only SVD."""
+    s = np.linalg.svd(_whitened(p)[1], compute_uv=False)
     return ((np.sum(1.0 / (1.0 + s * s), axis=-1) + (model.M - s.shape[-1])) / model.M).tolist()
 
 
@@ -196,12 +208,11 @@ def _error_map(fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
     return np.hstack([np.eye(len(fx)) - fx, -fz, -fq])
 
 
-def _ce_maps(model: ObservationModel, rates: Sequence[float]) -> list[np.ndarray]:
-    """Compress-and-estimate at each rate of a grid.
+def _ce_maps(model: ObservationModel, p: CEMatrixParts) -> list[np.ndarray]:
+    """Compress-and-estimate at each rate of a grid, from its test channel ``p``.
 
     ``x_hat = E (P x + sigma diag(gain) U^T z + sqrt(gain dist) q)``.
     """
-    p = _ce_grid(model, rates)
     sigma = math.sqrt(model.sigma2)
     return [_error_map(e @ channel, (sigma * e * gain) @ p.basis.T, e * np.sqrt(gain * dist))
             for e, gain, dist, channel in zip(_ce_decoders(p), p.gain, p.distortion, p.channel)]
@@ -224,10 +235,13 @@ def _idrf_map(model: ObservationModel, k: int, theta: float, fx: np.ndarray, fz:
     return _error_map(proj @ fx, proj @ fz, v_a * np.sqrt(theta * g))
 
 
-def _maps(model: ObservationModel, ce_rates: Sequence[float] = (),
+def _maps(model: ObservationModel, ce: CEMatrixParts | None = None,
           idrf_rates: Sequence[float] = (), mmse: bool = False) -> list[np.ndarray]:
-    """The error maps ``B`` whose laws :func:`mc_estimates` samples: CE, optimal, floor."""
-    maps = _ce_maps(model, ce_rates) if ce_rates else []
+    """The error maps ``B`` whose laws :func:`mc_estimates` samples: CE, optimal, floor.
+
+    One CE map per rate of the test channel ``ce``, none for ``None``.
+    """
+    maps = [] if ce is None else _ce_maps(model, ce)
     if idrf_rates or mmse:
         # the MMSE estimate fx x + fz z, with E = V diag(s / (s^2 + s2)) U^T:
         # fx = E A, whose eigenbasis is V, and fz = sigma E
@@ -268,14 +282,21 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
         waterfill._check_rate(R)
     if n_samples < 1:
         raise InvalidSampleCount(f"n_samples must be >= 1, got {n_samples}")
+    return _estimates(model, n_samples, seed, _ce_grid(model, ce_rates) if ce_rates else None,
+                      idrf_rates, mmse)
+
+
+def _estimates(model: ObservationModel, n_samples: int, seed: int, ce: CEMatrixParts | None,
+               idrf_rates: Sequence[float], mmse: bool) -> McEstimates:
+    """:func:`mc_estimates` on valid arguments, the CE rates given by their test channel ``ce``."""
     M = model.M
-    weights = [_weights(b) / M for b in _maps(model, ce_rates, idrf_rates, mmse)]
+    weights = [_weights(b) / M for b in _maps(model, ce, idrf_rates, mmse)]
     chi2 = np.random.Generator(np.random.SFC64(seed)).chisquare(n_samples, size=M)
     est = [McEstimate(mean=float(w @ chi2) / n_samples,
                       stderr=math.sqrt(2.0 * float(w @ w) / n_samples),
                       n_samples=n_samples, seed=seed)
            for w in weights]
-    n_ce, n_idrf = len(ce_rates), len(idrf_rates)
+    n_ce, n_idrf = 0 if ce is None else len(ce.gain), len(idrf_rates)
     return McEstimates(
         ce=tuple(est[:n_ce]),
         idrf=tuple(est[n_ce:n_ce + n_idrf]),

@@ -1,8 +1,11 @@
 """One sha256 per group of user-visible outputs on seeded inputs.
 
 Groups: ``analyze`` (text and ``--json``), ``sweep`` (CSV, JSON, ``--nats``),
-``verify --random 3``, ``example``, ``gap_2d`` and ``max_gap_2d``; each hashes
-exit codes, stdout, stderr and the files written.  The ``oracle`` group hashes
+``verify``, ``example``, ``gap_2d`` and ``max_gap_2d``; each hashes exit
+codes, stdout, stderr and the files written.  The ``verify`` group runs
+``verify --random 3`` at the default seed, ``--random 50 --seed 1``,
+``--random 1 --seed 3867`` (a model that fails its Monte Carlo checks, exit
+1) and ``verify MODEL`` on every tenth seeded model.  The ``oracle`` group hashes
 the ``float.hex`` of ``ce_matrix_form`` and of every ``mc_estimates`` mean and
 stderr at 2,000 samples, on the seeded models; ``verify`` prints only three
 digits of them.  Run it on two checkouts and ``diff`` the output to show that
@@ -63,14 +66,19 @@ def main():
         tmp = Path(d)
         model = tmp / "model.json"
         sweep = ("sweep", model, "--min", 0, "--max", 30, "--steps", 401, "--out", tmp / "out")
-        for doc, rate in zip(models(np.random.default_rng(15)), [0.0, 0.5, 3.0, 40.0, 1e4] * N_MODELS):
+        for i, (doc, rate) in enumerate(zip(models(np.random.default_rng(15)),
+                                            [0.0, 0.5, 3.0, 40.0, 1e4] * N_MODELS)):
             model.write_text(json.dumps(doc))
+            if i % 10 == 0:
+                run(groups["verify"], tmp, "verify", model)
             run(groups["analyze"], tmp, "analyze", model, "--rate", rate)
             run(groups["analyze-json"], tmp, "analyze", model, "--rate", rate, "--json", tmp / "r")
             run(groups["sweep-csv"], tmp, *sweep)
             run(groups["sweep-json"], tmp, *sweep, "--format", "json")
             run(groups["sweep-nats"], tmp, *sweep, "--nats")
         run(groups["verify"], tmp, "verify", "--random", 3)
+        run(groups["verify"], tmp, "verify", "--random", 50, "--seed", 1)
+        run(groups["verify"], tmp, "verify", "--random", 1, "--seed", 3867)
         run(groups["example"], tmp, "example", "--out", tmp)
     for i, doc in enumerate(models(np.random.default_rng(15))):
         model = ObservationModel(Matrix(doc["A"]), doc["sigma2"])

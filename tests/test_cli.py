@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from support import GAP_AT_3, MAX_GAP, R2_COND, R2_OBS, example_model
 
 import cedrf.drf
-from cedrf import cli, drf, waterfill
+from cedrf import cli, drf, oracle, waterfill
 from cedrf.cli import CSV_HEADER, load_model, main
 from cedrf.spectral import Spectrum
 
@@ -608,20 +609,40 @@ def test_verify_random_draws_each_models_sums_afresh(capsys):
     assert failed == [("random[0]", f"monte-carlo-{name}") for name in ("ce", "idrf", "mmse")]
 
 
-def test_verify_negative_control(model_file, capsys, monkeypatch):
-    # corrupt the closed form, both at one rate and on a grid (the
-    # oracle-equivalence check reads d_ce from one sweep): verification
-    # must fail and name the check
-    real = cedrf.drf.ce_drf
-    monkeypatch.setattr(cedrf.drf, "ce_drf", lambda model, r: real(model, r) + 1e-6)
-    real_sweep = cedrf.drf.sweep
-    monkeypatch.setattr(cedrf.drf, "sweep", lambda model, grid: [
-        pt._replace(d_ce=pt.d_ce + 1e-6) for pt in real_sweep(model, grid)
-    ])
+def _fails_oracle_equivalence(model_file, capsys):
     code = main(["verify", str(model_file), "--samples", "2000", "--seed", "11"])
     out = capsys.readouterr().out
     assert code != 0
     assert "FAIL oracle-equivalence" in out
+
+
+def test_verify_negative_control(model_file, capsys, monkeypatch):
+    # raise d_ce by 1e-6 in the grid kernel that verify reads (drf.sweep and
+    # the one-rate functions read it too): verification must fail and name
+    # the check
+    real, at = drf._columns, drf.DistortionPoint._fields.index("d_ce")
+
+    def corrupted(model, grid):
+        columns = list(real(model, grid))
+        columns[at] = columns[at] + 1e-6
+        return tuple(columns)
+
+    monkeypatch.setattr(drf, "_columns", corrupted)
+    _fails_oracle_equivalence(model_file, capsys)
+
+
+def test_verify_negative_control_on_the_test_channel(model_file, capsys, monkeypatch):
+    # scale the noise covariance of the CE test channel, which the matrix
+    # form and the Monte Carlo CE maps share, by 1.01: verification must fail
+    # and name the check
+    real = oracle._ce_grid
+
+    def corrupted(model, rates):
+        parts = real(model, rates)
+        return dataclasses.replace(parts, noise_cov=parts.noise_cov * 1.01)
+
+    monkeypatch.setattr(oracle, "_ce_grid", corrupted)
+    _fails_oracle_equivalence(model_file, capsys)
 
 
 def test_verify_requires_one_source(model_file):

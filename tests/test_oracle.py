@@ -1,5 +1,8 @@
 
+import contextlib
 import ctypes
+import io
+import json
 import math
 import os
 import platform
@@ -23,8 +26,8 @@ from support import (
 )
 
 import cedrf
-from cedrf import drf, linalg, waterfill
-from cedrf.cli import _check_monte_carlo, _random_verify_model
+from cedrf import cli, drf, linalg, oracle, waterfill
+from cedrf.cli import _random_verify_model
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
     _ce_decoders,
@@ -156,7 +159,7 @@ def test_ce_oracles_match_the_closed_form_on_wide_column_models():
     rates = (0.5, 3.0, 10.0, 30.0, 60.0)
     for i, model in enumerate(_wide_column_models(300)):
         want = [drf.ce_drf(model, r) for r in rates]
-        for r, w, b in zip(rates, want, _maps(model, rates), strict=True):
+        for r, w, b in zip(rates, want, _maps(model, _ce_grid(model, rates)), strict=True):
             assert abs(ce_matrix_form(model, r) - w) < 1e-9, (i, r)
             assert abs(np.sum(b * b) / model.M - w) <= 1e-12, (i, r)
 
@@ -548,7 +551,7 @@ def test_estimates_are_calibrated_over_seeds(model, n):
     z = np.array([[(e.mean - t) / e.stderr for e, t in zip(_flat(run), want, strict=True)]
                   for run in (mc_estimates(model, n, seed, ce_rates=(r,), idrf_rates=(r,), mmse=True)
                               for seed in range(n_seeds))])
-    for j, b in enumerate(_maps(model, (r,), (r,), mmse=True)):
+    for j, b in enumerate(_maps(model, _ce_grid(model, (r,)), (r,), mmse=True)):
         w = _weights(b) / model.M
         kappa = 12.0 * np.sum(w ** 4) / (n * np.sum(w * w) ** 2)
         where = (model.L, model.M, n, j)
@@ -585,7 +588,7 @@ def test_weights_reproduce_each_maps_law():
     assert any((m.L, m.M, m.sigma2) == (4, 2, 1e-9) for m in models)
     n = 1000
     for i, model in enumerate(models):
-        maps = _maps(model, FUSED_RATES, FUSED_RATES, mmse=True)
+        maps = _maps(model, _ce_grid(model, FUSED_RATES), FUSED_RATES, mmse=True)
         run = mc_estimates(model, n, i, ce_rates=FUSED_RATES, idrf_rates=FUSED_RATES, mmse=True)
         one = mc_estimates(model, 1, i, ce_rates=FUSED_RATES, idrf_rates=FUSED_RATES, mmse=True)
         for j, (b, est, est1) in enumerate(zip(maps, _flat(run), _flat(one), strict=True)):
@@ -637,34 +640,50 @@ def test_fused_rejects_bad_input():
     assert empty.ce == empty.idrf == () and empty.mmse is None
 
 
-def test_verify_monte_carlo_shares_the_observation_estimator(monkeypatch):
-    # no pinv and no eigensolver: the basis and the optimal-scheme and floor
-    # maps share one full SVD of A, and the CE rates add one stacked SVD of
-    # their whitened channels, rates by L by M, whatever rows are active at
-    # each (on the example model one at rates 0.5 and 1.0, two at 3.0).  The
-    # matrix form takes the singular values only, one stacked SVD per grid
-    calls = {"pinv": 0, "sym_eig": 0}
-    for name in calls:
-        real = getattr(linalg, name)
+def test_verify_evaluates_each_model_once(tmp_path, monkeypatch):
+    # one verify model, whole: the closed forms on one rate grid (one
+    # water-filling per spectrum), one CE test channel (one more) and the
+    # optimal-scheme maps (one more); no sweep, no pinv and no eigensolver.
+    # The basis and the optimal-scheme and floor maps share one full SVD of
+    # A, the matrix form takes the singular values of the whole channel in
+    # one stacked SVD, and the Monte Carlo CE maps one full stacked SVD of
+    # its rows at the three rates, whatever rows are active at each.  Alone,
+    # the matrix form takes one values-only stacked SVD per grid
+    calls, grid_sizes, values_only = {}, [], []
+    for module, name in ((linalg, "pinv"), (linalg, "sym_eig"), (waterfill, "_levels"),
+                         (drf, "sweep"), (oracle, "_ce_grid")):
+        real = getattr(module, name)
 
-        def counted(s, name=name, real=real):
-            calls[name] += 1
-            return real(s)
+        def counted(*args, name=name, real=real):
+            calls[name] = calls.get(name, 0) + 1
+            if name == "_ce_grid":
+                grid_sizes.append(len(args[1]))
+            return real(*args)
 
-        monkeypatch.setattr(linalg, name, counted)
-    values_only = []
+        monkeypatch.setattr(module, name, counted)
     svds = _count_full_svds(monkeypatch, values_only)
     grid = (0.0, *VERIFY_RATES, 12.0)
-    for model in (random_model(np.random.default_rng(12)), example_model()):
+    path = tmp_path / "model.json"
+    example = example_model()
+    path.write_text(json.dumps({"A": example.A.data.tolist(), "sigma2": example.sigma2}))
+    for source, model in ((["--random", "1", "--seed", "12"],
+                           _random_verify_model(np.random.default_rng(12))),
+                          ([str(path)], example)):
+        calls.clear()
+        grid_sizes.clear()
         svds.clear()
-        _check_monte_carlo(model, 1000, 5)
-        assert calls == {"pinv": 0, "sym_eig": 0}
+        values_only.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", *source, "--samples", "1000"]) == 0
+        assert calls == {"_levels": 4, "_ce_grid": 1}
         assert svds == [(model.L, model.M), (3, model.L, model.M)]
+        assert [s for s in values_only if len(s) == 3] == [(*grid_sizes, model.L, model.M)]
+        svds.clear()
         for rates in (grid, grid[1:2]):
             values_only.clear()
             ce_matrix_forms(model, rates)
             assert values_only == [(len(rates), model.L, model.M)]
-        assert len(svds) == 2
+        assert svds == [(model.L, model.M)]  # the basis of this model object, once
 
 
 def _moment_models():
@@ -679,7 +698,7 @@ def _moment_models():
 @pytest.mark.parametrize("model", _moment_models())
 def test_maps_have_the_closed_forms_as_exact_moments(model):
     # each estimate's error is B w with w standard normal, so its exact mean is |B|_F^2 / M
-    maps = _maps(model, VERIFY_RATES, VERIFY_RATES, mmse=True)
+    maps = _maps(model, _ce_grid(model, VERIFY_RATES), VERIFY_RATES, mmse=True)
     n = len(VERIFY_RATES)
     for r, b_ce, b_idrf in zip(VERIFY_RATES, maps[:n], maps[n:2 * n], strict=True):
         assert abs(np.sum(b_ce * b_ce) / model.M - drf.ce_drf(model, r)) <= 1e-14, r

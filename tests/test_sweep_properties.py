@@ -5,6 +5,11 @@ repeated and zero entries (exactly tied and rank-deficient spectra).  Each
 grid holds every finite threshold of both spectra, the threshold +-1 ulp,
 +-BOUNDARY_SLACK, and the slack boundary itself +-1 ulp, where the active
 count changes.
+
+Grid evaluation is pointwise: a rate's closed forms, and its rows of the
+compress-and-estimate test channel, are the same bits in every grid that
+holds it.  ``verify`` rests on that, reading each check's rates from one
+grid of all of them.
 """
 
 import functools
@@ -16,16 +21,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cedrf import drf, waterfill
+from cedrf import drf, oracle, waterfill
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel
 from cedrf.waterfill import BOUNDARY_SLACK
 
 
 @st.composite
-def models(draw):
-    l_dim, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    sigma2 = draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+def models(draw, max_dim=8, sigma2s=st.sampled_from([0.01, 0.1, 1.0, 10.0])):
+    l_dim, m = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    sigma2 = draw(sigma2s)
     kind = draw(st.sampled_from(["dense", "low-rank", "diagonal"]))
     if kind == "diagonal":
         r = min(l_dim, m)
@@ -143,3 +148,33 @@ def test_curves_coincide_on_the_equality_region(model, fractions):
     grid = sorted(r for r in rates if r > 0.0)
     for pt in drf.sweep(model, grid):
         assert abs(pt.d_ce - pt.d_idrf) <= 1e-10, pt
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(models(max_dim=5, sigma2s=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)),
+       st.lists(st.floats(0.0, 30.0), max_size=8), st.data())
+def test_grid_evaluation_is_pointwise(model, extra, data):
+    # every finite threshold of both spectra and the rates 1e-13 either side
+    # of it, split at random into up to three sub-grids: each sub-grid's rows
+    # of the union's evaluation must equal the sub-grid's own, bit for bit
+    rates = set(extra)
+    for spectrum in (model.observation, model.conditional):
+        finite = [t for t in spectrum.thresholds if math.isfinite(t)]
+        rates.update(t + d for t in finite for d in (-1e-13, 0.0, 1e-13))
+    union = np.array(sorted(r for r in rates if r >= 0.0))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=union.size, max_size=union.size))
+    columns = drf._columns(model, union)
+    parts = oracle._ce_grid(model, union.tolist())
+    forms = oracle._ce_forms(model, parts)
+    for label in set(labels):
+        sub = [r for r, n in zip(union.tolist(), labels) if n == label]
+        at = np.searchsorted(union, sub)
+        assert list(map(drf.DistortionPoint, *(c[at].tolist() for c in columns))) == \
+            drf.sweep(model, sub)
+        rows, own = oracle._rows(parts, at), oracle._ce_grid(model, sub)
+        for field in ("gain", "distortion", "channel", "noise_cov"):
+            assert np.array_equal(getattr(rows, field), getattr(own, field)), field
+        assert oracle._ce_forms(model, rows) == [forms[i] for i in at] == \
+            oracle.ce_matrix_forms(model, sub)
+        for a, b in zip(oracle._ce_maps(model, rows), oracle._ce_maps(model, own), strict=True):
+            assert np.array_equal(a, b)

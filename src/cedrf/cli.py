@@ -446,6 +446,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--random needs N >= 1, got {args.random}")
     if args.command == "verify" and args.samples < 1:
         parser.error(f"--samples needs N >= 1, got {args.samples}")
+    if args.command == "verify" and args.seed < 0:
+        parser.error(f"--seed needs N >= 0, got {args.seed}")
     try:
         # looked up at call time, so a replaced cmd_* function is the one run
         return globals()[f"cmd_{args.command}"](args)

@@ -17,41 +17,49 @@ bit-for-bit.
 Every scheme's error is linear in the source ``x`` (M entries), the
 observation noise before scaling by ``sigma`` (L entries) and one
 quantization-noise draw ``q`` (L entries) shared by every rate, all
-standard normal.  :func:`_maps` defines each estimate by that linear map
-``B``: compress-and-estimate reads all of ``q``, the optimal scheme with
-``k`` active components its first ``k`` entries, and the estimation floor
-none.  The error ``B w`` is Gaussian with covariance ``B B^T``, so its
-squared norm has the law of the weighted chi-square ``sum_i mu_i g_i^2``,
-with ``mu`` the eigenvalues of ``B B^T`` and ``g`` standard normal.  The
-simulation samples that law: :func:`_weights` takes ``mu`` once per map,
-before sampling, as the squared singular values of ``B``, which needs no
-eigensolver and no ``B B^T``.  Over ``n`` samples the estimate needs only
-``S_i``, the sum of ``n`` independent ``g_i^2``, and each ``S_i`` is an
-independent chi-square with ``n`` degrees of freedom, so a run draws the
-``M`` sums ``S`` directly, whatever ``n`` is.  With ``v = mu / M``, an
-estimate's mean is ``v @ S / n``, and its standard error is exact,
-``sqrt(2 v @ v / n)``: one sample's variance is ``2 v @ v``.  So the draw
-tests only ``mu`` and the generator.  :func:`mc_estimates` evaluates any
-set of estimates from one ``S``; each one is bit-identical to a separate
-:func:`mc_ce`, :func:`mc_idrf` or :func:`mc_mmse` call.
+standard normal.  Both schemes end in the same reverse water-filling
+forward test channel, :func:`_gains`: each active component of a spectrum
+gets the gain ``1 - theta / v`` and the distortion ``min(v, theta)``.
+Compress-and-estimate water-fills the observation spectrum and reads all
+of ``q``; the optimal scheme water-fills the estimate's spectrum and, with
+``k`` active components, reads the first ``k`` entries of ``q``; the floor
+is the channel with gain 1 and distortion 0.  :func:`_maps` defines each
+estimate by its linear map ``B``.  The error ``B w`` is Gaussian with
+covariance ``B B^T``, so its squared norm has the law of the weighted
+chi-square ``sum_i mu_i g_i^2``, with ``mu`` the eigenvalues of ``B B^T``
+and ``g`` standard normal.  The simulation samples that law:
+:func:`_weights` takes ``mu`` before sampling, as the squared singular
+values of ``B``, which needs no eigensolver and no ``B B^T``.  Each map is
+zero-padded to ``M x (M + 2L)``, which adds only zero singular values, so
+a run's maps are one stacked array with one SVD.  Over ``n`` samples the
+estimate needs only ``S_i``, the sum of ``n`` independent ``g_i^2``, and
+each ``S_i`` is an independent chi-square with ``n`` degrees of freedom,
+so a run draws the ``M`` sums ``S`` directly, whatever ``n`` is.  With
+``v = mu / M``, an estimate's mean is ``v @ S / n``, and its standard
+error is exact, ``sqrt(2 v @ v / n)``: one sample's variance is
+``2 v @ v``.  So the draw tests only ``mu`` and the generator.
+:func:`mc_estimates` evaluates any set of estimates from one ``S``; each
+one is bit-identical to a separate :func:`mc_ce`, :func:`mc_idrf` or
+:func:`mc_mmse` call.
 
 The optimal scheme's and the floor's maps come from the model's cached SVD
 of ``A``, which gives the MMSE estimator and the eigenbasis of its
-estimate's covariance at once.  The compress-and-estimate maps and the
-matrix form share :func:`_ce_grid`, which builds the test channel for a
-whole rate grid, and the SVD of the channel whitened by its noise, with no
-rank cut-off of its own: the channel uses the model's ``A``, whose singular
-values past ``gram.rank`` are 0, as the other maps do.  The whitening keeps
-every rate's full ``L x M`` shape (:func:`_whitened`): a rate's inactive
-rows carry no noise, get the weight 0 and become zero rows, which add only
-zero singular values.  So a grid takes one stacked SVD, and the matrix form
+estimate's covariance at once; a gain is formed only on the estimate
+spectrum's positive values and their basis columns.  The
+compress-and-estimate maps and the matrix form share :func:`_ce_grid`,
+which builds the test channel for a whole rate grid, and the SVD of the
+channel whitened by its noise, with no rank cut-off of its own: the
+channel uses the model's ``A``, whose singular values past ``gram.rank``
+are 0, as the other maps do.  The whitening keeps every rate's full
+``L x M`` shape (:func:`_whitened`): a rate's inactive rows carry no
+noise, get the weight 0 and become zero rows, which add only zero
+singular values.  So a grid takes one stacked SVD, and the matrix form
 only its singular values.  A rate's rows are the same bits in any grid
 that holds it, so one channel can serve both (``verify`` builds one per
 model, and :func:`_rows` takes the Monte Carlo rates' rows from it).
-Every grid takes one water-filling call per spectrum, and the one-rate
-functions (:func:`ce_matrix_parts`, :func:`ce_matrix_form`) are that grid
-at one rate, so they equal it bit for bit.  Every matrix here is a plain
-array.
+Every grid takes one :func:`waterfill._levels` call per spectrum, and the
+one-rate functions (:func:`ce_matrix_parts`, :func:`ce_matrix_form`) are
+that grid at one rate, so they equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from typing import Sequence
 import numpy as np
 
 from . import waterfill
-from .spectral import ObservationModel
+from .spectral import ObservationModel, Spectrum
 
 class InvalidSampleCount(ValueError):
     """Monte Carlo needs at least one sample."""
@@ -77,8 +85,8 @@ class CEMatrixParts:
     entry per rate.
     ``basis``: orthogonal eigenbasis of the observation covariance,
     columns in descending-eigenvalue order with deterministic signs.
-    ``gain``: 1-D per-component forward gains ``1 - 2^{-2 r_l}``;
-    zero exactly for inactive components.
+    ``gain``: 1-D per-component forward gains ``1 - theta / (lam_l + s2)``
+    of :func:`_gains`; zero exactly for inactive components.
     ``distortion``: 1-D per-component distortions ``min(lam_l + s2, theta)``.
     ``channel``: source-to-representation matrix ``diag(gain) @ basis^T @ A``,
     with rows past ``gram.rank`` 0, as the model's ``A`` has them.
@@ -103,18 +111,29 @@ class McEstimate:
     seed: int
 
 
+def _gains(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse water-filling's forward test channel on a grid of valid rates, one row per rate.
+
+    Over the spectrum's ``rank`` positive values ``v``, at the ``k`` and
+    ``theta`` of :func:`waterfill._levels`: distortions ``min(v, theta)``,
+    and gains ``(v - dist) / v`` on the ``k`` active components, exactly 0
+    on the others.  ``k`` decides, not ``v > theta``: just above a threshold,
+    within ``BOUNDARY_SLACK``, ``theta`` is already a hair below the next value.
+    """
+    k, theta = waterfill._levels(spectrum, R)
+    v = spectrum.arrays[1][:spectrum.rank]
+    dist = np.minimum(v, theta[:, None])
+    return np.where(np.arange(v.size) < k[:, None], (v - dist) / v, 0.0), dist
+
+
 def _ce_grid(model: ObservationModel, rates: Sequence[float]) -> CEMatrixParts:
     """The test-channel matrices of compress-and-estimate on a rate grid, stacked.
 
-    Active counts and water levels come from one :func:`waterfill._levels`
-    call over the grid, the per-component rates from
-    :func:`waterfill._allocations`, every power of two from ``pow``.
+    The gains and distortions are :func:`_gains` of the observation
+    spectrum, whose ``L`` values are all positive.
     """
     R = np.array([waterfill._check_rate(r) for r in rates], dtype=float)
-    obs = model.observation
-    k, theta = waterfill._levels(obs, R)
-    r, dist = waterfill._allocations(obs, R, k, theta)
-    gain = 1.0 - waterfill._exp2(-2.0 * r)
+    gain, dist = _gains(model.observation, R)
     u = model.basis
     channel = (gain[:, :, None] * u.T) @ model.A.data
     channel[:, model.gram.rank:] = 0.0  # the model's A: its singular values past the rank are 0
@@ -200,60 +219,49 @@ class McEstimates:
     mmse: McEstimate | None
 
 
-def _error_map(fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
-    """``[I - fx | -fz | -fq]``: ``[x; z; q]`` to the error of ``fx x + fz z + fq q``.
+def _error_maps(fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
+    """``[I - fx | -fz | -fq | 0]``, stacked: ``[x; z; q]`` to the error of ``fx x + fz z + fq q``.
 
-    ``fq`` acts on the leading ``fq.shape[1]`` entries of ``q``.
+    ``fq`` acts on the leading entries of ``q``; the zeros pad each map to
+    ``M + 2L`` columns.
     """
-    return np.hstack([np.eye(len(fx)) - fx, -fz, -fq])
+    n, M, L = fz.shape
+    return np.concatenate([np.eye(M) - fx, -fz, -fq, np.zeros((n, M, L - fq.shape[-1]))], axis=-1)
 
 
-def _ce_maps(model: ObservationModel, p: CEMatrixParts) -> list[np.ndarray]:
-    """Compress-and-estimate at each rate of a grid, from its test channel ``p``.
+def _ce_maps(model: ObservationModel, p: CEMatrixParts) -> np.ndarray:
+    """Compress-and-estimate at each rate of a grid, from its test channel ``p``, stacked.
 
     ``x_hat = E (P x + sigma diag(gain) U^T z + sqrt(gain dist) q)``.
     """
-    sigma = math.sqrt(model.sigma2)
-    return [_error_map(e @ channel, (sigma * e * gain) @ p.basis.T, e * np.sqrt(gain * dist))
-            for e, gain, dist, channel in zip(_ce_decoders(p), p.gain, p.distortion, p.channel)]
-
-
-def _idrf_map(model: ObservationModel, k: int, theta: float, fx: np.ndarray, fz: np.ndarray,
-              v: np.ndarray) -> np.ndarray:
-    """The optimal scheme on the estimate ``fx x + fz z``, with ``v`` its covariance's eigenbasis.
-
-    ``k`` active components at water level ``theta``.  Each active component
-    ``c`` passes through the scalar forward test channel
-    ``g (c + q sqrt(theta lam / (lam - theta)))``, ``g = 1 - theta / lam``;
-    the others, and any sitting exactly at the water level, reconstruct as zero.
-    """
-    lam = model.conditional.arrays[1][:k]
-    lam = lam[lam > theta]  # a leading block, since lam is non-increasing
-    g = (lam - theta) / lam
-    v_a = v[:, :len(lam)]
-    proj = (v_a * g) @ v_a.T
-    return _error_map(proj @ fx, proj @ fz, v_a * np.sqrt(theta * g))
+    e = _ce_decoders(p)
+    fz = (math.sqrt(model.sigma2) * e * p.gain[:, None, :]) @ p.basis.T
+    return _error_maps(e @ p.channel, fz, e * np.sqrt(p.gain * p.distortion)[:, None, :])
 
 
 def _maps(model: ObservationModel, ce: CEMatrixParts | None = None,
-          idrf_rates: Sequence[float] = (), mmse: bool = False) -> list[np.ndarray]:
-    """The error maps ``B`` whose laws :func:`mc_estimates` samples: CE, optimal, floor.
+          idrf_rates: Sequence[float] = (), mmse: bool = False) -> np.ndarray:
+    """The error maps ``B`` whose laws :func:`mc_estimates` samples, stacked: CE, optimal, floor.
 
-    One CE map per rate of the test channel ``ce``, none for ``None``.
+    One CE map per rate of the test channel ``ce``, none for ``None``.  The
+    optimal scheme passes the MMSE estimate, in its covariance's eigenbasis,
+    through :func:`_gains` of the conditional spectrum; the floor with gain 1.
     """
-    maps = [] if ce is None else _ce_maps(model, ce)
-    if idrf_rates or mmse:
-        # the MMSE estimate fx x + fz z, with E = V diag(s / (s^2 + s2)) U^T:
-        # fx = E A, whose eigenbasis is V, and fz = sigma E
-        u, s, v = model.svd
-        obs = s * s + model.sigma2
-        fx = (v * (s * s / obs)) @ v.T
-        fz = (v * (math.sqrt(model.sigma2) * s / obs)) @ u[:, :s.size].T
-    k, theta = waterfill._levels(model.conditional, np.array(idrf_rates, dtype=float))
-    maps += [_idrf_map(model, n, t, fx, fz, v) for n, t in zip(k.tolist(), theta.tolist())]
+    u, s, v = model.svd
+    maps = [_ce_maps(model, ce)] if ce is not None else []
+    gain, dist = _gains(model.conditional, np.array(idrf_rates, dtype=float))
     if mmse:
-        maps.append(_error_map(fx, fz, np.zeros((model.M, 0))))
-    return maps
+        gain = np.vstack([gain, np.ones(gain.shape[1])])
+        dist = np.vstack([dist, np.zeros(dist.shape[1])])
+    # the MMSE estimate fx x + fz z, with E = V diag(s / (s^2 + s2)) U^T:
+    # fx = E A, whose eigenbasis is V, and fz = sigma E
+    obs = s * s + model.sigma2
+    fx = (v * (s * s / obs)) @ v.T
+    fz = (v * (math.sqrt(model.sigma2) * s / obs)) @ u[:, :s.size].T
+    v = v[:, :gain.shape[1]]  # the conditional rank, at most the gram rank
+    proj = (v * gain[:, None, :]) @ v.T
+    maps.append(_error_maps(proj @ fx, proj @ fz, v * np.sqrt(gain * dist)[:, None, :]))
+    return np.concatenate(maps)
 
 
 def _weights(b: np.ndarray) -> np.ndarray:
@@ -290,7 +298,7 @@ def _estimates(model: ObservationModel, n_samples: int, seed: int, ce: CEMatrixP
                idrf_rates: Sequence[float], mmse: bool) -> McEstimates:
     """:func:`mc_estimates` on valid arguments, the CE rates given by their test channel ``ce``."""
     M = model.M
-    weights = [_weights(b) / M for b in _maps(model, ce, idrf_rates, mmse)]
+    weights = _weights(_maps(model, ce, idrf_rates, mmse)) / M
     chi2 = np.random.Generator(np.random.SFC64(seed)).chisquare(n_samples, size=M)
     est = [McEstimate(mean=float(w @ chi2) / n_samples,
                       stderr=math.sqrt(2.0 * float(w @ w) / n_samples),

@@ -11,10 +11,12 @@ the ``k`` leading eigenvalues times ``2^{-2R/k}`` rewritten through the
 k-th threshold.  It forms no eigenvalue product, so no spectrum scale or
 length can overflow it, and ``R = 0`` gives exactly ``lam_1``.
 
-Active counts, water levels and per-component allocations are evaluated a
-whole rate grid at a time (:func:`_levels`, :func:`_allocations`);
-:func:`active_count`, :func:`water_level` and :func:`rate_allocation` are
-that grid at one rate, so a scalar call and a sweep agree bit for bit.
+Active counts and water levels are evaluated a whole rate grid at a time
+(:func:`_levels`); :func:`active_count` and :func:`water_level` are that
+grid at one rate, so a scalar call and a sweep agree bit for bit.
+:func:`rate_allocation` forms its one rate's per-component rates in Python
+floats.  The oracles take only the rate check, counts and water levels from
+here, and form their forward test channels themselves.
 
 Interval convention: the k-th component count applies on the half-open
 interval ``(R_k, R_{k+1}]``.  ``R = 0`` maps to ``k = 1`` with the water
@@ -142,26 +144,11 @@ def rate_allocation(spectrum: Spectrum, R: float) -> WaterfillResult:
 def _allocation(spectrum: Spectrum, r: float, k: int, theta: float) -> WaterfillResult:
     """:func:`rate_allocation` at rate ``r``, given its active count and water level.
 
-    The grid of :func:`_allocations` at one rate.
+    Active component ``l`` gets ``(1/2) log2(lam_l / lam_k) + (r - R_k) / k``,
+    in Python floats; the others get rate 0.
     """
-    rates, distortions = _allocations(spectrum, np.array([r]), np.array([k]), np.array([theta]))
-    return WaterfillResult(k, theta, tuple(rates[0].tolist()), tuple(distortions[0].tolist()))
-
-
-def _allocations(spectrum: Spectrum, R: np.ndarray, k: np.ndarray,
-                 theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component rates and distortions on a grid of valid rates, one row per rate.
-
-    ``k`` and ``theta`` are the grid's active counts and water levels, as
-    :func:`_levels` gives them.  Active component ``l`` of a rate with
-    count ``k`` gets ``(1/2) log2(lam_l / lam_k) + (R - R_k) / k``; the log
-    term depends on ``k`` alone, so it is taken once per count, through
-    ``math.log2``.  The other components get rate 0.
-    """
-    thr, lam, _ = spectrum.arrays
-    rates = np.zeros((R.size, lam.size))
-    for n in set(k.tolist()) - {0}:
-        at = k == n
-        logs = [0.5 * math.log2(v / spectrum.values[n - 1]) for v in spectrum.values[:n]]
-        rates[at, :n] = np.array(logs) + ((R[at] - thr[n - 1]) / n)[:, None]
-    return rates, np.minimum(lam, theta[:, None])
+    values = spectrum.values
+    excess = (r - spectrum.thresholds[k - 1]) / k if k else 0.0
+    rates = [0.5 * math.log2(v / values[k - 1]) + excess for v in values[:k]]
+    return WaterfillResult(k, theta, tuple(rates + [0.0] * (len(values) - k)),
+                           tuple(min(v, theta) for v in values))

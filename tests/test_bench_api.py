@@ -8,6 +8,10 @@ import importlib
 import runpy
 from pathlib import Path
 
+import numpy as np
+
+from cedrf.cli import _random_verify_model
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -46,3 +50,13 @@ def test_bench_checks_and_worker_use_existing_functions():
     missing = [f"{layer}.{attr}" for layer, attr in sorted(used)
                if not hasattr(importlib.import_module(f"cedrf.{layer}"), attr)]
     assert missing == []
+
+
+def test_verify_rounds_mirror_the_random_model_generator():
+    # the verify-random workload picks each op's seed by the model shape it
+    # expects `verify --random 1 --seed s` to draw; a drift would leave the
+    # ops valid but the rounds unbalanced, which no run would show
+    dims = runpy.run_path(str(SPANS.parent / "workloads.py"))["_cli_verify_dims"]
+    for s in range(500):
+        model = _random_verify_model(np.random.default_rng(s))
+        assert dims(s) == (model.M, model.L), s

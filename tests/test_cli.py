@@ -667,6 +667,16 @@ def test_verify_rejects_bad_sample_count(model_file, capsys, n):
         assert f"--samples needs N >= 1, got {n}" in captured.err
 
 
+def test_verify_rejects_a_negative_seed(model_file, capsys):
+    for source in (["--random", "1"], [str(model_file)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *source, "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seed needs N >= 0, got -1" in captured.err
+
+
 def test_example_outputs(tmp_path, capsys):
     assert main(["example", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,50 @@ def test_estimates_on_rate_grids_are_the_one_rate_estimates_bit_for_bit():
             assert est == mc_ce(model, r, 500, i), ("ce", i, r)
         for r, est in zip(idrf_rates, run.idrf, strict=True):
             assert est == mc_idrf(model, r, 500, i), ("idrf", i, r)
+
+
+def test_inactive_gains_are_exactly_zero():
+    # half the slack above a threshold the count leaves the next component
+    # out, while theta already sits a hair below its value: (v - theta) / v
+    # would give it a gain of about 1e-12
+    for i, model in enumerate(_grid_models()):
+        for spectrum in (model.observation, model.conditional):
+            rates = [t + waterfill.BOUNDARY_SLACK / 2 for t in spectrum.thresholds
+                     if math.isfinite(t)]
+            k = waterfill._levels(spectrum, np.array(rates))[0].tolist()
+            gain = oracle._gains(spectrum, np.array(rates))[0]
+            assert all(np.all(g[n:] == 0.0) for g, n in zip(gain, k, strict=True)), i
+        rates = [t + waterfill.BOUNDARY_SLACK / 2 for t in model.observation.thresholds[:-1]]
+        for r in rates:
+            gain = ce_matrix_parts(model, r).gain
+            assert np.all(gain[waterfill.active_count(model.observation, r):] == 0.0), (i, r)
+        rates = [t + waterfill.BOUNDARY_SLACK / 2 for t in model.conditional.thresholds
+                 if math.isfinite(t)]
+        q = _maps(model, idrf_rates=rates)[:, :, model.M + model.L:]
+        for r, cols in zip(rates, q, strict=True):
+            assert np.all(cols[:, waterfill.active_count(model.conditional, r):] == 0.0), (i, r)
+
+
+def test_conditional_rank_below_the_gram_rank(tmp_path):
+    # lam = (1e-300, 1e-308) at s2 = 1e20: lam / (lam + s2) keeps the first
+    # value, as a subnormal, and the second underflows to 0, so the optimal
+    # scheme has one component where A has two.  Only the positive values,
+    # and the basis columns that match them, enter a gain
+    model = ObservationModel(Matrix(np.diag([1e-150, 1e-154])), 1e20)
+    assert (model.gram.rank, model.conditional.rank) == (2, 1)
+    rates = (0.0, *VERIFY_RATES, 40.0)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": model.A.data.tolist(), "sigma2": model.sigma2}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = mc_estimates(model, 1000, 5, ce_rates=rates, idrf_rates=rates, mmse=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", str(path), "--samples", "1000"]) == 0
+    want = [*(drf.ce_drf(model, r) for r in rates), *(drf.idrf(model, r) for r in rates),
+            model.mmse_floor]
+    for est, target in zip(_flat(run), want, strict=True):
+        assert math.isfinite(est.mean) and math.isfinite(est.stderr), (est, target)
+        assert _within_ci(est, target), (est, target)
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.inf, math.nan])
@@ -439,16 +484,16 @@ FROZEN_ESTIMATES = (
     ),
     (  # M > L
         ("0x1.c5b56af402dd4p-1", "0x1.09dfd7da75a7ep-9"),
-        ("0x1.a23b6a08c9080p-1", "0x1.f9b1115a59a35p-10"),
+        ("0x1.a23b6a08c907fp-1", "0x1.f9b1115a59a34p-10"),
         ("0x1.49550e5eb7c24p-1", "0x1.b33ff6a69555ap-10"),
         ("0x1.c1879f56775dfp-1", "0x1.04378d60275e8p-9"),
         ("0x1.95a5359452dbap-1", "0x1.e155935f64313p-10"),
         ("0x1.462f81419a371p-1", "0x1.af7d063449024p-10"),
-        ("0x1.2bb2efd0b2005p-1", "0x1.a63fa1e0570e4p-10"),
+        ("0x1.2bb2efd0b2003p-1", "0x1.a63fa1e0570e1p-10"),
     ),
     (  # L > M
         ("0x1.ab0df5c652f83p-1", "0x1.2565d85bf3717p-9"),
-        ("0x1.68bfc8066b724p-1", "0x1.01296f7c12d13p-9"),
+        ("0x1.68bfc8066b726p-1", "0x1.01296f7c12d13p-9"),
         ("0x1.3de87025cc448p-2", "0x1.d99089072b2a3p-11"),
         ("0x1.986ce1672d1e4p-1", "0x1.0e5c3b1953b61p-9"),
         ("0x1.46cb2c2c2b601p-1", "0x1.b0ae1612a1fc4p-10"),
@@ -458,11 +503,11 @@ FROZEN_ESTIMATES = (
     (  # rank-deficient
         ("0x1.ae84ff38b785fp-1", "0x1.260d7a189fdaap-9"),
         ("0x1.84d4dd71f8befp-1", "0x1.1963443e5bb7ap-9"),
-        ("0x1.15353839f92ecp-1", "0x1.bf1a3c7f3ac40p-10"),
+        ("0x1.15353839f92edp-1", "0x1.bf1a3c7f3ac41p-10"),
         ("0x1.aa74efcd3fe07p-1", "0x1.1de28cd8ffb4cp-9"),
         ("0x1.6ed59e4ce4336p-1", "0x1.faf5edb965bafp-10"),
         ("0x1.02e0ef8a9543dp-1", "0x1.a53066da21847p-10"),
-        ("0x1.bdc96a93a0926p-2", "0x1.955b6a2ea105ap-10"),
+        ("0x1.bdc96a93a092ap-2", "0x1.955b6a2ea105ep-10"),
     ),
     (  # pure-noise component
         ("0x1.adff8f9032235p-1", "0x1.26ab5502c9f28p-9"),
@@ -476,7 +521,7 @@ FROZEN_ESTIMATES = (
     (  # |A|^2 / s2 near 1e10
         ("0x1.7d04482e036e2p-1", "0x1.43968097efe9fp-9"),
         ("0x1.0d6b65129b5edp-1", "0x1.c99f555edf51ep-10"),
-        ("0x1.0d6b6517f78dfp-3", "0x1.c99f5567fa0b0p-12"),
+        ("0x1.0d6b6517f78dfp-3", "0x1.c99f5567fa0aep-12"),
         ("0x1.69ddcb9bed015p-1", "0x1.2515fdabf0f09p-9"),
         ("0x1.ffc1a067e7427p-2", "0x1.9e7c6e44aba4dp-10"),
         ("0x1.ffc1a0729fa0dp-4", "0x1.9e7c6e4d5b3b9p-12"),
@@ -647,8 +692,11 @@ def test_verify_evaluates_each_model_once(tmp_path, monkeypatch):
     # The basis and the optimal-scheme and floor maps share one full SVD of
     # A, the matrix form takes the singular values of the whole channel in
     # one stacked SVD, and the Monte Carlo CE maps one full stacked SVD of
-    # its rows at the three rates, whatever rows are active at each.  Alone,
-    # the matrix form takes one values-only stacked SVD per grid
+    # its rows at the three rates, whatever rows are active at each.  The
+    # seven Monte Carlo maps take their weights from one more values-only
+    # stacked SVD, each map padded to M x (M + 2L); the only 2-D values-only
+    # SVD is the model's own, of A.  Alone, the matrix form takes one
+    # values-only stacked SVD per grid
     calls, grid_sizes, values_only = {}, [], []
     for module, name in ((linalg, "pinv"), (linalg, "sym_eig"), (waterfill, "_levels"),
                          (drf, "sweep"), (oracle, "_ce_grid")):
@@ -677,7 +725,8 @@ def test_verify_evaluates_each_model_once(tmp_path, monkeypatch):
             assert cli.main(["verify", *source, "--samples", "1000"]) == 0
         assert calls == {"_levels": 4, "_ce_grid": 1}
         assert svds == [(model.L, model.M), (3, model.L, model.M)]
-        assert [s for s in values_only if len(s) == 3] == [(*grid_sizes, model.L, model.M)]
+        assert values_only == [(model.L, model.M), (*grid_sizes, model.L, model.M),
+                               (7, model.M, model.M + 2 * model.L)]
         svds.clear()
         for rates in (grid, grid[1:2]):
             values_only.clear()

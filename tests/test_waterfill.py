@@ -9,7 +9,6 @@ from cedrf.spectral import Spectrum
 from cedrf.waterfill import (
     BOUNDARY_SLACK,
     EmptySpectrum,
-    _allocations,
     _levels,
     active_count,
     rate_allocation,
@@ -116,23 +115,21 @@ def test_rates_sum_to_total(seed):
         assert got.distortions == tuple(min(v, got.theta) for v in vals)
 
 
-def test_allocations_on_a_grid_are_the_one_rate_allocations():
+def test_rate_allocation_is_the_python_float_formula():
     # rank 0, ties, a zero value and a wide range; rates on both sides of every threshold
     spectra = [spec(0.0, 0.0), spec(3.0, 3.0, 1.0), spec(9.0, 2.0, 0.0), spec(1e150, 1.0, 1e-150)]
     for s in spectra:
         grid = [0.0, 0.3, 40.0, 1e4]
         for t in s.thresholds[:-1]:
             grid += [max(0.0, t - BOUNDARY_SLACK), t + BOUNDARY_SLACK]
-        r = np.array(grid)
-        rates, distortions = _allocations(s, r, *_levels(s, r))
-        for i, x in enumerate(grid):
-            want = rate_allocation(s, x)
-            k = want.k  # the rate formula in Python floats, math.log2 included
+        ks, thetas = _levels(s, np.array(grid))
+        for x, k, theta in zip(grid, ks.tolist(), thetas.tolist()):
+            got = rate_allocation(s, x)
+            assert (got.k, got.theta) == (k, theta), (s, x)
             excess = (x - s.thresholds[k - 1]) / k if k else 0.0
             py = [0.5 * math.log2(v / s.values[k - 1]) + excess for v in s.values[:k]]
-            assert want.rates == tuple(py + [0.0] * (len(s.values) - k)), (s, x)
-            assert tuple(rates[i].tolist()) == want.rates, (s, x)
-            assert tuple(distortions[i].tolist()) == want.distortions, (s, x)
+            assert got.rates == tuple(py + [0.0] * (len(s.values) - k)), (s, x)
+            assert got.distortions == tuple(min(v, theta) for v in s.values), (s, x)
 
 
 def test_monotonicity_in_rate():

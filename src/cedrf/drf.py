@@ -317,8 +317,8 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
     return AmGmBounds(am, gm, reverse_bound, lower_bound)
 
 
-def sweep(model: ObservationModel, R_grid: Sequence[float]) -> list[DistortionPoint]:
-    """Evaluate both curves, the gap, and its bounds on an increasing rate grid."""
+def _check_grid(R_grid: Sequence[float]) -> np.ndarray:
+    """``R_grid`` as a float array, or :class:`InvalidGrid` if it is not a valid rate grid."""
     grid = np.asarray(R_grid, dtype=np.float64)
     if grid.ndim != 1:
         raise InvalidGrid("rate grid must be one-dimensional")
@@ -328,4 +328,9 @@ def sweep(model: ObservationModel, R_grid: Sequence[float]) -> list[DistortionPo
         raise InvalidGrid("rates must be finite and non-negative")
     if (grid[1:] <= grid[:-1]).any():
         raise InvalidGrid("rates must be strictly increasing")
-    return _points(model, grid)
+    return grid
+
+
+def sweep(model: ObservationModel, R_grid: Sequence[float]) -> list[DistortionPoint]:
+    """Evaluate both curves, the gap, and its bounds on an increasing rate grid."""
+    return _points(model, _check_grid(R_grid))

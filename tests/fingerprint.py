@@ -1,8 +1,10 @@
 """One sha256 per group of user-visible outputs on seeded inputs.
 
-Groups: ``analyze`` (text and ``--json``), ``sweep`` (CSV, JSON, ``--nats``),
-``verify``, ``example``, ``gap_2d`` and ``max_gap_2d``; each hashes exit
-codes, stdout, stderr and the files written.  The ``verify`` group runs
+Groups: ``analyze`` (text and ``--json``), ``sweep`` (CSV and JSON, each in
+bits and with ``--nats``), ``verify``, ``example``, ``gap_2d`` and
+``max_gap_2d``; each hashes exit codes, stdout, stderr and the files
+written.  The sweep groups also run a model whose ``gap_ub`` is infinite at
+every rate, so the files' spelling of non-finite values is hashed.  The ``verify`` group runs
 ``verify --random 3`` at the default seed, ``--random 50 --seed 1``,
 ``--random 1 --seed 3867`` (a model that fails its Monte Carlo checks, exit
 1) and ``verify MODEL`` on every tenth seeded model.  The ``oracle`` group hashes
@@ -28,6 +30,10 @@ from cedrf.spectral import ObservationModel
 N_MODELS, N_PAIRS = 100, 500
 GAP_RATES = np.linspace(0.0, 40.0, 81).tolist()
 ORACLE_RATES = (0.0, 0.5, 3.0, 40.0)
+SWEEPS = {"sweep-csv": (), "sweep-json": ("--format", "json"), "sweep-nats": ("--nats",),
+          "sweep-json-nats": ("--format", "json", "--nats")}
+# (g_1 + sigma2) / sigma2 overflows, so gap_ub is inf at every rate
+INFINITE_GAP_BOUND = {"A": [[1e100, 0.0], [0.0, 1.0]], "sigma2": 1e-300}
 
 
 def models(rng):
@@ -59,9 +65,8 @@ def outcome(f, *args):
 
 
 def main():
-    groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", "sweep-csv", "sweep-json",
-                                            "sweep-nats", "verify", "example", "gap_2d", "max_gap_2d",
-                                            "oracle")}
+    groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", *SWEEPS, "verify", "example",
+                                            "gap_2d", "max_gap_2d", "oracle")}
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         model = tmp / "model.json"
@@ -73,9 +78,11 @@ def main():
                 run(groups["verify"], tmp, "verify", model)
             run(groups["analyze"], tmp, "analyze", model, "--rate", rate)
             run(groups["analyze-json"], tmp, "analyze", model, "--rate", rate, "--json", tmp / "r")
-            run(groups["sweep-csv"], tmp, *sweep)
-            run(groups["sweep-json"], tmp, *sweep, "--format", "json")
-            run(groups["sweep-nats"], tmp, *sweep, "--nats")
+            for name, options in SWEEPS.items():
+                run(groups[name], tmp, *sweep, *options)
+        model.write_text(json.dumps(INFINITE_GAP_BOUND))
+        for name, options in SWEEPS.items():
+            run(groups[name], tmp, *sweep, *options)
         run(groups["verify"], tmp, "verify", "--random", 3)
         run(groups["verify"], tmp, "verify", "--random", 50, "--seed", 1)
         run(groups["verify"], tmp, "verify", "--random", 1, "--seed", 3867)

@@ -441,6 +441,52 @@ def test_sweep_rejects_an_infinite_max_without_warnings(model_file, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("bounds, option, typed", [
+    (("0", "1.7e308"), "--max", "1.7e+308"),
+    (("1.3e308", "1.7e308"), "--min", "1.3e+308"),
+])
+def test_sweep_names_a_nats_rate_that_overflows_in_bits(model_file, tmp_path, capsys, bounds,
+                                                        option, typed):
+    # pytest turns the RuntimeWarning of an overflowing division into an error
+    out = tmp_path / "x.csv"
+    argv = ["sweep", str(model_file), "--min", bounds[0], "--max", bounds[1], "--steps", "3",
+            "--out", str(out), "--nats"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: {option} must convert to a finite rate in bits, got {typed} nats\n"
+    assert not out.exists()
+    # the largest nats rates that still convert are a valid grid
+    assert main(argv[:3] + ["0", "--max", "1.2e308"] + argv[6:]) == 0
+    capsys.readouterr()
+    assert float(out.read_text().splitlines()[-1].split(",")[0]) == 1.2e308
+
+
+def test_nats_overflow_is_an_error_under_dash_w_error(model_file, tmp_path):
+    src = str(Path(cedrf.drf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in (["sweep", str(model_file), "--min", "0", "--max", "1.7e308", "--steps", "3",
+                  "--out", str(tmp_path / "x.csv"), "--nats"],
+                 ["analyze", str(model_file), "--rate", "1.7e308", "--nats"]):
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "cedrf", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        option = "--max" if argv[0] == "sweep" else "--rate"
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == \
+            f"error: {option} must convert to a finite rate in bits, got 1.7e+308 nats\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_analyze_names_a_nats_rate_that_overflows_in_bits(model_file, capsys):
+    assert main(["analyze", str(model_file), "--rate", "1.7e308", "--nats"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --rate must convert to a finite rate in bits, got 1.7e+308 nats\n"
+    # an infinite rate is rejected as before, in bits and in nats
+    for nats in ([], ["--nats"]):
+        assert main(["analyze", str(model_file), "--rate", "inf", *nats]) == 2
+        assert capsys.readouterr().err == "error: rate must be a finite non-negative real, got inf\n"
+
+
 def test_sweep_nats_round_trip(model_file, tmp_path, capsys):
     out = tmp_path / "nats.csv"
     assert main(["sweep", str(model_file), "--min", "0", "--max", "2",
@@ -515,7 +561,10 @@ def test_sweep_files_spell_non_finite_values_as_before(model_file, tmp_path, cap
         drf.DistortionPoint(0.0, 1.0, 1.0, 0.0, inf, 0.0, 1, 1, 20.0, 0.5),
         drf.DistortionPoint(1.5, nan, -inf, inf, -0.0, 5e-324, 2, 0, nan, 1e300),
     ]
-    monkeypatch.setattr(cedrf.drf, "sweep", lambda model, grid: list(points))
+    # the two rows as the column kernel returns them: float columns, integer active counts
+    columns = tuple(np.array(c, dtype=int if f.startswith("k_") else float)
+                    for f, c in zip(drf.DistortionPoint._fields, zip(*points)))
+    monkeypatch.setattr(cedrf.drf, "_columns", lambda model, grid: columns)
     out = tmp_path / "sweep.out"
     for fmt in ("csv", "json"):
         for nats in (False, True):
@@ -528,6 +577,34 @@ def test_sweep_files_spell_non_finite_values_as_before(model_file, tmp_path, cap
     text = out.read_text()
     assert '"gap_ub": Infinity' in text and '"d_ce": -Infinity' in text and '"d_idrf": NaN' in text
     assert json.loads(text)["rows"][1]["theta_ce"] == 1e300
+
+
+def test_sweep_and_example_write_from_one_column_kernel_call(model_file, tmp_path, capsys,
+                                                            monkeypatch):
+    # the writers read drf._columns once per op, and build no row objects
+    calls, columns = [], drf._columns
+
+    def counted(model, grid):
+        calls.append(grid.size)
+        return columns(model, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("row objects built")
+
+    monkeypatch.setattr(drf, "_columns", counted)
+    monkeypatch.setattr(drf, "sweep", refuse)
+    monkeypatch.setattr(drf, "_points", refuse)
+    monkeypatch.setattr(drf.DistortionPoint, "__new__", refuse)
+    sweep = ["sweep", str(model_file), "--min", "0", "--max", "12", "--steps", "201",
+             "--out", str(tmp_path / "sweep.out")]
+    runs = [(sweep + ["--format", fmt] + ["--nats"] * nats, 201)
+            for fmt in ("csv", "json") for nats in (False, True)]
+    runs.append((["example", "--out", str(tmp_path)], 451))
+    for argv, rows in runs:
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [rows], argv
+    capsys.readouterr()
 
 
 def test_python_dash_m_cedrf_writes_what_main_writes(model_file, tmp_path, capsys):

@@ -12,16 +12,23 @@ holds it.  ``verify`` rests on that, reading each check's rates from one
 grid of all of them.
 """
 
+import contextlib
 import functools
+import io
+import json
 import math
 import operator
+import tempfile
 from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cedrf import drf, oracle, waterfill
+from test_cli import BYTE_MODELS, _reference_sweep
+
+from cedrf import cli, drf, oracle, waterfill
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel
 from cedrf.waterfill import BOUNDARY_SLACK
@@ -178,3 +185,21 @@ def test_grid_evaluation_is_pointwise(model, extra, data):
             oracle.ce_matrix_forms(model, sub)
         for a, b in zip(oracle._ce_maps(model, rows), oracle._ce_maps(model, own), strict=True):
             assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(models().map(lambda m: {"A": m.A.data.tolist(), "sigma2": m.sigma2}),
+                 st.just(BYTE_MODELS["infinite gap bound"])),
+       st.floats(0.0, 1e3), st.floats(1e-6, 1e3), st.integers(2, 64),
+       st.sampled_from(["csv", "json"]), st.booleans())
+def test_sweep_files_equal_the_reference_bytes(doc, low, span, steps, fmt, nats):
+    # the column writer against drf.sweep's rows and json.dumps
+    with tempfile.TemporaryDirectory() as d:
+        path, out = Path(d) / "model.json", Path(d) / "sweep.out"
+        path.write_text(json.dumps(doc))
+        argv = ["sweep", str(path), "--min", repr(low), "--max", repr(low + span),
+                "--steps", str(steps), "--out", str(out), "--format", fmt] + ["--nats"] * nats
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        grid = np.linspace(low, low + span, steps)
+        assert out.read_bytes() == _reference_sweep(cli.load_model(path), grid, fmt, nats).encode()

@@ -23,7 +23,8 @@ gets the gain ``1 - theta / v`` and the distortion ``min(v, theta)``.
 Compress-and-estimate water-fills the observation spectrum and reads all
 of ``q``; the optimal scheme water-fills the estimate's spectrum and, with
 ``k`` active components, reads the first ``k`` entries of ``q``; the floor
-is the channel with gain 1 and distortion 0.  :func:`_maps` defines each
+is the optimal scheme's channel at infinite rate, where every gain is
+exactly 1 and every distortion exactly 0.  :func:`_maps` defines each
 estimate by its linear map ``B``.  The error ``B w`` is Gaussian with
 covariance ``B B^T``, so its squared norm has the law of the weighted
 chi-square ``sum_i mu_i g_i^2``, with ``mu`` the eigenvalues of ``B B^T``
@@ -119,6 +120,7 @@ def _gains(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and gains ``(v - dist) / v`` on the ``k`` active components, exactly 0
     on the others.  ``k`` decides, not ``v > theta``: just above a threshold,
     within ``BOUNDARY_SLACK``, ``theta`` is already a hair below the next value.
+    At ``R = inf`` every gain is exactly 1 and every distortion exactly 0.
     """
     k, theta = waterfill._levels(spectrum, R)
     v = spectrum.arrays[1][:spectrum.rank]
@@ -199,7 +201,7 @@ def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[flo
 def _ce_forms(model: ObservationModel, p: CEMatrixParts) -> list[float]:
     """:func:`ce_matrix_forms` on a grid's test channel ``p``, from one values-only SVD."""
     s = np.linalg.svd(_whitened(p)[1], compute_uv=False)
-    return ((np.sum(1.0 / (1.0 + s * s), axis=-1) + (model.M - s.shape[-1])) / model.M).tolist()
+    return (((1.0 / (1.0 + s * s)).sum(axis=-1) + (model.M - s.shape[-1])) / model.M).tolist()
 
 
 def ce_matrix_form(model: ObservationModel, R: float) -> float:
@@ -223,10 +225,15 @@ def _error_maps(fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
     """``[I - fx | -fz | -fq | 0]``, stacked: ``[x; z; q]`` to the error of ``fx x + fz z + fq q``.
 
     ``fq`` acts on the leading entries of ``q``; the zeros pad each map to
-    ``M + 2L`` columns.
+    ``M + 2L`` columns.  Written into one zero array.
     """
     n, M, L = fz.shape
-    return np.concatenate([np.eye(M) - fx, -fz, -fq, np.zeros((n, M, L - fq.shape[-1]))], axis=-1)
+    b = np.zeros((n, M, M + 2 * L))
+    b.reshape(n, M * (M + 2 * L))[:, ::M + 2 * L + 1] = 1.0  # the diagonal of each I
+    b[..., :M] -= fx
+    b[..., M:M + L] = -fz
+    b[..., M + L:M + L + fq.shape[-1]] = -fq
+    return b
 
 
 def _ce_maps(model: ObservationModel, p: CEMatrixParts) -> np.ndarray:
@@ -245,14 +252,12 @@ def _maps(model: ObservationModel, ce: CEMatrixParts | None = None,
 
     One CE map per rate of the test channel ``ce``, none for ``None``.  The
     optimal scheme passes the MMSE estimate, in its covariance's eigenbasis,
-    through :func:`_gains` of the conditional spectrum; the floor with gain 1.
+    through :func:`_gains` of the conditional spectrum; the floor at infinite rate.
     """
     u, s, v = model.svd
     maps = [_ce_maps(model, ce)] if ce is not None else []
-    gain, dist = _gains(model.conditional, np.array(idrf_rates, dtype=float))
-    if mmse:
-        gain = np.vstack([gain, np.ones(gain.shape[1])])
-        dist = np.vstack([dist, np.zeros(dist.shape[1])])
+    rates = [*idrf_rates, math.inf] if mmse else idrf_rates
+    gain, dist = _gains(model.conditional, np.array(rates, dtype=float))
     # the MMSE estimate fx x + fz z, with E = V diag(s / (s^2 + s2)) U^T:
     # fx = E A, whose eigenbasis is V, and fz = sigma E
     obs = s * s + model.sigma2
@@ -305,11 +310,8 @@ def _estimates(model: ObservationModel, n_samples: int, seed: int, ce: CEMatrixP
                       n_samples=n_samples, seed=seed)
            for w in weights]
     n_ce, n_idrf = 0 if ce is None else len(ce.gain), len(idrf_rates)
-    return McEstimates(
-        ce=tuple(est[:n_ce]),
-        idrf=tuple(est[n_ce:n_ce + n_idrf]),
-        mmse=est[-1] if mmse else None,
-    )
+    return McEstimates(ce=tuple(est[:n_ce]), idrf=tuple(est[n_ce:n_ce + n_idrf]),
+                       mmse=est[-1] if mmse else None)
 
 
 def mc_ce(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEstimate:

@@ -162,7 +162,7 @@ class ObservationModel:
         so that ``A = U[:, :rank] diag(s) V^T`` up to the rank cut-off.
         """
         u, s, vt = np.linalg.svd(self.A.data)
-        lead = u[np.argmax(np.abs(u), axis=0), np.arange(self.L)]
+        lead = u[np.abs(u).argmax(axis=0), np.arange(self.L)]
         sign = np.where(lead < 0.0, -1.0, 1.0)
         k = self.gram.rank
         out = (u * sign, s[:k], vt[:k].T * sign[:k])

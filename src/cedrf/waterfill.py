@@ -90,7 +90,7 @@ def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if spectrum.rank == 0:
         return np.zeros(R.shape, dtype=np.intp), np.zeros_like(R)
     thr, lam, _ = spectrum.arrays
-    k = np.maximum(np.searchsorted(thr + BOUNDARY_SLACK, R, side="left"), 1)
+    k = np.maximum((thr + BOUNDARY_SLACK).searchsorted(R, side="left"), 1)
     i = k - 1
     with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: theta is 2^-inf = 0
         return k, lam[i] * _exp2(2.0 * (thr[i] - R) / k)

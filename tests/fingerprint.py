@@ -7,7 +7,8 @@ written.  The sweep groups also run a model whose ``gap_ub`` is infinite at
 every rate, so the files' spelling of non-finite values is hashed.  The ``verify`` group runs
 ``verify --random 3`` at the default seed, ``--random 50 --seed 1``,
 ``--random 1 --seed 3867`` (a model that fails its Monte Carlo checks, exit
-1) and ``verify MODEL`` on every tenth seeded model.  The ``oracle`` group hashes
+1), ``--random 1 --seed s`` for s = 1..200 (the command the verify-random
+benchmark times) and ``verify MODEL`` on every tenth seeded model.  The ``oracle`` group hashes
 the ``float.hex`` of ``ce_matrix_form`` and of every ``mc_estimates`` mean and
 stderr at 2,000 samples, on the seeded models; ``verify`` prints only three
 digits of them.  Run it on two checkouts and ``diff`` the output to show that
@@ -86,6 +87,8 @@ def main():
         run(groups["verify"], tmp, "verify", "--random", 3)
         run(groups["verify"], tmp, "verify", "--random", 50, "--seed", 1)
         run(groups["verify"], tmp, "verify", "--random", 1, "--seed", 3867)
+        for seed in range(1, 201):  # the command the verify-random benchmark times
+            run(groups["verify"], tmp, "verify", "--random", 1, "--seed", seed)
         run(groups["example"], tmp, "example", "--out", tmp)
     for i, doc in enumerate(models(np.random.default_rng(15))):
         model = ObservationModel(Matrix(doc["A"]), doc["sigma2"])

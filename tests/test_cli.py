@@ -686,6 +686,67 @@ def test_verify_random_draws_each_models_sums_afresh(capsys):
     assert failed == [("random[0]", f"monte-carlo-{name}") for name in ("ce", "idrf", "mmse")]
 
 
+def test_random_verify_model_keeps_the_generator_stream():
+    # sigma2 is drawn as an index into the three values, as rng.choice drew it:
+    # the same model and the same draws after it
+    def reference(rng):
+        m, l_dim = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        return rng.uniform(-2.0, 2.0, size=(l_dim, m)), float(rng.choice([0.1, 1.0, 10.0]))
+
+    for seed in range(500):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        model = cli._random_verify_model(rng)
+        a, sigma2 = reference(ref)
+        assert np.array_equal(model.A.data, a) and model.sigma2 == sigma2, seed
+        assert rng.uniform() == ref.uniform(), seed
+
+
+def _verify_fails(capsys, check):
+    code = main(["verify", "--random", "1", "--seed", "5"])
+    out = capsys.readouterr().out
+    assert code == 1, out
+    assert f"FAIL {check:<18} observed nan" in out
+    assert out.endswith("\n1 check(s) FAILED\n"), out
+
+
+def _nan_column(monkeypatch, field, rate):
+    # the closed forms of verify's grid with one entry NaN
+    real, at = drf._columns, drf.DistortionPoint._fields.index(field)
+
+    def corrupted(model, grid):
+        columns = list(real(model, grid))
+        columns[at] = np.where(grid == rate, np.nan, columns[at])
+        return tuple(columns)
+
+    monkeypatch.setattr(drf, "_columns", corrupted)
+
+
+def test_verify_fails_a_nan_closed_form_residual(capsys, monkeypatch):
+    # R = 6 is an oracle-equivalence rate, not the first: a NaN there must
+    # fail the check, not drop out of the maximum
+    _nan_column(monkeypatch, "d_ce", 6.0)
+    _verify_fails(capsys, "oracle-equivalence")
+
+
+def test_verify_fails_a_nan_gap(capsys, monkeypatch):
+    _nan_column(monkeypatch, "gap", cli._SANDWICH_RATES[10])
+    _verify_fails(capsys, "bound-sandwich")
+
+
+def test_verify_fails_a_nan_monte_carlo_estimate(capsys, monkeypatch):
+    # the CE estimate at R = 1, the second of three, has mean NaN
+    real = oracle._estimates
+
+    def corrupted(*args, **kwargs):
+        run = real(*args, **kwargs)
+        ce = list(run.ce)
+        ce[1] = dataclasses.replace(ce[1], mean=math.nan)
+        return dataclasses.replace(run, ce=tuple(ce))
+
+    monkeypatch.setattr(oracle, "_estimates", corrupted)
+    _verify_fails(capsys, "monte-carlo-ce")
+
+
 def _fails_oracle_equivalence(model_file, capsys):
     code = main(["verify", str(model_file), "--samples", "2000", "--seed", "11"])
     out = capsys.readouterr().out

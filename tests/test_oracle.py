@@ -44,7 +44,7 @@ from cedrf.oracle import (
     mc_idrf,
     mc_mmse,
 )
-from cedrf.spectral import ObservationModel
+from cedrf.spectral import ObservationModel, Spectrum
 
 
 def _count_full_svds(monkeypatch, values_only=None):
@@ -228,6 +228,19 @@ def test_inactive_gains_are_exactly_zero():
         q = _maps(model, idrf_rates=rates)[:, :, model.M + model.L:]
         for r, cols in zip(rates, q, strict=True):
             assert np.all(cols[:, waterfill.active_count(model.conditional, r):] == 0.0), (i, r)
+
+
+@pytest.mark.parametrize("values", [(3.0, 1.0, 0.25), (2.0, 2.0, 1e-300, 0.0, 0.0), (0.0, 0.0)],
+                         ids=["full rank", "rank deficient", "rank 0"])
+def test_the_floor_is_the_channel_at_infinite_rate(values):
+    # the estimation floor's map is the optimal scheme's at R = inf: every
+    # component active, theta 0, so gain exactly 1 and distortion exactly 0,
+    # and no warning (pytest turns a RuntimeWarning into an error)
+    spectrum = Spectrum(values)
+    gain, dist = oracle._gains(spectrum, np.array([np.inf]))
+    assert gain.shape == dist.shape == (1, spectrum.rank)
+    assert np.all(gain == 1.0) and np.all(dist == 0.0)
+    assert not np.any(np.signbit(dist))
 
 
 def test_conditional_rank_below_the_gram_rank(tmp_path):

@@ -188,7 +188,7 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
             "R_limit": _json_safe(_from_bits(region.R_limit, nats)),
             "unconditional": region.unconditional,
         },
-        "point": dict(point._asdict(), R=_from_bits(rate_bits, nats)),
+        "point": dict(zip(point._fields, map(_json_safe, point)), R=_from_bits(rate_bits, nats)),
         "rates": {
             "idrf": [_from_bits(r, nats) for r in alloc_cond.rates],
             "ce": [_from_bits(r, nats) for r in alloc_obs.rates],
@@ -342,13 +342,13 @@ def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: in
     """
     neighbours = (r for t in model.observation.thresholds[:-1] if t > 0.0
                   for r in (max(0.0, t - 0.05), t + 0.05))
-    ce_rates = sorted({*_ORACLE_RATES, *neighbours, *_MC_RATES})
+    ce_rates = np.array(sorted({*_ORACLE_RATES, *neighbours, *_MC_RATES}))
     parts = oracle._ce_grid(model, ce_rates)
     cap = min(drf.equality_region(model).R_limit, 12.0)
     region = np.concatenate([rng.uniform(0.0, cap, 20), [cap]])
     grid = np.sort(np.concatenate([ce_rates, region, _SANDWICH_RATES]))  # a repeated rate repeats its row
     _, d_idrf, d_ce, gap, gap_ub, gap_lb = drf._columns(model, grid)[:6]
-    worst = np.abs(oracle._ce_forms(model, parts) - d_ce[grid.searchsorted(ce_rates)]).max()
+    worst = np.abs(parts.d_ce - d_ce[grid.searchsorted(ce_rates)]).max()
     checks = [CheckResult("oracle-equivalence", 1e-9, worst, worst < 1e-9)]
     at = grid.searchsorted(region)
     worst = np.abs(d_ce[at] - d_idrf[at]).max()
@@ -360,7 +360,7 @@ def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: in
     increase = np.diff([d_i, d_c]).max(initial=0.0) + 0.0
     checks.append(CheckResult("bound-sandwich", 1e-10, violation, violation <= 1e-10))
     checks.append(CheckResult("monotonicity", 1e-12, increase, increase <= 1e-12))
-    mc = oracle._rows(parts, [ce_rates.index(r) for r in _MC_RATES])
+    mc = oracle._rows(parts, ce_rates.searchsorted(_MC_RATES))
     run = oracle._estimates(model, samples, seed, mc, _MC_RATES, mmse=True)
     at = grid.searchsorted(_MC_RATES)
     checks.append(_worst_mc("monte-carlo-ce", run.ce, d_ce[at].tolist()))

@@ -48,16 +48,17 @@ of ``A``, which gives the MMSE estimator and the eigenbasis of its
 estimate's covariance at once; a gain is formed only on the estimate
 spectrum's positive values and their basis columns.  The
 compress-and-estimate maps and the matrix form share :func:`_ce_grid`,
-which builds the test channel for a whole rate grid, and the SVD of the
-channel whitened by its noise, with no rank cut-off of its own: the
-channel uses the model's ``A``, whose singular values past ``gram.rank``
-are 0, as the other maps do.  The whitening keeps every rate's full
-``L x M`` shape (:func:`_whitened`): a rate's inactive rows carry no
-noise, get the weight 0 and become zero rows, which add only zero
-singular values.  So a grid takes one stacked SVD, and the matrix form
-only its singular values.  A rate's rows are the same bits in any grid
-that holds it, so one channel can serve both (``verify`` builds one per
-model, and :func:`_rows` takes the Monte Carlo rates' rows from it).
+which builds the test channel for a whole rate grid and factors it once:
+one stacked SVD of the channel whitened by its noise, with no rank cut-off
+of its own, gives every rate's linear MMSE decoder and its distortion.
+The channel uses the model's ``A``, whose singular values past
+``gram.rank`` are 0, as the other maps do.  The whitening keeps every
+rate's full ``L x M`` shape: a rate's inactive rows carry no noise, get
+the weight 0 and become zero rows, which add only zero singular values.
+LAPACK factors each matrix of the stack on its own, so a rate's rows, its
+decoder and its distortion included, are the same bits in any grid that
+holds it, and one channel can serve both oracles (``verify`` builds one
+per model, and :func:`_rows` takes the Monte Carlo rates' rows from it).
 Every grid takes one :func:`waterfill._levels` call per spectrum, and the
 one-rate functions (:func:`ce_matrix_parts`, :func:`ce_matrix_form`) are
 that grid at one rate, so they equal it bit for bit.
@@ -93,6 +94,10 @@ class CEMatrixParts:
     with rows past ``gram.rank`` 0, as the model's ``A`` has them.
     ``noise_cov``: 1-D diagonal ``s2 gain^2 + gain distortion`` of the
     effective additive noise's covariance.
+    ``decoder``: ``M x L`` linear MMSE decoder ``E`` of the source from the
+    representation, with columns 0 on the inactive rows.
+    ``d_ce``: the decoder's normalized error ``(1/M) tr(I - E P)``, ``P``
+    the channel; a scalar at one rate.
     """
 
     basis: np.ndarray
@@ -100,6 +105,8 @@ class CEMatrixParts:
     distortion: np.ndarray
     channel: np.ndarray
     noise_cov: np.ndarray
+    decoder: np.ndarray
+    d_ce: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -129,20 +136,31 @@ def _gains(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ce_grid(model: ObservationModel, rates: Sequence[float]) -> CEMatrixParts:
-    """The test-channel matrices of compress-and-estimate on a rate grid, stacked.
+    """The test channel of compress-and-estimate on a grid of valid rates, stacked, and its decoder.
 
     The gains and distortions are :func:`_gains` of the observation
-    spectrum, whose ``L`` values are all positive.
+    spectrum, whose ``L`` values are all positive.  With
+    ``D = diag(noise_cov)``, the channel ``P`` is whitened at full height,
+    ``Q = D^{-1/2} P``: a rate's inactive rows, ``noise_cov == 0``, have
+    gain and channel row 0 and carry nothing, so their ``D^{-1/2}`` is 0 and
+    they are zero rows of ``Q``.  One stacked SVD ``Q = U diag(s) V^T``
+    gives each rate's decoder ``E = V diag(s / (1 + s^2)) U^T D^{-1/2}`` of
+    ``x`` from ``P x + n``, ``n`` with covariance ``D``, and its error:
+    ``I - E P = (I + Q^T Q)^{-1}``, whose eigenvalues are ``1 / (1 + s^2)``
+    and ``M - len(s)`` ones, a sum of non-negative terms.
     """
-    R = np.array([waterfill._check_rate(r) for r in rates], dtype=float)
-    gain, dist = _gains(model.observation, R)
-    u = model.basis
-    channel = (gain[:, :, None] * u.T) @ model.A.data
+    gain, dist = _gains(model.observation, np.asarray(rates, dtype=float))
+    channel = (gain[:, :, None] * model.basis.T) @ model.A.data
     channel[:, model.gram.rank:] = 0.0  # the model's A: its singular values past the rank are 0
     noise = model.sigma2 * gain * gain + gain * dist
-    for a in (gain, dist, channel, noise):
+    scale = 1.0 / np.sqrt(np.where(noise > 0.0, noise, np.inf))
+    u, s, vt = np.linalg.svd(scale[:, :, None] * channel, full_matrices=False)
+    decoder = ((vt.mT * (s / (1.0 + s * s))[:, None, :]) @ u.mT) * scale[:, None, :]
+    d_ce = ((1.0 / (1.0 + s * s)).sum(axis=-1) + (model.M - s.shape[-1])) / model.M
+    for a in (gain, dist, channel, noise, decoder, d_ce):
         a.flags.writeable = False
-    return CEMatrixParts(basis=u, gain=gain, distortion=dist, channel=channel, noise_cov=noise)
+    return CEMatrixParts(basis=model.basis, gain=gain, distortion=dist, channel=channel,
+                         noise_cov=noise, decoder=decoder, d_ce=d_ce)
 
 
 def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
@@ -150,58 +168,28 @@ def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
 
     The grid of :func:`_ce_grid` at one rate.
     """
+    waterfill._check_rate(R)
     return _rows(_ce_grid(model, (R,)), 0)
 
 
 def _rows(p: CEMatrixParts, i) -> CEMatrixParts:
     """The parts of a grid at the rates ``i`` indexes: one rate for an int, else a grid."""
     return CEMatrixParts(basis=p.basis, gain=p.gain[i], distortion=p.distortion[i],
-                         channel=p.channel[i], noise_cov=p.noise_cov[i])
-
-
-def _whitened(p: CEMatrixParts) -> tuple[np.ndarray, np.ndarray]:
-    """``D^{-1/2}`` and the whitened channel ``Q = D^{-1/2} P`` at each rate of a grid, stacked.
-
-    ``D = diag(noise_cov)``.  A rate's inactive rows, ``noise_cov == 0``,
-    have gain and channel row 0 and carry nothing: their ``D^{-1/2}`` is 0,
-    so they are zero rows of ``Q`` and add only zero singular values.  Each
-    rate's ``Q`` is the same ``L x M`` matrix in any grid.
-    """
-    scale = 1.0 / np.sqrt(np.where(p.noise_cov > 0.0, p.noise_cov, np.inf))
-    return scale, scale[:, :, None] * p.channel
-
-
-def _ce_decoders(p: CEMatrixParts) -> np.ndarray:
-    """Linear MMSE decoder ``E`` of ``x`` from ``P x + n`` at each rate of a grid, stacked.
-
-    ``n`` has covariance ``D = diag(noise_cov)``.  With the SVD
-    ``Q = U diag(s) V^T`` of the whitened channel of :func:`_whitened`,
-    ``E = V diag(s / (1 + s^2)) U^T D^{-1/2}``, whose columns for the
-    inactive rows are 0, and ``I - E P = (I + Q^T Q)^{-1}``, whose
-    eigenvalues are ``1 / (1 + s^2)`` and ``M - len(s)`` ones.
-    """
-    scale, q = _whitened(p)
-    u, s, vt = np.linalg.svd(q, full_matrices=False)
-    return ((vt.mT * (s / (1.0 + s * s))[:, None, :]) @ u.mT) * scale[:, None, :]
+                         channel=p.channel[i], noise_cov=p.noise_cov[i], decoder=p.decoder[i],
+                         d_ce=p.d_ce[i])
 
 
 def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[float]:
     """Compress-and-estimate distortions from the test channel's matrices on a rate grid.
 
     ``(1/M) tr(I - E P)`` with ``P`` the channel matrix and ``E`` the
-    linear MMSE decoder of :func:`_ce_decoders`: ``(1/M) (sum 1 / (1 + s^2)
-    + M - len(s))`` over the singular values ``s`` of the whitened channel,
-    a sum of non-negative terms.  Must agree with the spectral closed form
-    for every model and rate; this is the primary cross-check of the
-    piecewise formulas.  The rates may come in any order.
+    linear MMSE decoder, the ``d_ce`` of :func:`_ce_grid`.  Must agree with
+    the spectral closed form for every model and rate; this is the primary
+    cross-check of the piecewise formulas.  The rates may come in any order.
     """
-    return _ce_forms(model, _ce_grid(model, rates))
-
-
-def _ce_forms(model: ObservationModel, p: CEMatrixParts) -> list[float]:
-    """:func:`ce_matrix_forms` on a grid's test channel ``p``, from one values-only SVD."""
-    s = np.linalg.svd(_whitened(p)[1], compute_uv=False)
-    return (((1.0 / (1.0 + s * s)).sum(axis=-1) + (model.M - s.shape[-1])) / model.M).tolist()
+    for R in rates:
+        waterfill._check_rate(R)
+    return _ce_grid(model, rates).d_ce.tolist()
 
 
 def ce_matrix_form(model: ObservationModel, R: float) -> float:
@@ -241,7 +229,7 @@ def _ce_maps(model: ObservationModel, p: CEMatrixParts) -> np.ndarray:
 
     ``x_hat = E (P x + sigma diag(gain) U^T z + sqrt(gain dist) q)``.
     """
-    e = _ce_decoders(p)
+    e = p.decoder
     fz = (math.sqrt(model.sigma2) * e * p.gain[:, None, :]) @ p.basis.T
     return _error_maps(e @ p.channel, fz, e * np.sqrt(p.gain * p.distortion)[:, None, :])
 

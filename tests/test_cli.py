@@ -188,6 +188,22 @@ def test_analyze_with_an_overflowing_gap_prefactor_warns_nothing(tmp_path, capsy
     assert json.loads(out.read_text())["point"]["gap_ub"] == 0.0
 
 
+def test_analyze_json_writes_an_infinite_point_value_as_null(tmp_path, capsys):
+    # the report is valid JSON: an infinite gap_ub is null, as infinite thresholds are
+    model = tmp_path / "big.json"
+    model.write_text(json.dumps({"A": [[1e100, 0], [0, 1]], "sigma2": 1e-300}))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(model), "--rate", "1", "--json", str(out)]) == 0
+    assert "bounds [0, inf]" in capsys.readouterr().out
+
+    def invalid(word):
+        raise ValueError(f"not JSON: {word}")
+
+    report = json.loads(out.read_text(), parse_constant=invalid)
+    assert report["point"]["gap_ub"] is None
+    assert report["thresholds"]["observation"][-1] is None
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["analyze", "/nonexistent/model.json", "--rate", "1"]) == 2
     assert "not found" in capsys.readouterr().err
@@ -770,16 +786,22 @@ def test_verify_negative_control(model_file, capsys, monkeypatch):
 
 
 def test_verify_negative_control_on_the_test_channel(model_file, capsys, monkeypatch):
-    # scale the noise covariance of the CE test channel, which the matrix
-    # form and the Monte Carlo CE maps share, by 1.01: verification must fail
+    # scale the distortions of the observation spectrum's forward test
+    # channel by 1.01, upstream of the CE test channel's one SVD, which the
+    # matrix form and the Monte Carlo CE maps share: verification must fail
     # and name the check
-    real = oracle._ce_grid
+    real_load, real_gains, models = cli.load_model, oracle._gains, []
 
-    def corrupted(model, rates):
-        parts = real(model, rates)
-        return dataclasses.replace(parts, noise_cov=parts.noise_cov * 1.01)
+    def load(path):
+        models.append(real_load(path))
+        return models[-1]
 
-    monkeypatch.setattr(oracle, "_ce_grid", corrupted)
+    def corrupted(spectrum, R):
+        gain, dist = real_gains(spectrum, R)
+        return gain, dist * 1.01 if spectrum is models[-1].observation else dist
+
+    monkeypatch.setattr(cli, "load_model", load)
+    monkeypatch.setattr(oracle, "_gains", corrupted)
     _fails_oracle_equivalence(model_file, capsys)
 
 

@@ -31,7 +31,6 @@ from cedrf import cli, drf, linalg, oracle, waterfill
 from cedrf.cli import _random_verify_model
 from cedrf.linalg import Matrix
 from cedrf.oracle import (
-    _ce_decoders,
     _ce_grid,
     _maps,
     _weights,
@@ -68,15 +67,16 @@ def _count_full_svds(monkeypatch, values_only=None):
 
 def test_parts_reuse_the_model_basis(monkeypatch):
     # the basis is the cached SVD's U: built on the first read, once, and
-    # every later call, the optimal-scheme and floor maps included, reuses it
+    # every later call, the optimal-scheme and floor maps included, reuses it;
+    # each call's test channel adds its one stacked SVD, of its one rate
     model = random_model(np.random.default_rng(12))
     calls = _count_full_svds(monkeypatch)
     assert "svd" not in vars(model)
-    for r in (0.0, 0.5, 2.0):
+    for n, r in enumerate((0.0, 0.5, 2.0), start=1):
         assert ce_matrix_parts(model, r).basis is model.basis
-        assert calls == [(model.L, model.M)]
+        assert calls == [(model.L, model.M)] + [(1, model.L, model.M)] * n
     mc_estimates(model, 10, 1, idrf_rates=(1.0,), mmse=True)
-    assert len(calls) == 1
+    assert len(calls) == 4
 
 
 def test_parts_at_zero_rate():
@@ -267,15 +267,18 @@ def test_conditional_rank_below_the_gram_rank(tmp_path):
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.inf, math.nan])
 def test_grids_reject_an_invalid_rate_as_the_one_rate_calls_do(bad):
+    # the public entry points check the rates; the test channel they build checks none
     model = example_model()
     with pytest.raises(ValueError) as one:
         ce_matrix_form(model, bad)
-    with pytest.raises(ValueError) as grid:
-        ce_matrix_forms(model, [0.5, bad, 1.0])
-    assert type(grid.value) is type(one.value) and str(grid.value) == str(one.value)
-    with pytest.raises(ValueError) as grid:
-        mc_estimates(model, 10, 1, ce_rates=(0.5,), idrf_rates=(1.0, bad))
-    assert type(grid.value) is type(one.value) and str(grid.value) == str(one.value)
+    assert str(one.value) == f"rate must be a finite non-negative real, got {bad!r}"
+    for call in (lambda: ce_matrix_forms(model, [0.5, bad, 1.0]),
+                 lambda: ce_matrix_parts(model, bad),
+                 lambda: mc_estimates(model, 10, 1, ce_rates=(0.5, bad)),
+                 lambda: mc_estimates(model, 10, 1, ce_rates=(0.5,), idrf_rates=(1.0, bad))):
+        with pytest.raises(ValueError) as grid:
+            call()
+        assert type(grid.value) is type(one.value) and str(grid.value) == str(one.value)
 
 
 def test_matrix_form_at_high_snr_matches_60_digits():
@@ -296,7 +299,7 @@ def test_decoder_is_the_pseudoinverse_form():
     rates = (0.0, 0.5, 3.0, 12.0)
     for i in range(300):
         model = _random_verify_model(rng)
-        for r, e in zip(rates, _ce_decoders(_ce_grid(model, rates)), strict=True):
+        for r, e in zip(rates, _ce_grid(model, rates).decoder, strict=True):
             p = ce_matrix_parts(model, r)
             cov = p.channel @ p.channel.T + np.diag(p.noise_cov)
             want = p.channel.T @ linalg.pinv((cov + cov.T) / 2.0)
@@ -703,13 +706,12 @@ def test_verify_evaluates_each_model_once(tmp_path, monkeypatch):
     # water-filling per spectrum), one CE test channel (one more) and the
     # optimal-scheme maps (one more); no sweep, no pinv and no eigensolver.
     # The basis and the optimal-scheme and floor maps share one full SVD of
-    # A, the matrix form takes the singular values of the whole channel in
-    # one stacked SVD, and the Monte Carlo CE maps one full stacked SVD of
-    # its rows at the three rates, whatever rows are active at each.  The
-    # seven Monte Carlo maps take their weights from one more values-only
-    # stacked SVD, each map padded to M x (M + 2L); the only 2-D values-only
-    # SVD is the model's own, of A.  Alone, the matrix form takes one
-    # values-only stacked SVD per grid
+    # A, and the whole CE test channel, whatever rows are active at each
+    # rate, one full stacked SVD, which gives both the matrix form and the
+    # Monte Carlo CE decoders.  The seven Monte Carlo maps take their
+    # weights from one values-only stacked SVD, each map padded to
+    # M x (M + 2L); the only 2-D values-only SVD is the model's own, of A.
+    # Alone, the matrix form takes one full stacked SVD per grid
     calls, grid_sizes, values_only = {}, [], []
     for module, name in ((linalg, "pinv"), (linalg, "sym_eig"), (waterfill, "_levels"),
                          (drf, "sweep"), (oracle, "_ce_grid")):
@@ -737,15 +739,15 @@ def test_verify_evaluates_each_model_once(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", *source, "--samples", "1000"]) == 0
         assert calls == {"_levels": 4, "_ce_grid": 1}
-        assert svds == [(model.L, model.M), (3, model.L, model.M)]
-        assert values_only == [(model.L, model.M), (*grid_sizes, model.L, model.M),
-                               (7, model.M, model.M + 2 * model.L)]
+        assert svds == [(model.L, model.M), (*grid_sizes, model.L, model.M)]
+        assert values_only == [(model.L, model.M), (7, model.M, model.M + 2 * model.L)]
         svds.clear()
+        values_only.clear()
         for rates in (grid, grid[1:2]):
-            values_only.clear()
             ce_matrix_forms(model, rates)
-            assert values_only == [(len(rates), model.L, model.M)]
-        assert svds == [(model.L, model.M)]  # the basis of this model object, once
+        # the basis of this model object, once, then one stacked SVD per grid
+        assert svds == [(model.L, model.M), (len(grid), model.L, model.M), (1, model.L, model.M)]
+        assert values_only == []
 
 
 def _moment_models():

@@ -172,17 +172,16 @@ def test_grid_evaluation_is_pointwise(model, extra, data):
     labels = data.draw(st.lists(st.integers(0, 2), min_size=union.size, max_size=union.size))
     columns = drf._columns(model, union)
     parts = oracle._ce_grid(model, union.tolist())
-    forms = oracle._ce_forms(model, parts)
     for label in set(labels):
         sub = [r for r, n in zip(union.tolist(), labels) if n == label]
         at = np.searchsorted(union, sub)
         assert list(map(drf.DistortionPoint, *(c[at].tolist() for c in columns))) == \
             drf.sweep(model, sub)
         rows, own = oracle._rows(parts, at), oracle._ce_grid(model, sub)
-        for field in ("gain", "distortion", "channel", "noise_cov"):
+        # so one stacked SVD of the union serves every rate: its decoders and forms too
+        for field in ("gain", "distortion", "channel", "noise_cov", "decoder", "d_ce"):
             assert np.array_equal(getattr(rows, field), getattr(own, field)), field
-        assert oracle._ce_forms(model, rows) == [forms[i] for i in at] == \
-            oracle.ce_matrix_forms(model, sub)
+        assert rows.d_ce.tolist() == oracle.ce_matrix_forms(model, sub)
         for a, b in zip(oracle._ce_maps(model, rows), oracle._ce_maps(model, own), strict=True):
             assert np.array_equal(a, b)
 

@@ -11,10 +11,13 @@ those results rest on.
 All rates are bits per source vector; distortions are normalized by the
 source dimension so the zero-rate value is 1.
 
-Curves and bounds are evaluated a whole rate grid at a time: active counts
-and water levels come from :func:`waterfill._levels`, the partial sums
-over the active components from prefix sums that add left to right, and
-every power of two from the C library's ``pow``.  The
+Both curves are ``1 - (1/M) sum_{l<=k} (c_l - theta w_l)``, ``c_l = lam_l/(lam_l+s2)``:
+the optimal scheme water-fills ``c`` with ``w_l = 1``, compress-and-estimate
+the observation spectrum with the model's :func:`spectral.ce_weights`, and
+one kernel, :func:`_curves`, evaluates both a whole rate grid at a time:
+active counts and water levels come from :func:`waterfill._levels`, the
+partial sums over the active components from the tables' prefix sums, which
+add left to right, and every power of two from the C library's ``pow``.  The
 one-rate functions (:func:`idrf`, :func:`ce_drf`, the gap and its bounds)
 evaluate that grid at a single rate, so they equal :func:`sweep` bit for
 bit.
@@ -32,9 +35,9 @@ from . import waterfill
 from .spectral import (
     ObservationModel,
     Spectrum,
+    ce_weights,
     conditional_spectrum,
     observation_spectrum,
-    prefix_sums,
 )
 
 #: Leading weights ``lam/(lam+s2)^2`` within this relative distance of the
@@ -99,26 +102,18 @@ class AmGmBounds(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _ce_weights(obs: Spectrum, cond: Spectrum) -> np.ndarray:
-    """``lam/(lam+s2)^2`` per component, formed as ``cond/obs``.
+def _curves(obs: Spectrum, cond: Spectrum, weight_sums: np.ndarray, M: int,
+            R: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Both schemes' ``(d_idrf, d_ce, k_idrf, k_ce, theta_idrf, theta_ce)`` on a grid of valid rates.
 
-    Nothing is squared, so a weight underflows or overflows only where its
-    value itself lies outside double precision.
+    The optimal scheme water-fills ``cond`` with unit weights, compress-and-estimate ``obs``
+    with the weights whose prefix sums are ``weight_sums``.
     """
-    return cond.arrays[1] / obs.arrays[1]
-
-
-def _idrf_grid(cond: Spectrum, M: int, R: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Distortions, active counts and water levels of the optimal scheme."""
-    k, theta = waterfill._levels(cond, R)
-    return 1.0 - (cond.arrays[2][k] - k * theta) / M, k, theta
-
-
-def _ce_grid(obs: Spectrum, cond: Spectrum, M: int, R: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Distortions, active counts and water levels of compress-and-estimate."""
-    k, theta = waterfill._levels(obs, R)
-    kept = cond.arrays[2][k] - theta * prefix_sums(_ce_weights(obs, cond))[k]
-    return 1.0 - kept / M, k, theta
+    k_i, theta_i = waterfill._levels(cond, R)
+    k_c, theta_c = waterfill._levels(obs, R)
+    d_i = 1.0 - (cond.arrays[2][k_i] - k_i * theta_i) / M
+    d_c = 1.0 - (cond.arrays[2][k_c] - theta_c * weight_sums[k_c]) / M
+    return d_i, d_c, k_i, k_c, theta_i, theta_c
 
 
 def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
@@ -152,8 +147,8 @@ def _columns(model: ObservationModel, grid: np.ndarray) -> tuple[np.ndarray, ...
     Each rate's entries depend on that rate alone, so a rate's row is the
     same bits in any grid that holds it.
     """
-    d_i, k_i, theta_i = _idrf_grid(model.conditional, model.M, grid)
-    d_c, k_c, theta_c = _ce_grid(model.observation, model.conditional, model.M, grid)
+    d_i, d_c, k_i, k_c, theta_i, theta_c = _curves(model.observation, model.conditional,
+                                                   model.weights[1], model.M, grid)
     upper, lower = _gap_bounds_grid(model, grid, k_i, k_c)
     diff = d_c - d_i
     gap = np.where(diff > 0.0, diff, 0.0)
@@ -202,7 +197,7 @@ def equality_region(model: ObservationModel) -> EqualityRegion:
     if cond.rank == 0:  # both curves are 1 at every rate
         return EqualityRegion(r0=model.r, R_limit=math.inf, unconditional=True)
     r0 = 1
-    c = _ce_weights(model.observation, cond)
+    c = model.weights[0]
     for l in range(1, model.r):
         if abs(c[l] - c[0]) <= TIE_RTOL * c[0]:
             r0 = l + 1
@@ -239,8 +234,9 @@ def gap_lower_bound(model: ObservationModel, R: float) -> float:
     return _point(model, R).gap_lb
 
 
-def _check_condition_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[Spectrum, Spectrum]:
-    """Observation and estimate spectra of an exact two-component pair that meets the condition."""
+def _check_condition_2d(lambda1: float, lambda2: float,
+                        sigma2: float) -> tuple[Spectrum, Spectrum, np.ndarray]:
+    """Both spectra and the weight sums of an exact two-component pair that meets the condition."""
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)) or lambda1 < lambda2 or lambda2 < 0:
         raise ValueError(
             f"eigenvalues must satisfy lambda1 >= lambda2 >= 0, got {lambda1!r}, {lambda2!r}"
@@ -251,13 +247,13 @@ def _check_condition_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[
         raise ValueError(f"lambda1 + sigma2 overflows double precision: {lambda1!r} + {sigma2!r}")
     gram = Spectrum((float(lambda1), float(lambda2)))
     obs, cond = observation_spectrum(gram, sigma2), conditional_spectrum(gram, sigma2)
-    a1, a2 = _ce_weights(obs, cond).tolist()
+    (a1, a2), weight_sums = ce_weights(obs, cond)
     if a1 - a2 > TIE_RTOL * a1:  # not tied, as equality_region tests it
         raise ConditionViolated(
             "two-component form requires lambda1/(lambda1+s2)^2 <= lambda2/(lambda2+s2)^2; "
             f"got {a1:.6g} > {a2:.6g}"
         )
-    return obs, cond
+    return obs, cond, weight_sums
 
 
 def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
@@ -271,10 +267,8 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     ``lambda2`` (``lambda2 > RANK_RTOL lambda1``).
     """
     R = waterfill._check_rate(R)
-    obs, cond = _check_condition_2d(lambda1, lambda2, sigma2)
-    rate = np.array([R])
-    d_idrf, k_idrf, _ = _idrf_grid(cond, 2, rate)
-    d_ce, k_ce, _ = _ce_grid(obs, cond, 2, rate)
+    obs, cond, weight_sums = _check_condition_2d(lambda1, lambda2, sigma2)
+    d_idrf, d_ce, k_idrf, k_ce = _curves(obs, cond, weight_sums, 2, np.array([R]))[:4]
     if k_idrf[0] < 2:  # at rank 1 the estimate spectrum's second component never activates
         return 0.0
     if k_ce[0] < 2:

@@ -73,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from . import waterfill
-from .spectral import ObservationModel, Spectrum
+from .spectral import ObservationModel, Spectrum, _read_only
 
 class InvalidSampleCount(ValueError):
     """Monte Carlo needs at least one sample."""
@@ -157,10 +157,7 @@ def _ce_grid(model: ObservationModel, rates: Sequence[float]) -> CEMatrixParts:
     u, s, vt = np.linalg.svd(scale[:, :, None] * channel, full_matrices=False)
     decoder = ((vt.mT * (s / (1.0 + s * s))[:, None, :]) @ u.mT) * scale[:, None, :]
     d_ce = ((1.0 / (1.0 + s * s)).sum(axis=-1) + (model.M - s.shape[-1])) / model.M
-    for a in (gain, dist, channel, noise, decoder, d_ce):
-        a.flags.writeable = False
-    return CEMatrixParts(basis=model.basis, gain=gain, distortion=dist, channel=channel,
-                         noise_cov=noise, decoder=decoder, d_ce=d_ce)
+    return CEMatrixParts(model.basis, *_read_only(gain, dist, channel, noise, decoder, d_ce))
 
 
 def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
@@ -173,10 +170,9 @@ def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
 
 
 def _rows(p: CEMatrixParts, i) -> CEMatrixParts:
-    """The parts of a grid at the rates ``i`` indexes: one rate for an int, else a grid."""
-    return CEMatrixParts(basis=p.basis, gain=p.gain[i], distortion=p.distortion[i],
-                         channel=p.channel[i], noise_cov=p.noise_cov[i], decoder=p.decoder[i],
-                         d_ce=p.d_ce[i])
+    """The read-only parts of a grid at the rates ``i`` indexes: one rate for an int, else a grid."""
+    rows = (p.gain, p.distortion, p.channel, p.noise_cov, p.decoder, p.d_ce)
+    return CEMatrixParts(p.basis, *_read_only(*(a[i] for a in rows)))
 
 
 def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[float]:
@@ -283,7 +279,7 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
         waterfill._check_rate(R)
     if n_samples < 1:
         raise InvalidSampleCount(f"n_samples must be >= 1, got {n_samples}")
-    return _estimates(model, n_samples, seed, _ce_grid(model, ce_rates) if ce_rates else None,
+    return _estimates(model, n_samples, seed, _ce_grid(model, ce_rates) if len(ce_rates) else None,
                       idrf_rates, mmse)
 
 

@@ -9,12 +9,13 @@ distortion-rate formulas consume:
 * the spectrum ``lam_l / (lam_l + sigma2)`` of the covariance of the
   MMSE estimate of ``x`` from ``y``,
 
-plus the estimation-error floor and source whitening for non-identity
-source covariances.  Every closed form is purely spectral, so ``lam_l``
-comes from the singular values of ``A``.  One full SVD of ``A``, with its
-singular vectors, is built on first use and kept, for the matrix and
-Monte Carlo oracles only: its ``U`` is the eigenbasis of ``A A^T``, and
-its ``V`` that of the MMSE estimate's covariance.
+plus the weights ``lam_l / (lam_l + sigma2)^2`` of compress-and-estimate
+(:func:`ce_weights`, built once per model), the estimation-error floor and
+source whitening for non-identity source covariances.  Every closed form
+is purely spectral, so ``lam_l`` comes from the singular values of ``A``.
+One full SVD of ``A``, with its singular vectors, is built on first use
+and kept, for the matrix and Monte Carlo oracles only: its ``U`` is the
+eigenbasis of ``A A^T``, and its ``V`` that of the MMSE estimate's covariance.
 """
 
 from __future__ import annotations
@@ -85,15 +86,29 @@ class Spectrum:
         The form in which grid evaluations index the table by active count.
         """
         values = np.array(self.values)
-        out = (np.array(self.thresholds), values, prefix_sums(values))
-        for a in out:
-            a.flags.writeable = False
-        return out
+        return _read_only(np.array(self.thresholds), values, prefix_sums(values))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each marked read-only in place."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def prefix_sums(values: Sequence[float]) -> np.ndarray:
     """``[0, v_1, v_1 + v_2, ...]``, added left to right: entry ``k`` sums the first ``k`` values."""
     return np.add.accumulate(np.concatenate(([0.0], values)))
+
+
+def ce_weights(obs: Spectrum, cond: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(w, prefix_sums(w))`` of the weights ``w = lam/(lam+s2)^2``, formed as ``cond/obs``.
+
+    Nothing is squared, so a weight underflows or overflows only where its
+    value itself lies outside double precision.
+    """
+    w = cond.arrays[1] / obs.arrays[1]
+    return _read_only(w, prefix_sums(w))
 
 
 def _numerical_rank(sorted_desc: Sequence[float]) -> int:
@@ -116,8 +131,8 @@ class ObservationModel:
     ``gram``, the spectrum of ``A A^T``, is the squared singular values of
     ``A`` zero-padded to ``L``: ``eps kappa`` relative error in the small
     eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  The derived
-    spectra are cached beside it; ``svd``, and ``basis`` with it, is built
-    on first use.
+    spectra and the :func:`ce_weights` table are built once beside it;
+    ``svd``, and ``basis`` with it, is built on first use.
     ``full_rank`` records whether ``A`` has numerical rank ``min(M, L)``;
     rank-deficient models are accepted and handled throughout.
 
@@ -150,6 +165,7 @@ class ObservationModel:
         self.full_rank = self.gram.rank == self.r
         self.observation = observation_spectrum(self.gram, s2)
         self.conditional = conditional_spectrum(self.gram, s2)
+        self.weights = ce_weights(self.observation, self.conditional)
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,10 +181,7 @@ class ObservationModel:
         lead = u[np.abs(u).argmax(axis=0), np.arange(self.L)]
         sign = np.where(lead < 0.0, -1.0, 1.0)
         k = self.gram.rank
-        out = (u * sign, s[:k], vt[:k].T * sign[:k])
-        for a in out:
-            a.flags.writeable = False
-        return out
+        return _read_only(u * sign, s[:k], vt[:k].T * sign[:k])
 
     @property
     def basis(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 
 import contextlib
 import ctypes
+import dataclasses
 import io
 import json
 import math
@@ -699,6 +700,30 @@ def test_fused_rejects_bad_input():
         mc_estimates(model, 10, 1, ce_rates=(1.0,), idrf_rates=(-1.0,))
     empty = mc_estimates(model, 10, 1)
     assert empty.ce == empty.idrf == () and empty.mmse is None
+
+
+@pytest.mark.parametrize("rates", [(0.0,), (0.5, 1.0)])
+def test_mc_estimates_takes_numpy_rate_arrays(rates):
+    # a one-rate array at R = 0 is falsy and a longer one has no truth value:
+    # both must give the estimates of the same rates as a tuple, bit for bit
+    model = example_model()
+    got, want = (mc_estimates(model, 1000, 5, ce_rates=r, idrf_rates=r)
+                 for r in (np.array(rates), rates))
+    assert len(got.ce) == len(got.idrf) == len(rates)
+    bits = [(e.mean.hex(), e.stderr.hex()) for e in (*want.ce, *want.idrf)]
+    assert [(e.mean.hex(), e.stderr.hex()) for e in (*got.ce, *got.idrf)] == bits
+
+
+@pytest.mark.parametrize("index", [1, slice(0, 2), [0, 2]])
+def test_rows_are_read_only_for_every_index(index):
+    # a list index makes copies, which must be marked read-only as the views are
+    grid = _ce_grid(example_model(), (0.5, 1.0, 2.0))
+    rows = oracle._rows(grid, index)
+    for field in dataclasses.fields(rows):
+        value = getattr(rows, field.name)
+        assert not value.flags.writeable, field.name
+        if field.name != "basis":
+            assert np.array_equal(value, getattr(grid, field.name)[index]), field.name
 
 
 def test_verify_evaluates_each_model_once(tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import warnings
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from support import MMSE_EXAMPLE, example_model, random_model, rank_deficient_model
 
-from cedrf import drf
+from cedrf import cli, drf, spectral
 from cedrf.linalg import Matrix, sym_eig
 from cedrf.spectral import (
     NotPositiveDefinite,
@@ -77,6 +80,42 @@ def test_model_basis_diagonalizes_gram(seed):
     assert np.abs(np.diag(d) - model.gram.values).max() <= 1e-9 * scale
     for j in range(model.L):
         assert u[int(np.argmax(np.abs(u[:, j]))), j] > 0.0
+
+
+def test_model_builds_its_weight_table_once(tmp_path, monkeypatch):
+    model = example_model()
+    w, sums = model.weights
+    assert not w.flags.writeable and not sums.flags.writeable
+    obs, cond = model.observation.arrays[1], model.conditional.arrays[1]
+    assert w.tolist() == (cond / obs).tolist()
+    assert sums.tolist() == spectral.prefix_sums(w).tolist()
+    # an analyze op and a verify model each build the table once, with the model
+    calls = []
+    real = spectral.ce_weights
+    monkeypatch.setattr(spectral, "ce_weights", lambda *a: calls.append(a) or real(*a))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": model.A.data.tolist(), "sigma2": model.sigma2}))
+    for argv in (["analyze", path, "--rate", "1.5"], ["verify", path, "--samples", "1000"],
+                 ["verify", "--random", "1", "--seed", "12", "--samples", "1000"]):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([str(a) for a in argv]) == 0
+        assert len(calls) == 1, argv
+    # equality_region and the column kernel read that same table and build none
+    region, columns = drf.equality_region(model), drf._columns(model, np.array([0.5, 3.0]))
+    reads = []
+
+    class Table(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    calls.clear()
+    model.weights = Table(model.weights)
+    assert drf.equality_region(model) == region
+    again = drf._columns(model, np.array([0.5, 3.0]))
+    assert all(a.tolist() == b.tolist() for a, b in zip(again, columns, strict=True))
+    assert reads == [0, 1] and calls == []
 
 
 def test_observation_spectrum_examples():

@@ -170,19 +170,11 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
             "full_rank": model.full_rank,
             "mmse_floor": model.mmse_floor,
         },
-        "spectra": {
-            "gram": list(model.gram.values),
-            "observation": list(model.observation.values),
-            "conditional": list(model.conditional.values),
-        },
-        "thresholds": {
-            "observation": [
-                _json_safe(_from_bits(t, nats)) for t in model.observation.thresholds
-            ],
-            "conditional": [
-                _json_safe(_from_bits(t, nats)) for t in model.conditional.thresholds
-            ],
-        },
+        "spectra": {name: getattr(model, name).values.tolist()
+                    for name in ("gram", "observation", "conditional")},
+        "thresholds": {name: [_json_safe(_from_bits(t, nats))
+                              for t in getattr(model, name).thresholds.tolist()]
+                       for name in ("observation", "conditional")},
         "equality_region": {
             "r0": region.r0,
             "R_limit": _json_safe(_from_bits(region.R_limit, nats)),
@@ -234,8 +226,7 @@ def _print_analysis(report: dict, out=None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    rate_bits = _to_bits(args.rate, args.nats, "--rate")
-    waterfill._check_rate(rate_bits)
+    rate_bits = waterfill._check_rate(_to_bits(args.rate, args.nats, "--rate"))
     report = _analysis_report(model, rate_bits, args.nats)
     _print_analysis(report)
     if args.json:
@@ -340,8 +331,8 @@ def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: in
     drawn from ``rng``, so the draws of later models depend on this one's.
     A NaN residual or estimate fails its check.
     """
-    neighbours = (r for t in model.observation.thresholds[:-1] if t > 0.0
-                  for r in (max(0.0, t - 0.05), t + 0.05))
+    thresholds = model.observation.thresholds[:-1].tolist()
+    neighbours = (r for t in thresholds if t > 0.0 for r in (max(0.0, t - 0.05), t + 0.05))
     ce_rates = np.array(sorted({*_ORACLE_RATES, *neighbours, *_MC_RATES}))
     parts = oracle._ce_grid(model, ce_rates)
     cap = min(drf.equality_region(model).R_limit, 12.0)
@@ -398,8 +389,8 @@ def cmd_example(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    thr_cond = model.conditional.thresholds[1]
-    thr_obs = model.observation.thresholds[1]
+    thr_cond = float(model.conditional.thresholds[1])
+    thr_obs = float(model.observation.thresholds[1])
     region = drf.equality_region(model)
     r_star, g_star = drf.max_gap_2d(20.0, 0.5, 1.0)
     print(f"second activation (conditional): {thr_cond:.6f} bits")

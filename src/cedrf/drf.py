@@ -16,11 +16,13 @@ the optimal scheme water-fills ``c`` with ``w_l = 1``, compress-and-estimate
 the observation spectrum with the model's :func:`spectral.ce_weights`, and
 one kernel, :func:`_curves`, evaluates both a whole rate grid at a time:
 active counts and water levels come from :func:`waterfill._levels`, the
-partial sums over the active components from the tables' prefix sums, which
-add left to right, and every power of two from the C library's ``pow``.  The
-one-rate functions (:func:`idrf`, :func:`ce_drf`, the gap and its bounds)
-evaluate that grid at a single rate, so they equal :func:`sweep` bit for
-bit.
+partial sums over the active components from prefix sums, which add left
+to right (a spectrum's ``prefix``, the model's weight table), and every
+power of two from the C library's ``pow``.  A spectrum's ``values``,
+``thresholds`` and ``prefix`` are read-only arrays; scalar code takes
+Python floats from them first.  The one-rate functions (:func:`idrf`,
+:func:`ce_drf`, the gap and its bounds) evaluate that grid at a single
+rate, so they equal :func:`sweep` bit for bit.
 """
 
 from __future__ import annotations
@@ -111,8 +113,8 @@ def _curves(obs: Spectrum, cond: Spectrum, weight_sums: np.ndarray, M: int,
     """
     k_i, theta_i = waterfill._levels(cond, R)
     k_c, theta_c = waterfill._levels(obs, R)
-    d_i = 1.0 - (cond.arrays[2][k_i] - k_i * theta_i) / M
-    d_c = 1.0 - (cond.arrays[2][k_c] - theta_c * weight_sums[k_c]) / M
+    d_i = 1.0 - (cond.prefix[k_i] - k_i * theta_i) / M
+    d_c = 1.0 - (cond.prefix[k_c] - theta_c * weight_sums[k_c]) / M
     return d_i, d_c, k_i, k_c, theta_i, theta_c
 
 
@@ -120,7 +122,7 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
                      k_ce: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`gap_upper_bound` and :func:`gap_lower_bound` over a grid, given both active counts."""
     s2, L = model.sigma2, model.L
-    g = model.gram.values
+    g = model.gram.values.tolist()  # Python floats: the prefactors overflow to inf silently
     with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: the decay is 2^-inf = 0
         exponent = -2.0 * R / L
     decay = waterfill._exp2(exponent)
@@ -203,8 +205,8 @@ def equality_region(model: ObservationModel) -> EqualityRegion:
             r0 = l + 1
         else:
             break
-    limit_cond = cond.thresholds[r0] if r0 <= cond.rank else math.inf
-    limit = min(model.observation.thresholds[r0], limit_cond)
+    limit_cond = float(cond.thresholds[r0]) if r0 <= cond.rank else math.inf
+    limit = min(float(model.observation.thresholds[r0]), limit_cond)
     return EqualityRegion(r0=r0, R_limit=limit, unconditional=limit == math.inf)
 
 
@@ -272,7 +274,7 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     if k_idrf[0] < 2:  # at rank 1 the estimate spectrum's second component never activates
         return 0.0
     if k_ce[0] < 2:
-        c1, c2 = cond.values
+        c1, c2 = cond.values.tolist()
         return 0.5 * (math.sqrt(c1) * 2.0 ** (-R) - math.sqrt(c2)) ** 2
     return max(0.0, float(d_ce[0] - d_idrf[0]))
 
@@ -283,7 +285,7 @@ def max_gap_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[float, fl
     The maximum sits at the second activation rate of the observation
     spectrum: ``(1/2)(lam_2+s2)(sqrt(lam_1)/(lam_1+s2) - sqrt(lam_2)/(lam_2+s2))^2``.
     """
-    o1, o2 = _check_condition_2d(lambda1, lambda2, sigma2)[0].values
+    o1, o2 = _check_condition_2d(lambda1, lambda2, sigma2)[0].values.tolist()
     f1 = math.sqrt(lambda1) / o1
     f2 = math.sqrt(lambda2) / o2
     return 0.5 * math.log2(o1 / o2), 0.5 * o2 * (f1 - f2) ** 2
@@ -312,7 +314,7 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
 
 
 def _check_grid(R_grid: Sequence[float]) -> np.ndarray:
-    """``R_grid`` as a float array, or :class:`InvalidGrid` if it is not a valid rate grid."""
+    """``R_grid`` as a new float array with ``-0.0`` read as ``0.0``, or :class:`InvalidGrid`."""
     grid = np.asarray(R_grid, dtype=np.float64)
     if grid.ndim != 1:
         raise InvalidGrid("rate grid must be one-dimensional")
@@ -322,7 +324,7 @@ def _check_grid(R_grid: Sequence[float]) -> np.ndarray:
         raise InvalidGrid("rates must be finite and non-negative")
     if (grid[1:] <= grid[:-1]).any():
         raise InvalidGrid("rates must be strictly increasing")
-    return grid
+    return grid + 0.0
 
 
 def sweep(model: ObservationModel, R_grid: Sequence[float]) -> list[DistortionPoint]:

@@ -1,15 +1,18 @@
 """Spectra of linear Gaussian observation models.
 
 Turns an observation model ``y = A x + z`` (source ``x ~ N(0, I_M)``,
-noise ``z ~ N(0, sigma2 I_L)``) into the three eigenvalue lists the
+noise ``z ~ N(0, sigma2 I_L)``) into the three spectra the
 distortion-rate formulas consume:
 
 * the spectrum ``lam_l`` of ``A A^T``,
 * the observation-covariance spectrum ``lam_l + sigma2``, and
 * the spectrum ``lam_l / (lam_l + sigma2)`` of the covariance of the
-  MMSE estimate of ``x`` from ``y``,
+  MMSE estimate of ``x`` from ``y``.
 
-plus the weights ``lam_l / (lam_l + sigma2)^2`` of compress-and-estimate
+Each :class:`Spectrum` holds three read-only float64 arrays: ``values``,
+its reverse water-filling ``thresholds`` and the ``prefix`` sums of its
+values, the two tables built once, on first use.  Beside them come the
+weights ``lam_l / (lam_l + sigma2)^2`` of compress-and-estimate
 (:func:`ce_weights`, built once per model), the estimation-error floor and
 source whitening for non-identity source covariances.  Every closed form
 is purely spectral, so ``lam_l`` comes from the singular values of ``A``.
@@ -39,54 +42,54 @@ class NotPositiveDefinite(ValueError):
     """A positive-definite matrix was required."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Non-increasing list of non-negative eigenvalues; ``rank`` counts the positive ones.
+    """Non-increasing, non-negative eigenvalues; ``rank`` counts the positive ones.
 
-    Immutable, so derived tables are built on first use and kept.
+    ``values`` is a read-only float64 copy of the input; the derived tables
+    ``thresholds`` and ``prefix``, read-only too, are built on first use and kept.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     rank: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.values) == 0:
+        arr = np.array(self.values, dtype=np.float64)
+        vals = arr.tolist()  # validated in Python floats: spectra are short
+        if len(vals) == 0:
             raise ValueError("spectrum must contain at least one value")
-        for i, v in enumerate(self.values):
+        for i, v in enumerate(vals):
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"spectrum values must be finite and >= 0, got {v!r}")
-            if i > 0 and v > self.values[i - 1]:
+            if i > 0 and v > vals[i - 1]:
                 raise ValueError("spectrum values must be non-increasing")
-        object.__setattr__(self, "rank", sum(1 for v in self.values if v > 0.0))
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "rank", sum(1 for v in vals if v > 0.0))
 
     @cached_property
-    def thresholds(self) -> tuple[float, ...]:
+    def thresholds(self) -> np.ndarray:
         """Total rates (bits) at which successive components become active in reverse water-filling.
 
-        ``(R_1 = 0, R_2, ..., R_rank, inf)``, non-decreasing, with
+        ``[R_1 = 0, R_2, ..., R_rank, inf]``, non-decreasing, with
         ``R_k = (1/2) sum_{l<=k} log2(lam_l / lam_k)``.  A spectrum of rank 0
-        has the table ``(0.0,)``: no component ever becomes active.
+        has the table ``[0.0]``: no component ever becomes active.
         """
-        logs = [math.log2(v) for v in self.values[: self.rank]]
-        if not logs:
-            return (0.0,)
+        logs = [math.log2(v) for v in self.values[: self.rank].tolist()]
         out = [0.0]
-        prefix = logs[0]
-        for k in range(2, self.rank + 1):
-            prefix += logs[k - 1]
-            # clamp repairs ulp-level inversions between near-tied thresholds
-            out.append(max(0.5 * (prefix - k * logs[k - 1]), out[-1]))
-        out.append(math.inf)
-        return tuple(out)
+        if logs:
+            prefix = logs[0]
+            for k in range(2, self.rank + 1):
+                prefix += logs[k - 1]
+                # clamp repairs ulp-level inversions between near-tied thresholds
+                out.append(max(0.5 * (prefix - k * logs[k - 1]), out[-1]))
+            out.append(math.inf)
+        return _read_only(np.array(out))[0]
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only float64 ``(thresholds, values, prefix_sums(values))``.
-
-        The form in which grid evaluations index the table by active count.
-        """
-        values = np.array(self.values)
-        return _read_only(np.array(self.thresholds), values, prefix_sums(values))
+    def prefix(self) -> np.ndarray:
+        """``prefix_sums(values)``: entry ``k`` sums the first ``k`` values."""
+        return _read_only(prefix_sums(self.values))[0]
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -107,22 +110,13 @@ def ce_weights(obs: Spectrum, cond: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     Nothing is squared, so a weight underflows or overflows only where its
     value itself lies outside double precision.
     """
-    w = cond.arrays[1] / obs.arrays[1]
+    w = cond.values / obs.values
     return _read_only(w, prefix_sums(w))
 
 
 def _numerical_rank(sorted_desc: Sequence[float]) -> int:
     cutoff = RANK_RTOL * sorted_desc[0]
     return sum(1 for v in sorted_desc if v > cutoff)
-
-
-def _monotone_clamp(values: list[float]) -> tuple[float, ...]:
-    # lam / (lam + s2) is monotone on an already-sorted spectrum; this only
-    # repairs last-ulp rounding inversions so Spectrum validation stays strict.
-    for i in range(1, len(values)):
-        if values[i] > values[i - 1]:
-            values[i] = values[i - 1]
-    return tuple(values)
 
 
 class ObservationModel:
@@ -161,7 +155,7 @@ class ObservationModel:
         # values at or below the rank cut-off are rounding noise of about
         # (eps |A|)^2; kept, they would weigh lam / (lam + s2)^2 >> 1 at small s2
         w[_numerical_rank(w.tolist()):] = 0.0
-        self.gram = Spectrum(tuple(w.tolist()))
+        self.gram = Spectrum(w)
         self.full_rank = self.gram.rank == self.r
         self.observation = observation_spectrum(self.gram, s2)
         self.conditional = conditional_spectrum(self.gram, s2)
@@ -191,7 +185,7 @@ class ObservationModel:
     @property
     def mmse_floor(self) -> float:
         """Both curves' limit ``1 - (1/M) sum lam/(lam+s2)``, summed as they sum it."""
-        return 1.0 - float(self.conditional.arrays[2][-1]) / self.M
+        return 1.0 - float(self.conditional.prefix[-1]) / self.M
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -207,17 +201,18 @@ def observation_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
     with correct rounding keeps the order, so unlike
     :func:`conditional_spectrum` this needs no clamp.
     """
-    return Spectrum(tuple(v + sigma2 for v in gram.values))
+    return Spectrum(gram.values + sigma2)
 
 
 def conditional_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
     """Spectrum of the MMSE-estimate covariance: ``lam_l / (lam_l + sigma2)``.
 
     The map is monotone increasing, so descending order is preserved (up to
-    the rounded division's last-ulp inversions, which are clamped).  A value
-    that underflows to 0 drops out of the rank.
+    the rounded division's last-ulp inversions, which a running minimum
+    clamps).  A value that underflows to 0 drops out of the rank.
     """
-    return Spectrum(_monotone_clamp([v / (v + sigma2) for v in gram.values]))
+    v = gram.values
+    return Spectrum(np.minimum.accumulate(v / (v + sigma2)))
 
 
 def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:

@@ -4,12 +4,13 @@ Closed-form rate thresholds, water levels, and the per-component rate and
 distortion allocation for a Gaussian vector compressed at a total rate of
 ``R`` bits per source vector.  All logarithms are base 2; rates are bits.
 
-Each spectrum builds its threshold table once (:attr:`Spectrum.thresholds`);
-every function here reads that table.  The water level with ``k`` active
-components is ``theta = lam_k 2^{2 (R_k - R) / k}``, the geometric mean of
-the ``k`` leading eigenvalues times ``2^{-2R/k}`` rewritten through the
-k-th threshold.  It forms no eigenvalue product, so no spectrum scale or
-length can overflow it, and ``R = 0`` gives exactly ``lam_1``.
+Each spectrum builds its threshold table once, a read-only array beside
+its ``values`` (:attr:`Spectrum.thresholds`); every function here reads
+those two arrays.  The water level with ``k`` active components is
+``theta = lam_k 2^{2 (R_k - R) / k}``, the geometric mean of the ``k``
+leading eigenvalues times ``2^{-2R/k}`` rewritten through the k-th
+threshold.  It forms no eigenvalue product, so no spectrum scale or length
+can overflow it, and ``R = 0`` gives exactly ``lam_1``.
 
 Active counts and water levels are evaluated a whole rate grid at a time
 (:func:`_levels`); :func:`active_count` and :func:`water_level` are that
@@ -66,7 +67,7 @@ def _check_rate(R: float) -> float:
     r = float(R)
     if not math.isfinite(r) or r < 0.0:
         raise ValueError(f"rate must be a finite non-negative real, got {R!r}")
-    return r
+    return r + 0.0  # -0.0 becomes 0.0; every other rate keeps its bits
 
 
 def _exp2(e: np.ndarray) -> np.ndarray:
@@ -89,7 +90,7 @@ def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if spectrum.rank == 0:
         return np.zeros(R.shape, dtype=np.intp), np.zeros_like(R)
-    thr, lam, _ = spectrum.arrays
+    thr, lam = spectrum.thresholds, spectrum.values
     k = np.maximum((thr + BOUNDARY_SLACK).searchsorted(R, side="left"), 1)
     i = k - 1
     with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: theta is 2^-inf = 0
@@ -99,13 +100,13 @@ def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rate_thresholds(spectrum: Spectrum) -> list[float]:
     """Total rates at which successive components become active.
 
-    Returns a copy of :attr:`Spectrum.thresholds`:
+    Returns :attr:`Spectrum.thresholds` as a list of floats:
     ``[R_1 = 0, R_2, ..., R_rank, inf]``, non-decreasing, with
     ``R_k = (1/2) sum_{l<=k} log2(lam_l / lam_k)``.
     """
     if spectrum.rank == 0:
         raise EmptySpectrum("spectrum has no positive eigenvalues")
-    return list(spectrum.thresholds)
+    return spectrum.thresholds.tolist()
 
 
 def active_count(spectrum: Spectrum, R: float) -> int:
@@ -147,8 +148,8 @@ def _allocation(spectrum: Spectrum, r: float, k: int, theta: float) -> Waterfill
     Active component ``l`` gets ``(1/2) log2(lam_l / lam_k) + (r - R_k) / k``,
     in Python floats; the others get rate 0.
     """
-    values = spectrum.values
-    excess = (r - spectrum.thresholds[k - 1]) / k if k else 0.0
+    values = spectrum.values.tolist()
+    excess = (r - float(spectrum.thresholds[k - 1])) / k if k else 0.0
     rates = [0.5 * math.log2(v / values[k - 1]) + excess for v in values[:k]]
     return WaterfillResult(k, theta, tuple(rates + [0.0] * (len(values) - k)),
                            tuple(min(v, theta) for v in values))

@@ -131,6 +131,20 @@ def test_analyze_nats_conversion(model_file, tmp_path, capsys):
     )
 
 
+def test_a_rate_of_minus_zero_is_read_as_zero(model_file, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    for unit in ("bits", "nats"):
+        argv = ["analyze", str(model_file), "--rate", "-0", "--json", str(report_path)]
+        assert main(argv + ["--nats"] * (unit == "nats")) == 0
+        assert f"at R = 0 {unit}:" in capsys.readouterr().out
+        R = json.loads(report_path.read_text())["point"]["R"]
+        assert R == 0.0 and math.copysign(1.0, R) == 1.0, unit
+    model = example_model()
+    for grid in ([-0.0], [-0.0, 1.0], np.array([-0.0])):
+        assert math.copysign(1.0, drf.sweep(model, grid)[0].R) == 1.0, grid
+    assert math.copysign(1.0, waterfill._check_rate(-0.0)) == 1.0
+
+
 def test_json_writer_spells_every_kind_of_value_as_json_does():
     inf, nan = math.inf, math.nan
     doc = {"floats": [1.0, -0.0, 5e-324, 1e300, inf, -inf, nan, 0.1], "ints": [0, 1, -7, 2**70],
@@ -569,6 +583,27 @@ def test_analyze_json_keeps_json_dumps_bytes(name, tmp_path, capsys):
             report = cli._analysis_report(model, rate / math.log(2.0) if nats else rate, nats)
             assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
     capsys.readouterr()
+
+
+def _types(doc) -> set:
+    """The type of ``doc`` and of everything in it, through its lists and dict keys and values."""
+    if isinstance(doc, dict):
+        return {dict}.union(*map(_types, doc), *map(_types, doc.values()))
+    if isinstance(doc, list):
+        return {list}.union(*map(_types, doc))
+    return {type(doc)}
+
+
+@pytest.mark.parametrize("name", list(BYTE_MODELS))
+def test_analysis_report_holds_only_builtin_json_types(name, tmp_path):
+    # no numpy scalar reaches the JSON writer or the text report
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(BYTE_MODELS[name]))
+    model = load_model(path)
+    for rate in (0.0, 0.3, 1.9037, 40.0):
+        for nats in (False, True):
+            types = _types(cli._analysis_report(model, rate, nats))
+            assert types <= {float, int, bool, str, type(None), list, dict}, (rate, nats, types)
 
 
 def test_sweep_files_spell_non_finite_values_as_before(model_file, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -48,16 +49,42 @@ def test_spectrum_rank_counts_positive_values():
     assert Spectrum((1.0, 5e-324)).rank == 2
 
 
+def test_spectrum_tables_are_read_only_arrays_built_once():
+    given = np.array([1.0, 1e-16, 1e-16, 1e-16, 0.0])
+    s = Spectrum(given)
+    for name in ("values", "thresholds", "prefix"):
+        table = getattr(s, name)
+        assert type(table) is np.ndarray and table.dtype == np.float64, name
+        assert not table.flags.writeable, name
+        assert getattr(s, name) is table, name
+        with pytest.raises(ValueError):
+            table[0] = 2.0
+    # values are a copy: the caller's array stays writeable and apart
+    assert given.flags.writeable and s.values is not given
+    given[0] = 3.0
+    assert s.values[0] == 1.0
+    # added left to right: 1 + 1e-16 rounds to 1 at every step (fsum gives 1 + 2^-52)
+    want = [0.0]
+    for v in s.values.tolist():
+        want.append(want[-1] + v)
+    assert s.prefix.tolist() == want == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert Spectrum((0.0,)).thresholds.tolist() == [0.0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.values = np.ones(5)
+    with pytest.raises(TypeError):
+        Spectrum((2.0, 1.0), 1)
+
+
 def test_model_zeroes_gram_values_at_the_rank_cutoff():
     # 5e-11 is at most RANK_RTOL = 1e-10 of the largest: rounding noise to the model
     model = ObservationModel(Matrix(np.diag([1.0, math.sqrt(5e-11)])), 1.0)
-    assert model.gram.values == (1.0, 0.0)
+    assert model.gram.values.tolist() == [1.0, 0.0]
     assert model.gram.rank == model.conditional.rank == 1
     assert not model.full_rank
 
 
 def test_gram_spectrum_examples():
-    assert ObservationModel(Matrix(np.eye(2)), 1.0).gram.values == (1.0, 1.0)
+    assert ObservationModel(Matrix(np.eye(2)), 1.0).gram.values.tolist() == [1.0, 1.0]
     g = example_model().gram
     assert g.values == pytest.approx((20.0, 0.5), abs=1e-12)
     ones = ObservationModel(Matrix([[1.0, 1.0], [1.0, 1.0]]), 1.0)
@@ -86,7 +113,7 @@ def test_model_builds_its_weight_table_once(tmp_path, monkeypatch):
     model = example_model()
     w, sums = model.weights
     assert not w.flags.writeable and not sums.flags.writeable
-    obs, cond = model.observation.arrays[1], model.conditional.arrays[1]
+    obs, cond = model.observation.values, model.conditional.values
     assert w.tolist() == (cond / obs).tolist()
     assert sums.tolist() == spectral.prefix_sums(w).tolist()
     # an analyze op and a verify model each build the table once, with the model
@@ -119,11 +146,11 @@ def test_model_builds_its_weight_table_once(tmp_path, monkeypatch):
 
 
 def test_observation_spectrum_examples():
-    assert observation_spectrum(Spectrum((20.0, 0.5)), 1.0).values == (21.0, 1.5)
-    assert observation_spectrum(Spectrum((0.0,)), 1.0).values == (1.0,)
+    assert observation_spectrum(Spectrum((20.0, 0.5)), 1.0).values.tolist() == [21.0, 1.5]
+    assert observation_spectrum(Spectrum((0.0,)), 1.0).values.tolist() == [1.0]
     assert observation_spectrum(Spectrum((0.0,)), 1.0).rank == 1
     got = observation_spectrum(Spectrum((4.0, 0.0)), 0.25)
-    assert got.values == (4.25, 0.25) and got.rank == 2
+    assert got.values.tolist() == [4.25, 0.25] and got.rank == 2
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -137,7 +164,7 @@ def test_observation_spectrum_is_the_shifted_gram(top, sigma2, drops):
         vals.append(math.nextafter(vals[-1], 0.0) if d < 0.0 else vals[-1] * 2.0 ** -d)
     gram = Spectrum(tuple(vals))
     got = observation_spectrum(gram, sigma2)
-    assert got.values == tuple(v + sigma2 for v in vals)
+    assert got.values.tolist() == [v + sigma2 for v in vals]
     assert got.rank == len(vals)
 
 
@@ -145,11 +172,11 @@ def test_conditional_spectrum_examples():
     got = conditional_spectrum(Spectrum((20.0, 0.5)), 1.0)
     assert got.values == pytest.approx((20.0 / 21.0, 1.0 / 3.0), abs=1e-15)
     assert got.rank == 2
-    assert conditional_spectrum(Spectrum((0.0,)), 1.0).values == (0.0,)
-    assert conditional_spectrum(Spectrum((1.0,)), 1.0).values == (0.5,)
+    assert conditional_spectrum(Spectrum((0.0,)), 1.0).values.tolist() == [0.0]
+    assert conditional_spectrum(Spectrum((1.0,)), 1.0).values.tolist() == [0.5]
     # lam / (lam + sigma2) underflows to 0: that component leaves the rank
     got = conditional_spectrum(Spectrum((1.0, 1e-320)), 1e10)
-    assert got.values == (1.0 / (1.0 + 1e10), 0.0) and got.rank == 1
+    assert got.values.tolist() == [1.0 / (1.0 + 1e10), 0.0] and got.rank == 1
 
 
 def test_mmse_floor_examples():
@@ -288,7 +315,7 @@ def test_gram_is_accurate_up_to_condition_1e5(l_dim, m, log10_cond, seed):
     gram = ObservationModel(Matrix(a), 1.0).gram
     assert gram.rank == r
     assert _max_rel(gram.values[:r], _mp_gram(a)[:r]) <= 1e-10
-    assert gram.values[r:] == (0.0,) * (l_dim - r)
+    assert gram.values[r:].tolist() == [0.0] * (l_dim - r)
 
 
 # ---------------------------------------------------------------------------

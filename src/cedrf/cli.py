@@ -117,9 +117,10 @@ def _matrix(doc: dict, field: str) -> Matrix:
 
 def load_model(path: str | Path) -> ObservationModel:
     """Read and validate a model JSON file."""
-    text = Path(path).read_text()
     try:  # integers too are doubles: one too large for a double is inf, as 1e400 is
-        doc = json.loads(text, parse_int=float)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):

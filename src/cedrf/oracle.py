@@ -14,24 +14,25 @@ Monte Carlo runs are deterministic: one SFC64 stream, seeded through
 ``(model, R, n_samples, seed)`` always produces the same estimate
 bit-for-bit.
 
-Every scheme's error is linear in the source ``x`` (M entries), the
-observation noise before scaling by ``sigma`` (L entries) and one
-quantization-noise draw ``q`` (L entries) shared by every rate, all
-standard normal.  Both schemes end in the same reverse water-filling
-forward test channel, :func:`_gains`: each active component of a spectrum
-gets the gain ``1 - theta / v`` and the distortion ``min(v, theta)``.
-Compress-and-estimate water-fills the observation spectrum and reads all
-of ``q``; the optimal scheme water-fills the estimate's spectrum and, with
-``k`` active components, reads the first ``k`` entries of ``q``; the floor
-is the optimal scheme's channel at infinite rate, where every gain is
-exactly 1 and every distortion exactly 0.  :func:`_maps` defines each
-estimate by its linear map ``B``.  The error ``B w`` is Gaussian with
+Both schemes end in a reverse water-filling forward test channel
+``P x + n``, ``n`` independent Gaussian noise with a diagonal covariance
+``N``, and a linear decoder ``F``.  :func:`_gains` gives the channel: each
+active component of a spectrum gets the gain ``1 - theta / v`` and the
+distortion ``min(v, theta)``.  Compress-and-estimate water-fills the
+observation spectrum, with :func:`_ce_grid`'s channel, noise and decoder;
+the optimal scheme water-fills the estimate's spectrum in its eigenbasis
+``V``, which is also its decoder; the floor is the optimal scheme's
+channel at infinite rate, where every gain is exactly 1 and every
+distortion exactly 0.  The error ``x - F (P x + n)`` is ``B w``, ``w``
+standard normal in ``M + L`` entries, with the map
+``B = [I - F P | -F diag(sqrt(N)) | 0]`` of :func:`_error_maps`: ``F n``
+has the covariance ``F diag(N) F^T``.  The error is Gaussian with
 covariance ``B B^T``, so its squared norm has the law of the weighted
 chi-square ``sum_i mu_i g_i^2``, with ``mu`` the eigenvalues of ``B B^T``
 and ``g`` standard normal.  The simulation samples that law:
 :func:`_weights` takes ``mu`` before sampling, as the squared singular
 values of ``B``, which needs no eigensolver and no ``B B^T``.  Each map is
-zero-padded to ``M x (M + 2L)``, which adds only zero singular values, so
+zero-padded to ``M x (M + L)``, which adds only zero singular values, so
 a run's maps are one stacked array with one SVD.  Over ``n`` samples the
 estimate needs only ``S_i``, the sum of ``n`` independent ``g_i^2``, and
 each ``S_i`` is an independent chi-square with ``n`` degrees of freedom,
@@ -43,11 +44,11 @@ error is exact, ``sqrt(2 v @ v / n)``: one sample's variance is
 one is bit-identical to a separate :func:`mc_ce`, :func:`mc_idrf` or
 :func:`mc_mmse` call.
 
-The optimal scheme's and the floor's maps come from the model's cached SVD
-of ``A``, which gives the MMSE estimator and the eigenbasis of its
-estimate's covariance at once; a gain is formed only on the estimate
-spectrum's positive values and their basis columns.  The
-compress-and-estimate maps and the matrix form share :func:`_ce_grid`,
+The optimal scheme's and the floor's maps come from the singular values
+``s`` and right vectors ``V`` of the model's cached SVD of ``A``: ``V`` is
+the eigenbasis of the MMSE estimate's covariance, and a gain is formed
+only on the estimate spectrum's positive values and their basis columns.
+The compress-and-estimate maps and the matrix form share :func:`_ce_grid`,
 which builds the test channel for a whole rate grid and factors it once:
 one stacked SVD of the channel whitened by its noise, with no rank cut-off
 of its own, gives every rate's linear MMSE decoder and its distortion.
@@ -205,29 +206,21 @@ class McEstimates:
     mmse: McEstimate | None
 
 
-def _error_maps(fx: np.ndarray, fz: np.ndarray, fq: np.ndarray) -> np.ndarray:
-    """``[I - fx | -fz | -fq | 0]``, stacked: ``[x; z; q]`` to the error of ``fx x + fz z + fq q``.
+def _error_maps(decoder: np.ndarray, channel: np.ndarray, noise: np.ndarray,
+                L: int) -> np.ndarray:
+    """``[I - F P | -F diag(sqrt(N)) | 0]``, stacked: the error of ``F (P x + n)`` per rate.
 
-    ``fq`` acts on the leading entries of ``q``; the zeros pad each map to
-    ``M + 2L`` columns.  Written into one zero array.
+    The forward test channel ``P x + n`` has ``n = diag(sqrt(N)) w``, ``w``
+    standard normal, and ``F`` is its decoder: one row of ``N`` per rate,
+    and one ``F`` per rate or one for all.  Each map acts on ``[x; w]``,
+    and the zeros pad it to ``M + L`` columns.  Written into one zero array.
     """
-    n, M, L = fz.shape
-    b = np.zeros((n, M, M + 2 * L))
-    b.reshape(n, M * (M + 2 * L))[:, ::M + 2 * L + 1] = 1.0  # the diagonal of each I
-    b[..., :M] -= fx
-    b[..., M:M + L] = -fz
-    b[..., M + L:M + L + fq.shape[-1]] = -fq
+    n, k, M = channel.shape
+    b = np.zeros((n, M, M + L))
+    b.reshape(n, M * (M + L))[:, ::M + L + 1] = 1.0  # the diagonal of each I
+    b[..., :M] -= decoder @ channel
+    b[..., M:M + k] = -decoder * np.sqrt(noise)[:, None, :]
     return b
-
-
-def _ce_maps(model: ObservationModel, p: CEMatrixParts) -> np.ndarray:
-    """Compress-and-estimate at each rate of a grid, from its test channel ``p``, stacked.
-
-    ``x_hat = E (P x + sigma diag(gain) U^T z + sqrt(gain dist) q)``.
-    """
-    e = p.decoder
-    fz = (math.sqrt(model.sigma2) * e * p.gain[:, None, :]) @ p.basis.T
-    return _error_maps(e @ p.channel, fz, e * np.sqrt(p.gain * p.distortion)[:, None, :])
 
 
 def _maps(model: ObservationModel, ce: CEMatrixParts | None = None,
@@ -235,21 +228,25 @@ def _maps(model: ObservationModel, ce: CEMatrixParts | None = None,
     """The error maps ``B`` whose laws :func:`mc_estimates` samples, stacked: CE, optimal, floor.
 
     One CE map per rate of the test channel ``ce``, none for ``None``.  The
-    optimal scheme passes the MMSE estimate, in its covariance's eigenbasis,
-    through :func:`_gains` of the conditional spectrum; the floor at infinite rate.
+    optimal scheme passes the MMSE estimate, in its covariance's eigenbasis
+    ``V``, through the gains ``g`` and distortions ``d`` of :func:`_gains`
+    of the conditional spectrum.  With ``A = U diag(s) V^T`` and
+    ``obs = s^2 + sigma2``, that estimate is
+    ``V (diag(s^2 / obs) V^T x + diag(sigma s / obs) U^T z)``, so the channel
+    is ``P = diag(g s^2 / obs) V^T``, its noise ``N = (g sigma s / obs)^2 + g d``
+    and its decoder ``V``, over the conditional spectrum's ``r`` positive
+    values.  The floor is that channel at infinite rate.
     """
-    u, s, v = model.svd
-    maps = [_ce_maps(model, ce)] if ce is not None else []
+    maps = [_error_maps(ce.decoder, ce.channel, ce.noise_cov, model.L)] if ce is not None else []
     rates = [*idrf_rates, math.inf] if mmse else idrf_rates
     gain, dist = _gains(model.conditional, np.array(rates, dtype=float))
-    # the MMSE estimate fx x + fz z, with E = V diag(s / (s^2 + s2)) U^T:
-    # fx = E A, whose eigenbasis is V, and fz = sigma E
+    r = gain.shape[1]  # the conditional rank, at most the gram rank
+    _, s, v = model.svd
+    s, v = s[:r], v[:, :r]
     obs = s * s + model.sigma2
-    fx = (v * (s * s / obs)) @ v.T
-    fz = (v * (math.sqrt(model.sigma2) * s / obs)) @ u[:, :s.size].T
-    v = v[:, :gain.shape[1]]  # the conditional rank, at most the gram rank
-    proj = (v * gain[:, None, :]) @ v.T
-    maps.append(_error_maps(proj @ fx, proj @ fz, v * np.sqrt(gain * dist)[:, None, :]))
+    g = gain * (math.sqrt(model.sigma2) * s / obs)  # sigma s / obs <= 1/2: no square overflows
+    channel = (gain * (s * s / obs))[:, :, None] * v.T
+    maps.append(_error_maps(v, channel, g * g + gain * dist, model.L))
     return np.concatenate(maps)
 
 
@@ -302,9 +299,9 @@ def mc_ce(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEst
     """Simulate compress-and-estimate coding and estimate its distortion.
 
     Each sample's error has the law of this: draw the source, push it
-    through the forward test channel (channel matrix plus rotated
-    observation noise plus quantization noise), and estimate the source
-    linearly from the representation.  The normalized squared errors are
+    through the forward test channel (channel matrix plus the effective
+    additive noise), and estimate the source linearly from the
+    representation.  The normalized squared errors are
     accumulated.
     """
     return mc_estimates(model, n_samples, seed, ce_rates=(R,)).ce[0]

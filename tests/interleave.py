@@ -10,13 +10,16 @@ package imports itself only relatively) and imported into one process, so
 both sides share the interpreter, the BLAS library and the host's state.
 ``verify --random 1 --seed s`` runs for s = 1..2000 through each side's
 ``cli.main``, stdout discarded, and which side goes first switches every
-seed.  After a 100-op warm-up, three such passes are timed.  The script
-prints the median and quartiles of the per-op time ratio, change over
-parent, and the ratio of the total times.
+seed.  A 100-seed warm-up, untimed, captures each side's stdout and exit
+code and stops, naming the seeds, if the two sides differ on any.  Then
+three such passes are timed.  The script prints the median and quartiles
+of the per-op time ratio, change over parent, and the ratio of the total
+times.
 """
 
 import contextlib
 import importlib
+import io
 import os
 import shutil
 import sys
@@ -37,6 +40,13 @@ def load(src: str, name: str, tmp: str):
     return importlib.import_module(f"{name}.cli")
 
 
+def output(main, seed: int) -> tuple[str, int]:
+    """The stdout and exit code of ``verify --random 1 --seed seed``."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", "--random", "1", "--seed", str(seed)])
+    return out.getvalue(), code
+
+
 def timed(main, seed: int) -> float:
     start = time.perf_counter()
     main(["verify", "--random", "1", "--seed", str(seed)])
@@ -50,10 +60,11 @@ def main():
         sys.path.insert(0, tmp)
         parent = load(sys.argv[1], "cedrf_parent", tmp).main
         change = load(sys.argv[2], "cedrf_change", tmp).main
+        differ = [seed for seed in SEEDS[:WARM_UP] if output(parent, seed) != output(change, seed)]
+        if differ:
+            raise SystemExit(f"stdout or exit code differs between the sides on seeds {differ}")
         times = []  # (parent, change) seconds per op
         with contextlib.redirect_stdout(devnull):
-            for seed in SEEDS[:WARM_UP]:
-                timed(parent, seed), timed(change, seed)
             for _ in range(PASSES):
                 for seed in SEEDS:
                     t = {side: timed(side, seed)

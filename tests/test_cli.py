@@ -230,6 +230,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+def test_model_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"A": [[1.0]]}')
+    assert main(["analyze", str(bad), "--rate", "1"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: ParseError: {bad}: not UTF-8: invalid start byte at byte 0\n"
+
+
 _IDENTITY_2 = [[1.0, 0.0], [0.0, 1.0]]
 _HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
 

@@ -182,7 +182,8 @@ def test_grid_evaluation_is_pointwise(model, extra, data):
         for field in ("gain", "distortion", "channel", "noise_cov", "decoder", "d_ce"):
             assert np.array_equal(getattr(rows, field), getattr(own, field)), field
         assert rows.d_ce.tolist() == oracle.ce_matrix_forms(model, sub)
-        for a, b in zip(oracle._ce_maps(model, rows), oracle._ce_maps(model, own), strict=True):
+        maps = [oracle._error_maps(p.decoder, p.channel, p.noise_cov, model.L) for p in (rows, own)]
+        for a, b in zip(*maps, strict=True):
             assert np.array_equal(a, b)
 
 

@@ -123,6 +123,8 @@ def load_model(path: str | Path) -> ObservationModel:
         raise ParseError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level document must be a JSON object")
     for field in ("A", "sigma2"):

@@ -126,13 +126,15 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
     with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: the decay is 2^-inf = 0
         exponent = -2.0 * R / L
     decay = waterfill._exp2(exponent)
-    scale = (L / model.M) * (g[0] + s2) / (4.0 * s2)
+    scale = (L / model.M) * (g[0] + s2) / s2 / 4.0  # 4 s2 would overflow past DBL_MAX / 4
     if math.isfinite(scale):
         upper = scale * decay
     else:  # only the prefactor overflows: move its binary exponent into the decay's
         (mg, eg), (ms, es) = math.frexp(g[0] + s2), math.frexp(s2)
         t = np.minimum(exponent + (eg - es - 2), 1100.0)  # past 2^1100 the bound is inf anyway
-        high = np.where(t > 1000.0, 100.0, 0.0)  # pow raises past 2^1023: take 2^100 out
+        # take 2^100 out above 2^1000: 2^t alone is inf from t = 1024, where the product
+        # can still be finite, and pow's 2^t and 2^(t-100) 2^100 can differ in the last bit
+        high = np.where(t > 1000.0, 100.0, 0.0)
         with np.errstate(over="ignore"):
             upper = (L / model.M) * (mg / ms) * waterfill._exp2(t - high) * waterfill._exp2(high)
     if L < 2 or model.conditional.rank == 0:

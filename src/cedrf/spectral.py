@@ -132,7 +132,8 @@ class ObservationModel:
 
     Raises :class:`ValueError` when ``sigma2`` is not a positive finite
     real, or when ``A A^T`` overflows double precision, judged as ``2 s_1^2``
-    overflowing: ``s_1 = |A|_2`` bounds every entry of ``A A^T``.
+    overflowing: ``s_1 = |A|_2`` bounds every entry of ``A A^T``; or when the
+    observation covariance's largest eigenvalue ``s_1^2 + sigma2`` overflows.
     """
 
     def __init__(self, A: Matrix, sigma2: float):
@@ -145,10 +146,16 @@ class ObservationModel:
         self.M = A.cols
         self.r = min(self.M, self.L)
         s = np.linalg.svd(A.data, compute_uv=False)
-        if not math.isfinite(2.0 * float(s[0]) * float(s[0])):  # Python floats: inf, no warning
+        top = float(s[0]) * float(s[0])  # Python floats: inf, no warning
+        if not math.isfinite(2.0 * top):
             raise ValueError(
                 f"A A^T overflows double precision (largest |A| entry "
                 f"{float(np.abs(A.data).max()):.3e})"
+            )
+        if not math.isfinite(top + s2):
+            raise ValueError(
+                f"lambda1 + sigma2 overflows double precision: {top:.3e} + {s2:.3e} "
+                f"(the observation covariance's largest eigenvalue)"
             )
         w = np.zeros(self.L)
         w[: s.size] = s * s

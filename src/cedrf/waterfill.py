@@ -74,10 +74,12 @@ def _exp2(e: np.ndarray) -> np.ndarray:
     """``2 ** e`` elementwise through the C library's ``pow``.
 
     ``np.power`` and ``np.exp2`` may use SIMD kernels that differ from
-    ``pow`` in the last ulp, which would make a grid and a scalar call
-    disagree; Python's float power is ``pow`` itself.
+    ``pow`` in the last ulp (on an AVX-512 host, about 1 argument in 20),
+    so the CSV bits would depend on the CPU.  ``np.float_power``'s float64
+    loop calls ``pow`` itself, one element at a time, as Python's float
+    power does; ``tests/test_waterfill.py`` checks that it still does.
     """
-    return np.array([2.0 ** x for x in e.ravel().tolist()]).reshape(e.shape)
+    return np.float_power(2.0, e)
 
 
 def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""In-process A/B timing of ``verify --random 1`` on two source trees.
+"""In-process A/B timing of ``verify --random 1`` and of sweeps on two source trees.
 
 Usage::
 
@@ -8,18 +8,22 @@ Each argument is a ``src`` directory that holds a ``cedrf`` package.  Both
 packages are copied into one temporary directory under two names (the
 package imports itself only relatively) and imported into one process, so
 both sides share the interpreter, the BLAS library and the host's state.
-``verify --random 1 --seed s`` runs for s = 1..2000 through each side's
-``cli.main``, stdout discarded, and which side goes first switches every
-seed.  A 100-seed warm-up, untimed, captures each side's stdout and exit
-code and stops, naming the seeds, if the two sides differ on any.  Then
-three such passes are timed.  The script prints the median and quartiles
-of the per-op time ratio, change over parent, and the ratio of the total
-times.
+Two commands are timed through each side's ``cli.main``, stdout discarded:
+``verify --random 1 --seed s`` for s = 1..2000, and ``sweep MODEL --min 0
+--max 12 --steps 2001`` to a CSV file for 200 seeded models (``L`` and
+``M`` from 2 to 16, Gaussian ``A``, ``sigma2`` from 0.01 to 10).  Which
+side goes first switches every seed.  For each command, a 100-seed
+warm-up, untimed, captures each side's stdout, exit code and written file,
+and stops, naming the seeds, if the two sides differ on any.  Then three
+passes are timed.  The script prints one line per command: the median and
+quartiles of the per-op time ratio, change over parent, and the ratio of
+the total times.
 """
 
 import contextlib
 import importlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -29,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-SEEDS = range(1, 2001)
+VERIFY_SEEDS = range(1, 2001)
+SWEEP_SEEDS = range(1, 201)
 WARM_UP, PASSES = 100, 3
 
 
@@ -40,17 +45,58 @@ def load(src: str, name: str, tmp: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def output(main, seed: int) -> tuple[str, int]:
-    """The stdout and exit code of ``verify --random 1 --seed seed``."""
+def verify_argv(seed: int, tmp: str) -> list[str]:
+    return ["verify", "--random", "1", "--seed", str(seed)]
+
+
+def sweep_argv(seed: int, tmp: str) -> list[str]:
+    """A 2,001-rate CSV sweep of seeded model ``seed``, whose file is written on first use."""
+    model = Path(tmp) / f"sweep-model-{seed}.json"
+    if not model.exists():
+        rng = np.random.default_rng([29, seed])
+        l, m = (int(n) for n in rng.integers(2, 17, size=2))
+        a = rng.standard_normal((l, m)) / np.sqrt(m)
+        model.write_text(json.dumps({"A": a.tolist(), "sigma2": 10.0 ** rng.uniform(-2.0, 1.0)}))
+    return ["sweep", str(model), "--min", "0", "--max", "12", "--steps", "2001",
+            "--out", str(Path(tmp) / "sweep.csv")]
+
+
+COMMANDS = (("verify --random 1", verify_argv, VERIFY_SEEDS),
+            ("sweep --steps 2001", sweep_argv, SWEEP_SEEDS))
+
+
+def output(main, argv: list[str], tmp: str) -> tuple[str, int, bytes]:
+    """The stdout, exit code and written CSV (empty if none) of ``main(argv)``."""
+    written = Path(tmp) / "sweep.csv"
+    written.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = main(["verify", "--random", "1", "--seed", str(seed)])
-    return out.getvalue(), code
+        code = main(argv)
+    return out.getvalue(), code, written.read_bytes() if written.exists() else b""
 
 
-def timed(main, seed: int) -> float:
+def timed(main, argv: list[str]) -> float:
     start = time.perf_counter()
-    main(["verify", "--random", "1", "--seed", str(seed)])
+    main(argv)
     return time.perf_counter() - start
+
+
+def compare(parent, change, command, tmp: str, devnull) -> np.ndarray:
+    """Check the warm-up seeds' outputs, then ``(parent, change)`` seconds per timed op."""
+    name, argv, seeds = command
+    differ = [seed for seed in seeds[:WARM_UP]
+              if output(parent, argv(seed, tmp), tmp) != output(change, argv(seed, tmp), tmp)]
+    if differ:
+        raise SystemExit(f"{name}: stdout, exit code or written file "
+                         f"differs between the sides on seeds {differ}")
+    times = []
+    with contextlib.redirect_stdout(devnull):
+        for _ in range(PASSES):
+            for seed in seeds:
+                args = argv(seed, tmp)
+                t = {side: timed(side, args)
+                     for side in ((parent, change) if seed % 2 else (change, parent))}
+                times.append((t[parent], t[change]))
+    return np.array(times)
 
 
 def main():
@@ -60,22 +106,13 @@ def main():
         sys.path.insert(0, tmp)
         parent = load(sys.argv[1], "cedrf_parent", tmp).main
         change = load(sys.argv[2], "cedrf_change", tmp).main
-        differ = [seed for seed in SEEDS[:WARM_UP] if output(parent, seed) != output(change, seed)]
-        if differ:
-            raise SystemExit(f"stdout or exit code differs between the sides on seeds {differ}")
-        times = []  # (parent, change) seconds per op
-        with contextlib.redirect_stdout(devnull):
-            for _ in range(PASSES):
-                for seed in SEEDS:
-                    t = {side: timed(side, seed)
-                         for side in ((parent, change) if seed % 2 else (change, parent))}
-                    times.append((t[parent], t[change]))
-    t = np.array(times)
-    q1, median, q3 = np.percentile(t[:, 1] / t[:, 0], [25, 50, 75])
-    print(f"{len(t)} op pairs; per-op time ratio, change / parent: "
-          f"median {median:.4f}, quartiles {q1:.4f}-{q3:.4f}")
-    print(f"total time ratio: {t[:, 1].sum() / t[:, 0].sum():.4f} "
-          f"({t[:, 1].sum():.2f} s / {t[:, 0].sum():.2f} s)")
+        for command in COMMANDS:
+            t = compare(parent, change, command, tmp, devnull)
+            q1, median, q3 = np.percentile(t[:, 1] / t[:, 0], [25, 50, 75])
+            print(f"{command[0]}: {len(t)} op pairs; per-op time ratio, change / parent: "
+                  f"median {median:.4f}, quartiles {q1:.4f}-{q3:.4f}; total time ratio "
+                  f"{t[:, 1].sum() / t[:, 0].sum():.4f} ({t[:, 1].sum():.2f} s / "
+                  f"{t[:, 0].sum():.2f} s)", flush=True)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ from support import GAP_AT_3, MAX_GAP, R2_COND, R2_OBS, example_model
 import cedrf.drf
 from cedrf import cli, drf, oracle, waterfill
 from cedrf.cli import CSV_HEADER, load_model, main
-from cedrf.spectral import Spectrum
+from cedrf.linalg import Matrix
+from cedrf.spectral import ObservationModel, Spectrum
 
 
 EXAMPLE_JSON = {
@@ -202,6 +203,25 @@ def test_analyze_with_an_overflowing_gap_prefactor_warns_nothing(tmp_path, capsy
     assert json.loads(out.read_text())["point"]["gap_ub"] == 0.0
 
 
+def test_bounds_of_a_scale_twin_whose_4_sigma2_overflows(tmp_path, capsys):
+    # c = 3e153 twin of diag(2, 0.6), sigma2 = 10: 4 sigma2 = 3.6e308 is inf, so a
+    # prefactor formed over 4 sigma2 made the upper bound 0 and failed bound-sandwich
+    c = 3e153
+    base = ObservationModel(Matrix(np.diag([2.0, 0.6])), 10.0)
+    doc = {"A": [[c * 2.0, 0.0], [0.0, c * 0.6]], "sigma2": c * c * 10.0}
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps(doc))
+    twin = load_model(path)
+    rates = [0.0, 0.5, 3.0, 20.0]
+    for pt, ref in zip(drf.sweep(twin, rates), drf.sweep(base, rates)):
+        for field in ("d_idrf", "d_ce", "gap", "gap_ub", "gap_lb"):
+            assert getattr(pt, field) == pytest.approx(getattr(ref, field), rel=1e-12, abs=0.0), \
+                (pt.R, field)
+        assert pt.gap_ub > 0.0
+    assert main(["verify", str(path)]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_analyze_json_writes_an_infinite_point_value_as_null(tmp_path, capsys):
     # the report is valid JSON: an infinite gap_ub is null, as infinite thresholds are
     model = tmp_path / "big.json"
@@ -238,6 +258,15 @@ def test_model_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path, capsy
         f"error: ParseError: {bad}: not UTF-8: invalid start byte at byte 0\n"
 
 
+def test_deeply_nested_model_is_a_parse_error_naming_the_file(tmp_path, capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, past its nesting limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10_000 + "]" * 10_000)
+    assert main(["analyze", str(deep), "--rate", "1"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: ParseError: {deep}: arrays or objects nested too deeply\n"
+
+
 _IDENTITY_2 = [[1.0, 0.0], [0.0, 1.0]]
 _HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
 
@@ -251,6 +280,8 @@ _HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
      "InvalidModel: field 'sigma_x': expected 2x2, got 1x1\n"),
     ({"A": [[_HUGE, 1]], "sigma2": 1}, "InvalidModel: field 'A': matrix entries must be finite"),
     ({"A": [[1]], "sigma2": _HUGE}, "InvalidModel: sigma2 must be a positive finite real, got inf\n"),
+    ({"A": [[5e153]], "sigma2": 1.7e308},
+     "InvalidModel: lambda1 + sigma2 overflows double precision: 2.500e+307 + 1.700e+308"),
     ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1, 0], [0, -_HUGE]]},
      "InvalidModel: field 'sigma_x': matrix entries must be finite"),
     ({"A": [["1.5", True]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got bool\n"),

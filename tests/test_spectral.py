@@ -257,6 +257,12 @@ def test_gram_overflow_is_rejected_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"A A\^T overflows"):
             ObservationModel(Matrix(1.2e154 * np.eye(2)), 1.0)
+        # A A^T = 2.5e307 and sigma2 are finite, the observation spectrum's
+        # lambda1 + sigma2 is not
+        with pytest.raises(ValueError, match=r"lambda1 \+ sigma2 overflows"):
+            ObservationModel(Matrix(np.array([[5e153]])), 1.7e308)
+        assert ObservationModel(Matrix(np.array([[5e153]])), 1.5e308).observation.values[0] \
+            == 2.5e307 + 1.5e308
 
 
 # ---------------------------------------------------------------------------

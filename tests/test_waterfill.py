@@ -9,6 +9,7 @@ from cedrf.spectral import Spectrum
 from cedrf.waterfill import (
     BOUNDARY_SLACK,
     EmptySpectrum,
+    _exp2,
     _levels,
     active_count,
     rate_allocation,
@@ -232,3 +233,29 @@ def test_water_level_long_spectrum_uses_log_space():
     assert theta == pytest.approx(_theta_by_bisection(vals, big_r), abs=1e-9)
     got = rate_allocation(s, big_r)
     assert math.fsum(got.rates) == pytest.approx(big_r, abs=1e-9)
+
+
+def test_exp2_is_c_pow_bit_for_bit():
+    # Python's float power is C pow; numpy's exp2 and power differ from it in the
+    # last bit on some SIMD hosts.  Should float_power gain such a loop, this fails
+    # here rather than moving CSV bits silently.
+    rng = np.random.default_rng(29)
+    special = [-math.inf, -0.0, 0.0, 1.0, -1022.0, -1022.5, -1050.25, -1073.9, -1074.0,
+               -1074.5, -1075.0, -1076.0, -1100.0, 1022.9, 1023.0, 1023.5]
+    x = np.concatenate([special, rng.uniform(-1100.0, 1023.0, 100_000),
+                        rng.uniform(-1075.0, -1022.0, 10_000)])  # subnormal results
+    want = np.array([2.0 ** v for v in x.tolist()])
+    assert np.array_equal(_exp2(x).view(np.int64), want.view(np.int64))
+    for n in (1, 2, 3, 4, 7, 8, 9, 16, 17, 33, 1001):
+        for offset in (0, 1, 3, 5):
+            for stride in (1, 2, 3, -1, -4):
+                got = _exp2(x[offset:][::stride][:n])
+                assert np.array_equal(got.view(np.int64),
+                                      want[offset:][::stride][:n].view(np.int64)), (n, offset, stride)
+    # an unaligned buffer and a 2-D array take numpy's other inner loops
+    raw = np.empty(8 * 4096 + 1, dtype=np.uint8)
+    unaligned = raw[1:].view(np.float64)
+    unaligned[:] = x[:4096]
+    assert np.array_equal(_exp2(unaligned).view(np.int64), want[:4096].view(np.int64))
+    square = x[:4096].reshape(64, 64)
+    assert np.array_equal(_exp2(square.T).view(np.int64), want[:4096].reshape(64, 64).T.view(np.int64))

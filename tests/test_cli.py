@@ -280,8 +280,6 @@ _HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
      "InvalidModel: field 'sigma_x': expected 2x2, got 1x1\n"),
     ({"A": [[_HUGE, 1]], "sigma2": 1}, "InvalidModel: field 'A': matrix entries must be finite"),
     ({"A": [[1]], "sigma2": _HUGE}, "InvalidModel: sigma2 must be a positive finite real, got inf\n"),
-    ({"A": [[5e153]], "sigma2": 1.7e308},
-     "InvalidModel: lambda1 + sigma2 overflows double precision: 2.500e+307 + 1.700e+308"),
     ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1, 0], [0, -_HUGE]]},
      "InvalidModel: field 'sigma_x': matrix entries must be finite"),
     ({"A": [["1.5", True]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got bool\n"),
@@ -304,6 +302,8 @@ _HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
     ({"A": [[1.0, [2.0]]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got list\n"),
     ({"A": [[]], "sigma2": 1},
      "InvalidModel: field 'A': matrix dimensions must be positive, got (1, 0)\n"),
+    ({"A": [[5e153]], "sigma2": 1.7e308},
+     "InvalidModel: lambda1 + sigma2 overflows double precision: 2.500e+307 + 1.700e+308"),
 ])
 def test_analyze_names_each_malformed_field(tmp_path, capsys, doc, message):
     # every command that reads a model exits 2 with the field named; for

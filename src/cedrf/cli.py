@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import drf, oracle, waterfill
-from .linalg import Matrix
-from .spectral import ObservationModel, whiten
+from .linalg import Matrix, NotSymmetric
+from .spectral import NotPositiveDefinite, ObservationModel, whiten
 
 CSV_HEADER = ",".join(drf.DistortionPoint._fields)
 # one sweep row; "%.17g" round-trips every double, the active counts are integers
@@ -139,15 +139,19 @@ def load_model(path: str | Path) -> ObservationModel:
         raise InvalidModel(f"field 'sigma_x': expected {a.cols}x{a.cols}, got {sx.rows}x{sx.cols}")
     try:
         return ObservationModel(a, sigma2) if sx is None else whiten(sx, a, sigma2)
+    except (NotSymmetric, NotPositiveDefinite) as exc:  # only whitening raises these
+        raise InvalidModel(f"field 'sigma_x': {exc}") from exc
     except ValueError as exc:
         raise InvalidModel(str(exc)) from exc
 
 
+#: The demonstration model's gram spectrum ``lam_1, lam_2`` and its ``sigma2``
+_EXAMPLE = (20.0, 0.5, 1.0)
+
+
 def example_model() -> ObservationModel:
-    """The built-in two-observation demonstration model."""
-    return ObservationModel(
-        Matrix(np.diag([math.sqrt(20.0), math.sqrt(0.5)])), 1.0
-    )
+    """The built-in two-observation demonstration model: ``A = diag(sqrt(lam))``."""
+    return ObservationModel(Matrix(np.diag(np.sqrt(_EXAMPLE[:2]))), _EXAMPLE[2])
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +399,7 @@ def cmd_example(args: argparse.Namespace) -> int:
     thr_cond = float(model.conditional.thresholds[1])
     thr_obs = float(model.observation.thresholds[1])
     region = drf.equality_region(model)
-    r_star, g_star = drf.max_gap_2d(20.0, 0.5, 1.0)
+    r_star, g_star = drf.max_gap_2d(*_EXAMPLE)
     print(f"second activation (conditional): {thr_cond:.6f} bits")
     print(f"second activation (observation): {thr_obs:.6f} bits")
     print(f"equality region: r0={region.r0} R_limit={region.R_limit:.6f} bits")

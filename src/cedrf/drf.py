@@ -34,13 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import waterfill
-from .spectral import (
-    ObservationModel,
-    Spectrum,
-    ce_weights,
-    conditional_spectrum,
-    observation_spectrum,
-)
+from .spectral import ObservationModel, Spectrum, spectra
 
 #: Leading weights ``lam/(lam+s2)^2`` within this relative distance of the
 #: first one count as tied in :func:`equality_region`.  Eigenvalues that are
@@ -245,13 +239,7 @@ def _check_condition_2d(lambda1: float, lambda2: float,
         raise ValueError(
             f"eigenvalues must satisfy lambda1 >= lambda2 >= 0, got {lambda1!r}, {lambda2!r}"
         )
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
-    if math.isinf(float(lambda1) + float(sigma2)):
-        raise ValueError(f"lambda1 + sigma2 overflows double precision: {lambda1!r} + {sigma2!r}")
-    gram = Spectrum((float(lambda1), float(lambda2)))
-    obs, cond = observation_spectrum(gram, sigma2), conditional_spectrum(gram, sigma2)
-    (a1, a2), weight_sums = ce_weights(obs, cond)
+    obs, cond, ((a1, a2), weight_sums) = spectra(Spectrum((float(lambda1), float(lambda2))), sigma2)
     if a1 - a2 > TIE_RTOL * a1:  # not tied, as equality_region tests it
         raise ConditionViolated(
             "two-component form requires lambda1/(lambda1+s2)^2 <= lambda2/(lambda2+s2)^2; "

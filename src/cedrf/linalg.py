@@ -82,10 +82,11 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotSymmetric(f"expected a non-empty square 2-D array, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    asym = float(np.abs(m - m.T).max())
+    half, half_t = m / 2.0, m.T / 2.0  # m + m.T and m - m.T overflow past DBL_MAX / 2
+    asym = 2.0 * float(np.abs(half - half_t).max())
     if asym > SYMMETRY_ATOL:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_ATOL:.0e}")
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    w, v = np.linalg.eigh(half + half_t)
     order = np.argsort(-w, kind="stable")
     # kept C-ordered: matmul's rounding depends on operand layout
     return w[order], np.ascontiguousarray(v[:, order])

@@ -156,8 +156,9 @@ def _ce_grid(model: ObservationModel, rates: Sequence[float]) -> CEMatrixParts:
     noise = model.sigma2 * gain * gain + gain * dist
     scale = 1.0 / np.sqrt(np.where(noise > 0.0, noise, np.inf))
     u, s, vt = np.linalg.svd(scale[:, :, None] * channel, full_matrices=False)
-    decoder = ((vt.mT * (s / (1.0 + s * s))[:, None, :]) @ u.mT) * scale[:, None, :]
-    d_ce = ((1.0 / (1.0 + s * s)).sum(axis=-1) + (model.M - s.shape[-1])) / model.M
+    with np.errstate(over="ignore"):  # an s^2 past DBL_MAX is inf: s/(1+inf) = 1/(1+inf) = 0, the limits
+        decoder = ((vt.mT * (s / (1.0 + s * s))[:, None, :]) @ u.mT) * scale[:, None, :]
+        d_ce = ((1.0 / (1.0 + s * s)).sum(axis=-1) + (model.M - s.shape[-1])) / model.M
     return CEMatrixParts(model.basis, *_read_only(gain, dist, channel, noise, decoder, d_ce))
 
 

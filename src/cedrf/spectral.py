@@ -13,7 +13,8 @@ Each :class:`Spectrum` holds three read-only float64 arrays: ``values``,
 its reverse water-filling ``thresholds`` and the ``prefix`` sums of its
 values, the two tables built once, on first use.  Beside them come the
 weights ``lam_l / (lam_l + sigma2)^2`` of compress-and-estimate
-(:func:`ce_weights`, built once per model), the estimation-error floor and
+(:func:`ce_weights`; :func:`spectra` derives them and the last two spectra
+from the first, once per model), the estimation-error floor and
 source whitening for non-identity source covariances.  Every closed form
 is purely spectral, so ``lam_l`` comes from the singular values of ``A``.
 One full SVD of ``A``, with its singular vectors, is built on first use
@@ -114,6 +115,27 @@ def ce_weights(obs: Spectrum, cond: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(w, prefix_sums(w))
 
 
+def spectra(gram: Spectrum, sigma2: float) -> tuple[Spectrum, Spectrum, tuple[np.ndarray, ...]]:
+    """The spectra ``obs = lam + sigma2`` and ``cond = lam / obs``, and their :func:`ce_weights`.
+
+    ``obs`` keeps the gram's order: it adds one constant with correct
+    rounding.  A running minimum clamps the last-ulp inversions of the
+    rounded division, and a value that underflows to 0 leaves the rank.
+    Raises :class:`ValueError` unless ``sigma2`` is a positive finite real
+    and ``lam_1 + sigma2`` is finite.
+    """
+    s2 = float(sigma2)
+    if not math.isfinite(s2) or s2 <= 0.0:
+        raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
+    lam = gram.values
+    top = float(lam[0])
+    if math.isinf(top + s2):
+        raise ValueError(f"lambda1 + sigma2 overflows double precision: {top:.3e} + {s2:.3e}")
+    obs = Spectrum(lam + s2)
+    cond = Spectrum(np.minimum.accumulate(lam / obs.values))
+    return obs, cond, ce_weights(obs, cond)
+
+
 def _numerical_rank(sorted_desc: Sequence[float]) -> int:
     cutoff = RANK_RTOL * sorted_desc[0]
     return sum(1 for v in sorted_desc if v > cutoff)
@@ -124,39 +146,31 @@ class ObservationModel:
 
     ``gram``, the spectrum of ``A A^T``, is the squared singular values of
     ``A`` zero-padded to ``L``: ``eps kappa`` relative error in the small
-    eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  The derived
-    spectra and the :func:`ce_weights` table are built once beside it;
-    ``svd``, and ``basis`` with it, is built on first use.
-    ``full_rank`` records whether ``A`` has numerical rank ``min(M, L)``;
-    rank-deficient models are accepted and handled throughout.
+    eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  The
+    observation and conditional spectra and the :func:`ce_weights` table
+    are built once beside it, by :func:`spectra`; ``svd``, and ``basis``
+    with it, is built on first use.  ``full_rank`` records whether ``A``
+    has numerical rank ``min(M, L)``; rank-deficient models are accepted
+    and handled throughout.
 
-    Raises :class:`ValueError` when ``sigma2`` is not a positive finite
-    real, or when ``A A^T`` overflows double precision, judged as ``2 s_1^2``
-    overflowing: ``s_1 = |A|_2`` bounds every entry of ``A A^T``; or when the
-    observation covariance's largest eigenvalue ``s_1^2 + sigma2`` overflows.
+    Raises :class:`ValueError` as :func:`spectra` does: the observation
+    covariance's largest eigenvalue ``s_1^2 + sigma2`` must be finite, ``s_1``
+    the largest singular value of ``A``, which the error names when ``s_1^2``
+    alone overflows.  Nothing forms ``A A^T``, so no other bound on ``A`` applies.
     """
 
     def __init__(self, A: Matrix, sigma2: float):
-        s2 = float(sigma2)
-        if not math.isfinite(s2) or s2 <= 0.0:
-            raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
         self.A = A
-        self.sigma2 = s2
+        self.sigma2 = float(sigma2)
         self.L = A.rows
         self.M = A.cols
         self.r = min(self.M, self.L)
         s = np.linalg.svd(A.data, compute_uv=False)
-        top = float(s[0]) * float(s[0])  # Python floats: inf, no warning
-        if not math.isfinite(2.0 * top):
-            raise ValueError(
-                f"A A^T overflows double precision (largest |A| entry "
-                f"{float(np.abs(A.data).max()):.3e})"
-            )
-        if not math.isfinite(top + s2):
-            raise ValueError(
-                f"lambda1 + sigma2 overflows double precision: {top:.3e} + {s2:.3e} "
-                f"(the observation covariance's largest eigenvalue)"
-            )
+        s1 = float(s[0])
+        # in Python floats, before numpy squares s: the rank cut would zero an infinite lambda1
+        if math.isinf(s1 * s1):
+            raise ValueError(f"lambda1 + sigma2 overflows double precision: lambda1 is the square "
+                             f"of A's largest singular value {s1:.3e}")
         w = np.zeros(self.L)
         w[: s.size] = s * s
         # values at or below the rank cut-off are rounding noise of about
@@ -164,9 +178,7 @@ class ObservationModel:
         w[_numerical_rank(w.tolist()):] = 0.0
         self.gram = Spectrum(w)
         self.full_rank = self.gram.rank == self.r
-        self.observation = observation_spectrum(self.gram, s2)
-        self.conditional = conditional_spectrum(self.gram, s2)
-        self.weights = ce_weights(self.observation, self.conditional)
+        self.observation, self.conditional, self.weights = spectra(self.gram, sigma2)
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,27 +211,6 @@ class ObservationModel:
             f"ObservationModel(M={self.M}, L={self.L}, sigma2={self.sigma2}, "
             f"rank={self.gram.rank})"
         )
-
-
-def observation_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
-    """Spectrum of the observation covariance: ``lam_l + sigma2``.
-
-    Full rank by construction since ``sigma2 > 0``.  Adding one constant
-    with correct rounding keeps the order, so unlike
-    :func:`conditional_spectrum` this needs no clamp.
-    """
-    return Spectrum(gram.values + sigma2)
-
-
-def conditional_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
-    """Spectrum of the MMSE-estimate covariance: ``lam_l / (lam_l + sigma2)``.
-
-    The map is monotone increasing, so descending order is preserved (up to
-    the rounded division's last-ulp inversions, which a running minimum
-    clamps).  A value that underflows to 0 drops out of the rank.
-    """
-    v = gram.values
-    return Spectrum(np.minimum.accumulate(v / (v + sigma2)))
 
 
 def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:

@@ -1,4 +1,4 @@
-"""In-process A/B timing of ``verify --random 1`` and of sweeps on two source trees.
+"""In-process A/B timing of ``verify --random 1``, sweeps and large analyses on two source trees.
 
 Usage::
 
@@ -8,12 +8,15 @@ Each argument is a ``src`` directory that holds a ``cedrf`` package.  Both
 packages are copied into one temporary directory under two names (the
 package imports itself only relatively) and imported into one process, so
 both sides share the interpreter, the BLAS library and the host's state.
-Two commands are timed through each side's ``cli.main``, stdout discarded:
-``verify --random 1 --seed s`` for s = 1..2000, and ``sweep MODEL --min 0
---max 12 --steps 2001`` to a CSV file for 200 seeded models (``L`` and
-``M`` from 2 to 16, Gaussian ``A``, ``sigma2`` from 0.01 to 10).  Which
-side goes first switches every seed.  For each command, a 100-seed
-warm-up, untimed, captures each side's stdout, exit code and written file,
+Three commands are timed through each side's ``cli.main``, stdout
+discarded: ``verify --random 1 --seed s`` for s = 1..2000; ``sweep MODEL
+--min 0 --max 12 --steps 2001`` to a CSV file for 200 seeded models (``L``
+and ``M`` from 2 to 16, Gaussian ``A``, ``sigma2`` from 0.01 to 10); and
+``analyze MODEL --rate R --json OUT`` for 200 seeded square models, ``n``
+cycling through 16, 32, 64 and 128 (the sizes of the benchmark's
+large-models ops, where building the model weighs most).  Which side goes
+first switches every seed.  For each command, a 100-seed warm-up,
+untimed, captures each side's stdout, exit code and written file,
 and stops, naming the seeds, if the two sides differ on any.  Then three
 passes are timed.  The script prints one line per command: the median and
 quartiles of the per-op time ratio, change over parent, and the ratio of
@@ -34,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 VERIFY_SEEDS = range(1, 2001)
-SWEEP_SEEDS = range(1, 201)
+SWEEP_SEEDS = ANALYZE_SEEDS = range(1, 201)
+ANALYZE_SIZES = (16, 32, 64, 128)
 WARM_UP, PASSES = 100, 3
 
 
@@ -58,16 +62,29 @@ def sweep_argv(seed: int, tmp: str) -> list[str]:
         a = rng.standard_normal((l, m)) / np.sqrt(m)
         model.write_text(json.dumps({"A": a.tolist(), "sigma2": 10.0 ** rng.uniform(-2.0, 1.0)}))
     return ["sweep", str(model), "--min", "0", "--max", "12", "--steps", "2001",
-            "--out", str(Path(tmp) / "sweep.csv")]
+            "--out", str(Path(tmp) / "out")]
+
+
+def analyze_argv(seed: int, tmp: str) -> list[str]:
+    """A JSON report on seeded square model ``seed`` at one rate; the model is written on first use."""
+    n = ANALYZE_SIZES[seed % len(ANALYZE_SIZES)]
+    rng = np.random.default_rng([30, seed])
+    rate = float(rng.uniform(0.1, 2.0 * n))  # drawn first, so every call gives the same rate
+    model = Path(tmp) / f"analyze-model-{seed}.json"
+    if not model.exists():
+        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        model.write_text(json.dumps({"A": a.tolist(), "sigma2": 10.0 ** rng.uniform(-2.0, 1.0)}))
+    return ["analyze", str(model), "--rate", repr(rate), "--json", str(Path(tmp) / "out")]
 
 
 COMMANDS = (("verify --random 1", verify_argv, VERIFY_SEEDS),
-            ("sweep --steps 2001", sweep_argv, SWEEP_SEEDS))
+            ("sweep --steps 2001", sweep_argv, SWEEP_SEEDS),
+            ("analyze --json", analyze_argv, ANALYZE_SEEDS))
 
 
 def output(main, argv: list[str], tmp: str) -> tuple[str, int, bytes]:
-    """The stdout, exit code and written CSV (empty if none) of ``main(argv)``."""
-    written = Path(tmp) / "sweep.csv"
+    """The stdout, exit code and written file (empty if none) of ``main(argv)``."""
+    written = Path(tmp) / "out"
     written.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)

@@ -304,6 +304,10 @@ _HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
      "InvalidModel: field 'A': matrix dimensions must be positive, got (1, 0)\n"),
     ({"A": [[5e153]], "sigma2": 1.7e308},
      "InvalidModel: lambda1 + sigma2 overflows double precision: 2.500e+307 + 1.700e+308"),
+    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 2.0], [0.0, 1.0]]},
+     "InvalidModel: field 'sigma_x': asymmetry 2.000e+00 exceeds tolerance 1e-10\n"),
+    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], [0.0, 0.0]]},
+     "InvalidModel: field 'sigma_x': smallest eigenvalue 0.000e+00 is not above the rank tolerance\n"),
 ])
 def test_analyze_names_each_malformed_field(tmp_path, capsys, doc, message):
     # every command that reads a model exits 2 with the field named; for
@@ -318,7 +322,7 @@ def test_analyze_names_each_malformed_field(tmp_path, capsys, doc, message):
 
 
 def test_gram_overflow_names_the_cause(tmp_path):
-    # A is finite, but A A^T is not representable in double precision
+    # A is finite, but lambda1 = s_1^2 is not representable in double precision
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"A": [[1e160, 0.0], [0.0, 1.0]], "sigma2": 1.0}))
     src = str(Path(cedrf.drf.__file__).resolve().parents[1])
@@ -329,9 +333,41 @@ def test_gram_overflow_names_the_cause(tmp_path):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2
-    assert "InvalidModel: A A^T overflows double precision" in proc.stderr
-    assert "must be finite" not in proc.stderr
-    assert "Warning" not in proc.stderr
+    assert proc.stderr == ("error: InvalidModel: lambda1 + sigma2 overflows double precision: "
+                           "lambda1 is the square of A's largest singular value 1.000e+160\n")
+
+
+@pytest.mark.parametrize("doc", [
+    # lambda1 = 1e308: below DBL_MAX, but 2 lambda1 is not
+    pytest.param({"A": [[1e154, 0.0], [0.0, 1.0]], "sigma2": 1.0}, id="lambda1 1e308"),
+    pytest.param({"A": (math.sqrt(sys.float_info.max) * np.eye(2)).tolist(), "sigma2": 1e10},
+                 id="sqrt(DBL_MAX) I"),
+    pytest.param({"A": [[9e153, 1e153, 3e152], [2e152, 1e153, 5e150]], "sigma2": 1e300}, id="2x3"),
+    # whitening symmetrizes sigma_x from halves: its sum overflowed
+    pytest.param({"A": [[1.0]], "sigma2": 1.0, "sigma_x": [[1e308]]}, id="huge sigma_x"),
+])
+def test_huge_models_give_finite_outputs_without_warnings(tmp_path, capsys, doc):
+    # RuntimeWarnings are errors here (pyproject.toml)
+    path, report, rows = tmp_path / "model.json", tmp_path / "report.json", tmp_path / "rows.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--rate", "1", "--json", str(report)]) == 0
+    assert main(["sweep", str(path), "--min", "0", "--max", "3000", "--steps", "301",
+                 "--format", "json", "--out", str(rows)]) == 0
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("  PASS ") == 7 and out.endswith("all checks passed\n")
+    point = json.loads(report.read_text())["point"]
+    assert all(v is not None and math.isfinite(v) for v in point.values()), point
+    for row in json.loads(rows.read_text())["rows"]:
+        assert all(math.isfinite(v) for v in row.values()), row
+
+
+def test_verify_of_a_high_snr_model_warns_nothing(tmp_path, capsys):
+    # the oracle's s^2 overflows; s/(1 + inf) and 1/(1 + inf) are the exact limits, 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": [[1e153, 0.0], [0.0, 1.0]], "sigma2": 1e-300}))
+    assert main(["verify", str(path)]) == 0  # RuntimeWarnings are errors here (pyproject.toml)
+    assert capsys.readouterr().out.count("  PASS ") == 7
 
 
 def test_sweep_csv_round_trip(model_file, tmp_path, capsys):

@@ -20,8 +20,7 @@ from cedrf.spectral import (
     NotPositiveDefinite,
     ObservationModel,
     Spectrum,
-    conditional_spectrum,
-    observation_spectrum,
+    spectra,
     whiten,
 )
 
@@ -145,6 +144,14 @@ def test_model_builds_its_weight_table_once(tmp_path, monkeypatch):
     assert reads == [0, 1] and calls == []
 
 
+def observation_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
+    return spectra(gram, sigma2)[0]
+
+
+def conditional_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
+    return spectra(gram, sigma2)[1]
+
+
 def test_observation_spectrum_examples():
     assert observation_spectrum(Spectrum((20.0, 0.5)), 1.0).values.tolist() == [21.0, 1.5]
     assert observation_spectrum(Spectrum((0.0,)), 1.0).values.tolist() == [1.0]
@@ -177,6 +184,17 @@ def test_conditional_spectrum_examples():
     # lam / (lam + sigma2) underflows to 0: that component leaves the rank
     got = conditional_spectrum(Spectrum((1.0, 1e-320)), 1e10)
     assert got.values.tolist() == [1.0 / (1.0 + 1e10), 0.0] and got.rank == 1
+
+
+def test_spectra_check_sigma2_and_the_top_observation_value():
+    # one check for the model and the two-component forms, before anything is derived
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma2 must be a positive finite real"):
+            spectra(Spectrum((1.0,)), bad)
+    with pytest.raises(ValueError, match=r"lambda1 \+ sigma2 overflows double precision: "
+                                         r"1\.700e\+308 \+ 1\.000e\+308$"):
+        spectra(Spectrum((1.7e308, 1.0)), 1e308)
+    assert spectra(Spectrum((1.7e308, 1.0)), 1e306)[0].values[0] == 1.7e308 + 1e306
 
 
 def test_mmse_floor_examples():
@@ -251,18 +269,24 @@ def test_model_validation():
 
 
 def test_gram_overflow_is_rejected_without_warnings():
-    # A A^T = 1.44e308 I is finite, but symmetrizing it overflows; the model
-    # must say so rather than pass inf on or warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"A A\^T overflows"):
-            ObservationModel(Matrix(1.2e154 * np.eye(2)), 1.0)
+        # lambda1 = 1.44e308 and lambda1 + sigma2 are finite; nothing forms A A^T, so the
+        # model is valid and its curves are finite
+        big = ObservationModel(Matrix(1.2e154 * np.eye(2)), 1.0)
+        assert big.gram.rank == 2 and math.isfinite(big.observation.values[0])
+        for point in drf.sweep(big, np.linspace(0.0, 3000.0, 31)):
+            assert all(math.isfinite(v) for v in point), point
         # A A^T = 2.5e307 and sigma2 are finite, the observation spectrum's
         # lambda1 + sigma2 is not
         with pytest.raises(ValueError, match=r"lambda1 \+ sigma2 overflows"):
             ObservationModel(Matrix(np.array([[5e153]])), 1.7e308)
         assert ObservationModel(Matrix(np.array([[5e153]])), 1.5e308).observation.values[0] \
             == 2.5e307 + 1.5e308
+        # s_1^2 itself overflows: checked before the rank cut, which would zero it
+        with pytest.raises(ValueError, match=r"lambda1 \+ sigma2 overflows double precision: "
+                                             r".*largest singular value 1\.000e\+160$"):
+            ObservationModel(Matrix(np.diag([1e160, 1.0])), 1.0)
 
 
 # ---------------------------------------------------------------------------

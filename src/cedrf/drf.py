@@ -136,7 +136,13 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
     f1 = math.sqrt(g[0]) / (g[0] + s2)
     f2 = math.sqrt(g[1]) / (g[1] + s2)
     valid = (k_ce >= 2) & (k_idrf >= k_ce)
-    return upper, np.where(valid, (g[L - 1] + s2) / model.M * (f1 - f2) ** 2 * decay, 0.0)
+    scale = (g[L - 1] + s2) / model.M
+    try:
+        lower = scale * (f1 - f2) ** 2 * decay
+    except OverflowError:  # (f1 - f2)^2 overflows: move its binary exponent into the decay's
+        (ms, es), (mf, ef) = math.frexp(scale), math.frexp(f1 - f2)
+        lower = ms * mf * mf * waterfill._exp2(exponent + (es + 2 * ef))
+    return upper, np.where(valid, lower, 0.0)
 
 
 def _columns(model: ObservationModel, grid: np.ndarray) -> tuple[np.ndarray, ...]:

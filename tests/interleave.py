@@ -8,11 +8,12 @@ Each argument is a ``src`` directory that holds a ``cedrf`` package.  Both
 packages are copied into one temporary directory under two names (the
 package imports itself only relatively) and imported into one process, so
 both sides share the interpreter, the BLAS library and the host's state.
-Three commands are timed through each side's ``cli.main``, stdout
+Four commands are timed through each side's ``cli.main``, stdout
 discarded: ``verify --random 1 --seed s`` for s = 1..2000; ``sweep MODEL
 --min 0 --max 12 --steps 2001`` to a CSV file for 200 seeded models (``L``
-and ``M`` from 2 to 16, Gaussian ``A``, ``sigma2`` from 0.01 to 10); and
-``analyze MODEL --rate R --json OUT`` for 200 seeded square models, ``n``
+and ``M`` from 2 to 16, Gaussian ``A``, ``sigma2`` from 0.01 to 10); the
+same sweeps with ``--format json``, as the curves benchmark writes two
+ops in eight; and ``analyze MODEL --rate R --json OUT`` for 200 seeded square models, ``n``
 cycling through 16, 32, 64 and 128 (the sizes of the benchmark's
 large-models ops, where building the model weighs most).  Which side goes
 first switches every seed.  For each command, a 100-seed warm-up,
@@ -77,8 +78,14 @@ def analyze_argv(seed: int, tmp: str) -> list[str]:
     return ["analyze", str(model), "--rate", repr(rate), "--json", str(Path(tmp) / "out")]
 
 
+def sweep_json_argv(seed: int, tmp: str) -> list[str]:
+    """The sweep of ``sweep_argv`` written as JSON."""
+    return sweep_argv(seed, tmp) + ["--format", "json"]
+
+
 COMMANDS = (("verify --random 1", verify_argv, VERIFY_SEEDS),
             ("sweep --steps 2001", sweep_argv, SWEEP_SEEDS),
+            ("sweep --format json", sweep_json_argv, SWEEP_SEEDS),
             ("analyze --json", analyze_argv, ANALYZE_SEEDS))
 
 

@@ -222,6 +222,27 @@ def test_bounds_of_a_scale_twin_whose_4_sigma2_overflows(tmp_path, capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_gap_lower_bound_whose_square_overflows_is_finite(tmp_path):
+    # sigma2 is subnormal and f = sqrt(lam) / (lam + sigma2) is about 5e159, so (f1 - f2)^2
+    # overflows a double; 60-digit arithmetic gives the bound 0.006977684838456197 at
+    # R = 1 bit and half of it per further bit.  (d_ce is inf on this model: another
+    # defect of subnormal sigma2, not checked here.)
+    path, out = tmp_path / "tiny.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"A": [[1e-160, 0], [0, 4e-161]], "sigma2": 1e-320}))
+    src = str(Path(cedrf.drf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cedrf", "analyze", str(path), "--rate", "1", "--json", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert json.loads(out.read_text())["point"]["gap_lb"] == pytest.approx(
+        0.006977684838456197, rel=1e-14)
+    with np.errstate(over="ignore", invalid="ignore"):  # the d_ce defect's warnings
+        lower = drf._columns(load_model(path), np.array([1.0, 2.0, 3.0]))[5]
+    assert lower.tolist() == pytest.approx([0.006977684838456197 / 2 ** i for i in range(3)],
+                                           rel=1e-14)
+
+
 def test_analyze_json_writes_an_infinite_point_value_as_null(tmp_path, capsys):
     # the report is valid JSON: an infinite gap_ub is null, as infinite thresholds are
     model = tmp_path / "big.json"
@@ -604,14 +625,19 @@ def test_sweep_nats_round_trip(model_file, tmp_path, capsys):
         assert float(cells[1]) == drf.idrf(model, r_bits)
 
 
+# One sweep row as ``%`` writes it: every double to 17 digits, the active counts as integers.
+# A literal, so the reference shares no code with the writer.
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%.17g"
+
+
 # Sweep files as they were written one ``%`` per row (CSV) and by
-# ``json.dumps(..., indent=2)`` (JSON); the one-``%`` writer must keep their bytes.
+# ``json.dumps(..., indent=2)`` (JSON); the column writers must keep their bytes.
 def _reference_sweep(model, grid, fmt, nats):
     points = drf.sweep(model, grid / math.log(2.0) if nats else grid)
     if nats:
         points = [pt._replace(R=r) for r, pt in zip(grid.tolist(), points)]
     if fmt == "csv":
-        return "\n".join([CSV_HEADER] + [cli._CSV_LINE % pt for pt in points]) + "\n"
+        return "\n".join([CSV_HEADER] + [_CSV_ROW % pt for pt in points]) + "\n"
     return json.dumps({"rows": [pt._asdict() for pt in points]}, indent=2) + "\n"
 
 
@@ -642,8 +668,10 @@ def test_sweep_files_keep_their_bytes(name, fmt, tmp_path, capsys):
             expected = _reference_sweep(model, np.linspace(0.0, 12.0, steps), fmt, nats)
             assert out.read_bytes() == expected.encode()
     assert capsys.readouterr().out == f"wrote 2 rows to {out}\n" * 2 + f"wrote 2001 rows to {out}\n" * 2
-    if name == "infinite gap bound":
+    if name == "infinite gap bound":  # inf takes the CSV writer's % path
         assert ("Infinity" if fmt == "json" else "inf") in out.read_text()
+    if name in ("1x1", "rank 0") and fmt == "csv":  # zeros take its digit path
+        assert {row.split(",")[5] for row in out.read_text().split()[1:]} == {"0"}
 
 
 @pytest.mark.parametrize("name", list(BYTE_MODELS))

@@ -1,0 +1,112 @@
+"""The 17-digit CSV writer (``cli._csv``) against Python's ``%``, value by value.
+
+The reference formats each row with ``"%.17g"`` (``"%d"`` for integers)
+in plain Python, so it shares no code with the writer's digit step.
+"""
+
+import math
+import struct
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cedrf import cli
+
+DBL_MAX = sys.float_info.max
+
+
+def _reference(head: str, columns) -> str:
+    rows = zip(*[c.tolist() for c in columns])
+    return head + "\n" + "".join(
+        ",".join(["%d" % v if isinstance(v, int) else "%.17g" % v for v in row]) + "\n"
+        for row in rows)
+
+
+def _mismatches(columns) -> list[tuple[str, str]]:
+    got = "".join(cli._csv("h", columns)).split("\n")
+    want = _reference("h", columns).split("\n")
+    assert len(got) == len(want)
+    return [(g, w) for g, w in zip(got, want) if g != w]
+
+
+def _ties() -> np.ndarray:
+    """Doubles whose exact decimal has 18 significant digits, the last a 5: ties at 17 digits.
+
+    ``k / 2^t`` with ``k`` odd is ``k 5^t / 10^t``, whose digits are those of
+    the odd multiple of 5 ``k 5^t``; ``k`` is chosen so that it has 18.
+    """
+    ties = []
+    for t in range(1, 26):
+        low = 10 ** 17 // 5 ** t + 1
+        for k in range(low | 1, low + 400, 2):
+            if k * 5 ** t < 10 ** 18 and k < 2 ** 53:  # k / 2^t is a double
+                ties.append(k / 2 ** t)
+    return np.array(ties)
+
+
+def _corpus() -> np.ndarray:
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    edges = np.array([1e-290, 1e290, DBL_MAX, 5e-324, sys.float_info.min, 0.0, math.inf,
+                      math.nan, 0.5, 0.1, 1e16, 1e17, 9007199254740993.0])
+    values = np.concatenate([powers, edges, _ties()])
+    with np.errstate(over="ignore"):  # DBL_MAX's upper neighbour is inf
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, math.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_ties_are_ties():
+    # the corpus's ties round half to even under %: both neighbours occur
+    from decimal import Decimal
+    ties = _ties()
+    assert ties.size > 4000
+    for x in ties[::97].tolist():
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5, x
+    last = {("%.17g" % x).rstrip("0")[-1] for x in ties.tolist()}
+    assert last & set("13579") and last & set("02468")
+
+
+def test_corpus_equals_percent_in_one_and_in_ten_columns():
+    values = _corpus()
+    assert _mismatches([values]) == []
+    width = values.size // 10 * 10
+    assert _mismatches(list(values[:width].reshape(-1, 10).T)) == []
+
+
+def test_zero_columns_and_integer_columns():
+    # an all-zero column, as gap_lb often is, and active counts wider than one 4-digit group
+    counts = np.array([0, 7, 12345, 987654321, 2 ** 53 - 1, -98765, 10 ** 15, 10 ** 4])
+    zeros = np.zeros(counts.size)
+    assert _mismatches([zeros, -zeros, counts, counts.astype(np.float64)]) == []
+    assert "".join(cli._csv("a,b", [zeros, counts])).split("\n")[1] == "0,0"
+
+
+def test_a_zero_tie_margin_misrounds_the_ties(monkeypatch):
+    # negative control: without the margin the fast route decides the ties, and gets
+    # half of them wrong, for it cannot round a tie to even
+    ties = _ties()
+    monkeypatch.setattr(cli, "_TIE_MARGIN", 0.0)
+    assert len(_mismatches([ties])) > ties.size // 10
+
+
+def test_tables_longer_than_one_chunk():
+    values = np.linspace(-3.0, 7.0, 3 * cli._CHUNK_ROWS + 17) ** 3
+    assert _mismatches([values, values / 7.0]) == []
+
+
+_bits = st.integers(0, 2 ** 64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+_doubles = st.one_of(_bits, st.floats(), st.sampled_from([0.0, -0.0, 5e-324, DBL_MAX, 1e-290]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_doubles, min_size=1, max_size=700))
+def test_one_column_equals_percent(values):
+    assert _mismatches([np.array(values)]) == []
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(_doubles, min_size=10, max_size=10), min_size=1, max_size=80))
+def test_ten_columns_equal_percent(rows):
+    assert _mismatches(list(np.array(rows).T)) == []

@@ -7,20 +7,32 @@ channel per model), and ``example`` (the built-in two-component
 demonstration model with its figure data).
 
 ``sweep`` and ``example`` write their tables straight from the column
-kernel ``drf._columns``, with no per-row objects.  CSV tables are written
-by ``_csv``, whose text is byte for byte ``"%.17g" % v`` for every double
-(and ``"%d" % k`` for the active counts), from numpy arrays, not by ``%``:
-each value's 17 decimal digits come from an exact product with a
-double-double table of powers of ten (Dekker's TwoProduct), its text from
-digit lookup tables and a byte mask per ``%g`` layout.  ``%`` writes only
-the values this route cannot decide: nan, inf, ``|x|`` outside
+kernel ``drf._columns``, with no per-row objects, through one writer,
+``_rows``, which yields the text in pieces of 512 rows, built from numpy
+arrays and not by ``%`` or ``repr``.  CSV values are ``"%.17g" % v`` (and
+``"%d" % k`` for the active counts); JSON floats are ``float.__repr__``,
+as ``json.dumps`` writes them, and the counts ``%d`` too.  Each value's
+17 decimal digits come from an exact product with a double-double table
+of powers of ten (Dekker's TwoProduct).  For a JSON float a shortest-digit
+step (``_shortest``) then rounds them to the fewest digits that read back
+as the same double: the multiple of the largest power of ten within half
+an ulp of the value, the nearest one, which is what ``repr`` writes.  The
+text comes from digit lookup tables and a byte mask per layout (``%g``'s
+or ``repr``'s), with each column's framing (the CSV separator, or the
+JSON row and key text) in the leading bytes of every value's block, and
+one ``bytes.translate`` deletes the masked bytes.  ``%`` or ``repr``
+writes only the values this route cannot decide: nan, inf, ``|x|`` outside
 ``[1e-290, 1e290)`` (zero excepted), a scaled value whose fraction lies
 within 2^-40 of 1/2 (exact ties, which ``%`` rounds to even) and one whose
-17-digit exponent the route got wrong.  On 40 seeded models (2 shared
+17-digit exponent the route got wrong; for JSON also a power of two and a
+value whose half-ulp interval ends within 2^-40 of the candidate
+multiple of 10 or 100, or that lies that close to a tie between two
+multiples of 10.  On the curves benchmark's JSON sweeps that is 2.3e-4
+of the floats, all of them powers of two.  On 40 seeded models (2 shared
 Xeon vCPUs, in process), formatting a 2001-row table takes a median
-6.7 ms against 14-15 ms with ``%``, and is still about 0.78 of the
-sweep's time (0.85 with ``%``).  JSON sweeps fill ``_JSON_ROW`` with one
-``%``.
+6.7 ms for CSV against 14-15 ms with ``%``, and 10.0 ms for JSON against
+20.1 ms with one ``%`` over ``float.__repr__`` strings; formatting is
+still about 0.78 of a CSV sweep's time and 0.85 of a JSON sweep's.
 
 Model files are JSON documents with keys ``A`` (nested array of L rows of
 M reals), ``sigma2`` (positive real), and optionally ``sigma_x`` (an M x M
@@ -47,13 +59,6 @@ from .linalg import Matrix, NotSymmetric
 from .spectral import NotPositiveDefinite, ObservationModel, whiten
 
 CSV_HEADER = ",".join(drf.DistortionPoint._fields)
-# one sweep row; "%.17g" round-trips every double, the active counts are integers
-_CSV_LINE = ",".join(["%d" if f.startswith("k_") else "%.17g" for f in drf.DistortionPoint._fields])
-# one row of json.dumps(..., indent=2), whose finite floats are float.__repr__ ("%s");
-# the writer hands it the words json writes for the non-finite ones
-_JSON_ROW = "    {\n%s\n    }" % ",\n".join(
-    f'      "{f}": %{"d" if f.startswith("k_") else "s"}' for f in drf.DistortionPoint._fields
-)
 
 _LN2 = math.log(2.0)
 
@@ -87,6 +92,12 @@ def _json_safe(x: float) -> float | None:
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
+def _json_float(v: float) -> str:
+    """``v`` as ``json`` writes it: ``float.__repr__``, or ``NaN``, ``Infinity``, ``-Infinity``."""
+    r = float.__repr__(v)
+    return _JSON_NON_FINITE.get(r, r)
+
+
 def _json_indent2(doc, pad: str = "\n") -> str:
     """``json.dumps(doc, indent=2)`` of dicts, lists, str, bool, int, float and None, byte for byte.
 
@@ -94,8 +105,7 @@ def _json_indent2(doc, pad: str = "\n") -> str:
     ``float.__repr__`` strings, which is how ``json`` writes floats.
     """
     if isinstance(doc, float):
-        r = float.__repr__(doc)
-        return _JSON_NON_FINITE.get(r, r)
+        return _json_float(doc)
     if not isinstance(doc, (dict, list)) or not doc:
         return json.dumps(doc)  # other scalars and empty containers
     inner = pad + "  "
@@ -263,11 +273,14 @@ _FAST_RANGE = (1e-290, 1e290)
 _X_MAX = 292
 #: a scaled fraction this close to 1/2 goes to ``%``; the digit step's error is below 2^-47
 _TIE_MARGIN = 2.0 ** -40
+#: a JSON float whose candidate multiple of 10 or 100 lies this close to the end of its
+#: scaled half-ulp interval, or to a tie, goes to ``repr``; the step's error is below 2^-46
+_BOUND_MARGIN = 2.0 ** -40
 _CHUNK_ROWS = 512  # rows per piece of text: one piece's arrays stay near 1 MB
-#: one value's 48-byte block, six 8-byte words: the separator before the value, a pad, its
-#: sign and the "0.000" that leads fixed notation below 1; the 17 digits, each followed by a
-#: point slot; a pad, "e", and the exponent's sign and three digits
-_BLOCK = b",\0-0.000" + b"0." * 17 + b"\0e+000"
+#: one value's 48-byte block, six 8-byte words: two framing bytes (the separator and a pad),
+#: the value's sign and the "0.000" that leads fixed notation below 1; the 17 digits, each
+#: followed by a point slot; a pad, "e", and the exponent's sign and three digits
+_BLOCK = b"\0\0-0.000" + b"0." * 17 + b"\0e+000"
 _DIGIT0, _EXP = 8, 43  # offsets of the first digit and of the "e"
 _GROUP_OFFSETS = np.arange(0, 40_000, 10_000)
 
@@ -321,10 +334,12 @@ def _words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return quads.view(np.int64).ravel(), places, tails.view(np.int64).ravel()
 
 
-def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(n, X, fast)``: ``|x|`` is ``n 10^(X-16)`` rounded to 17 digits where ``fast`` holds.
+def _digits(x: np.ndarray, short: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(n, X, fast)``: ``|x|`` is ``n 10^(X-16)``, rounded, where ``fast`` holds.
 
-    ``n`` is an int64 in ``[10^16, 10^17)``, 0 for a zero.  ``X`` is first
+    ``n`` is an int64 in ``[10^16, 10^17)``, 0 for a zero: ``|x|`` rounded
+    to 17 digits, or where ``short`` holds to its shortest round-trip
+    digits (:func:`_shortest`), then trailing zeros.  ``X`` is first
     ``floor(log10 |x|)``, corrected once from the rough product
     ``|x| 10^s``, s = 16 - X.  That product is then taken exactly as
     ``p + e1 + e2``, with ``hi + lo`` the table's 10^s (:func:`_pow10`):
@@ -339,8 +354,9 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fraction within ``_TIE_MARGIN`` (2^-40) of 1/2 is left to ``%``.  A
     fraction near 0 or 1 may be misplaced by one unit, which moves the
     floor and the round-up bit in opposite directions and not ``n``.  The
-    floor ``p + floor(rest)`` must lie in ``[10^16, 10^17)`` before
-    rounding, or ``X`` is wrong and ``%`` decides, and so must ``n``.
+    floor ``p + floor(rest)`` must lie in ``[10^16, 10^17)``, or ``X`` is
+    wrong and ``%`` decides.  An ``n`` rounded up to 10^17 is 10^16 at the
+    next ``X``.
     """
     table = _pow10()
     ax = np.abs(x)
@@ -360,15 +376,58 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     frac = rest - whole
     floor = p.astype(np.int64) + whole.astype(np.int64)
     n = floor + (frac > 0.5)
-    fast &= (floor >= 10 ** 16) & (n < 10 ** 17) & (np.abs(frac - 0.5) >= _TIE_MARGIN)
+    fast &= (floor >= 10 ** 16) & (floor < 10 ** 17) & (np.abs(frac - 0.5) >= _TIE_MARGIN)
+    if short.any():
+        shortest, decided = _shortest(ax, floor, frac, hi, lo)
+        n = np.where(short, shortest, n)
+        fast &= decided | ~short
+    carry = n == 10 ** 17
+    n = np.where(carry, 10 ** 16, n)
+    exp10 += carry
     return np.where(zero, 0, n), np.where(zero, 0, exp10), fast | zero
 
 
-def _layout(exp10: np.ndarray) -> np.ndarray:
-    """The index of the ``%g`` layout of a value with decimal exponent ``X``.
+def _shortest(ax, floor, frac, hi, lo) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, decided)``: the shortest round-trip digits of ``ax``, as ``float.__repr__`` finds them.
 
-    Fixed notation at ``X + 4`` for ``X`` in [-4, 16]; exponent notation
-    at 21 with two exponent digits and at 22 with three.
+    ``ax 10^s`` is ``V = floor + frac`` (:func:`_digits`).  Every decimal
+    within half an ulp of ``ax`` reads back as ``ax``; scaled, that is the
+    interval ``V ± h``, ``h`` the half-ulp times ``hi + lo``, between 0.55
+    and 11.2 since ``V`` has 17 digits.  ``m`` is the multiple of the
+    largest power of ten 10^K in that interval nearest to ``V``, which
+    ``repr`` writes, with its trailing zeros.  The interval is symmetric,
+    so it holds a multiple of 10^K if and only if it holds the nearest
+    one; and it is narrower than 100, so a multiple of 100 in it is its
+    only multiple of 10^K for every K >= 2.  So ``m`` rounds ``V`` to a
+    multiple of 100, of 10 or of 1, by whether the nearest multiple of 100
+    or of 10 is within ``h``, both read from ``V mod 100``.  Not
+    ``decided``: a value whose nearest multiple of 10 or 100 is within
+    ``_BOUND_MARGIN`` of the interval's end (the end is in the interval
+    when the significand is even, which this step does not tell), one
+    within it of a tie between two multiples of 10, and a power of two,
+    whose gap below is half that above.  A tie between two integers is
+    left to ``%`` by :func:`_digits`.
+    """
+    significand, exp2 = np.frexp(ax)
+    unit = np.ldexp(1.0, exp2 - 54)  # half an ulp of ax
+    half = hi * unit + lo * unit
+    below = floor - floor // 100 * 100
+    v = frac + below  # V mod 100
+    d100 = np.minimum(v, 100.0 - v)
+    d10 = np.abs(v - 10.0 * np.rint(v / 10.0))
+    step = 1.0 + 9.0 * (d10 <= half) + 90.0 * (d100 <= half)
+    m = floor - below + (np.rint(v / step) * step).astype(np.int64)
+    decided = ((significand != 0.5) & (np.abs(d10 - half) >= _BOUND_MARGIN)
+               & (np.abs(d100 - half) >= _BOUND_MARGIN) & (np.abs(d10 - 5.0) >= _BOUND_MARGIN))
+    return m, decided
+
+
+def _layout(exp10: np.ndarray) -> np.ndarray:
+    """The index of the layout of a value with decimal exponent ``X``.
+
+    ``X + 4`` for ``X`` in [-4, 16], where ``%g`` writes fixed notation
+    (``repr`` only below 16); exponent notation at 21 with two exponent
+    digits and at 22 with three.
     """
     return np.where((exp10 >= -4) & (exp10 < 17), exp10 + 4, np.where(abs(exp10) < 100, 21, 22))
 
@@ -377,18 +436,23 @@ def _layout(exp10: np.ndarray) -> np.ndarray:
 _LAYOUT_X = (*range(-4, 17), -5, -100)
 
 
-def _keep(exp10: np.ndarray, count: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """0xff at the bytes of a value's block that its ``%.17g`` text keeps, 0 elsewhere.
+def _keep(exp10: np.ndarray, count: np.ndarray, negative: np.ndarray,
+          short: np.ndarray) -> np.ndarray:
+    """0xff at the bytes of a value's block that its text keeps, 0 elsewhere.
 
-    The text is set by the value's decimal exponent ``X``, its count of
-    significant digits (0 for zero) and its sign.
+    The text is ``"%.17g" % v`` or, where ``short`` holds,
+    ``float.__repr__(v)``, which writes exponent notation from 10^16 on
+    and always a digit after the point (``3.0``, ``0.0``).  It is set by
+    the value's decimal exponent ``X``, its count of significant digits
+    (0 for zero) and its sign.  The two framing bytes are kept.
     """
-    fixed = _layout(exp10) < 21
+    fixed = (exp10 >= -4) & (exp10 < 17 - short)
+    # zeros before the point too, and repr's one after it
+    shown = np.where(fixed, np.maximum(count, exp10 + 1 + short), count)
     point = np.where(fixed, exp10, 0)  # the point follows this digit, if a digit follows it
-    point = np.where(count > point + 1, point, -1)
-    shown = np.where(fixed, np.maximum(count, exp10 + 1), count)  # zeros before the point too
+    point = np.where(shown > point + 1, point, -1)
     keep = np.zeros((exp10.size, len(_BLOCK)), bool)
-    keep[:, 0] = True
+    keep[:, :2] = True
     keep[:, 2] = negative
     keep[:, 3:_DIGIT0] = np.arange(5) < np.where(fixed & (exp10 < 0), 1 - exp10, 0)[:, None]
     keep[:, _DIGIT0:_EXP - 1:2] = np.arange(17) < shown[:, None]
@@ -400,75 +464,100 @@ def _keep(exp10: np.ndarray, count: np.ndarray, negative: np.ndarray) -> np.ndar
 
 @functools.cache
 def _keep_words() -> np.ndarray:
-    """``_keep`` at key ``36 layout + 2 count + negative``, as rows of six 8-byte words."""
-    layout, rest = np.divmod(np.arange(len(_LAYOUT_X) * 36), 36)
+    """``_keep`` at key ``828 short + 36 layout + 2 count + negative``, as rows of six words."""
+    short, rest = np.divmod(np.arange(2 * len(_LAYOUT_X) * 36), len(_LAYOUT_X) * 36)
+    layout, rest = np.divmod(rest, 36)
     count, negative = np.divmod(rest, 2)
-    return _keep(np.array(_LAYOUT_X)[layout], count, negative).view(np.int64)
+    return _keep(np.array(_LAYOUT_X)[layout], count, negative, short).view(np.int64)
 
 
-def _csv_bytes(x: np.ndarray, first: np.ndarray) -> bytes:
-    """The values ``x``, each as ``"%.17g" % v`` preceded by its separator.
+def _text(x: np.ndarray, lead: np.ndarray, short: np.ndarray) -> bytes:
+    """The values ``x``, each as ``"%.17g" % v``, or as json writes it where ``short`` holds.
 
-    ``first`` holds the first word of each column's blocks, whose first
-    byte is the separator.  Each value fills one ``_BLOCK`` from the
-    lookup tables; its bytes outside its ``%g`` text are zeroed, and all
-    zero bytes are deleted at once.
+    ``x`` runs row by row, and ``lead`` holds the leading words of each
+    column's blocks: its framing text, zero-padded, then the first word of
+    ``_BLOCK``, whose first two bytes end the framing.  Each value fills
+    one block from the lookup tables; its bytes outside its text are
+    zeroed, and all zero bytes are deleted at once.
     """
     quads, places, tails = _words()
-    n, exp10, fast = _digits(x)
+    n, exp10, fast = _digits(x, short)
     q = n // 10
     d16 = n - 10 * q
     high = q // 10 ** 8
     halves = np.stack([high, q - high * 10 ** 8], axis=1)
     top = halves // 10 ** 4
     groups = np.stack([top, halves - top * 10 ** 4], axis=2).reshape(-1, 4)
-    blocks = np.empty((x.size, 6), np.int64)
-    blocks.reshape(-1, first.size, 6)[:, :, 0] = first
-    blocks[:, 1:5] = quads.take(groups)
-    blocks[:, 5] = tails.take(exp10 + _X_MAX)
-    blocks.view(np.uint8)[:, _DIGIT0 + 32] = d16 + ord("0")
+    words = lead.shape[1] - 1  # framing words before the value's block
+    blocks = np.empty((x.size, words + 6), np.int64)
+    blocks.reshape(-1, len(lead), words + 6)[:, :, :words + 1] = lead
+    blocks[:, words + 1:words + 5] = quads.take(groups)
+    blocks[:, words + 5] = tails.take(exp10 + _X_MAX)
+    start = 8 * words  # the byte offset of the value's block
+    blocks.view(np.uint8)[:, start + _DIGIT0 + 32] = d16 + ord("0")
 
     p1, p2, p3, p4 = places.take(groups + _GROUP_OFFSETS).T
     count = np.where(d16 > 0, 17, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
-    blocks &= _keep_words().take(36 * _layout(exp10) + 2 * count + np.signbit(x), axis=0)
+    key = 36 * (_layout(exp10) + len(_LAYOUT_X) * short) + 2 * count + np.signbit(x)
+    blocks[:, words:] &= _keep_words().take(key, axis=0)
 
     slow = np.flatnonzero(~fast)
-    if slow.size:  # nan, inf, ties, and values out of range: their text from %
-        width = len(_BLOCK) - 1
-        text = "".join([("%.17g" % v).ljust(width, "\0") for v in x[slow].tolist()])
-        blocks.view(np.uint8)[slow, 1:] = np.frombuffer(text.encode(), np.uint8).reshape(-1, width)
+    if slow.size:  # nan, inf, values out of range and those the steps leave: % or repr writes them
+        width = len(_BLOCK) - 2
+        text = "".join([(_json_float(v) if s else "%.17g" % v).ljust(width, "\0")
+                        for v, s in zip(x[slow].tolist(), short[slow].tolist())])
+        blocks.view(np.uint8)[slow, start + 2:] = np.frombuffer(text.encode(), np.uint8).reshape(
+            -1, width)
     return blocks.tobytes().translate(None, b"\0")
 
 
-def _csv(head: str, columns):
-    """The CSV text of ``head`` and the rows of ``columns``, in pieces of ``_CHUNK_ROWS`` rows.
+def _rows(columns, framing: list[str], short: list[bool]):
+    """The text of the rows of ``columns``, in pieces of ``_CHUNK_ROWS`` rows.
 
-    Each value is written as ``"%.17g" % v``.  An integer column, the
-    active counts, must stay below 2^53 in magnitude: then its values are
-    exact as doubles, whose ``%.17g`` text is their ``%d`` text.  Written
-    piece by piece, the text and the byte blocks of a whole table are never
-    held at once.
+    Each value follows its column's ``framing`` and is written as
+    ``"%.17g" % v``, or where its column's ``short`` holds as json writes
+    it.  An integer column must stay below 2^53 in magnitude: then its
+    values are exact as doubles, whose ``%.17g`` text is their ``%d``
+    text.  Written piece by piece, the text and the byte blocks of a whole
+    table are never held at once.
     """
+    words = (max(map(len, framing)) + 5) // 8  # whole words, then the block's two framing bytes
+    lead = np.zeros((len(columns), 8 * words + 8), np.uint8)
+    lead[:, -6:] = np.frombuffer(_BLOCK[2:8], np.uint8)
+    for row, text in zip(lead, framing):
+        row[:len(text)] = np.frombuffer(text.encode(), np.uint8)
+    lead = lead.view(np.int64)
     values = np.stack([np.asarray(c, dtype=np.float64) for c in columns], axis=1)
-    first = np.tile(np.frombuffer(_BLOCK[:8], np.uint8), (len(columns), 1))
-    first[0, 0] = ord("\n")  # a row's first value ends the line before it
-    first = first.view(np.int64).ravel()
-    yield head
+    short = np.tile(short, _CHUNK_ROWS)
     for i in range(0, len(values), _CHUNK_ROWS):
-        yield _csv_bytes(values[i:i + _CHUNK_ROWS].ravel(), first).decode("ascii")
+        chunk = values[i:i + _CHUNK_ROWS].ravel()
+        yield _text(chunk, lead, short[:chunk.size]).decode("ascii")
+
+
+def _csv(head: str, columns):
+    """The CSV text of ``head`` and the rows of ``columns``, each value ``"%.17g" % v``."""
+    yield head
+    yield from _rows(columns, ["\n"] + [","] * (len(columns) - 1), [False] * len(columns))
     yield "\n"
 
 
-def _json_table(columns) -> str:
-    """The ``--format json`` sweep file: ``_JSON_ROW`` per row of ``columns``, filled by one ``%``."""
-    width, n = len(columns), len(columns[0])
-    values = [None] * (width * n)
-    for i, column in enumerate(columns):  # row by row: one slice assignment per column
-        values[i::width] = column.tolist()
-        for j in np.flatnonzero(~np.isfinite(column)).tolist():  # the words json writes
-            values[i + width * j] = _JSON_NON_FINITE[float.__repr__(values[i + width * j])]
-    values = tuple(values)  # frees the list before the text is built
-    return ('{\n  "rows": [\n' + ",\n".join([_JSON_ROW] * n) + "\n  ]\n}\n") % values
+#: the text before each field of a sweep row in the JSON file; the first row's
+#: ``R`` has no row before it to close
+_JSON_FRAMING = [f'\n    }},\n    {{\n      "{f}": ' if i == 0 else f',\n      "{f}": '
+                 for i, f in enumerate(drf.DistortionPoint._fields)]
+
+
+def _json(columns):
+    """The ``--format json`` sweep file: ``json.dumps({"rows": rows}, indent=2)`` and a newline.
+
+    The active counts are integers; every other field is a float, written
+    as json writes it.
+    """
+    pieces = _rows(columns, _JSON_FRAMING,
+                   [not f.startswith("k_") for f in drf.DistortionPoint._fields])
+    yield '{\n  "rows": [' + next(pieces)[len("\n    },"):]
+    yield from pieces
+    yield "\n    }\n  ]\n}\n"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -484,11 +573,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = np.linspace(args.min, args.max, args.steps)
     columns = drf._columns(model, drf._check_grid(grid / _LN2 if args.nats else grid))
     columns = (grid, *columns[1:])  # the R column in the input unit
-    if args.format == "csv":
-        with open(args.out, "w") as out:
-            out.writelines(_csv(CSV_HEADER, columns))
-    else:
-        Path(args.out).write_text(_json_table(columns))
+    with open(args.out, "w") as out:
+        out.writelines(_csv(CSV_HEADER, columns) if args.format == "csv" else _json(columns))
     print(f"wrote {grid.size} rows to {args.out}")
     return 0
 

@@ -20,19 +20,14 @@ an ulp of the value, the nearest one, which is what ``repr`` writes.  The
 text comes from digit lookup tables and a byte mask per layout (``%g``'s
 or ``repr``'s), with each column's framing (the CSV separator, or the
 JSON row and key text) in the leading bytes of every value's block, and
-one ``bytes.translate`` deletes the masked bytes.  ``%`` or ``repr``
+one ``bytes.translate`` deletes the masked bytes.  ``%`` or ``json.dumps``
 writes only the values this route cannot decide: nan, inf, ``|x|`` outside
-``[1e-290, 1e290)`` (zero excepted), a scaled value whose fraction lies
-within 2^-40 of 1/2 (exact ties, which ``%`` rounds to even) and one whose
-17-digit exponent the route got wrong; for JSON also a power of two and a
-value whose half-ulp interval ends within 2^-40 of the candidate
-multiple of 10 or 100, or that lies that close to a tie between two
-multiples of 10.  On the curves benchmark's JSON sweeps that is 2.3e-4
-of the floats, all of them powers of two.  On 40 seeded models (2 shared
-Xeon vCPUs, in process), formatting a 2001-row table takes a median
-6.7 ms for CSV against 14-15 ms with ``%``, and 10.0 ms for JSON against
-20.1 ms with one ``%`` over ``float.__repr__`` strings; formatting is
-still about 0.78 of a CSV sweep's time and 0.85 of a JSON sweep's.
+``[1e-290, 1e290)`` (zero excepted), one whose 17-digit exponent the
+route got wrong, and one within ``_MARGIN`` (2^-40) of a case the route
+cannot tell: a scaled fraction of 1/2 (exact ties, which ``%`` rounds to
+even), and for JSON a tie between two multiples of 10 or an end of the
+half-ulp interval at the candidate multiple of 10 or 100; for JSON also a
+power of two.
 
 Model files are JSON documents with keys ``A`` (nested array of L rows of
 M reals), ``sigma2`` (positive real), and optionally ``sigma_x`` (an M x M
@@ -89,32 +84,23 @@ def _json_safe(x: float) -> float | None:
     return None if math.isinf(x) else x
 
 
-_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
-
-
-def _json_float(v: float) -> str:
-    """``v`` as ``json`` writes it: ``float.__repr__``, or ``NaN``, ``Infinity``, ``-Infinity``."""
-    r = float.__repr__(v)
-    return _JSON_NON_FINITE.get(r, r)
-
-
 def _json_indent2(doc, pad: str = "\n") -> str:
     """``json.dumps(doc, indent=2)`` of dicts, lists, str, bool, int, float and None, byte for byte.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder; this joins
-    ``float.__repr__`` strings, which is how ``json`` writes floats.
+    the same pieces.  A list's finite floats are ``float.__repr__``, which
+    is how ``json`` writes them; ``json.dumps`` writes every other scalar.
     """
-    if isinstance(doc, float):
-        return _json_float(doc)
     if not isinstance(doc, (dict, list)) or not doc:
-        return json.dumps(doc)  # other scalars and empty containers
+        return json.dumps(doc)  # scalars and empty containers
     inner = pad + "  "
     if isinstance(doc, dict):
         items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_indent2(v, inner)}"
                  for k, v in doc.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    items = [float.__repr__(v) if v.__class__ is float else _json_indent2(v, inner) for v in doc]
-    return "[" + inner + ("," + inner).join([_JSON_NON_FINITE.get(r, r) for r in items]) + pad + "]"
+    items = [float.__repr__(v) if v.__class__ is float and math.isfinite(v)
+             else _json_indent2(v, inner) for v in doc]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
 def _matrix(doc: dict, field: str) -> Matrix:
@@ -182,9 +168,8 @@ def example_model() -> ObservationModel:
 def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> dict:
     region = drf.equality_region(model)
     point = drf.sweep(model, [rate_bits])[0]
-    # the point carries both water levels; the allocations reuse them
-    alloc_cond = waterfill._allocation(model.conditional, rate_bits, point.k_idrf, point.theta_idrf)
-    alloc_obs = waterfill._allocation(model.observation, rate_bits, point.k_ce, point.theta_ce)
+    alloc_cond = waterfill.rate_allocation(model.conditional, rate_bits)
+    alloc_obs = waterfill.rate_allocation(model.observation, rate_bits)
     unit = "nats" if nats else "bits"
     return {
         "units": unit,
@@ -215,40 +200,36 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
     }
 
 
-def _print_analysis(report: dict, out=None) -> None:
-    out = out if out is not None else sys.stdout
-
+def _print_analysis(report: dict) -> None:
     def fnum(x):
         return "inf" if x is None else format(x, ".12g")
 
     m = report["model"]
     print(
         f"model: M={m['M']} L={m['L']} sigma2={fnum(m['sigma2'])} "
-        f"rank={m['rank']} full_rank={m['full_rank']} mmse_floor={fnum(m['mmse_floor'])}",
-        file=out,
+        f"rank={m['rank']} full_rank={m['full_rank']} mmse_floor={fnum(m['mmse_floor'])}"
     )
     sp = report["spectra"]
-    print(f"spectrum gram:        {' '.join(fnum(v) for v in sp['gram'])}", file=out)
-    print(f"spectrum observation: {' '.join(fnum(v) for v in sp['observation'])}", file=out)
-    print(f"spectrum conditional: {' '.join(fnum(v) for v in sp['conditional'])}", file=out)
+    print(f"spectrum gram:        {' '.join(fnum(v) for v in sp['gram'])}")
+    print(f"spectrum observation: {' '.join(fnum(v) for v in sp['observation'])}")
+    print(f"spectrum conditional: {' '.join(fnum(v) for v in sp['conditional'])}")
     th = report["thresholds"]
     unit = report["units"]
-    print(f"thresholds observation ({unit}): {' '.join(fnum(v) for v in th['observation'])}", file=out)
-    print(f"thresholds conditional ({unit}): {' '.join(fnum(v) for v in th['conditional'])}", file=out)
+    print(f"thresholds observation ({unit}): {' '.join(fnum(v) for v in th['observation'])}")
+    print(f"thresholds conditional ({unit}): {' '.join(fnum(v) for v in th['conditional'])}")
     eq = report["equality_region"]
     print(
         f"equality region: r0={eq['r0']} R_limit={fnum(eq['R_limit'])} "
-        f"unconditional={eq['unconditional']}",
-        file=out,
+        f"unconditional={eq['unconditional']}"
     )
     p = report["point"]
-    print(f"at R = {fnum(p['R'])} {unit}:", file=out)
-    print(f"  d_idrf = {fnum(p['d_idrf'])}  (k={p['k_idrf']}, theta={fnum(p['theta_idrf'])})", file=out)
-    print(f"  d_ce   = {fnum(p['d_ce'])}  (k={p['k_ce']}, theta={fnum(p['theta_ce'])})", file=out)
-    print(f"  gap    = {fnum(p['gap'])}  bounds [{fnum(p['gap_lb'])}, {fnum(p['gap_ub'])}]", file=out)
+    print(f"at R = {fnum(p['R'])} {unit}:")
+    print(f"  d_idrf = {fnum(p['d_idrf'])}  (k={p['k_idrf']}, theta={fnum(p['theta_idrf'])})")
+    print(f"  d_ce   = {fnum(p['d_ce'])}  (k={p['k_ce']}, theta={fnum(p['theta_ce'])})")
+    print(f"  gap    = {fnum(p['gap'])}  bounds [{fnum(p['gap_lb'])}, {fnum(p['gap_ub'])}]")
     r = report["rates"]
-    print(f"rates idrf ({unit}): {' '.join(fnum(v) for v in r['idrf'])}", file=out)
-    print(f"rates ce   ({unit}): {' '.join(fnum(v) for v in r['ce'])}", file=out)
+    print(f"rates idrf ({unit}): {' '.join(fnum(v) for v in r['idrf'])}")
+    print(f"rates ce   ({unit}): {' '.join(fnum(v) for v in r['ce'])}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -271,11 +252,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 _FAST_RANGE = (1e-290, 1e290)
 #: decimal exponents X with a row in the table of 10^(16-X): those of the range, and one more
 _X_MAX = 292
-#: a scaled fraction this close to 1/2 goes to ``%``; the digit step's error is below 2^-47
-_TIE_MARGIN = 2.0 ** -40
-#: a JSON float whose candidate multiple of 10 or 100 lies this close to the end of its
-#: scaled half-ulp interval, or to a tie, goes to ``repr``; the step's error is below 2^-46
-_BOUND_MARGIN = 2.0 ** -40
+#: a scaled value this close to a tie (a fraction of 1/2, or for JSON halfway between two
+#: multiples of 10), or whose JSON candidate multiple of 10 or 100 lies this close to the
+#: end of its half-ulp interval, goes to ``%`` or ``json.dumps``; the 17-digit step's
+#: error is below 2^-47 and the shortest-digit step's below 2^-46
+_MARGIN = 2.0 ** -40
 _CHUNK_ROWS = 512  # rows per piece of text: one piece's arrays stay near 1 MB
 #: one value's 48-byte block, six 8-byte words: two framing bytes (the separator and a pad),
 #: the value's sign and the "0.000" that leads fixed notation below 1; the 17 digits, each
@@ -316,7 +297,8 @@ def _words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     point.  At ``10^4 i + g``, for the i-th group of four digits (from 0)
     holding ``g``, the place among the 16 digits of its last nonzero one,
     counted from 1, or 0.  For ``X`` from ``-_X_MAX`` to ``_X_MAX``, the
-    last word, with ``X`` as the exponent.
+    last word, with ``X`` as the exponent, whose hundreds digit is NUL
+    when ``|X| < 100``.
     """
     digit = np.arange(10, dtype=np.int8)
     quads = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
@@ -331,6 +313,7 @@ def _words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tails = np.tile(np.frombuffer(_BLOCK[-8:], np.uint8), (x.size, 1))
     tails[:, 4] = np.where(x < 0, ord("-"), ord("+"))
     tails[:, 5:] = np.stack([abs(x) // 100, abs(x) // 10 % 10, abs(x) % 10], axis=1) + ord("0")
+    tails[abs(x) < 100, 5] = 0  # deleted with the other NUL bytes
     return quads.view(np.int64).ravel(), places, tails.view(np.int64).ravel()
 
 
@@ -351,7 +334,7 @@ def _digits(x: np.ndarray, short: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     the product is below 2^57.  So ``floor(rest)`` and the fraction
     ``rest - floor(rest)`` give the rounded ``n`` unless the fraction is
     within that error of 1/2, where ``"%.17g"`` rounds a tie to even; every
-    fraction within ``_TIE_MARGIN`` (2^-40) of 1/2 is left to ``%``.  A
+    fraction within ``_MARGIN`` (2^-40) of 1/2 is left to ``%``.  A
     fraction near 0 or 1 may be misplaced by one unit, which moves the
     floor and the round-up bit in opposite directions and not ``n``.  The
     floor ``p + floor(rest)`` must lie in ``[10^16, 10^17)``, or ``X`` is
@@ -376,7 +359,7 @@ def _digits(x: np.ndarray, short: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     frac = rest - whole
     floor = p.astype(np.int64) + whole.astype(np.int64)
     n = floor + (frac > 0.5)
-    fast &= (floor >= 10 ** 16) & (floor < 10 ** 17) & (np.abs(frac - 0.5) >= _TIE_MARGIN)
+    fast &= (floor >= 10 ** 16) & (floor < 10 ** 17) & (np.abs(frac - 0.5) >= _MARGIN)
     if short.any():
         shortest, decided = _shortest(ax, floor, frac, hi, lo)
         n = np.where(short, shortest, n)
@@ -402,7 +385,7 @@ def _shortest(ax, floor, frac, hi, lo) -> tuple[np.ndarray, np.ndarray]:
     multiple of 100, of 10 or of 1, by whether the nearest multiple of 100
     or of 10 is within ``h``, both read from ``V mod 100``.  Not
     ``decided``: a value whose nearest multiple of 10 or 100 is within
-    ``_BOUND_MARGIN`` of the interval's end (the end is in the interval
+    ``_MARGIN`` of the interval's end (the end is in the interval
     when the significand is even, which this step does not tell), one
     within it of a tie between two multiples of 10, and a power of two,
     whose gap below is half that above.  A tie between two integers is
@@ -417,8 +400,8 @@ def _shortest(ax, floor, frac, hi, lo) -> tuple[np.ndarray, np.ndarray]:
     d10 = np.abs(v - 10.0 * np.rint(v / 10.0))
     step = 1.0 + 9.0 * (d10 <= half) + 90.0 * (d100 <= half)
     m = floor - below + (np.rint(v / step) * step).astype(np.int64)
-    decided = ((significand != 0.5) & (np.abs(d10 - half) >= _BOUND_MARGIN)
-               & (np.abs(d100 - half) >= _BOUND_MARGIN) & (np.abs(d10 - 5.0) >= _BOUND_MARGIN))
+    decided = ((significand != 0.5) & (np.abs(d10 - half) >= _MARGIN)
+               & (np.abs(d100 - half) >= _MARGIN) & (np.abs(d10 - 5.0) >= _MARGIN))
     return m, decided
 
 
@@ -426,14 +409,13 @@ def _layout(exp10: np.ndarray) -> np.ndarray:
     """The index of the layout of a value with decimal exponent ``X``.
 
     ``X + 4`` for ``X`` in [-4, 16], where ``%g`` writes fixed notation
-    (``repr`` only below 16); exponent notation at 21 with two exponent
-    digits and at 22 with three.
+    (``repr`` only below 16), and 21 for exponent notation.
     """
-    return np.where((exp10 >= -4) & (exp10 < 17), exp10 + 4, np.where(abs(exp10) < 100, 21, 22))
+    return np.where((exp10 >= -4) & (exp10 < 17), exp10 + 4, 21)
 
 
 #: one ``X`` of each layout, in layout order
-_LAYOUT_X = (*range(-4, 17), -5, -100)
+_LAYOUT_X = (*range(-4, 17), -5)
 
 
 def _keep(exp10: np.ndarray, count: np.ndarray, negative: np.ndarray,
@@ -458,13 +440,12 @@ def _keep(exp10: np.ndarray, count: np.ndarray, negative: np.ndarray,
     keep[:, _DIGIT0:_EXP - 1:2] = np.arange(17) < shown[:, None]
     keep[:, _DIGIT0 + 1:_EXP - 1:2] = np.arange(17) == point[:, None]
     keep[:, _EXP:] = ~fixed[:, None]
-    keep[:, _EXP + 2] &= abs(exp10) >= 100
     return keep * np.uint8(0xFF)
 
 
 @functools.cache
 def _keep_words() -> np.ndarray:
-    """``_keep`` at key ``828 short + 36 layout + 2 count + negative``, as rows of six words."""
+    """``_keep`` at key ``792 short + 36 layout + 2 count + negative``, as rows of six words."""
     short, rest = np.divmod(np.arange(2 * len(_LAYOUT_X) * 36), len(_LAYOUT_X) * 36)
     layout, rest = np.divmod(rest, 36)
     count, negative = np.divmod(rest, 2)
@@ -502,9 +483,9 @@ def _text(x: np.ndarray, lead: np.ndarray, short: np.ndarray) -> bytes:
     blocks[:, words:] &= _keep_words().take(key, axis=0)
 
     slow = np.flatnonzero(~fast)
-    if slow.size:  # nan, inf, values out of range and those the steps leave: % or repr writes them
+    if slow.size:  # nan, inf, values out of range and those the steps leave: % or json writes them
         width = len(_BLOCK) - 2
-        text = "".join([(_json_float(v) if s else "%.17g" % v).ljust(width, "\0")
+        text = "".join([(json.dumps(v) if s else "%.17g" % v).ljust(width, "\0")
                         for v, s in zip(x[slow].tolist(), short[slow].tolist())])
         blocks.view(np.uint8)[slow, start + 2:] = np.frombuffer(text.encode(), np.uint8).reshape(
             -1, width)

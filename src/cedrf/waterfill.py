@@ -141,15 +141,7 @@ def rate_allocation(spectrum: Spectrum, R: float) -> WaterfillResult:
     rate and zero distortion.
     """
     r = _check_rate(R)
-    return _allocation(spectrum, r, *water_level(spectrum, r))
-
-
-def _allocation(spectrum: Spectrum, r: float, k: int, theta: float) -> WaterfillResult:
-    """:func:`rate_allocation` at rate ``r``, given its active count and water level.
-
-    Active component ``l`` gets ``(1/2) log2(lam_l / lam_k) + (r - R_k) / k``,
-    in Python floats; the others get rate 0.
-    """
+    k, theta = water_level(spectrum, r)
     values = spectrum.values.tolist()
     excess = (r - float(spectrum.thresholds[k - 1])) / k if k else 0.0
     rates = [0.5 * math.log2(v / values[k - 1]) + excess for v in values[:k]]

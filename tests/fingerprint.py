@@ -3,8 +3,10 @@
 Groups: ``analyze`` (text and ``--json``), ``sweep`` (CSV and JSON, each in
 bits and with ``--nats``), ``verify``, ``example``, ``gap_2d`` and
 ``max_gap_2d``; each hashes exit codes, stdout, stderr and the files
-written.  The sweep groups also run a model whose ``gap_ub`` is infinite at
-every rate, so the files' spelling of non-finite values is hashed.  The ``verify`` group runs
+written.  The analyze and sweep groups also run a model whose ``gap_ub`` is
+infinite at every rate, so the spelling of non-finite values is hashed:
+``inf`` in the text report, ``null`` in the analyze JSON and ``Infinity``
+in the sweep files.  The ``verify`` group runs
 ``verify --random 3`` at the default seed, ``--random 50 --seed 1``,
 ``--random 1 --seed 3867`` (a model that fails its Monte Carlo checks, exit
 1), ``--random 1 --seed s`` for s = 1..200 (the command the verify-random
@@ -82,6 +84,8 @@ def main():
             for name, options in SWEEPS.items():
                 run(groups[name], tmp, *sweep, *options)
         model.write_text(json.dumps(INFINITE_GAP_BOUND))
+        run(groups["analyze"], tmp, "analyze", model, "--rate", 3.0)
+        run(groups["analyze-json"], tmp, "analyze", model, "--rate", 3.0, "--json", tmp / "r")
         for name, options in SWEEPS.items():
             run(groups[name], tmp, *sweep, *options)
         run(groups["verify"], tmp, "verify", "--random", 3)

@@ -87,7 +87,7 @@ def test_a_zero_tie_margin_misrounds_the_ties(monkeypatch):
     # negative control: without the margin the fast route decides the ties, and gets
     # half of them wrong, for it cannot round a tie to even
     ties = _ties()
-    monkeypatch.setattr(cli, "_TIE_MARGIN", 0.0)
+    monkeypatch.setattr(cli, "_MARGIN", 0.0)
     assert len(_mismatches([ties])) > ties.size // 10
 
 

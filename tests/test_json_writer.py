@@ -94,8 +94,17 @@ def test_layouts_and_spellings():
 def test_a_zero_bound_margin_misplaces_interval_ends(monkeypatch):
     # negative control: without the margin the step decides values whose interval ends
     # on a short decimal, and takes the end as inside whatever the significand's parity
-    monkeypatch.setattr(cli, "_BOUND_MARGIN", 0.0)
+    monkeypatch.setattr(cli, "_MARGIN", 0.0)
     assert len(_corpus_mismatches()) > 100
+
+
+def test_values_near_a_tie_between_multiples_of_ten_are_left_to_repr():
+    # x = m 2^-(j+s) with m 5^(s-1) = 2^j +- 1 (mod 2^(j+1)): V = x 10^s lies within 2^-40
+    # of a tie between two multiples of 10, not on it, and its half-ulp interval is at
+    # least 5 wide; without the guard the step writes repr's digits but calls them decided
+    values = np.array([0.0004895107801545252, 6.108973636177329e-05, 9.820206352444189e-07])
+    assert not cli._digits(values, np.ones(values.size, bool))[2].any()
+    assert _list_mismatches(values) == []
 
 
 def test_the_lower_multiple_instead_of_the_nearest_misrounds(monkeypatch):

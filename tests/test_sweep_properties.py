@@ -94,6 +94,10 @@ def test_sweep_equals_one_rate_functions(model, extra):
         r = pt.R
         assert (pt.k_idrf, pt.theta_idrf) == waterfill.water_level(cond, r)
         assert (pt.k_ce, pt.theta_ce) == waterfill.water_level(obs, r)
+        alloc = waterfill.rate_allocation(cond, r)
+        assert (alloc.k, alloc.theta) == (pt.k_idrf, pt.theta_idrf)
+        alloc = waterfill.rate_allocation(obs, r)
+        assert (alloc.k, alloc.theta) == (pt.k_ce, pt.theta_ce)
         assert pt.k_idrf == waterfill.active_count(cond, r) == reference_count(cond, r)
         assert pt.k_ce == waterfill.active_count(obs, r) == reference_count(obs, r)
         assert pt.theta_idrf == reference_level(cond, pt.k_idrf, r)

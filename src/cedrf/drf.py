@@ -13,7 +13,7 @@ source dimension so the zero-rate value is 1.
 
 Both curves are ``1 - (1/M) sum_{l<=k} (c_l - theta w_l)``, ``c_l = lam_l/(lam_l+s2)``:
 the optimal scheme water-fills ``c`` with ``w_l = 1``, compress-and-estimate
-the observation spectrum with the model's :func:`spectral.ce_weights`, and
+the observation spectrum with the weights of :func:`spectral.spectra`, and
 one kernel, :func:`_curves`, evaluates both a whole rate grid at a time:
 active counts and water levels come from :func:`waterfill._levels`, the
 partial sums over the active components from prefix sums, which add left
@@ -116,15 +116,16 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
                      k_ce: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`gap_upper_bound` and :func:`gap_lower_bound` over a grid, given both active counts."""
     s2, L = model.sigma2, model.L
-    g = model.gram.values.tolist()  # Python floats: the prefactors overflow to inf silently
+    # Python floats: the prefactors overflow to inf silently
+    g, o = model.gram.values.tolist(), model.observation.values.tolist()
     with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: the decay is 2^-inf = 0
         exponent = -2.0 * R / L
     decay = waterfill._exp2(exponent)
-    scale = (L / model.M) * (g[0] + s2) / s2 / 4.0  # 4 s2 would overflow past DBL_MAX / 4
+    scale = (L / model.M) * o[0] / s2 / 4.0  # 4 s2 would overflow past DBL_MAX / 4
     if math.isfinite(scale):
         upper = scale * decay
     else:  # only the prefactor overflows: move its binary exponent into the decay's
-        (mg, eg), (ms, es) = math.frexp(g[0] + s2), math.frexp(s2)
+        (mg, eg), (ms, es) = math.frexp(o[0]), math.frexp(s2)
         t = np.minimum(exponent + (eg - es - 2), 1100.0)  # past 2^1100 the bound is inf anyway
         # take 2^100 out above 2^1000: 2^t alone is inf from t = 1024, where the product
         # can still be finite, and pow's 2^t and 2^(t-100) 2^100 can differ in the last bit
@@ -133,10 +134,10 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
             upper = (L / model.M) * (mg / ms) * waterfill._exp2(t - high) * waterfill._exp2(high)
     if L < 2 or model.conditional.rank == 0:
         return upper, np.zeros_like(R)
-    f1 = math.sqrt(g[0]) / (g[0] + s2)
-    f2 = math.sqrt(g[1]) / (g[1] + s2)
+    f1 = math.sqrt(g[0]) / o[0]
+    f2 = math.sqrt(g[1]) / o[1]
     valid = (k_ce >= 2) & (k_idrf >= k_ce)
-    scale = (g[L - 1] + s2) / model.M
+    scale = o[L - 1] / model.M
     try:
         lower = scale * (f1 - f2) ** 2 * decay
     except OverflowError:  # (f1 - f2)^2 overflows: move its binary exponent into the decay's
@@ -292,7 +293,11 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
 
     ``reverse_bound = gm + ((n-1)/n) max|a_i - a_j|`` bounds the arithmetic
     mean from above; ``lower_bound = gm + (1/n)(sqrt(max) - sqrt(min))^2``
-    bounds it from below.
+    bounds it from below.  Every positive finite list gives finite means.
+    The values are summed scaled by ``2^-e``, where no ``n`` of them can
+    overflow; ``e > 0`` only when the largest is within a factor ``2n`` of
+    overflow, so elsewhere the mean keeps the bits of ``fsum(values) / n``.
+    The log-mean is clamped below 1024, to which ``log2(DBL_MAX)`` rounds.
     """
     vals = [float(v) for v in values]
     if not vals:
@@ -301,9 +306,10 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
         if not math.isfinite(v) or v <= 0.0:
             raise NonPositiveInput(f"values must be positive finite reals, got {v!r}")
     n = len(vals)
-    am = math.fsum(vals) / n
-    gm = 2.0 ** (math.fsum(math.log2(v) for v in vals) / n)
     hi, lo = max(vals), min(vals)
+    e = max(math.frexp(hi)[1] + n.bit_length() - 1024, 0)
+    am = math.ldexp(math.fsum(math.ldexp(v, -e) for v in vals) / n, e)
+    gm = 2.0 ** min(math.fsum(math.log2(v) for v in vals) / n, math.nextafter(1024.0, 0.0))
     reverse_bound = gm + (n - 1) / n * (hi - lo)
     lower_bound = gm + (math.sqrt(hi) - math.sqrt(lo)) ** 2 / n
     return AmGmBounds(am, gm, reverse_bound, lower_bound)

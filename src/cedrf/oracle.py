@@ -58,8 +58,8 @@ rate's full ``L x M`` shape: a rate's inactive rows carry no noise, get
 the weight 0 and become zero rows, which add only zero singular values.
 LAPACK factors each matrix of the stack on its own, so a rate's rows, its
 decoder and its distortion included, are the same bits in any grid that
-holds it, and one channel can serve both oracles (``verify`` builds one
-per model, and :func:`_rows` takes the Monte Carlo rates' rows from it).
+holds it, and one channel can serve both oracles: :func:`_rows` takes the
+Monte Carlo rates' rows from it.
 Every grid takes one :func:`waterfill._levels` call per spectrum, and the
 one-rate functions (:func:`ce_matrix_parts`, :func:`ce_matrix_form`) are
 that grid at one rate, so they equal it bit for bit.
@@ -68,6 +68,7 @@ that grid at one rate, so they equal it bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -275,10 +276,21 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
     """
     for R in (*ce_rates, *idrf_rates):
         waterfill._check_rate(R)
-    if n_samples < 1:
-        raise InvalidSampleCount(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _integer("n_samples", n_samples, 1, InvalidSampleCount)
+    seed = _integer("seed", seed, 0, ValueError)
     return _estimates(model, n_samples, seed, _ce_grid(model, ce_rates) if len(ce_rates) else None,
                       idrf_rates, mmse)
+
+
+def _integer(name: str, value, low: int, error: type[ValueError]) -> int:
+    """``value`` as an int if it is an integer of at least ``low``; else ``error``, naming ``name``."""
+    try:
+        n = operator.index(value)  # numpy integers too, and no float
+    except TypeError:
+        n = low - 1
+    if n < low:
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return n
 
 
 def _estimates(model: ObservationModel, n_samples: int, seed: int, ce: CEMatrixParts | None,

@@ -13,10 +13,10 @@ Each :class:`Spectrum` holds three read-only float64 arrays: ``values``,
 its reverse water-filling ``thresholds`` and the ``prefix`` sums of its
 values, the two tables built once, on first use.  Beside them come the
 weights ``lam_l / (lam_l + sigma2)^2`` of compress-and-estimate
-(:func:`ce_weights`; :func:`spectra` derives them and the last two spectra
-from the first, once per model), the estimation-error floor and
-source whitening for non-identity source covariances.  Every closed form
-is purely spectral, so ``lam_l`` comes from the singular values of ``A``.
+(:func:`spectra` derives them and the last two spectra from the first,
+once per model), the estimation-error floor and source whitening for
+non-identity source covariances.  Every closed form is purely spectral,
+so ``lam_l`` comes from the singular values of ``A``.
 One full SVD of ``A``, with its singular vectors, is built on first use
 and kept, for the matrix and Monte Carlo oracles only: its ``U`` is the
 eigenbasis of ``A A^T``, and its ``V`` that of the MMSE estimate's covariance.
@@ -105,22 +105,15 @@ def prefix_sums(values: Sequence[float]) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([0.0], values)))
 
 
-def ce_weights(obs: Spectrum, cond: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(w, prefix_sums(w))`` of the weights ``w = lam/(lam+s2)^2``, formed as ``cond/obs``.
-
-    Nothing is squared, so a weight underflows or overflows only where its
-    value itself lies outside double precision.
-    """
-    w = cond.values / obs.values
-    return _read_only(w, prefix_sums(w))
-
-
 def spectra(gram: Spectrum, sigma2: float) -> tuple[Spectrum, Spectrum, tuple[np.ndarray, ...]]:
-    """The spectra ``obs = lam + sigma2`` and ``cond = lam / obs``, and their :func:`ce_weights`.
+    """The spectra ``obs = lam + sigma2`` and ``cond = lam / obs``, and the compress-and-estimate weights.
 
     ``obs`` keeps the gram's order: it adds one constant with correct
     rounding.  A running minimum clamps the last-ulp inversions of the
     rounded division, and a value that underflows to 0 leaves the rank.
+    The weights come as read-only ``(w, prefix_sums(w))``, ``w = lam/(lam+s2)^2``
+    formed as ``cond/obs``: nothing is squared, so a weight underflows or
+    overflows only where its value itself lies outside double precision.
     Raises :class:`ValueError` unless ``sigma2`` is a positive finite real
     and ``lam_1 + sigma2`` is finite.
     """
@@ -133,7 +126,8 @@ def spectra(gram: Spectrum, sigma2: float) -> tuple[Spectrum, Spectrum, tuple[np
         raise ValueError(f"lambda1 + sigma2 overflows double precision: {top:.3e} + {s2:.3e}")
     obs = Spectrum(lam + s2)
     cond = Spectrum(np.minimum.accumulate(lam / obs.values))
-    return obs, cond, ce_weights(obs, cond)
+    w = cond.values / obs.values
+    return obs, cond, _read_only(w, prefix_sums(w))
 
 
 def _numerical_rank(sorted_desc: Sequence[float]) -> int:
@@ -147,9 +141,9 @@ class ObservationModel:
     ``gram``, the spectrum of ``A A^T``, is the squared singular values of
     ``A`` zero-padded to ``L``: ``eps kappa`` relative error in the small
     eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  The
-    observation and conditional spectra and the :func:`ce_weights` table
-    are built once beside it, by :func:`spectra`; ``svd``, and ``basis``
-    with it, is built on first use.  ``full_rank`` records whether ``A``
+    observation and conditional spectra and the compress-and-estimate
+    weight table are built once beside it, by :func:`spectra`; ``svd``,
+    and ``basis`` with it, is built on first use.  ``full_rank`` records whether ``A``
     has numerical rank ``min(M, L)``; rank-deficient models are accepted
     and handled throughout.
 

@@ -44,10 +44,6 @@ from .spectral import Spectrum
 BOUNDARY_SLACK = 1e-12
 
 
-class EmptySpectrum(ValueError):
-    """Water-filling over a spectrum with no positive eigenvalues."""
-
-
 @dataclass(frozen=True)
 class WaterfillResult:
     """Active count, water level, and per-component rates/distortions.
@@ -104,10 +100,9 @@ def rate_thresholds(spectrum: Spectrum) -> list[float]:
 
     Returns :attr:`Spectrum.thresholds` as a list of floats:
     ``[R_1 = 0, R_2, ..., R_rank, inf]``, non-decreasing, with
-    ``R_k = (1/2) sum_{l<=k} log2(lam_l / lam_k)``.
+    ``R_k = (1/2) sum_{l<=k} log2(lam_l / lam_k)``; ``[0.0]`` for a
+    spectrum of rank 0.
     """
-    if spectrum.rank == 0:
-        raise EmptySpectrum("spectrum has no positive eigenvalues")
     return spectrum.thresholds.tolist()
 
 

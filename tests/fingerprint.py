@@ -1,11 +1,12 @@
 """One sha256 per group of user-visible outputs on seeded inputs.
 
 Groups: ``analyze`` (text and ``--json``), ``sweep`` (CSV and JSON, each in
-bits and with ``--nats``), ``verify``, ``example``, ``gap_2d`` and
-``max_gap_2d``; each hashes exit codes, stdout, stderr and the files
-written.  The analyze and sweep groups also run a model whose ``gap_ub`` is
-infinite at every rate, so the spelling of non-finite values is hashed:
-``inf`` in the text report, ``null`` in the analyze JSON and ``Infinity``
+bits and with ``--nats``), ``verify``, ``example``, ``gap_2d``,
+``max_gap_2d`` and ``am_gm_pair``; the command groups hash exit codes,
+stdout, stderr and the files written, the function groups each result's
+``repr`` or error message.  The analyze and sweep groups also run a model
+whose ``gap_ub`` is infinite at every rate, so the spelling of non-finite
+values is hashed: ``inf`` in the text report, ``null`` in the analyze JSON and ``Infinity``
 in the sweep files.  The ``verify`` group runs
 ``verify --random 3`` at the default seed, ``--random 50 --seed 1``,
 ``--random 1 --seed 3867`` (a model that fails its Monte Carlo checks, exit
@@ -13,8 +14,10 @@ in the sweep files.  The ``verify`` group runs
 benchmark times) and ``verify MODEL`` on every tenth seeded model.  The ``oracle`` group hashes
 the ``float.hex`` of ``ce_matrix_form`` and of every ``mc_estimates`` mean and
 stderr at 2,000 samples, on the seeded models; ``verify`` prints only three
-digits of them.  Run it on two checkouts and ``diff`` the output to show that
-a change keeps every output's bits (see README, "Install and test").
+digits of them.  The ``am_gm_pair`` group runs 500 seeded lists of 1 to 8
+values, log-uniform between 1e-300 and 1e300.  Run it on two checkouts and
+``diff`` the output to show that a change keeps every output's bits (see
+README, "Install and test").
 """
 
 import contextlib
@@ -30,7 +33,7 @@ from cedrf import cli, drf, oracle
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel
 
-N_MODELS, N_PAIRS = 100, 500
+N_MODELS, N_PAIRS, N_LISTS = 100, 500, 500
 GAP_RATES = np.linspace(0.0, 40.0, 81).tolist()
 ORACLE_RATES = (0.0, 0.5, 3.0, 40.0)
 SWEEPS = {"sweep-csv": (), "sweep-json": ("--format", "json"), "sweep-nats": ("--nats",),
@@ -69,7 +72,7 @@ def outcome(f, *args):
 
 def main():
     groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", *SWEEPS, "verify", "example",
-                                            "gap_2d", "max_gap_2d", "oracle")}
+                                            "gap_2d", "max_gap_2d", "am_gm_pair", "oracle")}
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         model = tmp / "model.json"
@@ -108,6 +111,10 @@ def main():
         groups["max_gap_2d"].update(outcome(drf.max_gap_2d, *pair).encode())
         for r in GAP_RATES:
             groups["gap_2d"].update(outcome(drf.gap_2d, *pair, r).encode())
+    rng = np.random.default_rng(17)
+    for _ in range(N_LISTS):
+        values = (10.0 ** rng.uniform(-300.0, 300.0, size=int(rng.integers(1, 9)))).tolist()
+        groups["am_gm_pair"].update(outcome(drf.am_gm_pair, values).encode())
     print("\n".join(f"{h.hexdigest()}  {name}" for name, h in groups.items()))
 
 

@@ -901,6 +901,21 @@ def test_verify_fails_a_nan_monte_carlo_estimate(capsys, monkeypatch):
     _verify_fails(capsys, "monte-carlo-ce")
 
 
+@pytest.mark.parametrize("tolerance", [1e-12, 1e-10, 1e-9, 1e-3])
+def test_a_check_passes_at_its_tolerance(tolerance):
+    # one pass rule for every check: observed at most the tolerance, and a NaN fails
+    assert cli.CheckResult("check", tolerance, tolerance).passed
+    assert not cli.CheckResult("check", tolerance, math.nextafter(tolerance, math.inf)).passed
+    assert not cli.CheckResult("check", tolerance, math.nan).passed
+
+
+def test_a_monte_carlo_estimate_at_its_tolerance_passes():
+    # |0.75 - 0.5| is exactly 4 stderr
+    est = oracle.McEstimate(mean=0.75, stderr=0.0625, n_samples=1, seed=0)
+    got = cli._worst_mc("monte-carlo-ce", [est], [0.5])
+    assert got == cli.CheckResult("monte-carlo-ce", 0.25, 0.25) and got.passed
+
+
 def _fails_oracle_equivalence(model_file, capsys):
     code = main(["verify", str(model_file), "--samples", "2000", "--seed", "11"])
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -309,6 +310,15 @@ def test_am_gm_pair_examples():
     assert got.am == 34.0
     assert got.gm == pytest.approx(100.0 ** (1.0 / 3.0), abs=1e-10)
     assert got.gm <= got.am <= got.reverse_bound
+    # near overflow: the sum of the first and the log-mean of the second round past DBL_MAX
+    big = sys.float_info.max
+    for vals, am in (([1e308, 1e308], 1e308), ([big] * 3, big), ([big, 1.0], big / 2)):
+        got = am_gm_pair(vals)
+        assert got.am == am and got.gm <= got.am, vals
+        assert all(map(math.isfinite, got)), vals
+    # the two large values sum to a tie that only the tiny one breaks: scaled down far
+    # enough to lose it, the sum would round to even
+    assert am_gm_pair([2.0 ** 1000, 2.0 ** 947, 1e-300]).am == (2.0 ** 1000 + 2.0 ** 948) / 3
 
 
 def test_am_gm_pair_rejects_bad_input():

@@ -699,6 +699,12 @@ def test_fused_rejects_bad_input():
     model = example_model()
     with pytest.raises(InvalidSampleCount):
         mc_estimates(model, 0, 1, mmse=True)
+    with pytest.raises(InvalidSampleCount, match="n_samples must be an integer"):
+        mc_estimates(model, 10.5, 1, mmse=True)  # not a chi-square of 10.5 degrees of freedom
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        mc_estimates(model, 10, -1, mmse=True)
+    assert mc_estimates(model, np.int64(10), np.uint32(1), mmse=True) == mc_estimates(
+        model, 10, 1, mmse=True)
     with pytest.raises(ValueError, match="rate"):
         mc_estimates(model, 10, 1, ce_rates=(1.0,), idrf_rates=(-1.0,))
     empty = mc_estimates(model, 10, 1)

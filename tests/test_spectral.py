@@ -117,8 +117,8 @@ def test_model_builds_its_weight_table_once(tmp_path, monkeypatch):
     assert sums.tolist() == spectral.prefix_sums(w).tolist()
     # an analyze op and a verify model each build the table once, with the model
     calls = []
-    real = spectral.ce_weights
-    monkeypatch.setattr(spectral, "ce_weights", lambda *a: calls.append(a) or real(*a))
+    real = spectral.spectra
+    monkeypatch.setattr(spectral, "spectra", lambda *a: calls.append(a) or real(*a))
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"A": model.A.data.tolist(), "sigma2": model.sigma2}))
     for argv in (["analyze", path, "--rate", "1.5"], ["verify", path, "--samples", "1000"],

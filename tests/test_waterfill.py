@@ -8,7 +8,6 @@ from support import R2_COND, R2_OBS
 from cedrf.spectral import Spectrum
 from cedrf.waterfill import (
     BOUNDARY_SLACK,
-    EmptySpectrum,
     _exp2,
     _levels,
     active_count,
@@ -34,8 +33,7 @@ def test_thresholds_non_decreasing_and_empty():
     thr = rate_thresholds(spec(8.0, 4.0, 4.0, 0.5))
     assert thr[0] == 0.0 and thr[-1] == math.inf
     assert all(b >= a for a, b in zip(thr, thr[1:]))
-    with pytest.raises(EmptySpectrum):
-        rate_thresholds(Spectrum((0.0,)))
+    assert rate_thresholds(Spectrum((0.0,))) == [0.0]  # no component ever becomes active
 
 
 def test_active_count_half_open_intervals():

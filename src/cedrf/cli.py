@@ -9,31 +9,34 @@ demonstration model with its figure data).
 ``sweep`` and ``example`` write their tables straight from the column
 kernel ``drf._columns``, with no per-row objects, through one writer,
 ``_rows``, which yields the text in pieces of 512 rows, built from numpy
-arrays and not by ``%`` or ``repr``.  CSV values are ``"%.17g" % v`` (and
-``"%d" % k`` for the active counts); JSON floats are ``float.__repr__``,
-as ``json.dumps`` writes them, and the counts ``%d`` too.  Each value's
-17 decimal digits come from an exact product with a double-double table
-of powers of ten (Dekker's TwoProduct).  For a JSON float a shortest-digit
-step (``_shortest``) then rounds them to the fewest digits that read back
-as the same double: the multiple of the largest power of ten within half
-an ulp of the value, the nearest one, which is what ``repr`` writes.  The
-text comes from digit lookup tables and a byte mask per layout (``%g``'s
-or ``repr``'s), with each column's framing (the CSV separator, or the
-JSON row and key text) in the leading bytes of every value's block, and
-one ``bytes.translate`` deletes the masked bytes.  ``%`` or ``json.dumps``
-writes only the values this route cannot decide: nan, inf, ``|x|`` outside
-``[1e-290, 1e290)`` (zero excepted), one whose 17-digit exponent the
-route got wrong, and one within ``_MARGIN`` (2^-40) of a case the route
-cannot tell: a scaled fraction of 1/2 (exact ties, which ``%`` rounds to
-even), and for JSON a tie between two multiples of 10 or an end of the
-half-ulp interval at the candidate multiple of 10 or 100; for JSON also a
-power of two.
+arrays and not by ``%`` or ``repr``.  ``_rows`` reads each column's kind
+from its dtype: an integer column (the active counts) is ``"%d" % k``; a
+float column is ``"%.17g" % v`` in CSV and ``float.__repr__``, as
+``json.dumps`` writes it, in JSON.  Each value's 17 decimal digits come
+from an exact product with a double-double table of powers of ten
+(Dekker's TwoProduct).  For a JSON float a shortest-digit step
+(``_shortest``) then rounds them to the fewest digits that read back as
+the same double: the multiple of the largest power of ten within half an
+ulp of the value, the nearest one, which is what ``repr`` writes.  The
+text comes from digit lookup tables and a byte mask per key
+``(short, X, count, sign)`` (``_KEY_SHAPE``), with each column's framing
+(the CSV separator, or the JSON row and key text) in the leading bytes of
+every value's block, and one ``bytes.translate`` deletes the masked
+bytes.  ``%`` or ``json.dumps`` writes only the values this route cannot
+decide: nan, inf, ``|x|`` outside ``[1e-290, 1e290)`` (zero excepted),
+one whose 17-digit exponent the route got wrong, and one within
+``_MARGIN`` (2^-40) of a case the route cannot tell: a scaled fraction of
+1/2 (exact ties, which ``%`` rounds to even), and for JSON a tie between
+two multiples of 10 or an end of the half-ulp interval at the candidate
+multiple of 10 or 100; for JSON also a power of two.
 
 Model files are JSON documents with keys ``A`` (nested array of L rows of
 M reals), ``sigma2`` (positive real), and optionally ``sigma_x`` (an M x M
 source covariance, which triggers whitening; distortion is then measured
 on the whitened source).  Rates are bits unless ``--nats`` is given, in
 which case rate-valued inputs and outputs are converted on the way in/out.
+The ``analyze`` report holds plain floats; its JSON writer ``_json_indent2``
+writes a non-finite one as ``null``.
 """
 
 from __future__ import annotations
@@ -80,19 +83,16 @@ def _from_bits(rate: float, nats: bool) -> float:
     return rate * _LN2 if nats else rate
 
 
-def _json_safe(x: float) -> float | None:
-    return None if math.isinf(x) else x
-
-
 def _json_indent2(doc, pad: str = "\n") -> str:
-    """``json.dumps(doc, indent=2)`` of dicts, lists, str, bool, int, float and None, byte for byte.
+    """``json.dumps(doc, indent=2)`` of dicts, lists, str, bool, int, float and None, as valid JSON.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder; this joins
     the same pieces.  A list's finite floats are ``float.__repr__``, which
-    is how ``json`` writes them; ``json.dumps`` writes every other scalar.
+    is how ``json`` writes them; ``json.dumps`` writes every other scalar
+    but a non-finite float, which is ``null`` here and nowhere else.
     """
-    if not isinstance(doc, (dict, list)) or not doc:
-        return json.dumps(doc)  # scalars and empty containers
+    if not isinstance(doc, (dict, list)) or not doc:  # scalars and empty containers
+        return "null" if doc.__class__ is float and not math.isfinite(doc) else json.dumps(doc)
     inner = pad + "  "
     if isinstance(doc, dict):
         items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_indent2(v, inner)}"
@@ -184,15 +184,14 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
         },
         "spectra": {name: getattr(model, name).values.tolist()
                     for name in ("gram", "observation", "conditional")},
-        "thresholds": {name: [_json_safe(_from_bits(t, nats))
-                              for t in getattr(model, name).thresholds.tolist()]
+        "thresholds": {name: [_from_bits(t, nats) for t in getattr(model, name).thresholds.tolist()]
                        for name in ("observation", "conditional")},
         "equality_region": {
             "r0": region.r0,
-            "R_limit": _json_safe(_from_bits(region.R_limit, nats)),
+            "R_limit": _from_bits(region.R_limit, nats),
             "unconditional": region.unconditional,
         },
-        "point": dict(zip(point._fields, map(_json_safe, point)), R=_from_bits(rate_bits, nats)),
+        "point": dict(point._asdict(), R=_from_bits(rate_bits, nats)),
         "rates": {
             "idrf": [_from_bits(r, nats) for r in alloc_cond.rates],
             "ce": [_from_bits(r, nats) for r in alloc_obs.rates],
@@ -201,22 +200,18 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
 
 
 def _print_analysis(report: dict) -> None:
-    def fnum(x):
-        return "inf" if x is None else format(x, ".12g")
+    fnum = "{:.12g}".format
 
     m = report["model"]
     print(
         f"model: M={m['M']} L={m['L']} sigma2={fnum(m['sigma2'])} "
         f"rank={m['rank']} full_rank={m['full_rank']} mmse_floor={fnum(m['mmse_floor'])}"
     )
-    sp = report["spectra"]
-    print(f"spectrum gram:        {' '.join(fnum(v) for v in sp['gram'])}")
-    print(f"spectrum observation: {' '.join(fnum(v) for v in sp['observation'])}")
-    print(f"spectrum conditional: {' '.join(fnum(v) for v in sp['conditional'])}")
-    th = report["thresholds"]
+    for name, values in report["spectra"].items():
+        print(f"spectrum {name + ':':<12} {' '.join(map(fnum, values))}")
     unit = report["units"]
-    print(f"thresholds observation ({unit}): {' '.join(fnum(v) for v in th['observation'])}")
-    print(f"thresholds conditional ({unit}): {' '.join(fnum(v) for v in th['conditional'])}")
+    for name, values in report["thresholds"].items():
+        print(f"thresholds {name} ({unit}): {' '.join(map(fnum, values))}")
     eq = report["equality_region"]
     print(
         f"equality region: r0={eq['r0']} R_limit={fnum(eq['R_limit'])} "
@@ -227,9 +222,8 @@ def _print_analysis(report: dict) -> None:
     print(f"  d_idrf = {fnum(p['d_idrf'])}  (k={p['k_idrf']}, theta={fnum(p['theta_idrf'])})")
     print(f"  d_ce   = {fnum(p['d_ce'])}  (k={p['k_ce']}, theta={fnum(p['theta_ce'])})")
     print(f"  gap    = {fnum(p['gap'])}  bounds [{fnum(p['gap_lb'])}, {fnum(p['gap_ub'])}]")
-    r = report["rates"]
-    print(f"rates idrf ({unit}): {' '.join(fnum(v) for v in r['idrf'])}")
-    print(f"rates ce   ({unit}): {' '.join(fnum(v) for v in r['ce'])}")
+    for name, values in report["rates"].items():
+        print(f"rates {name:<4} ({unit}): {' '.join(map(fnum, values))}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -250,8 +244,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 #: values the digit step decides: |x| in [1e-290, 1e290), where no product it splits
 #: overflows or leaves the normal range; zero is decided apart, the rest goes to ``%``
 _FAST_RANGE = (1e-290, 1e290)
-#: decimal exponents X with a row in the table of 10^(16-X): those of the range, and one more
-_X_MAX = 292
+#: the largest |X| in the tables of 10^(16-X) and exponent words: the range's, and two more
+_X_MAX = round(math.log10(_FAST_RANGE[1])) + 2
 #: a scaled value this close to a tie (a fraction of 1/2, or for JSON halfway between two
 #: multiples of 10), or whose JSON candidate multiple of 10 or 100 lies this close to the
 #: end of its half-ulp interval, goes to ``%`` or ``json.dumps``; the 17-digit step's
@@ -262,7 +256,7 @@ _CHUNK_ROWS = 512  # rows per piece of text: one piece's arrays stay near 1 MB
 #: the value's sign and the "0.000" that leads fixed notation below 1; the 17 digits, each
 #: followed by a point slot; a pad, "e", and the exponent's sign and three digits
 _BLOCK = b"\0\0-0.000" + b"0." * 17 + b"\0e+000"
-_DIGIT0, _EXP = 8, 43  # offsets of the first digit and of the "e"
+_DIGIT0, _EXP = _BLOCK.index(b"0." * 17), _BLOCK.index(b"e")  # the first digit's and "e"'s offsets
 _GROUP_OFFSETS = np.arange(0, 40_000, 10_000)
 
 
@@ -408,18 +402,25 @@ def _shortest(ax, floor, frac, hi, lo) -> tuple[np.ndarray, np.ndarray]:
 #: the decimal exponents ``X`` of the mask table: the fixed-notation range and one
 #: exponent-notation ``X`` at either end, whose mask every ``X`` beyond that end shares
 _LAYOUT_X = range(-5, 18)
+#: the mask table's key (short, X - ``_LAYOUT_X[0]``, count of significant digits, sign),
+#: clipped to this shape, so that an ``X`` beyond ``_LAYOUT_X`` reads its end's mask
+_KEY_SHAPE = (2, len(_LAYOUT_X), 18, 2)
 
 
-def _keep(exp10: np.ndarray, count: np.ndarray, negative: np.ndarray,
-          short: np.ndarray) -> np.ndarray:
-    """0xff at the bytes of a value's block that its text keeps, 0 elsewhere.
+@functools.cache
+def _keep_words() -> np.ndarray:
+    """The masks of the text layouts, as rows of six words, one per key of ``_KEY_SHAPE``.
 
-    The text is ``"%.17g" % v`` or, where ``short`` holds,
-    ``float.__repr__(v)``, which writes exponent notation from 10^16 on
-    and always a digit after the point (``3.0``, ``0.0``).  It is set by
-    the value's decimal exponent ``X``, its count of significant digits
-    (0 for zero) and its sign.  The two framing bytes are kept.
+    Row ``np.ravel_multi_index(key, _KEY_SHAPE)`` is 0xff at the bytes of a
+    value's block that its text keeps, 0 elsewhere.  The text is
+    ``"%.17g" % v`` or, where ``short`` holds, ``float.__repr__(v)``, which
+    writes exponent notation from 10^16 on and always a digit after the
+    point (``3.0``, ``0.0``).  It is set by the value's decimal exponent
+    ``X``, its count of significant digits (0 for zero) and its sign.  The
+    two framing bytes are kept.
     """
+    short, x, count, negative = np.indices(_KEY_SHAPE).reshape(len(_KEY_SHAPE), -1)
+    exp10 = x + _LAYOUT_X[0]
     fixed = (exp10 >= -4) & (exp10 < 17 - short)
     # zeros before the point too, and repr's one after it
     shown = np.where(fixed, np.maximum(count, exp10 + 1 + short), count)
@@ -432,15 +433,7 @@ def _keep(exp10: np.ndarray, count: np.ndarray, negative: np.ndarray,
     keep[:, _DIGIT0:_EXP - 1:2] = np.arange(17) < shown[:, None]
     keep[:, _DIGIT0 + 1:_EXP - 1:2] = np.arange(17) == point[:, None]
     keep[:, _EXP:] = ~fixed[:, None]
-    return keep * np.uint8(0xFF)
-
-
-@functools.cache
-def _keep_words() -> np.ndarray:
-    """``_keep`` at key ``828 short + 36 (X + 5) + 2 count + negative``, as rows of six words."""
-    short, x, count, negative = (a.ravel() for a in np.meshgrid(
-        range(2), _LAYOUT_X, range(18), range(2), indexing="ij"))
-    return _keep(x, count, negative, short).view(np.int64)
+    return (keep * np.uint8(0xFF)).view(np.int64)
 
 
 def _text(x: np.ndarray, lead: np.ndarray, short: np.ndarray) -> bytes:
@@ -470,7 +463,8 @@ def _text(x: np.ndarray, lead: np.ndarray, short: np.ndarray) -> bytes:
 
     p1, p2, p3, p4 = places.take(groups + _GROUP_OFFSETS).T
     count = np.where(d16 > 0, 17, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
-    key = 36 * (np.clip(exp10, -5, 17) + 5 + len(_LAYOUT_X) * short) + 2 * count + np.signbit(x)
+    key = np.ravel_multi_index((short, exp10 - _LAYOUT_X[0], count, np.signbit(x)), _KEY_SHAPE,
+                               mode="clip")
     blocks[:, words:] &= _keep_words().take(key, axis=0)
 
     slow = np.flatnonzero(~fast)
@@ -483,13 +477,14 @@ def _text(x: np.ndarray, lead: np.ndarray, short: np.ndarray) -> bytes:
     return blocks.tobytes().translate(None, b"\0")
 
 
-def _rows(columns, framing: list[str], short: list[bool]):
+def _rows(columns, framing: list[str], json: bool):
     """The text of the rows of ``columns``, in pieces of ``_CHUNK_ROWS`` rows.
 
-    Each value follows its column's ``framing`` and is written as
-    ``"%.17g" % v``, or where its column's ``short`` holds as json writes
-    it.  An integer column must stay below 2^53 in magnitude: then its
-    values are exact as doubles, whose ``%.17g`` text is their ``%d``
+    Each value follows its column's ``framing``, and its column's (numpy
+    array's) dtype sets its text, here and nowhere else: an integer column is
+    ``"%d" % k``, a float column's ``"%.17g" % v``, or with ``json`` as json
+    writes them.  An integer column must stay below 2^53 in magnitude: then
+    its values are exact as doubles, whose ``%.17g`` text is their ``%d``
     text.  Written piece by piece, the text and the byte blocks of a whole
     table are never held at once.
     """
@@ -499,17 +494,17 @@ def _rows(columns, framing: list[str], short: list[bool]):
     for row, text in zip(lead, framing):
         row[:len(text)] = np.frombuffer(text.encode(), np.uint8)
     lead = lead.view(np.int64)
-    values = np.stack([np.asarray(c, dtype=np.float64) for c in columns], axis=1)
-    short = np.tile(short, _CHUNK_ROWS)
+    values = np.stack(columns, axis=1, dtype=np.float64)
+    short = np.tile([json and c.dtype.kind == "f" for c in columns], _CHUNK_ROWS)
     for i in range(0, len(values), _CHUNK_ROWS):
         chunk = values[i:i + _CHUNK_ROWS].ravel()
         yield _text(chunk, lead, short[:chunk.size]).decode("ascii")
 
 
 def _csv(head: str, columns):
-    """The CSV text of ``head`` and the rows of ``columns``, each value ``"%.17g" % v``."""
+    """The CSV text of ``head`` and the rows of ``columns``, as :func:`_rows` writes them."""
     yield head
-    yield from _rows(columns, ["\n"] + [","] * (len(columns) - 1), [False] * len(columns))
+    yield from _rows(columns, ["\n"] + [","] * (len(columns) - 1), json=False)
     yield "\n"
 
 
@@ -520,13 +515,8 @@ _JSON_FRAMING = [f'\n    }},\n    {{\n      "{f}": ' if i == 0 else f',\n      "
 
 
 def _json(columns):
-    """The ``--format json`` sweep file: ``json.dumps({"rows": rows}, indent=2)`` and a newline.
-
-    The active counts are integers; every other field is a float, written
-    as json writes it.
-    """
-    pieces = _rows(columns, _JSON_FRAMING,
-                   [not f.startswith("k_") for f in drf.DistortionPoint._fields])
+    """The ``--format json`` sweep file: ``json.dumps({"rows": rows}, indent=2)`` and a newline."""
+    pieces = _rows(columns, _JSON_FRAMING, json=True)
     yield '{\n  "rows": [' + next(pieces)[len("\n    },"):]
     yield from pieces
     yield "\n    }\n  ]\n}\n"
@@ -575,12 +565,13 @@ def _random_verify_model(rng: np.random.Generator) -> ObservationModel:
     return ObservationModel(Matrix(a), sigma2)
 
 
+_RATE_SPAN = 12.0  # bits: the top rate of the oracle-equivalence, sandwich and equality checks
 #: oracle-equivalence rates; each model adds the rates 0.05 either side of its thresholds
-_ORACLE_RATES = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0)
+_ORACLE_RATES = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, _RATE_SPAN)
 #: Monte Carlo rates, all in ``_ORACLE_RATES``: they add no rate to the CE test channel
 _MC_RATES = (0.5, 1.0, 3.0)
 #: bound-sandwich and monotonicity rates
-_SANDWICH_RATES = np.linspace(0.0, 12.0, 50)
+_SANDWICH_RATES = np.linspace(0.0, _RATE_SPAN, 50)
 
 
 def _worst_mc(name: str, estimates, closed: list[float]) -> CheckResult:
@@ -606,7 +597,7 @@ def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: in
     neighbours = (r for t in thresholds if t > 0.0 for r in (max(0.0, t - 0.05), t + 0.05))
     ce_rates = np.array(sorted({*_ORACLE_RATES, *neighbours, *_MC_RATES}))
     parts = oracle._ce_grid(model, ce_rates)
-    cap = min(drf.equality_region(model).R_limit, 12.0)
+    cap = min(drf.equality_region(model).R_limit, _RATE_SPAN)
     region = np.concatenate([rng.uniform(0.0, cap, 20), [cap]])
     grid = np.sort(np.concatenate([ce_rates, region, _SANDWICH_RATES]))  # a repeated rate repeats its row
     _, d_idrf, d_ce, gap, gap_ub, gap_lb = drf._columns(model, grid)[:6]
@@ -660,12 +651,10 @@ def cmd_example(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    thr_cond = float(model.conditional.thresholds[1])
-    thr_obs = float(model.observation.thresholds[1])
     region = drf.equality_region(model)
     r_star, g_star = drf.max_gap_2d(*_EXAMPLE)
-    print(f"second activation (conditional): {thr_cond:.6f} bits")
-    print(f"second activation (observation): {thr_obs:.6f} bits")
+    for name in ("conditional", "observation"):
+        print(f"second activation ({name}): {getattr(model, name).thresholds[1]:.6f} bits")
     print(f"equality region: r0={region.r0} R_limit={region.R_limit:.6f} bits")
     print(f"max gap: {g_star:.6f} at R = {r_star:.6f} bits")
     print(f"mmse floor: {model.mmse_floor:.6f}")

@@ -28,6 +28,7 @@ rate, so they equal :func:`sweep` bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -297,7 +298,11 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
     The values are summed scaled by ``2^-e``, where no ``n`` of them can
     overflow; ``e > 0`` only when the largest is within a factor ``2n`` of
     overflow, so elsewhere the mean keeps the bits of ``fsum(values) / n``.
-    The log-mean is clamped below 1024, to which ``log2(DBL_MAX)`` rounds.
+    The log-mean sums ``frexp`` exponents and mantissa logs, so ``gm`` keeps
+    its relative accuracy at any scale; the orders the exact values keep,
+    ``gm <= am <= reverse_bound <= DBL_MAX`` and ``lower_bound <= am``, are
+    imposed on the rounded ones: an ulp's move, or an overflowed
+    ``reverse_bound``'s from inf to ``DBL_MAX``.
     """
     vals = [float(v) for v in values]
     if not vals:
@@ -309,9 +314,12 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
     hi, lo = max(vals), min(vals)
     e = max(math.frexp(hi)[1] + n.bit_length() - 1024, 0)
     am = math.ldexp(math.fsum(math.ldexp(v, -e) for v in vals) / n, e)
-    gm = 2.0 ** min(math.fsum(math.log2(v) for v in vals) / n, math.nextafter(1024.0, 0.0))
-    reverse_bound = gm + (n - 1) / n * (hi - lo)
-    lower_bound = gm + (math.sqrt(hi) - math.sqrt(lo)) ** 2 / n
+    mantissas, exponents = zip(*map(math.frexp, vals))
+    q = -(-sum(exponents) // n)  # so rest is in (-2, 0), and 2^rest 2^q cannot overflow
+    rest = math.fsum([*map(math.log2, mantissas), sum(exponents) - q * n]) / n
+    gm = min(math.ldexp(2.0 ** rest, q), am)
+    reverse_bound = min(max(gm + (n - 1) / n * (hi - lo), am), sys.float_info.max)
+    lower_bound = min(gm + (math.sqrt(hi) - math.sqrt(lo)) ** 2 / n, am)
     return AmGmBounds(am, gm, reverse_bound, lower_bound)
 
 

@@ -1,13 +1,14 @@
 """One sha256 per group of user-visible outputs on seeded inputs.
 
-Groups: ``analyze`` (text and ``--json``), ``sweep`` (CSV and JSON, each in
+Groups: ``analyze`` (text and ``--json``; ``analyze-json-nats`` runs
+``--json --nats`` on the infinite-bound model only), ``sweep`` (CSV and JSON, each in
 bits and with ``--nats``), ``verify``, ``example``, ``gap_2d``,
 ``max_gap_2d`` and ``am_gm_pair``; the command groups hash exit codes,
 stdout, stderr and the files written, the function groups each result's
 ``repr`` or error message.  The analyze and sweep groups also run a model
 whose ``gap_ub`` is infinite at every rate, so the spelling of non-finite
-values is hashed: ``inf`` in the text report, ``null`` in the analyze JSON and ``Infinity``
-in the sweep files.  The ``verify`` group runs
+values is hashed: ``inf`` in the text report, ``null`` in the analyze JSON, in
+bits and in nats, and ``Infinity`` in the sweep files.  The ``verify`` group runs
 ``verify --random 3`` at the default seed, ``--random 50 --seed 1``,
 ``--random 1 --seed 3867`` (a model that fails its Monte Carlo checks, exit
 1), ``--random 1 --seed s`` for s = 1..200 (the command the verify-random
@@ -71,8 +72,9 @@ def outcome(f, *args):
 
 
 def main():
-    groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", *SWEEPS, "verify", "example",
-                                            "gap_2d", "max_gap_2d", "am_gm_pair", "oracle")}
+    groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", "analyze-json-nats", *SWEEPS,
+                                            "verify", "example", "gap_2d", "max_gap_2d",
+                                            "am_gm_pair", "oracle")}
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         model = tmp / "model.json"
@@ -89,6 +91,8 @@ def main():
         model.write_text(json.dumps(INFINITE_GAP_BOUND))
         run(groups["analyze"], tmp, "analyze", model, "--rate", 3.0)
         run(groups["analyze-json"], tmp, "analyze", model, "--rate", 3.0, "--json", tmp / "r")
+        run(groups["analyze-json-nats"], tmp, "analyze", model, "--rate", 3.0, "--json", tmp / "r",
+            "--nats")
         for name, options in SWEEPS.items():
             run(groups[name], tmp, *sweep, *options)
         run(groups["verify"], tmp, "verify", "--random", 3)

@@ -146,14 +146,33 @@ def test_a_rate_of_minus_zero_is_read_as_zero(model_file, tmp_path, capsys):
     assert math.copysign(1.0, waterfill._check_rate(-0.0)) == 1.0
 
 
-def test_json_writer_spells_every_kind_of_value_as_json_does():
+def _nulled(doc):
+    """``doc`` with every non-finite float replaced by ``None``."""
+    if isinstance(doc, dict):
+        return {k: _nulled(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return list(map(_nulled, doc))
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
+
+
+def _strict_loads(text: str):
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_writer_writes_valid_json_with_null_for_non_finite_floats():
+    # json.dumps's bytes, except that a non-finite float is null, at any depth
     inf, nan = math.inf, math.nan
     doc = {"floats": [1.0, -0.0, 5e-324, 1e300, inf, -inf, nan, 0.1], "ints": [0, 1, -7, 2**70],
-           "words": [None, True, False], "empty": [[], {}], "nested": {"a": {"b": [[1.5]]}},
+           "words": [None, True, False], "empty": [[], {}], "nested": {"a": {"b": [[1.5, -inf]]}},
            "text": ["bits", "inf", "nan", "quote \" \\ é \n"], "scalar": nan, "none": None}
-    assert cli._json_indent2(doc) == json.dumps(doc, indent=2)
-    for value in ({}, [], 2.5, 3, True, None, "s"):
-        assert cli._json_indent2(value) == json.dumps(value, indent=2)
+    text = cli._json_indent2(doc)
+    assert text == json.dumps(_nulled(doc), indent=2)
+    assert _strict_loads(text) == _nulled(doc)
+    for value in ({}, [], 2.5, 3, True, None, "s", inf, -inf, nan):
+        assert cli._json_indent2(value) == json.dumps(_nulled(value), indent=2)
 
 
 def test_analyze_and_sweep_run_no_eigensolver(model_file, tmp_path, capsys, monkeypatch):
@@ -684,7 +703,8 @@ def test_analyze_json_keeps_json_dumps_bytes(name, tmp_path, capsys):
             argv = ["analyze", str(path), "--rate", repr(rate), "--json", str(out)]
             assert main(argv + ["--nats"] * nats) == 0
             report = cli._analysis_report(model, rate / math.log(2.0) if nats else rate, nats)
-            assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
+            assert out.read_bytes() == (json.dumps(_nulled(report), indent=2) + "\n").encode()
+            _strict_loads(out.read_text())
     capsys.readouterr()
 
 

@@ -5,6 +5,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import (
     CE_AT_1,
@@ -319,6 +321,33 @@ def test_am_gm_pair_examples():
     # the two large values sum to a tie that only the tiny one breaks: scaled down far
     # enough to lose it, the sum would round to even
     assert am_gm_pair([2.0 ** 1000, 2.0 ** 947, 1e-300]).am == (2.0 ** 1000 + 2.0 ** 948) / 3
+
+
+def test_am_gm_pair_keeps_its_order_at_extreme_scales():
+    # the log-mean of 1e300 carried a relative error near 1e-13, which put gm above am;
+    # the reverse bound of values near DBL_MAX overflowed to inf
+    big = sys.float_info.max
+    for vals in ([1e300, 1e300], [1e200] * 3, [1e-300] * 5, [big, big / 2] * 4, [5e-324, big]):
+        got = am_gm_pair(vals)
+        assert got.gm <= got.am <= got.reverse_bound <= big, vals
+        assert got.lower_bound <= got.am, vals
+    assert am_gm_pair([big, big / 2] * 4).reverse_bound == big
+
+
+_log_uniform = st.floats(-300.0, 300.0).map(lambda u: 10.0 ** u)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(_log_uniform, st.sampled_from([5e-324, sys.float_info.max])),
+                min_size=1, max_size=8))
+def test_am_gm_order_and_log_mean_accuracy_at_any_scale(vals):
+    got = am_gm_pair(vals)
+    assert all(map(math.isfinite, got))
+    assert got.gm <= got.am <= got.reverse_bound and got.lower_bound <= got.am
+    with mpmath.workdps(40):
+        exact = mpmath.exp(mpmath.fsum(map(mpmath.log, vals)) / len(vals))
+        # four ulps, or one subnormal step where the geometric mean is subnormal
+        assert abs(got.gm - exact) <= max(4 * sys.float_info.epsilon * exact, 5e-324)
 
 
 def test_am_gm_pair_rejects_bad_input():

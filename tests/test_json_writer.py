@@ -26,7 +26,7 @@ FIELDS = drf.DistortionPoint._fields
 
 def _list_mismatches(values: np.ndarray) -> list[tuple[str, str]]:
     """``values`` as a one-column table, a JSON list, against ``json.dumps(values, indent=2)``."""
-    text = "[" + "".join(cli._rows([values], [",\n  "], [True]))[1:] + "\n]"
+    text = "[" + "".join(cli._rows([values], [",\n  "], json=True))[1:] + "\n]"
     got, want = text.split("\n"), json.dumps(values.tolist(), indent=2).split("\n")
     assert len(got) == len(want)
     return [(g, w) for g, w in zip(got, want) if g != w]
@@ -85,10 +85,20 @@ def test_layouts_and_spellings():
     # 9.999999999999999e22 is the double nearest 1e23: its digits round up to the next decade
     values = np.array([3.0, 0.0, -0.0, 1e16, 1.5e16, 1e-5, 1e-4, 123.456, 1e100, 5e-324,
                        9.999999999999999e22, 1.0000000000000001e23, math.nan, math.inf, -math.inf])
-    text = "".join(cli._rows([values], [" "], [True]))
+    text = "".join(cli._rows([values], [" "], json=True))
     assert text.split() == ["3.0", "0.0", "-0.0", "1e+16", "1.5e+16", "1e-05", "0.0001", "123.456",
                             "1e+100", "5e-324", "1e+23", "1.0000000000000001e+23", "NaN",
                             "Infinity", "-Infinity"]
+
+
+def test_column_kinds_come_from_dtypes():
+    # an integer column is %d, a float column repr in JSON; in CSV both are %.17g
+    ints = np.array([0, -7, 3, 2 ** 53 - 1])
+    floats = np.array([3.0, 0.1, -2.5e-7, 1e16])
+    pairs = list(zip(ints.tolist(), floats.tolist()))
+    for json_, want in ((True, [t for k, v in pairs for t in ("%d" % k, repr(v))]),
+                        (False, [t for k, v in pairs for t in ("%.17g" % k, "%.17g" % v)])):
+        assert "".join(cli._rows([ints, floats], [" ", " "], json=json_)).split() == want
 
 
 def test_a_zero_bound_margin_misplaces_interval_ends(monkeypatch):

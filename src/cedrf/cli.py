@@ -54,7 +54,7 @@ import numpy as np
 
 from . import drf, oracle, waterfill
 from .linalg import Matrix, NotSymmetric
-from .spectral import NotPositiveDefinite, ObservationModel, whiten
+from .spectral import NotPositiveDefinite, ObservationModel, Spectrum, whiten
 
 CSV_HEADER = ",".join(drf.DistortionPoint._fields)
 
@@ -581,6 +581,14 @@ def _worst_mc(name: str, estimates, closed: list[float]) -> CheckResult:
     return CheckResult(name, tol, diff)
 
 
+def _continuity_misses(s: Spectrum) -> list[float]:
+    """Relative miss of ``lam_k 2^{2(R_k - R_{k+1})/k}`` on ``lam_{k+1}`` per finite ``R_{k+1}``,
+    from ``frexp`` parts ``lam = m 2^e``: nothing underflows, and past 2^1000 nothing grows."""
+    parts, thr = [math.frexp(v) for v in s.values[:s.rank].tolist()], s.thresholds.tolist()
+    return [abs(m0 / m1 * 2.0 ** min(2.0 * (thr[k - 1] - thr[k]) / k + (e0 - e1), 1000.0) - 1.0)
+            for k, ((m0, e0), (m1, e1)) in enumerate(zip(parts, parts[1:]), 1)]
+
+
 def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: int,
                   seed: int) -> list[CheckResult]:
     """Every check on one model, from one closed-form grid and one CE test channel.
@@ -613,6 +621,8 @@ def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: in
     increase = np.diff([d_i, d_c]).max(initial=0.0) + 0.0
     checks.append(CheckResult("bound-sandwich", 1e-10, violation))
     checks.append(CheckResult("monotonicity", 1e-12, increase))
+    misses = [0.0, *_continuity_misses(model.observation), *_continuity_misses(model.conditional)]
+    checks.append(CheckResult("continuity", 1e-12, max(misses, key=lambda d: (d != d, d))))
     mc = oracle._rows(parts, ce_rates.searchsorted(_MC_RATES))
     run = oracle._estimates(model, samples, seed, mc, _MC_RATES, mmse=True)
     at = grid.searchsorted(_MC_RATES)

@@ -18,11 +18,13 @@ one kernel, :func:`_curves`, evaluates both a whole rate grid at a time:
 active counts and water levels come from :func:`waterfill._levels`, the
 partial sums over the active components from prefix sums, which add left
 to right (a spectrum's ``prefix``, the model's weight table), and every
-power of two from the C library's ``pow``.  A spectrum's ``values``,
-``thresholds`` and ``prefix`` are read-only arrays; scalar code takes
-Python floats from them first.  The one-rate functions (:func:`idrf`,
-:func:`ce_drf`, the gap and its bounds) evaluate that grid at a single
-rate, so they equal :func:`sweep` bit for bit.
+power of two from the C library's ``pow``.  Each gap bound is a prefactor
+held as ``frexp`` parts times ``2^{-2R/L}``, put together by one ``ldexp``
+(:func:`_gap_bounds_grid`).  A spectrum's ``values``, ``thresholds`` and
+``prefix`` are read-only arrays; scalar code takes Python floats from them
+first.  The one-rate functions (:func:`idrf`, :func:`ce_drf`, the gap and
+its bounds) evaluate that grid at a single rate, so they equal
+:func:`sweep` bit for bit.
 """
 
 from __future__ import annotations
@@ -113,38 +115,33 @@ def _curves(obs: Spectrum, cond: Spectrum, weight_sums: np.ndarray, M: int,
     return d_i, d_c, k_i, k_c, theta_i, theta_c
 
 
+def _lower_prefactor(lam: Sequence[float], obs: Sequence[float], M: int) -> tuple[float, int]:
+    """``(lam_L + s2)/M (f_1 - f_2)^2`` as ``(m, e)``, its value ``m 2^e``, with ``obs = lam + s2``
+    and ``f = sqrt(lam)/(lam + s2)`` of the two leading components."""
+    mf, ef = math.frexp(math.sqrt(lam[0]) / obs[0] - math.sqrt(lam[1]) / obs[1])
+    mo, eo = math.frexp(obs[-1])
+    return mo / M * (mf * mf), eo + 2 * ef
+
+
 def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
                      k_ce: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gap_upper_bound` and :func:`gap_lower_bound` over a grid, given both active counts."""
-    s2, L = model.sigma2, model.L
-    # Python floats: the prefactors overflow to inf silently
-    g, o = model.gram.values.tolist(), model.observation.values.tolist()
-    with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: the decay is 2^-inf = 0
-        exponent = -2.0 * R / L
-    decay = waterfill._exp2(exponent)
-    scale = (L / model.M) * o[0] / s2 / 4.0  # 4 s2 would overflow past DBL_MAX / 4
-    if math.isfinite(scale):
-        upper = scale * decay
-    else:  # only the prefactor overflows: move its binary exponent into the decay's
-        (mg, eg), (ms, es) = math.frexp(o[0]), math.frexp(s2)
-        t = np.minimum(exponent + (eg - es - 2), 1100.0)  # past 2^1100 the bound is inf anyway
-        # take 2^100 out above 2^1000: 2^t alone is inf from t = 1024, where the product
-        # can still be finite, and pow's 2^t and 2^(t-100) 2^100 can differ in the last bit
-        high = np.where(t > 1000.0, 100.0, 0.0)
-        with np.errstate(over="ignore"):
-            upper = (L / model.M) * (mg / ms) * waterfill._exp2(t - high) * waterfill._exp2(high)
-    if L < 2 or model.conditional.rank == 0:
+    """:func:`gap_upper_bound` and :func:`gap_lower_bound` over a grid, given both active counts.
+
+    Each bound is a prefactor, held as ``frexp`` parts ``(m, e)``, times
+    ``2^x``, ``x = max(-2R/L, -4000)`` (below, both are 0), split once into
+    its integer part ``n`` and ``2^(x - n)``: the bound is
+    ``ldexp(m 2^(x - n), n + e)``, inf or subnormal only where its value is.
+    """
+    L, M, o = model.L, model.M, model.observation.values.tolist()
+    with np.errstate(over="ignore"):  # -2R is -inf past DBL_MAX/2, clamped; upper may be inf
+        frac, whole = np.modf(np.maximum(-2.0 * R / L, -4000.0))
+        head, whole = waterfill._exp2(frac), whole.astype(np.int64)  # 2^x = head 2^whole
+        (mo, eo), (ms, es) = math.frexp(o[0]), math.frexp(model.sigma2)
+        upper = np.ldexp(L / M * mo / ms * head, whole + (eo - es - 2))
+    if L < 2:  # no second component; at rank 0 the prefactor is 0 and k_idrf < k_ce
         return upper, np.zeros_like(R)
-    f1 = math.sqrt(g[0]) / o[0]
-    f2 = math.sqrt(g[1]) / o[1]
-    valid = (k_ce >= 2) & (k_idrf >= k_ce)
-    scale = o[L - 1] / model.M
-    try:
-        lower = scale * (f1 - f2) ** 2 * decay
-    except OverflowError:  # (f1 - f2)^2 overflows: move its binary exponent into the decay's
-        (ms, es), (mf, ef) = math.frexp(scale), math.frexp(f1 - f2)
-        lower = ms * mf * mf * waterfill._exp2(exponent + (es + 2 * ef))
-    return upper, np.where(valid, lower, 0.0)
+    m, e = _lower_prefactor(model.gram.values.tolist(), o, M)
+    return upper, np.where((k_ce >= 2) & (k_idrf >= k_ce), np.ldexp(m * head, whole + e), 0.0)
 
 
 def _columns(model: ObservationModel, grid: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -281,12 +278,11 @@ def max_gap_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[float, fl
     """Location and value of the largest two-component gap.
 
     The maximum sits at the second activation rate of the observation
-    spectrum: ``(1/2)(lam_2+s2)(sqrt(lam_1)/(lam_1+s2) - sqrt(lam_2)/(lam_2+s2))^2``.
+    spectrum, its ``thresholds[1]``, and is the lower bound's prefactor at
+    ``L = M = 2``: ``(1/2)(lam_2+s2)(sqrt(lam_1)/(lam_1+s2) - sqrt(lam_2)/(lam_2+s2))^2``.
     """
-    o1, o2 = _check_condition_2d(lambda1, lambda2, sigma2)[0].values.tolist()
-    f1 = math.sqrt(lambda1) / o1
-    f2 = math.sqrt(lambda2) / o2
-    return 0.5 * math.log2(o1 / o2), 0.5 * o2 * (f1 - f2) ** 2
+    obs = _check_condition_2d(lambda1, lambda2, sigma2)[0]
+    return float(obs.thresholds[1]), math.ldexp(*_lower_prefactor((lambda1, lambda2), obs.values, 2))
 
 
 def am_gm_pair(values: Iterable[float]) -> AmGmBounds:

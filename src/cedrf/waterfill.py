@@ -96,13 +96,7 @@ def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rate_thresholds(spectrum: Spectrum) -> list[float]:
-    """Total rates at which successive components become active.
-
-    Returns :attr:`Spectrum.thresholds` as a list of floats:
-    ``[R_1 = 0, R_2, ..., R_rank, inf]``, non-decreasing, with
-    ``R_k = (1/2) sum_{l<=k} log2(lam_l / lam_k)``; ``[0.0]`` for a
-    spectrum of rank 0.
-    """
+    """:attr:`Spectrum.thresholds`, the rates where successive components activate, as a list."""
     return spectrum.thresholds.tolist()
 
 

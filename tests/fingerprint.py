@@ -3,9 +3,14 @@
 Groups: ``analyze`` (text and ``--json``; ``analyze-json-nats`` runs
 ``--json --nats`` on the infinite-bound model only), ``sweep`` (CSV and JSON, each in
 bits and with ``--nats``), ``verify``, ``example``, ``gap_2d``,
-``max_gap_2d`` and ``am_gm_pair``; the command groups hash exit codes,
+``max_gap_2d``, ``am_gm_pair`` and ``gap-bounds``; the command groups hash exit codes,
 stdout, stderr and the files written, the function groups each result's
-``repr`` or error message.  The analyze and sweep groups also run a model
+``repr`` or error message.  ``max_gap_2d`` also runs the subnormal pair
+``(1.0, 1e-310, 1e-310)``, whose ``(f_1 - f_2)^2`` overflows.  The ``gap-bounds``
+group hashes the ``float.hex`` of ``gap_ub`` and ``gap_lb`` at every
+``GAP_RATES`` rate on the seeded models, on the infinite-bound model and on
+``SUBNORMAL_SIGMA2``, so the bits of the bounds' overflow and subnormal
+paths are pinned apart from the writers.  The analyze and sweep groups also run a model
 whose ``gap_ub`` is infinite at every rate, so the spelling of non-finite
 values is hashed: ``inf`` in the text report, ``null`` in the analyze JSON, in
 bits and in nats, and ``Infinity`` in the sweep files.  The ``verify`` group runs
@@ -41,6 +46,8 @@ SWEEPS = {"sweep-csv": (), "sweep-json": ("--format", "json"), "sweep-nats": ("-
           "sweep-json-nats": ("--format", "json", "--nats")}
 # (g_1 + sigma2) / sigma2 overflows, so gap_ub is inf at every rate
 INFINITE_GAP_BOUND = {"A": [[1e100, 0.0], [0.0, 1.0]], "sigma2": 1e-300}
+# subnormal sigma2: (f_1 - f_2)^2 of the lower bound overflows, and so does a weight
+SUBNORMAL_SIGMA2 = {"A": [[1e-155, 0.0], [0.0, 5e-156]], "sigma2": 1e-310}
 
 
 def models(rng):
@@ -67,14 +74,14 @@ def run(h, tmp, *argv):
 def outcome(f, *args):
     try:
         return repr(f(*args))
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
 def main():
     groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", "analyze-json-nats", *SWEEPS,
                                             "verify", "example", "gap_2d", "max_gap_2d",
-                                            "am_gm_pair", "oracle")}
+                                            "am_gm_pair", "oracle", "gap-bounds")}
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         model = tmp / "model.json"
@@ -108,6 +115,12 @@ def main():
         values = [oracle.ce_matrix_form(model, r) for r in ORACLE_RATES]
         values += [v for e in (*est.ce, *est.idrf, est.mmse) for v in (e.mean, e.stderr)]
         groups["oracle"].update(" ".join(v.hex() for v in values).encode())
+    for doc in (*models(np.random.default_rng(15)), INFINITE_GAP_BOUND, SUBNORMAL_SIGMA2):
+        with np.errstate(over="ignore"):  # SUBNORMAL_SIGMA2's weight overflows
+            model = ObservationModel(Matrix(doc["A"]), doc["sigma2"])
+        points = drf.sweep(model, GAP_RATES)
+        groups["gap-bounds"].update(" ".join(v.hex() for p in points
+                                             for v in (p.gap_ub, p.gap_lb)).encode())
     rng = np.random.default_rng(16)
     for _ in range(N_PAIRS):  # t = lam / sigma2 with t1 t2 >= 1, so most pairs meet the condition
         s2, t2 = (float(v) for v in 10.0 ** rng.uniform([-3.0, -3.0], [3.0, 1.0]))
@@ -115,6 +128,8 @@ def main():
         groups["max_gap_2d"].update(outcome(drf.max_gap_2d, *pair).encode())
         for r in GAP_RATES:
             groups["gap_2d"].update(outcome(drf.gap_2d, *pair, r).encode())
+    with np.errstate(over="ignore"):  # spectra's second weight, 0.5 / 2e-310, overflows
+        groups["max_gap_2d"].update(outcome(drf.max_gap_2d, 1.0, 1e-310, 1e-310).encode())
     rng = np.random.default_rng(17)
     for _ in range(N_LISTS):
         values = (10.0 ** rng.uniform(-300.0, 300.0, size=int(rng.integers(1, 9)))).tolist()

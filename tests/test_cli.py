@@ -16,7 +16,7 @@ import cedrf.drf
 from cedrf import cli, drf, oracle, waterfill
 from cedrf.cli import CSV_HEADER, load_model, main
 from cedrf.linalg import Matrix
-from cedrf.spectral import ObservationModel, Spectrum
+from cedrf.spectral import ObservationModel, Spectrum, spectra
 
 
 EXAMPLE_JSON = {
@@ -395,7 +395,7 @@ def test_huge_models_give_finite_outputs_without_warnings(tmp_path, capsys, doc)
                  "--format", "json", "--out", str(rows)]) == 0
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
-    assert out.count("  PASS ") == 7 and out.endswith("all checks passed\n")
+    assert out.count("  PASS ") == 8 and out.endswith("all checks passed\n")
     point = json.loads(report.read_text())["point"]
     assert all(v is not None and math.isfinite(v) for v in point.values()), point
     for row in json.loads(rows.read_text())["rows"]:
@@ -407,7 +407,7 @@ def test_verify_of_a_high_snr_model_warns_nothing(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"A": [[1e153, 0.0], [0.0, 1.0]], "sigma2": 1e-300}))
     assert main(["verify", str(path)]) == 0  # RuntimeWarnings are errors here (pyproject.toml)
-    assert capsys.readouterr().out.count("  PASS ") == 7
+    assert capsys.readouterr().out.count("  PASS ") == 8
 
 
 def test_sweep_csv_round_trip(model_file, tmp_path, capsys):
@@ -829,8 +829,32 @@ def test_verify_uses_the_models_rank_truncated_matrix(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     checks = [line for line in lines if not line.startswith("==")][:-1]
-    assert len(checks) == 7 and all(line.startswith("  PASS ") for line in checks)
+    assert len(checks) == 8 and all(line.startswith("  PASS ") for line in checks)
     assert lines[-1] == "all checks passed"
+
+
+def test_verify_continuity_fails_every_model_whose_thresholds_are_scaled(monkeypatch, capsys):
+    # R_k (1 + 1e-9) moves lam_k 2^{2(R_k - R_{k+1})/k} off lam_{k+1} by about
+    # 1.4e-9 (R_{k+1} - R_k)/k relative; a model with L = 1 has no finite threshold
+    table = Spectrum.__dict__["thresholds"].func
+    monkeypatch.setattr(Spectrum, "thresholds", property(lambda s: table(s) * (1.0 + 1e-9)))
+    main(["verify", "--random", "40", "--samples", "2000"])
+    models = capsys.readouterr().out.split("== ")[1:]
+    wide = [m for m in models if " L=1 " not in m.splitlines()[0]]
+    assert len(models) == 40 and len(wide) > 20
+    for m in models:
+        line = next(x for x in m.splitlines() if " continuity " in x)
+        assert line.startswith("  FAIL " if m in wide else "  PASS "), m
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_verify_continuity_passes_near_ties_at_any_scale(scale):
+    # 128 values within 1e-3 of each other: nearly tied thresholds, which at 1e+-150 are
+    # differences of log2 values near +-500 and so miss by up to about 1e-13
+    values = np.sort(np.random.default_rng(11).uniform(1.0, 1.001, 128))[::-1] * scale
+    for s in (Spectrum(values), *spectra(Spectrum(values), scale)[:2]):
+        misses = cli._continuity_misses(s)
+        assert len(misses) == 127 and max(misses) <= 1e-12
 
 
 def test_verify_random_models_deterministic(capsys):

@@ -261,7 +261,7 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     observation spectrum, and the general spectral difference beyond that.
     ``lambda1``, ``lambda2`` are exact, and the regions end where :func:`gap`
     switches ``k``, so the two agree on the diagonal model wherever it keeps
-    ``lambda2`` (``lambda2 > RANK_RTOL lambda1``).
+    ``lambda2`` (``sqrt(lambda2) > 2 eps sqrt(lambda1)``, :func:`linalg.above_noise`).
     """
     R = waterfill._check_rate(R)
     obs, cond, weight_sums = _check_condition_2d(lambda1, lambda2, sigma2)

@@ -4,11 +4,13 @@
 for user input.  The model spectrum, the oracles' singular vectors and the
 compress-and-estimate decoder come from ``numpy.linalg.svd`` in
 :mod:`cedrf.spectral` and :mod:`cedrf.oracle`; what is left here whitens a
-source covariance (:func:`sym_eig`).  :func:`pinv` has no caller in the
-library: the tests check the decoder against it.  Both take plain arrays,
-check that they are finite, square and symmetric, then diagonalize them with
-LAPACK's symmetric eigensolver through :func:`numpy.linalg.eigh`.  Results
-are bit-identical from run to run on one platform and numpy/BLAS build.
+source covariance (:func:`sym_eig`) and holds the rank rule that the model,
+whitening and :func:`pinv` share (:func:`above_noise`).  :func:`pinv` has
+no caller in the library: the tests check the decoder against it.  It and
+:func:`sym_eig` take plain arrays, check that they are finite, square and
+symmetric, then diagonalize them with LAPACK's symmetric eigensolver
+through :func:`numpy.linalg.eigh`.  Results are bit-identical from run to
+run on one platform and numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ class NotSymmetric(ValueError):
 
 #: Maximum absolute asymmetry |S - S^T| accepted by symmetric routines.
 SYMMETRY_ATOL = 1e-10
-
-#: :func:`pinv` treats eigenvalues at most this fraction of the largest
-#: magnitude as zero.
-PINV_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,17 +90,25 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], np.ascontiguousarray(v[:, order])
 
 
+def above_noise(values: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the ``values`` above ``n eps`` times their largest: the rest are rounding noise.
+
+    For the singular values or eigenvalues of an ``n``-wide matrix, this is
+    :func:`numpy.linalg.matrix_rank`'s default cut: ``eps`` is a power of two,
+    so the cut rounds as numpy's ``top * n * eps`` does, unless it is subnormal.
+    """
+    v = np.asarray(values, dtype=float)
+    return v > v.max() * (n * np.finfo(float).eps)  # n eps first: top * n may overflow
+
+
 def pinv(s: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix.
 
-    Eigenvalues at most ``PINV_RTOL`` times the largest magnitude are
-    treated as zero.  Raises as :func:`sym_eig` does.
+    Inverts the eigenvalues that :func:`above_noise` keeps in magnitude
+    and zeroes the rest.  Raises as :func:`sym_eig` does.
     """
     w, v = sym_eig(s)
-    scale = float(np.abs(w).max())
-    if scale == 0.0:
-        return np.zeros_like(v)
     inv_w = np.zeros_like(w)
-    keep = np.abs(w) > PINV_RTOL * scale
+    keep = above_noise(np.abs(w), w.size)
     inv_w[keep] = 1.0 / w[keep]
     return (v * inv_w) @ v.T

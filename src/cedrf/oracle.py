@@ -53,9 +53,10 @@ which builds the test channel for a whole rate grid and factors it once:
 one stacked SVD of the channel whitened by its noise, with no rank cut-off
 of its own, gives every rate's linear MMSE decoder and its distortion.
 The channel uses the model's ``A``, whose singular values past
-``gram.rank`` are 0, as the other maps do.  The whitening keeps every
-rate's full ``L x M`` shape: a rate's inactive rows carry no noise, get
-the weight 0 and become zero rows, which add only zero singular values.
+``gram.rank`` are 0, as the other maps do: the rows zeroed there are the
+SVD's rounding noise.  The whitening keeps every rate's full ``L x M``
+shape: a rate's inactive rows carry no noise, get the weight 0 and become
+zero rows, which add only zero singular values.
 LAPACK factors each matrix of the stack on its own, so a rate's rows, its
 decoder and its distortion included, are the same bits in any grid that
 holds it, and one channel can serve both oracles: :func:`_rows` takes the
@@ -93,7 +94,7 @@ class CEMatrixParts:
     of :func:`_gains`; zero exactly for inactive components.
     ``distortion``: 1-D per-component distortions ``min(lam_l + s2, theta)``.
     ``channel``: source-to-representation matrix ``diag(gain) @ basis^T @ A``,
-    with rows past ``gram.rank`` 0, as the model's ``A`` has them.
+    with rows past ``gram.rank``, the SVD's rounding noise, set to 0.
     ``noise_cov``: 1-D diagonal ``s2 gain^2 + gain distortion`` of the
     effective additive noise's covariance.
     ``decoder``: ``M x L`` linear MMSE decoder ``E`` of the source from the
@@ -153,7 +154,7 @@ def _ce_grid(model: ObservationModel, rates: Sequence[float]) -> CEMatrixParts:
     """
     gain, dist = _gains(model.observation, np.asarray(rates, dtype=float))
     channel = (gain[:, :, None] * model.basis.T) @ model.A.data
-    channel[:, model.gram.rank:] = 0.0  # the model's A: its singular values past the rank are 0
+    channel[:, model.gram.rank:] = 0.0  # the model's A: past the rank, A's rows are rounding noise
     noise = model.sigma2 * gain * gain + gain * dist
     scale = 1.0 / np.sqrt(np.where(noise > 0.0, noise, np.inf))
     u, s, vt = np.linalg.svd(scale[:, :, None] * channel, full_matrices=False)

@@ -16,7 +16,8 @@ weights ``lam_l / (lam_l + sigma2)^2`` of compress-and-estimate
 (:func:`spectra` derives them and the last two spectra from the first,
 once per model), the estimation-error floor and source whitening for
 non-identity source covariances.  Every closed form is purely spectral,
-so ``lam_l`` comes from the singular values of ``A``.
+so ``lam_l`` comes from the singular values of ``A``; those at the SVD's
+rounding noise (:func:`linalg.above_noise`) count as 0.
 One full SVD of ``A``, with its singular vectors, is built on first use
 and kept, for the matrix and Monte Carlo oracles only: its ``U`` is the
 eigenbasis of ``A A^T``, and its ``V`` that of the MMSE estimate's covariance.
@@ -33,10 +34,6 @@ import numpy as np
 
 from . import linalg
 from .linalg import Matrix
-
-#: An eigenvalue of ``A A^T`` counts as zero when it is at most RANK_RTOL
-#: times the largest one; the model stores it as 0.
-RANK_RTOL = 1e-10
 
 
 class NotPositiveDefinite(ValueError):
@@ -130,22 +127,19 @@ def spectra(gram: Spectrum, sigma2: float) -> tuple[Spectrum, Spectrum, tuple[np
     return obs, cond, _read_only(w, prefix_sums(w))
 
 
-def _numerical_rank(sorted_desc: Sequence[float]) -> int:
-    cutoff = RANK_RTOL * sorted_desc[0]
-    return sum(1 for v in sorted_desc if v > cutoff)
-
-
 class ObservationModel:
     """Source ``x ~ N(0, I_M)`` observed as ``y = A x + z``, ``z ~ N(0, sigma2 I_L)``.
 
     ``gram``, the spectrum of ``A A^T``, is the squared singular values of
     ``A`` zero-padded to ``L``: ``eps kappa`` relative error in the small
-    eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  The
-    observation and conditional spectra and the compress-and-estimate
-    weight table are built once beside it, by :func:`spectra`; ``svd``,
-    and ``basis`` with it, is built on first use.  ``full_rank`` records whether ``A``
-    has numerical rank ``min(M, L)``; rank-deficient models are accepted
-    and handled throughout.
+    eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  A singular
+    value at most ``max(M, L) eps s_1`` is rounding noise, stored as 0
+    (:func:`linalg.above_noise`): ``gram.rank`` is ``matrix_rank(A)`` unless
+    a kept ``s^2`` underflows.  The observation and conditional spectra and
+    the compress-and-estimate weight table are built once beside it, by
+    :func:`spectra`; ``svd``, and ``basis`` with it, is built on first use.
+    ``full_rank`` records whether ``gram.rank`` is ``min(M, L)``;
+    rank-deficient models are accepted and handled throughout.
 
     Raises :class:`ValueError` as :func:`spectra` does: the observation
     covariance's largest eigenvalue ``s_1^2 + sigma2`` must be finite, ``s_1``
@@ -161,15 +155,13 @@ class ObservationModel:
         self.r = min(self.M, self.L)
         s = np.linalg.svd(A.data, compute_uv=False)
         s1 = float(s[0])
-        # in Python floats, before numpy squares s: the rank cut would zero an infinite lambda1
+        # in Python floats, before numpy squares s, so that the error names s_1
         if math.isinf(s1 * s1):
             raise ValueError(f"lambda1 + sigma2 overflows double precision: lambda1 is the square "
                              f"of A's largest singular value {s1:.3e}")
+        kept = s[linalg.above_noise(s, max(self.M, self.L))]
         w = np.zeros(self.L)
-        w[: s.size] = s * s
-        # values at or below the rank cut-off are rounding noise of about
-        # (eps |A|)^2; kept, they would weigh lam / (lam + s2)^2 >> 1 at small s2
-        w[_numerical_rank(w.tolist()):] = 0.0
+        w[: kept.size] = kept * kept
         self.gram = Spectrum(w)
         self.full_rank = self.gram.rank == self.r
         self.observation, self.conditional, self.weights = spectra(self.gram, sigma2)
@@ -182,7 +174,7 @@ class ObservationModel:
         value, each signed so that its largest-magnitude entry (the first on
         ties) is positive.  ``s`` and the ``M x rank`` ``V`` keep the leading
         ``gram.rank`` triplets, ``V``'s columns signed with their partners,
-        so that ``A = U[:, :rank] diag(s) V^T`` up to the rank cut-off.
+        so that ``A = U[:, :rank] diag(s) V^T`` up to the SVD's rounding noise.
         """
         u, s, vt = np.linalg.svd(self.A.data)
         lead = u[np.abs(u).argmax(axis=0), np.arange(self.L)]
@@ -215,10 +207,11 @@ def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:
     the whitened source ``x' = sigma_x^{-1/2} x``, not the original one.
 
     Raises :class:`NotPositiveDefinite` when the smallest eigenvalue of
-    ``sigma_x`` is at or below the rank tolerance.
+    ``sigma_x`` is at most ``M eps`` times the largest, the rank rule of
+    :func:`linalg.above_noise`.
     """
     w, v = linalg.sym_eig(sigma_x.data)
-    if _numerical_rank(w.tolist()) < len(w):
+    if not linalg.above_noise(w, w.size).all():
         raise NotPositiveDefinite(
             f"smallest eigenvalue {float(w[-1]):.3e} is not above the rank tolerance"
         )

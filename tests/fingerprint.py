@@ -13,11 +13,14 @@ group hashes the ``float.hex`` of ``gap_ub`` and ``gap_lb`` at every
 paths are pinned apart from the writers.  The analyze and sweep groups also run a model
 whose ``gap_ub`` is infinite at every rate, so the spelling of non-finite
 values is hashed: ``inf`` in the text report, ``null`` in the analyze JSON, in
-bits and in nats, and ``Infinity`` in the sweep files.  The ``verify`` group runs
-``verify --random 3`` at the default seed, ``--random 50 --seed 1``,
-``--random 1 --seed 3867`` (a model that fails its Monte Carlo checks, exit
-1), ``--random 1 --seed s`` for s = 1..200 (the command the verify-random
-benchmark times) and ``verify MODEL`` on every tenth seeded model.  The ``oracle`` group hashes
+bits and in nats, and ``Infinity`` in the sweep files.  They also run the two
+models of ``FAR_SECOND_COMPONENT``, whose second singular value is 1e-6 or
+3e-6 of the first at ``sigma2 = 1e-14``: kept, it sets the floor, about
+5e-3.  The ``verify`` group runs ``verify --random 3`` at the default seed,
+``--random 50 --seed 1``, ``--random 1 --seed 3867`` (a model that fails its
+Monte Carlo checks, exit 1), ``--random 1 --seed s`` for s = 1..200 (the
+command the verify-random benchmark times) and ``verify MODEL`` on every
+tenth seeded model.  The ``oracle`` group hashes
 the ``float.hex`` of ``ce_matrix_form`` and of every ``mc_estimates`` mean and
 stderr at 2,000 samples, on the seeded models; ``verify`` prints only three
 digits of them.  The ``am_gm_pair`` group runs 500 seeded lists of 1 to 8
@@ -46,12 +49,15 @@ SWEEPS = {"sweep-csv": (), "sweep-json": ("--format", "json"), "sweep-nats": ("-
           "sweep-json-nats": ("--format", "json", "--nats")}
 # (g_1 + sigma2) / sigma2 overflows, so gap_ub is inf at every rate
 INFINITE_GAP_BOUND = {"A": [[1e100, 0.0], [0.0, 1.0]], "sigma2": 1e-300}
+# s_2 far below s_1 but far above the SVD's noise, at a sigma2 far below s_2^2
+FAR_SECOND_COMPONENT = ({"A": [[1.0, 0.0], [0.0, 1e-6]], "sigma2": 1e-14},
+                        {"A": [[1.0, 0.0], [0.0, 3e-6]], "sigma2": 1e-14})
 # subnormal sigma2: (f_1 - f_2)^2 of the lower bound overflows, and so does a weight
 SUBNORMAL_SIGMA2 = {"A": [[1e-155, 0.0], [0.0, 5e-156]], "sigma2": 1e-310}
 
 
 def models(rng):
-    """Dense models over six decades of scale; every third has a column near the rank cut-off."""
+    """Dense models over six decades of scale; every third has a column up to 1e12 below the rest."""
     for i in range(N_MODELS):
         l_dim, m = (int(v) for v in rng.integers(1, 6, size=2))
         a = rng.standard_normal((l_dim, m)) * 10.0 ** rng.uniform(-3.0, 3.0)
@@ -102,6 +108,12 @@ def main():
             "--nats")
         for name, options in SWEEPS.items():
             run(groups[name], tmp, *sweep, *options)
+        for doc in FAR_SECOND_COMPONENT:
+            model.write_text(json.dumps(doc))
+            run(groups["analyze"], tmp, "analyze", model, "--rate", 30.0)
+            run(groups["analyze-json"], tmp, "analyze", model, "--rate", 30.0, "--json", tmp / "r")
+            for name, options in SWEEPS.items():
+                run(groups[name], tmp, *sweep, *options)
         run(groups["verify"], tmp, "verify", "--random", 3)
         run(groups["verify"], tmp, "verify", "--random", 50, "--seed", 1)
         run(groups["verify"], tmp, "verify", "--random", 1, "--seed", 3867)

@@ -52,6 +52,13 @@ def ce_drf(gram, sigma2, M, R):
     return 1 - kept / M + theta * weighted / M
 
 
+@mp.workdps(DPS)
+def mmse_floor(gram, sigma2, M):
+    """Both curves' limit ``1 - (1/M) sum lam/(lam+s2)`` for the gram spectrum ``gram``."""
+    s2 = mpf(sigma2)
+    return 1 - mp.fsum(mpf(a) / (mpf(a) + s2) for a in gram) / M
+
+
 def _f(lam, s2):
     """``sqrt(lam) / (lam + s2)``, the term whose difference the gap's lower bound squares."""
     return mp.sqrt(lam) / (lam + s2)

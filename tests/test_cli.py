@@ -348,6 +348,11 @@ _HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
      "InvalidModel: field 'sigma_x': asymmetry 2.000e+00 exceeds tolerance 1e-10\n"),
     ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], [0.0, 0.0]]},
      "InvalidModel: field 'sigma_x': smallest eigenvalue 0.000e+00 is not above the rank tolerance\n"),
+    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], [0.0, -1e-3]]},
+     "InvalidModel: field 'sigma_x': smallest eigenvalue -1.000e-03 is not above the rank tolerance\n"),
+    # at most M eps = 4.4e-16 of the largest: rounding noise
+    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], [0.0, 4e-16]]},
+     "InvalidModel: field 'sigma_x': smallest eigenvalue 4.000e-16 is not above the rank tolerance\n"),
 ])
 def test_analyze_names_each_malformed_field(tmp_path, capsys, doc, message):
     # every command that reads a model exits 2 with the field named; for
@@ -821,10 +826,11 @@ def test_verify_runs_every_check_on_an_ill_conditioned_model(tmp_path, capsys):
 
 
 def test_verify_uses_the_models_rank_truncated_matrix(tmp_path, capsys):
-    # A A^T has 9e-12 below the rank cut-off, so the closed forms take it as 0;
-    # at s2 = 1e-10 the raw column would still carry signal into the CE channel
+    # s_2 = 1e-17 s_1 is at most 2 eps s_1, so the closed forms take lam_2 as 0;
+    # at s2 = 1e-30 the raw row would still carry it into the CE channel, and
+    # verify fails when the channel keeps that row
     path = tmp_path / "cut.json"
-    path.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, 3e-6]], "sigma2": 1e-10}))
+    path.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, 1e-17]], "sigma2": 1e-30}))
     code = main(["verify", str(path)])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0

@@ -277,8 +277,9 @@ def test_two_component_forms_accept_the_ties_of_equality_region():
 
 @pytest.mark.parametrize("pair", [(4e12, 1e-3, 1.0), (1e13, 5e-4, 1.0)])
 def test_gap_2d_is_continuous_at_its_maximum(pair):
-    # lam2 is below RANK_RTOL lam1; taken as exact, it stays in every region,
-    # so the gap does not jump to 0 at the observation threshold
+    # lam2 / lam1 is 2.5e-16 or 5e-17; gap_2d takes lam2 as exact,
+    # so it stays in every region and the gap does not jump to 0 at the
+    # observation threshold
     r_star, g_star = max_gap_2d(*pair)
     for r in (r_star - 1e-9, r_star + 1e-9):
         assert gap_2d(*pair, r) == pytest.approx(g_star, rel=1e-6), r
@@ -619,7 +620,7 @@ def _wide_model(rng: np.random.Generator, i: int) -> ObservationModel:
     """L, M in 1..5, |A| from 1e-160 to 1e150, sigma2 from 1e-300 to 1e300."""
     l_dim, m = (int(n) for n in rng.integers(1, 6, size=2))
     a = rng.standard_normal((l_dim, m)) * 10.0 ** rng.uniform(-160.0, 150.0)
-    if i % 3 == 0:  # one column far below the others, often under the rank cut-off
+    if i % 3 == 0:  # one column far below the others, up to 1e12
         a[:, 0] *= 10.0 ** rng.uniform(-12.0, 0.0)
     return ObservationModel(Matrix(a), 10.0 ** rng.uniform(-300.0, 300.0))
 

@@ -95,6 +95,8 @@ def test_pinv_diagonal_cases():
 def test_pinv_inverts_nonsingular():
     a = np.diag([2.0, 5.0])
     assert np.allclose(a @ pinv(a), np.eye(2), atol=1e-12)
+    # 1e-14 of the largest magnitude lies above n eps = 4.4e-16: inverted, not zeroed
+    assert pinv(np.diag([-1.0, 1e-14])).tolist() == [[-1.0, 0.0], [0.0, 1e14]]
 
 
 def _penrose_errors(a: np.ndarray, p: np.ndarray) -> float:

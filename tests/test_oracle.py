@@ -147,8 +147,9 @@ def test_matrix_form_rank_deficient():
 def _wide_column_models(n):
     """Dense models, L and M in 1..5, each column scaled by 10^U(-6, 6), s2 = 10^U(-12, 4).
 
-    Columns far below the others sit near or under the rank cut-off, where
-    the channel must use the model's rank-truncated ``A``.
+    Columns far below the others give singular values down to about
+    1e-12 s_1, where the channel's rounding, about eps s_1, is not small
+    beside them.
     """
     rng = np.random.default_rng(11)
     for _ in range(n):
@@ -157,13 +158,41 @@ def _wide_column_models(n):
         yield ObservationModel(Matrix(a), 10.0 ** rng.uniform(-12.0, 4.0))
 
 
+def _channel_rounding(model, parts):
+    """Per rate, the first-order move of ``d_ce`` by the rounding of ``parts.channel`` along ``V``.
+
+    Row ``k`` of the channel ``diag(g) U^T A`` is exactly ``g_k s_k v_k^T``,
+    ``s_k^2`` the gram's value.  Computed, its part along ``v_k`` is
+    ``g_k (s_k + e_k)``, ``e_k`` of about ``eps s_1``.  The whitened row has
+    ``q_k^2 = a_k / (1 - a_k)``, ``a_k = g_k lam_k / (lam_k + s2)``, and adds
+    ``1 / (1 + q_k^2)`` to ``M d_ce``, so ``e_k`` moves ``d_ce`` by
+    ``-(2/M) a_k (1 - a_k) e_k / s_k``; this sums the magnitudes.
+    """
+    k = model.gram.rank
+    s = np.sqrt(model.gram.values[:k])
+    gain = parts.gain[:, :k]
+    a = gain * (s * s / model.observation.values[:k])
+    along = (parts.channel[:, :k] * model.svd[2].T).sum(axis=-1)
+    e = np.divide(along, gain, out=np.zeros_like(gain), where=gain > 0.0) - s  # a is 0 where gain is
+    return 2.0 / model.M * (a * (1.0 - a) * np.abs(e) / s).sum(axis=-1)
+
+
 def test_ce_oracles_match_the_closed_form_on_wide_column_models():
+    # The closed form is within a few ulps of its 60-digit value; the map
+    # moment misses it by the channel's rounding, up to 5.4e-11 (model 175,
+    # R = 30: s_2 = 4e-9 s_1), to first order and within 4.2e-13 of it.  The
+    # matrix form adds the rounding of the whitened channel's SVD, 3.1e-12.
     rates = (0.5, 3.0, 10.0, 30.0, 60.0)
     for i, model in enumerate(_wide_column_models(300)):
-        want = [drf.ce_drf(model, r) for r in rates]
-        for r, w, b in zip(rates, want, _maps(model, _ce_grid(model, rates)), strict=True):
-            assert abs(ce_matrix_form(model, r) - w) < 1e-9, (i, r)
-            assert abs(np.sum(b * b) / model.M - w) <= 1e-12, (i, r)
+        assert model.gram.rank == min(model.L, model.M), i  # no component is dropped
+        parts = _ce_grid(model, rates)
+        tol = 1e-12 + _channel_rounding(model, parts)
+        for r, t, b in zip(rates, tol, _maps(model, parts), strict=True):
+            want = drf.ce_drf(model, r)
+            ref = mp_reference.ce_drf(model.gram.values, model.sigma2, model.M, r)
+            assert abs(want - ref) <= 2e-15, (i, r)
+            assert abs(ce_matrix_form(model, r) - want) < 1e-9, (i, r)
+            assert abs(np.sum(b * b) / model.M - want) <= t, (i, r)
 
 
 def _grid_models():

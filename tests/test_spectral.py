@@ -3,7 +3,7 @@ import dataclasses
 import io
 import json
 import math
-
+import re
 import warnings
 
 import mpmath
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 from support import MMSE_EXAMPLE, example_model, random_model, rank_deficient_model
 
 from cedrf import cli, drf, spectral
@@ -74,12 +75,66 @@ def test_spectrum_tables_are_read_only_arrays_built_once():
         Spectrum((2.0, 1.0), 1)
 
 
+EPS = float(np.finfo(float).eps)
+
+
 def test_model_zeroes_gram_values_at_the_rank_cutoff():
-    # 5e-11 is at most RANK_RTOL = 1e-10 of the largest: rounding noise to the model
+    # a singular value counts as 0 when it is at most max(M, L) eps s_1, the
+    # SVD's own noise: sqrt(5e-11) s_1 lies far above that and is kept
     model = ObservationModel(Matrix(np.diag([1.0, math.sqrt(5e-11)])), 1.0)
-    assert model.gram.values.tolist() == [1.0, 0.0]
-    assert model.gram.rank == model.conditional.rank == 1
-    assert not model.full_rank
+    assert model.gram.values.tolist() == [1.0, math.sqrt(5e-11) ** 2]
+    assert model.gram.rank == model.conditional.rank == 2
+    assert model.full_rank
+    # the SVD returns the second singular value of [[1, 1], [1, 1]] as 3e-17, noise
+    ones = ObservationModel(Matrix([[1.0, 1.0], [1.0, 1.0]]), 1e-300)
+    assert 0.0 < np.linalg.svd(ones.A.data, compute_uv=False)[1] <= 2 * EPS * 2.0
+    assert ones.gram.values.tolist() == [4.0, 0.0] and not ones.full_rank
+    # at the cut exactly, 2 eps s_1 here, a value is 0; one ulp above, it is kept
+    assert ObservationModel(Matrix(np.diag([1.0, 2 * EPS])), 1.0).gram.rank == 1
+    assert ObservationModel(Matrix(np.diag([1.0, np.nextafter(2 * EPS, 1.0)])), 1.0).gram.rank == 2
+
+
+@pytest.mark.parametrize("small", [1e-6, 3e-6])
+def test_a_component_far_below_s1_keeps_its_share_of_the_floor(small):
+    # s_2 = small s_1 lies 1e9 above the rank cut; at sigma2 = 1e-14 it takes
+    # about 99 % of its share of the floor, which falls from 0.5 to about 5e-3
+    model = ObservationModel(Matrix(np.diag([1.0, small])), 1e-14)
+    with mpmath.workdps(60):
+        gram = [mpmath.mpf(1.0), mpmath.mpf(small) ** 2]  # the exact squares
+    for got, want in ((model.mmse_floor, mp_reference.mmse_floor(gram, 1e-14, 2)),
+                      (drf.ce_drf(model, 30.0), mp_reference.ce_drf(gram, 1e-14, 2, 30.0))):
+        assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def _rank_case(kind: str, rng: np.random.Generator) -> tuple[np.ndarray, int | None]:
+    """A matrix of one family, L and M in 1..6, and its exact rank where the family fixes it."""
+    l_dim, m = (int(v) for v in rng.integers(1, 7, size=2))
+    r = min(l_dim, m)
+    if kind == "wide columns":  # column scales 10^U(-8, 8): some ranks sit at the cut
+        return rng.standard_normal((l_dim, m)) * 10.0 ** rng.uniform(-8.0, 8.0, size=m), None
+    if kind == "product":  # B C, its inner size below min(L, M) where it can be
+        k = int(rng.integers(1, r)) if r > 1 else 1
+        return rng.standard_normal((l_dim, k)) @ rng.standard_normal((k, m)), k
+    if kind == "ties":  # singular values from {0, 1, 3}: ties, and exact zeros
+        s = -np.sort(-rng.choice([0.0, 1.0, 3.0], size=r))
+        a = _orthogonal(rng, l_dim)[:, :r] @ np.diag(s) @ _orthogonal(rng, m)[:, :r].T
+        return a, int(np.count_nonzero(s))
+    return np.zeros((l_dim, m)), 0
+
+
+@pytest.mark.parametrize("kind", ["wide columns", "product", "ties", "zero"])
+def test_gram_rank_is_numpys_matrix_rank(kind):
+    rng = np.random.default_rng(["wide columns", "product", "ties", "zero"].index(kind) + 40)
+    for i in range(300):
+        a, exact = _rank_case(kind, rng)
+        sigma2 = 10.0 ** rng.uniform(-12.0, 2.0)
+        rank = ObservationModel(Matrix(a), sigma2).gram.rank
+        assert rank == np.linalg.matrix_rank(a), (kind, i)
+        assert exact is None or rank == exact, (kind, i)
+        # a power-of-two scale twin has the same spectrum, scaled exactly
+        k = int(rng.integers(-100, 101))
+        twin = ObservationModel(Matrix(np.ldexp(a, k)), math.ldexp(sigma2, 2 * k))
+        assert twin.gram.rank == rank, (kind, i, k)
 
 
 def test_gram_spectrum_examples():
@@ -239,10 +294,21 @@ def test_whiten_identity_and_scaling():
 
 def test_whiten_rejects_non_pd():
     a = Matrix(np.eye(2))
-    with pytest.raises(NotPositiveDefinite):
-        whiten(Matrix([[1.0, 0.0], [0.0, 0.0]]), a, 1.0)
-    with pytest.raises(NotPositiveDefinite):
-        whiten(Matrix([[1.0, 0.0], [0.0, -2.0]]), a, 1.0)
+    # the last two are at most M eps of the largest, and 2 eps is the cut itself
+    for eigs in ((1.0, 0.0), (1.0, -2.0), (1.0, -1e-3), (1.0, 2 * EPS), (1.0, 1e-17)):
+        with pytest.raises(NotPositiveDefinite, match=re.escape(f"eigenvalue {eigs[1]:.3e} ")):
+            whiten(Matrix(np.diag(eigs)), a, 1.0)
+
+
+def test_whiten_accepts_a_smallest_eigenvalue_above_m_eps():
+    # 1e-12 of the largest, above M eps: sigma_x^{1/2} is diag(1, sqrt(1e-12))
+    # exactly, so the model is the explicit one, A sigma_x^{1/2}, bit for bit
+    a = np.random.default_rng(9).standard_normal((3, 2))
+    model = whiten(Matrix(np.diag([1.0, 1e-12])), Matrix(a), 1e-14)
+    explicit = ObservationModel(Matrix(a * [1.0, math.sqrt(1e-12)]), 1e-14)
+    assert model.gram.rank == 2
+    rates = np.linspace(0.0, 40.0, 81)
+    assert drf.sweep(model, rates) == drf.sweep(explicit, rates)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -336,7 +402,7 @@ def test_curves_of_a_rotated_ill_conditioned_model_match_the_diagonal_one(seed):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.floats(0.0, 4.99), st.integers(0, 2**32 - 1))
 def test_gram_is_accurate_up_to_condition_1e5(l_dim, m, log10_cond, seed):
-    # log10_cond stops short of 5, so lam_r stays above the rank cut-off at 1e-10 lam_1
+    # log10_cond stops short of 5: lam_r's relative error, about 2 eps cond, stays below 1e-10
     rng = np.random.default_rng(seed)
     r = min(l_dim, m)
     inner = np.sort(rng.uniform(0.0, log10_cond, size=max(r - 2, 0)))

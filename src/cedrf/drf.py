@@ -39,14 +39,6 @@ import numpy as np
 from . import waterfill
 from .spectral import ObservationModel, Spectrum, spectra
 
-#: Leading weights ``lam/(lam+s2)^2`` within this relative distance of the
-#: first one count as tied in :func:`equality_region`.  Eigenvalues that are
-#: equal in exact arithmetic come back from the SVD a few ulps apart;
-#: this absorbs that with about five orders of magnitude to spare.  The
-#: two-component forms accept a pair whose weights tie by this test.
-TIE_RTOL = 1e-10
-
-
 class ConditionViolated(ValueError):
     """The two-component scenario restriction does not hold."""
 
@@ -194,18 +186,31 @@ def ce_drf(model: ObservationModel, R: float) -> float:
     return _point(model, R).d_ce
 
 
+def _tie_block(w: Sequence[float], cond: Sequence[float], lam: Sequence[float], n: int) -> int:
+    """Length of the leading block of weights ``w = lam/(lam+s2)^2`` that tie with the first.
+
+    ``w_l`` ties with ``w_1`` when ``|w_l - w_1| <= nu_1 + nu_l``, ``nu_l`` the first-order error
+    bound ``w_l (2 (delta / s_l) |1 - 2 cond_l| + 5u)``, ``u = eps / 2``, ``s_l = sqrt(lam_l)``:
+    ``delta = n eps s_1`` bounds the error of ``s`` (:func:`linalg.above_noise`, ``n`` the
+    matrix's larger side; 0 for exact eigenvalues), and ``dw/ds = (2 w / s)(1 - 2 cond)``; ``5u``
+    bounds the rounding of ``s^2`` (``u |1 - 2 cond|``), and of ``lam + s2`` (twice), ``lam / obs``
+    and ``cond / obs`` in :func:`spectral.spectra`.  As ``s_l > delta``, ``nu_l <= 3 w_l``.
+    """
+    eps, w1 = sys.float_info.epsilon, float(w[0])  # Python floats: inf and nan warn of nothing
+    delta = n * eps * math.sqrt(lam[0])
+    def nu(l: int) -> float:
+        noise = delta / math.sqrt(lam[l]) if lam[l] > 0.0 else 0.0
+        return float(w[l]) * (2.0 * noise * abs(1.0 - 2.0 * float(cond[l])) + 2.5 * eps)
+    return next((l for l in range(1, len(w)) if not abs(float(w[l]) - w1) <= nu(0) + nu(l)), len(w))
+
+
 def equality_region(model: ObservationModel) -> EqualityRegion:
     """Largest leading block and rate limit where both curves coincide."""
     cond = model.conditional
     if cond.rank == 0:  # both curves are 1 at every rate
         return EqualityRegion(r0=model.r, R_limit=math.inf, unconditional=True)
-    r0 = 1
-    c = model.weights[0]
-    for l in range(1, model.r):
-        if abs(c[l] - c[0]) <= TIE_RTOL * c[0]:
-            r0 = l + 1
-        else:
-            break
+    r0 = _tie_block(model.weights[0][:model.r], cond.values, model.gram.values,
+                    max(model.M, model.L))
     limit_cond = float(cond.thresholds[r0]) if r0 <= cond.rank else math.inf
     limit = min(float(model.observation.thresholds[r0]), limit_cond)
     return EqualityRegion(r0=r0, R_limit=limit, unconditional=limit == math.inf)
@@ -245,7 +250,7 @@ def _check_condition_2d(lambda1: float, lambda2: float,
             f"eigenvalues must satisfy lambda1 >= lambda2 >= 0, got {lambda1!r}, {lambda2!r}"
         )
     obs, cond, ((a1, a2), weight_sums) = spectra(Spectrum((float(lambda1), float(lambda2))), sigma2)
-    if a1 - a2 > TIE_RTOL * a1:  # not tied, as equality_region tests it
+    if a1 > a2 and _tie_block((a1, a2), cond.values, (lambda1, lambda2), 0) < 2:
         raise ConditionViolated(
             "two-component form requires lambda1/(lambda1+s2)^2 <= lambda2/(lambda2+s2)^2; "
             f"got {a1:.6g} > {a2:.6g}"

@@ -128,8 +128,8 @@ def _gains(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Over the spectrum's ``rank`` positive values ``v``, at the ``k`` and
     ``theta`` of :func:`waterfill._levels`: distortions ``min(v, theta)``,
     and gains ``(v - dist) / v`` on the ``k`` active components, exactly 0
-    on the others.  ``k`` decides, not ``v > theta``: just above a threshold,
-    within ``BOUNDARY_SLACK``, ``theta`` is already a hair below the next value.
+    on the others.  ``k`` decides, not ``v > theta``: at a threshold the count
+    leaves out the component it reaches, while ``theta`` may round a hair below its value.
     At ``R = inf`` every gain is exactly 1 and every distortion exactly 0.
     """
     k, theta = waterfill._levels(spectrum, R)

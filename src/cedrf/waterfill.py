@@ -23,11 +23,11 @@ Interval convention: the k-th component count applies on the half-open
 interval ``(R_k, R_{k+1}]``.  ``R = 0`` maps to ``k = 1`` with the water
 level at the top of the spectrum, which keeps the distortion-rate curves
 continuous and equal to the source variance at zero rate.  Exact threshold
-hits resolve to the lower interval with a small comparison slack so that
-computed thresholds never flip the count nondeterministically; repeated
-eigenvalues yield tied thresholds and therefore activate together.  A
-spectrum with no positive eigenvalue has ``k = 0`` and water level 0 at
-every rate.
+hits resolve to the lower interval with no slack: the water level is
+continuous at each threshold, so where rounding flips a count the curves move
+by that rounding times their slope, at most ``2 ln 2 / M`` per bit.  Tied
+eigenvalues activate together.  A spectrum with no positive eigenvalue has
+``k = 0`` and water level 0 at every rate.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import Spectrum
-
-#: Comparison slack for interval membership at computed thresholds: a rate
-#: within this many bits above a threshold still belongs to the lower interval.
-BOUNDARY_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class WaterfillResult:
@@ -81,15 +76,14 @@ def _exp2(e: np.ndarray) -> np.ndarray:
 def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Active counts and water levels on a float64 array of valid rates.
 
-    ``k`` is the number of thresholds ``t`` with ``t + BOUNDARY_SLACK < R``,
-    at least 1 (``R = 0``); the table's final ``inf`` keeps it at most
-    ``rank``.  ``theta = lam_k 2^{2 (R_k - R) / k}``.  Both are 0 at every
-    rate for a spectrum of rank 0.
+    ``k`` is the number of thresholds strictly below ``R``, at least 1
+    (``R = 0``); the table's final ``inf`` keeps it at most ``rank``.
+    ``theta = lam_k 2^{2 (R_k - R) / k}``.  Both are 0 at every rate for a spectrum of rank 0.
     """
     if spectrum.rank == 0:
         return np.zeros(R.shape, dtype=np.intp), np.zeros_like(R)
     thr, lam = spectrum.thresholds, spectrum.values
-    k = np.maximum((thr + BOUNDARY_SLACK).searchsorted(R, side="left"), 1)
+    k = np.maximum(thr.searchsorted(R, side="left"), 1)
     i = k - 1
     with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: theta is 2^-inf = 0
         return k, lam[i] * _exp2(2.0 * (thr[i] - R) / k)

@@ -26,13 +26,18 @@ stderr at 2,000 samples, on the seeded models; ``verify`` prints only three
 digits of them.  The ``am_gm_pair`` group runs 500 seeded lists of 1 to 8
 values, log-uniform between 1e-300 and 1e300.  Run it on two checkouts and
 ``diff`` the output to show that a change keeps every output's bits (see
-README, "Install and test").
+README, "Install and test").  The ``equality-region`` group hashes
+``equality_region``'s ``r0``, ``R_limit.hex()`` and ``unconditional`` on the
+seeded models, on ``tied_models`` and on ``mirror_models`` at offset 0 and
+at each ``NEAR_TIE_OFFSETS`` offset, so the tie rule's outputs on either
+side of its boundary are pinned.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -42,7 +47,7 @@ from cedrf import cli, drf, oracle
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel
 
-N_MODELS, N_PAIRS, N_LISTS = 100, 500, 500
+N_MODELS, N_PAIRS, N_LISTS, N_TIES = 100, 500, 500, 100
 GAP_RATES = np.linspace(0.0, 40.0, 81).tolist()
 ORACLE_RATES = (0.0, 0.5, 3.0, 40.0)
 SWEEPS = {"sweep-csv": (), "sweep-json": ("--format", "json"), "sweep-nats": ("--nats",),
@@ -54,6 +59,9 @@ FAR_SECOND_COMPONENT = ({"A": [[1.0, 0.0], [0.0, 1e-6]], "sigma2": 1e-14},
                         {"A": [[1.0, 0.0], [0.0, 3e-6]], "sigma2": 1e-14})
 # subnormal sigma2: (f_1 - f_2)^2 of the lower bound overflows, and so does a weight
 SUBNORMAL_SIGMA2 = {"A": [[1e-155, 0.0], [0.0, 5e-156]], "sigma2": 1e-310}
+# relative offsets of a mirror pair's second singular value, from where the
+# weights tie within rounding to where they are told apart
+NEAR_TIE_OFFSETS = (1e-16, -1e-15, 1e-14, -1e-13, 1e-12, -1e-11, 1e-11)
 
 
 def models(rng):
@@ -64,6 +72,35 @@ def models(rng):
         if i % 3 == 0:
             a[:, 0] *= 10.0 ** rng.uniform(-12.0, 0.0)
         yield {"A": a.tolist(), "sigma2": 10.0 ** rng.uniform(-6.0, 6.0)}
+
+
+def _rotated(rng, s, sigma2):
+    """``{"A": U diag(s) V^T, "sigma2": sigma2}``: ``L`` and ``M`` from ``len(s)`` to 8, ``U`` and
+    ``V`` random rotations."""
+    l_dim, m = (int(v) for v in rng.integers(len(s), 9, size=2))
+    q = [np.linalg.qr(rng.standard_normal((n, n)))[0] for n in (l_dim, m)]
+    d = np.zeros((l_dim, m))
+    d[range(len(s)), range(len(s))] = s
+    return {"A": (q[0] @ d @ q[1].T).tolist(), "sigma2": sigma2}
+
+
+def tied_models(rng):
+    """``(doc, m)``: the ``m`` leading singular values, 2 to 4, are exactly equal; up to 4 more
+    lie between 0.05 and 0.9 of them."""
+    for _ in range(N_TIES):
+        mult, rest = (int(v) for v in rng.integers([2, 0], [5, 5]))
+        top = 10.0 ** rng.uniform(-3.0, 3.0)
+        s = [top] * mult + sorted((top * rng.uniform(0.05, 0.9, rest)).tolist(), reverse=True)
+        yield _rotated(rng, s, top * top * 10.0 ** rng.uniform(-3.0, 3.0)), mult
+
+
+def mirror_models(rng, offset):
+    """Singular values ``t`` and ``(sigma2 / t)(1 + offset)``, ``t^2 / sigma2`` from 4 to 100: at
+    offset 0, ``lam_1 lam_2 = sigma2^2`` and the two weights ``lam/(lam+sigma2)^2`` are equal."""
+    for _ in range(N_TIES):
+        sigma2 = 10.0 ** rng.uniform(-3.0, 3.0)
+        t = math.sqrt(sigma2 * 10.0 ** rng.uniform(0.6, 2.0))
+        yield _rotated(rng, [t, sigma2 / t * (1.0 + offset)], sigma2)
 
 
 def run(h, tmp, *argv):
@@ -87,7 +124,8 @@ def outcome(f, *args):
 def main():
     groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", "analyze-json-nats", *SWEEPS,
                                             "verify", "example", "gap_2d", "max_gap_2d",
-                                            "am_gm_pair", "oracle", "gap-bounds")}
+                                            "am_gm_pair", "oracle", "gap-bounds",
+                                            "equality-region")}
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         model = tmp / "model.json"
@@ -133,6 +171,14 @@ def main():
         points = drf.sweep(model, GAP_RATES)
         groups["gap-bounds"].update(" ".join(v.hex() for p in points
                                              for v in (p.gap_ub, p.gap_lb)).encode())
+    rng = np.random.default_rng(18)
+    ties = [*models(np.random.default_rng(15)), *(doc for doc, _ in tied_models(rng))]
+    for offset in (0.0, *NEAR_TIE_OFFSETS):
+        ties += mirror_models(rng, offset)
+    for doc in ties:
+        region = drf.equality_region(ObservationModel(Matrix(doc["A"]), doc["sigma2"]))
+        groups["equality-region"].update(
+            f"{region.r0} {region.R_limit.hex()} {region.unconditional}\n".encode())
     rng = np.random.default_rng(16)
     for _ in range(N_PAIRS):  # t = lam / sigma2 with t1 t2 >= 1, so most pairs meet the condition
         s2, t2 = (float(v) for v in 10.0 ** rng.uniform([-3.0, -3.0], [3.0, 1.0]))

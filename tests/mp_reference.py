@@ -7,7 +7,7 @@ the library returns for them.  Results are ``mpmath.mpf``.
 
 Rate conventions are the library's: rates in bits, the k-th active count on
 ``(R_k, R_{k+1}]``, ``R = 0`` with one active component; thresholds are
-compared exactly, with no boundary slack.
+compared exactly, as the library compares them.
 """
 
 from mpmath import mp, mpf

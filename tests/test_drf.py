@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fingerprint
 from support import (
     CE_AT_1,
     GAP_AT_1,
@@ -160,14 +161,14 @@ def test_gap_lower_bound_values():
     assert gap_lower_bound(scalar, 5.0) == 0.0
 
 
-def test_gap_lower_bound_applies_the_boundary_slack():
-    # a rate within BOUNDARY_SLACK above the second observation threshold
-    # still has one CE component active, where the bound is not valid
+def test_gap_lower_bound_applies_from_one_ulp_past_the_threshold():
+    # at the second observation threshold one CE component is active, where
+    # the bound is not valid; one ulp above it two are, and the bound holds
     m = example_model()
-    thr, slack = m.observation.thresholds[1], waterfill.BOUNDARY_SLACK
-    inside, past = sweep(m, [thr + 0.5 * slack, thr + 2.0 * slack])
-    assert inside.k_ce == 1 and inside.gap_lb == 0.0
-    assert past.k_ce == 2 and past.gap_lb > 0.0
+    thr = float(m.observation.thresholds[1])
+    at, past = sweep(m, [thr, math.nextafter(thr, math.inf)])
+    assert at.k_ce == 1 and at.gap_lb == 0.0
+    assert past.k_ce == 2 and 0.0 < past.gap_lb <= past.gap
 
 
 def test_gap_2d_reference_values():
@@ -263,16 +264,92 @@ def test_two_component_forms_accept_one_ulp_ties(seed):
 
 
 def test_two_component_forms_accept_the_ties_of_equality_region():
-    # lam/(lam+s2)^2 is 2/9 at both 2 and 0.5; 1e-11 below 2 the first weight
-    # is 6.7e-12 (relative) above the second, within TIE_RTOL
-    lam1, lam2, s2 = 2.0 * (1.0 - 1e-11), 0.5, 1.0
-    model = model_from_eigs([lam1, lam2], s2)
+    # lam/(lam+s2)^2 is 2/9 at both 2 and 0.5 (lam_1 lam_2 = s2^2): the mirror
+    # pair diag(sqrt 2, sqrt 0.5) ties, and the forms accept it
+    model = ObservationModel(Matrix(np.diag([math.sqrt(2.0), math.sqrt(0.5)])), 1.0)
+    lam1, lam2 = model.gram.values.tolist()
     region = equality_region(model)
     assert region.r0 == 2 and region.unconditional
-    r_star, g_star = max_gap_2d(lam1, lam2, s2)
-    assert r_star == pytest.approx(0.5, abs=1e-9) and g_star < 1e-20
+    r_star, g_star = max_gap_2d(lam1, lam2, 1.0)
+    assert r_star == pytest.approx(0.5, abs=1e-12) and g_star < 1e-30
     for r in (0.0, 0.3, 0.5, 1.0, 3.0, 9.0):
-        assert gap_2d(lam1, lam2, s2, r) == pytest.approx(gap(model, r), abs=1e-10), r
+        assert gap_2d(lam1, lam2, 1.0, r) == pytest.approx(gap(model, r), abs=1e-10), r
+    # 1e-11 below 2 the first weight is 3.3e-12 (relative) above the second,
+    # against a rounding bound nu_1 + nu_2 of 2.0e-15: not tied, so the region
+    # ends and the forms refuse the pair (a fixed 1e-10 tolerance tied it)
+    lam1 = 2.0 * (1.0 - 1e-11)
+    region = equality_region(model_from_eigs([lam1, 0.5], 1.0))
+    assert region.r0 == 1 and not region.unconditional
+    assert region.R_limit == pytest.approx(0.5, abs=1e-9)
+    with pytest.raises(ConditionViolated):
+        gap_2d(lam1, 0.5, 1.0, 1.0)
+    with pytest.raises(ConditionViolated):
+        max_gap_2d(lam1, 0.5, 1.0)
+
+
+def test_exactly_tied_singular_values_form_the_leading_block():
+    # 2 to 4 equal singular values, rotated at random, L and M up to 8: the SVD
+    # returns them a few ulps apart, inside the rule's noise bound
+    rng = np.random.default_rng(4100)
+    for _ in range(3):
+        for doc, mult in fingerprint.tied_models(rng):
+            model = ObservationModel(Matrix(doc["A"]), doc["sigma2"])
+            assert equality_region(model).r0 == mult, doc
+
+
+@pytest.mark.parametrize("offset", [0.0, -1e-11, 1e-11])
+def test_mirror_pairs_tie_exactly_when_their_product_is_sigma2_squared(offset):
+    # rotated pairs (t, sigma2/t): tied at offset 0, not tied 1e-11 away (the
+    # weights then differ by about 2e-11 relative, against a bound below 4e-13),
+    # which a fixed 1e-10 tolerance tied
+    for doc in fingerprint.mirror_models(np.random.default_rng(4200), offset):
+        region = equality_region(ObservationModel(Matrix(doc["A"]), doc["sigma2"]))
+        if offset == 0.0:
+            assert region.r0 == 2, doc
+        else:
+            assert region.r0 == 1 and math.isfinite(region.R_limit), doc
+
+
+def test_equality_region_warns_of_nothing_where_the_weights_overflow():
+    # sigma2 subnormal: both weights overflow to inf in spectral.spectra, which
+    # warns; the tie rule's inf - inf is nan, not tied, with no warning of its
+    # own (the numpy-scalar subtraction it replaced warned "invalid value")
+    with np.errstate(over="ignore"):
+        model = ObservationModel(Matrix(np.diag([1e-155, 5e-156])), 1e-310)
+    assert model.weights[0].tolist() == [math.inf, math.inf]
+    assert equality_region(model).r0 == 1
+
+
+def test_power_of_two_twins_keep_the_equality_region():
+    # (2^k A, 4^k sigma2) scales every singular value, delta and weight by an
+    # exact power of two, so r0 keeps its value; R_limit keeps its bits where
+    # the conditional spectrum, which is the same bits, sets it, and elsewhere
+    # moves by no more than the observation thresholds' absolute log2 rounding
+    rng = np.random.default_rng(4300)
+    docs = [*(d for d, _ in fingerprint.tied_models(rng)),
+            *fingerprint.mirror_models(rng, 0.0), *fingerprint.mirror_models(rng, 1e-11),
+            *fingerprint.models(rng)]
+    eps = sys.float_info.epsilon
+
+    def rounding(model, k):  # the k-th threshold's error bound, in bits
+        logs = [abs(math.log2(v)) for v in model.observation.values[:k].tolist()]
+        return k * eps * (sum(logs) + k * logs[-1])
+
+    for i, doc in enumerate(docs[::4]):
+        model = ObservationModel(Matrix(doc["A"]), doc["sigma2"])
+        base = equality_region(model)
+        for k in range(-100, 101, 5):
+            twin = ObservationModel(Matrix(np.ldexp(doc["A"], k)), math.ldexp(doc["sigma2"], 2 * k))
+            region = equality_region(twin)
+            assert (region.r0, region.unconditional) == (base.r0, base.unconditional), (i, k)
+            if base.unconditional:
+                continue
+            r0 = base.r0
+            if model.conditional.thresholds[r0] < model.observation.thresholds[r0]:
+                assert region.R_limit.hex() == base.R_limit.hex(), (i, k)
+            else:
+                bound = rounding(model, r0 + 1) + rounding(twin, r0 + 1)
+                assert abs(region.R_limit - base.R_limit) <= bound, (i, k)
 
 
 @pytest.mark.parametrize("pair", [(4e12, 1e-3, 1.0), (1e13, 5e-4, 1.0)])
@@ -628,7 +705,9 @@ def _wide_model(rng: np.random.Generator, i: int) -> ObservationModel:
 @pytest.mark.parametrize("seed", range(4))
 def test_wide_range_models_give_finite_curves(seed):
     # lam / (lam + s2) underflows to 0 on about one model in nine; the
-    # estimate spectrum's rank must then drop, or its thresholds take log2(0)
+    # estimate spectrum's rank must then drop, or its thresholds take log2(0).
+    # equality_region's tie rule warns of no overflow either, with weights up
+    # to 1 / (4 s2) and s2 down to 1e-300
     rng = np.random.default_rng(3500 + seed)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

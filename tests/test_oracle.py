@@ -206,10 +206,10 @@ def _grid_models():
 
 
 def _grid(model):
-    """Rate 0, each observation threshold +- the boundary slack, 40 and 1e4."""
+    """Rate 0, each observation threshold +- 1 ulp, 40 and 1e4."""
     rates = [0.0]
     for t in model.observation.thresholds[:-1]:
-        rates += [max(0.0, t - waterfill.BOUNDARY_SLACK), t + waterfill.BOUNDARY_SLACK]
+        rates += [max(0.0, math.nextafter(t, -math.inf)), math.nextafter(t, math.inf)]
     return rates + [40.0, 1e4]
 
 
@@ -239,28 +239,37 @@ def test_estimates_on_rate_grids_are_the_one_rate_estimates_bit_for_bit():
 
 
 def test_inactive_gains_are_exactly_zero():
-    # half the slack above a threshold the count leaves the next component
-    # out, while theta already sits a hair below its value: (v - theta) / v
-    # would give it a gain of about 1e-12
+    # at a threshold the count leaves the next component out, while theta may
+    # round a hair below its value: (v - theta) / v would give it a gain of
+    # about 1e-16.  1e-9 bits above each threshold, where every water level
+    # here has moved by at least 1e-10 relative, each active component has a
+    # positive gain; at a threshold itself the one just reached may not
+    offset, hairs = 1e-9, 0
     for i, model in enumerate(_grid_models()):
         for spectrum in (model.observation, model.conditional):
-            rates = [t + waterfill.BOUNDARY_SLACK / 2 for t in spectrum.thresholds
-                     if math.isfinite(t)]
-            k = waterfill._levels(spectrum, np.array(rates))[0].tolist()
-            gain = oracle._gains(spectrum, np.array(rates))[0]
-            assert all(np.all(g[n:] == 0.0) for g, n in zip(gain, k, strict=True)), i
-        rates = [t + waterfill.BOUNDARY_SLACK / 2 for t in model.observation.thresholds[:-1]]
-        for r in rates:
+            finite = [t for t in spectrum.thresholds if math.isfinite(t)]
+            rates = np.array(finite + [t + offset for t in finite])
+            k, theta = waterfill._levels(spectrum, rates)
+            gain = oracle._gains(spectrum, rates)[0]
+            assert all(np.all(g[n:] == 0.0) for g, n in zip(gain, k.tolist(), strict=True)), i
+            assert all(np.all(g[:n] > 0.0) for g, n in
+                       zip(gain[len(finite):], k[len(finite):].tolist(), strict=True)), i
+            v = spectrum.values[:spectrum.rank]
+            hairs += sum(n < v.size and t < v[n] for n, t in zip(k.tolist(), theta.tolist()))
+        finite = model.observation.thresholds[:-1].tolist()
+        for r in finite + [t + offset for t in finite]:
             gain = ce_matrix_parts(model, r).gain
             assert np.all(gain[waterfill.active_count(model.observation, r):] == 0.0), (i, r)
-        rates = [t + waterfill.BOUNDARY_SLACK / 2 for t in model.conditional.thresholds
-                 if math.isfinite(t)]
+        finite = [t for t in model.conditional.thresholds.tolist() if math.isfinite(t)]
+        rates = finite + [t + offset for t in finite]
         # the optimal maps' noise columns, one per conditional component
         noise = _maps(model, idrf_rates=rates)[:, :, model.M:model.M + model.conditional.rank]
-        for r, cols in zip(rates, noise, strict=True):
+        for j, (r, cols) in enumerate(zip(rates, noise, strict=True)):
             k = waterfill.active_count(model.conditional, r)
             assert np.all(cols[:, k:] == 0.0), (i, r)
-            assert np.all(np.any(cols[:, :k] != 0.0, axis=0)), (i, r)
+            if j >= len(finite):
+                assert np.all(np.any(cols[:, :k] != 0.0, axis=0)), (i, r)
+    assert hairs > 0  # the count, not v > theta, decides somewhere
 
 
 @pytest.mark.parametrize("values", [(3.0, 1.0, 0.25), (2.0, 2.0, 1e-300, 0.0, 0.0), (0.0, 0.0)],

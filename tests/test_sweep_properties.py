@@ -2,9 +2,8 @@
 
 Models are drawn with L, M <= 8: dense, low-rank, and diagonal with
 repeated and zero entries (exactly tied and rank-deficient spectra).  Each
-grid holds every finite threshold of both spectra, the threshold +-1 ulp,
-+-BOUNDARY_SLACK, and the slack boundary itself +-1 ulp, where the active
-count changes.
+grid holds every finite threshold of both spectra and the threshold +-1 ulp,
+where the active count changes.
 
 Grid evaluation is pointwise: a rate's closed forms, and its rows of the
 compress-and-estimate test channel, are the same bits in every grid that
@@ -18,6 +17,7 @@ import io
 import json
 import math
 import operator
+import sys
 import tempfile
 from bisect import bisect_left
 from pathlib import Path
@@ -31,7 +31,6 @@ from test_cli import BYTE_MODELS, _reference_sweep
 from cedrf import cli, drf, oracle, waterfill
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel
-from cedrf.waterfill import BOUNDARY_SLACK
 
 
 @st.composite
@@ -60,17 +59,15 @@ def boundary_grid(model, extra):
         for t in spectrum.thresholds:
             if not math.isfinite(t):
                 continue
-            key = t + BOUNDARY_SLACK
-            for r in (t, t - BOUNDARY_SLACK, key):
-                rates.update((r, np.nextafter(r, -math.inf), np.nextafter(r, math.inf)))
+            rates.update((t, np.nextafter(t, -math.inf), np.nextafter(t, math.inf)))
     return sorted(float(r) for r in rates if r >= 0.0)
 
 
 def reference_count(spectrum, r):
-    """The bisect form of the slack convention."""
+    """The number of thresholds strictly below ``r``, by bisection."""
     if spectrum.rank == 0:
         return 0
-    k = bisect_left(spectrum.thresholds, r, key=lambda t: t + BOUNDARY_SLACK)
+    k = bisect_left(spectrum.thresholds, r)
     return min(max(k, 1), spectrum.rank)
 
 
@@ -112,6 +109,24 @@ def test_sweep_equals_one_rate_functions(model, extra):
         assert pt.gap == drf.gap(model, r) == max(0.0, pt.d_ce - pt.d_idrf)
         assert pt.gap_ub == drf.gap_upper_bound(model, r)
         assert pt.gap_lb == drf.gap_lower_bound(model, r)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(models())
+def test_curves_are_continuous_across_every_threshold(model):
+    # with no slack the count flips exactly at a computed threshold; the water
+    # level is continuous there, so at t, t +- 1 ulp and t + 1e-12 of every
+    # finite threshold the bound sandwich holds at verify's 1e-10, and between
+    # neighbouring rates each curve moves by no more than its slope allows,
+    # |dd/dR| <= 2 ln2 theta W_k / (k M) <= 2 ln2 / M, plus a few ulps
+    past = [t + 1e-12 for s in (model.observation, model.conditional)
+            for t in s.thresholds.tolist() if math.isfinite(t)]
+    points = drf.sweep(model, boundary_grid(model, past))
+    for pt in points:
+        assert max(pt.gap_lb - pt.gap, pt.gap - pt.gap_ub, pt.d_idrf - pt.d_ce) <= 1e-10, pt
+    for a, b in zip(points, points[1:]):
+        slope = 2.0 * math.log(2.0) * (b.R - a.R) / model.M + 4.0 * sys.float_info.epsilon
+        assert abs(b.d_idrf - a.d_idrf) <= slope and abs(b.d_ce - a.d_ce) <= slope, (a, b)
 
 
 @st.composite

@@ -7,7 +7,6 @@ from support import R2_COND, R2_OBS
 
 from cedrf.spectral import Spectrum
 from cedrf.waterfill import (
-    BOUNDARY_SLACK,
     _exp2,
     _levels,
     active_count,
@@ -120,7 +119,7 @@ def test_rate_allocation_is_the_python_float_formula():
     for s in spectra:
         grid = [0.0, 0.3, 40.0, 1e4]
         for t in s.thresholds[:-1]:
-            grid += [max(0.0, t - BOUNDARY_SLACK), t + BOUNDARY_SLACK]
+            grid += [max(0.0, math.nextafter(t, -math.inf)), math.nextafter(t, math.inf)]
         ks, thetas = _levels(s, np.array(grid))
         for x, k, theta in zip(grid, ks.tolist(), thetas.tolist()):
             got = rate_allocation(s, x)

@@ -723,14 +723,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and (args.model is None) == (args.random is None):
-        parser.error("verify needs exactly one of: a model file, or --random N")
-    if args.command == "verify" and args.random is not None and args.random < 1:
-        parser.error(f"--random needs N >= 1, got {args.random}")
-    if args.command == "verify" and args.samples < 1:
-        parser.error(f"--samples needs N >= 1, got {args.samples}")
-    if args.command == "verify" and args.seed < 0:
-        parser.error(f"--seed needs N >= 0, got {args.seed}")
+    if args.command == "verify":
+        if (args.model is None) == (args.random is None):
+            parser.error("verify needs exactly one of: a model file, or --random N")
+        for option, value, lowest in (("--random", args.random, 1), ("--samples", args.samples, 1),
+                                      ("--seed", args.seed, 0)):
+            if value is not None and value < lowest:
+                parser.error(f"{option} needs N >= {lowest}, got {value}")
     try:
         # looked up at call time, so a replaced cmd_* function is the one run
         return globals()[f"cmd_{args.command}"](args)

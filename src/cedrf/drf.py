@@ -70,8 +70,8 @@ class DistortionPoint(NamedTuple):
 class EqualityRegion:
     """Rates up to ``R_limit`` where compress-and-estimate is optimal.
 
-    ``r0`` is the length of the leading block of eigenvalues sharing the
-    maximal value of ``lam / (lam + sigma2)^2``; ``unconditional`` means
+    ``r0`` is the length of the leading block of weights ``lam / (lam + sigma2)^2``
+    that tie with the first (:func:`_tie_block`); ``unconditional`` means
     the two curves coincide at every rate.
     """
 
@@ -251,10 +251,8 @@ def _check_condition_2d(lambda1: float, lambda2: float,
         )
     obs, cond, ((a1, a2), weight_sums) = spectra(Spectrum((float(lambda1), float(lambda2))), sigma2)
     if a1 > a2 and _tie_block((a1, a2), cond.values, (lambda1, lambda2), 0) < 2:
-        raise ConditionViolated(
-            "two-component form requires lambda1/(lambda1+s2)^2 <= lambda2/(lambda2+s2)^2; "
-            f"got {a1:.6g} > {a2:.6g}"
-        )
+        raise ConditionViolated("two-component form requires lambda1/(lambda1+s2)^2 <= "
+                                f"lambda2/(lambda2+s2)^2; got {float(a1)!r} > {float(a2)!r}")
     return obs, cond, weight_sums
 
 

@@ -9,15 +9,14 @@ distortion-rate formulas consume:
 * the spectrum ``lam_l / (lam_l + sigma2)`` of the covariance of the
   MMSE estimate of ``x`` from ``y``.
 
-Each :class:`Spectrum` holds three read-only float64 arrays: ``values``,
-its reverse water-filling ``thresholds`` and the ``prefix`` sums of its
-values, the two tables built once, on first use.  Beside them come the
-weights ``lam_l / (lam_l + sigma2)^2`` of compress-and-estimate
-(:func:`spectra` derives them and the last two spectra from the first,
-once per model), the estimation-error floor and source whitening for
-non-identity source covariances.  Every closed form is purely spectral,
-so ``lam_l`` comes from the singular values of ``A``; those at the SVD's
-rounding noise (:func:`linalg.above_noise`) count as 0.
+Each :class:`Spectrum` holds three read-only float64 arrays: ``values``, its reverse
+water-filling ``thresholds`` and the ``prefix`` sums of its values, the two tables built
+once, on first use; every log of values is a ratio's (:func:`_log2_ratio`).  Beside them
+come the weights ``lam_l / (lam_l + sigma2)^2`` of compress-and-estimate (:func:`spectra`
+derives them and the last two spectra from the first, once per model), the
+estimation-error floor and source whitening for non-identity source covariances.  Every
+closed form is purely spectral, so ``lam_l`` comes from the singular values of ``A``;
+those at the SVD's rounding noise (:func:`linalg.above_noise`) count as 0.
 One full SVD of ``A``, with its singular vectors, is built on first use
 and kept, for the matrix and Monte Carlo oracles only: its ``U`` is the
 eigenbasis of ``A A^T``, and its ``V`` that of the MMSE estimate's covariance.
@@ -28,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -69,25 +69,29 @@ class Spectrum:
     def thresholds(self) -> np.ndarray:
         """Total rates (bits) at which successive components become active in reverse water-filling.
 
-        ``[R_1 = 0, R_2, ..., R_rank, inf]``, non-decreasing, with
-        ``R_k = (1/2) sum_{l<=k} log2(lam_l / lam_k)``.  A spectrum of rank 0
-        has the table ``[0.0]``: no component ever becomes active.
+        ``[R_1 = 0, R_2, ..., R_rank, inf]`` as a running sum, ``R_{k+1} = R_k + (k/2)
+        log2(lam_k / lam_{k+1})`` (:func:`_log2_ratio`), of steps ``>= 0`` as rounded: ties give
+        equal thresholds, no clamp is needed.  A spectrum of rank 0 has the table ``[0.0]``.
         """
-        logs = [math.log2(v) for v in self.values[: self.rank].tolist()]
-        out = [0.0]
-        if logs:
-            prefix = logs[0]
-            for k in range(2, self.rank + 1):
-                prefix += logs[k - 1]
-                # clamp repairs ulp-level inversions between near-tied thresholds
-                out.append(max(0.5 * (prefix - k * logs[k - 1]), out[-1]))
-            out.append(math.inf)
-        return _read_only(np.array(out))[0]
+        v = self.values[: self.rank].tolist()
+        steps = (0.5 * k * _log2_ratio(a, b) for k, (a, b) in enumerate(zip(v, v[1:]), 1))
+        return _read_only(np.array([*accumulate(steps, initial=0.0), math.inf] if v else [0.0]))[0]
 
     @cached_property
     def prefix(self) -> np.ndarray:
         """``prefix_sums(values)``: entry ``k`` sums the first ``k`` values."""
         return _read_only(prefix_sums(self.values))[0]
+
+
+def _log2_ratio(a: float, b: float) -> float:
+    """``log2(a / b)`` of positive floats, forming no quotient that can overflow: up to ``a = 2b``,
+    ``log1p((a - b) / b) / ln 2`` with ``a - b`` exact, so a near tie keeps its relative accuracy
+    and a tie gives 0; above, ``log2(m_a / m_b) + (e_a - e_b)`` from ``frexp`` parts.  So
+    ``a >= b`` gives ``>= 0`` as rounded, and no power-of-two scale moves a bit."""
+    if a <= 2.0 * b:
+        return math.log1p((a - b) / b) / math.log(2.0)
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    return math.log2(ma / mb) + (ea - eb)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum
+from .spectral import Spectrum, _log2_ratio
 
 @dataclass(frozen=True)
 class WaterfillResult:
@@ -117,16 +117,15 @@ def water_level(spectrum: Spectrum, R: float) -> tuple[int, float]:
 def rate_allocation(spectrum: Spectrum, R: float) -> WaterfillResult:
     """Per-component rates ``(1/2) log2^+(lam_l / theta)`` and distortions ``min(lam_l, theta)``.
 
-    The rate of each active component is formed as
-    ``(1/2) log2(lam_l / lam_k) + (R - R_k) / k``, which never divides by
-    ``theta``, so it stays finite where ``theta`` underflows to 0.  Zero
-    eigenvalues, and every component of a rank-0 spectrum, receive zero
-    rate and zero distortion.
+    The rate of each active component is ``(1/2) log2(lam_l / lam_k) + (R - R_k) / k``, its log
+    by :func:`spectral._log2_ratio`, which forms neither ``lam_l / theta`` nor ``lam_l / lam_k``,
+    so it stays finite where either would overflow.  Zero eigenvalues, and every component of a
+    rank-0 spectrum, receive zero rate and zero distortion.
     """
     r = _check_rate(R)
     k, theta = water_level(spectrum, r)
     values = spectrum.values.tolist()
     excess = (r - float(spectrum.thresholds[k - 1])) / k if k else 0.0
-    rates = [0.5 * math.log2(v / values[k - 1]) + excess for v in values[:k]]
+    rates = [0.5 * _log2_ratio(v, values[k - 1]) + excess for v in values[:k]]
     return WaterfillResult(k, theta, tuple(rates + [0.0] * (len(values) - k)),
                            tuple(min(v, theta) for v in values))

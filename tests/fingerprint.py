@@ -30,7 +30,11 @@ README, "Install and test").  The ``equality-region`` group hashes
 ``equality_region``'s ``r0``, ``R_limit.hex()`` and ``unconditional`` on the
 seeded models, on ``tied_models`` and on ``mirror_models`` at offset 0 and
 at each ``NEAR_TIE_OFFSETS`` offset, so the tie rule's outputs on either
-side of its boundary are pinned.
+side of its boundary are pinned.  The ``thresholds`` group hashes the
+``float.hex`` of both threshold tables and of ``rate_allocation``'s rates
+over both spectra at ``ORACLE_RATES``, on the seeded models, on ``tied_models``
+and on ``near_tied``, each at every spectrum scale of ``SCALES``, so the
+tables are pinned apart from the writers.
 """
 
 import contextlib
@@ -43,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cedrf import cli, drf, oracle
+from cedrf import cli, drf, oracle, waterfill
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel
 
@@ -62,6 +66,8 @@ SUBNORMAL_SIGMA2 = {"A": [[1e-155, 0.0], [0.0, 5e-156]], "sigma2": 1e-310}
 # relative offsets of a mirror pair's second singular value, from where the
 # weights tie within rounding to where they are told apart
 NEAR_TIE_OFFSETS = (1e-16, -1e-15, 1e-14, -1e-13, 1e-12, -1e-11, 1e-11)
+# spectrum scales c of the thresholds group: (sqrt(c) A, c sigma2) scales every spectrum by c
+SCALES = (1.0, 2.0 ** 300, 2.0 ** -300, 1e150, 1e-150)
 
 
 def models(rng):
@@ -103,6 +109,12 @@ def mirror_models(rng, offset):
         yield _rotated(rng, [t, sigma2 / t * (1.0 + offset)], sigma2)
 
 
+def near_tied(rng):
+    """128 singular values whose squares lie in [1, 1.001]: 127 nearly tied thresholds."""
+    s = np.sqrt(np.sort(rng.uniform(1.0, 1.001, 128))[::-1])
+    return {"A": np.diag(s).tolist(), "sigma2": 1e-3}
+
+
 def run(h, tmp, *argv):
     """Feed ``cedrf argv``'s exit code, stdout, stderr and written files to ``h``."""
     out, err = io.StringIO(), io.StringIO()
@@ -125,7 +137,7 @@ def main():
     groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", "analyze-json-nats", *SWEEPS,
                                             "verify", "example", "gap_2d", "max_gap_2d",
                                             "am_gm_pair", "oracle", "gap-bounds",
-                                            "equality-region")}
+                                            "equality-region", "thresholds")}
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         model = tmp / "model.json"
@@ -179,6 +191,15 @@ def main():
         region = drf.equality_region(ObservationModel(Matrix(doc["A"]), doc["sigma2"]))
         groups["equality-region"].update(
             f"{region.r0} {region.R_limit.hex()} {region.unconditional}\n".encode())
+    rng = np.random.default_rng(19)
+    for doc in (*models(np.random.default_rng(15)), *(doc for doc, _ in tied_models(rng)),
+                near_tied(rng)):
+        for c in SCALES:
+            model = ObservationModel(Matrix(math.sqrt(c) * np.array(doc["A"])), c * doc["sigma2"])
+            for s in (model.observation, model.conditional):
+                values = s.thresholds.tolist()
+                values += [v for r in ORACLE_RATES for v in waterfill.rate_allocation(s, r).rates]
+                groups["thresholds"].update((" ".join(v.hex() for v in values) + "\n").encode())
     rng = np.random.default_rng(16)
     for _ in range(N_PAIRS):  # t = lam / sigma2 with t1 t2 >= 1, so most pairs meet the condition
         s2, t2 = (float(v) for v in 10.0 ** rng.uniform([-3.0, -3.0], [3.0, 1.0]))

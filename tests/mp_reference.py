@@ -38,6 +38,21 @@ def water_level(values, R):
 
 
 @mp.workdps(DPS)
+def idrf(gram, sigma2, M, R):
+    """The optimal scheme's distortion for the gram spectrum ``gram`` at rate ``R``.
+
+    Water-filling over the positive ``c = lam/(lam+s2)``; then
+    ``1 - (1/M) sum_{l<=k} c_l + (k/M) theta``, or 1 when no ``lam`` is positive.
+    """
+    s2 = mpf(sigma2)
+    cond = [mpf(a) / (mpf(a) + s2) for a in gram if a > 0]
+    if not cond:
+        return mpf(1)
+    k, theta = water_level(cond, R)
+    return 1 - (mp.fsum(cond[:k]) - k * theta) / M
+
+
+@mp.workdps(DPS)
 def ce_drf(gram, sigma2, M, R):
     """Compress-and-estimate distortion for the gram spectrum ``gram`` (length L) at rate ``R``.
 

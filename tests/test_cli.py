@@ -855,8 +855,9 @@ def test_verify_continuity_fails_every_model_whose_thresholds_are_scaled(monkeyp
 
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
 def test_verify_continuity_passes_near_ties_at_any_scale(scale):
-    # 128 values within 1e-3 of each other: nearly tied thresholds, which at 1e+-150 are
-    # differences of log2 values near +-500 and so miss by up to about 1e-13
+    # 128 values within 1e-3 of each other: nearly tied thresholds, each step a log
+    # ratio (spectral._log2_ratio) that no scale enters, so the misses are at most a
+    # few ulps at every scale
     values = np.sort(np.random.default_rng(11).uniform(1.0, 1.001, 128))[::-1] * scale
     for s in (Spectrum(values), *spectra(Spectrum(values), scale)[:2]):
         misses = cli._continuity_misses(s)
@@ -1017,6 +1018,21 @@ def test_verify_requires_one_source(model_file):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--random", n])
         assert exc.value.code == 2
+
+
+def test_verify_names_what_is_wrong_with_its_source(model_file, capsys):
+    for argv, message in ((["verify"], "verify needs exactly one of: a model file, or --random N"),
+                          (["verify", str(model_file), "--random", "0"],
+                           "verify needs exactly one of: a model file, or --random N"),
+                          (["verify", "--random", "0"], "--random needs N >= 1, got 0"),
+                          (["verify", "--random", "-1", "--seed", "-1"],
+                           "--random needs N >= 1, got -1")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

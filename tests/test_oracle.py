@@ -195,6 +195,15 @@ def test_ce_oracles_match_the_closed_form_on_wide_column_models():
             assert abs(np.sum(b * b) / model.M - want) <= t, (i, r)
 
 
+def test_idrf_matches_the_60_digit_reference_on_wide_column_models():
+    # 1 - (C_k - k theta) / M sums terms of size at most 1, so the closed form is within
+    # a few ulps of 1 of its 60-digit value (2.5e-16 at worst here), whatever the floor
+    for i, model in enumerate(_wide_column_models(300)):
+        for r in (0.5, 3.0, 10.0, 30.0, 60.0):
+            want = mp_reference.idrf(model.gram.values, model.sigma2, model.M, r)
+            assert abs(drf.idrf(model, r) - want) <= 2e-15, (i, r)
+
+
 def _grid_models():
     """The fingerprint's seeded models, ``A = 0``, wide-column models and a rank-deficient one."""
     models = [ObservationModel(Matrix(d["A"]), d["sigma2"])
@@ -543,7 +552,7 @@ FROZEN_ESTIMATES = (
     (  # M > L
         ("0x1.c5b56af402dd7p-1", "0x1.09dfd7da75a7fp-9"),
         ("0x1.a23b6a08c907bp-1", "0x1.f9b1115a59a30p-10"),
-        ("0x1.49550e5eb7c22p-1", "0x1.b33ff6a695556p-10"),
+        ("0x1.49550e5eb7c22p-1", "0x1.b33ff6a695557p-10"),
         ("0x1.c1879f56775e1p-1", "0x1.04378d60275e8p-9"),
         ("0x1.95a5359452dbap-1", "0x1.e155935f64313p-10"),
         ("0x1.462f81419a372p-1", "0x1.af7d063449023p-10"),
@@ -552,7 +561,7 @@ FROZEN_ESTIMATES = (
     (  # L > M
         ("0x1.ab0df5c652f83p-1", "0x1.2565d85bf3717p-9"),
         ("0x1.68bfc8066b724p-1", "0x1.01296f7c12d12p-9"),
-        ("0x1.3de87025cc44cp-2", "0x1.d99089072b2aap-11"),
+        ("0x1.3de87025cc44dp-2", "0x1.d99089072b2abp-11"),
         ("0x1.986ce1672d1e1p-1", "0x1.0e5c3b1953b60p-9"),
         ("0x1.46cb2c2c2b602p-1", "0x1.b0ae1612a1fc6p-10"),
         ("0x1.12bb9c166c378p-2", "0x1.6c1b825d267eap-11"),
@@ -561,8 +570,8 @@ FROZEN_ESTIMATES = (
     (  # rank-deficient
         ("0x1.ae84ff38b785fp-1", "0x1.260d7a189fdaap-9"),
         ("0x1.84d4dd71f8befp-1", "0x1.1963443e5bb7ap-9"),
-        ("0x1.15353839f92ebp-1", "0x1.bf1a3c7f3ac3dp-10"),
-        ("0x1.aa74efcd3fe05p-1", "0x1.1de28cd8ffb4ap-9"),
+        ("0x1.15353839f92e9p-1", "0x1.bf1a3c7f3ac3ap-10"),
+        ("0x1.aa74efcd3fe06p-1", "0x1.1de28cd8ffb4cp-9"),
         ("0x1.6ed59e4ce4338p-1", "0x1.faf5edb965bb3p-10"),
         ("0x1.02e0ef8a9543bp-1", "0x1.a53066da21845p-10"),
         ("0x1.bdc96a93a092dp-2", "0x1.955b6a2ea1061p-10"),
@@ -577,8 +586,8 @@ FROZEN_ESTIMATES = (
         ("0x1.2440acad5cb4cp-1", "0x1.d607707e6df71p-10"),
     ),
     (  # |A|^2 / s2 near 1e10
-        ("0x1.7d04482e036e2p-1", "0x1.43968097efe9fp-9"),
-        ("0x1.0d6b65129b5edp-1", "0x1.c99f555edf51fp-10"),
+        ("0x1.7d04482e036dfp-1", "0x1.43968097efe9dp-9"),
+        ("0x1.0d6b65129b5ebp-1", "0x1.c99f555edf51bp-10"),
         ("0x1.0d6b6517f78e0p-3", "0x1.c99f5567fa0b2p-12"),
         ("0x1.69ddcb9bed015p-1", "0x1.2515fdabf0f09p-9"),
         ("0x1.ffc1a067e7423p-2", "0x1.9e7c6e44aba4bp-10"),

@@ -75,6 +75,53 @@ def test_spectrum_tables_are_read_only_arrays_built_once():
         Spectrum((2.0, 1.0), 1)
 
 
+def _ulp_steps(rng, top, n):
+    """``n`` values from ``top`` down, each 0 to 2 ulps below the last: ties and near ties."""
+    values = [top]
+    for step in rng.integers(0, 3, size=n - 1).tolist():
+        v = values[-1]
+        for _ in range(step):
+            v = math.nextafter(v, 0.0)
+        values.append(v)
+    return values
+
+
+def test_thresholds_are_a_running_sum_of_non_negative_steps():
+    # R_{k+1} = R_k + (k/2) log2(lam_k / lam_{k+1}) by spectral._log2_ratio: each step
+    # is >= 0 as rounded, so the table never decreases and exact ties add exactly 0,
+    # at any scale
+    rng = np.random.default_rng(39)
+    for top in (1e-300, 1.0, 3.0, 1e300):
+        for _ in range(40):
+            values = _ulp_steps(rng, top, 64)
+            thr = Spectrum(values).thresholds.tolist()
+            assert thr[-1] == math.inf
+            for k in range(1, 64):
+                assert thr[k] >= thr[k - 1], (top, k)
+                if values[k] == values[k - 1]:
+                    assert thr[k] == thr[k - 1], (top, k)
+
+
+def test_thresholds_match_the_60_digit_reference_at_any_scale():
+    # a step up to lam_k = 2 lam_{k+1} is a log1p within about 6u (u = EPS/2) of itself;
+    # past a ratio of 2 it errs by (k/2)(u / ln2 for the mantissa quotient + u for its
+    # log2) plus u of itself; the running sum adds u R_k per add.  So
+    # |R_K - want| <= EPS (F + (K + 3) R_K), F the sum of k over the steps past a ratio
+    # of 2, whatever the scale: near ties keep their relative accuracy
+    rng = np.random.default_rng(40)
+    spectra = [sorted(rng.uniform(1.0, 1.001, 128).tolist(), reverse=True),
+               sorted((10.0 ** rng.uniform(-8.0, 8.0, 24)).tolist(), reverse=True),
+               _ulp_steps(rng, 1.0, 48)]
+    for values in spectra:
+        for scale in (1e-150, 1.0, 1e150):
+            scaled = [v * scale for v in values]
+            got = Spectrum(scaled).thresholds.tolist()
+            far = 0
+            for k, (g, w) in enumerate(zip(got[:-1], mp_reference.thresholds(scaled)), 1):
+                assert abs(g - w) <= EPS * (far + (k + 3) * g), (len(values), scale, k)
+                far += k if k < len(scaled) and scaled[k - 1] > 2.0 * scaled[k] else 0
+
+
 EPS = float(np.finfo(float).eps)
 
 

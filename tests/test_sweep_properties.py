@@ -129,6 +129,21 @@ def test_curves_are_continuous_across_every_threshold(model):
         assert abs(b.d_idrf - a.d_idrf) <= slope and abs(b.d_ce - a.d_ce) <= slope, (a, b)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(models(), st.integers(-300, 300), st.lists(st.floats(0.0, 30.0), max_size=8))
+def test_power_of_two_twins_give_the_same_bits(model, j, extra):
+    # (2^j A, 4^j sigma2) scales the singular values, lam, lam + sigma2 and the
+    # weights by exact powers of two, and leaves lam / (lam + sigma2) alone: every
+    # _columns field keeps its bits, but theta_ce, which is exactly 4^j times its base's
+    twin = ObservationModel(Matrix(np.ldexp(model.A.data, j)), math.ldexp(model.sigma2, 2 * j))
+    grid = np.array(boundary_grid(model, extra))
+    base, scaled = drf._columns(model, grid), drf._columns(twin, grid)
+    for name, b, t in zip(drf.DistortionPoint._fields, base, scaled, strict=True):
+        if name == "theta_ce":
+            b = np.ldexp(b, 2 * j)
+        assert b.tobytes() == t.tobytes(), (name, j)
+
+
 @st.composite
 def tall_models(draw):
     """L >= M, a quarter of them rank-deficient, sigma2 log-uniform in [1e-12, 10]."""

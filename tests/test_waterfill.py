@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from support import R2_COND, R2_OBS
 
-from cedrf.spectral import Spectrum
+from cedrf.spectral import Spectrum, _log2_ratio
 from cedrf.waterfill import (
     _exp2,
     _levels,
@@ -14,6 +15,9 @@ from cedrf.waterfill import (
     rate_thresholds,
     water_level,
 )
+
+EPS = sys.float_info.epsilon
+TINY = 2.0 ** -1074
 
 
 def spec(*values):
@@ -114,8 +118,10 @@ def test_rates_sum_to_total(seed):
 
 
 def test_rate_allocation_is_the_python_float_formula():
-    # rank 0, ties, a zero value and a wide range; rates on both sides of every threshold
-    spectra = [spec(0.0, 0.0), spec(3.0, 3.0, 1.0), spec(9.0, 2.0, 0.0), spec(1e150, 1.0, 1e-150)]
+    # rank 0, ties, a zero value, a wide range and (1e300, 1e-300), whose value ratio overflows
+    # a double; rates on both sides of every threshold, each finite, summing to R in rounding
+    spectra = [spec(0.0, 0.0), spec(3.0, 3.0, 1.0), spec(9.0, 2.0, 0.0), spec(1e150, 1.0, 1e-150),
+               spec(1e300, 1e-300)]
     for s in spectra:
         grid = [0.0, 0.3, 40.0, 1e4]
         for t in s.thresholds[:-1]:
@@ -125,9 +131,12 @@ def test_rate_allocation_is_the_python_float_formula():
             got = rate_allocation(s, x)
             assert (got.k, got.theta) == (k, theta), (s, x)
             excess = (x - s.thresholds[k - 1]) / k if k else 0.0
-            py = [0.5 * math.log2(v / s.values[k - 1]) + excess for v in s.values[:k]]
+            py = [0.5 * _log2_ratio(v, s.values[k - 1]) + excess for v in s.values[:k]]
             assert got.rates == tuple(py + [0.0] * (len(s.values) - k)), (s, x)
             assert got.distortions == tuple(min(v, theta) for v in s.values), (s, x)
+            assert all(math.isfinite(r) for r in got.rates), (s, x)
+            if k:  # one ulp of R per active rate, or one subnormal step
+                assert abs(math.fsum(got.rates) - x) <= k * EPS * x + TINY, (s, x)
 
 
 def test_monotonicity_in_rate():

@@ -33,7 +33,12 @@ multiple of 10 or 100; for JSON also a power of two.
 Model files are JSON documents with keys ``A`` (nested array of L rows of
 M reals), ``sigma2`` (positive real), and optionally ``sigma_x`` (an M x M
 source covariance, which triggers whitening; distortion is then measured
-on the whitened source).  Rates are bits unless ``--nats`` is given, in
+on the whitened source).  ``load_model`` decodes a file with ``orjson``, a
+runtime dependency, and keeps the document when it has no key beyond these
+three and passes every check.  The stdlib ``json`` decoder, reading integers
+as doubles, rules on every other file and gives its result or message.  Both
+round every number correctly, so a model's doubles do not depend on which
+one read it.  Rates are bits unless ``--nats`` is given, in
 which case rate-valued inputs and outputs are converted on the way in/out.
 The ``analyze`` report holds plain floats; its JSON writer ``_json_indent2``
 writes a non-finite one as ``null``.
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import math
@@ -51,6 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import drf, oracle, waterfill
 from .linalg import Matrix, NotSymmetric
@@ -59,6 +66,9 @@ from .spectral import NotPositiveDefinite, ObservationModel, Spectrum, whiten
 CSV_HEADER = ",".join(drf.DistortionPoint._fields)
 
 _LN2 = math.log(2.0)
+
+#: The keys of a model file
+_MODEL_KEYS = frozenset(("A", "sigma2", "sigma_x"))
 
 
 class ParseError(ValueError):
@@ -121,16 +131,8 @@ def _matrix(doc: dict, field: str) -> Matrix:
         raise InvalidModel(f"field '{field}': {exc}") from exc
 
 
-def load_model(path: str | Path) -> ObservationModel:
-    """Read and validate a model JSON file."""
-    try:  # integers too are doubles: one too large for a double is inf, as 1e400 is
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"{path}: arrays or objects nested too deeply") from exc
+def _fields(doc, path) -> tuple[Matrix, float, Matrix | None]:
+    """``A``, ``sigma2`` and ``sigma_x`` (or ``None``) of a decoded model file."""
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level document must be a JSON object")
     for field in ("A", "sigma2"):
@@ -140,7 +142,44 @@ def load_model(path: str | Path) -> ObservationModel:
     sigma2 = doc["sigma2"]
     if type(sigma2) is not float:
         raise ParseError(f"field 'sigma2': expected a number, got {type(sigma2).__name__}")
-    sx = None if doc.get("sigma_x") is None else _matrix(doc, "sigma_x")
+    return a, sigma2, None if doc.get("sigma_x") is None else _matrix(doc, "sigma_x")
+
+
+def _stdlib_fields(data: bytes, path) -> tuple[Matrix, float, Matrix | None]:
+    """:func:`_fields` of ``data`` decoded by ``json``, whose errors name the fault."""
+    try:  # integers too are doubles: one too large for a double is inf, as 1e400 is
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read(),
+                         parse_int=float)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: arrays or objects nested too deeply") from exc
+    return _fields(doc, path)
+
+
+def _orjson_fields(data: bytes, path) -> tuple[Matrix, float, Matrix | None] | None:
+    """:func:`_fields` of ``data`` decoded by ``orjson``, or ``None`` where ``json`` must rule.
+
+    Only a document with no key beyond ``A``, ``sigma2`` and ``sigma_x`` is
+    used: orjson has no depth limit, so an unknown key could hold nesting
+    that json refuses.
+    """
+    try:
+        doc = orjson.loads(data)
+        if isinstance(doc, dict) and doc.keys() <= _MODEL_KEYS:
+            return _fields(doc, path)
+    except (orjson.JSONDecodeError, ParseError, InvalidModel):
+        pass
+    return None
+
+
+def load_model(path: str | Path) -> ObservationModel:
+    """Read and validate a model JSON file: orjson's reading where :func:`_orjson_fields`
+    accepts it, else json's, from the text as ``Path.read_text`` decodes it."""
+    data = Path(path).read_bytes()
+    a, sigma2, sx = _orjson_fields(data, path) or _stdlib_fields(data, path)
     if sx is not None and (sx.rows != sx.cols or sx.rows != a.cols):
         raise InvalidModel(f"field 'sigma_x': expected {a.cols}x{a.cols}, got {sx.rows}x{sx.cols}")
     try:
@@ -532,7 +571,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise drf.InvalidGrid(f"need 0 <= min < max, got min={args.min}, max={args.max}")
     for option, rate in (("--min", args.min), ("--max", args.max)):  # raises, before numpy warns
         _to_bits(rate, args.nats, option)
-    grid = np.linspace(args.min, args.max, args.steps)
+    try:  # numpy refuses a size past its limit, and memory it cannot get, before filling
+        grid = np.linspace(args.min, args.max, args.steps)
+    except (MemoryError, ValueError) as exc:
+        raise drf.InvalidGrid(f"cannot allocate a grid of {args.steps} steps") from exc
     columns = drf._columns(model, drf._check_grid(grid / _LN2 if args.nats else grid))
     columns = (grid, *columns[1:])  # the R column in the input unit
     with open(args.out, "w") as out:

@@ -34,7 +34,12 @@ side of its boundary are pinned.  The ``thresholds`` group hashes the
 ``float.hex`` of both threshold tables and of ``rate_allocation``'s rates
 over both spectra at ``ORACLE_RATES``, on the seeded models, on ``tied_models``
 and on ``near_tied``, each at every spectrum scale of ``SCALES``, so the
-tables are pinned apart from the writers.
+tables are pinned apart from the writers.  The ``model-files`` group hashes what
+``load_model`` makes of each file: ``A``'s bytes (after whitening, where the
+file has ``sigma_x``) and ``sigma2.hex()``, or the error message.  It reads the
+malformed and edge-case files of ``support`` and 200 seeded files of the
+large-models benchmark's shapes, ``n`` from 16 to 128, each scaled by up to
+``10^+-150``, every fourth with a ``sigma_x``.
 """
 
 import contextlib
@@ -47,11 +52,13 @@ from pathlib import Path
 
 import numpy as np
 
+from support import MALFORMED_MODELS, RAW_MALFORMED_MODELS, RAW_MODELS
+
 from cedrf import cli, drf, oracle, waterfill
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel
 
-N_MODELS, N_PAIRS, N_LISTS, N_TIES = 100, 500, 500, 100
+N_MODELS, N_PAIRS, N_LISTS, N_TIES, N_FILES = 100, 500, 500, 100, 200
 GAP_RATES = np.linspace(0.0, 40.0, 81).tolist()
 ORACLE_RATES = (0.0, 0.5, 3.0, 40.0)
 SWEEPS = {"sweep-csv": (), "sweep-json": ("--format", "json"), "sweep-nats": ("--nats",),
@@ -115,6 +122,23 @@ def near_tied(rng):
     return {"A": np.diag(s).tolist(), "sigma2": 1e-3}
 
 
+def large_model_files(rng):
+    """JSON model files shaped as the large-models benchmark's: ``n x n``, ``n x n/2`` or
+    ``n x n`` of rank ``n/4``, scaled by ``10^+-150``; every fourth has a ``sigma_x``."""
+    for i in range(N_FILES):
+        n, shape = int(rng.integers(16, 129)), i % 3
+        if shape == 2:
+            a = rng.standard_normal((n, n // 4)) @ rng.standard_normal((n // 4, n))
+        else:
+            a = rng.standard_normal((n, n // 2 if shape == 1 else n))
+        c = 10.0 ** rng.uniform(-150.0, 150.0)
+        doc = {"A": (a * c).tolist(), "sigma2": float(rng.choice([0.1, 1.0, 10.0])) * c * c}
+        if i % 4 == 0:
+            b = rng.standard_normal((a.shape[1], a.shape[1]))
+            doc["sigma_x"] = (b @ b.T / a.shape[1] + 0.5 * np.eye(a.shape[1])).tolist()
+        yield json.dumps(doc).encode()
+
+
 def run(h, tmp, *argv):
     """Feed ``cedrf argv``'s exit code, stdout, stderr and written files to ``h``."""
     out, err = io.StringIO(), io.StringIO()
@@ -137,7 +161,7 @@ def main():
     groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", "analyze-json-nats", *SWEEPS,
                                             "verify", "example", "gap_2d", "max_gap_2d",
                                             "am_gm_pair", "oracle", "gap-bounds",
-                                            "equality-region", "thresholds")}
+                                            "equality-region", "thresholds", "model-files")}
     with tempfile.TemporaryDirectory() as d:
         tmp = Path(d)
         model = tmp / "model.json"
@@ -170,6 +194,18 @@ def main():
         for seed in range(1, 201):  # the command the verify-random benchmark times
             run(groups["verify"], tmp, "verify", "--random", 1, "--seed", seed)
         run(groups["example"], tmp, "example", "--out", tmp)
+        files = [*(json.dumps(doc).encode() for doc, _ in MALFORMED_MODELS),
+                 *(data for data, _ in RAW_MALFORMED_MODELS.values()),
+                 *(data for data, _, _ in RAW_MODELS.values()),
+                 *large_model_files(np.random.default_rng(20))]
+        for data in files:
+            model.write_bytes(data)
+            try:
+                loaded = cli.load_model(model)
+                line = f"{loaded.A.data.tobytes().hex()} {loaded.sigma2.hex()}"
+            except (cli.ParseError, cli.InvalidModel) as exc:
+                line = f"{type(exc).__name__}: {exc}".replace(str(model), "MODEL")
+            groups["model-files"].update((line + "\n").encode())
     for i, doc in enumerate(models(np.random.default_rng(15))):
         model = ObservationModel(Matrix(doc["A"]), doc["sigma2"])
         est = oracle.mc_estimates(model, 2000, i, ce_rates=ORACLE_RATES, idrf_rates=ORACLE_RATES,

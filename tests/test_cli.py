@@ -3,14 +3,20 @@ import functools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from support import GAP_AT_3, MAX_GAP, R2_COND, R2_OBS, example_model
+from support import (GAP_AT_3, MALFORMED_MODELS, MAX_GAP, R2_COND, R2_OBS, RAW_MALFORMED_MODELS,
+                     RAW_MODELS, example_model)
 
 import cedrf.drf
 from cedrf import cli, drf, oracle, waterfill
@@ -307,63 +313,79 @@ def test_deeply_nested_model_is_a_parse_error_naming_the_file(tmp_path, capsys):
         f"error: ParseError: {deep}: arrays or objects nested too deeply\n"
 
 
-_IDENTITY_2 = [[1.0, 0.0], [0.0, 1.0]]
-_HUGE = 10 ** 400  # a 401-digit JSON integer, which no double holds
-
-
 @pytest.mark.parametrize("doc, message", [
-    ([[1.0]], "ParseError: {path}: top-level document must be a JSON object\n"),
-    ({"A": [[1.0]], "sigma2": "1"}, "ParseError: field 'sigma2': expected a number, got str\n"),
-    ({"A": _IDENTITY_2, "sigma2": 1.0, "sigma_x": [["a", 0.0], [0.0, 1.0]]},
-     "ParseError: field 'sigma_x': expected numbers, got str\n"),
-    ({"A": _IDENTITY_2, "sigma2": 1.0, "sigma_x": [[1.0]]},
-     "InvalidModel: field 'sigma_x': expected 2x2, got 1x1\n"),
-    ({"A": [[_HUGE, 1]], "sigma2": 1}, "InvalidModel: field 'A': matrix entries must be finite"),
-    ({"A": [[1]], "sigma2": _HUGE}, "InvalidModel: sigma2 must be a positive finite real, got inf\n"),
-    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1, 0], [0, -_HUGE]]},
-     "InvalidModel: field 'sigma_x': matrix entries must be finite"),
-    ({"A": [["1.5", True]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got bool\n"),
-    ({"A": [[1.5, "2"]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got str\n"),
-    ({"A": [[1.5, None]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got NoneType\n"),
-    ({"A": [[1.5]], "sigma2": True}, "ParseError: field 'sigma2': expected a number, got bool\n"),
-    ({"A": "abc", "sigma2": 1}, "ParseError: field 'A': expected an array of arrays, got str\n"),
-    ({"A": 3.0, "sigma2": 1}, "ParseError: field 'A': expected an array of arrays, got float\n"),
-    ({"A": [1.0, 2.0], "sigma2": 1},
-     "ParseError: field 'A': expected an array of arrays, got an array holding float\n"),
-    ({"A": [[1.0], 2.0], "sigma2": 1},
-     "ParseError: field 'A': expected an array of arrays, got an array holding float\n"),
-    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": {"a": 1}},
-     "ParseError: field 'sigma_x': expected an array of arrays, got dict\n"),
-    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], "0 1"]},
-     "ParseError: field 'sigma_x': expected an array of arrays, got an array holding str\n"),
-    ({"A": [[1.0], [1.0, 2.0]], "sigma2": 1}, "InvalidModel: field 'A': not a rectangular real matrix"),
-    ({"A": [], "sigma2": 1}, "InvalidModel: field 'A': expected a 2-D array, got ndim=1\n"),
-    ({"A": [[[1.0]]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got list\n"),
-    ({"A": [[1.0, [2.0]]], "sigma2": 1}, "ParseError: field 'A': expected numbers, got list\n"),
-    ({"A": [[]], "sigma2": 1},
-     "InvalidModel: field 'A': matrix dimensions must be positive, got (1, 0)\n"),
-    ({"A": [[5e153]], "sigma2": 1.7e308},
-     "InvalidModel: lambda1 + sigma2 overflows double precision: 2.500e+307 + 1.700e+308"),
-    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 2.0], [0.0, 1.0]]},
-     "InvalidModel: field 'sigma_x': asymmetry 2.000e+00 exceeds tolerance 1e-10\n"),
-    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], [0.0, 0.0]]},
-     "InvalidModel: field 'sigma_x': smallest eigenvalue 0.000e+00 is not above the rank tolerance\n"),
-    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], [0.0, -1e-3]]},
-     "InvalidModel: field 'sigma_x': smallest eigenvalue -1.000e-03 is not above the rank tolerance\n"),
-    # at most M eps = 4.4e-16 of the largest: rounding noise
-    ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], [0.0, 4e-16]]},
-     "InvalidModel: field 'sigma_x': smallest eigenvalue 4.000e-16 is not above the rank tolerance\n"),
+    *MALFORMED_MODELS,
+    *(pytest.param(data, message, id=name) for name, (data, message) in RAW_MALFORMED_MODELS.items()),
 ])
 def test_analyze_names_each_malformed_field(tmp_path, capsys, doc, message):
     # every command that reads a model exits 2 with the field named; for
     # verify, 1 would mean a failed check
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     out = tmp_path / "out.csv"
     for argv in (["analyze", str(path), "--rate", "1"], ["verify", str(path)],
                  ["sweep", str(path), "--min", "0", "--max", "1", "--steps", "2", "--out", str(out)]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: " + message.format(path=path)), argv
+
+
+@pytest.mark.parametrize("name", list(RAW_MODELS))
+def test_model_files_give_the_doubles_json_reads(tmp_path, name):
+    data, a, sigma2 = RAW_MODELS[name]
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    model = load_model(path)
+    assert model.A.data.tobytes() == np.array(a).tobytes()
+    assert model.sigma2.hex() == sigma2.hex()
+
+
+def test_an_accepted_model_file_is_decoded_once(model_file, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads ran on a file orjson decoded")
+
+    monkeypatch.setattr(cli.json, "loads", refuse)
+    assert load_model(model_file).A.data.tolist() == EXAMPLE_JSON["A"]
+
+
+def _assert_decoders_agree(text: str):
+    """Where ``orjson`` reads ``text`` as a float, the only number ``load_model`` keeps from it,
+    the float is ``json.loads(text, parse_int=float)``'s, bit for bit."""
+    fast, slow = orjson.loads(text), json.loads(text, parse_int=float)
+    if type(fast) is float:
+        assert fast.hex() == slow.hex(), text
+    else:  # an integer literal within 64 bits, which json decodes again
+        assert type(fast) is int and text.lstrip("-").isdigit(), text
+
+
+_finite = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    st.integers(0, 2 ** 52 - 1).map(lambda b: b | 2 ** 63 * (b & 1)),  # subnormals of either sign
+).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(_finite, st.sampled_from(["%r", "%.17g", "%.25e"]))
+def test_orjson_reads_every_double_as_json_does(x, spelling):
+    _assert_decoders_agree(spelling % x)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(_finite.filter(lambda x: abs(x) < sys.float_info.max),
+       st.sampled_from([None, 40]))
+def test_orjson_rounds_decimal_midpoints_as_json_does(x, digits):
+    # the exact midpoint of x and the next double away from zero, in full or cut to 40 digits
+    with localcontext(prec=2000):
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.copysign(math.inf, x)))) / 2
+    mantissa, exponent = f"{mid:e}".split("e")
+    if digits is not None:
+        mantissa = mantissa[:digits + 1 + mantissa.startswith("-")]
+    _assert_decoders_agree(f"{mantissa}e{exponent}")
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10 ** 308, 10 ** 308))
+def test_orjson_reads_integer_literals_as_json_does(n):
+    _assert_decoders_agree(str(n))
 
 
 def test_gram_overflow_names_the_cause(tmp_path):
@@ -576,6 +598,15 @@ def test_sweep_invalid_grid(model_file, tmp_path, capsys):
     assert main(["sweep", str(model_file), "--min", "0", "--max", "inf",
                  "--steps", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --max must be finite, got inf\n"
+    assert not out.exists()
+
+
+def test_sweep_names_a_step_count_whose_grid_cannot_be_allocated(model_file, tmp_path, capsys):
+    # 8 PB: numpy refuses the allocation before touching memory
+    out = tmp_path / "x.csv"
+    assert main(["sweep", str(model_file), "--min", "0", "--max", "1",
+                 "--steps", str(10 ** 15), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot allocate a grid of {10 ** 15} steps\n"
     assert not out.exists()
 
 

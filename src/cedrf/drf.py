@@ -11,20 +11,21 @@ those results rest on.
 All rates are bits per source vector; distortions are normalized by the
 source dimension so the zero-rate value is 1.
 
-Both curves are ``1 - (1/M) sum_{l<=k} (c_l - theta w_l)``, ``c_l = lam_l/(lam_l+s2)``:
-the optimal scheme water-fills ``c`` with ``w_l = 1``, compress-and-estimate
-the observation spectrum with the weights of :func:`spectral.spectra`, and
-one kernel, :func:`_curves`, evaluates both a whole rate grid at a time:
-active counts and water levels come from :func:`waterfill._levels`, the
-partial sums over the active components from prefix sums, which add left
-to right (a spectrum's ``prefix``, the model's weight table), and every
-power of two from the C library's ``pow``.  Each gap bound is a prefactor
-held as ``frexp`` parts times ``2^{-2R/L}``, put together by one ``ldexp``
-(:func:`_gap_bounds_grid`).  A spectrum's ``values``, ``thresholds`` and
-``prefix`` are read-only arrays; scalar code takes Python floats from them
-first.  The one-rate functions (:func:`idrf`, :func:`ce_drf`, the gap and
-its bounds) evaluate that grid at a single rate, so they equal
-:func:`sweep` bit for bit.
+Each curve is the estimation floor plus what compressing each component
+adds.  With ``c = lam/(lam+s2)``, ``o = lam + s2`` and ``r`` positive ``c_l``,
+``M d = (M - r) + sum_{l<=r} s2/o_l + sum_l t_l``: ``t_l = min(c_l, theta)``
+for the optimal scheme, which water-fills ``c``, and ``c_l min(o_l, theta)/o_l``
+for compress-and-estimate, which water-fills ``o``.  The first two terms are
+the model's ``floor_sum`` (:func:`spectral.spectra`) and no term is negative,
+so nothing cancels.  One kernel, :func:`_curves`, evaluates both a whole rate
+grid at a time: active counts and water levels come from
+:func:`waterfill._levels`, and every power of two from the C library's
+``pow``.  Each gap bound is a prefactor held as ``frexp`` parts times
+``2^{-2R/L}``, put together by one ``ldexp`` (:func:`_gap_bounds_grid`).
+A spectrum's ``values`` and ``thresholds`` are read-only arrays; scalar code
+takes Python floats from them first.  The one-rate functions (:func:`idrf`,
+:func:`ce_drf`, the gap and its bounds) evaluate that grid at a single rate,
+so they equal :func:`sweep` bit for bit.
 """
 
 from __future__ import annotations
@@ -93,17 +94,22 @@ class AmGmBounds(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _curves(obs: Spectrum, cond: Spectrum, weight_sums: np.ndarray, M: int,
+def _curves(obs: Spectrum, cond: Spectrum, floor_sum: float, M: int,
             R: np.ndarray) -> tuple[np.ndarray, ...]:
     """Both schemes' ``(d_idrf, d_ce, k_idrf, k_ce, theta_idrf, theta_ce)`` on a grid of valid rates.
 
-    The optimal scheme water-fills ``cond`` with unit weights, compress-and-estimate ``obs``
-    with the weights whose prefix sums are ``weight_sums``.
+    Each distortion is ``floor_sum`` plus one rate's row of the per-component terms, over ``M``.
     """
     k_i, theta_i = waterfill._levels(cond, R)
     k_c, theta_c = waterfill._levels(obs, R)
-    d_i = 1.0 - (cond.prefix[k_i] - k_i * theta_i) / M
-    d_c = 1.0 - (cond.prefix[k_c] - theta_c * weight_sums[k_c]) / M
+    c, o = cond.values[: cond.rank], obs.values[: cond.rank]
+    # one (rates, r) buffer of terms, each rate's row summed over the last axis alone,
+    # so that a rate's sum is the same bits in any grid
+    terms = np.minimum(o, theta_c[:, None])
+    terms /= o
+    terms *= c  # c_l min(o_l, theta_ce) / o_l
+    d_c = (floor_sum + terms.sum(axis=1)) / M
+    d_i = (floor_sum + np.minimum(c, theta_i[:, None], out=terms).sum(axis=1)) / M
     return d_i, d_c, k_i, k_c, theta_i, theta_c
 
 
@@ -143,7 +149,7 @@ def _columns(model: ObservationModel, grid: np.ndarray) -> tuple[np.ndarray, ...
     same bits in any grid that holds it.
     """
     d_i, d_c, k_i, k_c, theta_i, theta_c = _curves(model.observation, model.conditional,
-                                                   model.weights[1], model.M, grid)
+                                                   model.floor_sum, model.M, grid)
     upper, lower = _gap_bounds_grid(model, grid, k_i, k_c)
     diff = d_c - d_i
     gap = np.where(diff > 0.0, diff, 0.0)
@@ -168,9 +174,9 @@ def _point(model: ObservationModel, R: float) -> DistortionPoint:
 def idrf(model: ObservationModel, R: float) -> float:
     """Minimum distortion at rate ``R`` with full statistics at the encoder.
 
-    Piecewise closed form via water-filling over the estimate spectrum:
-    ``1 - (1/M) sum_{l<=k} lam_l/(lam_l+s2) + (k/M) theta``.  Equals 1 at
-    ``R = 0``, decreases to the estimation floor as ``R`` grows.
+    The estimation floor plus ``(1/M) sum_l min(c_l, theta)``, ``theta`` the water level
+    of the estimate spectrum ``c = lam/(lam+s2)``.  Equals 1 within an ulp at ``R = 0``,
+    decreases to the floor as ``R`` grows.
     """
     return _point(model, R).d_idrf
 
@@ -178,12 +184,17 @@ def idrf(model: ObservationModel, R: float) -> float:
 def ce_drf(model: ObservationModel, R: float) -> float:
     """Distortion of compress-and-estimate coding at rate ``R``.
 
-    Water-filling runs over the observation spectrum (the encoder is blind
-    to the source), then the decoder estimates:
-    ``1 - (1/M) sum_{l<=k} lam_l/(lam_l+s2) + (theta/M) sum_{l<=k} lam_l/(lam_l+s2)^2``.
-    Never below :func:`idrf`.
+    Water-filling runs over the observation spectrum ``o = lam + s2`` (the
+    encoder is blind to the source), then the decoder estimates: the
+    estimation floor plus ``(1/M) sum_l c_l min(o_l, theta)/o_l``,
+    ``c = lam/(lam+s2)``.  Never below :func:`idrf`.
     """
     return _point(model, R).d_ce
+
+
+def _weights(obs: Spectrum, cond: Spectrum) -> list[float]:
+    """``w = lam/(lam+s2)^2`` as ``cond/obs`` in Python floats: past double precision, inf."""
+    return [c / o for c, o in zip(cond.values.tolist(), obs.values.tolist())]
 
 
 def _tie_block(w: Sequence[float], cond: Sequence[float], lam: Sequence[float], n: int) -> int:
@@ -193,15 +204,16 @@ def _tie_block(w: Sequence[float], cond: Sequence[float], lam: Sequence[float], 
     bound ``w_l (2 (delta / s_l) |1 - 2 cond_l| + 5u)``, ``u = eps / 2``, ``s_l = sqrt(lam_l)``:
     ``delta = n eps s_1`` bounds the error of ``s`` (:func:`linalg.above_noise`, ``n`` the
     matrix's larger side; 0 for exact eigenvalues), and ``dw/ds = (2 w / s)(1 - 2 cond)``; ``5u``
-    bounds the rounding of ``s^2`` (``u |1 - 2 cond|``), and of ``lam + s2`` (twice), ``lam / obs``
-    and ``cond / obs`` in :func:`spectral.spectra`.  As ``s_l > delta``, ``nu_l <= 3 w_l``.
+    bounds the rounding of ``s^2`` (``u |1 - 2 cond|``), and of ``lam + s2`` (twice) and ``lam / obs``
+    in :func:`spectral.spectra` and ``cond / obs`` in :func:`_weights`.  As ``s_l > delta``,
+    ``nu_l <= 3 w_l``.
     """
-    eps, w1 = sys.float_info.epsilon, float(w[0])  # Python floats: inf and nan warn of nothing
+    eps, w1 = sys.float_info.epsilon, w[0]  # Python floats: inf and nan warn of nothing
     delta = n * eps * math.sqrt(lam[0])
     def nu(l: int) -> float:
         noise = delta / math.sqrt(lam[l]) if lam[l] > 0.0 else 0.0
-        return float(w[l]) * (2.0 * noise * abs(1.0 - 2.0 * float(cond[l])) + 2.5 * eps)
-    return next((l for l in range(1, len(w)) if not abs(float(w[l]) - w1) <= nu(0) + nu(l)), len(w))
+        return w[l] * (2.0 * noise * abs(1.0 - 2.0 * float(cond[l])) + 2.5 * eps)
+    return next((l for l in range(1, len(w)) if not abs(w[l] - w1) <= nu(0) + nu(l)), len(w))
 
 
 def equality_region(model: ObservationModel) -> EqualityRegion:
@@ -209,7 +221,7 @@ def equality_region(model: ObservationModel) -> EqualityRegion:
     cond = model.conditional
     if cond.rank == 0:  # both curves are 1 at every rate
         return EqualityRegion(r0=model.r, R_limit=math.inf, unconditional=True)
-    r0 = _tie_block(model.weights[0][:model.r], cond.values, model.gram.values,
+    r0 = _tie_block(_weights(model.observation, cond)[:model.r], cond.values, model.gram.values,
                     max(model.M, model.L))
     limit_cond = float(cond.thresholds[r0]) if r0 <= cond.rank else math.inf
     limit = min(float(model.observation.thresholds[r0]), limit_cond)
@@ -243,17 +255,18 @@ def gap_lower_bound(model: ObservationModel, R: float) -> float:
 
 
 def _check_condition_2d(lambda1: float, lambda2: float,
-                        sigma2: float) -> tuple[Spectrum, Spectrum, np.ndarray]:
-    """Both spectra and the weight sums of an exact two-component pair that meets the condition."""
+                        sigma2: float) -> tuple[Spectrum, Spectrum, float]:
+    """Both spectra and the floor sum of an exact two-component pair that meets the condition."""
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)) or lambda1 < lambda2 or lambda2 < 0:
         raise ValueError(
             f"eigenvalues must satisfy lambda1 >= lambda2 >= 0, got {lambda1!r}, {lambda2!r}"
         )
-    obs, cond, ((a1, a2), weight_sums) = spectra(Spectrum((float(lambda1), float(lambda2))), sigma2)
+    obs, cond, floor_sum = spectra(Spectrum((float(lambda1), float(lambda2))), sigma2, 2)
+    a1, a2 = _weights(obs, cond)
     if a1 > a2 and _tie_block((a1, a2), cond.values, (lambda1, lambda2), 0) < 2:
         raise ConditionViolated("two-component form requires lambda1/(lambda1+s2)^2 <= "
-                                f"lambda2/(lambda2+s2)^2; got {float(a1)!r} > {float(a2)!r}")
-    return obs, cond, weight_sums
+                                f"lambda2/(lambda2+s2)^2; got {a1!r} > {a2!r}")
+    return obs, cond, floor_sum
 
 
 def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
@@ -267,8 +280,8 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     ``lambda2`` (``sqrt(lambda2) > 2 eps sqrt(lambda1)``, :func:`linalg.above_noise`).
     """
     R = waterfill._check_rate(R)
-    obs, cond, weight_sums = _check_condition_2d(lambda1, lambda2, sigma2)
-    d_idrf, d_ce, k_idrf, k_ce = _curves(obs, cond, weight_sums, 2, np.array([R]))[:4]
+    obs, cond, floor_sum = _check_condition_2d(lambda1, lambda2, sigma2)
+    d_idrf, d_ce, k_idrf, k_ce = _curves(obs, cond, floor_sum, 2, np.array([R]))[:4]
     if k_idrf[0] < 2:  # at rank 1 the estimate spectrum's second component never activates
         return 0.0
     if k_ce[0] < 2:

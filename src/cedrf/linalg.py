@@ -28,10 +28,6 @@ class NotSymmetric(ValueError):
     """A symmetric-only operation received an asymmetric (or non-square) matrix."""
 
 
-#: Maximum absolute asymmetry |S - S^T| accepted by symmetric routines.
-SYMMETRY_ATOL = 1e-10
-
-
 @dataclass(frozen=True, eq=False)
 class Matrix:
     """Immutable dense real matrix (row-major float64 storage).
@@ -73,7 +69,8 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so that ``S = V diag(w) V^T``.
 
     Raises :class:`NotSymmetric` unless the input is a non-empty square
-    array symmetric within ``SYMMETRY_ATOL``; :class:`ValueError` on NaN/inf.
+    array whose asymmetry ``max|S - S^T|`` is at most ``n eps max|S|``, the
+    relative rule of :func:`above_noise`; :class:`ValueError` on NaN/inf.
     """
     m = np.asarray(s, dtype=float)
     if m.ndim != 2 or m.size == 0 or m.shape[0] != m.shape[1]:
@@ -81,9 +78,10 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     half, half_t = m / 2.0, m.T / 2.0  # m + m.T and m - m.T overflow past DBL_MAX / 2
-    asym = 2.0 * float(np.abs(half - half_t).max())
-    if asym > SYMMETRY_ATOL:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance {SYMMETRY_ATOL:.0e}")
+    asym, n = 2.0 * float(np.abs(half - half_t).max()), m.shape[0]
+    tol = float(np.abs(m).max()) * (n * np.finfo(float).eps)
+    if asym > tol:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {n} eps max|S| = {tol:.3e}")
     w, v = np.linalg.eigh(half + half_t)
     order = np.argsort(-w, kind="stable")
     # kept C-ordered: matmul's rounding depends on operand layout

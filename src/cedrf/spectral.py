@@ -9,12 +9,11 @@ distortion-rate formulas consume:
 * the spectrum ``lam_l / (lam_l + sigma2)`` of the covariance of the
   MMSE estimate of ``x`` from ``y``.
 
-Each :class:`Spectrum` holds three read-only float64 arrays: ``values``, its reverse
-water-filling ``thresholds`` and the ``prefix`` sums of its values, the two tables built
-once, on first use; every log of values is a ratio's (:func:`_log2_ratio`).  Beside them
-come the weights ``lam_l / (lam_l + sigma2)^2`` of compress-and-estimate (:func:`spectra`
-derives them and the last two spectra from the first, once per model), the
-estimation-error floor and source whitening for non-identity source covariances.  Every
+Each :class:`Spectrum` holds two read-only float64 arrays: ``values`` and its reverse
+water-filling ``thresholds``, built once, on first use; every log of values is a ratio's
+(:func:`_log2_ratio`).  :func:`spectra` derives the last two spectra from the first,
+once per model, with the floor sum the curves add their per-component terms to.
+Source whitening handles non-identity source covariances.  Every
 closed form is purely spectral, so ``lam_l`` comes from the singular values of ``A``;
 those at the SVD's rounding noise (:func:`linalg.above_noise`) count as 0.
 One full SVD of ``A``, with its singular vectors, is built on first use
@@ -28,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -44,8 +42,8 @@ class NotPositiveDefinite(ValueError):
 class Spectrum:
     """Non-increasing, non-negative eigenvalues; ``rank`` counts the positive ones.
 
-    ``values`` is a read-only float64 copy of the input; the derived tables
-    ``thresholds`` and ``prefix``, read-only too, are built on first use and kept.
+    ``values`` is a read-only float64 copy of the input; the derived table
+    ``thresholds``, read-only too, is built on first use and kept.
     """
 
     values: np.ndarray
@@ -77,11 +75,6 @@ class Spectrum:
         steps = (0.5 * k * _log2_ratio(a, b) for k, (a, b) in enumerate(zip(v, v[1:]), 1))
         return _read_only(np.array([*accumulate(steps, initial=0.0), math.inf] if v else [0.0]))[0]
 
-    @cached_property
-    def prefix(self) -> np.ndarray:
-        """``prefix_sums(values)``: entry ``k`` sums the first ``k`` values."""
-        return _read_only(prefix_sums(self.values))[0]
-
 
 def _log2_ratio(a: float, b: float) -> float:
     """``log2(a / b)`` of positive floats, forming no quotient that can overflow: up to ``a = 2b``,
@@ -101,20 +94,15 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def prefix_sums(values: Sequence[float]) -> np.ndarray:
-    """``[0, v_1, v_1 + v_2, ...]``, added left to right: entry ``k`` sums the first ``k`` values."""
-    return np.add.accumulate(np.concatenate(([0.0], values)))
-
-
-def spectra(gram: Spectrum, sigma2: float) -> tuple[Spectrum, Spectrum, tuple[np.ndarray, ...]]:
-    """The spectra ``obs = lam + sigma2`` and ``cond = lam / obs``, and the compress-and-estimate weights.
+def spectra(gram: Spectrum, sigma2: float, M: int) -> tuple[Spectrum, Spectrum, float]:
+    """The spectra ``obs = lam + sigma2`` and ``cond = lam / obs``, and ``M`` times the floor.
 
     ``obs`` keeps the gram's order: it adds one constant with correct
     rounding.  A running minimum clamps the last-ulp inversions of the
     rounded division, and a value that underflows to 0 leaves the rank.
-    The weights come as read-only ``(w, prefix_sums(w))``, ``w = lam/(lam+s2)^2``
-    formed as ``cond/obs``: nothing is squared, so a weight underflows or
-    overflows only where its value itself lies outside double precision.
+    The floor sum is ``(M - r) + sum_{l<=r} s2 / obs_l``, ``r = cond.rank``,
+    added by ``math.fsum``: each ``1 - cond_l`` is one rounded quotient, so
+    the floor keeps its relative accuracy where ``cond_l`` is near 1.
     Raises :class:`ValueError` unless ``sigma2`` is a positive finite real
     and ``lam_1 + sigma2`` is finite.
     """
@@ -127,8 +115,8 @@ def spectra(gram: Spectrum, sigma2: float) -> tuple[Spectrum, Spectrum, tuple[np
         raise ValueError(f"lambda1 + sigma2 overflows double precision: {top:.3e} + {s2:.3e}")
     obs = Spectrum(lam + s2)
     cond = Spectrum(np.minimum.accumulate(lam / obs.values))
-    w = cond.values / obs.values
-    return obs, cond, _read_only(w, prefix_sums(w))
+    floor_sum = math.fsum([M - cond.rank, *(s2 / o for o in obs.values[: cond.rank].tolist())])
+    return obs, cond, floor_sum
 
 
 class ObservationModel:
@@ -140,8 +128,8 @@ class ObservationModel:
     value at most ``max(M, L) eps s_1`` is rounding noise, stored as 0
     (:func:`linalg.above_noise`): ``gram.rank`` is ``matrix_rank(A)`` unless
     a kept ``s^2`` underflows.  The observation and conditional spectra and
-    the compress-and-estimate weight table are built once beside it, by
-    :func:`spectra`; ``svd``, and ``basis`` with it, is built on first use.
+    ``floor_sum``, ``M`` times the estimation floor, are built once beside it,
+    by :func:`spectra`; ``svd``, and ``basis`` with it, is built on first use.
     ``full_rank`` records whether ``gram.rank`` is ``min(M, L)``;
     rank-deficient models are accepted and handled throughout.
 
@@ -168,7 +156,7 @@ class ObservationModel:
         w[: kept.size] = kept * kept
         self.gram = Spectrum(w)
         self.full_rank = self.gram.rank == self.r
-        self.observation, self.conditional, self.weights = spectra(self.gram, sigma2)
+        self.observation, self.conditional, self.floor_sum = spectra(self.gram, sigma2, self.M)
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,8 +181,8 @@ class ObservationModel:
 
     @property
     def mmse_floor(self) -> float:
-        """Both curves' limit ``1 - (1/M) sum lam/(lam+s2)``, summed as they sum it."""
-        return 1.0 - float(self.conditional.prefix[-1]) / self.M
+        """Both curves' limit ``1 - (1/M) sum lam/(lam+s2)``, as ``floor_sum / M``: the curves' first term."""
+        return self.floor_sum / self.M
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

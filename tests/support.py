@@ -88,7 +88,7 @@ MALFORMED_MODELS = [
     ({"A": [[5e153]], "sigma2": 1.7e308},
      "InvalidModel: lambda1 + sigma2 overflows double precision: 2.500e+307 + 1.700e+308"),
     ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 2.0], [0.0, 1.0]]},
-     "InvalidModel: field 'sigma_x': asymmetry 2.000e+00 exceeds tolerance 1e-10\n"),
+     "InvalidModel: field 'sigma_x': asymmetry 2.000e+00 exceeds 2 eps max|S| = 8.882e-16\n"),
     ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], [0.0, 0.0]]},
      "InvalidModel: field 'sigma_x': smallest eigenvalue 0.000e+00 is not above the rank tolerance\n"),
     ({"A": _IDENTITY_2, "sigma2": 1, "sigma_x": [[1.0, 0.0], [0.0, -1e-3]]},

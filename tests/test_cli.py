@@ -87,6 +87,20 @@ def test_load_model_whitening(tmp_path):
     assert model.gram.values == pytest.approx((4.0, 4.0), abs=1e-12)
 
 
+def test_sigma_x_symmetry_check_is_relative_to_its_largest_entry(tmp_path, capsys):
+    # asymmetry up to n eps max|S| is rounding, at any scale: one ulp (2^-14)
+    # at 5e11 is accepted, a 9x asymmetry at 1e-20 refused
+    path = tmp_path / "model.json"
+    close = [[1e12, 5e11 + 2**-14], [5e11, 1e12]]
+    path.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, 1.0]], "sigma2": 1.0, "sigma_x": close}))
+    assert load_model(path).gram.values == pytest.approx((1.5e12, 5e11), rel=1e-12)
+    far = [[1e-20, 9e-21], [1e-21, 1e-20]]
+    path.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, 1.0]], "sigma2": 1.0, "sigma_x": far}))
+    assert main(["analyze", str(path), "--rate", "1"]) == 2
+    assert capsys.readouterr().err == ("error: InvalidModel: field 'sigma_x': asymmetry 8.000e-21 "
+                                       "exceeds 2 eps max|S| = 4.441e-36\n")
+
+
 def test_analyze_text_report(model_file, capsys):
     assert main(["analyze", str(model_file), "--rate", "1.9037"]) == 0
     out = capsys.readouterr().out
@@ -890,7 +904,7 @@ def test_verify_continuity_passes_near_ties_at_any_scale(scale):
     # ratio (spectral._log2_ratio) that no scale enters, so the misses are at most a
     # few ulps at every scale
     values = np.sort(np.random.default_rng(11).uniform(1.0, 1.001, 128))[::-1] * scale
-    for s in (Spectrum(values), *spectra(Spectrum(values), scale)[:2]):
+    for s in (Spectrum(values), *spectra(Spectrum(values), scale, values.size)[:2]):
         misses = cli._continuity_misses(s)
         assert len(misses) == 127 and max(misses) <= 1e-12
 

@@ -320,13 +320,13 @@ def test_mirror_pairs_tie_exactly_when_their_product_is_sigma2_squared(offset):
 
 
 def test_equality_region_warns_of_nothing_where_the_weights_overflow():
-    # sigma2 subnormal: both weights overflow to inf in spectral.spectra, which
-    # warns; the tie rule's inf - inf is nan, not tied, with no warning of its
-    # own (the numpy-scalar subtraction it replaced warned "invalid value")
-    with np.errstate(over="ignore"):
+    # sigma2 subnormal: both weights overflow to inf, formed in Python floats;
+    # the tie rule's inf - inf is nan, not tied, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         model = ObservationModel(Matrix(np.diag([1e-155, 5e-156])), 1e-310)
-    assert model.weights[0].tolist() == [math.inf, math.inf]
-    assert equality_region(model).r0 == 1
+        assert drf._weights(model.observation, model.conditional) == [math.inf, math.inf]
+        assert equality_region(model).r0 == 1
 
 
 def test_power_of_two_twins_keep_the_equality_region():

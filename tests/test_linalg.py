@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,8 +83,11 @@ def test_sym_eig_rejects_asymmetric():
 
 
 def test_sym_eig_accepts_tiny_asymmetry():
-    w, _ = sym_eig([[1.0, 1e-11], [0.0, 1.0]])
-    assert np.allclose(w, [1.0, 1.0], atol=1e-10)
+    # up to n eps max|S| = 4.4e-16 here: one ulp of 0.5 is accepted, 1e-11 is not
+    w, _ = sym_eig([[1.0, math.nextafter(0.5, 1.0)], [0.5, 1.0]])
+    assert np.allclose(w, [1.5, 0.5], atol=1e-15)
+    with pytest.raises(NotSymmetric, match=r"asymmetry 1\.000e-11 exceeds 2 eps max\|S\|"):
+        sym_eig([[1.0, 1e-11], [0.0, 1.0]])
 
 
 def test_pinv_diagonal_cases():

@@ -52,7 +52,7 @@ def test_spectrum_rank_counts_positive_values():
 def test_spectrum_tables_are_read_only_arrays_built_once():
     given = np.array([1.0, 1e-16, 1e-16, 1e-16, 0.0])
     s = Spectrum(given)
-    for name in ("values", "thresholds", "prefix"):
+    for name in ("values", "thresholds"):
         table = getattr(s, name)
         assert type(table) is np.ndarray and table.dtype == np.float64, name
         assert not table.flags.writeable, name
@@ -63,11 +63,6 @@ def test_spectrum_tables_are_read_only_arrays_built_once():
     assert given.flags.writeable and s.values is not given
     given[0] = 3.0
     assert s.values[0] == 1.0
-    # added left to right: 1 + 1e-16 rounds to 1 at every step (fsum gives 1 + 2^-52)
-    want = [0.0]
-    for v in s.values.tolist():
-        want.append(want[-1] + v)
-    assert s.prefix.tolist() == want == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
     assert Spectrum((0.0,)).thresholds.tolist() == [0.0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.values = np.ones(5)
@@ -210,14 +205,13 @@ def test_model_basis_diagonalizes_gram(seed):
         assert u[int(np.argmax(np.abs(u[:, j]))), j] > 0.0
 
 
-def test_model_builds_its_weight_table_once(tmp_path, monkeypatch):
+def test_model_builds_its_spectra_once(tmp_path, monkeypatch):
+    # floor_sum is M times the estimation floor, (M - r) + sum_{l<=r} s2/obs_l added by fsum
     model = example_model()
-    w, sums = model.weights
-    assert not w.flags.writeable and not sums.flags.writeable
-    obs, cond = model.observation.values, model.conditional.values
-    assert w.tolist() == (cond / obs).tolist()
-    assert sums.tolist() == spectral.prefix_sums(w).tolist()
-    # an analyze op and a verify model each build the table once, with the model
+    r, obs = model.conditional.rank, model.observation.values[: model.conditional.rank]
+    assert model.floor_sum == math.fsum([model.M - r, *(model.sigma2 / obs).tolist()])
+    assert model.mmse_floor == model.floor_sum / model.M
+    # an analyze op and a verify model each build the spectra once, with the model
     calls = []
     real = spectral.spectra
     monkeypatch.setattr(spectral, "spectra", lambda *a: calls.append(a) or real(*a))
@@ -229,29 +223,19 @@ def test_model_builds_its_weight_table_once(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([str(a) for a in argv]) == 0
         assert len(calls) == 1, argv
-    # equality_region and the column kernel read that same table and build none
-    region, columns = drf.equality_region(model), drf._columns(model, np.array([0.5, 3.0]))
-    reads = []
-
-    class Table(tuple):
-        def __getitem__(self, i):
-            reads.append(i)
-            return super().__getitem__(i)
-
+    # equality_region and the column kernel read the model's spectra and build none
     calls.clear()
-    model.weights = Table(model.weights)
-    assert drf.equality_region(model) == region
-    again = drf._columns(model, np.array([0.5, 3.0]))
-    assert all(a.tolist() == b.tolist() for a, b in zip(again, columns, strict=True))
-    assert reads == [0, 1] and calls == []
+    drf.equality_region(model)
+    drf._columns(model, np.array([0.5, 3.0]))
+    assert calls == []
 
 
 def observation_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
-    return spectra(gram, sigma2)[0]
+    return spectra(gram, sigma2, gram.values.size)[0]
 
 
 def conditional_spectrum(gram: Spectrum, sigma2: float) -> Spectrum:
-    return spectra(gram, sigma2)[1]
+    return spectra(gram, sigma2, gram.values.size)[1]
 
 
 def test_observation_spectrum_examples():
@@ -292,11 +276,11 @@ def test_spectra_check_sigma2_and_the_top_observation_value():
     # one check for the model and the two-component forms, before anything is derived
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="sigma2 must be a positive finite real"):
-            spectra(Spectrum((1.0,)), bad)
+            spectra(Spectrum((1.0,)), bad, 1)
     with pytest.raises(ValueError, match=r"lambda1 \+ sigma2 overflows double precision: "
                                          r"1\.700e\+308 \+ 1\.000e\+308$"):
-        spectra(Spectrum((1.7e308, 1.0)), 1e308)
-    assert spectra(Spectrum((1.7e308, 1.0)), 1e306)[0].values[0] == 1.7e308 + 1e306
+        spectra(Spectrum((1.7e308, 1.0)), 1e308, 2)
+    assert spectra(Spectrum((1.7e308, 1.0)), 1e306, 2)[0].values[0] == 1.7e308 + 1e306
 
 
 def test_mmse_floor_examples():

@@ -1,4 +1,5 @@
-"""Generative checks that a sweep and the one-rate functions agree bit for bit.
+"""Generative checks that a sweep and the one-rate functions agree bit for bit,
+and that the curves match the 60-digit closed forms of ``mp_reference``.
 
 Models are drawn with L, M <= 8: dense, low-rank, and diagonal with
 repeated and zero entries (exactly tied and rank-deficient spectra).  Each
@@ -19,13 +20,16 @@ import math
 import operator
 import sys
 import tempfile
+import warnings
 from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mp_reference
 from test_cli import BYTE_MODELS, _reference_sweep
 
 from cedrf import cli, drf, oracle, waterfill
@@ -86,7 +90,9 @@ def left_sum(values):
 @given(models(), st.lists(st.floats(0.0, 30.0), max_size=12))
 def test_sweep_equals_one_rate_functions(model, extra):
     obs, cond, M = model.observation, model.conditional, model.M
-    weights = [c / o for c, o in zip(cond.values, obs.values)]
+    rank = cond.rank
+    c, o = cond.values[:rank].tolist(), obs.values[:rank].tolist()
+    assert model.floor_sum == math.fsum([M - rank, *(model.sigma2 / v for v in o)])
     for pt in drf.sweep(model, boundary_grid(model, extra)):
         r = pt.R
         assert (pt.k_idrf, pt.theta_idrf) == waterfill.water_level(cond, r)
@@ -101,11 +107,12 @@ def test_sweep_equals_one_rate_functions(model, extra):
         assert pt.theta_ce == reference_level(obs, pt.k_ce, r)
         assert pt.d_idrf == drf.idrf(model, r)
         assert pt.d_ce == drf.ce_drf(model, r)
-        k = pt.k_idrf
-        assert pt.d_idrf == 1.0 - (left_sum(cond.values[:k]) - k * pt.theta_idrf) / M
-        k = pt.k_ce
-        kept = left_sum(cond.values[:k]) - pt.theta_ce * left_sum(weights[:k])
-        assert pt.d_ce == 1.0 - kept / M
+        # the floor plus each component's term, added left to right as numpy adds
+        # a row of at most 8 (the rank is at most 8 here)
+        terms = [min(v, pt.theta_idrf) for v in c]
+        assert pt.d_idrf == (model.floor_sum + left_sum(terms)) / M
+        terms = [v * (min(w, pt.theta_ce) / w) for v, w in zip(c, o)]
+        assert pt.d_ce == (model.floor_sum + left_sum(terms)) / M
         assert pt.gap == drf.gap(model, r) == max(0.0, pt.d_ce - pt.d_idrf)
         assert pt.gap_ub == drf.gap_upper_bound(model, r)
         assert pt.gap_lb == drf.gap_lower_bound(model, r)
@@ -237,3 +244,63 @@ def test_sweep_files_equal_the_reference_bytes(doc, low, span, steps, fmt, nats)
             assert cli.main(argv) == 0
         grid = np.linspace(low, low + span, steps)
         assert out.read_bytes() == _reference_sweep(cli.load_model(path), grid, fmt, nats).encode()
+
+
+#: Largest relative error of ``idrf``, ``ce_drf`` and ``mmse_floor`` against
+#: ``mp_reference``: each is the floor sum plus non-negative terms, so none cancels
+REFERENCE_RTOL = 1e-14
+
+
+def _rotation(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+@st.composite
+def wide_models(draw):
+    """L, M in 1..6, singular values log-uniform in 1e+-4 under random rotations,
+    sigma2 log-uniform in [1e-12, 1e3]."""
+    l_dim, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = min(l_dim, m)
+    s = np.sort(10.0 ** rng.uniform(-4.0, 4.0, r))[::-1]
+    a = (_rotation(rng, l_dim)[:, :r] * s) @ _rotation(rng, m)[:r]
+    return ObservationModel(Matrix(a), 10.0 ** draw(st.floats(-12.0, 3.0)))
+
+
+def assert_matches_reference(model, rates):
+    """``idrf``, ``ce_drf`` at each rate and ``mmse_floor`` within ``REFERENCE_RTOL`` relative."""
+    gram, s2, M = model.gram.values.tolist(), model.sigma2, model.M
+    def close(got, want, what):
+        assert abs(got - float(want)) <= REFERENCE_RTOL * abs(float(want)), (what, got, want)
+    close(model.mmse_floor, mp_reference.mmse_floor(gram, s2, M), "mmse_floor")
+    for pt in drf.sweep(model, rates):
+        close(pt.d_idrf, mp_reference.idrf(gram, s2, M, pt.R), ("idrf", pt.R))
+        close(pt.d_ce, mp_reference.ce_drf(gram, s2, M, pt.R), ("ce_drf", pt.R))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(wide_models(), st.lists(st.floats(0.0, 60.0), max_size=6))
+def test_curves_and_floor_match_the_reference(model, extra):
+    # at random rates and at every threshold of both spectra, where the counts change
+    assert_matches_reference(model, boundary_grid(model, extra))
+
+
+@pytest.mark.parametrize("diag, sigma2, rates", [
+    # floors near 1e-12 and 1e-18, where 1 - (1/M) sum c_l would cancel, and the paper's example
+    ((2.0, math.sqrt(2.0), 1.0), 1e-12, range(0, 61)),
+    ((829.35, 202.82), 1e-13, [68.23]),
+    ((math.sqrt(20.0), math.sqrt(0.5)), 1.0, [0.0, 1.0, 40.0, 50.0, 60.0]),
+])
+def test_curves_near_the_floor_match_the_reference(diag, sigma2, rates):
+    assert_matches_reference(ObservationModel(Matrix(np.diag(diag)), sigma2), [float(r) for r in rates])
+
+
+@pytest.mark.parametrize("diag, sigma2", [((1e-155, 5e-156), 1e-310), ((1e-160, 4e-161), 1e-320)])
+def test_subnormal_sigma2_gives_finite_curves_with_no_warning(diag, sigma2):
+    # the weights lam/(lam+s2)^2 are past double precision here, and no curve forms them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = ObservationModel(Matrix(np.diag(diag)), sigma2)
+        points = drf.sweep(model, np.linspace(0.0, 60.0, 121))
+    assert all(math.isfinite(v) for pt in points for v in pt[:4]), points

@@ -49,12 +49,14 @@ def _bounds_times(upper: float = 1.0, lower: float = 1.0):
     return lambda: mock.patch.object(drf, "_gap_bounds_grid", scaled)
 
 
-def _d_ce_times(factor: float):
-    curves = drf._curves
+def _curve_times(curve: str, factor: float):
+    """``curve`` (``"d_idrf"`` or ``"d_ce"``), as :func:`drf._curves` returns it, times ``factor``."""
+    curves, i = drf._curves, ("d_idrf", "d_ce").index(curve)
 
     def scaled(*args):
-        d_i, d_c, *rest = curves(*args)
-        return (d_i, d_c * factor, *rest)
+        out = list(curves(*args))
+        out[i] = out[i] * factor
+        return tuple(out)
     return lambda: mock.patch.object(drf, "_curves", scaled)
 
 
@@ -82,8 +84,9 @@ MUTATIONS = (
     Mutation("gap_ub x 10", _bounds_times(upper=10.0), None),
     Mutation("gap_lb x 0.1", _bounds_times(lower=0.1), None),
     Mutation("gap_lb x 2", _bounds_times(lower=2.0), "bound-sandwich"),
-    Mutation("d_ce x (1 + 1e-6)", _d_ce_times(1.0 + 1e-6), "oracle-equivalence"),
-    Mutation("d_ce x (1 + 1e-12)", _d_ce_times(1.0 + 1e-12), None),
+    Mutation("d_ce x (1 + 1e-6)", _curve_times("d_ce", 1.0 + 1e-6), "oracle-equivalence"),
+    Mutation("d_ce x (1 + 1e-12)", _curve_times("d_ce", 1.0 + 1e-12), None),
+    Mutation("d_idrf x (1 + 1e-12)", _curve_times("d_idrf", 1.0 + 1e-12), None),
     Mutation("rank cut at 1e-6 s_1", _rank_cut(1e-6), None),
     Mutation("tie tolerance 1e-10", _tie_tolerance(1e-10), None),
 )

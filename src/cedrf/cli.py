@@ -40,8 +40,12 @@ as doubles, rules on every other file and gives its result or message.  Both
 round every number correctly, so a model's doubles do not depend on which
 one read it.  Rates are bits unless ``--nats`` is given, in
 which case rate-valued inputs and outputs are converted on the way in/out.
-The ``analyze`` report holds plain floats; its JSON writer ``_json_indent2``
-writes a non-finite one as ``null``.
+The ``analyze`` text spells floats ``"%.12g"``, one ``%`` per list
+(``_fnums``).  Its JSON file is ``orjson``'s (``_json_indent2``): ``repr``'s
+shortest digits, ``null`` for a non-finite float, and ``repr``'s layout by two
+corrections to the number ending a line (``e-8``, ``e16`` and ``0.0000351``
+become ``e-08``, ``e+16`` and ``3.51e-05``).  It raises outside its domain:
+str-keyed dicts, lists, floats, 64-bit ints, bools, None and ASCII text but DEL.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,24 +98,20 @@ def _from_bits(rate: float, nats: bool) -> float:
     return rate * _LN2 if nats else rate
 
 
-def _json_indent2(doc, pad: str = "\n") -> str:
-    """``json.dumps(doc, indent=2)`` of dicts, lists, str, bool, int, float and None, as valid JSON.
+#: corrections to ``repr``'s layout; only a number ends a line in a digit (strings end in ``"``)
+_EXPONENT = re.compile(rb"(?m)e(?<=\de)(-?)(\d+)(?=,?$)")
+_EXPONENT_5 = re.compile(rb"(?m)0\.0000(?<![\d.]0\.0000)([1-9])(\d*)(?=,?$)")
 
-    With ``indent`` set, ``json`` runs its pure-Python encoder; this joins
-    the same pieces.  A list's finite floats are ``float.__repr__``, which
-    is how ``json`` writes them; ``json.dumps`` writes every other scalar
-    but a non-finite float, which is ``null`` here and nowhere else.
-    """
-    if not isinstance(doc, (dict, list)) or not doc:  # scalars and empty containers
-        return "null" if doc.__class__ is float and not math.isfinite(doc) else json.dumps(doc)
-    inner = pad + "  "
-    if isinstance(doc, dict):
-        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_indent2(v, inner)}"
-                 for k, v in doc.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    items = [float.__repr__(v) if v.__class__ is float and math.isfinite(v)
-             else _json_indent2(v, inner) for v in doc]
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+def _json_indent2(doc) -> bytes:
+    """``json.dumps(doc, indent=2)`` and a newline, with ``null`` for a non-finite float."""
+    out = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+    if not out.isascii() or b"\x7f" in out:  # json escapes these, orjson does not
+        raise ValueError("the JSON writer takes ASCII text without DEL only")
+    out = _EXPONENT.sub(lambda m: b"e" + (m[1] or b"+") + m[2].zfill(2), out)
+    if b"0.0000" in out:
+        out = _EXPONENT_5.sub(lambda m: m[1] + (m[2] and b"." + m[2]) + b"e-05", out)
+    return out
 
 
 def _matrix(doc: dict, field: str) -> Matrix:
@@ -238,6 +239,10 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
     }
 
 
+def _fnums(values: list) -> str:
+    return ("%.12g " * len(values))[:-1] % tuple(values)
+
+
 def _print_analysis(report: dict) -> None:
     fnum = "{:.12g}".format
 
@@ -247,10 +252,10 @@ def _print_analysis(report: dict) -> None:
         f"rank={m['rank']} full_rank={m['full_rank']} mmse_floor={fnum(m['mmse_floor'])}"
     )
     for name, values in report["spectra"].items():
-        print(f"spectrum {name + ':':<12} {' '.join(map(fnum, values))}")
+        print(f"spectrum {name + ':':<12} {_fnums(values)}")
     unit = report["units"]
     for name, values in report["thresholds"].items():
-        print(f"thresholds {name} ({unit}): {' '.join(map(fnum, values))}")
+        print(f"thresholds {name} ({unit}): {_fnums(values)}")
     eq = report["equality_region"]
     print(
         f"equality region: r0={eq['r0']} R_limit={fnum(eq['R_limit'])} "
@@ -262,7 +267,7 @@ def _print_analysis(report: dict) -> None:
     print(f"  d_ce   = {fnum(p['d_ce'])}  (k={p['k_ce']}, theta={fnum(p['theta_ce'])})")
     print(f"  gap    = {fnum(p['gap'])}  bounds [{fnum(p['gap_lb'])}, {fnum(p['gap_ub'])}]")
     for name, values in report["rates"].items():
-        print(f"rates {name:<4} ({unit}): {' '.join(map(fnum, values))}")
+        print(f"rates {name:<4} ({unit}): {_fnums(values)}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -271,7 +276,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = _analysis_report(model, rate_bits, args.nats)
     _print_analysis(report)
     if args.json:
-        Path(args.json).write_text(_json_indent2(report) + "\n")
+        Path(args.json).write_bytes(_json_indent2(report))
     return 0
 
 

@@ -13,15 +13,16 @@ discarded: ``verify --random 1 --seed s`` for s = 1..2000; ``sweep MODEL
 --min 0 --max 12 --steps 2001`` to a CSV file for 200 seeded models (``L``
 and ``M`` from 2 to 16, Gaussian ``A``, ``sigma2`` from 0.01 to 10); the
 same sweeps with ``--format json``, as the curves benchmark writes two
-ops in eight; and ``analyze MODEL --rate R --json OUT`` for 200 seeded square models, ``n``
-cycling through 16, 32, 64 and 128 (the sizes of the benchmark's
-large-models ops, where building the model weighs most).  Which side goes
-first switches every seed.  For each command, a 100-seed warm-up,
-untimed, captures each side's stdout, exit code and written file,
-and stops, naming the seeds, if the two sides differ on any.  Then three
-passes are timed.  The script prints one line per command: the median and
-quartiles of the per-op time ratio, change over parent, and the ratio of
-the total times.
+ops in eight; and ``analyze MODEL --rate R --json OUT`` for 200 seeded models
+of the large-models benchmark's sizes and shapes, where building the model
+weighs most: ``n`` cycles through 16, 32, 64 and 128, and the shape through
+square ``n x n``, tall ``n x n/2`` and rank-deficient ``n x n`` of rank
+``n/4``.  Which side goes first switches every seed.  For each command, a
+100-seed warm-up, untimed, captures each side's stdout, exit code and
+written file, and stops, naming the seeds, if the two sides differ on any.
+Then three passes are timed.  The script prints one line per command: the
+median and quartiles of the per-op time ratio, change over parent, and the
+ratio of the total times.
 """
 
 import contextlib
@@ -40,6 +41,7 @@ import numpy as np
 VERIFY_SEEDS = range(1, 2001)
 SWEEP_SEEDS = ANALYZE_SEEDS = range(1, 201)
 ANALYZE_SIZES = (16, 32, 64, 128)
+ANALYZE_SHAPES = ("square", "tall", "rank-deficient")
 WARM_UP, PASSES = 100, 3
 
 
@@ -67,13 +69,19 @@ def sweep_argv(seed: int, tmp: str) -> list[str]:
 
 
 def analyze_argv(seed: int, tmp: str) -> list[str]:
-    """A JSON report on seeded square model ``seed`` at one rate; the model is written on first use."""
+    """A JSON report on seeded model ``seed`` at one rate; the model is written on first use."""
     n = ANALYZE_SIZES[seed % len(ANALYZE_SIZES)]
+    shape = ANALYZE_SHAPES[seed % len(ANALYZE_SHAPES)]
+    m = n // 2 if shape == "tall" else n
     rng = np.random.default_rng([30, seed])
-    rate = float(rng.uniform(0.1, 2.0 * n))  # drawn first, so every call gives the same rate
+    rate = float(rng.uniform(0.1, 2.0 * m))  # drawn first, so every call gives the same rate
     model = Path(tmp) / f"analyze-model-{seed}.json"
     if not model.exists():
-        a = rng.standard_normal((n, n)) / np.sqrt(n)
+        if shape == "rank-deficient":
+            k = n // 4
+            a = rng.standard_normal((n, k)) @ rng.standard_normal((k, m)) / np.sqrt(k * m)
+        else:
+            a = rng.standard_normal((n, m)) / np.sqrt(m)
         model.write_text(json.dumps({"A": a.tolist(), "sigma2": 10.0 ** rng.uniform(-2.0, 1.0)}))
     return ["analyze", str(model), "--rate", repr(rate), "--json", str(Path(tmp) / "out")]
 

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from support import (GAP_AT_3, MALFORMED_MODELS, MAX_GAP, R2_COND, R2_OBS, RAW_MALFORMED_MODELS,
                      RAW_MODELS, example_model)
+from test_csv_writer import _doubles
 
 import cedrf.drf
 from cedrf import cli, drf, oracle, waterfill
@@ -182,17 +184,92 @@ def _strict_loads(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def _dumps(doc) -> bytes:
+    """The analyze JSON file of ``doc``: ``json.dumps`` of it nulled, indent 2, and a newline."""
+    return (json.dumps(_nulled(doc), indent=2) + "\n").encode()
+
+
 def test_json_writer_writes_valid_json_with_null_for_non_finite_floats():
     # json.dumps's bytes, except that a non-finite float is null, at any depth
     inf, nan = math.inf, math.nan
-    doc = {"floats": [1.0, -0.0, 5e-324, 1e300, inf, -inf, nan, 0.1], "ints": [0, 1, -7, 2**70],
+    doc = {"floats": [1.0, -0.0, 5e-324, 1e300, inf, -inf, nan, 0.1],
+           "ints": [0, 1, -7, 2**64 - 1, -2**63],
            "words": [None, True, False], "empty": [[], {}], "nested": {"a": {"b": [[1.5, -inf]]}},
-           "text": ["bits", "inf", "nan", "quote \" \\ é \n"], "scalar": nan, "none": None}
+           "text": ["bits", "inf", "nan", "quote \" \\ \n \x00 \x1f", "k\": 1e5", "0.00001"],
+           "scalar": nan, "none": None}
     text = cli._json_indent2(doc)
-    assert text == json.dumps(_nulled(doc), indent=2)
+    assert text == _dumps(doc)
     assert _strict_loads(text) == _nulled(doc)
-    for value in ({}, [], 2.5, 3, True, None, "s", inf, -inf, nan):
-        assert cli._json_indent2(value) == json.dumps(_nulled(value), indent=2)
+    for value in ({}, [], 2.5, 3, True, None, "s", inf, -inf, nan, 1e16, 3.51e-05):
+        assert cli._json_indent2(value) == _dumps(value)
+    # outside the domain the writer raises; it never writes what json.dumps would not
+    for value in ("é", "\x7f", 2**70, 2**64, -2**63 - 1, np.float64(1.5), {1: 2}):
+        with pytest.raises((TypeError, ValueError)):
+            cli._json_indent2({"x": [value]})
+
+
+def _report_shaped(values: list) -> dict:
+    """``values`` where an analyze report holds floats: as object values and as list items."""
+    return {"units": "bits", "point": {f"v{i}": v for i, v in enumerate(values)},
+            "spectra": {"gram": values, "observation": []}, "rates": {"idrf": values[::-1]}}
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(_doubles, max_size=20))
+def test_json_writer_spells_every_float_as_json_dumps_does(values):
+    assert cli._json_indent2(_report_shaped(values)) == _dumps(_report_shaped(values))
+    for v in values[:3]:
+        assert cli._json_indent2(v) == _dumps(v)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(st.characters(max_codepoint=0x7E)),
+                       st.one_of(st.text(st.characters(max_codepoint=0x7E)), st.floats()),
+                       max_size=5))
+def test_json_writer_writes_ascii_text_as_json_dumps_does(doc):
+    # a number's corrections read only number tokens, whatever the text around them
+    assert cli._json_indent2({"a": [doc]}) == _dumps({"a": [doc]})
+
+
+def _float_corpus() -> list[float]:
+    """Every ``1e{k}`` and its neighbours, the layout switches, powers of two, zeros,
+    subnormals and non-finite values, each with both signs."""
+    tens = [float(f"1e{k}") for k in range(-324, 309)]
+    switches = [1e-5, 1e-4, 1e16, 3.51e-05, 9.99e-05, 1.2e-08, 9999999999999998.0]
+    near = [math.nextafter(x, t) for x in tens + switches for t in (0.0, math.inf)]
+    subnormal = [5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    values = tens + switches + near + [2.0**k for k in range(-1074, 1024)] + subnormal
+    return [s * v for v in values + [0.0, math.inf] for s in (1.0, -1.0)] + [math.nan]
+
+
+def _corpus_mismatches() -> int:
+    values = _float_corpus()
+    docs = [_report_shaped(values[i:i + 64]) for i in range(0, len(values), 64)]
+    return sum(cli._json_indent2(doc) != _dumps(doc) for doc in docs + values)
+
+
+def test_json_writer_spells_the_float_corpus_as_json_dumps_does():
+    assert _corpus_mismatches() == 0
+
+
+@pytest.mark.parametrize("correction", ["_EXPONENT", "_EXPONENT_5"])
+def test_json_writer_corpus_needs_each_correction(correction, monkeypatch):
+    # negative control: with either correction off, orjson's own layout shows
+    monkeypatch.setattr(cli, correction, re.compile(rb"(?!)"))
+    assert _corpus_mismatches() > 0
+
+
+def test_orjson_float_layout_is_the_one_the_json_writer_corrects():
+    raw = {x: orjson.dumps(x) for x in (1e-05, 1e16, 1.2e-08)}
+    assert raw == {1e-05: b"0.00001", 1e16: b"1e16", 1.2e-08: b"1.2e-8"}, (
+        f"orjson {orjson.__version__} spells floats differently from the layout "
+        f"cli._json_indent2 corrects: {raw}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_doubles, max_size=20))
+def test_text_report_lists_are_spelled_as_format_spells_them(values):
+    assert cli._fnums(values) == " ".join(map("{:.12g}".format, values))
 
 
 def test_analyze_and_sweep_run_no_eigensolver(model_file, tmp_path, capsys, monkeypatch):
@@ -753,7 +830,7 @@ def test_analyze_json_keeps_json_dumps_bytes(name, tmp_path, capsys):
             argv = ["analyze", str(path), "--rate", repr(rate), "--json", str(out)]
             assert main(argv + ["--nats"] * nats) == 0
             report = cli._analysis_report(model, rate / math.log(2.0) if nats else rate, nats)
-            assert out.read_bytes() == (json.dumps(_nulled(report), indent=2) + "\n").encode()
+            assert out.read_bytes() == _dumps(report)
             _strict_loads(out.read_text())
     capsys.readouterr()
 

@@ -7,28 +7,22 @@ channel per model), and ``example`` (the built-in two-component
 demonstration model with its figure data).
 
 ``sweep`` and ``example`` write their tables straight from the column
-kernel ``drf._columns``, with no per-row objects, through one writer,
-``_rows``, which yields the text in pieces of 512 rows, built from numpy
-arrays and not by ``%`` or ``repr``.  ``_rows`` reads each column's kind
-from its dtype: an integer column (the active counts) is ``"%d" % k``; a
-float column is ``"%.17g" % v`` in CSV and ``float.__repr__``, as
-``json.dumps`` writes it, in JSON.  Each value's 17 decimal digits come
-from an exact product with a double-double table of powers of ten
-(Dekker's TwoProduct).  For a JSON float a shortest-digit step
-(``_shortest``) then rounds them to the fewest digits that read back as
-the same double: the multiple of the largest power of ten within half an
-ulp of the value, the nearest one, which is what ``repr`` writes.  The
-text comes from digit lookup tables and a byte mask per key
-``(short, X, count, sign)`` (``_KEY_SHAPE``), with each column's framing
-(the CSV separator, or the JSON row and key text) in the leading bytes of
-every value's block, and one ``bytes.translate`` deletes the masked
-bytes.  ``%`` or ``json.dumps`` writes only the values this route cannot
-decide: nan, inf, ``|x|`` outside ``[1e-290, 1e290)`` (zero excepted),
-one whose 17-digit exponent the route got wrong, and one within
-``_MARGIN`` (2^-40) of a case the route cannot tell: a scaled fraction of
-1/2 (exact ties, which ``%`` rounds to even), and for JSON a tie between
-two multiples of 10 or an end of the half-ulp interval at the candidate
-multiple of 10 or 100; for JSON also a power of two.
+kernel ``drf._columns``, with no per-row objects, as bytes in pieces of 512
+rows.  A CSV table (``_csv``) spells a float ``"%.17g" % v`` and an integer
+(an active count) ``"%d" % k``, through a digit engine built from numpy
+arrays and not by ``%``.  Each value's 17 decimal digits come from an exact
+product with a double-double table of powers of ten (Dekker's TwoProduct).
+The text comes from digit lookup tables and a byte mask per key
+``(X, count, sign)`` (``_KEY_SHAPE``), with the column's one-byte separator
+in the leading byte of every value's block, and one ``bytes.translate``
+deletes the masked bytes.  ``%`` writes only the values the engine cannot
+decide: nan, inf, ``|x|`` outside ``[1e-290, 1e290)`` (zero excepted), one
+whose 17-digit exponent it got wrong, and one whose scaled fraction lies
+within ``_MARGIN`` (2^-40) of 1/2 (exact ties, which ``%`` rounds to even).
+The JSON sweep file (``_json``) is ``json.dumps``'s: one ``orjson.dumps``
+per piece writes its values with ``repr``'s shortest digits, a template of
+the piece's rows takes them, ``NaN``, ``Infinity`` and ``-Infinity`` replace
+orjson's ``null``, and ``_repr_layout`` puts each float in ``repr``'s layout.
 
 Model files are JSON documents with keys ``A`` (nested array of L rows of
 M reals), ``sigma2`` (positive real), and optionally ``sigma_x`` (an M x M
@@ -42,10 +36,11 @@ one read it.  Rates are bits unless ``--nats`` is given, in
 which case rate-valued inputs and outputs are converted on the way in/out.
 The ``analyze`` text spells floats ``"%.12g"``, one ``%`` per list
 (``_fnums``).  Its JSON file is ``orjson``'s (``_json_indent2``): ``repr``'s
-shortest digits, ``null`` for a non-finite float, and ``repr``'s layout by two
-corrections to the number ending a line (``e-8``, ``e16`` and ``0.0000351``
-become ``e-08``, ``e+16`` and ``3.51e-05``).  It raises outside its domain:
-str-keyed dicts, lists, floats, 64-bit ints, bools, None and ASCII text but DEL.
+shortest digits, ``null`` for a non-finite float, and ``repr``'s layout by the
+two corrections of ``_repr_layout`` to the number ending a line (``e-8``,
+``e16`` and ``0.0000351`` become ``e-08``, ``e+16`` and ``3.51e-05``).  It
+raises outside its domain: str-keyed dicts, lists, floats, 64-bit ints, bools,
+None and ASCII text but DEL.
 """
 
 from __future__ import annotations
@@ -103,15 +98,20 @@ _EXPONENT = re.compile(rb"(?m)e(?<=\de)(-?)(\d+)(?=,?$)")
 _EXPONENT_5 = re.compile(rb"(?m)0\.0000(?<![\d.]0\.0000)([1-9])(\d*)(?=,?$)")
 
 
+def _repr_layout(out: bytes) -> bytes:
+    """``out`` with each float that ends a line moved from orjson's layout to ``repr``'s."""
+    out = _EXPONENT.sub(lambda m: b"e" + (m[1] or b"+") + m[2].zfill(2), out)
+    if b"0.0000" in out:
+        out = _EXPONENT_5.sub(lambda m: m[1] + (m[2] and b"." + m[2]) + b"e-05", out)
+    return out
+
+
 def _json_indent2(doc) -> bytes:
     """``json.dumps(doc, indent=2)`` and a newline, with ``null`` for a non-finite float."""
     out = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
     if not out.isascii() or b"\x7f" in out:  # json escapes these, orjson does not
         raise ValueError("the JSON writer takes ASCII text without DEL only")
-    out = _EXPONENT.sub(lambda m: b"e" + (m[1] or b"+") + m[2].zfill(2), out)
-    if b"0.0000" in out:
-        out = _EXPONENT_5.sub(lambda m: m[1] + (m[2] and b"." + m[2]) + b"e-05", out)
-    return out
+    return _repr_layout(out)
 
 
 def _matrix(doc: dict, field: str) -> Matrix:
@@ -208,8 +208,6 @@ def example_model() -> ObservationModel:
 def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> dict:
     region = drf.equality_region(model)
     point = drf.sweep(model, [rate_bits])[0]
-    alloc_cond = waterfill.rate_allocation(model.conditional, rate_bits)
-    alloc_obs = waterfill.rate_allocation(model.observation, rate_bits)
     unit = "nats" if nats else "bits"
     return {
         "units": unit,
@@ -233,8 +231,10 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
         },
         "point": dict(point._asdict(), R=_from_bits(rate_bits, nats)),
         "rates": {
-            "idrf": [_from_bits(r, nats) for r in alloc_cond.rates],
-            "ce": [_from_bits(r, nats) for r in alloc_obs.rates],
+            "idrf": [_from_bits(r, nats)
+                     for r in waterfill._rates(model.conditional, rate_bits, point.k_idrf)],
+            "ce": [_from_bits(r, nats)
+                   for r in waterfill._rates(model.observation, rate_bits, point.k_ce)],
         },
     }
 
@@ -290,10 +290,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 _FAST_RANGE = (1e-290, 1e290)
 #: the largest |X| in the tables of 10^(16-X) and exponent words: the range's, and two more
 _X_MAX = round(math.log10(_FAST_RANGE[1])) + 2
-#: a scaled value this close to a tie (a fraction of 1/2, or for JSON halfway between two
-#: multiples of 10), or whose JSON candidate multiple of 10 or 100 lies this close to the
-#: end of its half-ulp interval, goes to ``%`` or ``json.dumps``; the 17-digit step's
-#: error is below 2^-47 and the shortest-digit step's below 2^-46
+#: a scaled value whose fraction lies this close to 1/2, a tie, goes to ``%``; the digit
+#: step's error is below 2^-47
 _MARGIN = 2.0 ** -40
 _CHUNK_ROWS = 512  # rows per piece of text: one piece's arrays stay near 1 MB
 #: one value's 48-byte block, six 8-byte words: two framing bytes (the separator and a pad),
@@ -355,12 +353,11 @@ def _words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return quads.view(np.int64).ravel(), places, tails.view(np.int64).ravel()
 
 
-def _digits(x: np.ndarray, short: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(n, X, fast)``: ``|x|`` is ``n 10^(X-16)``, rounded, where ``fast`` holds.
 
     ``n`` is an int64 in ``[10^16, 10^17)``, 0 for a zero: ``|x|`` rounded
-    to 17 digits, or where ``short`` holds to its shortest round-trip
-    digits (:func:`_shortest`), then trailing zeros.  ``X`` is first
+    to 17 digits.  ``X`` is first
     ``floor(log10 |x|)``, corrected once from the rough product
     ``|x| 10^s``, s = 16 - X.  That product is then taken exactly as
     ``p + e1 + e2``, with ``hi + lo`` the table's 10^s (:func:`_pow10`):
@@ -398,57 +395,18 @@ def _digits(x: np.ndarray, short: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     floor = p.astype(np.int64) + whole.astype(np.int64)
     n = floor + (frac > 0.5)
     fast &= (floor >= 10 ** 16) & (floor < 10 ** 17) & (np.abs(frac - 0.5) >= _MARGIN)
-    if short.any():
-        shortest, decided = _shortest(ax, floor, frac, hi, lo)
-        n = np.where(short, shortest, n)
-        fast &= decided | ~short
     carry = n == 10 ** 17
     n = np.where(carry, 10 ** 16, n)
     exp10 += carry
     return np.where(zero, 0, n), np.where(zero, 0, exp10), fast | zero
 
 
-def _shortest(ax, floor, frac, hi, lo) -> tuple[np.ndarray, np.ndarray]:
-    """``(m, decided)``: the shortest round-trip digits of ``ax``, as ``float.__repr__`` finds them.
-
-    ``ax 10^s`` is ``V = floor + frac`` (:func:`_digits`).  Every decimal
-    within half an ulp of ``ax`` reads back as ``ax``; scaled, that is the
-    interval ``V ± h``, ``h`` the half-ulp times ``hi + lo``, between 0.55
-    and 11.2 since ``V`` has 17 digits.  ``m`` is the multiple of the
-    largest power of ten 10^K in that interval nearest to ``V``, which
-    ``repr`` writes, with its trailing zeros.  The interval is symmetric,
-    so it holds a multiple of 10^K if and only if it holds the nearest
-    one; and it is narrower than 100, so a multiple of 100 in it is its
-    only multiple of 10^K for every K >= 2.  So ``m`` rounds ``V`` to a
-    multiple of 100, of 10 or of 1, by whether the nearest multiple of 100
-    or of 10 is within ``h``, both read from ``V mod 100``.  Not
-    ``decided``: a value whose nearest multiple of 10 or 100 is within
-    ``_MARGIN`` of the interval's end (the end is in the interval
-    when the significand is even, which this step does not tell), one
-    within it of a tie between two multiples of 10, and a power of two,
-    whose gap below is half that above.  A tie between two integers is
-    left to ``%`` by :func:`_digits`.
-    """
-    significand, exp2 = np.frexp(ax)
-    unit = np.ldexp(1.0, exp2 - 54)  # half an ulp of ax
-    half = hi * unit + lo * unit
-    below = floor - floor // 100 * 100
-    v = frac + below  # V mod 100
-    d100 = np.minimum(v, 100.0 - v)
-    d10 = np.abs(v - 10.0 * np.rint(v / 10.0))
-    step = 1.0 + 9.0 * (d10 <= half) + 90.0 * (d100 <= half)
-    m = floor - below + (np.rint(v / step) * step).astype(np.int64)
-    decided = ((significand != 0.5) & (np.abs(d10 - half) >= _MARGIN)
-               & (np.abs(d100 - half) >= _MARGIN) & (np.abs(d10 - 5.0) >= _MARGIN))
-    return m, decided
-
-
 #: the decimal exponents ``X`` of the mask table: the fixed-notation range and one
 #: exponent-notation ``X`` at either end, whose mask every ``X`` beyond that end shares
 _LAYOUT_X = range(-5, 18)
-#: the mask table's key (short, X - ``_LAYOUT_X[0]``, count of significant digits, sign),
-#: clipped to this shape, so that an ``X`` beyond ``_LAYOUT_X`` reads its end's mask
-_KEY_SHAPE = (2, len(_LAYOUT_X), 18, 2)
+#: the mask table's key (X - ``_LAYOUT_X[0]``, count of significant digits, sign), clipped
+#: to this shape, so that an ``X`` beyond ``_LAYOUT_X`` reads its end's mask
+_KEY_SHAPE = (len(_LAYOUT_X), 18, 2)
 
 
 @functools.cache
@@ -457,17 +415,14 @@ def _keep_words() -> np.ndarray:
 
     Row ``np.ravel_multi_index(key, _KEY_SHAPE)`` is 0xff at the bytes of a
     value's block that its text keeps, 0 elsewhere.  The text is
-    ``"%.17g" % v`` or, where ``short`` holds, ``float.__repr__(v)``, which
-    writes exponent notation from 10^16 on and always a digit after the
-    point (``3.0``, ``0.0``).  It is set by the value's decimal exponent
-    ``X``, its count of significant digits (0 for zero) and its sign.  The
-    two framing bytes are kept.
+    ``"%.17g" % v``, set by the value's decimal exponent ``X``, its count of
+    significant digits (0 for zero) and its sign.  The two framing bytes
+    are kept.
     """
-    short, x, count, negative = np.indices(_KEY_SHAPE).reshape(len(_KEY_SHAPE), -1)
+    x, count, negative = np.indices(_KEY_SHAPE).reshape(len(_KEY_SHAPE), -1)
     exp10 = x + _LAYOUT_X[0]
-    fixed = (exp10 >= -4) & (exp10 < 17 - short)
-    # zeros before the point too, and repr's one after it
-    shown = np.where(fixed, np.maximum(count, exp10 + 1 + short), count)
+    fixed = (exp10 >= -4) & (exp10 < 17)
+    shown = np.where(fixed, np.maximum(count, exp10 + 1), count)  # zeros before the point too
     point = np.where(fixed, exp10, 0)  # the point follows this digit, if a digit follows it
     point = np.where(shown > point + 1, point, -1)
     keep = np.zeros((exp10.size, len(_BLOCK)), bool)
@@ -480,90 +435,83 @@ def _keep_words() -> np.ndarray:
     return (keep * np.uint8(0xFF)).view(np.int64)
 
 
-def _text(x: np.ndarray, lead: np.ndarray, short: np.ndarray) -> bytes:
-    """The values ``x``, each as ``"%.17g" % v``, or as json writes it where ``short`` holds.
+def _text(x: np.ndarray, lead: np.ndarray) -> bytes:
+    """The values ``x``, each as ``"%.17g" % v`` after its column's separator.
 
-    ``x`` runs row by row, and ``lead`` holds the leading words of each
-    column's blocks: its framing text, zero-padded, then the first word of
-    ``_BLOCK``, whose first two bytes end the framing.  Each value fills
-    one block from the lookup tables; its bytes outside its text are
+    ``x`` runs row by row, and ``lead`` holds each column's first word of
+    ``_BLOCK``, whose first byte is the column's separator.  Each value
+    fills one block from the lookup tables; its bytes outside its text are
     zeroed, and all zero bytes are deleted at once.
     """
     quads, places, tails = _words()
-    n, exp10, fast = _digits(x, short)
+    n, exp10, fast = _digits(x)
     q = n // 10
     d16 = n - 10 * q
     high = q // 10 ** 8
     halves = np.stack([high, q - high * 10 ** 8], axis=1)
     top = halves // 10 ** 4
     groups = np.stack([top, halves - top * 10 ** 4], axis=2).reshape(-1, 4)
-    words = lead.shape[1] - 1  # framing words before the value's block
-    blocks = np.empty((x.size, words + 6), np.int64)
-    blocks.reshape(-1, len(lead), words + 6)[:, :, :words + 1] = lead
-    blocks[:, words + 1:words + 5] = quads.take(groups)
-    blocks[:, words + 5] = tails.take(exp10 + _X_MAX)
-    start = 8 * words  # the byte offset of the value's block
-    blocks.view(np.uint8)[:, start + _DIGIT0 + 32] = d16 + ord("0")
+    blocks = np.empty((x.size, 6), np.int64)
+    blocks.reshape(-1, len(lead), 6)[:, :, 0] = lead
+    blocks[:, 1:5] = quads.take(groups)
+    blocks[:, 5] = tails.take(exp10 + _X_MAX)
+    blocks.view(np.uint8)[:, _DIGIT0 + 32] = d16 + ord("0")
 
     p1, p2, p3, p4 = places.take(groups + _GROUP_OFFSETS).T
     count = np.where(d16 > 0, 17, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
-    key = np.ravel_multi_index((short, exp10 - _LAYOUT_X[0], count, np.signbit(x)), _KEY_SHAPE,
+    key = np.ravel_multi_index((exp10 - _LAYOUT_X[0], count, np.signbit(x)), _KEY_SHAPE,
                                mode="clip")
-    blocks[:, words:] &= _keep_words().take(key, axis=0)
+    blocks &= _keep_words().take(key, axis=0)
 
     slow = np.flatnonzero(~fast)
-    if slow.size:  # nan, inf, values out of range and those the steps leave: % or json writes them
+    if slow.size:  # nan, inf, values out of range and those the step leaves: % writes them
         width = len(_BLOCK) - 2
-        text = "".join([(json.dumps(v) if s else "%.17g" % v).ljust(width, "\0")
-                        for v, s in zip(x[slow].tolist(), short[slow].tolist())])
-        blocks.view(np.uint8)[slow, start + 2:] = np.frombuffer(text.encode(), np.uint8).reshape(
-            -1, width)
+        text = "".join([("%.17g" % v).ljust(width, "\0") for v in x[slow].tolist()])
+        blocks.view(np.uint8)[slow, 2:] = np.frombuffer(text.encode(), np.uint8).reshape(-1, width)
     return blocks.tobytes().translate(None, b"\0")
 
 
-def _rows(columns, framing: list[str], json: bool):
-    """The text of the rows of ``columns``, in pieces of ``_CHUNK_ROWS`` rows.
-
-    Each value follows its column's ``framing``, and its column's (numpy
-    array's) dtype sets its text, here and nowhere else: an integer column is
-    ``"%d" % k``, a float column's ``"%.17g" % v``, or with ``json`` as json
-    writes them.  An integer column must stay below 2^53 in magnitude: then
-    its values are exact as doubles, whose ``%.17g`` text is their ``%d``
-    text.  Written piece by piece, the text and the byte blocks of a whole
-    table are never held at once.
-    """
-    words = (max(map(len, framing)) + 5) // 8  # whole words, then the block's two framing bytes
-    lead = np.zeros((len(columns), 8 * words + 8), np.uint8)
-    lead[:, -6:] = np.frombuffer(_BLOCK[2:8], np.uint8)
-    for row, text in zip(lead, framing):
-        row[:len(text)] = np.frombuffer(text.encode(), np.uint8)
-    lead = lead.view(np.int64)
-    values = np.stack(columns, axis=1, dtype=np.float64)
-    short = np.tile([json and c.dtype.kind == "f" for c in columns], _CHUNK_ROWS)
-    for i in range(0, len(values), _CHUNK_ROWS):
-        chunk = values[i:i + _CHUNK_ROWS].ravel()
-        yield _text(chunk, lead, short[:chunk.size]).decode("ascii")
-
-
 def _csv(head: str, columns):
-    """The CSV text of ``head`` and the rows of ``columns``, as :func:`_rows` writes them."""
-    yield head
-    yield from _rows(columns, ["\n"] + [","] * (len(columns) - 1), json=False)
-    yield "\n"
+    """The CSV file of ``head`` and the rows of ``columns``, in pieces of ``_CHUNK_ROWS`` rows.
+
+    A float column's values are ``"%.17g" % v``.  An integer column must stay
+    below 2^53 in magnitude: then its values are exact as doubles, whose
+    ``%.17g`` text is their ``%d`` text.  Written piece by piece, the text
+    and the byte blocks of a whole table are never held at once.
+    """
+    separators = [b"\n"] + [b","] * (len(columns) - 1)
+    lead = np.frombuffer(b"".join(sep + _BLOCK[1:8] for sep in separators), np.int64)
+    values = np.stack(columns, axis=1, dtype=np.float64)
+    yield head.encode()
+    for i in range(0, len(values), _CHUNK_ROWS):
+        yield _text(values[i:i + _CHUNK_ROWS].ravel(), lead)
+    yield b"\n"
 
 
-#: the text before each field of a sweep row in the JSON file; the first row's
-#: ``R`` has no row before it to close
-_JSON_FRAMING = [f'\n    }},\n    {{\n      "{f}": ' if i == 0 else f',\n      "{f}": '
-                 for i, f in enumerate(drf.DistortionPoint._fields)]
+#: one row of the JSON sweep file, a ``%s`` per field, after the comma that ends the row before
+_JSON_ROW = (",\n    {\n" + ",\n".join(f'      "{f}": %s' for f in drf.DistortionPoint._fields)
+             + "\n    }").encode()
 
 
 def _json(columns):
-    """The ``--format json`` sweep file: ``json.dumps({"rows": rows}, indent=2)`` and a newline."""
-    pieces = _rows(columns, _JSON_FRAMING, json=True)
-    yield '{\n  "rows": [' + next(pieces)[len("\n    },"):]
-    yield from pieces
-    yield "\n    }\n  ]\n}\n"
+    """The ``--format json`` sweep file: ``json.dumps({"rows": rows}, indent=2)`` and a newline.
+
+    Each piece of ``_CHUNK_ROWS`` rows is one ``orjson.dumps`` of its values,
+    row by row, set one to a line for :func:`_repr_layout` and then into
+    ``_JSON_ROW``'s fields.  An integer column's values are ``%d``, a float
+    column's ``repr``'s digits.
+    """
+    yield b'{\n  "rows": ['
+    for i in range(0, len(columns[0]), _CHUNK_ROWS):
+        values = list(itertools.chain.from_iterable(zip(*[c[i:i + _CHUNK_ROWS].tolist()
+                                                          for c in columns])))
+        text = orjson.dumps(values)
+        tokens = _repr_layout(text[1:-1].replace(b",", b"\n")).split(b"\n")
+        if b"null" in text:  # orjson's non-finite float: json writes NaN, Infinity or -Infinity
+            tokens = [json.dumps(v).encode() if t == b"null" else t for t, v in zip(tokens, values)]
+        piece = (_JSON_ROW * (len(values) // len(columns))) % tuple(tokens)
+        yield piece[1:] if i == 0 else piece
+    yield b"\n  ]\n}\n"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -582,7 +530,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise drf.InvalidGrid(f"cannot allocate a grid of {args.steps} steps") from exc
     columns = drf._columns(model, drf._check_grid(grid / _LN2 if args.nats else grid))
     columns = (grid, *columns[1:])  # the R column in the input unit
-    with open(args.out, "w") as out:
+    with open(args.out, "wb") as out:
         out.writelines(_csv(CSV_HEADER, columns) if args.format == "csv" else _json(columns))
     print(f"wrote {grid.size} rows to {args.out}")
     return 0
@@ -721,7 +669,7 @@ def cmd_example(args: argparse.Namespace) -> int:
     gaps = out_dir / "gap_curve.csv"
     for path, head, columns in ((curves, "R,d_idrf,d_ce", [r, d_idrf, d_ce]),
                                 (gaps, "R,gap", [r, gap])):
-        with path.open("w") as out:
+        with path.open("wb") as out:
             out.writelines(_csv(head, columns))
     print(f"wrote {curves} and {gaps}")
     return 0

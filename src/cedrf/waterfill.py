@@ -15,8 +15,9 @@ can overflow it, and ``R = 0`` gives exactly ``lam_1``.
 Active counts and water levels are evaluated a whole rate grid at a time
 (:func:`_levels`); :func:`active_count` and :func:`water_level` are that
 grid at one rate, so a scalar call and a sweep agree bit for bit.
-:func:`rate_allocation` forms its one rate's per-component rates in Python
-floats.  The oracles take only the rate check, counts and water levels from
+:func:`_rates` forms one rate's per-component rates in Python floats from a
+count already found, so a caller that holds the count runs no second
+search.  The oracles take only the rate check, counts and water levels from
 here, and form their forward test channels themselves.
 
 Interval convention: the k-th component count applies on the half-open
@@ -114,18 +115,26 @@ def water_level(spectrum: Spectrum, R: float) -> tuple[int, float]:
     return int(k[0]), float(theta[0])
 
 
-def rate_allocation(spectrum: Spectrum, R: float) -> WaterfillResult:
-    """Per-component rates ``(1/2) log2^+(lam_l / theta)`` and distortions ``min(lam_l, theta)``.
+def _rates(spectrum: Spectrum, R: float, k: int) -> list[float]:
+    """Per-component rates at a valid rate ``R`` with ``k`` active components, as a list.
 
     The rate of each active component is ``(1/2) log2(lam_l / lam_k) + (R - R_k) / k``, its log
     by :func:`spectral._log2_ratio`, which forms neither ``lam_l / theta`` nor ``lam_l / lam_k``,
-    so it stays finite where either would overflow.  Zero eigenvalues, and every component of a
-    rank-0 spectrum, receive zero rate and zero distortion.
+    so it stays finite where either would overflow; every other component's is 0.
+    """
+    values = spectrum.values.tolist()
+    excess = (R - float(spectrum.thresholds[k - 1])) / k if k else 0.0
+    rates = [0.5 * _log2_ratio(v, values[k - 1]) + excess for v in values[:k]]
+    return rates + [0.0] * (len(values) - k)
+
+
+def rate_allocation(spectrum: Spectrum, R: float) -> WaterfillResult:
+    """Per-component rates ``(1/2) log2^+(lam_l / theta)`` and distortions ``min(lam_l, theta)``.
+
+    The rates are :func:`_rates`'.  Zero eigenvalues, and every component of a rank-0 spectrum,
+    receive zero rate and zero distortion.
     """
     r = _check_rate(R)
     k, theta = water_level(spectrum, r)
-    values = spectrum.values.tolist()
-    excess = (r - float(spectrum.thresholds[k - 1])) / k if k else 0.0
-    rates = [0.5 * _log2_ratio(v, values[k - 1]) + excess for v in values[:k]]
-    return WaterfillResult(k, theta, tuple(rates + [0.0] * (len(values) - k)),
-                           tuple(min(v, theta) for v in values))
+    return WaterfillResult(k, theta, tuple(_rates(spectrum, r, k)),
+                           tuple(min(v, theta) for v in spectrum.values.tolist()))

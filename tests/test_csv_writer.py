@@ -25,7 +25,7 @@ def _reference(head: str, columns) -> str:
 
 
 def _mismatches(columns) -> list[tuple[str, str]]:
-    got = "".join(cli._csv("h", columns)).split("\n")
+    got = b"".join(cli._csv("h", columns)).decode().split("\n")
     want = _reference("h", columns).split("\n")
     assert len(got) == len(want)
     return [(g, w) for g, w in zip(got, want) if g != w]
@@ -80,7 +80,7 @@ def test_zero_columns_and_integer_columns():
     counts = np.array([0, 7, 12345, 987654321, 2 ** 53 - 1, -98765, 10 ** 15, 10 ** 4])
     zeros = np.zeros(counts.size)
     assert _mismatches([zeros, -zeros, counts, counts.astype(np.float64)]) == []
-    assert "".join(cli._csv("a,b", [zeros, counts])).split("\n")[1] == "0,0"
+    assert b"".join(cli._csv("a,b", [zeros, counts])).split(b"\n")[1] == b"0,0"
 
 
 def test_a_zero_tie_margin_misrounds_the_ties(monkeypatch):

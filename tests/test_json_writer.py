@@ -1,10 +1,10 @@
-"""The JSON sweep writer (``cli._json``) and its shortest-digit step against ``json.dumps``.
+"""The JSON sweep writer (``cli._json``) against ``json.dumps``.
 
-The reference is ``json.dumps(..., indent=2)``, whose floats are
-``float.__repr__``, so it shares no code with the writer's digit step.
+The reference is ``json.dumps({"rows": rows}, indent=2)``, whose floats
+are ``float.__repr__``, so it shares no code with orjson's digits or with
+the writer's row template and layout corrections.
 """
 
-import inspect
 import json
 import math
 import struct
@@ -24,18 +24,13 @@ DBL_MAX = sys.float_info.max
 FIELDS = drf.DistortionPoint._fields
 
 
-def _list_mismatches(values: np.ndarray) -> list[tuple[str, str]]:
-    """``values`` as a one-column table, a JSON list, against ``json.dumps(values, indent=2)``."""
-    text = "[" + "".join(cli._rows([values], [",\n  "], json=True))[1:] + "\n]"
-    got, want = text.split("\n"), json.dumps(values.tolist(), indent=2).split("\n")
+def _mismatches(columns) -> list[tuple[str, str]]:
+    """The lines where the sweep file of ``columns`` differs from ``json.dumps``'s."""
+    rows = [dict(zip(FIELDS, row)) for row in zip(*[c.tolist() for c in columns])]
+    got = b"".join(cli._json(columns)).decode("ascii").split("\n")
+    want = (json.dumps({"rows": rows}, indent=2) + "\n").split("\n")
     assert len(got) == len(want)
     return [(g, w) for g, w in zip(got, want) if g != w]
-
-
-def _table(columns) -> None:
-    """Assert that the sweep file of ``columns`` is ``json.dumps``'s, byte for byte."""
-    rows = [dict(zip(FIELDS, row)) for row in zip(*[c.tolist() for c in columns])]
-    assert "".join(cli._json(columns)) == json.dumps({"rows": rows}, indent=2) + "\n"
 
 
 def _ten_columns(values: np.ndarray) -> list[np.ndarray]:
@@ -45,8 +40,22 @@ def _ten_columns(values: np.ndarray) -> list[np.ndarray]:
     return [*floats[:6], counts, counts // 3, *floats[6:]]
 
 
+def _in_one_column(values: np.ndarray) -> list[np.ndarray]:
+    """``values`` in the ``d_ce`` column, every other column 0, the counts as integers."""
+    return [values if f == "d_ce" else np.zeros(values.size, int if f.startswith("k_") else float)
+            for f in FIELDS]
+
+
+def _spellings(columns, field: str) -> list[str]:
+    """The text of ``field``'s values in the sweep file of ``columns``, row by row."""
+    key = f'      "{field}": '
+    return [line[len(key):].rstrip(",")
+            for line in b"".join(cli._json(columns)).decode("ascii").split("\n")
+            if line.startswith(key)]
+
+
 def _corpus() -> np.ndarray:
-    """Doubles at every switch of the shortest-digit step and of the ``repr`` layout.
+    """Doubles at every switch of shortest-digit rounding and of the ``repr`` layout.
 
     The powers of two (whose gap below is half that above), 10^k and its
     neighbours, the layout switches at 10^16, 10^-4 and 10^-5, values
@@ -71,61 +80,74 @@ def _corpus() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
-def _corpus_mismatches() -> list[tuple[str, str]]:
-    return _list_mismatches(_corpus())
-
-
 def test_corpus_equals_json_in_one_and_in_ten_columns():
     values = _corpus()
-    assert _list_mismatches(values) == []
-    _table(_ten_columns(values))
+    assert _mismatches(_in_one_column(values)) == []
+    assert _mismatches(_ten_columns(values)) == []
+
+
+#: (value, its text in the sweep file); 9.999999999999999e22 is the double nearest 1e23,
+#: whose digits round up to the next decade
+LAYOUTS = [
+    (3.0, "3.0"), (0.0, "0.0"), (-0.0, "-0.0"), (1e16, "1e+16"), (1.5e16, "1.5e+16"),
+    (1e-5, "1e-05"), (3.51e-05, "3.51e-05"), (-3.51e-05, "-3.51e-05"), (1e-4, "0.0001"),
+    (1e-08, "1e-08"), (123.456, "123.456"), (1e100, "1e+100"), (5e-324, "5e-324"),
+    (9.999999999999999e22, "1e+23"), (1.0000000000000001e23, "1.0000000000000001e+23"),
+    (500.0000680557637, "500.0000680557637"), (math.nan, "NaN"), (math.inf, "Infinity"),
+    (-math.inf, "-Infinity"),
+]
 
 
 def test_layouts_and_spellings():
-    # 9.999999999999999e22 is the double nearest 1e23: its digits round up to the next decade
-    values = np.array([3.0, 0.0, -0.0, 1e16, 1.5e16, 1e-5, 1e-4, 123.456, 1e100, 5e-324,
-                       9.999999999999999e22, 1.0000000000000001e23, math.nan, math.inf, -math.inf])
-    text = "".join(cli._rows([values], [" "], json=True))
-    assert text.split() == ["3.0", "0.0", "-0.0", "1e+16", "1.5e+16", "1e-05", "0.0001", "123.456",
-                            "1e+100", "5e-324", "1e+23", "1.0000000000000001e+23", "NaN",
-                            "Infinity", "-Infinity"]
+    values = np.array([v for v, _ in LAYOUTS])
+    assert _spellings(_in_one_column(values), "d_ce") == [text for _, text in LAYOUTS]
+    assert _mismatches(_in_one_column(values)) == []
+
+
+#: (column, dtype, its values' text in JSON, in CSV): the dtype, not the field, sets the text
+COLUMN_KINDS = [
+    ("R", int, ["0", "-7", "3", "9007199254740991"], ["0", "-7", "3", "9007199254740991"]),
+    ("d_idrf", float, ["3.0", "0.1", "-2.5e-07", "1e+16"],
+     ["3", "0.10000000000000001", "-2.4999999999999999e-07", "10000000000000000"]),
+    ("d_ce", float, ["0.0", "-7.0", "3.0", "9007199254740991.0"],
+     ["0", "-7", "3", "9007199254740991"]),
+    ("k_idrf", float, ["0.0", "-7.0", "3.0", "9007199254740991.0"],
+     ["0", "-7", "3", "9007199254740991"]),
+    ("k_ce", int, ["0", "-7", "3", "9007199254740991"], ["0", "-7", "3", "9007199254740991"]),
+]
 
 
 def test_column_kinds_come_from_dtypes():
-    # an integer column is %d, a float column repr in JSON; in CSV both are %.17g
-    ints = np.array([0, -7, 3, 2 ** 53 - 1])
-    floats = np.array([3.0, 0.1, -2.5e-7, 1e16])
-    pairs = list(zip(ints.tolist(), floats.tolist()))
-    for json_, want in ((True, [t for k, v in pairs for t in ("%d" % k, repr(v))]),
-                        (False, [t for k, v in pairs for t in ("%.17g" % k, "%.17g" % v)])):
-        assert "".join(cli._rows([ints, floats], [" ", " "], json=json_)).split() == want
+    columns = _in_one_column(np.zeros(4))
+    for field, dtype, as_json, _ in COLUMN_KINDS:
+        columns[FIELDS.index(field)] = np.array([float(t) for t in as_json]).astype(dtype)
+    for field, _, as_json, _ in COLUMN_KINDS:
+        assert _spellings(columns, field) == as_json
+    assert _mismatches(columns) == []
+    kinds = [columns[FIELDS.index(field)] for field, *_ in COLUMN_KINDS]
+    rows = b"".join(cli._csv("h", kinds)).decode("ascii").split()[1:]
+    as_csv = [list(row) for row in zip(*[csv for *_, csv in COLUMN_KINDS])]
+    assert [row.split(",") for row in rows] == as_csv
 
 
-def test_a_zero_bound_margin_misplaces_interval_ends(monkeypatch):
-    # negative control: without the margin the step decides values whose interval ends
-    # on a short decimal, and takes the end as inside whatever the significand's parity
-    monkeypatch.setattr(cli, "_MARGIN", 0.0)
-    assert len(_corpus_mismatches()) > 100
+def test_non_finite_values_at_piece_boundaries_are_spelled_as_json_dumps_does():
+    # rows 511 and 1023 end a piece of text, and row 512 starts one
+    columns = _ten_columns(np.linspace(-3.0, 5.0, 8 * (2 * cli._CHUNK_ROWS + 30)) ** 3)
+    at = [cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS, 2 * cli._CHUNK_ROWS - 1]
+    for i in (0, 5, 9):  # R, the last float before the counts, theta_ce
+        columns[i][at] = [math.nan, math.inf, -math.inf]
+    assert _mismatches(columns) == []
+    assert [_spellings(columns, "R")[i] for i in at] == ["NaN", "Infinity", "-Infinity"]
 
 
-def test_values_near_a_tie_between_multiples_of_ten_are_left_to_repr():
-    # x = m 2^-(j+s) with m 5^(s-1) = 2^j +- 1 (mod 2^(j+1)): V = x 10^s lies within 2^-40
-    # of a tie between two multiples of 10, not on it, and its half-ulp interval is at
-    # least 5 wide; without the guard the step writes repr's digits but calls them decided
-    values = np.array([0.0004895107801545252, 6.108973636177329e-05, 9.820206352444189e-07])
-    assert not cli._digits(values, np.ones(values.size, bool))[2].any()
-    assert _list_mismatches(values) == []
-
-
-def test_the_lower_multiple_instead_of_the_nearest_misrounds(monkeypatch):
-    # negative control: rounding V down to the chosen power of ten, not to the nearest
-    # multiple, gives digits that read back as the same double but are not repr's
-    source = inspect.getsource(cli._shortest)
-    assert source.count("np.rint(v / step)") == 1
-    namespace = dict(vars(cli))
-    exec(source.replace("np.rint(v / step)", "np.floor(v / step)"), namespace)
-    monkeypatch.setattr(cli, "_shortest", namespace["_shortest"])
-    assert len(_corpus_mismatches()) > 100
+def test_without_the_layout_corrections_both_json_writers_differ_from_json(monkeypatch):
+    # negative control: orjson's own float layout is not repr's, for the analyze
+    # report's writer and for the sweep file's alike
+    monkeypatch.setattr(cli, "_repr_layout", lambda out: out)
+    for value in (1e-08, 1e16, 3.51e-05):
+        doc = {"x": value}
+        assert cli._json_indent2(doc) != (json.dumps(doc, indent=2) + "\n").encode()
+        assert len(_mismatches(_in_one_column(np.array([1.0, value, 2.0])))) == 1
 
 
 @pytest.mark.parametrize("steps", [2, 511, 512, 513, 1025])
@@ -150,7 +172,7 @@ _doubles = st.one_of(_bits, st.floats(), st.sampled_from([0.0, -0.0, 5e-324, DBL
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(_doubles, min_size=1, max_size=700))
 def test_one_column_equals_json(values):
-    assert _list_mismatches(np.array(values)) == []
+    assert _mismatches(_in_one_column(np.array(values))) == []
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -159,4 +181,4 @@ def test_one_column_equals_json(values):
 def test_ten_columns_with_two_integer_columns_equal_json(rows, counts):
     floats = np.array(rows).T
     ints = [np.full(len(rows), k) for k in counts]
-    _table([*floats[:6], *ints, *floats[6:]])
+    assert _mismatches([*floats[:6], *ints, *floats[6:]]) == []

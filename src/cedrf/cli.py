@@ -15,14 +15,18 @@ product with a double-double table of powers of ten (Dekker's TwoProduct).
 The text comes from digit lookup tables and a byte mask per key
 ``(X, count, sign)`` (``_KEY_SHAPE``), with the column's one-byte separator
 in the leading byte of every value's block, and one ``bytes.translate``
-deletes the masked bytes.  ``%`` writes only the values the engine cannot
-decide: nan, inf, ``|x|`` outside ``[1e-290, 1e290)`` (zero excepted), one
-whose 17-digit exponent it got wrong, and one whose scaled fraction lies
-within ``_MARGIN`` (2^-40) of 1/2 (exact ties, which ``%`` rounds to even).
-The JSON sweep file (``_json``) is ``json.dumps``'s: one ``orjson.dumps``
-per piece writes its values with ``repr``'s shortest digits, a template of
-the piece's rows takes them, ``NaN``, ``Infinity`` and ``-Infinity`` replace
-orjson's ``null``, and ``_repr_layout`` puts each float in ``repr``'s layout.
+deletes the masked bytes.  The digit step's arrays and a piece's blocks,
+masks and digit groups are views of one work buffer that each piece of a
+table reuses.  ``%`` writes only the values the engine cannot decide: nan,
+inf, ``|x|`` outside ``[1e-290, 1e290)`` (zero excepted), one whose 17-digit
+exponent it got wrong, and one whose scaled fraction lies within
+``_MARGIN`` (2^-40) of 1/2 (exact ties, which ``%`` rounds to even).
+The JSON sweep file (``_json``) is ``json.dumps``'s: in each piece, one
+``orjson.dumps`` of each column's numpy slice writes its values with
+``repr``'s shortest digits, with no Python list between, and a template of
+the piece's rows takes them.  ``_repr_layout`` puts the floats in ``repr``'s
+layout, run only on a column whose text holds an exponent or ``0.0000``, and
+``NaN``, ``Infinity`` and ``-Infinity`` replace orjson's ``null``.
 
 Model files are JSON documents with keys ``A`` (nested array of L rows of
 M reals), ``sigma2`` (positive real), and optionally ``sigma_x`` (an M x M
@@ -353,7 +357,7 @@ def _words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return quads.view(np.int64).ravel(), places, tails.view(np.int64).ravel()
 
 
-def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _digits(x: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(n, X, fast)``: ``|x|`` is ``n 10^(X-16)``, rounded, where ``fast`` holds.
 
     ``n`` is an int64 in ``[10^16, 10^17)``, 0 for a zero: ``|x|`` rounded
@@ -374,31 +378,54 @@ def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     floor and the round-up bit in opposite directions and not ``n``.  The
     floor ``p + floor(rest)`` must lie in ``[10^16, 10^17)``, or ``X`` is
     wrong and ``%`` decides.  An ``n`` rounded up to 10^17 is 10^16 at the
-    next ``X``.
+    next ``X``.  Every array of the step is a row of ``work``, 13 rows of
+    ``x.size`` words that every piece of a table reuses.
     """
     table = _pow10()
-    ax = np.abs(x)
+    n, exp10, whole_n = work[:3]
+    ax, rest, p, xh, xl, whole = work[3:9].view(np.float64)
+    terms = work[9:13].view(np.float64)  # 10^s as (hi, head, tail, lo)
+    np.abs(x, out=ax)
     zero = ax == 0.0
-    fast = (ax >= _FAST_RANGE[0]) & (ax < _FAST_RANGE[1])  # false for nan and inf
-    ax = np.where(fast, ax, 1.0)
-    exp10 = np.floor(np.log10(ax)).astype(np.int64)
-    rough = ax * table[0].take(exp10 + _X_MAX)
-    exp10 += (rough >= 1e17).astype(np.int64) - (rough < 1e16)
-    hi, head, tail, lo = table.take(exp10 + _X_MAX, axis=1)
-    c = 134217729.0 * ax
-    xh = c - (c - ax)
-    xl = ax - xh
-    p = ax * hi
-    rest = (((xh * head - p) + xh * tail + xl * head) + xl * tail) + ax * lo
-    whole = np.floor(rest)
-    frac = rest - whole
-    floor = p.astype(np.int64) + whole.astype(np.int64)
-    n = floor + (frac > 0.5)
-    fast &= (floor >= 10 ** 16) & (floor < 10 ** 17) & (np.abs(frac - 0.5) >= _MARGIN)
+    fast = ax >= _FAST_RANGE[0]
+    fast &= ax < _FAST_RANGE[1]  # false for nan and inf
+    np.copyto(ax, 1.0, where=~fast)
+    np.floor(np.log10(ax, out=rest), out=rest)
+    np.copyto(exp10, rest, casting="unsafe")
+    exp10 += _X_MAX  # a row of the table until the end
+    table[0].take(exp10, out=p, mode="clip")  # every index is in the table
+    p *= ax  # the rough product
+    exp10 += p >= 1e17
+    exp10 -= p < 1e16
+    table.take(exp10, axis=1, out=terms, mode="clip")
+    hi, head, tail, lo = terms
+    np.multiply(ax, 134217729.0, out=xh)
+    np.subtract(xh, ax, out=xl)
+    np.subtract(xh, xl, out=xh)
+    np.subtract(ax, xh, out=xl)
+    np.multiply(ax, hi, out=p)
+    np.multiply(xh, head, out=rest)
+    rest -= p
+    for u, v in ((xh, tail), (xl, head), (xl, tail), (ax, lo)):
+        rest += np.multiply(u, v, out=hi)
+    np.floor(rest, out=whole)
+    rest -= whole  # the fraction
+    np.copyto(n, p, casting="unsafe")
+    np.copyto(whole_n, whole, casting="unsafe")
+    n += whole_n  # the floor
+    fast &= n >= 10 ** 16
+    fast &= n < 10 ** 17
+    n += rest > 0.5
+    rest -= 0.5
+    fast &= np.abs(rest, out=rest) >= _MARGIN
     carry = n == 10 ** 17
-    n = np.where(carry, 10 ** 16, n)
+    np.copyto(n, 10 ** 16, where=carry)
     exp10 += carry
-    return np.where(zero, 0, n), np.where(zero, 0, exp10), fast | zero
+    exp10 -= _X_MAX
+    np.copyto(n, 0, where=zero)
+    np.copyto(exp10, 0, where=zero)
+    fast |= zero
+    return n, exp10, fast
 
 
 #: the decimal exponents ``X`` of the mask table: the fixed-notation range and one
@@ -435,33 +462,41 @@ def _keep_words() -> np.ndarray:
     return (keep * np.uint8(0xFF)).view(np.int64)
 
 
-def _text(x: np.ndarray, lead: np.ndarray) -> bytes:
+def _text(x: np.ndarray, lead: np.ndarray, work: np.ndarray) -> bytes:
     """The values ``x``, each as ``"%.17g" % v`` after its column's separator.
 
     ``x`` runs row by row, and ``lead`` holds each column's first word of
     ``_BLOCK``, whose first byte is the column's separator.  Each value
     fills one block from the lookup tables; its bytes outside its text are
-    zeroed, and all zero bytes are deleted at once.
+    zeroed, and all zero bytes are deleted at once.  The blocks, their
+    masks, the digit groups and their words, and the arrays of
+    :func:`_digits` are views of ``work``, 33 rows of at least ``x.size``
+    words that every piece of a table reuses: six rows each hold the blocks
+    and the masks, four each the groups and the words, and the last 13 the
+    digit step's arrays.
     """
     quads, places, tails = _words()
-    n, exp10, fast = _digits(x)
+    size = x.size
+    blocks, masks, groups, words = (work[a:b].ravel()[:(b - a) * size].reshape(size, b - a)
+                                    for a, b in ((0, 6), (6, 12), (12, 16), (16, 20)))
+    n, exp10, fast = _digits(x, work[20:, :size])
     q = n // 10
     d16 = n - 10 * q
     high = q // 10 ** 8
     halves = np.stack([high, q - high * 10 ** 8], axis=1)
     top = halves // 10 ** 4
-    groups = np.stack([top, halves - top * 10 ** 4], axis=2).reshape(-1, 4)
-    blocks = np.empty((x.size, 6), np.int64)
+    np.stack([top, halves - top * 10 ** 4], axis=2, out=groups.reshape(-1, 2, 2))
     blocks.reshape(-1, len(lead), 6)[:, :, 0] = lead
-    blocks[:, 1:5] = quads.take(groups)
+    blocks[:, 1:5] = quads.take(groups, out=words)
     blocks[:, 5] = tails.take(exp10 + _X_MAX)
     blocks.view(np.uint8)[:, _DIGIT0 + 32] = d16 + ord("0")
 
-    p1, p2, p3, p4 = places.take(groups + _GROUP_OFFSETS).T
+    groups += _GROUP_OFFSETS
+    p1, p2, p3, p4 = places.take(groups).T
     count = np.where(d16 > 0, 17, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
     key = np.ravel_multi_index((exp10 - _LAYOUT_X[0], count, np.signbit(x)), _KEY_SHAPE,
                                mode="clip")
-    blocks &= _keep_words().take(key, axis=0)
+    blocks &= _keep_words().take(key, axis=0, out=masks)
 
     slow = np.flatnonzero(~fast)
     if slow.size:  # nan, inf, values out of range and those the step leaves: % writes them
@@ -482,9 +517,10 @@ def _csv(head: str, columns):
     separators = [b"\n"] + [b","] * (len(columns) - 1)
     lead = np.frombuffer(b"".join(sep + _BLOCK[1:8] for sep in separators), np.int64)
     values = np.stack(columns, axis=1, dtype=np.float64)
+    work = np.empty((33, min(len(values), _CHUNK_ROWS) * len(columns)), np.int64)  # see _text
     yield head.encode()
     for i in range(0, len(values), _CHUNK_ROWS):
-        yield _text(values[i:i + _CHUNK_ROWS].ravel(), lead)
+        yield _text(values[i:i + _CHUNK_ROWS].ravel(), lead, work)
     yield b"\n"
 
 
@@ -493,24 +529,40 @@ _JSON_ROW = (",\n    {\n" + ",\n".join(f'      "{f}": %s' for f in drf.Distortio
              + "\n    }").encode()
 
 
+def _json_tokens(piece: np.ndarray) -> list[bytes]:
+    """``json.dumps``'s text of each value of a contiguous integer or float array.
+
+    One ``orjson.dumps`` of the array itself, split at its commas.  Only
+    where that text holds an exponent or ``0.0000`` (some ``0 < |v| < 1e-4``
+    or ``|v| >= 1e16``) does :func:`_repr_layout` run, and only where it
+    holds orjson's ``null`` for a non-finite float are values read back.
+    """
+    text = orjson.dumps(piece, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    if b"e" in text or b"0.0000" in text:
+        tokens = _repr_layout(text.replace(b",", b"\n")).split(b"\n")
+    else:
+        tokens = text.split(b",")
+    if b"null" in text:  # json writes NaN, Infinity or -Infinity
+        tokens = [json.dumps(v).encode() if t == b"null" else t
+                  for t, v in zip(tokens, piece.tolist())]
+    return tokens
+
+
 def _json(columns):
     """The ``--format json`` sweep file: ``json.dumps({"rows": rows}, indent=2)`` and a newline.
 
-    Each piece of ``_CHUNK_ROWS`` rows is one ``orjson.dumps`` of its values,
-    row by row, set one to a line for :func:`_repr_layout` and then into
-    ``_JSON_ROW``'s fields.  An integer column's values are ``%d``, a float
-    column's ``repr``'s digits.
+    Each piece of ``_CHUNK_ROWS`` rows takes each column's values from
+    :func:`_json_tokens` into ``_JSON_ROW``'s fields.  An integer column's
+    values are ``%d``, a float column's ``repr``'s digits.
     """
     yield b'{\n  "rows": ['
     for i in range(0, len(columns[0]), _CHUNK_ROWS):
-        values = list(itertools.chain.from_iterable(zip(*[c[i:i + _CHUNK_ROWS].tolist()
-                                                          for c in columns])))
-        text = orjson.dumps(values)
-        tokens = _repr_layout(text[1:-1].replace(b",", b"\n")).split(b"\n")
-        if b"null" in text:  # orjson's non-finite float: json writes NaN, Infinity or -Infinity
-            tokens = [json.dumps(v).encode() if t == b"null" else t for t, v in zip(tokens, values)]
-        piece = (_JSON_ROW * (len(values) // len(columns))) % tuple(tokens)
-        yield piece[1:] if i == 0 else piece
+        pieces = [np.ascontiguousarray(c[i:i + _CHUNK_ROWS]) for c in columns]
+        tokens = [b""] * (pieces[0].size * len(pieces))
+        for j, piece in enumerate(pieces):
+            tokens[j::len(pieces)] = _json_tokens(piece)
+        rows = (_JSON_ROW * pieces[0].size) % tuple(tokens)
+        yield rows[1:] if i == 0 else rows
     yield b"\n  ]\n}\n"
 
 

@@ -16,11 +16,18 @@ adds.  With ``c = lam/(lam+s2)``, ``o = lam + s2`` and ``r`` positive ``c_l``,
 ``M d = (M - r) + sum_{l<=r} s2/o_l + sum_l t_l``: ``t_l = min(c_l, theta)``
 for the optimal scheme, which water-fills ``c``, and ``c_l min(o_l, theta)/o_l``
 for compress-and-estimate, which water-fills ``o``.  The first two terms are
-the model's ``floor_sum`` (:func:`spectral.spectra`) and no term is negative,
-so nothing cancels.  One kernel, :func:`_curves`, evaluates both a whole rate
-grid at a time: active counts and water levels come from
-:func:`waterfill._levels`, and every power of two from the C library's
-``pow``.  Each gap bound is a prefactor held as ``frexp`` parts times
+the model's ``floor_sum`` ``F`` (:func:`spectral.spectra`) and no term is
+negative, so nothing cancels.  One kernel, :func:`_curves`, evaluates both a
+whole rate grid at a time: active counts, water levels ``theta = v_k 2^x``
+and their powers of two ``2^x`` come from :func:`waterfill._levels`, every
+power of two from the C library's ``pow``.  The sums are constant on each
+piece of the grid where a count ``k`` holds, so the kernel builds them once
+per count and adds each rate's own share: ``M d_idrf = F + (k theta + T[k])``
+and ``M d_ce = F + (2^x H[k] + T[min(k, r)])``, where ``T[m] = sum_{l>m} c_l``
+and ``H[k] = sum_{l<=min(k,r)} c_l (o_k/o_l)``.  Each term is at most its
+``c_l``: no ``c/o`` weight is formed, and ``theta_ce``, subnormal where
+``sigma2`` is, enters no sum.  Both curves are bounded by 1, as the exact
+ones are.  Each gap bound is a prefactor held as ``frexp`` parts times
 ``2^{-2R/L}``, put together by one ``ldexp`` (:func:`_gap_bounds_grid`).
 A spectrum's ``values`` and ``thresholds`` are read-only arrays; scalar code
 takes Python floats from them first.  The one-rate functions (:func:`idrf`,
@@ -96,21 +103,28 @@ class AmGmBounds(NamedTuple):
 
 def _curves(obs: Spectrum, cond: Spectrum, floor_sum: float, M: int,
             R: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Both schemes' ``(d_idrf, d_ce, k_idrf, k_ce, theta_idrf, theta_ce)`` on a grid of valid rates.
+    """Both schemes' ``(d_idrf, d_ce, k_idrf, k_ce, theta_idrf, theta_ce)`` on a non-decreasing
+    grid of valid rates, from the per-count constants ``T`` and ``H`` of the module docstring.
 
-    Each distortion is ``floor_sum`` plus one rate's row of the per-component terms, over ``M``.
+    ``T`` is summed from its smallest term up and ``H`` left to right; ``H`` is
+    built for the counts from the first rate's to the last's alone.
     """
-    k_i, theta_i = waterfill._levels(cond, R)
-    k_c, theta_c = waterfill._levels(obs, R)
-    c, o = cond.values[: cond.rank], obs.values[: cond.rank]
-    # one (rates, r) buffer of terms, each rate's row summed over the last axis alone,
-    # so that a rate's sum is the same bits in any grid
-    terms = np.minimum(o, theta_c[:, None])
-    terms /= o
-    terms *= c  # c_l min(o_l, theta_ce) / o_l
-    d_c = (floor_sum + terms.sum(axis=1)) / M
-    d_i = (floor_sum + np.minimum(c, theta_i[:, None], out=terms).sum(axis=1)) / M
-    return d_i, d_c, k_i, k_c, theta_i, theta_c
+    k_i, theta_i, _ = waterfill._levels(cond, R)
+    k_c, theta_c, power = waterfill._levels(obs, R)
+    r, c, o = cond.rank, cond.values, obs.values
+    tail = np.zeros(r + 1)  # T[m], m = 0..r
+    np.add.accumulate(c[:r][::-1], out=tail[:r][::-1])
+    k0, k1 = int(k_c[0]), int(k_c[-1])
+    w = min(k1, r)
+    # [j, m]: the first m terms of H[k0 + j], summed; past that count, m > k0 + j, the
+    # ratios exceed 1, unread, and stay finite: the rank rule keeps o_1/o_r below 1e32
+    head = np.zeros((k1 - k0 + 1, w + 1))
+    np.add.accumulate(o[k0 - 1:k1, None] / o[:w] * c[:w], axis=1, out=head[:, 1:])
+    m = np.minimum(k_c, r)
+    d_i = k_i * theta_i + tail[k_i]
+    d_c = head[k_c - k0, m] * power + tail[m]
+    return (np.minimum((d_i + floor_sum) / M, 1.0), np.minimum((d_c + floor_sum) / M, 1.0),
+            k_i, k_c, theta_i, theta_c)
 
 
 def _lower_prefactor(lam: Sequence[float], obs: Sequence[float], M: int) -> tuple[float, int]:

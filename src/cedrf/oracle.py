@@ -132,7 +132,7 @@ def _gains(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     leaves out the component it reaches, while ``theta`` may round a hair below its value.
     At ``R = inf`` every gain is exactly 1 and every distortion exactly 0.
     """
-    k, theta = waterfill._levels(spectrum, R)
+    k, theta, _ = waterfill._levels(spectrum, R)
     v = spectrum.values[:spectrum.rank]
     dist = np.minimum(v, theta[:, None])
     return np.where(np.arange(v.size) < k[:, None], (v - dist) / v, 0.0), dist

@@ -74,20 +74,23 @@ def _exp2(e: np.ndarray) -> np.ndarray:
     return np.float_power(2.0, e)
 
 
-def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Active counts and water levels on a float64 array of valid rates.
+def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Active counts, water levels and the levels' powers of two on a float64 array of valid rates.
 
     ``k`` is the number of thresholds strictly below ``R``, at least 1
     (``R = 0``); the table's final ``inf`` keeps it at most ``rank``.
-    ``theta = lam_k 2^{2 (R_k - R) / k}``.  Both are 0 at every rate for a spectrum of rank 0.
+    ``theta = lam_k 2^x`` with the power ``2^x``, ``x = 2 (R_k - R) / k``, in ``(0, 1]``
+    unless it underflows.  All three are 0 at every rate for a spectrum of rank 0.
     """
     if spectrum.rank == 0:
-        return np.zeros(R.shape, dtype=np.intp), np.zeros_like(R)
+        zeros = np.zeros_like(R)
+        return np.zeros(R.shape, dtype=np.intp), zeros, zeros
     thr, lam = spectrum.thresholds, spectrum.values
-    k = np.maximum(thr.searchsorted(R, side="left"), 1)
-    i = k - 1
+    i = thr[1:].searchsorted(R, side="left")  # k - 1, as R_1 = 0 is below every rate but 0
+    k = i + 1
     with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: theta is 2^-inf = 0
-        return k, lam[i] * _exp2(2.0 * (thr[i] - R) / k)
+        power = _exp2(2.0 * (thr[i] - R) / k)
+    return k, lam[i] * power, power
 
 
 def rate_thresholds(spectrum: Spectrum) -> list[float]:
@@ -111,7 +114,7 @@ def water_level(spectrum: Spectrum, R: float) -> tuple[int, float]:
     eigenvalue and its successor and is continuous in ``R`` across the
     interval boundaries.  ``(0, 0.0)`` for a spectrum of rank 0.
     """
-    k, theta = _levels(spectrum, np.array([_check_rate(R)]))
+    k, theta, _ = _levels(spectrum, np.array([_check_rate(R)]))
     return int(k[0]), float(theta[0])
 
 

@@ -140,6 +140,20 @@ def test_non_finite_values_at_piece_boundaries_are_spelled_as_json_dumps_does():
     assert [_spellings(columns, "R")[i] for i in at] == ["NaN", "Infinity", "-Infinity"]
 
 
+def test_a_piece_where_one_column_alone_needs_the_layout_corrections():
+    # d_ce alone holds values whose orjson layout is not repr's; beside it, a float
+    # that only looks like one (500.0000680557637), a NaN and a strided slice
+    values = np.array([3.51e-05, 1e-08, 1e16, 2.0])
+    columns = _in_one_column(values)
+    columns[FIELDS.index("d_idrf")] = np.array([500.0000680557637, 0.5, 1.0, 2.0])
+    columns[FIELDS.index("gap")] = np.array([1.0, math.nan, 0.25, 3.0])
+    columns[FIELDS.index("theta_ce")] = (np.arange(8.0) + 0.5)[::2]
+    assert not columns[FIELDS.index("theta_ce")].flags.c_contiguous
+    assert _spellings(columns, "d_ce") == ["3.51e-05", "1e-08", "1e+16", "2.0"]
+    assert _spellings(columns, "d_idrf")[0] == "500.0000680557637"
+    assert _mismatches(columns) == []
+
+
 def test_without_the_layout_corrections_both_json_writers_differ_from_json(monkeypatch):
     # negative control: orjson's own float layout is not repr's, for the analyze
     # report's writer and for the sweep file's alike

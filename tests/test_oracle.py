@@ -258,7 +258,7 @@ def test_inactive_gains_are_exactly_zero():
         for spectrum in (model.observation, model.conditional):
             finite = [t for t in spectrum.thresholds if math.isfinite(t)]
             rates = np.array(finite + [t + offset for t in finite])
-            k, theta = waterfill._levels(spectrum, rates)
+            k, theta, _ = waterfill._levels(spectrum, rates)
             gain = oracle._gains(spectrum, rates)[0]
             assert all(np.all(g[n:] == 0.0) for g, n in zip(gain, k.tolist(), strict=True)), i
             assert all(np.all(g[:n] > 0.0) for g, n in

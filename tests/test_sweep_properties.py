@@ -91,8 +91,8 @@ def left_sum(values):
 def test_sweep_equals_one_rate_functions(model, extra):
     obs, cond, M = model.observation, model.conditional, model.M
     rank = cond.rank
-    c, o = cond.values[:rank].tolist(), obs.values[:rank].tolist()
-    assert model.floor_sum == math.fsum([M - rank, *(model.sigma2 / v for v in o)])
+    c, o = cond.values[:rank].tolist(), obs.values.tolist()
+    assert model.floor_sum == math.fsum([M - rank, *(model.sigma2 / v for v in o[:rank])])
     for pt in drf.sweep(model, boundary_grid(model, extra)):
         r = pt.R
         assert (pt.k_idrf, pt.theta_idrf) == waterfill.water_level(cond, r)
@@ -107,12 +107,15 @@ def test_sweep_equals_one_rate_functions(model, extra):
         assert pt.theta_ce == reference_level(obs, pt.k_ce, r)
         assert pt.d_idrf == drf.idrf(model, r)
         assert pt.d_ce == drf.ce_drf(model, r)
-        # the floor plus each component's term, added left to right as numpy adds
-        # a row of at most 8 (the rank is at most 8 here)
-        terms = [min(v, pt.theta_idrf) for v in c]
-        assert pt.d_idrf == (model.floor_sum + left_sum(terms)) / M
-        terms = [v * (min(w, pt.theta_ce) / w) for v, w in zip(c, o)]
-        assert pt.d_ce == (model.floor_sum + left_sum(terms)) / M
+        # the floor plus each curve's per-piece sum, at most 1, indices from 0: T[m] = sum_{l>=m}
+        # c_l from the smallest term up, H[k] = sum_{l<min(k,r)} c_l (o_{k-1}/o_l) left to right
+        def tail(m):
+            return left_sum(reversed(c[m:]))
+        F, k, m = model.floor_sum, pt.k_ce, min(pt.k_ce, rank)
+        assert pt.d_idrf == min((F + (pt.k_idrf * pt.theta_idrf + tail(pt.k_idrf))) / M, 1.0)
+        power = 2.0 ** (2.0 * (obs.thresholds.tolist()[k - 1] - r) / k)
+        head = left_sum([v * (o[k - 1] / w) for v, w in zip(c[:m], o)])
+        assert pt.d_ce == min((F + (power * head + tail(m))) / M, 1.0)
         assert pt.gap == drf.gap(model, r) == max(0.0, pt.d_ce - pt.d_idrf)
         assert pt.gap_ub == drf.gap_upper_bound(model, r)
         assert pt.gap_lb == drf.gap_lower_bound(model, r)
@@ -291,6 +294,9 @@ def test_curves_and_floor_match_the_reference(model, extra):
     ((2.0, math.sqrt(2.0), 1.0), 1e-12, range(0, 61)),
     ((829.35, 202.82), 1e-13, [68.23]),
     ((math.sqrt(20.0), math.sqrt(0.5)), 1.0, [0.0, 1.0, 40.0, 50.0, 60.0]),
+    # subnormal sigma2, where the compress-and-estimate water level is subnormal too
+    ((1e-160, 4e-161), 1e-320, range(0, 61)),
+    ((1e-155, 5e-156), 1e-310, range(0, 61)),
 ])
 def test_curves_near_the_floor_match_the_reference(diag, sigma2, rates):
     assert_matches_reference(ObservationModel(Matrix(np.diag(diag)), sigma2), [float(r) for r in rates])

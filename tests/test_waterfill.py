@@ -126,7 +126,7 @@ def test_rate_allocation_is_the_python_float_formula():
         grid = [0.0, 0.3, 40.0, 1e4]
         for t in s.thresholds[:-1]:
             grid += [max(0.0, math.nextafter(t, -math.inf)), math.nextafter(t, math.inf)]
-        ks, thetas = _levels(s, np.array(grid))
+        ks, thetas, _ = _levels(s, np.array(grid))
         for x, k, theta in zip(grid, ks.tolist(), thetas.tolist()):
             got = rate_allocation(s, x)
             assert (got.k, got.theta) == (k, theta), (s, x)

@@ -21,12 +21,9 @@ table reuses.  ``%`` writes only the values the engine cannot decide: nan,
 inf, ``|x|`` outside ``[1e-290, 1e290)`` (zero excepted), one whose 17-digit
 exponent it got wrong, and one whose scaled fraction lies within
 ``_MARGIN`` (2^-40) of 1/2 (exact ties, which ``%`` rounds to even).
-The JSON sweep file (``_json``) is ``json.dumps``'s: in each piece, one
-``orjson.dumps`` of each column's numpy slice writes its values with
-``repr``'s shortest digits, with no Python list between, and a template of
-the piece's rows takes them.  ``_repr_layout`` puts the floats in ``repr``'s
-layout, run only on a column whose text holds an exponent or ``0.0000``, and
-``NaN``, ``Infinity`` and ``-Infinity`` replace orjson's ``null``.
+The JSON sweep file (``_json``) is orjson's: in each piece, one
+``orjson.dumps`` of each column's numpy slice writes its values, with no
+Python list between, and a template of the piece's rows takes them.
 
 Model files are JSON documents with keys ``A`` (nested array of L rows of
 M reals), ``sigma2`` (positive real), and optionally ``sigma_x`` (an M x M
@@ -39,12 +36,9 @@ round every number correctly, so a model's doubles do not depend on which
 one read it.  Rates are bits unless ``--nats`` is given, in
 which case rate-valued inputs and outputs are converted on the way in/out.
 The ``analyze`` text spells floats ``"%.12g"``, one ``%`` per list
-(``_fnums``).  Its JSON file is ``orjson``'s (``_json_indent2``): ``repr``'s
-shortest digits, ``null`` for a non-finite float, and ``repr``'s layout by the
-two corrections of ``_repr_layout`` to the number ending a line (``e-8``,
-``e16`` and ``0.0000351`` become ``e-08``, ``e+16`` and ``3.51e-05``).  It
-raises outside its domain: str-keyed dicts, lists, floats, 64-bit ints, bools,
-None and ASCII text but DEL.
+(``_fnums``).  Both JSON files are orjson's RFC 8259 bytes: each float in
+the shortest digits that read back as the same double, in orjson's layout,
+integers as integers, and ``null`` for a non-finite float.
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ import io
 import itertools
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,25 +90,9 @@ def _from_bits(rate: float, nats: bool) -> float:
     return rate * _LN2 if nats else rate
 
 
-#: corrections to ``repr``'s layout; only a number ends a line in a digit (strings end in ``"``)
-_EXPONENT = re.compile(rb"(?m)e(?<=\de)(-?)(\d+)(?=,?$)")
-_EXPONENT_5 = re.compile(rb"(?m)0\.0000(?<![\d.]0\.0000)([1-9])(\d*)(?=,?$)")
-
-
-def _repr_layout(out: bytes) -> bytes:
-    """``out`` with each float that ends a line moved from orjson's layout to ``repr``'s."""
-    out = _EXPONENT.sub(lambda m: b"e" + (m[1] or b"+") + m[2].zfill(2), out)
-    if b"0.0000" in out:
-        out = _EXPONENT_5.sub(lambda m: m[1] + (m[2] and b"." + m[2]) + b"e-05", out)
-    return out
-
-
 def _json_indent2(doc) -> bytes:
-    """``json.dumps(doc, indent=2)`` and a newline, with ``null`` for a non-finite float."""
-    out = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
-    if not out.isascii() or b"\x7f" in out:  # json escapes these, orjson does not
-        raise ValueError("the JSON writer takes ASCII text without DEL only")
-    return _repr_layout(out)
+    """The ``analyze --json`` file of ``doc``: orjson's bytes, a 2-space indent and a newline."""
+    return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
 
 
 def _matrix(doc: dict, field: str) -> Matrix:
@@ -248,28 +225,22 @@ def _fnums(values: list) -> str:
 
 
 def _print_analysis(report: dict) -> None:
-    fnum = "{:.12g}".format
-
     m = report["model"]
-    print(
-        f"model: M={m['M']} L={m['L']} sigma2={fnum(m['sigma2'])} "
-        f"rank={m['rank']} full_rank={m['full_rank']} mmse_floor={fnum(m['mmse_floor'])}"
-    )
+    print("model: M=%s L=%s sigma2=%.12g rank=%s full_rank=%s mmse_floor=%.12g"
+          % (m["M"], m["L"], m["sigma2"], m["rank"], m["full_rank"], m["mmse_floor"]))
     for name, values in report["spectra"].items():
         print(f"spectrum {name + ':':<12} {_fnums(values)}")
     unit = report["units"]
     for name, values in report["thresholds"].items():
         print(f"thresholds {name} ({unit}): {_fnums(values)}")
     eq = report["equality_region"]
-    print(
-        f"equality region: r0={eq['r0']} R_limit={fnum(eq['R_limit'])} "
-        f"unconditional={eq['unconditional']}"
-    )
+    print("equality region: r0=%s R_limit=%.12g unconditional=%s"
+          % (eq["r0"], eq["R_limit"], eq["unconditional"]))
     p = report["point"]
-    print(f"at R = {fnum(p['R'])} {unit}:")
-    print(f"  d_idrf = {fnum(p['d_idrf'])}  (k={p['k_idrf']}, theta={fnum(p['theta_idrf'])})")
-    print(f"  d_ce   = {fnum(p['d_ce'])}  (k={p['k_ce']}, theta={fnum(p['theta_ce'])})")
-    print(f"  gap    = {fnum(p['gap'])}  bounds [{fnum(p['gap_lb'])}, {fnum(p['gap_ub'])}]")
+    print("at R = %.12g %s:" % (p["R"], unit))
+    print("  d_idrf = %.12g  (k=%s, theta=%.12g)" % (p["d_idrf"], p["k_idrf"], p["theta_idrf"]))
+    print("  d_ce   = %.12g  (k=%s, theta=%.12g)" % (p["d_ce"], p["k_ce"], p["theta_ce"]))
+    print("  gap    = %.12g  bounds [%.12g, %.12g]" % (p["gap"], p["gap_lb"], p["gap_ub"]))
     for name, values in report["rates"].items():
         print(f"rates {name:<4} ({unit}): {_fnums(values)}")
 
@@ -529,38 +500,21 @@ _JSON_ROW = (",\n    {\n" + ",\n".join(f'      "{f}": %s' for f in drf.Distortio
              + "\n    }").encode()
 
 
-def _json_tokens(piece: np.ndarray) -> list[bytes]:
-    """``json.dumps``'s text of each value of a contiguous integer or float array.
-
-    One ``orjson.dumps`` of the array itself, split at its commas.  Only
-    where that text holds an exponent or ``0.0000`` (some ``0 < |v| < 1e-4``
-    or ``|v| >= 1e16``) does :func:`_repr_layout` run, and only where it
-    holds orjson's ``null`` for a non-finite float are values read back.
-    """
-    text = orjson.dumps(piece, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-    if b"e" in text or b"0.0000" in text:
-        tokens = _repr_layout(text.replace(b",", b"\n")).split(b"\n")
-    else:
-        tokens = text.split(b",")
-    if b"null" in text:  # json writes NaN, Infinity or -Infinity
-        tokens = [json.dumps(v).encode() if t == b"null" else t
-                  for t, v in zip(tokens, piece.tolist())]
-    return tokens
-
-
 def _json(columns):
-    """The ``--format json`` sweep file: ``json.dumps({"rows": rows}, indent=2)`` and a newline.
+    """The ``--format json`` sweep file: ``{"rows": rows}`` with a 2-space indent and a newline.
 
-    Each piece of ``_CHUNK_ROWS`` rows takes each column's values from
-    :func:`_json_tokens` into ``_JSON_ROW``'s fields.  An integer column's
-    values are ``%d``, a float column's ``repr``'s digits.
+    Each piece of ``_CHUNK_ROWS`` rows takes each column's values from one
+    ``orjson.dumps`` of its contiguous slice, split at its commas, into
+    ``_JSON_ROW``'s fields: an integer column's values as integers, a float
+    column's as orjson writes a float, ``null`` where it is not finite.
     """
     yield b'{\n  "rows": ['
     for i in range(0, len(columns[0]), _CHUNK_ROWS):
         pieces = [np.ascontiguousarray(c[i:i + _CHUNK_ROWS]) for c in columns]
         tokens = [b""] * (pieces[0].size * len(pieces))
         for j, piece in enumerate(pieces):
-            tokens[j::len(pieces)] = _json_tokens(piece)
+            text = orjson.dumps(piece, option=orjson.OPT_SERIALIZE_NUMPY)
+            tokens[j::len(pieces)] = text[1:-1].split(b",")
         rows = (_JSON_ROW * pieces[0].size) % tuple(tokens)
         yield rows[1:] if i == 0 else rows
     yield b"\n  ]\n}\n"

@@ -12,8 +12,8 @@ group hashes the ``float.hex`` of ``gap_ub`` and ``gap_lb`` at every
 ``SUBNORMAL_SIGMA2``, so the bits of the bounds' overflow and subnormal
 paths are pinned apart from the writers.  The analyze and sweep groups also run a model
 whose ``gap_ub`` is infinite at every rate, so the spelling of non-finite
-values is hashed: ``inf`` in the text report, ``null`` in the analyze JSON, in
-bits and in nats, and ``Infinity`` in the sweep files.  They also run the two
+values is hashed: ``inf`` in the text report and the CSV files, and ``null`` in
+the analyze JSON, in bits and in nats, and in the JSON sweep files.  They also run the two
 models of ``FAR_SECOND_COMPONENT``, whose second singular value is 1e-6 or
 3e-6 of the first at ``sigma2 = 1e-14``: kept, it sets the floor, about
 5e-3.  The ``verify`` group runs ``verify --random 3`` at the default seed,

@@ -20,6 +20,9 @@ square ``n x n``, tall ``n x n/2`` and rank-deficient ``n x n`` of rank
 ``n/4``.  Which side goes first switches every seed.  For each command, a
 100-seed warm-up, untimed, captures each side's stdout, exit code and
 written file, and stops, naming the seeds, if the two sides differ on any.
+Stdout and a CSV file are compared byte for byte, a JSON file by the value
+it reads back as, each float by its ``hex()`` and a non-finite one as
+``None``, so that a change of JSON spelling alone can be timed.
 Then three passes are timed.  The script prints one line per command: the
 median and quartiles of the per-op time ratio, change over parent, and the
 ratio of the total times.
@@ -29,6 +32,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -97,13 +101,28 @@ COMMANDS = (("verify --random 1", verify_argv, VERIFY_SEEDS),
             ("analyze --json", analyze_argv, ANALYZE_SEEDS))
 
 
-def output(main, argv: list[str], tmp: str) -> tuple[str, int, bytes]:
-    """The stdout, exit code and written file (empty if none) of ``main(argv)``."""
+def read_back(doc):
+    """``doc`` with each finite float as its ``hex()`` and each other float as ``None``."""
+    if isinstance(doc, dict):
+        return {k: read_back(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return list(map(read_back, doc))
+    if isinstance(doc, float):
+        return doc.hex() if math.isfinite(doc) else None
+    return doc
+
+
+def output(main, argv: list[str], tmp: str) -> tuple:
+    """The stdout, exit code and written file (empty if none) of ``main(argv)``; a JSON
+    file as the value it reads back as (``read_back``)."""
     written = Path(tmp) / "out"
     written.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = main(argv)
-    return out.getvalue(), code, written.read_bytes() if written.exists() else b""
+    data = written.read_bytes() if written.exists() else b""
+    if data and ("--json" in argv or "json" in argv):  # analyze --json, sweep --format json
+        return out.getvalue(), code, read_back(json.loads(data))
+    return out.getvalue(), code, data
 
 
 def timed(main, argv: list[str]) -> float:

@@ -3,7 +3,6 @@ import functools
 import json
 import math
 import os
-import re
 import struct
 import subprocess
 import sys
@@ -168,42 +167,47 @@ def test_a_rate_of_minus_zero_is_read_as_zero(model_file, tmp_path, capsys):
     assert math.copysign(1.0, waterfill._check_rate(-0.0)) == 1.0
 
 
-def _nulled(doc):
-    """``doc`` with every non-finite float replaced by ``None``."""
-    if isinstance(doc, dict):
-        return {k: _nulled(v) for k, v in doc.items()}
-    if isinstance(doc, list):
-        return list(map(_nulled, doc))
-    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
-
-
-def _strict_loads(text: str):
+def _strict_loads(text: str | bytes):
     """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``, which are not JSON."""
     def refuse(name):
         raise ValueError(f"not JSON: {name}")
     return json.loads(text, parse_constant=refuse)
 
 
-def _dumps(doc) -> bytes:
-    """The analyze JSON file of ``doc``: ``json.dumps`` of it nulled, indent 2, and a newline."""
-    return (json.dumps(_nulled(doc), indent=2) + "\n").encode()
+def _read_back(doc):
+    """``doc``, through its lists and dict values, as a JSON file of it must read back: each
+    finite float as its ``hex()``, each non-finite float as ``None``, and every other value
+    tagged with its type, so that a float cannot pass for an integer."""
+    if isinstance(doc, dict):
+        return {k: _read_back(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return list(map(_read_back, doc))
+    if isinstance(doc, float):
+        return ("float", doc.hex()) if math.isfinite(doc) else ("NoneType", None)
+    return (type(doc).__name__, doc)
+
+
+def _assert_reads_back(text: bytes, doc):
+    """``text`` is RFC 8259 JSON text that reads back as ``doc``, bit for bit."""
+    assert _read_back(_strict_loads(text)) == _read_back(doc)
 
 
 def test_json_writer_writes_valid_json_with_null_for_non_finite_floats():
-    # json.dumps's bytes, except that a non-finite float is null, at any depth
+    # every float reads back bit for bit, a non-finite one as null, at any depth
     inf, nan = math.inf, math.nan
-    doc = {"floats": [1.0, -0.0, 5e-324, 1e300, inf, -inf, nan, 0.1],
+    doc = {"floats": [1.0, -0.0, 5e-324, 1e300, inf, -inf, nan, 0.1, 1e16, 3.51e-05, 1e-08],
            "ints": [0, 1, -7, 2**64 - 1, -2**63],
            "words": [None, True, False], "empty": [[], {}], "nested": {"a": {"b": [[1.5, -inf]]}},
-           "text": ["bits", "inf", "nan", "quote \" \\ \n \x00 \x1f", "k\": 1e5", "0.00001"],
+           "text": ["bits", "inf", "nan", "quote \" \\ \n \x00 \x1f", "k\": 1e5", "0.00001",
+                    "\x7f", "\u00e9"],
            "scalar": nan, "none": None}
     text = cli._json_indent2(doc)
-    assert text == _dumps(doc)
-    assert _strict_loads(text) == _nulled(doc)
+    _assert_reads_back(text, doc)
+    assert text.endswith(b"}\n")
     for value in ({}, [], 2.5, 3, True, None, "s", inf, -inf, nan, 1e16, 3.51e-05):
-        assert cli._json_indent2(value) == _dumps(value)
-    # outside the domain the writer raises; it never writes what json.dumps would not
-    for value in ("é", "\x7f", 2**70, 2**64, -2**63 - 1, np.float64(1.5), {1: 2}):
+        _assert_reads_back(cli._json_indent2(value), value)
+    # outside JSON's reach the writer raises; it never writes what does not read back
+    for value in (2**70, 2**64, -2**63 - 1, {1: 2}):
         with pytest.raises((TypeError, ValueError)):
             cli._json_indent2({"x": [value]})
 
@@ -217,23 +221,22 @@ def _report_shaped(values: list) -> dict:
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(st.lists(_doubles, max_size=20))
 def test_json_writer_spells_every_float_as_json_dumps_does(values):
-    assert cli._json_indent2(_report_shaped(values)) == _dumps(_report_shaped(values))
+    # every bit pattern reads back as the same double, or null where it is not finite
+    _assert_reads_back(cli._json_indent2(_report_shaped(values)), _report_shaped(values))
     for v in values[:3]:
-        assert cli._json_indent2(v) == _dumps(v)
+        _assert_reads_back(cli._json_indent2(v), v)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.dictionaries(st.text(st.characters(max_codepoint=0x7E)),
-                       st.one_of(st.text(st.characters(max_codepoint=0x7E)), st.floats()),
-                       max_size=5))
+@given(st.dictionaries(st.text(), st.one_of(st.text(), st.floats()), max_size=5))
 def test_json_writer_writes_ascii_text_as_json_dumps_does(doc):
-    # a number's corrections read only number tokens, whatever the text around them
-    assert cli._json_indent2({"a": [doc]}) == _dumps({"a": [doc]})
+    # any text, keys and values, reads back as itself beside the floats
+    _assert_reads_back(cli._json_indent2({"a": [doc]}), {"a": [doc]})
 
 
 def _float_corpus() -> list[float]:
-    """Every ``1e{k}`` and its neighbours, the layout switches, powers of two, zeros,
-    subnormals and non-finite values, each with both signs."""
+    """Every ``1e{k}`` and its neighbours, the switches of orjson's and ``repr``'s layouts,
+    powers of two, zeros, subnormals and non-finite values, each with both signs."""
     tens = [float(f"1e{k}") for k in range(-324, 309)]
     switches = [1e-5, 1e-4, 1e16, 3.51e-05, 9.99e-05, 1.2e-08, 9999999999999998.0]
     near = [math.nextafter(x, t) for x in tens + switches for t in (0.0, math.inf)]
@@ -242,28 +245,14 @@ def _float_corpus() -> list[float]:
     return [s * v for v in values + [0.0, math.inf] for s in (1.0, -1.0)] + [math.nan]
 
 
-def _corpus_mismatches() -> int:
-    values = _float_corpus()
-    docs = [_report_shaped(values[i:i + 64]) for i in range(0, len(values), 64)]
-    return sum(cli._json_indent2(doc) != _dumps(doc) for doc in docs + values)
-
-
 def test_json_writer_spells_the_float_corpus_as_json_dumps_does():
-    assert _corpus_mismatches() == 0
-
-
-@pytest.mark.parametrize("correction", ["_EXPONENT", "_EXPONENT_5"])
-def test_json_writer_corpus_needs_each_correction(correction, monkeypatch):
-    # negative control: with either correction off, orjson's own layout shows
-    monkeypatch.setattr(cli, correction, re.compile(rb"(?!)"))
-    assert _corpus_mismatches() > 0
-
-
-def test_orjson_float_layout_is_the_one_the_json_writer_corrects():
-    raw = {x: orjson.dumps(x) for x in (1e-05, 1e16, 1.2e-08)}
-    assert raw == {1e-05: b"0.00001", 1e16: b"1e16", 1.2e-08: b"1.2e-8"}, (
-        f"orjson {orjson.__version__} spells floats differently from the layout "
-        f"cli._json_indent2 corrects: {raw}")
+    values = _float_corpus()
+    assert len(values) == 8049
+    for i in range(0, len(values), 64):
+        doc = _report_shaped(values[i:i + 64])
+        _assert_reads_back(cli._json_indent2(doc), doc)
+    for v in values:
+        _assert_reads_back(cli._json_indent2(v), v)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -776,15 +765,27 @@ def test_sweep_nats_round_trip(model_file, tmp_path, capsys):
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%.17g,%.17g"
 
 
-# Sweep files as they were written one ``%`` per row (CSV) and by
-# ``json.dumps(..., indent=2)`` (JSON); the column writers must keep their bytes.
-def _reference_sweep(model, grid, fmt, nats):
+def _reference_points(model, grid, nats) -> list[drf.DistortionPoint]:
+    """``drf.sweep``'s rows on ``grid``, with ``R`` in the input unit."""
     points = drf.sweep(model, grid / math.log(2.0) if nats else grid)
     if nats:
         points = [pt._replace(R=r) for r, pt in zip(grid.tolist(), points)]
+    return points
+
+
+# Sweep files as they were written one ``%`` per row (CSV) and by one ``orjson.dumps`` of
+# the row dicts (JSON); the column writers must keep their bytes.
+def _reference_sweep(model, grid, fmt, nats):
+    points = _reference_points(model, grid, nats)
     if fmt == "csv":
         return "\n".join([CSV_HEADER] + [_CSV_ROW % pt for pt in points]) + "\n"
-    return json.dumps({"rows": [pt._asdict() for pt in points]}, indent=2) + "\n"
+    doc = {"rows": [pt._asdict() for pt in points]}
+    return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE).decode()
+
+
+def _assert_sweep_reads_back(text: bytes, model, grid, nats):
+    """The JSON sweep file ``text`` reads back strictly as ``drf.sweep``'s rows, bit for bit."""
+    _assert_reads_back(text, {"rows": [pt._asdict() for pt in _reference_points(model, grid, nats)]})
 
 
 BYTE_MODELS = {
@@ -811,17 +812,20 @@ def test_sweep_files_keep_their_bytes(name, fmt, tmp_path, capsys):
             argv = ["sweep", str(path), "--min", "0", "--max", "12", "--steps", str(steps),
                     "--out", str(out), "--format", fmt] + ["--nats"] * nats
             assert main(argv) == 0
-            expected = _reference_sweep(model, np.linspace(0.0, 12.0, steps), fmt, nats)
-            assert out.read_bytes() == expected.encode()
+            grid = np.linspace(0.0, 12.0, steps)
+            assert out.read_bytes() == _reference_sweep(model, grid, fmt, nats).encode()
+            if fmt == "json":
+                _assert_sweep_reads_back(out.read_bytes(), model, grid, nats)
     assert capsys.readouterr().out == f"wrote 2 rows to {out}\n" * 2 + f"wrote 2001 rows to {out}\n" * 2
     if name == "infinite gap bound":  # inf takes the CSV writer's % path
-        assert ("Infinity" if fmt == "json" else "inf") in out.read_text()
+        assert ("null" if fmt == "json" else "inf") in out.read_text()
     if name in ("1x1", "rank 0") and fmt == "csv":  # zeros take its digit path
         assert {row.split(",")[5] for row in out.read_text().split()[1:]} == {"0"}
 
 
 @pytest.mark.parametrize("name", list(BYTE_MODELS))
 def test_analyze_json_keeps_json_dumps_bytes(name, tmp_path, capsys):
+    # the file is strict JSON that reads back as the report, bit for bit
     path, out = tmp_path / "model.json", tmp_path / "report.json"
     path.write_text(json.dumps(BYTE_MODELS[name]))
     model = load_model(path)
@@ -830,8 +834,7 @@ def test_analyze_json_keeps_json_dumps_bytes(name, tmp_path, capsys):
             argv = ["analyze", str(path), "--rate", repr(rate), "--json", str(out)]
             assert main(argv + ["--nats"] * nats) == 0
             report = cli._analysis_report(model, rate / math.log(2.0) if nats else rate, nats)
-            assert out.read_bytes() == _dumps(report)
-            _strict_loads(out.read_text())
+            _assert_reads_back(out.read_bytes(), report)
     capsys.readouterr()
 
 
@@ -874,10 +877,12 @@ def test_sweep_files_spell_non_finite_values_as_before(model_file, tmp_path, cap
             assert main(argv) == 0
             expected = _reference_sweep(None, np.array([0.0, 1.5]), fmt, nats)
             assert out.read_bytes() == expected.encode()
+            if fmt == "json":
+                _assert_sweep_reads_back(out.read_bytes(), None, np.array([0.0, 1.5]), nats)
     capsys.readouterr()
-    text = out.read_text()
-    assert '"gap_ub": Infinity' in text and '"d_ce": -Infinity' in text and '"d_idrf": NaN' in text
-    assert json.loads(text)["rows"][1]["theta_ce"] == 1e300
+    rows = _strict_loads(out.read_bytes())["rows"]  # null where a value is not finite
+    assert [rows[0]["gap_ub"], rows[1]["d_ce"], rows[1]["d_idrf"]] == [None] * 3
+    assert rows[1]["theta_ce"] == 1e300 and rows[1]["k_idrf"] == 2
 
 
 def test_sweep_and_example_write_from_one_column_kernel_call(model_file, tmp_path, capsys,

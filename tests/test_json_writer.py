@@ -1,8 +1,11 @@
-"""The JSON sweep writer (``cli._json``) against ``json.dumps``.
+"""The JSON sweep writer (``cli._json``) against one ``orjson.dumps`` and a strict reader.
 
-The reference is ``json.dumps({"rows": rows}, indent=2)``, whose floats
-are ``float.__repr__``, so it shares no code with orjson's digits or with
-the writer's row template and layout corrections.
+The reference is ``orjson.dumps({"rows": rows})`` with a 2-space indent and
+a newline, of rows of Python floats and ints, so it shares no code with the
+writer's numpy slices, row template and pieces.  Each file must also read
+back under ``json.loads`` refusing ``NaN`` and ``Infinity``: every float as
+the same double, ``null`` where it is not finite, and every integer column
+as JSON integers.  No test pins orjson's spelling of a float.
 """
 
 import json
@@ -11,10 +14,11 @@ import struct
 import sys
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cli import _reference_sweep
+from test_cli import _assert_reads_back, _assert_sweep_reads_back, _reference_sweep, _strict_loads
 from test_csv_writer import _corpus as _csv_corpus
 
 from cedrf import cli, drf
@@ -25,10 +29,15 @@ FIELDS = drf.DistortionPoint._fields
 
 
 def _mismatches(columns) -> list[tuple[str, str]]:
-    """The lines where the sweep file of ``columns`` differs from ``json.dumps``'s."""
+    """The lines where the sweep file of ``columns`` differs from the reference's.
+
+    The file must also read back as the rows, bit for bit.
+    """
     rows = [dict(zip(FIELDS, row)) for row in zip(*[c.tolist() for c in columns])]
-    got = b"".join(cli._json(columns)).decode("ascii").split("\n")
-    want = (json.dumps({"rows": rows}, indent=2) + "\n").split("\n")
+    text = b"".join(cli._json(columns))
+    _assert_reads_back(text, {"rows": rows})
+    want = orjson.dumps({"rows": rows}, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+    got, want = text.decode().split("\n"), want.decode().split("\n")
     assert len(got) == len(want)
     return [(g, w) for g, w in zip(got, want) if g != w]
 
@@ -46,21 +55,18 @@ def _in_one_column(values: np.ndarray) -> list[np.ndarray]:
             for f in FIELDS]
 
 
-def _spellings(columns, field: str) -> list[str]:
-    """The text of ``field``'s values in the sweep file of ``columns``, row by row."""
-    key = f'      "{field}": '
-    return [line[len(key):].rstrip(",")
-            for line in b"".join(cli._json(columns)).decode("ascii").split("\n")
-            if line.startswith(key)]
+def _values(columns, field: str) -> list:
+    """``field``'s values as a strict reader reads them from the sweep file of ``columns``."""
+    return [row[field] for row in _strict_loads(b"".join(cli._json(columns)))["rows"]]
 
 
 def _corpus() -> np.ndarray:
-    """Doubles at every switch of shortest-digit rounding and of the ``repr`` layout.
+    """Doubles at every switch of shortest-digit rounding and of float layouts.
 
     The powers of two (whose gap below is half that above), 10^k and its
-    neighbours, the layout switches at 10^16, 10^-4 and 10^-5, values
-    whose shortest digits round up to the next decade, the extremes, the
-    CSV writer's corpus, the doubles from 2^54, whose half-ulp
+    neighbours, the layout switches of ``repr`` and orjson at 10^16, 10^-4
+    and 10^-5, values whose shortest digits round up to the next decade,
+    the extremes, the CSV writer's corpus, the doubles from 2^54, whose half-ulp
     intervals end on even integers, a fifth of them multiples of 10, and
     the quarters from 2^49, each an exact tie between two 16-digit
     decimals, which ``repr`` rounds to the even one.
@@ -82,47 +88,41 @@ def _corpus() -> np.ndarray:
 
 def test_corpus_equals_json_in_one_and_in_ten_columns():
     values = _corpus()
+    assert values.size == 74082
     assert _mismatches(_in_one_column(values)) == []
     assert _mismatches(_ten_columns(values)) == []
 
 
-#: (value, its text in the sweep file); 9.999999999999999e22 is the double nearest 1e23,
-#: whose digits round up to the next decade
-LAYOUTS = [
-    (3.0, "3.0"), (0.0, "0.0"), (-0.0, "-0.0"), (1e16, "1e+16"), (1.5e16, "1.5e+16"),
-    (1e-5, "1e-05"), (3.51e-05, "3.51e-05"), (-3.51e-05, "-3.51e-05"), (1e-4, "0.0001"),
-    (1e-08, "1e-08"), (123.456, "123.456"), (1e100, "1e+100"), (5e-324, "5e-324"),
-    (9.999999999999999e22, "1e+23"), (1.0000000000000001e23, "1.0000000000000001e+23"),
-    (500.0000680557637, "500.0000680557637"), (math.nan, "NaN"), (math.inf, "Infinity"),
-    (-math.inf, "-Infinity"),
-]
+#: values on either side of the switches between fixed and exponent layouts;
+#: 9.999999999999999e22 is the double nearest 1e23, whose digits round up to the next decade
+LAYOUTS = [3.0, 0.0, -0.0, 1e16, 1.5e16, 1e-5, 3.51e-05, -3.51e-05, 1e-4, 1e-08, 123.456, 1e100,
+           5e-324, 9.999999999999999e22, 1.0000000000000001e23, 500.0000680557637, math.nan,
+           math.inf, -math.inf]
 
 
 def test_layouts_and_spellings():
-    values = np.array([v for v, _ in LAYOUTS])
-    assert _spellings(_in_one_column(values), "d_ce") == [text for _, text in LAYOUTS]
-    assert _mismatches(_in_one_column(values)) == []
+    # each reads back as the same double, or null
+    assert _mismatches(_in_one_column(np.array(LAYOUTS))) == []
 
 
-#: (column, dtype, its values' text in JSON, in CSV): the dtype, not the field, sets the text
+#: (column, dtype, its values, their text in CSV): the dtype, not the field, sets the kind
 COLUMN_KINDS = [
-    ("R", int, ["0", "-7", "3", "9007199254740991"], ["0", "-7", "3", "9007199254740991"]),
-    ("d_idrf", float, ["3.0", "0.1", "-2.5e-07", "1e+16"],
+    ("R", int, [0, -7, 3, 9007199254740991], ["0", "-7", "3", "9007199254740991"]),
+    ("d_idrf", float, [3.0, 0.1, -2.5e-07, 1e16],
      ["3", "0.10000000000000001", "-2.4999999999999999e-07", "10000000000000000"]),
-    ("d_ce", float, ["0.0", "-7.0", "3.0", "9007199254740991.0"],
-     ["0", "-7", "3", "9007199254740991"]),
-    ("k_idrf", float, ["0.0", "-7.0", "3.0", "9007199254740991.0"],
-     ["0", "-7", "3", "9007199254740991"]),
-    ("k_ce", int, ["0", "-7", "3", "9007199254740991"], ["0", "-7", "3", "9007199254740991"]),
+    ("d_ce", float, [0.0, -7.0, 3.0, 9007199254740991.0], ["0", "-7", "3", "9007199254740991"]),
+    ("k_idrf", float, [0.0, -7.0, 3.0, 9007199254740991.0], ["0", "-7", "3", "9007199254740991"]),
+    ("k_ce", int, [0, -7, 3, 9007199254740991], ["0", "-7", "3", "9007199254740991"]),
 ]
 
 
 def test_column_kinds_come_from_dtypes():
     columns = _in_one_column(np.zeros(4))
-    for field, dtype, as_json, _ in COLUMN_KINDS:
-        columns[FIELDS.index(field)] = np.array([float(t) for t in as_json]).astype(dtype)
-    for field, _, as_json, _ in COLUMN_KINDS:
-        assert _spellings(columns, field) == as_json
+    for field, dtype, values, _ in COLUMN_KINDS:
+        columns[FIELDS.index(field)] = np.array(values, dtype=dtype)
+    for field, dtype, values, _ in COLUMN_KINDS:  # an integer column reads back as integers
+        got = _values(columns, field)
+        assert [(type(v), v) for v in got] == [(dtype, v) for v in values]
     assert _mismatches(columns) == []
     kinds = [columns[FIELDS.index(field)] for field, *_ in COLUMN_KINDS]
     rows = b"".join(cli._csv("h", kinds)).decode("ascii").split()[1:]
@@ -131,37 +131,32 @@ def test_column_kinds_come_from_dtypes():
 
 
 def test_non_finite_values_at_piece_boundaries_are_spelled_as_json_dumps_does():
-    # rows 511 and 1023 end a piece of text, and row 512 starts one
+    # rows 511 and 1023 end a piece of text, and row 512 starts one: each non-finite
+    # value there reads back as null
     columns = _ten_columns(np.linspace(-3.0, 5.0, 8 * (2 * cli._CHUNK_ROWS + 30)) ** 3)
     at = [cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS, 2 * cli._CHUNK_ROWS - 1]
     for i in (0, 5, 9):  # R, the last float before the counts, theta_ce
         columns[i][at] = [math.nan, math.inf, -math.inf]
     assert _mismatches(columns) == []
-    assert [_spellings(columns, "R")[i] for i in at] == ["NaN", "Infinity", "-Infinity"]
+    for field in ("R", "gap_lb", "theta_ce"):
+        values = _values(columns, field)
+        assert [values[i] for i in at] == [None] * 3
+        assert None not in values[:at[0]] + values[at[1] + 1:at[2]] + values[at[2] + 1:]
 
 
 def test_a_piece_where_one_column_alone_needs_the_layout_corrections():
-    # d_ce alone holds values whose orjson layout is not repr's; beside it, a float
-    # that only looks like one (500.0000680557637), a NaN and a strided slice
+    # d_ce alone holds values in exponent form or below 1e-4; beside it, a float that
+    # only looks like one (500.0000680557637), a NaN and a strided slice
     values = np.array([3.51e-05, 1e-08, 1e16, 2.0])
     columns = _in_one_column(values)
     columns[FIELDS.index("d_idrf")] = np.array([500.0000680557637, 0.5, 1.0, 2.0])
     columns[FIELDS.index("gap")] = np.array([1.0, math.nan, 0.25, 3.0])
     columns[FIELDS.index("theta_ce")] = (np.arange(8.0) + 0.5)[::2]
     assert not columns[FIELDS.index("theta_ce")].flags.c_contiguous
-    assert _spellings(columns, "d_ce") == ["3.51e-05", "1e-08", "1e+16", "2.0"]
-    assert _spellings(columns, "d_idrf")[0] == "500.0000680557637"
+    assert _values(columns, "d_ce") == values.tolist()
+    assert _values(columns, "gap")[1] is None
+    assert _values(columns, "theta_ce") == [0.5, 2.5, 4.5, 6.5]
     assert _mismatches(columns) == []
-
-
-def test_without_the_layout_corrections_both_json_writers_differ_from_json(monkeypatch):
-    # negative control: orjson's own float layout is not repr's, for the analyze
-    # report's writer and for the sweep file's alike
-    monkeypatch.setattr(cli, "_repr_layout", lambda out: out)
-    for value in (1e-08, 1e16, 3.51e-05):
-        doc = {"x": value}
-        assert cli._json_indent2(doc) != (json.dumps(doc, indent=2) + "\n").encode()
-        assert len(_mismatches(_in_one_column(np.array([1.0, value, 2.0])))) == 1
 
 
 @pytest.mark.parametrize("steps", [2, 511, 512, 513, 1025])
@@ -174,8 +169,9 @@ def test_sweeps_across_piece_boundaries(steps, tmp_path, capsys):
         argv = ["sweep", str(path), "--min", "0", "--max", "12", "--steps", str(steps),
                 "--out", str(out), "--format", "json"] + ["--nats"] * nats
         assert main(argv) == 0
-        expected = _reference_sweep(model, np.linspace(0.0, 12.0, steps), "json", nats)
-        assert out.read_bytes() == expected.encode()
+        grid = np.linspace(0.0, 12.0, steps)
+        assert out.read_bytes() == _reference_sweep(model, grid, "json", nats).encode()
+        _assert_sweep_reads_back(out.read_bytes(), model, grid, nats)
     capsys.readouterr()
 
 

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mp_reference
-from test_cli import BYTE_MODELS, _reference_sweep
+from test_cli import BYTE_MODELS, _assert_sweep_reads_back, _reference_sweep
 
 from cedrf import cli, drf, oracle, waterfill
 from cedrf.linalg import Matrix
@@ -237,7 +237,8 @@ def test_grid_evaluation_is_pointwise(model, extra, data):
        st.floats(0.0, 1e3), st.floats(1e-6, 1e3), st.integers(2, 64),
        st.sampled_from(["csv", "json"]), st.booleans())
 def test_sweep_files_equal_the_reference_bytes(doc, low, span, steps, fmt, nats):
-    # the column writer against drf.sweep's rows and json.dumps
+    # the column writer against drf.sweep's rows, written one % per row (CSV) or by one
+    # orjson.dumps (JSON); a JSON file also reads back strictly, bit for bit
     with tempfile.TemporaryDirectory() as d:
         path, out = Path(d) / "model.json", Path(d) / "sweep.out"
         path.write_text(json.dumps(doc))
@@ -246,7 +247,10 @@ def test_sweep_files_equal_the_reference_bytes(doc, low, span, steps, fmt, nats)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         grid = np.linspace(low, low + span, steps)
-        assert out.read_bytes() == _reference_sweep(cli.load_model(path), grid, fmt, nats).encode()
+        model = cli.load_model(path)
+        assert out.read_bytes() == _reference_sweep(model, grid, fmt, nats).encode()
+        if fmt == "json":
+            _assert_sweep_reads_back(out.read_bytes(), model, grid, nats)
 
 
 #: Largest relative error of ``idrf``, ``ce_drf`` and ``mmse_floor`` against

@@ -207,7 +207,7 @@ def test_json_writer_writes_valid_json_with_null_for_non_finite_floats():
     for value in ({}, [], 2.5, 3, True, None, "s", inf, -inf, nan, 1e16, 3.51e-05):
         _assert_reads_back(cli._json_indent2(value), value)
     # outside JSON's reach the writer raises; it never writes what does not read back
-    for value in (2**70, 2**64, -2**63 - 1, {1: 2}):
+    for value in (2**70, 2**64, -2**63 - 1, np.float64(1.5), {1: 2}):
         with pytest.raises((TypeError, ValueError)):
             cli._json_indent2({"x": [value]})
 
@@ -825,7 +825,8 @@ def test_sweep_files_keep_their_bytes(name, fmt, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", list(BYTE_MODELS))
 def test_analyze_json_keeps_json_dumps_bytes(name, tmp_path, capsys):
-    # the file is strict JSON that reads back as the report, bit for bit
+    # the file is orjson's bytes in a 2-space indent with a final newline, and strict JSON
+    # that reads back as the report, bit for bit
     path, out = tmp_path / "model.json", tmp_path / "report.json"
     path.write_text(json.dumps(BYTE_MODELS[name]))
     model = load_model(path)
@@ -835,6 +836,8 @@ def test_analyze_json_keeps_json_dumps_bytes(name, tmp_path, capsys):
             assert main(argv + ["--nats"] * nats) == 0
             report = cli._analysis_report(model, rate / math.log(2.0) if nats else rate, nats)
             _assert_reads_back(out.read_bytes(), report)
+            assert out.read_bytes() == orjson.dumps(
+                report, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
     capsys.readouterr()
 
 

@@ -22,17 +22,19 @@ whole rate grid at a time: active counts, water levels ``theta = v_k 2^x``
 and their powers of two ``2^x`` come from :func:`waterfill._levels`, every
 power of two from the C library's ``pow``.  The sums are constant on each
 piece of the grid where a count ``k`` holds, so the kernel builds them once
-per count and adds each rate's own share: ``M d_idrf = F + (k theta + T[k])``
-and ``M d_ce = F + (2^x H[k] + T[min(k, r)])``, where ``T[m] = sum_{l>m} c_l``
-and ``H[k] = sum_{l<=min(k,r)} c_l (o_k/o_l)``.  Each term is at most its
-``c_l``: no ``c/o`` weight is formed, and ``theta_ce``, subnormal where
-``sigma2`` is, enters no sum.  Both curves are bounded by 1, as the exact
-ones are.  Each gap bound is a prefactor held as ``frexp`` parts times
-``2^{-2R/L}``, put together by one ``ldexp`` (:func:`_gap_bounds_grid`).
-A spectrum's ``values`` and ``thresholds`` are read-only arrays; scalar code
-takes Python floats from them first.  The one-rate functions (:func:`idrf`,
-:func:`ce_drf`, the gap and its bounds) evaluate that grid at a single rate,
-so they equal :func:`sweep` bit for bit.
+per count and adds each rate's own share: ``M d_idrf = F + S_i`` with
+``S_i = k theta + T[k]``, and ``M d_ce = F + S_c`` with ``S_c = 2^x H[k] +
+T[min(k, r)]``, where ``T[m] = sum_{l>m} c_l`` and ``H[k] = sum_{l<=min(k,r)}
+c_l (o_k/o_l)``.  Each term is at most its ``c_l``: no ``c/o`` weight is
+formed, and ``theta_ce``, subnormal where ``sigma2`` is, enters no sum.  Both
+curves are bounded by 1, as the exact ones are.  The gap is ``max(S_c - S_i,
+0)/M``: the floor, which would cancel it, is never added.  Each gap bound is
+a prefactor held as ``frexp`` parts times ``2^{-2R/L}``, put together by one
+``ldexp`` (:func:`_gap_bounds_grid`).  A spectrum's ``values`` and
+``thresholds`` are read-only arrays; scalar code takes Python floats from
+them first.  The one-rate functions (:func:`idrf`, :func:`ce_drf`, the gap
+and its bounds) evaluate that grid at a single rate, so they equal
+:func:`sweep` bit for bit.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ class AmGmBounds(NamedTuple):
 
 def _curves(obs: Spectrum, cond: Spectrum, floor_sum: float, M: int,
             R: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Both schemes' ``(d_idrf, d_ce, k_idrf, k_ce, theta_idrf, theta_ce)`` on a non-decreasing
-    grid of valid rates, from the per-count constants ``T`` and ``H`` of the module docstring.
+    """Both schemes' ``(d_idrf, d_ce, gap, k_idrf, k_ce, theta_idrf, theta_ce)`` on a non-decreasing
+    grid of valid rates, from the sums ``S_i``, ``S_c`` of the module docstring.
 
     ``T`` is summed from its smallest term up and ``H`` left to right; ``H`` is
     built for the counts from the first rate's to the last's alone.
@@ -124,7 +126,7 @@ def _curves(obs: Spectrum, cond: Spectrum, floor_sum: float, M: int,
     d_i = k_i * theta_i + tail[k_i]
     d_c = head[k_c - k0, m] * power + tail[m]
     return (np.minimum((d_i + floor_sum) / M, 1.0), np.minimum((d_c + floor_sum) / M, 1.0),
-            k_i, k_c, theta_i, theta_c)
+            np.maximum(d_c - d_i, 0.0) / M, k_i, k_c, theta_i, theta_c)
 
 
 def _lower_prefactor(lam: Sequence[float], obs: Sequence[float], M: int) -> tuple[float, int]:
@@ -162,11 +164,9 @@ def _columns(model: ObservationModel, grid: np.ndarray) -> tuple[np.ndarray, ...
     Each rate's entries depend on that rate alone, so a rate's row is the
     same bits in any grid that holds it.
     """
-    d_i, d_c, k_i, k_c, theta_i, theta_c = _curves(model.observation, model.conditional,
-                                                   model.floor_sum, model.M, grid)
+    d_i, d_c, gap, k_i, k_c, theta_i, theta_c = _curves(model.observation, model.conditional,
+                                                        model.floor_sum, model.M, grid)
     upper, lower = _gap_bounds_grid(model, grid, k_i, k_c)
-    diff = d_c - d_i
-    gap = np.where(diff > 0.0, diff, 0.0)
     return grid, d_i, d_c, gap, upper, lower, k_i, k_c, theta_i, theta_c
 
 
@@ -243,7 +243,8 @@ def equality_region(model: ObservationModel) -> EqualityRegion:
 
 
 def gap(model: ObservationModel, R: float) -> float:
-    """Distortion penalty of encoder ignorance, ``ce_drf - idrf``, clamped at 0."""
+    """Distortion penalty of encoder ignorance, ``ce_drf - idrf``, clamped at 0: the difference
+    of the two curves' sums before the floor is added (:func:`_curves`), so it does not cancel."""
     return _point(model, R).gap
 
 
@@ -286,22 +287,19 @@ def _check_condition_2d(lambda1: float, lambda2: float,
 def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     """Gap for two sources observed through two components, in closed form.
 
-    Three regions: zero up to the second activation rate of the estimate
-    spectrum, an explicit square up to the second activation rate of the
-    observation spectrum, and the general spectral difference beyond that.
-    ``lambda1``, ``lambda2`` are exact, and the regions end where :func:`gap`
-    switches ``k``, so the two agree on the diagonal model wherever it keeps
+    Two paths: the paper's explicit square on the piece ``(k_idrf, k_ce) = (2, 1)``, and
+    elsewhere the gap of :func:`_curves`, exactly 0 where each spectrum has one component
+    active.  ``lambda1``, ``lambda2`` are exact, and the square's piece ends where
+    :func:`gap` switches ``k``, so the two agree on the diagonal model wherever it keeps
     ``lambda2`` (``sqrt(lambda2) > 2 eps sqrt(lambda1)``, :func:`linalg.above_noise`).
     """
     R = waterfill._check_rate(R)
     obs, cond, floor_sum = _check_condition_2d(lambda1, lambda2, sigma2)
-    d_idrf, d_ce, k_idrf, k_ce = _curves(obs, cond, floor_sum, 2, np.array([R]))[:4]
-    if k_idrf[0] < 2:  # at rank 1 the estimate spectrum's second component never activates
-        return 0.0
-    if k_ce[0] < 2:
+    gap, k_idrf, k_ce = _curves(obs, cond, floor_sum, 2, np.array([R]))[2:5]
+    if (k_idrf[0], k_ce[0]) == (2, 1):
         c1, c2 = cond.values.tolist()
         return 0.5 * (math.sqrt(c1) * 2.0 ** (-R) - math.sqrt(c2)) ** 2
-    return max(0.0, float(d_ce[0] - d_idrf[0]))
+    return float(gap[0])
 
 
 def max_gap_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[float, float]:

@@ -19,13 +19,17 @@ weighs most: ``n`` cycles through 16, 32, 64 and 128, and the shape through
 square ``n x n``, tall ``n x n/2`` and rank-deficient ``n x n`` of rank
 ``n/4``.  Which side goes first switches every seed.  For each command, a
 100-seed warm-up, untimed, captures each side's stdout, exit code and
-written file, and stops, naming the seeds, if the two sides differ on any.
-Stdout and a CSV file are compared byte for byte, a JSON file by the value
-it reads back as, each float by its ``hex()`` and a non-finite one as
-``None``, so that a change of JSON spelling alone can be timed.
-Then three passes are timed.  The script prints one line per command: the
-median and quartiles of the per-op time ratio, change over parent, and the
-ratio of the total times.
+written file.  It stops, naming the seeds, where the two sides differ in
+layout: the exit code, the number of stdout lines, the rows of a CSV file
+and the fields of each, or a JSON file's keys and list lengths.  Where only
+values differ, it prints how many warm-up seeds differ and goes on, so a
+change that moves output bits can still be timed; ``tests/fingerprint.py``
+is the check that bits are kept.  Values are compared as stdout and a CSV
+file's bytes, and a JSON file as the value it reads back as, each float by
+its ``hex()`` and a non-finite one as ``None``, so that a change of JSON
+spelling alone reads as no difference.  Then three passes are timed.  The
+script prints one line per command: the median and quartiles of the per-op
+time ratio, change over parent, and the ratio of the total times.
 """
 
 import contextlib
@@ -125,6 +129,19 @@ def output(main, argv: list[str], tmp: str) -> tuple:
     return out.getvalue(), code, data
 
 
+def layout(out: tuple):
+    """The exit code, stdout line count and file layout of an ``output``: a JSON file's keys and
+    list lengths, or a CSV file's field count per row."""
+    stdout, code, data = out
+    def keys(doc):
+        if isinstance(doc, dict):
+            return {k: keys(v) for k, v in doc.items()}
+        return list(map(keys, doc)) if isinstance(doc, list) else None
+    if isinstance(data, bytes):
+        return code, stdout.count("\n"), [row.count(b",") for row in data.splitlines()]
+    return code, stdout.count("\n"), keys(data)
+
+
 def timed(main, argv: list[str]) -> float:
     start = time.perf_counter()
     main(argv)
@@ -134,11 +151,14 @@ def timed(main, argv: list[str]) -> float:
 def compare(parent, change, command, tmp: str, devnull) -> np.ndarray:
     """Check the warm-up seeds' outputs, then ``(parent, change)`` seconds per timed op."""
     name, argv, seeds = command
-    differ = [seed for seed in seeds[:WARM_UP]
-              if output(parent, argv(seed, tmp), tmp) != output(change, argv(seed, tmp), tmp)]
-    if differ:
-        raise SystemExit(f"{name}: stdout, exit code or written file "
-                         f"differs between the sides on seeds {differ}")
+    pairs = {seed: (output(parent, argv(seed, tmp), tmp), output(change, argv(seed, tmp), tmp))
+             for seed in seeds[:WARM_UP]}
+    broken = [seed for seed, (a, b) in pairs.items() if layout(a) != layout(b)]
+    if broken:
+        raise SystemExit(f"{name}: exit code, stdout line count or written file layout "
+                         f"differs between the sides on seeds {broken}")
+    differ = sum(a != b for a, b in pairs.values())
+    print(f"{name}: values differ on {differ} of {len(pairs)} warm-up seeds", flush=True)
     times = []
     with contextlib.redirect_stdout(devnull):
         for _ in range(PASSES):

@@ -74,6 +74,20 @@ def mmse_floor(gram, sigma2, M):
     return 1 - mp.fsum(mpf(a) / (mpf(a) + s2) for a in gram) / M
 
 
+@mp.workdps(DPS)
+def gap(gram, sigma2, M, R):
+    """``ce_drf - idrf`` for the gram spectrum ``gram`` at rate ``R``: the floor cancels here."""
+    return ce_drf(gram, sigma2, M, R) - idrf(gram, sigma2, M, R)
+
+
+@mp.workdps(DPS)
+def sums(gram, sigma2, M, R):
+    """``(S_i, S_c)``: ``M`` times ``idrf`` and ``ce_drf`` past ``mmse_floor``, the sums of
+    non-negative terms whose difference is ``M`` times the gap."""
+    floor = mmse_floor(gram, sigma2, M)
+    return M * (idrf(gram, sigma2, M, R) - floor), M * (ce_drf(gram, sigma2, M, R) - floor)
+
+
 def _f(lam, s2):
     """``sqrt(lam) / (lam + s2)``, the term whose difference the gap's lower bound squares."""
     return mp.sqrt(lam) / (lam + s2)

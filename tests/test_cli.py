@@ -220,7 +220,7 @@ def _report_shaped(values: list) -> dict:
 
 @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
 @given(st.lists(_doubles, max_size=20))
-def test_json_writer_spells_every_float_as_json_dumps_does(values):
+def test_json_writer_reads_back_every_float_strictly(values):
     # every bit pattern reads back as the same double, or null where it is not finite
     _assert_reads_back(cli._json_indent2(_report_shaped(values)), _report_shaped(values))
     for v in values[:3]:
@@ -229,7 +229,7 @@ def test_json_writer_spells_every_float_as_json_dumps_does(values):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.dictionaries(st.text(), st.one_of(st.text(), st.floats()), max_size=5))
-def test_json_writer_writes_ascii_text_as_json_dumps_does(doc):
+def test_json_writer_reads_back_any_text_strictly(doc):
     # any text, keys and values, reads back as itself beside the floats
     _assert_reads_back(cli._json_indent2({"a": [doc]}), {"a": [doc]})
 
@@ -245,7 +245,7 @@ def _float_corpus() -> list[float]:
     return [s * v for v in values + [0.0, math.inf] for s in (1.0, -1.0)] + [math.nan]
 
 
-def test_json_writer_spells_the_float_corpus_as_json_dumps_does():
+def test_json_writer_reads_back_the_float_corpus_strictly():
     values = _float_corpus()
     assert len(values) == 8049
     for i in range(0, len(values), 64):
@@ -862,7 +862,7 @@ def test_analysis_report_holds_only_builtin_json_types(name, tmp_path):
             assert types <= {float, int, bool, str, type(None), list, dict}, (rate, nats, types)
 
 
-def test_sweep_files_spell_non_finite_values_as_before(model_file, tmp_path, capsys, monkeypatch):
+def test_sweep_files_spell_non_finite_values_as_null(model_file, tmp_path, capsys, monkeypatch):
     inf, nan = math.inf, math.nan
     points = [
         drf.DistortionPoint(0.0, 1.0, 1.0, 0.0, inf, 0.0, 1, 1, 20.0, 0.5),

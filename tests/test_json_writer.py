@@ -130,7 +130,7 @@ def test_column_kinds_come_from_dtypes():
     assert [row.split(",") for row in rows] == as_csv
 
 
-def test_non_finite_values_at_piece_boundaries_are_spelled_as_json_dumps_does():
+def test_non_finite_values_at_piece_boundaries_read_back_as_null():
     # rows 511 and 1023 end a piece of text, and row 512 starts one: each non-finite
     # value there reads back as null
     columns = _ten_columns(np.linspace(-3.0, 5.0, 8 * (2 * cli._CHUNK_ROWS + 30)) ** 3)
@@ -144,7 +144,7 @@ def test_non_finite_values_at_piece_boundaries_are_spelled_as_json_dumps_does():
         assert None not in values[:at[0]] + values[at[1] + 1:at[2]] + values[at[2] + 1:]
 
 
-def test_a_piece_where_one_column_alone_needs_the_layout_corrections():
+def test_a_piece_where_one_column_alone_holds_exponent_form_values():
     # d_ce alone holds values in exponent form or below 1e-4; beside it, a float that
     # only looks like one (500.0000680557637), a NaN and a strided slice
     values = np.array([3.51e-05, 1e-08, 1e16, 2.0])

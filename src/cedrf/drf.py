@@ -34,7 +34,8 @@ a prefactor held as ``frexp`` parts times ``2^{-2R/L}``, put together by one
 ``thresholds`` are read-only arrays; scalar code takes Python floats from
 them first.  The one-rate functions (:func:`idrf`, :func:`ce_drf`, the gap
 and its bounds) evaluate that grid at a single rate, so they equal
-:func:`sweep` bit for bit.
+:func:`sweep` bit for bit.  Weights ``w = lam/(lam+s2)^2`` are compared as ratios of the spectra
+(:func:`_tie_block`); the 2-D condition is ``R_2(estimate) <= R_2(observation)``.
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ class DistortionPoint(NamedTuple):
 class EqualityRegion:
     """Rates up to ``R_limit`` where compress-and-estimate is optimal.
 
-    ``r0`` is the length of the leading block of weights ``lam / (lam + sigma2)^2``
-    that tie with the first (:func:`_tie_block`); ``unconditional`` means
-    the two curves coincide at every rate.
+    ``r0`` is the length of the leading block of weights ``lam / (lam + sigma2)^2`` that tie
+    with the first, compared as ratios of the spectra (:func:`_tie_block`);
+    ``unconditional`` means the two curves coincide at every rate.
     """
 
     r0: int
@@ -206,28 +207,27 @@ def ce_drf(model: ObservationModel, R: float) -> float:
     return _point(model, R).d_ce
 
 
-def _weights(obs: Spectrum, cond: Spectrum) -> list[float]:
-    """``w = lam/(lam+s2)^2`` as ``cond/obs`` in Python floats: past double precision, inf."""
-    return [c / o for c, o in zip(cond.values.tolist(), obs.values.tolist())]
-
-
-def _tie_block(w: Sequence[float], cond: Sequence[float], lam: Sequence[float], n: int) -> int:
+def _tie_block(obs: Spectrum, cond: Spectrum, lam: Sequence[float], n: int) -> int:
     """Length of the leading block of weights ``w = lam/(lam+s2)^2`` that tie with the first.
 
-    ``w_l`` ties with ``w_1`` when ``|w_l - w_1| <= nu_1 + nu_l``, ``nu_l`` the first-order error
-    bound ``w_l (2 (delta / s_l) |1 - 2 cond_l| + 5u)``, ``u = eps / 2``, ``s_l = sqrt(lam_l)``:
-    ``delta = n eps s_1`` bounds the error of ``s`` (:func:`linalg.above_noise`, ``n`` the
-    matrix's larger side; 0 for exact eigenvalues), and ``dw/ds = (2 w / s)(1 - 2 cond)``; ``5u``
-    bounds the rounding of ``s^2`` (``u |1 - 2 cond|``), and of ``lam + s2`` (twice) and ``lam / obs``
-    in :func:`spectral.spectra` and ``cond / obs`` in :func:`_weights`.  As ``s_l > delta``,
-    ``nu_l <= 3 w_l``.
+    ``rho_l = w_l/w_1 = (o_1/o_l)(c_l/c_1)`` is formed from ``frexp`` parts, which no scale moves
+    (logs, :func:`spectral._log2_ratio`, would add ``u`` per octave they span).  ``w_l`` ties when
+    ``|rho_l - 1| <= a_1 + rho_l a_l``, ``|w_l - w_1| <= nu_1 + nu_l`` by ``w_1``: ``a_l = nu_l/w_l
+    = 2 (delta/s_l) |1 - 2 c_l| + 5u`` is the first-order relative error of ``w_l``, ``u = eps/2``,
+    ``s_l = sqrt(lam_l)``, ``delta = n eps s_1`` the error of ``s`` (:func:`linalg.above_noise`,
+    ``n`` the matrix's larger side; 0 for exact values), ``dw/ds = (2 w/s)(1 - 2 c)``, ``5u`` the
+    rounding of ``s^2``, ``lam + s2`` (twice), ``lam / obs`` (:func:`spectral.spectra`) and ``rho``.
+    ``a_l <= 3`` as ``s_l > delta``, ``rho_l < lam_1/lam_l``; past rank, ``w = 0``.
     """
-    eps, w1 = sys.float_info.epsilon, w[0]  # Python floats: inf and nan warn of nothing
+    o, c, eps = obs.values.tolist(), cond.values.tolist(), sys.float_info.epsilon
     delta = n * eps * math.sqrt(lam[0])
-    def nu(l: int) -> float:
-        noise = delta / math.sqrt(lam[l]) if lam[l] > 0.0 else 0.0
-        return w[l] * (2.0 * noise * abs(1.0 - 2.0 * float(cond[l])) + 2.5 * eps)
-    return next((l for l in range(1, len(w)) if not abs(w[l] - w1) <= nu(0) + nu(l)), len(w))
+    def a(l: int) -> float:
+        return 2.0 * delta / math.sqrt(lam[l]) * abs(1.0 - 2.0 * c[l]) + 2.5 * eps
+    def tied(l: int) -> bool:
+        (p, i), (q, j), (r, k), (t, m) = map(math.frexp, (o[0], c[l], o[l], c[0]))
+        rho = math.ldexp(p * q / (r * t), i + j - k - m)
+        return abs(rho - 1.0) <= a(0) + rho * a(l)
+    return next((l for l in range(1, cond.rank) if not tied(l)), cond.rank)
 
 
 def equality_region(model: ObservationModel) -> EqualityRegion:
@@ -235,10 +235,8 @@ def equality_region(model: ObservationModel) -> EqualityRegion:
     cond = model.conditional
     if cond.rank == 0:  # both curves are 1 at every rate
         return EqualityRegion(r0=model.r, R_limit=math.inf, unconditional=True)
-    r0 = _tie_block(_weights(model.observation, cond)[:model.r], cond.values, model.gram.values,
-                    max(model.M, model.L))
-    limit_cond = float(cond.thresholds[r0]) if r0 <= cond.rank else math.inf
-    limit = min(float(model.observation.thresholds[r0]), limit_cond)
+    r0 = _tie_block(model.observation, cond, model.gram.values.tolist(), max(model.M, model.L))
+    limit = min(float(model.observation.thresholds[r0]), float(cond.thresholds[r0]))
     return EqualityRegion(r0=r0, R_limit=limit, unconditional=limit == math.inf)
 
 
@@ -271,16 +269,18 @@ def gap_lower_bound(model: ObservationModel, R: float) -> float:
 
 def _check_condition_2d(lambda1: float, lambda2: float,
                         sigma2: float) -> tuple[Spectrum, Spectrum, float]:
-    """Both spectra and the floor sum of an exact two-component pair that meets the condition."""
+    """Both spectra and the floor sum of an exact two-component pair that meets ``w_1 <= w_2`` as
+    ``R_2(estimate) <= R_2(observation)``, ``thresholds[1]`` of ``c`` and ``o``, ``(1/2) log2`` of
+    ``c_1/c_2`` and ``o_1/o_2``.  A pair that fails it by a tie (:func:`_tie_block`) passes."""
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)) or lambda1 < lambda2 or lambda2 < 0:
         raise ValueError(
             f"eigenvalues must satisfy lambda1 >= lambda2 >= 0, got {lambda1!r}, {lambda2!r}"
         )
     obs, cond, floor_sum = spectra(Spectrum((float(lambda1), float(lambda2))), sigma2, 2)
-    a1, a2 = _weights(obs, cond)
-    if a1 > a2 and _tie_block((a1, a2), cond.values, (lambda1, lambda2), 0) < 2:
-        raise ConditionViolated("two-component form requires lambda1/(lambda1+s2)^2 <= "
-                                f"lambda2/(lambda2+s2)^2; got {a1!r} > {a2!r}")
+    r_est, r_obs = (float(s.thresholds[1]) if s.rank else 0.0 for s in (cond, obs))
+    if r_est > r_obs and _tie_block(obs, cond, (lambda1, lambda2), 0) < 2:
+        raise ConditionViolated("two-component form requires R_2(estimate) <= R_2(observation), "
+                                f"the second activation rates; got {r_est!r} > {r_obs!r}")
     return obs, cond, floor_sum
 
 

@@ -30,7 +30,8 @@ README, "Install and test").  The ``equality-region`` group hashes
 ``equality_region``'s ``r0``, ``R_limit.hex()`` and ``unconditional`` on the
 seeded models, on ``tied_models`` and on ``mirror_models`` at offset 0 and
 at each ``NEAR_TIE_OFFSETS`` offset, so the tie rule's outputs on either
-side of its boundary are pinned.  The ``thresholds`` group hashes the
+side of its boundary are pinned, and on the tied pairs of ``SUBNORMAL_TIES``, whose
+weights ``cond/obs`` would overflow.  The ``thresholds`` group hashes the
 ``float.hex`` of both threshold tables and of ``rate_allocation``'s rates
 over both spectra at ``ORACLE_RATES``, on the seeded models, on ``tied_models``
 and on ``near_tied``, each at every spectrum scale of ``SCALES``, so the
@@ -70,6 +71,9 @@ FAR_SECOND_COMPONENT = ({"A": [[1.0, 0.0], [0.0, 1e-6]], "sigma2": 1e-14},
                         {"A": [[1.0, 0.0], [0.0, 3e-6]], "sigma2": 1e-14})
 # subnormal sigma2: (f_1 - f_2)^2 of the lower bound overflows, and so does a weight
 SUBNORMAL_SIGMA2 = {"A": [[1e-155, 0.0], [0.0, 5e-156]], "sigma2": 1e-310}
+# twins of diag(1, 1) at sigma2 = 1 with a subnormal sigma2, one exact and one decimal
+SUBNORMAL_TIES = ({"A": [[2.0 ** -530, 0.0], [0.0, 2.0 ** -530]], "sigma2": 2.0 ** -1060},
+                  {"A": [[1e-160, 0.0], [0.0, 1e-160]], "sigma2": 1e-320})
 # relative offsets of a mirror pair's second singular value, from where the
 # weights tie within rounding to where they are told apart
 NEAR_TIE_OFFSETS = (1e-16, -1e-15, 1e-14, -1e-13, 1e-12, -1e-11, 1e-11)
@@ -222,6 +226,7 @@ def main():
     ties = [*models(np.random.default_rng(15)), *(doc for doc, _ in tied_models(rng))]
     for offset in (0.0, *NEAR_TIE_OFFSETS):
         ties += mirror_models(rng, offset)
+    ties += SUBNORMAL_TIES
     for doc in ties:
         region = drf.equality_region(ObservationModel(Matrix(doc["A"]), doc["sigma2"]))
         groups["equality-region"].update(

@@ -824,7 +824,7 @@ def test_sweep_files_keep_their_bytes(name, fmt, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", list(BYTE_MODELS))
-def test_analyze_json_keeps_json_dumps_bytes(name, tmp_path, capsys):
+def test_analyze_json_is_indented_orjson_that_reads_back_strictly(name, tmp_path, capsys):
     # the file is orjson's bytes in a 2-space indent with a final newline, and strict JSON
     # that reads back as the report, bit for bit
     path, out = tmp_path / "model.json", tmp_path / "report.json"

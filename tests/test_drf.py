@@ -28,7 +28,7 @@ from support import (
 
 from cedrf import drf, waterfill
 from cedrf.linalg import Matrix
-from cedrf.spectral import ObservationModel
+from cedrf.spectral import ObservationModel, Spectrum, spectra
 from cedrf.drf import (
     ConditionViolated,
     InvalidGrid,
@@ -177,6 +177,9 @@ def test_gap_2d_reference_values():
     assert gap_2d(20.0, 0.5, 1.0, 1.9037) == pytest.approx(GAP_AT_19037, abs=1e-9)
     assert gap_2d(20.0, 0.5, 1.0, 0.3) == 0.0
     assert gap_2d(0.0, 0.0, 1.0, 2.0) == 0.0
+    # lambda2 = 0: the estimate's second component never activates, R_2 is inf
+    with pytest.raises(ConditionViolated, match="got inf > 0.5"):
+        gap_2d(1.0, 0.0, 1.0, 1.0)
 
 
 def test_gap_2d_condition_checked():
@@ -190,6 +193,14 @@ def test_gap_2d_condition_checked():
     # lam1/(lam1+s2)^2 = 1e-200 > 1e-300: the condition fails, nothing overflows
     with pytest.raises(ConditionViolated):
         max_gap_2d(1e200, 1e-300, 1.0)
+    # (1.25, 0.25, 1) and its exact twin at sigma2 = 2^-1064, where each weight cond/obs
+    # overflows: both refused, with the same finite rates in the message
+    messages = []
+    for pair in ((1.25, 0.25, 1.0), (5.0 * 2.0 ** -1066, 2.0 ** -1066, 2.0 ** -1064)):
+        with pytest.raises(ConditionViolated) as refused:
+            max_gap_2d(*pair)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1] and "inf" not in messages[0]
     with pytest.raises(ValueError, match="sigma2"):
         max_gap_2d(1.0, 0.5, 0.0)
     # every input is finite, but the observation spectrum is not
@@ -285,15 +296,27 @@ def test_two_component_forms_accept_the_ties_of_equality_region():
         gap_2d(lam1, 0.5, 1.0, 1.0)
     with pytest.raises(ConditionViolated):
         max_gap_2d(lam1, 0.5, 1.0)
+    # mirror pairs (t, s2^2/t) far apart, t/s2 up to 1e12, tie too: their weight ratio,
+    # read from frexp parts, is 1 within a few ulps (a difference of two logs of up to
+    # 40 octaves is not, and refused about 2 in 100)
+    rng = np.random.default_rng(2500)
+    for _ in range(1000):
+        s2 = float(10.0 ** rng.uniform(-3.0, 3.0))
+        t = s2 * float(10.0 ** rng.uniform(0.1, 12.0))
+        max_gap_2d(t, s2 * s2 / t, s2)
 
 
 def test_refused_near_tie_names_both_weights_apart():
-    # the message prints both weights to their last digit (repr), so a pair refused
-    # by the tie rule shows why: to six digits both read 0.222222
+    # the order of the weights is read from the second activation rates R_2 of the estimate
+    # and the observation spectra; the message prints both to their last digit (repr), so a
+    # pair refused by the tie rule shows why: to six digits both read 0.500000
+    lam1 = 2.0 * (1.0 - 1e-11)
     with pytest.raises(ConditionViolated) as refused:
-        max_gap_2d(2.0 * (1.0 - 1e-11), 0.5, 1.0)
+        max_gap_2d(lam1, 0.5, 1.0)
     first, second = str(refused.value).rsplit("got ", 1)[1].split(" > ")
-    assert float(first) > float(second) == 0.5 / 2.25
+    obs, cond, _ = spectra(Spectrum((lam1, 0.5)), 1.0, 2)
+    assert float(first) == cond.thresholds[1] > obs.thresholds[1] == float(second)
+    assert f"{float(first):.6f}" == f"{float(second):.6f}"
 
 
 def test_exactly_tied_singular_values_form_the_leading_block():
@@ -320,12 +343,14 @@ def test_mirror_pairs_tie_exactly_when_their_product_is_sigma2_squared(offset):
 
 
 def test_equality_region_warns_of_nothing_where_the_weights_overflow():
-    # sigma2 subnormal: both weights overflow to inf, formed in Python floats;
-    # the tie rule's inf - inf is nan, not tied, and nothing warns
+    # sigma2 subnormal: both weights cond/obs would overflow to inf in Python floats; the
+    # tie rule reads their ratio from the spectra's frexp parts, finds them apart, and
+    # nothing warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = ObservationModel(Matrix(np.diag([1e-155, 5e-156])), 1e-310)
-        assert drf._weights(model.observation, model.conditional) == [math.inf, math.inf]
+        obs, cond = model.observation.values.tolist(), model.conditional.values.tolist()
+        assert [c / o for c, o in zip(cond, obs)] == [math.inf, math.inf]
         assert equality_region(model).r0 == 1
 
 
@@ -345,6 +370,14 @@ def test_power_of_two_twins_keep_the_equality_region():
             region = equality_region(twin)
             assert (region.r0, region.R_limit.hex(), region.unconditional) == \
                 (base.r0, base.R_limit.hex(), base.unconditional), (i, k)
+    # twins of diag(1, 1) at sigma2 = 1 whose sigma2 is subnormal, where each weight
+    # cond/obs overflows: the exact one at 2^-1060 and a decimal one at 1e-320
+    base = equality_region(ObservationModel(Matrix(np.eye(2)), 1.0))
+    assert (base.r0, base.R_limit, base.unconditional) == (2, math.inf, True)
+    for s, sigma2 in ((2.0 ** -530, 2.0 ** -1060), (1e-160, 1e-320)):
+        region = equality_region(ObservationModel(Matrix(np.diag([s, s])), sigma2))
+        assert (region.r0, region.R_limit.hex(), region.unconditional) == \
+            (base.r0, base.R_limit.hex(), base.unconditional), s
 
 
 @pytest.mark.parametrize("pair", [(4e12, 1e-3, 1.0), (1e13, 5e-4, 1.0)])

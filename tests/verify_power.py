@@ -68,9 +68,10 @@ def _rank_cut(rtol: float):
 
 def _tie_tolerance(rtol: float):
     """Weights within ``rtol`` (relative) of the first count as tied."""
-    def block(w, cond, lam, n):
+    def block(obs, cond, lam, n):
+        w = [c / o for c, o in zip(cond.values.tolist(), obs.values.tolist())]
         r0 = 1
-        while r0 < len(w) and abs(w[r0] - w[0]) <= rtol * w[0]:
+        while r0 < cond.rank and abs(w[r0] - w[0]) <= rtol * w[0]:
             r0 += 1
         return r0
     return lambda: mock.patch.object(drf, "_tie_block", block)

@@ -58,7 +58,7 @@ import orjson
 
 from . import drf, oracle, waterfill
 from .linalg import Matrix, NotSymmetric
-from .spectral import NotPositiveDefinite, ObservationModel, Spectrum, whiten
+from .spectral import NotPositiveDefinite, ObservationModel, whiten
 
 CSV_HEADER = ",".join(drf.DistortionPoint._fields)
 
@@ -582,14 +582,6 @@ def _worst_mc(name: str, estimates, closed: list[float]) -> CheckResult:
     return CheckResult(name, tol, diff)
 
 
-def _continuity_misses(s: Spectrum) -> list[float]:
-    """Relative miss of ``lam_k 2^{2(R_k - R_{k+1})/k}`` on ``lam_{k+1}`` per finite ``R_{k+1}``,
-    from ``frexp`` parts ``lam = m 2^e``: nothing underflows, and past 2^1000 nothing grows."""
-    parts, thr = [math.frexp(v) for v in s.values[:s.rank].tolist()], s.thresholds.tolist()
-    return [abs(m0 / m1 * 2.0 ** min(2.0 * (thr[k - 1] - thr[k]) / k + (e0 - e1), 1000.0) - 1.0)
-            for k, ((m0, e0), (m1, e1)) in enumerate(zip(parts, parts[1:]), 1)]
-
-
 def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: int,
                   seed: int) -> list[CheckResult]:
     """Every check on one model, from one closed-form grid and one CE test channel.
@@ -600,16 +592,17 @@ def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: in
     Carlo CE maps share one test channel, on the oracle-equivalence rates
     joined with the Monte Carlo rates.  The equality-region rates are
     drawn from ``rng``, so the draws of later models depend on this one's.
+    ``continuity`` reads the grid's levels at each finite threshold ``R_{k+1}``: ``v_{k+1}``.
     A NaN residual or estimate fails its check.
     """
-    thresholds = model.observation.thresholds[:-1].tolist()
-    neighbours = (r for t in thresholds if t > 0.0 for r in (max(0.0, t - 0.05), t + 0.05))
+    edges = [s.thresholds[1:s.rank] for s in (model.observation, model.conditional)]  # R_{k+1}
+    neighbours = (r for t in edges[0].tolist() if t > 0.0 for r in (max(0.0, t - 0.05), t + 0.05))
     ce_rates = np.array(sorted({*_ORACLE_RATES, *neighbours, *_MC_RATES}))
     parts = oracle._ce_grid(model, ce_rates)
     cap = min(drf.equality_region(model).R_limit, _RATE_SPAN)
     region = np.concatenate([rng.uniform(0.0, cap, 20), [cap]])
-    grid = np.sort(np.concatenate([ce_rates, region, _SANDWICH_RATES]))  # a repeated rate repeats its row
-    _, d_idrf, d_ce, gap, gap_ub, gap_lb = drf._columns(model, grid)[:6]
+    grid = np.sort(np.concatenate([ce_rates, region, _SANDWICH_RATES, *edges]))  # equal rates: equal rows
+    _, d_idrf, d_ce, gap, gap_ub, gap_lb, _, _, theta_idrf, theta_ce = drf._columns(model, grid)
     worst = np.abs(parts.d_ce - d_ce[grid.searchsorted(ce_rates)]).max()
     checks = [CheckResult("oracle-equivalence", 1e-9, worst)]
     at = grid.searchsorted(region)
@@ -622,8 +615,9 @@ def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: in
     increase = np.diff([d_i, d_c]).max(initial=0.0) + 0.0
     checks.append(CheckResult("bound-sandwich", 1e-10, violation))
     checks.append(CheckResult("monotonicity", 1e-12, increase))
-    misses = [0.0, *_continuity_misses(model.observation), *_continuity_misses(model.conditional)]
-    checks.append(CheckResult("continuity", 1e-12, max(misses, key=lambda d: (d != d, d))))
+    misses = [np.abs(theta[grid.searchsorted(t)] / s.values[1:s.rank] - 1.0) for theta, t, s in
+              zip((theta_ce, theta_idrf), edges, (model.observation, model.conditional))]
+    checks.append(CheckResult("continuity", 1e-12, np.concatenate(misses).max(initial=0.0)))
     mc = oracle._rows(parts, ce_rates.searchsorted(_MC_RATES))
     run = oracle._estimates(model, samples, seed, mc, _MC_RATES, mmse=True)
     at = grid.searchsorted(_MC_RATES)

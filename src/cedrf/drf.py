@@ -35,7 +35,7 @@ a prefactor held as ``frexp`` parts times ``2^{-2R/L}``, put together by one
 them first.  The one-rate functions (:func:`idrf`, :func:`ce_drf`, the gap
 and its bounds) evaluate that grid at a single rate, so they equal
 :func:`sweep` bit for bit.  Weights ``w = lam/(lam+s2)^2`` are compared as ratios of the spectra
-(:func:`_tie_block`); the 2-D condition is ``R_2(estimate) <= R_2(observation)``.
+(:func:`_weight_ratio`): the tie rule and the 2-D condition ``w_1 <= w_2`` read one quotient.
 """
 
 from __future__ import annotations
@@ -207,11 +207,18 @@ def ce_drf(model: ObservationModel, R: float) -> float:
     return _point(model, R).d_ce
 
 
+def _weight_ratio(o: Sequence[float], c: Sequence[float], l: int) -> float:
+    """``rho_l = w_l/w_1 = (o_1/o_l)(c_l/c_1)`` of ``w = c/o`` from ``frexp`` parts, which no scale
+    moves (logs, :func:`spectral._log2_ratio`, would add ``u`` per octave they span); 0 where
+    ``c_l`` is; past ``2^1000`` (the exponent's cap) it is only far above 1."""
+    (p, i), (q, j), (r, k), (t, m) = map(math.frexp, (o[0], c[l], o[l], c[0]))
+    return math.ldexp(p * q / (r * t), min(i + j - k - m, 1000))
+
+
 def _tie_block(obs: Spectrum, cond: Spectrum, lam: Sequence[float], n: int) -> int:
     """Length of the leading block of weights ``w = lam/(lam+s2)^2`` that tie with the first.
 
-    ``rho_l = w_l/w_1 = (o_1/o_l)(c_l/c_1)`` is formed from ``frexp`` parts, which no scale moves
-    (logs, :func:`spectral._log2_ratio`, would add ``u`` per octave they span).  ``w_l`` ties when
+    With ``rho_l = w_l/w_1`` of :func:`_weight_ratio`, ``w_l`` ties when
     ``|rho_l - 1| <= a_1 + rho_l a_l``, ``|w_l - w_1| <= nu_1 + nu_l`` by ``w_1``: ``a_l = nu_l/w_l
     = 2 (delta/s_l) |1 - 2 c_l| + 5u`` is the first-order relative error of ``w_l``, ``u = eps/2``,
     ``s_l = sqrt(lam_l)``, ``delta = n eps s_1`` the error of ``s`` (:func:`linalg.above_noise`,
@@ -224,8 +231,7 @@ def _tie_block(obs: Spectrum, cond: Spectrum, lam: Sequence[float], n: int) -> i
     def a(l: int) -> float:
         return 2.0 * delta / math.sqrt(lam[l]) * abs(1.0 - 2.0 * c[l]) + 2.5 * eps
     def tied(l: int) -> bool:
-        (p, i), (q, j), (r, k), (t, m) = map(math.frexp, (o[0], c[l], o[l], c[0]))
-        rho = math.ldexp(p * q / (r * t), i + j - k - m)
+        rho = _weight_ratio(o, c, l)
         return abs(rho - 1.0) <= a(0) + rho * a(l)
     return next((l for l in range(1, cond.rank) if not tied(l)), cond.rank)
 
@@ -269,18 +275,18 @@ def gap_lower_bound(model: ObservationModel, R: float) -> float:
 
 def _check_condition_2d(lambda1: float, lambda2: float,
                         sigma2: float) -> tuple[Spectrum, Spectrum, float]:
-    """Both spectra and the floor sum of an exact two-component pair that meets ``w_1 <= w_2`` as
-    ``R_2(estimate) <= R_2(observation)``, ``thresholds[1]`` of ``c`` and ``o``, ``(1/2) log2`` of
-    ``c_1/c_2`` and ``o_1/o_2``.  A pair that fails it by a tie (:func:`_tie_block`) passes."""
+    """Both spectra and the floor sum of an exact two-component pair that meets ``w_1 <= w_2``,
+    read as ``rho = w_2/w_1 >= 1`` (:func:`_weight_ratio`).  A pair that fails it by a tie
+    (:func:`_tie_block`) passes, and so does one whose weights are both 0."""
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)) or lambda1 < lambda2 or lambda2 < 0:
         raise ValueError(
             f"eigenvalues must satisfy lambda1 >= lambda2 >= 0, got {lambda1!r}, {lambda2!r}"
         )
     obs, cond, floor_sum = spectra(Spectrum((float(lambda1), float(lambda2))), sigma2, 2)
-    r_est, r_obs = (float(s.thresholds[1]) if s.rank else 0.0 for s in (cond, obs))
-    if r_est > r_obs and _tie_block(obs, cond, (lambda1, lambda2), 0) < 2:
-        raise ConditionViolated("two-component form requires R_2(estimate) <= R_2(observation), "
-                                f"the second activation rates; got {r_est!r} > {r_obs!r}")
+    rho = _weight_ratio(obs.values.tolist(), cond.values.tolist(), 1) if cond.rank else 1.0
+    if rho < 1.0 and _tie_block(obs, cond, (lambda1, lambda2), 0) < 2:
+        raise ConditionViolated("two-component form requires w_1 <= w_2, w = lam/(lam+sigma2)^2; "
+                                f"got rho = w_2/w_1 = {rho!r}")
     return obs, cond, floor_sum
 
 

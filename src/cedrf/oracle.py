@@ -30,7 +30,7 @@ has the covariance ``F diag(N) F^T``.  The error is Gaussian with
 covariance ``B B^T``, so its squared norm has the law of the weighted
 chi-square ``sum_i mu_i g_i^2``, with ``mu`` the eigenvalues of ``B B^T``
 and ``g`` standard normal.  The simulation samples that law:
-:func:`_weights` takes ``mu`` before sampling, as the squared singular
+:func:`_estimates` takes ``mu`` before sampling, as the squared singular
 values of ``B``, which needs no eigensolver and no ``B B^T``.  Each map is
 zero-padded to ``M x (M + L)``, which adds only zero singular values, so
 a run's maps are one stacked array with one SVD.  Over ``n`` samples the
@@ -165,10 +165,7 @@ def _ce_grid(model: ObservationModel, rates: Sequence[float]) -> CEMatrixParts:
 
 
 def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
-    """Build the test-channel matrices for compress-and-estimate at rate ``R``.
-
-    The grid of :func:`_ce_grid` at one rate.
-    """
+    """Build the test-channel matrices for compress-and-estimate at rate ``R``."""
     waterfill._check_rate(R)
     return _rows(_ce_grid(model, (R,)), 0)
 
@@ -193,10 +190,7 @@ def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[flo
 
 
 def ce_matrix_form(model: ObservationModel, R: float) -> float:
-    """Compress-and-estimate distortion from the test channel's matrices at rate ``R``.
-
-    :func:`ce_matrix_forms` at one rate.
-    """
+    """Compress-and-estimate distortion from the test channel's matrices at rate ``R``."""
     return ce_matrix_forms(model, (R,))[0]
 
 
@@ -253,12 +247,6 @@ def _maps(model: ObservationModel, ce: CEMatrixParts | None = None,
     return np.concatenate(maps)
 
 
-def _weights(b: np.ndarray) -> np.ndarray:
-    """``B B^T``'s ``M`` eigenvalues ``mu``, descending: ``|B w|^2`` has the law of ``mu @ g^2``."""
-    s = np.linalg.svd(b, compute_uv=False)
-    return s * s
-
-
 def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
                  ce_rates: Sequence[float] = (), idrf_rates: Sequence[float] = (),
                  mmse: bool = False) -> McEstimates:
@@ -298,7 +286,8 @@ def _estimates(model: ObservationModel, n_samples: int, seed: int, ce: CEMatrixP
                idrf_rates: Sequence[float], mmse: bool) -> McEstimates:
     """:func:`mc_estimates` on valid arguments, the CE rates given by their test channel ``ce``."""
     M = model.M
-    weights = _weights(_maps(model, ce, idrf_rates, mmse)) / M
+    s = np.linalg.svd(_maps(model, ce, idrf_rates, mmse), compute_uv=False)
+    weights = s * s / M  # mu / M, mu the eigenvalues of each map's B B^T
     chi2 = np.random.Generator(np.random.SFC64(seed)).chisquare(n_samples, size=M)
     est = [McEstimate(mean=float(w @ chi2) / n_samples,
                       stderr=math.sqrt(2.0 * float(w @ w) / n_samples),

@@ -10,7 +10,8 @@ those two arrays.  The water level with ``k`` active components is
 ``theta = lam_k 2^{2 (R_k - R) / k}``, the geometric mean of the ``k``
 leading eigenvalues times ``2^{-2R/k}`` rewritten through the k-th
 threshold.  It forms no eigenvalue product, so no spectrum scale or length
-can overflow it, and ``R = 0`` gives exactly ``lam_1``.
+can overflow it, and ``R = 0`` gives exactly ``lam_1``.  Where its power of two
+underflows, it is put together from ``frexp`` parts, so a normal level stays normal.
 
 Active counts and water levels are evaluated a whole rate grid at a time
 (:func:`_levels`); :func:`active_count` and :func:`water_level` are that
@@ -80,7 +81,9 @@ def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     ``k`` is the number of thresholds strictly below ``R``, at least 1
     (``R = 0``); the table's final ``inf`` keeps it at most ``rank``.
     ``theta = lam_k 2^x`` with the power ``2^x``, ``x = 2 (R_k - R) / k``, in ``(0, 1]``
-    unless it underflows.  All three are 0 at every rate for a spectrum of rank 0.
+    unless it underflows.  Only for ``-4000 < x < -1022`` (one test per call), ``theta`` is
+    ``ldexp(m 2^f, e + n)``, ``lam_k = m 2^e`` and ``x = f + n``, the split of
+    :func:`drf._gap_bounds_grid`.  All three are 0 at every rate for a spectrum of rank 0.
     """
     if spectrum.rank == 0:
         zeros = np.zeros_like(R)
@@ -89,8 +92,15 @@ def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     i = thr[1:].searchsorted(R, side="left")  # k - 1, as R_1 = 0 is below every rate but 0
     k = i + 1
     with np.errstate(over="ignore"):  # above DBL_MAX / 2 bits, -inf: theta is 2^-inf = 0
-        power = _exp2(2.0 * (thr[i] - R) / k)
-    return k, lam[i] * power, power
+        x = 2.0 * (thr[i] - R) / k
+    power = _exp2(x)
+    theta = lam[i] * power
+    if np.minimum.reduce(x, initial=0.0, where=x > -4000.0) < -1022.0:  # below -4000, theta is 0
+        low = (x > -4000.0) & (x < -1022.0)
+        m, e = np.frexp(lam[i[low]])
+        f, n = np.modf(x[low])
+        theta[low] = np.ldexp(m * _exp2(f), e + n.astype(np.int64))
+    return k, theta, power
 
 
 def rate_thresholds(spectrum: Spectrum) -> list[float]:

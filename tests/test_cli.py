@@ -986,12 +986,14 @@ def test_verify_continuity_fails_every_model_whose_thresholds_are_scaled(monkeyp
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
 def test_verify_continuity_passes_near_ties_at_any_scale(scale):
     # 128 values within 1e-3 of each other: nearly tied thresholds, each step a log
-    # ratio (spectral._log2_ratio) that no scale enters, so the misses are at most a
-    # few ulps at every scale
+    # ratio (spectral._log2_ratio) that no scale enters, so the water level the kernel
+    # gives at each finite threshold R_{k+1}, which verify's continuity check reads,
+    # misses v_{k+1} by at most a few ulps at every scale
     values = np.sort(np.random.default_rng(11).uniform(1.0, 1.001, 128))[::-1] * scale
     for s in (Spectrum(values), *spectra(Spectrum(values), scale, values.size)[:2]):
-        misses = cli._continuity_misses(s)
-        assert len(misses) == 127 and max(misses) <= 1e-12
+        theta = waterfill._levels(s, s.thresholds[1:s.rank])[1]
+        misses = np.abs(theta / s.values[1:s.rank] - 1.0)
+        assert len(misses) == 127 and misses.max() <= 1e-12
 
 
 def test_verify_random_models_deterministic(capsys):

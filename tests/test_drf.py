@@ -177,8 +177,8 @@ def test_gap_2d_reference_values():
     assert gap_2d(20.0, 0.5, 1.0, 1.9037) == pytest.approx(GAP_AT_19037, abs=1e-9)
     assert gap_2d(20.0, 0.5, 1.0, 0.3) == 0.0
     assert gap_2d(0.0, 0.0, 1.0, 2.0) == 0.0
-    # lambda2 = 0: the estimate's second component never activates, R_2 is inf
-    with pytest.raises(ConditionViolated, match="got inf > 0.5"):
+    # lambda2 = 0: the second weight is 0, and so is rho = w_2/w_1
+    with pytest.raises(ConditionViolated, match=r"got rho = w_2/w_1 = 0\.0$"):
         gap_2d(1.0, 0.0, 1.0, 1.0)
 
 
@@ -194,7 +194,7 @@ def test_gap_2d_condition_checked():
     with pytest.raises(ConditionViolated):
         max_gap_2d(1e200, 1e-300, 1.0)
     # (1.25, 0.25, 1) and its exact twin at sigma2 = 2^-1064, where each weight cond/obs
-    # overflows: both refused, with the same finite rates in the message
+    # overflows: both refused, with the same finite rho in the message
     messages = []
     for pair in ((1.25, 0.25, 1.0), (5.0 * 2.0 ** -1066, 2.0 ** -1066, 2.0 ** -1064)):
         with pytest.raises(ConditionViolated) as refused:
@@ -307,16 +307,42 @@ def test_two_component_forms_accept_the_ties_of_equality_region():
 
 
 def test_refused_near_tie_names_both_weights_apart():
-    # the order of the weights is read from the second activation rates R_2 of the estimate
-    # and the observation spectra; the message prints both to their last digit (repr), so a
-    # pair refused by the tie rule shows why: to six digits both read 0.500000
+    # the order of the weights is read from their quotient rho = w_2/w_1, the tie rule's
+    # (drf._weight_ratio); the message prints it to its last digit (repr), so a pair refused
+    # by the tie rule shows why: to six digits rho reads 1.000000, in full it is 3.3e-12 below
     lam1 = 2.0 * (1.0 - 1e-11)
     with pytest.raises(ConditionViolated) as refused:
         max_gap_2d(lam1, 0.5, 1.0)
-    first, second = str(refused.value).rsplit("got ", 1)[1].split(" > ")
+    rho = float(str(refused.value).rsplit(" = ", 1)[1])
     obs, cond, _ = spectra(Spectrum((lam1, 0.5)), 1.0, 2)
-    assert float(first) == cond.thresholds[1] > obs.thresholds[1] == float(second)
-    assert f"{float(first):.6f}" == f"{float(second):.6f}"
+    assert rho == drf._weight_ratio(obs.values.tolist(), cond.values.tolist(), 1) < 1.0
+    assert f"{rho:.6f}" == "1.000000"
+    w1, w2 = (mpmath.mpf(lam) / (mpmath.mpf(lam) + 1) ** 2 for lam in (lam1, 0.5))
+    assert rho == pytest.approx(float(w2 / w1), rel=8 * sys.float_info.epsilon, abs=0.0)
+
+
+def test_two_component_condition_orders_the_weights_past_the_tables_rounding():
+    # pairs (t, (1/t)(1 + j eps)) at sigma2 = 1 have w_2 - w_1 about j eps w_1 (the mirror
+    # 1/t has t's weight): the condition w_1 <= w_2 is read from the quotient rho = w_2/w_1,
+    # so an accepted pair has w_1 above w_2 by at most the tie bound 2.5 eps (1 + rho) plus
+    # rho's rounding, 9u (u = eps/2): 9.5 eps; no pair with w_1 <= w_2 is refused, and no
+    # mirror pair (j = 0).  The second activation rates, compared instead, accepted pairs
+    # up to 20 eps apart (t up to 1e15).  Weights from 50-digit mpmath.
+    eps = sys.float_info.epsilon
+    rng = np.random.default_rng(112)
+    with mpmath.workdps(50):
+        for i in range(6000):
+            t = float(10.0 ** rng.uniform(0.5, 15.0))
+            j = int(rng.integers(-60, 61)) if i < 5000 else 0
+            lam2 = (1.0 / t) * (1.0 + j * eps)
+            w1, w2 = (mpmath.mpf(lam) / (mpmath.mpf(lam) + 1) ** 2 for lam in (t, lam2))
+            excess = float((w1 - w2) / w1)  # relative; > 0 where w_1 is above w_2
+            try:
+                max_gap_2d(t, lam2, 1.0)
+            except ConditionViolated:
+                assert j and excess > 0.0, (t, j)
+            else:
+                assert excess <= 9.5 * eps, (t, j, excess / eps)
 
 
 def test_exactly_tied_singular_values_form_the_leading_block():

@@ -34,7 +34,6 @@ from cedrf.linalg import Matrix
 from cedrf.oracle import (
     _ce_grid,
     _maps,
-    _weights,
     InvalidSampleCount,
     ce_matrix_form,
     ce_matrix_forms,
@@ -472,6 +471,13 @@ def _flat(run):
     return (*run.ce, *run.idrf, run.mmse)
 
 
+def _weights(b):
+    """``B B^T``'s ``M`` eigenvalues ``mu``, descending, as ``oracle._estimates`` forms them: the
+    squared singular values of ``B``."""
+    s = np.linalg.svd(b, compute_uv=False)
+    return s * s
+
+
 def frozen_cases():
     """``(label, model, seed)`` of each :data:`FROZEN_ESTIMATES` row, in its order."""
     cases = [("example model, seed 20240117", example_model(), 20240117)]
@@ -689,9 +695,10 @@ def test_single_estimate_calls_match_the_joint_run():
 
 def test_weights_reproduce_each_maps_law():
     # the models of test_single_estimate_calls_match_the_joint_run: each map's
-    # weights must be the M eigenvalues of B B^T, descending, and each
-    # estimate's samples mu @ g^2 / M have mean |B|_F^2 / M and variance
-    # 2 |B B^T|_F^2 / M^2, which gives the standard error at any n, 1 included
+    # weights must be the M eigenvalues of B B^T, descending, each estimate's
+    # mean is w @ S / n with w = mu / M, bit for bit, and its samples mu @ g^2 / M
+    # have mean |B|_F^2 / M and variance 2 |B B^T|_F^2 / M^2, which gives the
+    # standard error at any n, 1 included
     rng = np.random.default_rng(4242)
     models = [random_model(rng) for _ in range(196)] + [m for _, m in _special_models()]
     assert any(m.M > m.L for m in models) and any(m.L > m.M for m in models)
@@ -703,8 +710,10 @@ def test_weights_reproduce_each_maps_law():
         maps = _maps(model, _ce_grid(model, FUSED_RATES), FUSED_RATES, mmse=True)
         run = mc_estimates(model, n, i, ce_rates=FUSED_RATES, idrf_rates=FUSED_RATES, mmse=True)
         one = mc_estimates(model, 1, i, ce_rates=FUSED_RATES, idrf_rates=FUSED_RATES, mmse=True)
+        chi2 = np.random.Generator(np.random.SFC64(i)).chisquare(n, size=model.M)
         for j, (b, est, est1) in enumerate(zip(maps, _flat(run), _flat(one), strict=True)):
             mu = _weights(b)
+            assert est.mean == float(mu / model.M @ chi2) / n, (i, j)
             cov = b @ b.T
             assert mu.shape == (model.M,) and np.all(mu >= 0.0), (i, j)
             err = np.abs(mu[::-1] - np.linalg.eigvalsh(cov))

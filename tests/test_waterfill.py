@@ -4,9 +4,11 @@ import sys
 import numpy as np
 import pytest
 
+import mp_reference
 from support import R2_COND, R2_OBS
 
-from cedrf.spectral import Spectrum, _log2_ratio
+from cedrf.linalg import Matrix
+from cedrf.spectral import ObservationModel, Spectrum, _log2_ratio
 from cedrf.waterfill import (
     _exp2,
     _levels,
@@ -239,6 +241,24 @@ def test_water_level_long_spectrum_uses_log_space():
     assert theta == pytest.approx(_theta_by_bisection(vals, big_r), abs=1e-9)
     got = rate_allocation(s, big_r)
     assert math.fsum(got.rates) == pytest.approx(big_r, abs=1e-9)
+
+
+def test_water_level_stays_normal_where_its_power_underflows():
+    # {"A": diag(1e153, 1), "sigma2": 1e-300}: the rank rule drops the 1, so the observation
+    # spectrum is [1e306, 1e-300], and R_2 is about 1006.5.  With k = 1 the power 2^{-2R} is
+    # below 2^-1074 there and the product lam_1 2^{-2R} was 0, but the level, about 1e-300,
+    # is a normal number.  From frexp parts it rounds three times (pow, a product, ldexp
+    # exact): within 4 eps of the 60-digit reference (measured 0 at both rates)
+    obs = ObservationModel(Matrix(np.diag([1e153, 1.0])), 1e-300).observation
+    assert obs.values.tolist() == [1e306, 1e-300]
+    for R in (float(obs.thresholds[1]), 1006.0):
+        k, theta = water_level(obs, R)
+        want = float(mp_reference.water_level(obs.values.tolist(), R)[1])
+        assert k == 1 and theta == pytest.approx(want, rel=4 * EPS, abs=0.0), R
+    # far past the normal range, and at R = inf, the level is exactly 0; an empty grid is valid
+    k, theta, power = _levels(obs, np.array([5000.0, 1e308, math.inf]))
+    assert k.tolist() == [2, 2, 2] and theta.tolist() == power.tolist() == [0.0, 0.0, 0.0]
+    assert all(a.size == 0 for a in _levels(obs, np.array([])))
 
 
 def test_exp2_is_c_pow_bit_for_bit():

@@ -28,7 +28,9 @@ T[min(k, r)]``, where ``T[m] = sum_{l>m} c_l`` and ``H[k] = sum_{l<=min(k,r)}
 c_l (o_k/o_l)``.  Each term is at most its ``c_l``: no ``c/o`` weight is
 formed, and ``theta_ce``, subnormal where ``sigma2`` is, enters no sum.  Both
 curves are bounded by 1, as the exact ones are.  The gap is ``max(S_c - S_i,
-0)/M``: the floor, which would cancel it, is never added.  Each gap bound is
+0)/M``: the floor, which would cancel it, is never added.  Where ``(k_idrf, k_ce) = (2, 1)``,
+``S_c - S_i = c_1 2^-2R + c_2 - 2 sqrt(c_1 c_2) 2^-R`` is formed as the paper's square
+``(sqrt(c_1) 2^-R - sqrt(c_2))^2``, which cancels nothing.  Each gap bound is
 a prefactor held as ``frexp`` parts times ``2^{-2R/L}``, put together by one
 ``ldexp`` (:func:`_gap_bounds_grid`).  A spectrum's ``values`` and
 ``thresholds`` are read-only arrays; scalar code takes Python floats from
@@ -109,8 +111,8 @@ def _curves(obs: Spectrum, cond: Spectrum, floor_sum: float, M: int,
     """Both schemes' ``(d_idrf, d_ce, gap, k_idrf, k_ce, theta_idrf, theta_ce)`` on a non-decreasing
     grid of valid rates, from the sums ``S_i``, ``S_c`` of the module docstring.
 
-    ``T`` is summed from its smallest term up and ``H`` left to right; ``H`` is
-    built for the counts from the first rate's to the last's alone.
+    ``T`` is summed from its smallest term up and ``H`` left to right; ``H`` is built for the
+    counts from the first rate's to the last's alone.  The ``(2, 1)`` rows' gap is the square.
     """
     k_i, theta_i, _ = waterfill._levels(cond, R)
     k_c, theta_c, power = waterfill._levels(obs, R)
@@ -126,8 +128,13 @@ def _curves(obs: Spectrum, cond: Spectrum, floor_sum: float, M: int,
     m = np.minimum(k_c, r)
     d_i = k_i * theta_i + tail[k_i]
     d_c = head[k_c - k0, m] * power + tail[m]
+    gap = np.maximum(d_c - d_i, 0.0)
+    square = (k_i == 2) & (k_c == 1)
+    if square.any():  # k_idrf = 2 needs rank 2
+        x = math.sqrt(c[0]) * waterfill._exp2(-R[square]) - math.sqrt(c[1])
+        gap[square] = x * x
     return (np.minimum((d_i + floor_sum) / M, 1.0), np.minimum((d_c + floor_sum) / M, 1.0),
-            np.maximum(d_c - d_i, 0.0) / M, k_i, k_c, theta_i, theta_c)
+            gap / M, k_i, k_c, theta_i, theta_c)
 
 
 def _lower_prefactor(lam: Sequence[float], obs: Sequence[float], M: int) -> tuple[float, int]:
@@ -293,19 +300,12 @@ def _check_condition_2d(lambda1: float, lambda2: float,
 def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     """Gap for two sources observed through two components, in closed form.
 
-    Two paths: the paper's explicit square on the piece ``(k_idrf, k_ce) = (2, 1)``, and
-    elsewhere the gap of :func:`_curves`, exactly 0 where each spectrum has one component
-    active.  ``lambda1``, ``lambda2`` are exact, and the square's piece ends where
-    :func:`gap` switches ``k``, so the two agree on the diagonal model wherever it keeps
-    ``lambda2`` (``sqrt(lambda2) > 2 eps sqrt(lambda1)``, :func:`linalg.above_noise`).
+    The gap of :func:`_curves` at the one rate ``R``; on a diagonal model whose ``gram.values``
+    are exactly ``(lambda1, lambda2)``, it equals :func:`gap` bit for bit.
     """
     R = waterfill._check_rate(R)
     obs, cond, floor_sum = _check_condition_2d(lambda1, lambda2, sigma2)
-    gap, k_idrf, k_ce = _curves(obs, cond, floor_sum, 2, np.array([R]))[2:5]
-    if (k_idrf[0], k_ce[0]) == (2, 1):
-        c1, c2 = cond.values.tolist()
-        return 0.5 * (math.sqrt(c1) * 2.0 ** (-R) - math.sqrt(c2)) ** 2
-    return float(gap[0])
+    return float(_curves(obs, cond, floor_sum, 2, np.array([R]))[2][0])
 
 
 def max_gap_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[float, float]:

@@ -931,6 +931,16 @@ def test_python_dash_m_cedrf_writes_what_main_writes(model_file, tmp_path, capsy
     assert (tmp_path / "sub.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
 
+def test_python_dash_m_cedrf_verifies_as_main_does(capsys):
+    src = str(Path(cedrf.drf.__file__).resolve().parents[1])
+    argv = ["verify", "--random", "1", "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-m", "cedrf", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    code = main(argv)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out), proc.stderr
+    assert proc.stdout
+
+
 def test_verify_example_model_passes(model_file, capsys):
     code = main(["verify", str(model_file), "--samples", "40000", "--seed", "11"])
     out = capsys.readouterr().out

@@ -235,6 +235,27 @@ def test_gap_2d_agrees_with_general_gap(seed):
         assert gap_2d(lam1, lam2, s2, r) == pytest.approx(gap(model, r), abs=1e-10)
 
 
+def test_gap_2d_is_gap_on_exact_grams():
+    # A = diag(2^a, 2^b) at sigma2 = 2^e has gram.values exactly (4^a, 4^b), so gap_2d and
+    # gap read the same spectra and must give the same bits at every rate: below the
+    # estimate spectrum's second threshold (1, 1), up to the observation's (2, 1) and past it
+    counts, unequal = set(), []
+    for a in range(-2, 5):
+        for b in range(-4, a + 1):
+            for e in range(a + b - 3, a + b + 1):  # lam1 lam2 >= s2^2, so w_1 <= w_2
+                lam1, lam2, s2 = 4.0 ** a, 4.0 ** b, 2.0 ** e
+                model = ObservationModel(Matrix(np.diag([2.0 ** a, 2.0 ** b])), s2)
+                assert model.gram.values.tolist() == [lam1, lam2]
+                r2_obs = float(model.observation.thresholds[1])
+                for r in np.linspace(0.0, r2_obs + 2.0, 24).tolist():
+                    pt = drf.sweep(model, [r])[0]
+                    counts.add((pt.k_idrf, pt.k_ce))
+                    if gap_2d(lam1, lam2, s2, r) != pt.gap:
+                        unequal.append((a, b, e, r))
+    assert counts == {(1, 1), (2, 1), (2, 2)}
+    assert unequal == []
+
+
 # (lam1, lam2, s2) meeting the condition, with rates in all three regions:
 # below r2_cond, between r2_cond and r2_obs, and past r2_obs
 _TWO_COMPONENT_CASES = [

@@ -13,14 +13,16 @@ rows.  A CSV table (``_csv``) spells a float ``"%.17g" % v`` and an integer
 arrays and not by ``%``.  Each value's 17 decimal digits come from an exact
 product with a double-double table of powers of ten (Dekker's TwoProduct).
 The text comes from digit lookup tables and a byte mask per key
-``(X, count, sign)`` (``_KEY_SHAPE``), with the column's one-byte separator
+``(X, count)`` (``_KEY_SHAPE``), with the column's one-byte separator
 in the leading byte of every value's block, and one ``bytes.translate``
 deletes the masked bytes.  The digit step's arrays and a piece's blocks,
 masks and digit groups are views of one work buffer that each piece of a
-table reuses.  ``%`` writes only the values the engine cannot decide: nan,
-inf, ``|x|`` outside ``[1e-290, 1e290)`` (zero excepted), one whose 17-digit
-exponent it got wrong, and one whose scaled fraction lies within
-``_MARGIN`` (2^-40) of 1/2 (exact ties, which ``%`` rounds to even).
+table reuses.  Every column the program writes is non-negative, so the
+engine decides only ``+0.0`` and ``x`` in ``[1e-290, 1e290)``.  ``%``
+writes the rest (nan, inf, ``-0.0`` and negative values among them) and each
+value the engine cannot prove: one whose ``floor(log10 x)`` is not its
+exponent, one whose digits carry into the next decade, and one whose scaled
+fraction lies within ``_MARGIN`` (2^-40) of 1/2 (ties, which ``%`` rounds to even).
 The JSON sweep file (``_json``) is orjson's: in each piece, one
 ``orjson.dumps`` of each column's numpy slice writes its values, with no
 Python list between, and a template of the piece's rows takes them.
@@ -260,19 +262,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: values the digit step decides: |x| in [1e-290, 1e290), where no product it splits
-#: overflows or leaves the normal range; zero is decided apart, the rest goes to ``%``
+#: values the digit step decides: x in [1e-290, 1e290), where no product it splits
+#: overflows or leaves the normal range; +0.0 is decided apart, the rest goes to ``%``
 _FAST_RANGE = (1e-290, 1e290)
-#: the largest |X| in the tables of 10^(16-X) and exponent words: the range's, and two more
+#: the largest |X| in the tables of 10^(16-X) and exponent words: the range's, and a margin
+#: for a ``floor(log10 x)`` rounded past it
 _X_MAX = round(math.log10(_FAST_RANGE[1])) + 2
 #: a scaled value whose fraction lies this close to 1/2, a tie, goes to ``%``; the digit
 #: step's error is below 2^-47
 _MARGIN = 2.0 ** -40
 _CHUNK_ROWS = 512  # rows per piece of text: one piece's arrays stay near 1 MB
 #: one value's 48-byte block, six 8-byte words: two framing bytes (the separator and a pad),
-#: the value's sign and the "0.000" that leads fixed notation below 1; the 17 digits, each
-#: followed by a point slot; a pad, "e", and the exponent's sign and three digits
-_BLOCK = b"\0\0-0.000" + b"0." * 17 + b"\0e+000"
+#: a pad and the "0.000" that leads fixed notation below 1; the 17 digits, each followed by
+#: a point slot; a pad, "e", and the exponent's sign and three digits
+_BLOCK = b"\0" * 3 + b"0.000" + b"0." * 17 + b"\0e+000"
 _DIGIT0, _EXP = _BLOCK.index(b"0." * 17), _BLOCK.index(b"e")  # the first digit's and "e"'s offsets
 _GROUP_OFFSETS = np.arange(0, 40_000, 10_000)
 
@@ -329,55 +332,50 @@ def _words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _digits(x: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(n, X, fast)``: ``|x|`` is ``n 10^(X-16)``, rounded, where ``fast`` holds.
+    """``(n, X, fast)``: ``x`` is ``n 10^(X-16)``, rounded, where ``fast`` holds.
 
-    ``n`` is an int64 in ``[10^16, 10^17)``, 0 for a zero: ``|x|`` rounded
-    to 17 digits.  ``X`` is first
-    ``floor(log10 |x|)``, corrected once from the rough product
-    ``|x| 10^s``, s = 16 - X.  That product is then taken exactly as
+    ``n`` is an int64 in ``[10^16, 10^17)``, ``x`` rounded to 17 digits,
+    and 0 for a zero and where ``fast`` fails.  ``X`` is ``floor(log10 x)``,
+    and the product ``x 10^s``, s = 16 - X, is taken exactly as
     ``p + e1 + e2``, with ``hi + lo`` the table's 10^s (:func:`_pow10`):
-    ``p`` is the rounded ``|x| hi``, an integer since it
-    exceeds 2^53, ``e1`` its rounding error by Dekker's TwoProduct, and
-    ``e2`` the rounded ``|x| lo``.  ``rest = e1 + e2`` is off from the
-    exact ``|x| 10^s - p`` by less than 2^-47: ``|x| (hi + lo - 10^s)``,
-    the rounding of ``e2`` and that of the sum are each below 2^-49 while
-    the product is below 2^57.  So ``floor(rest)`` and the fraction
-    ``rest - floor(rest)`` give the rounded ``n`` unless the fraction is
-    within that error of 1/2, where ``"%.17g"`` rounds a tie to even; every
-    fraction within ``_MARGIN`` (2^-40) of 1/2 is left to ``%``.  A
-    fraction near 0 or 1 may be misplaced by one unit, which moves the
-    floor and the round-up bit in opposite directions and not ``n``.  The
-    floor ``p + floor(rest)`` must lie in ``[10^16, 10^17)``, or ``X`` is
-    wrong and ``%`` decides.  An ``n`` rounded up to 10^17 is 10^16 at the
-    next ``X``.  Every array of the step is a row of ``work``, 13 rows of
-    ``x.size`` words that every piece of a table reuses.
+    ``p`` is the rounded ``x hi``, an integer since it exceeds 2^53, ``e1``
+    its rounding error by Dekker's TwoProduct, and ``e2`` the rounded
+    ``x lo``.  ``rest = e1 + e2`` is off from the exact ``x 10^s - p`` by
+    less than 2^-47: ``x (hi + lo - 10^s)``, the rounding of ``e2`` and
+    that of the sum are each below 2^-49 while the product is below 2^57.
+    So ``floor(rest)`` and the fraction ``rest - floor(rest)`` give the
+    rounded ``n`` unless the fraction is within that error of 1/2, where
+    ``"%.17g"`` rounds a tie to even; every fraction within ``_MARGIN``
+    (2^-40) of 1/2 is left to ``%``.  A fraction near 0 or 1 may be
+    misplaced by one unit, which moves the floor and the round-up bit in
+    opposite directions and not ``n``.  The floor ``p + floor(rest)`` must
+    be at least 10^16 (``X`` is right) and the rounded ``n`` below 10^17 (no
+    carry into the next decade), or ``%`` decides.  Every array of the step
+    is a row of ``work``, 13 rows of ``x.size`` words that every piece of a
+    table reuses.
     """
     table = _pow10()
     n, exp10, whole_n = work[:3]
-    ax, rest, p, xh, xl, whole = work[3:9].view(np.float64)
+    y, rest, p, xh, xl, whole = work[3:9].view(np.float64)
     terms = work[9:13].view(np.float64)  # 10^s as (hi, head, tail, lo)
-    np.abs(x, out=ax)
-    zero = ax == 0.0
-    fast = ax >= _FAST_RANGE[0]
-    fast &= ax < _FAST_RANGE[1]  # false for nan and inf
-    np.copyto(ax, 1.0, where=~fast)
-    np.floor(np.log10(ax, out=rest), out=rest)
+    zero = x.view(np.int64) == 0  # +0.0 only
+    fast = x >= _FAST_RANGE[0]
+    fast &= x < _FAST_RANGE[1]  # false for nan, inf, zero and negative values
+    np.copyto(y, x)
+    np.copyto(y, 1.0, where=~fast)  # y: x where fast holds, else 1, whose log10 is 0
+    np.floor(np.log10(y, out=rest), out=rest)
     np.copyto(exp10, rest, casting="unsafe")
     exp10 += _X_MAX  # a row of the table until the end
-    table[0].take(exp10, out=p, mode="clip")  # every index is in the table
-    p *= ax  # the rough product
-    exp10 += p >= 1e17
-    exp10 -= p < 1e16
-    table.take(exp10, axis=1, out=terms, mode="clip")
+    table.take(exp10, axis=1, out=terms, mode="clip")  # every index is in the table
     hi, head, tail, lo = terms
-    np.multiply(ax, 134217729.0, out=xh)
-    np.subtract(xh, ax, out=xl)
+    np.multiply(y, 134217729.0, out=xh)
+    np.subtract(xh, y, out=xl)
     np.subtract(xh, xl, out=xh)
-    np.subtract(ax, xh, out=xl)
-    np.multiply(ax, hi, out=p)
+    np.subtract(y, xh, out=xl)
+    np.multiply(y, hi, out=p)
     np.multiply(xh, head, out=rest)
     rest -= p
-    for u, v in ((xh, tail), (xl, head), (xl, tail), (ax, lo)):
+    for u, v in ((xh, tail), (xl, head), (xl, tail), (y, lo)):
         rest += np.multiply(u, v, out=hi)
     np.floor(rest, out=whole)
     rest -= whole  # the fraction
@@ -385,16 +383,12 @@ def _digits(x: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     np.copyto(whole_n, whole, casting="unsafe")
     n += whole_n  # the floor
     fast &= n >= 10 ** 16
-    fast &= n < 10 ** 17
     n += rest > 0.5
+    fast &= n < 10 ** 17
     rest -= 0.5
     fast &= np.abs(rest, out=rest) >= _MARGIN
-    carry = n == 10 ** 17
-    np.copyto(n, 10 ** 16, where=carry)
-    exp10 += carry
-    exp10 -= _X_MAX
-    np.copyto(n, 0, where=zero)
-    np.copyto(exp10, 0, where=zero)
+    n *= fast  # 0 for a zero and for each value % writes: an n of 10^17 would pass the tables
+    exp10 -= _X_MAX  # 0 for a zero
     fast |= zero
     return n, exp10, fast
 
@@ -402,9 +396,9 @@ def _digits(x: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 #: the decimal exponents ``X`` of the mask table: the fixed-notation range and one
 #: exponent-notation ``X`` at either end, whose mask every ``X`` beyond that end shares
 _LAYOUT_X = range(-5, 18)
-#: the mask table's key (X - ``_LAYOUT_X[0]``, count of significant digits, sign), clipped
+#: the mask table's key (X - ``_LAYOUT_X[0]``, count of significant digits), clipped
 #: to this shape, so that an ``X`` beyond ``_LAYOUT_X`` reads its end's mask
-_KEY_SHAPE = (len(_LAYOUT_X), 18, 2)
+_KEY_SHAPE = (len(_LAYOUT_X), 18)
 
 
 @functools.cache
@@ -413,11 +407,11 @@ def _keep_words() -> np.ndarray:
 
     Row ``np.ravel_multi_index(key, _KEY_SHAPE)`` is 0xff at the bytes of a
     value's block that its text keeps, 0 elsewhere.  The text is
-    ``"%.17g" % v``, set by the value's decimal exponent ``X``, its count of
-    significant digits (0 for zero) and its sign.  The two framing bytes
-    are kept.
+    ``"%.17g" % v`` of a non-negative ``v``, set by its decimal exponent
+    ``X`` and its count of significant digits (0 for zero).  The two
+    framing bytes are kept.
     """
-    x, count, negative = np.indices(_KEY_SHAPE).reshape(len(_KEY_SHAPE), -1)
+    x, count = np.indices(_KEY_SHAPE).reshape(len(_KEY_SHAPE), -1)
     exp10 = x + _LAYOUT_X[0]
     fixed = (exp10 >= -4) & (exp10 < 17)
     shown = np.where(fixed, np.maximum(count, exp10 + 1), count)  # zeros before the point too
@@ -425,7 +419,6 @@ def _keep_words() -> np.ndarray:
     point = np.where(shown > point + 1, point, -1)
     keep = np.zeros((exp10.size, len(_BLOCK)), bool)
     keep[:, :2] = True
-    keep[:, 2] = negative
     keep[:, 3:_DIGIT0] = np.arange(5) < np.where(fixed & (exp10 < 0), 1 - exp10, 0)[:, None]
     keep[:, _DIGIT0:_EXP - 1:2] = np.arange(17) < shown[:, None]
     keep[:, _DIGIT0 + 1:_EXP - 1:2] = np.arange(17) == point[:, None]
@@ -465,12 +458,11 @@ def _text(x: np.ndarray, lead: np.ndarray, work: np.ndarray) -> bytes:
     groups += _GROUP_OFFSETS
     p1, p2, p3, p4 = places.take(groups).T
     count = np.where(d16 > 0, 17, np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)))
-    key = np.ravel_multi_index((exp10 - _LAYOUT_X[0], count, np.signbit(x)), _KEY_SHAPE,
-                               mode="clip")
+    key = np.ravel_multi_index((exp10 - _LAYOUT_X[0], count), _KEY_SHAPE, mode="clip")
     blocks &= _keep_words().take(key, axis=0, out=masks)
 
     slow = np.flatnonzero(~fast)
-    if slow.size:  # nan, inf, values out of range and those the step leaves: % writes them
+    if slow.size:  # nan, inf, negatives, out-of-range values and those the step leaves: % writes them
         width = len(_BLOCK) - 2
         text = "".join([("%.17g" % v).ljust(width, "\0") for v in x[slow].tolist()])
         blocks.view(np.uint8)[slow, 2:] = np.frombuffer(text.encode(), np.uint8).reshape(-1, width)

@@ -158,8 +158,9 @@ def _ce_grid(model: ObservationModel, rates: Sequence[float]) -> CEMatrixParts:
     noise = model.sigma2 * gain * gain + gain * dist
     scale = 1.0 / np.sqrt(np.where(noise > 0.0, noise, np.inf))
     u, s, vt = np.linalg.svd(scale[:, :, None] * channel, full_matrices=False)
-    with np.errstate(over="ignore"):  # an s^2 past DBL_MAX is inf: s/(1+inf) = 1/(1+inf) = 0, the limits
-        decoder = ((vt.mT * (s / (1.0 + s * s))[:, None, :]) @ u.mT) * scale[:, None, :]
+    with np.errstate(over="ignore"):  # where s^2 overflows, the limits 1/(1+s^2) = 0 and s/(1+s^2) = 1/s
+        weight = np.where(np.isinf(s * s), 1.0 / np.maximum(s, 1.0), s / (1.0 + s * s))
+        decoder = ((vt.mT * weight[:, None, :]) @ u.mT) * scale[:, None, :]
         d_ce = ((1.0 / (1.0 + s * s)).sum(axis=-1) + (model.M - s.shape[-1])) / model.M
     return CEMatrixParts(model.basis, *_read_only(gain, dist, channel, noise, decoder, d_ce))
 
@@ -289,10 +290,11 @@ def _estimates(model: ObservationModel, n_samples: int, seed: int, ce: CEMatrixP
     s = np.linalg.svd(_maps(model, ce, idrf_rates, mmse), compute_uv=False)
     weights = s * s / M  # mu / M, mu the eigenvalues of each map's B B^T
     chi2 = np.random.Generator(np.random.SFC64(seed)).chisquare(n_samples, size=M)
+    scales = np.frexp(weights.max(axis=-1, initial=0.0))[1]  # w 2^-e is near 1: v @ v cannot underflow
     est = [McEstimate(mean=float(w @ chi2) / n_samples,
-                      stderr=math.sqrt(2.0 * float(w @ w) / n_samples),
+                      stderr=math.ldexp(math.sqrt(2.0 * float(v @ v) / n_samples), e),
                       n_samples=n_samples, seed=seed)
-           for w in weights]
+           for w, v, e in zip(weights, np.ldexp(weights, -scales[:, None]), scales.tolist())]
     n_ce, n_idrf = 0 if ce is None else len(ce.gain), len(idrf_rates)
     return McEstimates(ce=tuple(est[:n_ce]), idrf=tuple(est[n_ce:n_ce + n_idrf]),
                        mmse=est[-1] if mmse else None)

@@ -7,12 +7,16 @@ in plain Python, so it shares no code with the writer's digit step.
 import math
 import struct
 import sys
+from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cedrf import cli
+from cedrf import cli, drf
+from cedrf.linalg import Matrix
+from cedrf.spectral import ObservationModel
 
 DBL_MAX = sys.float_info.max
 
@@ -73,6 +77,63 @@ def test_corpus_equals_percent_in_one_and_in_ten_columns():
     assert _mismatches([values]) == []
     width = values.size // 10 * 10
     assert _mismatches(list(values[:width].reshape(-1, 10).T)) == []
+
+
+def test_corpus_holds_every_kind_of_value_that_percent_writes():
+    # the engine decides only +0.0 and x in _FAST_RANGE whose floor(log10 x) is the
+    # decimal exponent and whose 17 digits stay in its decade; the corpus test covers
+    # each kind it leaves to %
+    values = _corpus()
+    x = values[(values >= cli._FAST_RANGE[0]) & (values < cli._FAST_RANGE[1])]
+    exponent = np.array([Decimal(v).adjusted() for v in x.tolist()])
+    assert (np.floor(np.log10(x)) != exponent).any()  # a misjudged exponent
+    printed = np.array([int(("%.16e" % v).split("e")[1]) for v in x.tolist()])
+    assert (printed != exponent).any()  # 17 digits that carry into the next decade
+    assert (values < 0.0).any()
+    assert ((values == 0.0) & np.signbit(values)).any()  # -0.0
+
+
+@pytest.mark.parametrize("direction", [-math.inf, math.inf])
+def test_a_log10_one_ulp_off_leaves_its_misjudged_values_to_percent(monkeypatch, direction):
+    # the engine takes X = floor(log10 x) unchecked.  A log10 one ulp high puts the floor
+    # below 10^16 near a power of ten; one ulp low puts it at 10^17 - 1 or rounds it up to
+    # 10^17 (every exact power of ten).  The floor and decade checks send each to %
+    real = np.log10
+
+    def off(x, out):
+        real(x, out=out)
+        return np.nextafter(out, direction, out=out, where=x != 1.0)  # log10(1) stays 0
+
+    monkeypatch.setattr(np, "log10", off)
+    values = _corpus()
+    assert _mismatches([values]) == []
+
+
+def _sweep_columns(model: ObservationModel, nats: bool) -> list[np.ndarray]:
+    """The columns ``sweep --min 0 --max 12 --steps 2001`` writes, with ``--nats`` or not."""
+    grid = np.linspace(0.0, 12.0, 2001)
+    columns = drf._columns(model, grid / cli._LN2 if nats else grid)
+    return [grid, *columns[1:]]
+
+
+def test_the_digit_step_decides_every_value_of_curves_like_sweeps():
+    # no value the program writes on such models goes to %: each is +0.0 or
+    # positive in _FAST_RANGE, and its exponent and digits are decided exactly.
+    # Every third A has rank 1 to 4, as the curves benchmark's rank-deficient ones do
+    rng = np.random.default_rng(7)
+    zeros = 0
+    for i in range(60):
+        l_dim, m = (int(n) for n in rng.integers(2, 17, size=2))
+        k = max(1, min(l_dim, m) // 4) if i % 3 == 0 else m
+        a = rng.standard_normal((l_dim, k)) @ rng.standard_normal((k, m)) / np.sqrt(k * m)
+        model = ObservationModel(Matrix(a * np.exp(rng.uniform(np.log(0.3), np.log(3.0)))),
+                                 float(rng.choice([0.1, 1.0, 10.0])))
+        for nats in (False, True):
+            values = np.stack(_sweep_columns(model, nats), axis=1, dtype=np.float64).ravel()
+            _, _, fast = cli._digits(values, np.empty((13, values.size), np.int64))
+            assert fast.all(), (i, nats, values[~fast][:5])
+            zeros += np.count_nonzero(values == 0.0)
+    assert zeros > 0  # +0.0 is among them
 
 
 def test_zero_columns_and_integer_columns():

@@ -409,6 +409,22 @@ def test_mc_ce_zero_rate():
     assert _within_ci(est, 1.0, floor=2e-2)
 
 
+@pytest.mark.parametrize("a, sigma2, ce", [([[1.0]], 1e-310, 1e-310),
+                                           ([[1e150, 0.0], [0.0, 1.0]], 1e-300, 0.5)])
+def test_mc_ce_where_the_whitened_channel_squared_overflows(a, sigma2, ce):
+    # at R = 600 the whitened channel's s exceeds sqrt(DBL_MAX): its decoder weight
+    # s/(1+s^2) must be 1/s there, not 0, or the CE map's error is about 1.  The first
+    # model's weights w are subnormal, so its stderr needs w @ w without underflow
+    model = ObservationModel(Matrix(a), sigma2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = drf.ce_drf(model, 600.0)
+        est = mc_ce(model, 600.0, 1000, seed=1)
+    assert closed == pytest.approx(ce, rel=1e-12)
+    assert abs(est.mean - closed) <= 4.0 * est.stderr
+    assert est.stderr > 0.0
+
+
 def test_mc_idrf_tracks_closed_form():
     model = example_model()
     for r, seed in ((0.5, 20), (1.0, 21), (3.0, 22)):

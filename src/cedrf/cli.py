@@ -352,7 +352,12 @@ def _digits(x: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     be at least 10^16 (``X`` is right) and the rounded ``n`` below 10^17 (no
     carry into the next decade), or ``%`` decides.  Every array of the step
     is a row of ``work``, 13 rows of ``x.size`` words that every piece of a
-    table reuses.
+    table reuses, so that no piece allocates and frees arrays of its own.
+    Plain numpy expressions give the same bytes, but their heap churn lands
+    on the benchmark's worker process, which an in-process timing such as
+    ``tests/interleave.py`` does not see: without the rows, one set of
+    alternating perfbench curves pairs read 0.89 times the ``ops_per_s``,
+    and re-runs read 1.00 (ROADMAP, Speed).
     """
     table = _pow10()
     n, exp10, whole_n = work[:3]
@@ -475,7 +480,10 @@ def _csv(head: str, columns):
     A float column's values are ``"%.17g" % v``.  An integer column must stay
     below 2^53 in magnitude: then its values are exact as doubles, whose
     ``%.17g`` text is their ``%d`` text.  Written piece by piece, the text
-    and the byte blocks of a whole table are never held at once.
+    and the byte blocks of a whole table are never held at once.  The
+    pieces share one work buffer, allocated once per table: every array of
+    :func:`_text` and of its digit step is a row of it, so the writer's
+    allocations do not grow with its pieces (see :func:`_digits` for why).
     """
     separators = [b"\n"] + [b","] * (len(columns) - 1)
     lead = np.frombuffer(b"".join(sep + _BLOCK[1:8] for sep in separators), np.int64)

@@ -6,10 +6,13 @@ Keep those names alive.
 import ast
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from cedrf import cli
 from cedrf.cli import _random_verify_model
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -60,3 +63,16 @@ def test_verify_rounds_mirror_the_random_model_generator():
     for s in range(500):
         model = _random_verify_model(np.random.default_rng(s))
         assert dims(s) == (model.M, model.L), s
+
+
+@pytest.mark.parametrize("workload", ["curves", "large-models", "verify-random"])
+def test_round_zero_passes_the_benchmark_gate(workload, monkeypatch, tmp_path):
+    # round 0 of each workload through `cli.main` and the benchmark's own
+    # checks, as its worker runs them: a program change that breaks an op
+    # fails here, not first in a benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing written under perfbench/
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    worker = importlib.import_module("worker")
+    runner = worker.Runner(cli, {"workload": workload, "seed": 1, "work_dir": str(tmp_path)})
+    results = runner.run_round(runner.make_round(0), 0)
+    assert results and [r for r in results if r["error"] and not r["expected"]] == []

@@ -60,11 +60,9 @@ import orjson
 
 from . import drf, oracle, waterfill
 from .linalg import Matrix, NotSymmetric
-from .spectral import NotPositiveDefinite, ObservationModel, whiten
+from .spectral import _LN2, NotPositiveDefinite, ObservationModel, whiten
 
 CSV_HEADER = ",".join(drf.DistortionPoint._fields)
-
-_LN2 = math.log(2.0)
 
 #: The keys of a model file
 _MODEL_KEYS = frozenset(("A", "sigma2", "sigma_x"))
@@ -597,7 +595,7 @@ def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: in
     """
     edges = [s.thresholds[1:s.rank] for s in (model.observation, model.conditional)]  # R_{k+1}
     neighbours = (r for t in edges[0].tolist() if t > 0.0 for r in (max(0.0, t - 0.05), t + 0.05))
-    ce_rates = np.array(sorted({*_ORACLE_RATES, *neighbours, *_MC_RATES}))
+    ce_rates = np.array(sorted({*_ORACLE_RATES, *neighbours}))
     parts = oracle._ce_grid(model, ce_rates)
     cap = min(drf.equality_region(model).R_limit, _RATE_SPAN)
     region = np.concatenate([rng.uniform(0.0, cap, 20), [cap]])

@@ -49,7 +49,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import waterfill
+from . import linalg, waterfill
 from .spectral import ObservationModel, Spectrum, spectra
 
 class ConditionViolated(ValueError):
@@ -150,14 +150,13 @@ def _gap_bounds_grid(model: ObservationModel, R: np.ndarray, k_idrf: np.ndarray,
     """:func:`gap_upper_bound` and :func:`gap_lower_bound` over a grid, given both active counts.
 
     Each bound is a prefactor, held as ``frexp`` parts ``(m, e)``, times
-    ``2^x``, ``x = max(-2R/L, -4000)`` (below, both are 0), split once into
-    its integer part ``n`` and ``2^(x - n)``: the bound is
-    ``ldexp(m 2^(x - n), n + e)``, inf or subnormal only where its value is.
+    ``2^x``, ``x = max(-2R/L, -4000)`` (below, both are 0), split once by
+    :func:`waterfill._split` into ``2^x = head 2^whole``: the bound is
+    ``ldexp(m head, whole + e)``, inf or subnormal only where its value is.
     """
     L, M, o = model.L, model.M, model.observation.values.tolist()
     with np.errstate(over="ignore"):  # -2R is -inf past DBL_MAX/2, clamped; upper may be inf
-        frac, whole = np.modf(np.maximum(-2.0 * R / L, -4000.0))
-        head, whole = waterfill._exp2(frac), whole.astype(np.int64)  # 2^x = head 2^whole
+        head, whole = waterfill._split(np.maximum(-2.0 * R / L, -4000.0))
         (mo, eo), (ms, es) = math.frexp(o[0]), math.frexp(model.sigma2)
         upper = np.ldexp(L / M * mo / ms * head, whole + (eo - es - 2))
     if L < 2:  # no second component; at rank 0 the prefactor is 0 and k_idrf < k_ce
@@ -228,13 +227,13 @@ def _tie_block(obs: Spectrum, cond: Spectrum, lam: Sequence[float], n: int) -> i
     With ``rho_l = w_l/w_1`` of :func:`_weight_ratio`, ``w_l`` ties when
     ``|rho_l - 1| <= a_1 + rho_l a_l``, ``|w_l - w_1| <= nu_1 + nu_l`` by ``w_1``: ``a_l = nu_l/w_l
     = 2 (delta/s_l) |1 - 2 c_l| + 5u`` is the first-order relative error of ``w_l``, ``u = eps/2``,
-    ``s_l = sqrt(lam_l)``, ``delta = n eps s_1`` the error of ``s`` (:func:`linalg.above_noise`,
+    ``s_l = sqrt(lam_l)``, ``delta = n eps s_1`` the error of ``s`` (:func:`linalg.noise_level`,
     ``n`` the matrix's larger side; 0 for exact values), ``dw/ds = (2 w/s)(1 - 2 c)``, ``5u`` the
     rounding of ``s^2``, ``lam + s2`` (twice), ``lam / obs`` (:func:`spectral.spectra`) and ``rho``.
     ``a_l <= 3`` as ``s_l > delta``, ``rho_l < lam_1/lam_l``; past rank, ``w = 0``.
     """
     o, c, eps = obs.values.tolist(), cond.values.tolist(), sys.float_info.epsilon
-    delta = n * eps * math.sqrt(lam[0])
+    delta = linalg.noise_level(math.sqrt(lam[0]), n)
     def a(l: int) -> float:
         return 2.0 * delta / math.sqrt(lam[l]) * abs(1.0 - 2.0 * c[l]) + 2.5 * eps
     def tied(l: int) -> bool:

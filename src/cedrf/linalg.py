@@ -5,7 +5,7 @@ for user input.  The model spectrum, the oracles' singular vectors and the
 compress-and-estimate decoder come from ``numpy.linalg.svd`` in
 :mod:`cedrf.spectral` and :mod:`cedrf.oracle`; what is left here whitens a
 source covariance (:func:`sym_eig`) and holds the rank rule that the model,
-whitening and :func:`pinv` share (:func:`above_noise`).  :func:`pinv` has
+whitening and :func:`pinv` share (:func:`above_noise`, :func:`noise_level`).  :func:`pinv` has
 no caller in the library: the tests check the decoder against it.  It and
 :func:`sym_eig` take plain arrays, check that they are finite, square and
 symmetric, then diagonalize them with LAPACK's symmetric eigensolver
@@ -15,6 +15,7 @@ run on one platform and numpy/BLAS build.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +70,8 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so that ``S = V diag(w) V^T``.
 
     Raises :class:`NotSymmetric` unless the input is a non-empty square
-    array whose asymmetry ``max|S - S^T|`` is at most ``n eps max|S|``, the
-    relative rule of :func:`above_noise`; :class:`ValueError` on NaN/inf.
+    array whose asymmetry ``max|S - S^T|`` is at most ``n eps max|S|``
+    (:func:`noise_level`); :class:`ValueError` on NaN/inf.
     """
     m = np.asarray(s, dtype=float)
     if m.ndim != 2 or m.size == 0 or m.shape[0] != m.shape[1]:
@@ -79,7 +80,7 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     half, half_t = m / 2.0, m.T / 2.0  # m + m.T and m - m.T overflow past DBL_MAX / 2
     asym, n = 2.0 * float(np.abs(half - half_t).max()), m.shape[0]
-    tol = float(np.abs(m).max()) * (n * np.finfo(float).eps)
+    tol = noise_level(np.abs(m).max(), n)
     if asym > tol:
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {n} eps max|S| = {tol:.3e}")
     w, v = np.linalg.eigh(half + half_t)
@@ -88,15 +89,21 @@ def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], np.ascontiguousarray(v[:, order])
 
 
+def noise_level(top: float, n: int) -> float:
+    """``n eps top``, the rounding noise of an ``n``-wide matrix's singular values or eigenvalues,
+    ``top`` the largest: ``n eps`` first, as ``top * n`` may overflow.  ``eps`` is a power of two,
+    so it rounds as numpy's ``top * n * eps`` does, unless it is subnormal."""
+    return float(top) * (n * sys.float_info.epsilon)
+
+
 def above_noise(values: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the ``values`` above ``n eps`` times their largest: the rest are rounding noise.
+    """Mask of the ``values`` above their :func:`noise_level`: the rest are rounding noise.
 
     For the singular values or eigenvalues of an ``n``-wide matrix, this is
-    :func:`numpy.linalg.matrix_rank`'s default cut: ``eps`` is a power of two,
-    so the cut rounds as numpy's ``top * n * eps`` does, unless it is subnormal.
+    :func:`numpy.linalg.matrix_rank`'s default cut.
     """
     v = np.asarray(values, dtype=float)
-    return v > v.max() * (n * np.finfo(float).eps)  # n eps first: top * n may overflow
+    return v > noise_level(v.max(), n)
 
 
 def pinv(s: np.ndarray) -> np.ndarray:

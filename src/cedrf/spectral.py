@@ -33,6 +33,8 @@ import numpy as np
 from . import linalg
 from .linalg import Matrix
 
+_LN2 = math.log(2.0)
+
 
 class NotPositiveDefinite(ValueError):
     """A positive-definite matrix was required."""
@@ -82,7 +84,7 @@ def _log2_ratio(a: float, b: float) -> float:
     and a tie gives 0; above, ``log2(m_a / m_b) + (e_a - e_b)`` from ``frexp`` parts.  So
     ``a >= b`` gives ``>= 0`` as rounded, and no power-of-two scale moves a bit."""
     if a <= 2.0 * b:
-        return math.log1p((a - b) / b) / math.log(2.0)
+        return math.log1p((a - b) / b) / _LN2
     (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
     return math.log2(ma / mb) + (ea - eb)
 

@@ -75,6 +75,13 @@ def _exp2(e: np.ndarray) -> np.ndarray:
     return np.float_power(2.0, e)
 
 
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(2^f, n)`` of finite ``x = f + n``, ``n`` integral (int64), ``|f| < 1``: ``m 2^e 2^x`` as
+    ``ldexp(m 2^f, e + n)`` stays normal until that one final rounding where ``2^x`` underflows."""
+    f, n = np.modf(x)
+    return _exp2(f), n.astype(np.int64)
+
+
 def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Active counts, water levels and the levels' powers of two on a float64 array of valid rates.
 
@@ -82,8 +89,8 @@ def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     (``R = 0``); the table's final ``inf`` keeps it at most ``rank``.
     ``theta = lam_k 2^x`` with the power ``2^x``, ``x = 2 (R_k - R) / k``, in ``(0, 1]``
     unless it underflows.  Only for ``-4000 < x < -1022`` (one test per call), ``theta`` is
-    ``ldexp(m 2^f, e + n)``, ``lam_k = m 2^e`` and ``x = f + n``, the split of
-    :func:`drf._gap_bounds_grid`.  All three are 0 at every rate for a spectrum of rank 0.
+    ``ldexp(m 2^f, e + n)``, ``lam_k = m 2^e``, ``(2^f, n)`` of :func:`_split`.  All three are 0
+    at every rate for a spectrum of rank 0.
     """
     if spectrum.rank == 0:
         zeros = np.zeros_like(R)
@@ -98,8 +105,8 @@ def _levels(spectrum: Spectrum, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     if np.minimum.reduce(x, initial=0.0, where=x > -4000.0) < -1022.0:  # below -4000, theta is 0
         low = (x > -4000.0) & (x < -1022.0)
         m, e = np.frexp(lam[i[low]])
-        f, n = np.modf(x[low])
-        theta[low] = np.ldexp(m * _exp2(f), e + n.astype(np.int64))
+        head, n = _split(x[low])
+        theta[low] = np.ldexp(m * head, e + n)
     return k, theta, power
 
 

@@ -18,15 +18,19 @@ models of ``FAR_SECOND_COMPONENT``, whose second singular value is 1e-6 or
 3e-6 of the first at ``sigma2 = 1e-14``: kept, it sets the floor, about
 5e-3.  The ``verify`` group runs ``verify --random 3`` at the default seed,
 ``--random 50 --seed 1``, ``--random 1 --seed 3867`` (a model that fails its
-Monte Carlo checks, exit 1), ``--random 1 --seed s`` for s = 1..200 (the
-command the verify-random benchmark times) and ``verify MODEL`` on every
-tenth seeded model.  The ``oracle`` group hashes
+Monte Carlo checks, exit 1) and ``verify MODEL`` on every tenth seeded
+model.  The ``bench-curves``, ``bench-large-models`` and ``bench-verify-random``
+groups run the benchmark's own ops, ``op_argv`` of ``make_round(workload, 1,
+j)`` from ``perfbench/workloads.py``, over rounds 0-3 (one full rotation of
+the sweep options: JSON, ``--nats``, ``sigma_x``, tied and rank-deficient
+models up to n = 16), 0-4 (analyze at n = 16 to 128, with scale twins) and
+0-7 (200 ``verify --random 1`` seeds).  The ``oracle`` group hashes
 the ``float.hex`` of ``ce_matrix_form`` and of every ``mc_estimates`` mean and
 stderr at 2,000 samples, on the seeded models; ``verify`` prints only three
 digits of them.  The ``am_gm_pair`` group runs 500 seeded lists of 1 to 8
-values, log-uniform between 1e-300 and 1e300.  Run it on two checkouts and
-``diff`` the output to show that a change keeps every output's bits (see
-README, "Install and test").  The ``equality-region`` group hashes
+values, log-uniform between 1e-300 and 1e300.  Run it with ``PYTHONPATH`` set to
+each of two ``src`` trees and ``diff`` the output to show that a change keeps
+every output's bits (see README, "Install and test").  The ``equality-region`` group hashes
 ``equality_region``'s ``r0``, ``R_limit.hex()`` and ``unconditional`` on the
 seeded models, on ``tied_models`` and on ``mirror_models`` at offset 0 and
 at each ``NEAR_TIE_OFFSETS`` offset, so the tie rule's outputs on either
@@ -48,6 +52,7 @@ import hashlib
 import io
 import json
 import math
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -58,6 +63,12 @@ from support import MALFORMED_MODELS, RAW_MALFORMED_MODELS, RAW_MODELS
 from cedrf import cli, drf, oracle, waterfill
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel
+
+# run_path compiles the file in memory: nothing is written beside it
+_workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+make_round, op_argv = _workloads["make_round"], _workloads["op_argv"]
+BENCH_ROUNDS = {"bench-curves": ("curves", 4), "bench-large-models": ("large-models", 5),
+                "bench-verify-random": ("verify-random", 8)}
 
 N_MODELS, N_PAIRS, N_LISTS, N_TIES, N_FILES = 100, 500, 500, 100, 200
 GAP_RATES = np.linspace(0.0, 40.0, 81).tolist()
@@ -144,11 +155,14 @@ def large_model_files(rng):
 
 
 def run(h, tmp, *argv):
-    """Feed ``cedrf argv``'s exit code, stdout, stderr and written files to ``h``."""
+    """Feed ``cedrf argv``'s exit code, stdout, stderr and the files it writes into ``tmp`` to
+    ``h``, with ``tmp`` spelled ``TMP`` and its parent, which holds the benchmark's model files,
+    ``ROOT``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
-    h.update(f"{code}\n{out.getvalue()}{err.getvalue()}".replace(str(tmp), "TMP").encode())
+    text = f"{code}\n{out.getvalue()}{err.getvalue()}".replace(str(tmp), "TMP")
+    h.update(text.replace(str(tmp.parent), "ROOT").encode())
     for p in sorted(set(tmp.iterdir()) - {tmp / "model.json"}):
         h.update(p.name.encode() + p.read_bytes())
         p.unlink()
@@ -165,9 +179,12 @@ def main():
     groups = {k: hashlib.sha256() for k in ("analyze", "analyze-json", "analyze-json-nats", *SWEEPS,
                                             "verify", "example", "gap_2d", "max_gap_2d",
                                             "am_gm_pair", "oracle", "gap-bounds",
-                                            "equality-region", "thresholds", "model-files")}
+                                            "equality-region", "thresholds", "model-files",
+                                            *BENCH_ROUNDS)}
     with tempfile.TemporaryDirectory() as d:
-        tmp = Path(d)
+        tmp, bench_models = Path(d) / "out", Path(d) / "models"
+        tmp.mkdir()
+        bench_models.mkdir()
         model = tmp / "model.json"
         sweep = ("sweep", model, "--min", 0, "--max", 30, "--steps", 401, "--out", tmp / "out")
         for i, (doc, rate) in enumerate(zip(models(np.random.default_rng(15)),
@@ -195,8 +212,13 @@ def main():
         run(groups["verify"], tmp, "verify", "--random", 3)
         run(groups["verify"], tmp, "verify", "--random", 50, "--seed", 1)
         run(groups["verify"], tmp, "verify", "--random", 1, "--seed", 3867)
-        for seed in range(1, 201):  # the command the verify-random benchmark times
-            run(groups["verify"], tmp, "verify", "--random", 1, "--seed", seed)
+        for name, (workload, rounds) in BENCH_ROUNDS.items():
+            for j in range(rounds):
+                ops, files = make_round(workload, 1, j)
+                for file_name, data in files.items():
+                    (bench_models / file_name).write_bytes(data)
+                for op in ops:
+                    run(groups[name], tmp, *op_argv(op, str(bench_models), str(tmp / "out")))
         run(groups["example"], tmp, "example", "--out", tmp)
         files = [*(json.dumps(doc).encode() for doc, _ in MALFORMED_MODELS),
                  *(data for data, _ in RAW_MALFORMED_MODELS.values()),

@@ -916,6 +916,48 @@ def test_sweep_and_example_write_from_one_column_kernel_call(model_file, tmp_pat
     capsys.readouterr()
 
 
+def test_sweep_hands_the_json_writer_contiguous_columns(model_file, tmp_path, capsys,
+                                                        monkeypatch):
+    # orjson's numpy path refuses an array that is not C-contiguous: every column drf._columns
+    # returns, and the linspace R column, is contiguous and 1-D, so _json's ascontiguousarray
+    # copies no slice of a sweep; the models are tall, wide, rank-deficient and whitened
+    seen, write = [], cli._json
+
+    def recorded(columns):
+        seen.append(columns)
+        return write(columns)
+
+    monkeypatch.setattr(cli, "_json", recorded)
+    rng = np.random.default_rng(31)
+    b = rng.standard_normal((3, 3))
+    docs = [{"A": rng.standard_normal((6, 3)).tolist(), "sigma2": 0.1},
+            {"A": rng.standard_normal((2, 5)).tolist(), "sigma2": 1.0},
+            {"A": (rng.standard_normal((6, 1)) @ rng.standard_normal((1, 4))).tolist(),
+             "sigma2": 10.0},
+            {"A": rng.standard_normal((4, 3)).tolist(), "sigma2": 1.0,
+             "sigma_x": (b @ b.T / 3 + 0.5 * np.eye(3)).tolist()}]
+    paths = [model_file]
+    for i, doc in enumerate(docs):
+        paths.append(tmp_path / f"m{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    for path in paths:
+        for nats in (False, True):
+            assert main(["sweep", str(path), "--min", "0", "--max", "12", "--steps", "1100",
+                         "--format", "json", "--out", str(tmp_path / "s.json")]
+                        + ["--nats"] * nats) == 0
+    capsys.readouterr()
+    assert len(seen) == 2 * len(paths)
+    for columns in seen:
+        assert len(columns) == len(drf.DistortionPoint._fields)
+        assert all(c.shape == (1100,) and c.flags.c_contiguous for c in columns)
+
+
+def test_monte_carlo_rates_add_no_rate_to_the_ce_test_channel():
+    # _verify_model builds the CE test channel on _ORACLE_RATES and the thresholds'
+    # neighbours, and reads the Monte Carlo rates' rows from it
+    assert set(cli._MC_RATES) <= set(cli._ORACLE_RATES)
+
+
 def test_python_dash_m_cedrf_writes_what_main_writes(model_file, tmp_path, capsys):
     src = str(Path(cedrf.drf.__file__).resolve().parents[1])
     argv = ["sweep", str(model_file), "--min", "0", "--max", "12", "--steps", "2001",

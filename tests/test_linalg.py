@@ -1,10 +1,11 @@
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from cedrf.linalg import DimensionMismatch, Matrix, NotSymmetric, pinv, sym_eig
+from cedrf.linalg import DimensionMismatch, Matrix, NotSymmetric, noise_level, pinv, sym_eig
 
 
 def frob(a: np.ndarray) -> float:
@@ -175,3 +176,21 @@ def test_array_routines_return_c_ordered_arrays():
     w, v = sym_eig(s)
     for out in (w, v, pinv(s), pinv(np.zeros((2, 2)))):
         assert out.flags.c_contiguous
+
+
+def test_noise_level_is_each_expression_it_replaced_bit_for_bit():
+    # above_noise formed v.max() * (n * eps) on a numpy scalar, sym_eig
+    # float(max|S|) * (n * eps) with numpy's eps, and the tie rule n * eps * s_1 in Python
+    # floats; tops from the least subnormal to just below DBL_MAX / n, and n = 0
+    rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
+    for n in (0, 1, 2, 3, 5, 16, 17, 128, 1000):
+        cap = math.log2(sys.float_info.max / max(n, 1)) - 1e-9
+        tops = [5e-324, 2.0 ** -1074 * 3, 2.0 ** -1022, 2.0 ** math.floor(cap), 2.0 ** cap,
+                *(2.0 ** rng.uniform(-1074.0, cap, 2000))]
+        for top in tops:
+            v = np.array([top, top * 0.5, 0.0])
+            old = (v.max() * (n * eps), float(np.abs(-v).max()) * (n * eps),
+                   n * sys.float_info.epsilon * top)
+            new = (noise_level(v.max(), n), noise_level(np.abs(-v).max(), n), noise_level(top, n))
+            assert [float(x).hex() for x in new] == [float(x).hex() for x in old], (n, top)

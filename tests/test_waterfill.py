@@ -7,11 +7,13 @@ import pytest
 import mp_reference
 from support import R2_COND, R2_OBS
 
+from cedrf import drf
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel, Spectrum, _log2_ratio
 from cedrf.waterfill import (
     _exp2,
     _levels,
+    _split,
     active_count,
     rate_allocation,
     rate_thresholds,
@@ -285,3 +287,53 @@ def test_exp2_is_c_pow_bit_for_bit():
     assert np.array_equal(_exp2(unaligned).view(np.int64), want[:4096].view(np.int64))
     square = x[:4096].reshape(64, 64)
     assert np.array_equal(_exp2(square.T).view(np.int64), want[:4096].reshape(64, 64).T.view(np.int64))
+
+
+def _old_split_ldexp(m, e, x):
+    """``m 2^e 2^x`` as ``_levels`` and ``_gap_bounds_grid`` each spelled it: ``modf`` of ``x``,
+    ``pow`` of its fraction and one ``ldexp``."""
+    f, n = np.modf(x)
+    return np.ldexp(m * _exp2(f), e + n.astype(np.int64))
+
+
+def test_split_reproduces_both_sites_ldexp_bit_for_bit():
+    # x across (-4000, 0]: the band (-1074, -1022) where 2^x is subnormal, -1022 itself, the
+    # -4000 clamp, and the mantissa-exponent pairs of levels and bounds from deep subnormal to
+    # overflow
+    rng = np.random.default_rng(43)
+    special = [-4000.0, -3999.5, -2000.0, -1075.0, -1074.5, -1074.0, -1073.9, -1050.25,
+               -1022.5, -1022.0, -1021.9, -1.0, -0.5, -1e-300, -0.0, 0.0]
+    x = np.concatenate([special, rng.uniform(-4000.0, 0.0, 20_000),
+                        rng.uniform(-1074.0, -1022.0, 20_000)])
+    m = rng.uniform(0.5, 1.0, x.size)
+    for e in (np.frexp(rng.uniform(0.5, 1.0, x.size) * 2.0 ** rng.integers(-1074, 1024, x.size))[1],
+              -1021, 0, 1022, 4000):
+        head, n = _split(x)
+        with np.errstate(over="ignore"):  # inf past DBL_MAX, as an infinite upper bound is
+            got, want = np.ldexp(m * head, e + n), _old_split_ldexp(m, e, x)
+        assert n.dtype == np.int64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # _levels on a spectrum whose power 2^x reaches the clamp at both counts
+    s = spec(1e300, 1e-300)
+    R = np.concatenate([np.linspace(0.0, 5000.0, 50_001), s.thresholds[1:2]])
+    k, theta, _ = _levels(s, R)
+    i = k - 1
+    x = 2.0 * (s.thresholds[i] - R) / k
+    low = (x > -4000.0) & (x < -1022.0)
+    assert low.sum() > 10_000
+    m, e = np.frexp(s.values[i[low]])
+    assert np.array_equal(theta[low].view(np.int64), _old_split_ldexp(m, e, x[low]).view(np.int64))
+    # both gap bounds at x = -2R/L, clamped at -4000
+    model = ObservationModel(Matrix([[3.0, 0.5], [0.2, 1.0], [0.0, 0.7]]), 1e-3)
+    R = np.linspace(0.0, 7000.0, 70_001)
+    k_i, k_c = (_levels(sp, R)[0] for sp in (model.conditional, model.observation))
+    upper, lower = drf._gap_bounds_grid(model, R, k_i, k_c)
+    x = np.maximum(-2.0 * R / model.L, -4000.0)
+    (mo, eo), (ms, es) = math.frexp(model.observation.values[0]), math.frexp(model.sigma2)
+    want = _old_split_ldexp(model.L / model.M * mo / ms, eo - es - 2, x)
+    assert np.array_equal(upper.view(np.int64), want.view(np.int64))
+    m, e = drf._lower_prefactor(model.gram.values.tolist(), model.observation.values.tolist(),
+                                model.M)
+    want = np.where((k_c >= 2) & (k_i >= k_c), _old_split_ldexp(m, e, x), 0.0)
+    assert np.array_equal(lower.view(np.int64), want.view(np.int64))
+    assert (lower > 0.0).any() and (lower == 0.0).any()

@@ -3,7 +3,9 @@
 :class:`Matrix` holds a finite, non-empty, read-only 2-D array and is kept
 for user input.  The model spectrum, the oracles' singular vectors and the
 compress-and-estimate decoder come from ``numpy.linalg.svd`` in
-:mod:`cedrf.spectral` and :mod:`cedrf.oracle`; what is left here whitens a
+:mod:`cedrf.spectral` and :mod:`cedrf.oracle`: ``spectral`` factors ``A`` at
+unit scale, divided by a power of two, and the oracle's stacked SVDs take
+matrices that are already scale-free.  What is left here whitens a
 source covariance (:func:`sym_eig`) and holds the rank rule that the model,
 whitening and :func:`pinv` share (:func:`above_noise`, :func:`noise_level`).  :func:`pinv` has
 no caller in the library: the tests check the decoder against it.  It and

@@ -19,6 +19,9 @@ those at the SVD's rounding noise (:func:`linalg.above_noise`) count as 0.
 One full SVD of ``A``, with its singular vectors, is built on first use
 and kept, for the matrix and Monte Carlo oracles only: its ``U`` is the
 eigenbasis of ``A A^T``, and its ``V`` that of the MMSE estimate's covariance.
+Both SVDs factor ``A / 2^e``, ``e`` the binary exponent of ``A``'s largest
+entry, and scale the singular values back by ``2^e``: so a power-of-two scale
+of ``A`` moves no bit of any dimensionless output, at any scale.
 """
 
 from __future__ import annotations
@@ -126,8 +129,13 @@ class ObservationModel:
 
     ``gram``, the spectrum of ``A A^T``, is the squared singular values of
     ``A`` zero-padded to ``L``: ``eps kappa`` relative error in the small
-    eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  A singular
-    value at most ``max(M, L) eps s_1`` is rounding noise, stored as 0
+    eigenvalues, where forming ``A A^T`` costs ``eps kappa^2``.  Both SVDs,
+    the values-only one here and ``svd``, factor ``A 2^-e``, ``e`` taken once
+    from ``frexp`` of ``max|A|`` (0 for a zero ``A``), and take
+    ``ldexp(s, e)``: LAPACK then never rescales ``A`` by a factor of its own,
+    which is not a power of two, so ``(2^j A, 4^j sigma2)`` keeps every bit
+    of each dimensionless output.  A singular value at most
+    ``max(M, L) eps s_1`` is rounding noise, stored as 0
     (:func:`linalg.above_noise`): ``gram.rank`` is ``matrix_rank(A)`` unless
     a kept ``s^2`` underflows.  The observation and conditional spectra and
     ``floor_sum``, ``M`` times the estimation floor, are built once beside it,
@@ -147,7 +155,11 @@ class ObservationModel:
         self.L = A.rows
         self.M = A.cols
         self.r = min(self.M, self.L)
-        s = np.linalg.svd(A.data, compute_uv=False)
+        # LAPACK rescales A by a factor that is not a power of two when its largest entry lies
+        # outside about [6.7e-139, 1.5e138]: both SVDs see A / 2^e, largest entry in [1/2, 1)
+        self._exponent = e = math.frexp(float(np.abs(A.data).max()))[1]
+        with np.errstate(over="ignore"):  # an s_1 that overflows is named below
+            s = np.ldexp(np.linalg.svd(np.ldexp(A.data, -e), compute_uv=False), e)
         s1 = float(s[0])
         # in Python floats, before numpy squares s, so that the error names s_1
         if math.isinf(s1 * s1):
@@ -170,11 +182,11 @@ class ObservationModel:
         ``gram.rank`` triplets, ``V``'s columns signed with their partners,
         so that ``A = U[:, :rank] diag(s) V^T`` up to the SVD's rounding noise.
         """
-        u, s, vt = np.linalg.svd(self.A.data)
+        u, s, vt = np.linalg.svd(np.ldexp(self.A.data, -self._exponent))
         lead = u[np.abs(u).argmax(axis=0), np.arange(self.L)]
         sign = np.where(lead < 0.0, -1.0, 1.0)
         k = self.gram.rank
-        return _read_only(u * sign, s[:k], vt[:k].T * sign[:k])
+        return _read_only(u * sign, np.ldexp(s[:k], self._exponent), vt[:k].T * sign[:k])
 
     @property
     def basis(self) -> np.ndarray:
@@ -202,7 +214,8 @@ def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:
 
     Raises :class:`NotPositiveDefinite` when the smallest eigenvalue of
     ``sigma_x`` is at most ``M eps`` times the largest, the rank rule of
-    :func:`linalg.above_noise`.
+    :func:`linalg.above_noise`, and :class:`ValueError` when ``A sigma_x^{1/2}``
+    overflows.
     """
     w, v = linalg.sym_eig(sigma_x.data)
     if not linalg.above_noise(w, w.size).all():
@@ -210,4 +223,8 @@ def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:
             f"smallest eigenvalue {float(w[-1]):.3e} is not above the rank tolerance"
         )
     sqrt_sx = (v * np.sqrt(w)) @ v.T
-    return ObservationModel(Matrix(A.data @ sqrt_sx), sigma2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = A.data @ sqrt_sx
+    if not np.isfinite(a).all():
+        raise ValueError("the whitened matrix A sigma_x^(1/2) overflows double precision")
+    return ObservationModel(Matrix(a), sigma2)

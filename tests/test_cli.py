@@ -468,10 +468,15 @@ def test_orjson_reads_integer_literals_as_json_does(n):
     _assert_decoders_agree(str(n))
 
 
-def test_gram_overflow_names_the_cause(tmp_path):
+@pytest.mark.parametrize("doc, s1", [
+    pytest.param({"A": [[1e160, 0.0], [0.0, 1.0]], "sigma2": 1.0}, "1.000e+160", id="s_1 1e160"),
+    # s_1 = sqrt(2) 1.5e308 itself overflows where the SVD's unit-scale values are scaled back
+    pytest.param({"A": [[1.5e308, 1.5e308]], "sigma2": 1.0}, "inf", id="s_1 inf"),
+])
+def test_gram_overflow_names_the_cause(tmp_path, doc, s1):
     # A is finite, but lambda1 = s_1^2 is not representable in double precision
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"A": [[1e160, 0.0], [0.0, 1.0]], "sigma2": 1.0}))
+    path.write_text(json.dumps(doc))
     src = str(Path(cedrf.drf.__file__).resolve().parents[1])
     path_dirs = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_dirs))}
@@ -481,7 +486,31 @@ def test_gram_overflow_names_the_cause(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == ("error: InvalidModel: lambda1 + sigma2 overflows double precision: "
-                           "lambda1 is the square of A's largest singular value 1.000e+160\n")
+                           f"lambda1 is the square of A's largest singular value {s1}\n")
+
+
+def _overflowing_whitening(n=33):
+    """``A`` of entries +-1e300 and ``sigma_x = 1e100 I`` rotated: ``A sigma_x^(1/2)`` sums
+    infinities of both signs, NaN where numpy also flags an invalid operation."""
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return {"A": rng.choice([-1e300, 1e300], size=(n, n)).tolist(), "sigma2": 1.0,
+            "sigma_x": ((q * 1e100) @ q.T).tolist()}
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param({"A": [[1e300]], "sigma2": 1.0, "sigma_x": [[1e100]]}, id="inf"),
+    pytest.param(_overflowing_whitening(), id="inf - inf"),
+])
+def test_whitening_overflow_names_the_whitened_matrix(tmp_path, capsys, doc):
+    # A and sigma_x are finite, but A sigma_x^(1/2) is not; RuntimeWarnings are errors here
+    path, out = tmp_path / "model.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(doc))
+    for argv in (["analyze", str(path), "--rate", "1"], ["verify", str(path)],
+                 ["sweep", str(path), "--min", "0", "--max", "1", "--steps", "2", "--out", str(out)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == ("error: InvalidModel: the whitened matrix "
+                                           "A sigma_x^(1/2) overflows double precision\n"), argv
 
 
 @pytest.mark.parametrize("doc", [

@@ -170,13 +170,16 @@ def test_gram_rank_is_numpys_matrix_rank(kind):
     for i in range(300):
         a, exact = _rank_case(kind, rng)
         sigma2 = 10.0 ** rng.uniform(-12.0, 2.0)
-        rank = ObservationModel(Matrix(a), sigma2).gram.rank
+        gram = ObservationModel(Matrix(a), sigma2).gram
+        rank = gram.rank
         assert rank == np.linalg.matrix_rank(a), (kind, i)
         assert exact is None or rank == exact, (kind, i)
-        # a power-of-two scale twin has the same spectrum, scaled exactly
-        k = int(rng.integers(-100, 101))
+        # a power-of-two scale twin has the same spectrum, scaled exactly, out to scales
+        # where LAPACK would rescale A by a factor that is not a power of two
+        k = int(rng.integers(-480, 481))
         twin = ObservationModel(Matrix(np.ldexp(a, k)), math.ldexp(sigma2, 2 * k))
         assert twin.gram.rank == rank, (kind, i, k)
+        assert twin.gram.values.tobytes() == np.ldexp(gram.values, 2 * k).tobytes(), (kind, i, k)
 
 
 def test_gram_spectrum_examples():

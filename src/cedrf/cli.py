@@ -52,14 +52,14 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import orjson
 
 from . import drf, oracle, waterfill
-from .linalg import Matrix, NotSymmetric
+from .linalg import DimensionMismatch, Matrix, NotSymmetric
 from .spectral import _LN2, NotPositiveDefinite, ObservationModel, whiten
 
 CSV_HEADER = ",".join(drf.DistortionPoint._fields)
@@ -162,11 +162,9 @@ def load_model(path: str | Path) -> ObservationModel:
     accepts it, else json's, from the text as ``Path.read_text`` decodes it."""
     data = Path(path).read_bytes()
     a, sigma2, sx = _orjson_fields(data, path) or _stdlib_fields(data, path)
-    if sx is not None and (sx.rows != sx.cols or sx.rows != a.cols):
-        raise InvalidModel(f"field 'sigma_x': expected {a.cols}x{a.cols}, got {sx.rows}x{sx.cols}")
     try:
         return ObservationModel(a, sigma2) if sx is None else whiten(sx, a, sigma2)
-    except (NotSymmetric, NotPositiveDefinite) as exc:  # only whitening raises these
+    except (DimensionMismatch, NotSymmetric, NotPositiveDefinite) as exc:  # only whitening raises these
         raise InvalidModel(f"field 'sigma_x': {exc}") from exc
     except ValueError as exc:
         raise InvalidModel(str(exc)) from exc
@@ -205,11 +203,7 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
                     for name in ("gram", "observation", "conditional")},
         "thresholds": {name: [_from_bits(t, nats) for t in getattr(model, name).thresholds.tolist()]
                        for name in ("observation", "conditional")},
-        "equality_region": {
-            "r0": region.r0,
-            "R_limit": _from_bits(region.R_limit, nats),
-            "unconditional": region.unconditional,
-        },
+        "equality_region": dict(region._asdict(), R_limit=_from_bits(region.R_limit, nats)),
         "point": dict(point._asdict(), R=_from_bits(rate_bits, nats)),
         "rates": {
             "idrf": [_from_bits(r, nats)
@@ -545,8 +539,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     tolerance: float
     observed: float

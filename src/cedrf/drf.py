@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -79,8 +78,7 @@ class DistortionPoint(NamedTuple):
     theta_ce: float
 
 
-@dataclass(frozen=True)
-class EqualityRegion:
+class EqualityRegion(NamedTuple):
     """Rates up to ``R_limit`` where compress-and-estimate is optimal.
 
     ``r0`` is the length of the leading block of weights ``lam / (lam + sigma2)^2`` that tie

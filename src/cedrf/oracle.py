@@ -70,8 +70,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,8 +81,7 @@ class InvalidSampleCount(ValueError):
     """Monte Carlo needs at least one sample."""
 
 
-@dataclass(frozen=True)
-class CEMatrixParts:
+class CEMatrixParts(NamedTuple):
     """Read-only arrays of the compress-and-estimate test channel at one rate.
 
     On a rate grid every array but ``basis`` gains a leading axis, one
@@ -112,8 +110,7 @@ class CEMatrixParts:
     d_ce: np.ndarray
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Simulated normalized distortion with its exact standard error."""
 
     mean: float
@@ -173,8 +170,7 @@ def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
 
 def _rows(p: CEMatrixParts, i) -> CEMatrixParts:
     """The read-only parts of a grid at the rates ``i`` indexes: one rate for an int, else a grid."""
-    rows = (p.gain, p.distortion, p.channel, p.noise_cov, p.decoder, p.d_ce)
-    return CEMatrixParts(p.basis, *_read_only(*(a[i] for a in rows)))
+    return CEMatrixParts(p.basis, *_read_only(*(a[i] for a in p[1:])))
 
 
 def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[float]:
@@ -195,8 +191,7 @@ def ce_matrix_form(model: ObservationModel, R: float) -> float:
     return ce_matrix_forms(model, (R,))[0]
 
 
-@dataclass(frozen=True)
-class McEstimates:
+class McEstimates(NamedTuple):
     """The estimates of one :func:`mc_estimates` run, each in the order requested."""
 
     ce: tuple[McEstimate, ...]

@@ -56,6 +56,8 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"spectrum must be a 1-D array, got shape {arr.shape}")
         vals = arr.tolist()  # validated in Python floats: spectra are short
         if len(vals) == 0:
             raise ValueError("spectrum must contain at least one value")
@@ -212,11 +214,14 @@ def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:
     source covariance.  Distortion for the returned model is measured on
     the whitened source ``x' = sigma_x^{-1/2} x``, not the original one.
 
-    Raises :class:`NotPositiveDefinite` when the smallest eigenvalue of
+    Raises :class:`linalg.DimensionMismatch` unless ``sigma_x`` is ``M x M``,
+    ``M = A.cols``; :class:`NotPositiveDefinite` when the smallest eigenvalue of
     ``sigma_x`` is at most ``M eps`` times the largest, the rank rule of
     :func:`linalg.above_noise`, and :class:`ValueError` when ``A sigma_x^{1/2}``
     overflows.
     """
+    if sigma_x.data.shape != (A.cols, A.cols):
+        raise linalg.DimensionMismatch(f"expected {A.cols}x{A.cols}, got {sigma_x.rows}x{sigma_x.cols}")
     w, v = linalg.sym_eig(sigma_x.data)
     if not linalg.above_noise(w, w.size).all():
         raise NotPositiveDefinite(

@@ -35,14 +35,13 @@ eigenvalues activate together.  A spectrum with no positive eigenvalue has
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .spectral import Spectrum, _log2_ratio
 
-@dataclass(frozen=True)
-class WaterfillResult:
+class WaterfillResult(NamedTuple):
     """Active count, water level, and per-component rates/distortions.
 
     ``rates`` and ``distortions`` have one entry per spectrum value; the

@@ -44,7 +44,12 @@ tables are pinned apart from the writers.  The ``model-files`` group hashes what
 file has ``sigma_x``) and ``sigma2.hex()``, or the error message.  It reads the
 malformed and edge-case files of ``support`` and 200 seeded files of the
 large-models benchmark's shapes, ``n`` from 16 to 128, each scaled by up to
-``10^+-150``, every fourth with a ``sigma_x``.
+``10^+-150``, every fourth with a ``sigma_x``.  That group would not see an output move
+on a file whose largest ``|A|`` entry lies outside ``FAR_SCALES``, where LAPACK's
+SVD rescales ``A`` by a factor of its own: the ``far-scale`` group loads 200 more
+such files, scaled by ``10^+-140`` to ``10^+-150``, and hashes the ``float.hex``
+of every ``drf._columns`` column at ``GAP_RATES`` and of ``ce_matrix_forms`` at
+``ORACLE_RATES``, or the error message.
 """
 
 import contextlib
@@ -90,6 +95,8 @@ SUBNORMAL_TIES = ({"A": [[2.0 ** -530, 0.0], [0.0, 2.0 ** -530]], "sigma2": 2.0 
 NEAR_TIE_OFFSETS = (1e-16, -1e-15, 1e-14, -1e-13, 1e-12, -1e-11, 1e-11)
 # spectrum scales c of the thresholds group: (sqrt(c) A, c sigma2) scales every spectrum by c
 SCALES = (1.0, 2.0 ** 300, 2.0 ** -300, 1e150, 1e-150)
+# largest |A| entries outside which LAPACK's SVD rescales A by a factor that is not a power of two
+FAR_SCALES = (6.7e-139, 1.5e138)
 
 
 def models(rng):
@@ -137,16 +144,18 @@ def near_tied(rng):
     return {"A": np.diag(s).tolist(), "sigma2": 1e-3}
 
 
-def large_model_files(rng):
+def large_model_files(rng, far=False):
     """JSON model files shaped as the large-models benchmark's: ``n x n``, ``n x n/2`` or
-    ``n x n`` of rank ``n/4``, scaled by ``10^+-150``; every fourth has a ``sigma_x``."""
+    ``n x n`` of rank ``n/4``, scaled by ``10^+-150``, or with ``far`` by ``10^+-140`` to
+    ``10^+-150``, past ``FAR_SCALES``; every fourth has a ``sigma_x``."""
     for i in range(N_FILES):
         n, shape = int(rng.integers(16, 129)), i % 3
         if shape == 2:
             a = rng.standard_normal((n, n // 4)) @ rng.standard_normal((n // 4, n))
         else:
             a = rng.standard_normal((n, n // 2 if shape == 1 else n))
-        c = 10.0 ** rng.uniform(-150.0, 150.0)
+        c = 10.0 ** (rng.choice([-1.0, 1.0]) * rng.uniform(140.0, 150.0) if far
+                     else rng.uniform(-150.0, 150.0))
         doc = {"A": (a * c).tolist(), "sigma2": float(rng.choice([0.1, 1.0, 10.0])) * c * c}
         if i % 4 == 0:
             b = rng.standard_normal((a.shape[1], a.shape[1]))
@@ -180,7 +189,7 @@ def main():
                                             "verify", "example", "gap_2d", "max_gap_2d",
                                             "am_gm_pair", "oracle", "gap-bounds",
                                             "equality-region", "thresholds", "model-files",
-                                            *BENCH_ROUNDS)}
+                                            *BENCH_ROUNDS, "far-scale")}
     with tempfile.TemporaryDirectory() as d:
         tmp, bench_models = Path(d) / "out", Path(d) / "models"
         tmp.mkdir()
@@ -232,6 +241,17 @@ def main():
             except (cli.ParseError, cli.InvalidModel) as exc:
                 line = f"{type(exc).__name__}: {exc}".replace(str(model), "MODEL")
             groups["model-files"].update((line + "\n").encode())
+        for data in large_model_files(np.random.default_rng(21), far=True):
+            model.write_bytes(data)
+            try:
+                loaded = cli.load_model(model)
+                assert not FAR_SCALES[0] <= np.abs(loaded.A.data).max() <= FAR_SCALES[1]
+                values = [float(v) for c in drf._columns(loaded, drf._check_grid(GAP_RATES))
+                          for v in c.tolist()]
+                line = " ".join(v.hex() for v in values + oracle.ce_matrix_forms(loaded, ORACLE_RATES))
+            except cli.InvalidModel as exc:
+                line = f"InvalidModel: {exc}"
+            groups["far-scale"].update((line + "\n").encode())
     for i, doc in enumerate(models(np.random.default_rng(15))):
         model = ObservationModel(Matrix(doc["A"]), doc["sigma2"])
         est = oracle.mc_estimates(model, 2000, i, ce_rates=ORACLE_RATES, idrf_rates=ORACLE_RATES,

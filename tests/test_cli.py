@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import math
@@ -1158,8 +1157,8 @@ def test_verify_fails_a_nan_monte_carlo_estimate(capsys, monkeypatch):
     def corrupted(*args, **kwargs):
         run = real(*args, **kwargs)
         ce = list(run.ce)
-        ce[1] = dataclasses.replace(ce[1], mean=math.nan)
-        return dataclasses.replace(run, ce=tuple(ce))
+        ce[1] = ce[1]._replace(mean=math.nan)
+        return run._replace(ce=tuple(ce))
 
     monkeypatch.setattr(oracle, "_estimates", corrupted)
     _verify_fails(capsys, "monte-carlo-ce")

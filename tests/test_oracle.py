@@ -1,7 +1,6 @@
 
 import contextlib
 import ctypes
-import dataclasses
 import io
 import json
 import math
@@ -800,11 +799,11 @@ def test_rows_are_read_only_for_every_index(index):
     # a list index makes copies, which must be marked read-only as the views are
     grid = _ce_grid(example_model(), (0.5, 1.0, 2.0))
     rows = oracle._rows(grid, index)
-    for field in dataclasses.fields(rows):
-        value = getattr(rows, field.name)
-        assert not value.flags.writeable, field.name
-        if field.name != "basis":
-            assert np.array_equal(value, getattr(grid, field.name)[index]), field.name
+    for name in rows._fields:
+        value = getattr(rows, name)
+        assert not value.flags.writeable, name
+        if name != "basis":
+            assert np.array_equal(value, getattr(grid, name)[index]), name
 
 
 def test_verify_evaluates_each_model_once(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ import mp_reference
 from support import MMSE_EXAMPLE, example_model, random_model, rank_deficient_model
 
 from cedrf import cli, drf, spectral
-from cedrf.linalg import Matrix, sym_eig
+from cedrf.linalg import DimensionMismatch, Matrix, sym_eig
 from cedrf.spectral import (
     NotPositiveDefinite,
     ObservationModel,
@@ -39,6 +39,12 @@ def test_spectrum_validation():
         Spectrum(())
     with pytest.raises(TypeError):
         Spectrum((2.0, 1.0), 1)  # the rank is counted, not given
+
+
+@pytest.mark.parametrize("values, shape", [(np.ones((2, 2)), "(2, 2)"), (5.0, "()")])
+def test_spectrum_names_the_shape_of_input_that_is_not_1d(values, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be a 1-D array, got shape {shape}")):
+        Spectrum(values)
 
 
 def test_spectrum_rank_counts_positive_values():
@@ -332,6 +338,16 @@ def test_whiten_rejects_non_pd():
     for eigs in ((1.0, 0.0), (1.0, -2.0), (1.0, -1e-3), (1.0, 2 * EPS), (1.0, 1e-17)):
         with pytest.raises(NotPositiveDefinite, match=re.escape(f"eigenvalue {eigs[1]:.3e} ")):
             whiten(Matrix(np.diag(eigs)), a, 1.0)
+
+
+@pytest.mark.parametrize("sigma_x, a, message", [
+    ([[1.0]], [[1.0, 2.0]], "expected 2x2, got 1x1"),  # square, of the wrong size
+    ([[2.0, 1.0], [1.0, 2.0]], [[1.0, 2.0, 3.0]], "expected 3x3, got 2x2"),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 2.0]], "expected 2x2, got 2x3"),  # not square
+])
+def test_whiten_names_a_sigma_x_of_the_wrong_shape(sigma_x, a, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        whiten(Matrix(sigma_x), Matrix(a), 1.0)
 
 
 def test_whiten_accepts_a_smallest_eigenvalue_above_m_eps():

@@ -107,9 +107,13 @@ def _matrix(doc: dict, field: str) -> Matrix:
     kinds = set(map(type, itertools.chain.from_iterable(rows))) - {float}
     if kinds:
         raise ParseError(f"field '{field}': expected numbers, got {min(k.__name__ for k in kinds)}")
+    try:  # floats only by now, so numpy infers no dtype
+        data = np.array(rows, dtype=float)
+    except ValueError as exc:  # rows of unequal lengths, named as Matrix names them
+        raise InvalidModel(f"field '{field}': not a rectangular real matrix: {exc}") from exc
     try:
-        return Matrix(rows)
-    except (ValueError, TypeError) as exc:
+        return Matrix(data)
+    except ValueError as exc:
         raise InvalidModel(f"field '{field}': {exc}") from exc
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -278,20 +278,21 @@ def gap_lower_bound(model: ObservationModel, R: float) -> float:
 
 
 def _check_condition_2d(lambda1: float, lambda2: float,
-                        sigma2: float) -> tuple[Spectrum, Spectrum, float]:
-    """Both spectra and the floor sum of an exact two-component pair that meets ``w_1 <= w_2``,
-    read as ``rho = w_2/w_1 >= 1`` (:func:`_weight_ratio`).  A pair that fails it by a tie
-    (:func:`_tie_block`) passes, and so does one whose weights are both 0."""
-    if not (math.isfinite(lambda1) and math.isfinite(lambda2)) or lambda1 < lambda2 or lambda2 < 0:
+                        sigma2: float) -> tuple[tuple[float, float], Spectrum, Spectrum, float]:
+    """The pair as floats, both spectra and the floor sum of an exact two-component pair that
+    meets ``w_1 <= w_2``, read as ``rho = w_2/w_1 >= 1`` (:func:`_weight_ratio`).  A pair that
+    fails it by a tie (:func:`_tie_block`) passes, and so does one whose weights are both 0."""
+    lam = l1, l2 = linalg.real("lambda1", lambda1), linalg.real("lambda2", lambda2)
+    if not (math.isfinite(l1) and math.isfinite(l2)) or l1 < l2 or l2 < 0:
         raise ValueError(
             f"eigenvalues must satisfy lambda1 >= lambda2 >= 0, got {lambda1!r}, {lambda2!r}"
         )
-    obs, cond, floor_sum = spectra(Spectrum((float(lambda1), float(lambda2))), sigma2, 2)
+    obs, cond, floor_sum = spectra(Spectrum(lam), linalg.real("sigma2", sigma2), 2)
     rho = _weight_ratio(obs.values.tolist(), cond.values.tolist(), 1) if cond.rank else 1.0
-    if rho < 1.0 and _tie_block(obs, cond, (lambda1, lambda2), 0) < 2:
+    if rho < 1.0 and _tie_block(obs, cond, lam, 0) < 2:
         raise ConditionViolated("two-component form requires w_1 <= w_2, w = lam/(lam+sigma2)^2; "
                                 f"got rho = w_2/w_1 = {rho!r}")
-    return obs, cond, floor_sum
+    return lam, obs, cond, floor_sum
 
 
 def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
@@ -301,7 +302,7 @@ def gap_2d(lambda1: float, lambda2: float, sigma2: float, R: float) -> float:
     are exactly ``(lambda1, lambda2)``, it equals :func:`gap` bit for bit.
     """
     R = waterfill._check_rate(R)
-    obs, cond, floor_sum = _check_condition_2d(lambda1, lambda2, sigma2)
+    _, obs, cond, floor_sum = _check_condition_2d(lambda1, lambda2, sigma2)
     return float(_curves(obs, cond, floor_sum, 2, np.array([R]))[2][0])
 
 
@@ -312,11 +313,11 @@ def max_gap_2d(lambda1: float, lambda2: float, sigma2: float) -> tuple[float, fl
     spectrum, its ``thresholds[1]``, and is the lower bound's prefactor at
     ``L = M = 2``: ``(1/2)(lam_2+s2)(sqrt(lam_1)/(lam_1+s2) - sqrt(lam_2)/(lam_2+s2))^2``.
     """
-    obs = _check_condition_2d(lambda1, lambda2, sigma2)[0]
-    return float(obs.thresholds[1]), math.ldexp(*_lower_prefactor((lambda1, lambda2), obs.values, 2))
+    lam, obs, _, _ = _check_condition_2d(lambda1, lambda2, sigma2)
+    return float(obs.thresholds[1]), math.ldexp(*_lower_prefactor(lam, obs.values, 2))
 
 
-def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
+def am_gm_pair(values: Sequence[float]) -> AmGmBounds:
     """Arithmetic and geometric means with the two bounds the gap results use.
 
     ``reverse_bound = gm + ((n-1)/n) max|a_i - a_j|`` bounds the arithmetic
@@ -331,7 +332,10 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
     imposed on the rounded ones: an ulp's move, or an overflowed
     ``reverse_bound``'s from inf to ``DBL_MAX``.
     """
-    vals = [float(v) for v in values]
+    arr = linalg.reals("values", values)
+    if arr.ndim != 1:
+        raise ValueError(f"values must be a 1-D array, got shape {arr.shape}")
+    vals = arr.tolist()
     if not vals:
         raise NonPositiveInput("values must be a non-empty list of positive reals")
     for v in vals:
@@ -351,8 +355,9 @@ def am_gm_pair(values: Iterable[float]) -> AmGmBounds:
 
 
 def _check_grid(R_grid: Sequence[float]) -> np.ndarray:
-    """``R_grid`` as a new float array with ``-0.0`` read as ``0.0``, or :class:`InvalidGrid`."""
-    grid = np.asarray(R_grid, dtype=np.float64)
+    """``R_grid`` read by :func:`linalg.reals` as a new float array with ``-0.0`` read as ``0.0``,
+    or :class:`InvalidGrid`."""
+    grid = linalg.reals("R_grid", R_grid)
     if grid.ndim != 1:
         raise InvalidGrid("rate grid must be one-dimensional")
     if grid.size == 0:

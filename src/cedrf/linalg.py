@@ -1,7 +1,12 @@
-"""Validated input matrices and symmetric spectral decompositions.
+"""Validated inputs and symmetric spectral decompositions.
 
-:class:`Matrix` holds a finite, non-empty, read-only 2-D array and is kept
-for user input.  The model spectrum, the oracles' singular vectors and the
+Every number a caller passes is read by :func:`real` (one number) or
+:func:`reals` (an array), which raise a :class:`TypeError` naming the
+parameter for anything that is not real.  :class:`Matrix` holds a finite,
+non-empty, read-only 2-D array and is kept for user input; :func:`as_matrix`
+wraps any real 2-D array in one.
+
+The model spectrum, the oracles' singular vectors and the
 compress-and-estimate decoder come from ``numpy.linalg.svd`` in
 :mod:`cedrf.spectral` and :mod:`cedrf.oracle`: ``spectral`` factors ``A`` at
 unit scale, divided by a power of two, and the oracle's stacked SVDs take
@@ -17,6 +22,9 @@ run on one platform and numpy/BLAS build.
 
 from __future__ import annotations
 
+import math
+import numbers
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -36,14 +44,14 @@ class Matrix:
     """Immutable dense real matrix (row-major float64 storage).
 
     Rejects non-finite entries and empty shapes at construction.  ``data``
-    accepts anything :func:`numpy.asarray` turns into a 2-D array.
+    is read by :func:`reals`, so it is any real array that is 2-D.
     """
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
         try:
-            arr = np.array(self.data, dtype=float, order="C", copy=True)
+            arr = np.array(reals("data", self.data), order="C")
         except ValueError as exc:
             raise DimensionMismatch(f"not a rectangular real matrix: {exc}") from exc
         if arr.ndim != 2:
@@ -62,6 +70,46 @@ class Matrix:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _shown(value) -> str:
+    """``value``'s type and a repr cut to a few dozen characters, for an error message."""
+    return f"{type(value).__name__} {reprlib.repr(value)}"
+
+
+def real(name: str, value) -> float:
+    """``value`` as a float if it is a :class:`numbers.Real` that is no ``bool`` (numpy's scalars
+    are), or a 0-d array of one; else a :class:`TypeError` naming ``name``.  An int past the
+    largest double reads as an infinity, as the CLI's JSON reader reads it."""
+    # the ABC check last: it is slow
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        if isinstance(value, np.ndarray) and value.ndim == 0:
+            return real(name, value[()])
+        raise TypeError(f"{name} must be a real number, got {_shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def reals(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array, if numpy reads it with ``dtype.kind`` in ``"iuf"``; else a
+    :class:`TypeError` naming ``name``.  Nested sequences of unequal lengths raise numpy's
+    :class:`ValueError`.  An array that is float64 already is returned as it is, not copied."""
+    arr = np.asarray(value)
+    if arr.dtype is not _FLOAT64:
+        if arr.dtype.kind not in "iuf":
+            raise TypeError(f"{name} must be an array of real numbers, got {_shown(value)}")
+        arr = arr.astype(np.float64)
+    return arr
+
+
+def as_matrix(name: str, value) -> Matrix:
+    """``value`` if it is a :class:`Matrix`, else one of ``value`` as :func:`reals` reads it."""
+    return value if isinstance(value, Matrix) else Matrix(reals(name, value))
 
 
 def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -74,7 +74,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import waterfill
+from . import linalg, waterfill
 from .spectral import ObservationModel, Spectrum, _read_only
 
 class InvalidSampleCount(ValueError):
@@ -164,8 +164,7 @@ def _ce_grid(model: ObservationModel, rates: Sequence[float]) -> CEMatrixParts:
 
 def ce_matrix_parts(model: ObservationModel, R: float) -> CEMatrixParts:
     """Build the test-channel matrices for compress-and-estimate at rate ``R``."""
-    waterfill._check_rate(R)
-    return _rows(_ce_grid(model, (R,)), 0)
+    return _rows(_ce_grid(model, (waterfill._check_rate(R),)), 0)
 
 
 def _rows(p: CEMatrixParts, i) -> CEMatrixParts:
@@ -181,14 +180,12 @@ def ce_matrix_forms(model: ObservationModel, rates: Sequence[float]) -> list[flo
     the spectral closed form for every model and rate; this is the primary
     cross-check of the piecewise formulas.  The rates may come in any order.
     """
-    for R in rates:
-        waterfill._check_rate(R)
-    return _ce_grid(model, rates).d_ce.tolist()
+    return _ce_grid(model, waterfill._check_rates(rates)).d_ce.tolist()
 
 
 def ce_matrix_form(model: ObservationModel, R: float) -> float:
     """Compress-and-estimate distortion from the test channel's matrices at rate ``R``."""
-    return ce_matrix_forms(model, (R,))[0]
+    return ce_matrix_forms(model, (waterfill._check_rate(R),))[0]
 
 
 class McEstimates(NamedTuple):
@@ -259,16 +256,20 @@ def mc_estimates(model: ObservationModel, n_samples: int, seed: int, *,
     :func:`mc_idrf` or :func:`mc_mmse` returns for the same arguments, bit
     for bit.
     """
-    for R in (*ce_rates, *idrf_rates):
-        waterfill._check_rate(R)
+    ce_rates = waterfill._check_rates(ce_rates, "ce_rates")
+    idrf_rates = waterfill._check_rates(idrf_rates, "idrf_rates")
     n_samples = _integer("n_samples", n_samples, 1, InvalidSampleCount)
     seed = _integer("seed", seed, 0, ValueError)
-    return _estimates(model, n_samples, seed, _ce_grid(model, ce_rates) if len(ce_rates) else None,
+    return _estimates(model, n_samples, seed, _ce_grid(model, ce_rates) if ce_rates.size else None,
                       idrf_rates, mmse)
 
 
 def _integer(name: str, value, low: int, error: type[ValueError]) -> int:
-    """``value`` as an int if it is an integer of at least ``low``; else ``error``, naming ``name``."""
+    """``value`` as an int if it is an integer of at least ``low``; else ``error``, naming ``name``.
+
+    What :func:`linalg.real` refuses, ``True`` among it, is its :class:`TypeError`.
+    """
+    linalg.real(name, value)
     try:
         n = operator.index(value)  # numpy integers too, and no float
     except TypeError:
@@ -304,7 +305,7 @@ def mc_ce(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEst
     representation.  The normalized squared errors are
     accumulated.
     """
-    return mc_estimates(model, n_samples, seed, ce_rates=(R,)).ce[0]
+    return mc_estimates(model, n_samples, seed, ce_rates=(waterfill._check_rate(R),)).ce[0]
 
 
 def mc_idrf(model: ObservationModel, R: float, n_samples: int, seed: int) -> McEstimate:
@@ -318,7 +319,7 @@ def mc_idrf(model: ObservationModel, R: float, n_samples: int, seed: int) -> McE
     Components sitting exactly at the water level reconstruct as zero,
     avoiding the degenerate zero-gain channel.
     """
-    return mc_estimates(model, n_samples, seed, idrf_rates=(R,)).idrf[0]
+    return mc_estimates(model, n_samples, seed, idrf_rates=(waterfill._check_rate(R),)).idrf[0]
 
 
 def mc_mmse(model: ObservationModel, n_samples: int, seed: int) -> McEstimate:

@@ -47,15 +47,15 @@ class NotPositiveDefinite(ValueError):
 class Spectrum:
     """Non-increasing, non-negative eigenvalues; ``rank`` counts the positive ones.
 
-    ``values`` is a read-only float64 copy of the input; the derived table
-    ``thresholds``, read-only too, is built on first use and kept.
+    ``values`` is a read-only float64 copy of the input, read by :func:`linalg.reals`; the
+    derived table ``thresholds``, read-only too, is built on first use and kept.
     """
 
     values: np.ndarray
     rank: int = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64)
+        arr = np.array(linalg.reals("values", self.values))
         if arr.ndim != 1:
             raise ValueError(f"spectrum must be a 1-D array, got shape {arr.shape}")
         vals = arr.tolist()  # validated in Python floats: spectra are short
@@ -110,19 +110,18 @@ def spectra(gram: Spectrum, sigma2: float, M: int) -> tuple[Spectrum, Spectrum, 
     The floor sum is ``(M - r) + sum_{l<=r} s2 / obs_l``, ``r = cond.rank``,
     added by ``math.fsum``: each ``1 - cond_l`` is one rounded quotient, so
     the floor keeps its relative accuracy where ``cond_l`` is near 1.
-    Raises :class:`ValueError` unless ``sigma2`` is a positive finite real
-    and ``lam_1 + sigma2`` is finite.
+    ``sigma2`` is a float: its callers read it (:func:`linalg.real`).  Raises
+    :class:`ValueError` unless it is positive and finite and ``lam_1 + sigma2`` is finite.
     """
-    s2 = float(sigma2)
-    if not math.isfinite(s2) or s2 <= 0.0:
+    if not math.isfinite(sigma2) or sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be a positive finite real, got {sigma2!r}")
     lam = gram.values
     top = float(lam[0])
-    if math.isinf(top + s2):
-        raise ValueError(f"lambda1 + sigma2 overflows double precision: {top:.3e} + {s2:.3e}")
-    obs = Spectrum(lam + s2)
+    if math.isinf(top + sigma2):
+        raise ValueError(f"lambda1 + sigma2 overflows double precision: {top:.3e} + {sigma2:.3e}")
+    obs = Spectrum(lam + sigma2)
     cond = Spectrum(np.minimum.accumulate(lam / obs.values))
-    floor_sum = math.fsum([M - cond.rank, *(s2 / o for o in obs.values[: cond.rank].tolist())])
+    floor_sum = math.fsum([M - cond.rank, *(sigma2 / o for o in obs.values[:cond.rank].tolist())])
     return obs, cond, floor_sum
 
 
@@ -145,15 +144,17 @@ class ObservationModel:
     ``full_rank`` records whether ``gram.rank`` is ``min(M, L)``;
     rank-deficient models are accepted and handled throughout.
 
-    Raises :class:`ValueError` as :func:`spectra` does: the observation
+    ``A`` is a :class:`Matrix` or any real 2-D array, which the model wraps in one
+    (:func:`linalg.as_matrix`); ``sigma2`` is read by :func:`linalg.real`.  Raises
+    :class:`ValueError` as :func:`spectra` does: the observation
     covariance's largest eigenvalue ``s_1^2 + sigma2`` must be finite, ``s_1``
     the largest singular value of ``A``, which the error names when ``s_1^2``
     alone overflows.  Nothing forms ``A A^T``, so no other bound on ``A`` applies.
     """
 
-    def __init__(self, A: Matrix, sigma2: float):
-        self.A = A
-        self.sigma2 = float(sigma2)
+    def __init__(self, A: Matrix | np.ndarray, sigma2: float):
+        self.A = A = linalg.as_matrix("A", A)
+        self.sigma2 = linalg.real("sigma2", sigma2)
         self.L = A.rows
         self.M = A.cols
         self.r = min(self.M, self.L)
@@ -172,7 +173,7 @@ class ObservationModel:
         w[: kept.size] = kept * kept
         self.gram = Spectrum(w)
         self.full_rank = self.gram.rank == self.r
-        self.observation, self.conditional, self.floor_sum = spectra(self.gram, sigma2, self.M)
+        self.observation, self.conditional, self.floor_sum = spectra(self.gram, self.sigma2, self.M)
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,12 +208,15 @@ class ObservationModel:
         )
 
 
-def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:
+def whiten(sigma_x: Matrix | np.ndarray, A: Matrix | np.ndarray,
+           sigma2: float) -> ObservationModel:
     """Reduce a model with source covariance ``sigma_x`` to the identity-source form.
 
     Returns the model with observation matrix ``A sigma_x^{1/2}`` and unit
     source covariance.  Distortion for the returned model is measured on
     the whitened source ``x' = sigma_x^{-1/2} x``, not the original one.
+    ``sigma_x`` and ``A`` are each a :class:`Matrix` or any real 2-D array
+    (:func:`linalg.as_matrix`).
 
     Raises :class:`linalg.DimensionMismatch` unless ``sigma_x`` is ``M x M``,
     ``M = A.cols``; :class:`NotPositiveDefinite` when the smallest eigenvalue of
@@ -220,6 +224,7 @@ def whiten(sigma_x: Matrix, A: Matrix, sigma2: float) -> ObservationModel:
     :func:`linalg.above_noise`, and :class:`ValueError` when ``A sigma_x^{1/2}``
     overflows.
     """
+    sigma_x, A = linalg.as_matrix("sigma_x", sigma_x), linalg.as_matrix("A", A)
     if sigma_x.data.shape != (A.cols, A.cols):
         raise linalg.DimensionMismatch(f"expected {A.cols}x{A.cols}, got {sigma_x.rows}x{sigma_x.cols}")
     w, v = linalg.sym_eig(sigma_x.data)

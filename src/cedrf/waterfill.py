@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .spectral import Spectrum, _log2_ratio
 
 class WaterfillResult(NamedTuple):
@@ -56,10 +57,24 @@ class WaterfillResult(NamedTuple):
 
 
 def _check_rate(R: float) -> float:
-    r = float(R)
-    if not math.isfinite(r) or r < 0.0:
-        raise ValueError(f"rate must be a finite non-negative real, got {R!r}")
-    return r + 0.0  # -0.0 becomes 0.0; every other rate keeps its bits
+    """The rate ``R`` read by :func:`linalg.real`, ``-0.0`` as ``0.0`` and every other rate with its
+    bits, if it is a finite non-negative real; else a :class:`ValueError` naming it."""
+    r = linalg.real("R", R)
+    if not 0.0 <= r < math.inf:  # NaN too
+        raise ValueError(f"rate must be a finite non-negative real, got {r!r}")
+    return r + 0.0
+
+
+def _check_rates(rates, name: str = "rates") -> np.ndarray:
+    """``rates`` read by :func:`linalg.reals` as a new 1-D float64 array, each checked as
+    :func:`_check_rate` checks one, which names the first that fails."""
+    r = linalg.reals(name, rates)
+    if r.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {r.shape}")
+    bad = ~((r >= 0.0) & (r < math.inf))
+    if bad.any():
+        _check_rate(r[bad.argmax()].item())
+    return r + 0.0
 
 
 def _exp2(e: np.ndarray) -> np.ndarray:

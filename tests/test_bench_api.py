@@ -65,14 +65,37 @@ def test_verify_rounds_mirror_the_random_model_generator():
         assert dims(s) == (model.M, model.L), s
 
 
+def _worker(monkeypatch):
+    """The benchmark's ``worker`` module, as its runner loads it, writing nothing beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing written under perfbench/
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    return importlib.import_module("worker")
+
+
+def _unexpected(results: list[dict]) -> list[dict]:
+    return [r for r in results if r["error"] and not r["expected"]]
+
+
 @pytest.mark.parametrize("workload", ["curves", "large-models", "verify-random"])
 def test_round_zero_passes_the_benchmark_gate(workload, monkeypatch, tmp_path):
     # round 0 of each workload through `cli.main` and the benchmark's own
     # checks, as its worker runs them: a program change that breaks an op
     # fails here, not first in a benchmark run
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing written under perfbench/
-    monkeypatch.syspath_prepend(str(SPANS.parent))
-    worker = importlib.import_module("worker")
+    worker = _worker(monkeypatch)
     runner = worker.Runner(cli, {"workload": workload, "seed": 1, "work_dir": str(tmp_path)})
     results = runner.run_round(runner.make_round(0), 0)
-    assert results and [r for r in results if r["error"] and not r["expected"]] == []
+    assert results and _unexpected(results) == []
+
+
+@pytest.mark.parametrize("workload", ["curves", "large-models", "verify-random"])
+def test_a_traced_round_passes_the_benchmark_gate(workload, monkeypatch, tmp_path):
+    # round 0 through the worker's tracer, which reads arguments of the traced functions
+    # (`A.rows`, `R_grid`, `n_samples`): a change that breaks one of those reads fails
+    # here, not first in a `--trace 1` run
+    worker = _worker(monkeypatch)
+    spans_path = tmp_path / "trace" / "spans.npz"
+    runner = worker.Runner(cli, {"workload": workload, "seed": 1, "work_dir": str(tmp_path),
+                                 "spans_path": str(spans_path)})
+    got = worker.trace(runner, 1)
+    assert got["results"] and _unexpected(got["results"]) == []
+    assert got["count_mismatches"] == [] and spans_path.is_file()

@@ -7,25 +7,37 @@ Usage::
 Each entry of ``MUTATIONS`` patches one rule of the library in this process
 and is restored afterwards.  Under each, ``N`` models (default 300) are
 drawn as ``verify --random N --seed 1`` draws them, and each goes through
-``cli._verify_model`` as ``verify`` runs it.  Models are built after the
-patch, so a fault in the model build or the threshold table reaches them.
-The script prints one line per mutation: the check expected to catch it
-(``blind spot`` where no check is expected to), the number of models with
-any failing check, and the count per failing check.  The first line runs
-without a mutation, so a fault's counts stand against a clean run.
+``cli._verify_model`` as ``verify`` runs it; then so does each model of the
+``tests/models`` corpus that ``verify`` passes (``test_model_corpus.FAILING``
+names the others), loaded and seeded as ``verify FILE`` does.  The random
+models draw ``sigma2`` from {0.1, 1, 10}, so only the corpus reaches the
+scales where the last four mutations, mended defects undone, act.  Models are
+built after the patch, so a fault in the model build or the threshold table
+reaches them.  A model whose checks raise, a ``RuntimeWarning`` included,
+fails with ``raised <type>``.  The script prints one line per mutation: the
+check expected to catch it (``blind spot`` where no check is expected to),
+and for the random models and then the corpus the number of models with any
+failing check and the count per failing check.  The first line runs without
+a mutation, so a fault's counts stand against a clean run.
 ``tests/test_verify_power.py`` runs it at ``N = 40`` and asserts that each
 expected catch happens.
 """
 
+import __future__
+import inspect
 import sys
+import textwrap
+import warnings
 from typing import Callable, ContextManager, NamedTuple
 from unittest import mock
 
 import numpy as np
+from test_model_corpus import FAILING, MODELS
 
-from cedrf import cli, drf, linalg, spectral
+from cedrf import cli, drf, linalg, oracle, spectral, waterfill
 
 SEED, SAMPLES = 1, 100_000
+CORPUS = [p for p in sorted(MODELS.glob("*.json")) if p.name not in FAILING]
 
 
 class Mutation(NamedTuple):
@@ -77,6 +89,29 @@ def _tie_tolerance(rtol: float):
     return lambda: mock.patch.object(drf, "_tie_block", block)
 
 
+def _gap_as_curve_difference():
+    """The gap as ``max(d_ce - d_idrf, 0)`` of the two curves, each with the floor added: the
+    cancelling form that the gap of the sums replaced."""
+    curves = drf._curves
+
+    def mutated(*args):
+        out = list(curves(*args))
+        out[2] = np.maximum(out[1] - out[0], 0.0)
+        return tuple(out)
+    return lambda: mock.patch.object(drf, "_curves", mutated)
+
+
+def _edited(module, name: str, old: str, new: str):
+    """``module.name`` compiled from its own source with ``old`` replaced by ``new``: a mended
+    rule undone.  It runs in a copy of the module's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(module), "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return lambda: mock.patch.object(module, name, namespace[name])
+
+
 MUTATIONS = (
     Mutation("thresholds x 1.001", _thresholds_times(1.001), "continuity"),
     Mutation("thresholds x (1 + 1e-9)", _thresholds_times(1.0 + 1e-9), "continuity"),
@@ -90,23 +125,52 @@ MUTATIONS = (
     Mutation("d_idrf x (1 + 1e-12)", _curve_times("d_idrf", 1.0 + 1e-12), None),
     Mutation("rank cut at 1e-6 s_1", _rank_cut(1e-6), None),
     Mutation("tie tolerance 1e-10", _tie_tolerance(1e-10), None),
+    Mutation("gap as d_ce - d_idrf", _gap_as_curve_difference(), None),
+    Mutation("(2, 1) gap as S_c - S_i",
+             _edited(drf, "_curves", "if square.any():", "if False:"), None),
+    Mutation("levels without frexp band",
+             _edited(waterfill, "_levels", "if np.minimum.reduce(x, initial=0.0, where=x > -4000.0)"
+                     " < -1022.0:", "if False:"), "continuity"),
+    Mutation("decoder weight 0 at inf s^2",
+             _edited(oracle, "_ce_grid", "np.where(np.isinf(s * s), 1.0 / np.maximum(s, 1.0), "
+                     "s / (1.0 + s * s))", "s / (1.0 + s * s)"), None),
 )
 
 
-def failures(n: int) -> dict[str, int]:
-    """Models with any failing check (``"any"``) and per failing check, over ``n`` random models."""
-    rng = np.random.default_rng(SEED)
-    models = [cli._random_verify_model(rng) for _ in range(n)]
+def _failed(run: Callable[[], list]) -> list[str]:
+    """The names of the checks ``run`` fails, or ``raised <type>`` where it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return [c.name for c in run() if not c.passed]
+        except Exception as exc:
+            return [f"raised {type(exc).__name__}"]
+
+
+def _count(runs) -> dict[str, int]:
+    """Models with any failing check (``"any"``) and the count per failing check."""
     counts = {"any": 0}
-    for i, model in enumerate(models):
-        failed = [c.name for c in cli._verify_model(model, rng, SAMPLES, SEED + i) if not c.passed]
+    for run in runs:
+        failed = _failed(run)
         counts["any"] += bool(failed)
         for name in failed:
             counts[name] = counts.get(name, 0) + 1
     return counts
 
 
-def table(n: int) -> dict[str, dict[str, int]]:
+def failures(n: int) -> dict[str, dict[str, int]]:
+    """:func:`_count` over ``n`` random models (``"random"``) and over the corpus (``"corpus"``)."""
+    rng = np.random.default_rng(SEED)
+    models = [cli._random_verify_model(rng) for _ in range(n)]
+    random = _count(lambda i=i, m=m: cli._verify_model(m, rng, SAMPLES, SEED + i)
+                    for i, m in enumerate(models))
+    seed = cli.build_parser().parse_args(["verify", "FILE"]).seed  # as `verify FILE` seeds it
+    corpus = _count(lambda p=p: cli._verify_model(cli.load_model(p), np.random.default_rng(seed),
+                                                  SAMPLES, seed) for p in CORPUS)
+    return {"random": random, "corpus": corpus}
+
+
+def table(n: int) -> dict[str, dict[str, dict[str, int]]]:
     """:func:`failures` with no mutation (``"none"``) and under each of ``MUTATIONS``."""
     rows = {"none": failures(n)}
     for m in MUTATIONS:
@@ -118,10 +182,12 @@ def table(n: int) -> dict[str, dict[str, int]]:
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     catches = {m.name: m.catch or "blind spot" for m in MUTATIONS}
-    for name, counts in table(n).items():
-        per_check = ", ".join(f"{k} {v}" for k, v in counts.items() if k != "any") or "-"
-        print(f"{name:<24} expect {catches.get(name, '-'):<18} failing models "
-              f"{counts['any']:>3}/{n}  {per_check}", flush=True)
+    for name, row in table(n).items():
+        counts = [f"{c['any']:>3}/{total}  "
+                  + (", ".join(f"{k} {v}" for k, v in c.items() if k != "any") or "-")
+                  for c, total in ((row["random"], n), (row["corpus"], len(CORPUS)))]
+        print(f"{name:<28} expect {catches.get(name, '-'):<18} failing random {counts[0]}; "
+              f"corpus {counts[1]}", flush=True)
 
 
 if __name__ == "__main__":

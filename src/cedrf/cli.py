@@ -59,7 +59,7 @@ import numpy as np
 import orjson
 
 from . import drf, oracle, waterfill
-from .linalg import DimensionMismatch, Matrix, NotSymmetric
+from .linalg import DimensionMismatch, Matrix, NotSymmetric, rectangular
 from .spectral import _LN2, NotPositiveDefinite, ObservationModel, whiten
 
 CSV_HEADER = ",".join(drf.DistortionPoint._fields)
@@ -107,11 +107,9 @@ def _matrix(doc: dict, field: str) -> Matrix:
     kinds = set(map(type, itertools.chain.from_iterable(rows))) - {float}
     if kinds:
         raise ParseError(f"field '{field}': expected numbers, got {min(k.__name__ for k in kinds)}")
-    try:  # floats only by now, so numpy infers no dtype
-        data = np.array(rows, dtype=float)
-    except ValueError as exc:  # rows of unequal lengths, named as Matrix names them
-        raise InvalidModel(f"field '{field}': not a rectangular real matrix: {exc}") from exc
     try:
+        with rectangular:  # floats only by now, so numpy infers no dtype
+            data = np.array(rows, dtype=float)
         return Matrix(data)
     except ValueError as exc:
         raise InvalidModel(f"field '{field}': {exc}") from exc

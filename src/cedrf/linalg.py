@@ -4,7 +4,8 @@ Every number a caller passes is read by :func:`real` (one number) or
 :func:`reals` (an array), which raise a :class:`TypeError` naming the
 parameter for anything that is not real.  :class:`Matrix` holds a finite,
 non-empty, read-only 2-D array and is kept for user input; :func:`as_matrix`
-wraps any real 2-D array in one.
+wraps any real 2-D array in one, and both read under :data:`rectangular`,
+which names rows of unequal lengths.
 
 The model spectrum, the oracles' singular vectors and the
 compress-and-estimate decoder come from ``numpy.linalg.svd`` in
@@ -50,10 +51,8 @@ class Matrix:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
+        with rectangular:
             arr = np.array(reals("data", self.data), order="C")
-        except ValueError as exc:
-            raise DimensionMismatch(f"not a rectangular real matrix: {exc}") from exc
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -70,6 +69,21 @@ class Matrix:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
+
+
+class _Rectangular:
+    """Raise numpy's :class:`ValueError` for nested rows of unequal lengths, met while an array
+    is read in a ``with rectangular:`` block, as a :class:`DimensionMismatch` naming the cause."""
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, ValueError):
+            raise DimensionMismatch(f"not a rectangular real matrix: {exc}") from exc
+
+
+rectangular = _Rectangular()
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -98,7 +112,9 @@ def real(name: str, value) -> float:
 def reals(name: str, value) -> np.ndarray:
     """``value`` as a float64 array, if numpy reads it with ``dtype.kind`` in ``"iuf"``; else a
     :class:`TypeError` naming ``name``.  Nested sequences of unequal lengths raise numpy's
-    :class:`ValueError`.  An array that is float64 already is returned as it is, not copied."""
+    :class:`ValueError`.  An array that is float64 already is returned as it is, not copied.
+    A Python int that neither int64 nor uint64 holds makes numpy's array one of objects, so it
+    is that :class:`TypeError`, where :func:`real` reads it alone as an infinity."""
     arr = np.asarray(value)
     if arr.dtype is not _FLOAT64:
         if arr.dtype.kind not in "iuf":
@@ -109,7 +125,11 @@ def reals(name: str, value) -> np.ndarray:
 
 def as_matrix(name: str, value) -> Matrix:
     """``value`` if it is a :class:`Matrix`, else one of ``value`` as :func:`reals` reads it."""
-    return value if isinstance(value, Matrix) else Matrix(reals(name, value))
+    if isinstance(value, Matrix):
+        return value
+    with rectangular:
+        arr = reals(name, value)
+    return Matrix(arr)
 
 
 def sym_eig(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

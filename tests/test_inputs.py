@@ -134,8 +134,10 @@ def test_accepted_numbers_keep_every_bit():
     assert max_gap_2d(20, np.float32(0.5), np.int64(1)) == max_gap_2d(20.0, 0.5, 1.0)
     assert mc_estimates(model, np.int64(10), np.uint32(1), mmse=True) == mc_estimates(
         model, 10, 1, mmse=True)
-    # a Python int past int64 is an integer still: a seed too large for a double included
-    assert mc_mmse(model, 10, 10 ** 400) == mc_mmse(model, 10, 10 ** 400)
+    # a Python int past int64 is an integer still: a seed too large for a double keeps every
+    # bit, so one a unit apart draws another stream
+    est = mc_mmse(model, 10, 10 ** 400)
+    assert est.seed == 10 ** 400 and est.mean != mc_mmse(model, 10, 10 ** 400 + 1).mean
 
 
 def test_an_int_past_the_largest_double_reads_as_infinite():
@@ -145,12 +147,18 @@ def test_an_int_past_the_largest_double_reads_as_infinite():
         idrf(model, 10 ** 400)
     with pytest.raises(ValueError, match="sigma2 must be a positive finite real"):
         ObservationModel(np.eye(2), 10 ** 400)
+    # in an array, an int that neither int64 nor uint64 holds makes numpy's array one of objects
+    for grid in ([0, 10 ** 400], [2 ** 64], [-2 ** 63 - 1]):
+        with pytest.raises(TypeError, match=r"^R_grid must be an array of real numbers, got list"):
+            sweep(model, grid)
 
 
 def test_shapes_and_ranges_keep_their_messages():
     model = example_model()
-    with pytest.raises(DimensionMismatch, match=r"^not a rectangular real matrix: "):
-        Matrix([[1.0], [1.0, 2.0]])
+    for build in (lambda a: Matrix(a), lambda a: ObservationModel(a, 1.0),
+                  lambda a: whiten(np.eye(1), a, 1.0), lambda a: whiten(a, np.eye(1), 1.0)):
+        with pytest.raises(DimensionMismatch, match=r"^not a rectangular real matrix: "):
+            build([[1.0], [1.0, 2.0]])
     with pytest.raises(DimensionMismatch, match=r"^expected a 2-D array, got ndim=1$"):
         ObservationModel([1.0, 2.0], 1.0)
     with pytest.raises(drf.InvalidGrid, match="one-dimensional"):

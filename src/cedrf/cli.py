@@ -186,7 +186,9 @@ def example_model() -> ObservationModel:
 # ---------------------------------------------------------------------------
 
 
-def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> dict:
+def _analysis_report(model: ObservationModel, rate: float, nats: bool) -> dict:
+    """The ``analyze`` report at a valid ``rate`` in its typed unit, which ``point.R`` echoes."""
+    rate_bits = _to_bits(rate, nats, "--rate")
     region = drf.equality_region(model)
     point = drf.sweep(model, [rate_bits])[0]
     unit = "nats" if nats else "bits"
@@ -206,7 +208,7 @@ def _analysis_report(model: ObservationModel, rate_bits: float, nats: bool) -> d
         "thresholds": {name: [_from_bits(t, nats) for t in getattr(model, name).thresholds.tolist()]
                        for name in ("observation", "conditional")},
         "equality_region": dict(region._asdict(), R_limit=_from_bits(region.R_limit, nats)),
-        "point": dict(point._asdict(), R=_from_bits(rate_bits, nats)),
+        "point": dict(point._asdict(), R=rate),
         "rates": {
             "idrf": [_from_bits(r, nats)
                      for r in waterfill._rates(model.conditional, rate_bits, point.k_idrf)],
@@ -243,8 +245,7 @@ def _print_analysis(report: dict) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    rate_bits = waterfill._check_rate(_to_bits(args.rate, args.nats, "--rate"))
-    report = _analysis_report(model, rate_bits, args.nats)
+    report = _analysis_report(model, waterfill._check_rate(args.rate), args.nats)
     _print_analysis(report)
     if args.json:
         Path(args.json).write_bytes(_json_indent2(report))

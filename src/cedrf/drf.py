@@ -332,10 +332,7 @@ def am_gm_pair(values: Sequence[float]) -> AmGmBounds:
     imposed on the rounded ones: an ulp's move, or an overflowed
     ``reverse_bound``'s from inf to ``DBL_MAX``.
     """
-    arr = linalg.reals("values", values)
-    if arr.ndim != 1:
-        raise ValueError(f"values must be a 1-D array, got shape {arr.shape}")
-    vals = arr.tolist()
+    vals = linalg.vector("values", values).tolist()
     if not vals:
         raise NonPositiveInput("values must be a non-empty list of positive reals")
     for v in vals:
@@ -355,18 +352,16 @@ def am_gm_pair(values: Sequence[float]) -> AmGmBounds:
 
 
 def _check_grid(R_grid: Sequence[float]) -> np.ndarray:
-    """``R_grid`` read by :func:`linalg.reals` as a new float array with ``-0.0`` read as ``0.0``,
-    or :class:`InvalidGrid`."""
-    grid = linalg.reals("R_grid", R_grid)
-    if grid.ndim != 1:
-        raise InvalidGrid("rate grid must be one-dimensional")
+    """``R_grid`` read by :func:`waterfill._check_rates`, if non-empty and strictly increasing."""
+    try:
+        grid = waterfill._check_rates(R_grid, "R_grid")
+    except ValueError as exc:
+        raise InvalidGrid(str(exc)) from exc
     if grid.size == 0:
         raise InvalidGrid("rate grid is empty")
-    if grid[0] < 0.0 or not np.isfinite(grid).all():
-        raise InvalidGrid("rates must be finite and non-negative")
     if (grid[1:] <= grid[:-1]).any():
         raise InvalidGrid("rates must be strictly increasing")
-    return grid + 0.0
+    return grid
 
 
 def sweep(model: ObservationModel, R_grid: Sequence[float]) -> list[DistortionPoint]:

@@ -1,11 +1,11 @@
 """Validated inputs and symmetric spectral decompositions.
 
 Every number a caller passes is read by :func:`real` (one number) or
-:func:`reals` (an array), which raise a :class:`TypeError` naming the
-parameter for anything that is not real.  :class:`Matrix` holds a finite,
-non-empty, read-only 2-D array and is kept for user input; :func:`as_matrix`
-wraps any real 2-D array in one, and both read under :data:`rectangular`,
-which names rows of unequal lengths.
+:func:`reals` (an array), which raise a :class:`TypeError` naming the parameter
+for anything that is not real; :func:`vector` is :func:`reals` for a 1-D
+parameter.  :class:`Matrix` holds a finite, non-empty, read-only 2-D array and
+is kept for user input; :func:`as_matrix` wraps any real 2-D array in one, and
+both read under :data:`rectangular`, which names rows of unequal lengths.
 
 The model spectrum, the oracles' singular vectors and the
 compress-and-estimate decoder come from ``numpy.linalg.svd`` in
@@ -120,6 +120,14 @@ def reals(name: str, value) -> np.ndarray:
         if arr.dtype.kind not in "iuf":
             raise TypeError(f"{name} must be an array of real numbers, got {_shown(value)}")
         arr = arr.astype(np.float64)
+    return arr
+
+
+def vector(name: str, value) -> np.ndarray:
+    """``value`` read by :func:`reals` if it is 1-D, else a :class:`ValueError` naming its shape."""
+    arr = reals(name, value)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")
     return arr
 
 

@@ -47,7 +47,7 @@ class NotPositiveDefinite(ValueError):
 class Spectrum:
     """Non-increasing, non-negative eigenvalues; ``rank`` counts the positive ones.
 
-    ``values`` is a read-only float64 copy of the input, read by :func:`linalg.reals`; the
+    ``values`` is a read-only float64 copy of the input, read by :func:`linalg.vector`; the
     derived table ``thresholds``, read-only too, is built on first use and kept.
     """
 
@@ -55,9 +55,7 @@ class Spectrum:
     rank: int = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(linalg.reals("values", self.values))
-        if arr.ndim != 1:
-            raise ValueError(f"spectrum must be a 1-D array, got shape {arr.shape}")
+        arr = np.array(linalg.vector("values", self.values))
         vals = arr.tolist()  # validated in Python floats: spectra are short
         if len(vals) == 0:
             raise ValueError("spectrum must contain at least one value")

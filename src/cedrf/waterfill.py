@@ -66,11 +66,9 @@ def _check_rate(R: float) -> float:
 
 
 def _check_rates(rates, name: str = "rates") -> np.ndarray:
-    """``rates`` read by :func:`linalg.reals` as a new 1-D float64 array, each checked as
+    """``rates`` read by :func:`linalg.vector` as a new float64 array, each checked as
     :func:`_check_rate` checks one, which names the first that fails."""
-    r = linalg.reals(name, rates)
-    if r.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array, got shape {r.shape}")
+    r = linalg.vector(name, rates)
     bad = ~((r >= 0.0) & (r < math.inf))
     if bad.any():
         _check_rate(r[bad.argmax()].item())

@@ -16,8 +16,9 @@ values is hashed: ``inf`` in the text report and the CSV files, and ``null`` in
 the analyze JSON, in bits and in nats, and in the JSON sweep files.  They also run the two
 models of ``FAR_SECOND_COMPONENT``, whose second singular value is 1e-6 or
 3e-6 of the first at ``sigma2 = 1e-14``: kept, it sets the floor, about
-5e-3.  The ``verify`` group runs ``verify --random 3`` at the default seed,
-``--random 50 --seed 1``, ``--random 1 --seed 3867`` (a model that fails its
+5e-3.  These hand-found models, and ``SUBNORMAL_SIGMA2`` and ``SUBNORMAL_TIES`` below, are
+read from their files in ``tests/models``.  The ``verify`` group runs ``verify --random 3``
+at the default seed, ``--random 50 --seed 1``, ``--random 1 --seed 3867`` (a model that fails its
 Monte Carlo checks, exit 1) and ``verify MODEL`` on every tenth seeded
 model.  The ``bench-curves``, ``bench-large-models`` and ``bench-verify-random``
 groups run the benchmark's own ops, ``op_argv`` of ``make_round(workload, 1,
@@ -80,16 +81,23 @@ GAP_RATES = np.linspace(0.0, 40.0, 81).tolist()
 ORACLE_RATES = (0.0, 0.5, 3.0, 40.0)
 SWEEPS = {"sweep-csv": (), "sweep-json": ("--format", "json"), "sweep-nats": ("--nats",),
           "sweep-json-nats": ("--format", "json", "--nats")}
+MODEL_FILES = Path(__file__).resolve().parent / "models"
+
+
+def corpus(*names):
+    """The model documents of the files ``tests/models/<name>.json``."""
+    return tuple(json.loads((MODEL_FILES / f"{name}.json").read_text()) for name in names)
+
+
 # (g_1 + sigma2) / sigma2 overflows, so gap_ub is inf at every rate
-INFINITE_GAP_BOUND = {"A": [[1e100, 0.0], [0.0, 1.0]], "sigma2": 1e-300}
-# s_2 far below s_1 but far above the SVD's noise, at a sigma2 far below s_2^2
-FAR_SECOND_COMPONENT = ({"A": [[1.0, 0.0], [0.0, 1e-6]], "sigma2": 1e-14},
-                        {"A": [[1.0, 0.0], [0.0, 3e-6]], "sigma2": 1e-14})
+(INFINITE_GAP_BOUND,) = corpus("infinite_gap_bound")
+# s_2 1e-6 and 3e-6 of s_1, far above the SVD's noise, at a sigma2 far below s_2^2
+FAR_SECOND_COMPONENT = corpus("far_second_component_1e-6", "far_second_component_3e-6")
 # subnormal sigma2: (f_1 - f_2)^2 of the lower bound overflows, and so does a weight
-SUBNORMAL_SIGMA2 = {"A": [[1e-155, 0.0], [0.0, 5e-156]], "sigma2": 1e-310}
-# twins of diag(1, 1) at sigma2 = 1 with a subnormal sigma2, one exact and one decimal
-SUBNORMAL_TIES = ({"A": [[2.0 ** -530, 0.0], [0.0, 2.0 ** -530]], "sigma2": 2.0 ** -1060},
-                  {"A": [[1e-160, 0.0], [0.0, 1e-160]], "sigma2": 1e-320})
+(SUBNORMAL_SIGMA2,) = corpus("subnormal_sigma2")
+# twins of diag(1, 1) at sigma2 = 1 with a subnormal sigma2, 2^-530 A and 2^-1060 sigma2
+# exactly, and 1e-160 A and 1e-320 sigma2
+SUBNORMAL_TIES = corpus("subnormal_ties_exact", "subnormal_ties_decimal")
 # relative offsets of a mirror pair's second singular value, from where the
 # weights tie within rounding to where they are told apart
 NEAR_TIE_OFFSETS = (1e-16, -1e-15, 1e-14, -1e-13, 1e-12, -1e-11, 1e-11)

@@ -776,6 +776,19 @@ def test_analyze_names_a_nats_rate_that_overflows_in_bits(model_file, capsys):
         assert capsys.readouterr().err == "error: rate must be a finite non-negative real, got inf\n"
 
 
+def test_analyze_checks_and_echoes_the_rate_as_typed(model_file, tmp_path, capsys):
+    # in nats too, --rate is checked before it is converted, and the report echoes it as typed
+    for nats in ([], ["--nats"]):
+        assert main(["analyze", str(model_file), "--rate", "-1", *nats]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rate must be a finite non-negative real, got -1.0\n"
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(model_file), "--rate", "0.007", "--nats", "--json", str(out)]) == 0
+    assert json.loads(out.read_bytes())["point"]["R"] == 0.007
+    assert "at R = 0.007 nats:" in capsys.readouterr().out
+
+
 def test_sweep_nats_round_trip(model_file, tmp_path, capsys):
     out = tmp_path / "nats.csv"
     assert main(["sweep", str(model_file), "--min", "0", "--max", "2",
@@ -862,7 +875,7 @@ def test_analyze_json_is_indented_orjson_that_reads_back_strictly(name, tmp_path
         for nats in (False, True):
             argv = ["analyze", str(path), "--rate", repr(rate), "--json", str(out)]
             assert main(argv + ["--nats"] * nats) == 0
-            report = cli._analysis_report(model, rate / math.log(2.0) if nats else rate, nats)
+            report = cli._analysis_report(model, rate, nats)
             _assert_reads_back(out.read_bytes(), report)
             assert out.read_bytes() == orjson.dumps(
                 report, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)

@@ -543,7 +543,7 @@ def test_sweep_degenerate_and_invalid():
         sweep(m, [-1.0, 2.0])
     with pytest.raises(InvalidGrid):
         sweep(m, [0.0, 1.0, 1.0])
-    with pytest.raises(InvalidGrid, match="one-dimensional"):
+    with pytest.raises(InvalidGrid, match=r"^R_grid must be a 1-D array, got shape \(2, 2\)$"):
         sweep(m, [[0.0, 1.0], [2.0, 3.0]])
 
 

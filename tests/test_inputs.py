@@ -161,7 +161,7 @@ def test_shapes_and_ranges_keep_their_messages():
             build([[1.0], [1.0, 2.0]])
     with pytest.raises(DimensionMismatch, match=r"^expected a 2-D array, got ndim=1$"):
         ObservationModel([1.0, 2.0], 1.0)
-    with pytest.raises(drf.InvalidGrid, match="one-dimensional"):
+    with pytest.raises(drf.InvalidGrid, match=r"^R_grid must be a 1-D array, got shape \(\)$"):
         sweep(model, 1.0)
     with pytest.raises(ValueError, match=re.escape("rates must be a 1-D array, got shape (1, 1)")):
         ce_matrix_forms(model, [[1.0]])
@@ -175,3 +175,18 @@ def test_shapes_and_ranges_keep_their_messages():
         with pytest.raises(ValueError, match=re.escape(
                 f"rate must be a finite non-negative real, got {bad!r}")):
             ce_matrix_forms(model, rates)
+
+
+def test_a_rate_grid_names_its_first_bad_rate_and_its_shape():
+    # sweep reads its grid as the oracles read a list of rates, then checks the order
+    model = example_model()
+    for grid, text in (([0.0, -1.0], "rate must be a finite non-negative real, got -1.0"),
+                       ([-1.0, 2.0], "rate must be a finite non-negative real, got -1.0"),
+                       ([0.0, math.nan], "rate must be a finite non-negative real, got nan"),
+                       ([[0.0, 1.0]], "R_grid must be a 1-D array, got shape (1, 2)"),
+                       ([], "rate grid is empty"),
+                       ([0, 1, 1], "rates must be strictly increasing")):
+        with pytest.raises(drf.InvalidGrid, match=f"^{re.escape(text)}$"):
+            sweep(model, grid)
+    with pytest.raises(ValueError, match=r"^values must be a 1-D array, got shape \(2, 2\)$"):
+        Spectrum(np.ones((2, 2)))

@@ -110,6 +110,7 @@ def _matrix(doc: dict, field: str) -> Matrix:
     try:
         with rectangular:  # floats only by now, so numpy infers no dtype
             data = np.array(rows, dtype=float)
+        data.setflags(write=False)  # so Matrix keeps it and does not copy it again
         return Matrix(data)
     except ValueError as exc:
         raise InvalidModel(f"field '{field}': {exc}") from exc
@@ -565,8 +566,10 @@ _RATE_SPAN = 12.0  # bits: the top rate of the oracle-equivalence, sandwich and 
 _ORACLE_RATES = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, _RATE_SPAN)
 #: Monte Carlo rates, all in ``_ORACLE_RATES``: they add no rate to the CE test channel
 _MC_RATES = (0.5, 1.0, 3.0)
-#: bound-sandwich and monotonicity rates
+#: rates every model's closed-form grid holds
 _SANDWICH_RATES = np.linspace(0.0, _RATE_SPAN, 50)
+#: the equality-region rates as fractions of the model's cap
+_REGION_FRACTIONS = np.linspace(0.0, 1.0, 21)
 
 
 def _worst_mc(name: str, estimates, closed: list[float]) -> CheckResult:
@@ -576,37 +579,32 @@ def _worst_mc(name: str, estimates, closed: list[float]) -> CheckResult:
     return CheckResult(name, tol, diff)
 
 
-def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: int,
-                  seed: int) -> list[CheckResult]:
-    """Every check on one model, from one closed-form grid and one CE test channel.
+def _verify_model(model: ObservationModel, samples: int, seed: int) -> list[CheckResult]:
+    """Every check on one model, a function of ``(model, samples, seed)`` alone: no rate is drawn.
 
-    Each check has its own rates; the closed forms are evaluated once, on
-    the union of them, and each check reads its rates' rows, which are the
-    bits a grid of its rates alone gives.  The matrix form and the Monte
-    Carlo CE maps share one test channel, on the oracle-equivalence rates
-    joined with the Monte Carlo rates.  The equality-region rates are
-    drawn from ``rng``, so the draws of later models depend on this one's.
-    ``continuity`` reads the grid's levels at each finite threshold ``R_{k+1}``: ``v_{k+1}``.
-    A NaN residual or estimate fails its check.
+    The closed forms are evaluated once, on one grid: the oracle-equivalence rates,
+    both spectra's finite thresholds ``R_{k+1}`` and the rates 0.05 either side (at
+    least 0), ``_SANDWICH_RATES`` and ``_REGION_FRACTIONS`` of the cap ``min(R_limit,
+    _RATE_SPAN)``; equal rates give equal rows.  ``equality-region`` reads the rows up
+    to the cap, ``bound-sandwich`` and ``monotonicity`` every row.  The matrix form and
+    the Monte Carlo CE maps share one test channel, on the oracle-equivalence rates and
+    the observation thresholds' neighbours.  ``continuity`` reads the grid's levels at
+    each ``R_{k+1}``: ``v_{k+1}``.  A NaN residual or estimate fails its check.
     """
     edges = [s.thresholds[1:s.rank] for s in (model.observation, model.conditional)]  # R_{k+1}
-    neighbours = (r for t in edges[0].tolist() if t > 0.0 for r in (max(0.0, t - 0.05), t + 0.05))
-    ce_rates = np.array(sorted({*_ORACLE_RATES, *neighbours}))
+    near = [[r for t in e.tolist() if t > 0 for r in (max(0.0, t - 0.05), t + 0.05)] for e in edges]
+    ce_rates = np.array(sorted({*_ORACLE_RATES, *near[0]}))
     parts = oracle._ce_grid(model, ce_rates)
     cap = min(drf.equality_region(model).R_limit, _RATE_SPAN)
-    region = np.concatenate([rng.uniform(0.0, cap, 20), [cap]])
-    grid = np.sort(np.concatenate([ce_rates, region, _SANDWICH_RATES, *edges]))  # equal rates: equal rows
+    grid = np.sort(np.concatenate([ce_rates, near[1], cap * _REGION_FRACTIONS, _SANDWICH_RATES, *edges]))
     _, d_idrf, d_ce, gap, gap_ub, gap_lb, _, _, theta_idrf, theta_ce = drf._columns(model, grid)
     worst = np.abs(parts.d_ce - d_ce[grid.searchsorted(ce_rates)]).max()
     checks = [CheckResult("oracle-equivalence", 1e-9, worst)]
-    at = grid.searchsorted(region)
-    worst = np.abs(d_ce[at] - d_idrf[at]).max()
-    checks.append(CheckResult("equality-region", 1e-10, worst))
-    at = grid.searchsorted(_SANDWICH_RATES)
-    d_i, d_c, g = d_idrf[at], d_ce[at], gap[at]
+    at = grid <= cap
+    checks.append(CheckResult("equality-region", 1e-10, np.abs(d_ce[at] - d_idrf[at]).max()))
     # at least 0; + 0.0 turns a maximum of -0.0 into the 0.0 the report prints
-    violation = np.concatenate([gap_lb[at] - g, g - gap_ub[at], d_i - d_c]).max(initial=0.0) + 0.0
-    increase = np.diff([d_i, d_c]).max(initial=0.0) + 0.0
+    violation = np.concatenate([gap_lb - gap, gap - gap_ub, d_idrf - d_ce]).max(initial=0.0) + 0.0
+    increase = np.diff([d_idrf, d_ce]).max(initial=0.0) + 0.0
     checks.append(CheckResult("bound-sandwich", 1e-10, violation))
     checks.append(CheckResult("monotonicity", 1e-12, increase))
     misses = [np.abs(theta[grid.searchsorted(t)] / s.values[1:s.rank] - 1.0) for theta, t, s in
@@ -622,15 +620,16 @@ def _verify_model(model: ObservationModel, rng: np.random.Generator, samples: in
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.random is not None:
-        models = [(_random_verify_model(rng), f"random[{i}]") for i in range(args.random)]
+    """Verify a model file, or ``--random N`` models one at a time: each drawn, checked, printed."""
+    if args.random is None:
+        models = ((load_model(args.model), str(args.model)),)
     else:
-        models = [(load_model(args.model), str(args.model))]
+        rng = np.random.default_rng(args.seed)
+        models = ((_random_verify_model(rng), f"random[{i}]") for i in range(args.random))
     failures = 0
     for i, (model, label) in enumerate(models):
         # each model its own draw: under one seed every chisquare(n, size=M) starts alike
-        checks = _verify_model(model, rng, args.samples, args.seed + i)
+        checks = _verify_model(model, args.samples, args.seed + i)
         lines = [f"== {label}: M={model.M} L={model.L} sigma2={model.sigma2}"]
         lines += [f"  {'PASS' if c.passed else 'FAIL'} {c.name:<18} observed {c.observed:.3e}  "
                   f"tol {c.tolerance:.3e}" for c in checks]

@@ -45,14 +45,17 @@ class Matrix:
     """Immutable dense real matrix (row-major float64 storage).
 
     Rejects non-finite entries and empty shapes at construction.  ``data``
-    is read by :func:`reals`, so it is any real array that is 2-D.
+    is read by :func:`reals`, so it is any real array that is 2-D, and copied
+    unless it is a read-only float64 array that owns its C-ordered data.
     """
 
     data: np.ndarray
 
     def __post_init__(self) -> None:
         with rectangular:
-            arr = np.array(reals("data", self.data), order="C")
+            arr = reals("data", self.data)
+        if arr.flags.writeable or not (arr.flags.owndata and arr.flags.c_contiguous):
+            arr = np.array(arr, order="C")
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:

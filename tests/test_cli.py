@@ -1131,12 +1131,68 @@ def test_random_verify_model_keeps_the_generator_stream():
         assert rng.uniform() == ref.uniform(), seed
 
 
-def _verify_fails(capsys, check):
+def test_verify_random_draws_and_checks_one_model_at_a_time(capsys, monkeypatch):
+    # each model is drawn, checked and printed before the next is drawn, so
+    # verify holds one model at a time
+    log, draw, check = [], cli._random_verify_model, cli._verify_model
+    monkeypatch.setattr(cli, "_random_verify_model", lambda rng: log.append("draw") or draw(rng))
+    monkeypatch.setattr(cli, "_verify_model", lambda *args: log.append("check") or check(*args))
+    assert main(["verify", "--random", "2", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert log == ["draw", "check", "draw", "check"]
+
+
+def test_verify_model_does_not_depend_on_the_models_before_it():
+    # the checks are a function of (model, samples, seed) alone
+    rng = np.random.default_rng(4)
+    models = [cli._random_verify_model(rng) for _ in range(6)]
+    first = cli._verify_model(models[-1], 2000, 9)
+    for model in models:
+        after = cli._verify_model(model, 2000, 9)
+    assert after == first
+
+
+def _blocks(out: str) -> list[list[str]]:
+    """The lines of each model's block of a ``verify`` report, the header's label left out."""
+    blocks = []
+    for line in out.splitlines():
+        if line.startswith("== "):
+            blocks.append([line[line.index(":"):]])
+        elif line.startswith("  "):
+            blocks[-1].append(line)
+    return blocks
+
+
+def test_a_random_models_block_is_the_block_of_its_file(tmp_path, capsys, monkeypatch):
+    # random[i] of --random N --seed s is verified as verify FILE --seed s+i verifies it.
+    # d_ce moves by a residual below every tolerance that differs from rate to rate, so a
+    # report that read other rates in the two runs would differ
+    real = drf._columns
+
+    def moved(model, grid):
+        columns = list(real(model, grid))
+        columns[2] = columns[2] + 1e-13 * np.abs(np.sin(1e3 * grid))
+        return tuple(columns)
+
+    monkeypatch.setattr(drf, "_columns", moved)
+    n, seed = 4, 11
+    main(["verify", "--random", str(n), "--seed", str(seed)])
+    blocks = _blocks(capsys.readouterr().out)
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        model, path = cli._random_verify_model(rng), tmp_path / f"random{i}.json"
+        path.write_bytes(orjson.dumps({"A": model.A.data.tolist(), "sigma2": model.sigma2}))
+        main(["verify", str(path), "--seed", str(seed + i)])
+        assert _blocks(capsys.readouterr().out) == [blocks[i]], i
+
+
+def _verify_fails(capsys, *checks):
     code = main(["verify", "--random", "1", "--seed", "5"])
     out = capsys.readouterr().out
     assert code == 1, out
-    assert f"FAIL {check:<18} observed nan" in out
-    assert out.endswith("\n1 check(s) FAILED\n"), out
+    for check in checks:
+        assert f"FAIL {check:<18} observed nan" in out
+    assert out.endswith(f"\n{len(checks)} check(s) FAILED\n"), out
 
 
 def _nan_column(monkeypatch, field, rate):
@@ -1153,9 +1209,10 @@ def _nan_column(monkeypatch, field, rate):
 
 def test_verify_fails_a_nan_closed_form_residual(capsys, monkeypatch):
     # R = 6 is an oracle-equivalence rate, not the first: a NaN there must
-    # fail the check, not drop out of the maximum
+    # fail each check that reads the row, not drop out of a maximum.  It lies past this
+    # model's equality region: bound-sandwich and monotonicity read it, equality-region does not
     _nan_column(monkeypatch, "d_ce", 6.0)
-    _verify_fails(capsys, "oracle-equivalence")
+    _verify_fails(capsys, "oracle-equivalence", "bound-sandwich", "monotonicity")
 
 
 def test_verify_fails_a_nan_gap(capsys, monkeypatch):

@@ -32,6 +32,31 @@ def test_matrix_entries_row_major():
     assert not m.data.flags.writeable
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+@pytest.mark.parametrize("make", [
+    lambda base: base,  # writeable
+    lambda base: _read_only(base[:]),  # read-only, but a view: the caller can write to its base
+])
+def test_matrix_copies_an_array_a_caller_can_still_write(make):
+    base = np.array([[1.0, 2.0], [3.0, 4.0]])
+    m = Matrix(make(base))
+    base[0, 0] = 9.0
+    assert m.data[0, 0] == 1.0 and not m.data.flags.writeable
+
+
+def test_matrix_keeps_a_read_only_array_that_owns_its_data():
+    ro = _read_only(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert Matrix(ro).data is ro
+    # column-major storage is still copied into the row-major layout Matrix holds
+    fortran = _read_only(np.array([[1.0, 2.0], [3.0, 4.0]], order="F"))
+    data = Matrix(fortran).data
+    assert data is not fortran and data.flags.c_contiguous and np.array_equal(data, fortran)
+
+
 def test_sym_eig_identity():
     w, v = sym_eig(np.eye(2))
     assert np.allclose(w, [1.0, 1.0])

@@ -38,22 +38,27 @@ class Pair(NamedTuple):
     peak_error: float | None
 
 
+def columns(a: float, b: float):
+    """Pair ``(a, b)``'s model, :func:`drf._columns` at its rates, and ``max_gap_2d``'s
+    ``(R_peak, peak)``, or ``None`` where ``max_gap_2d`` rejects the pair."""
+    model = ObservationModel(np.diag(np.sqrt([10.0 ** a, 10.0 ** b])), 1.0)
+    t = np.concatenate([model.observation.thresholds, model.conditional.thresholds])
+    thresholds = t[np.isfinite(t)]
+    rates = [np.linspace(0.0, thresholds.max() + PAST_LAST, N_RATES), thresholds]
+    try:
+        peak = drf.max_gap_2d(*model.gram.values.tolist(), model.sigma2)
+        rates.append([peak[0]])
+    except ValueError:
+        peak = None
+    return model, drf._columns(model, drf._check_grid(np.unique(np.concatenate(rates)))), peak
+
+
 @functools.cache
 def plane() -> list[Pair]:
     pairs = []
     for i, a in enumerate(EXPONENTS.tolist()):
         for b in EXPONENTS[: i + 1].tolist():
-            model = ObservationModel(np.diag(np.sqrt([10.0 ** a, 10.0 ** b])), 1.0)
-            t = np.concatenate([model.observation.thresholds, model.conditional.thresholds])
-            thresholds = t[np.isfinite(t)]
-            rates = [np.linspace(0.0, thresholds.max() + PAST_LAST, N_RATES), thresholds]
-            try:
-                R_peak, peak = drf.max_gap_2d(*model.gram.values.tolist(), model.sigma2)
-                rates.append([R_peak])
-            except ValueError:
-                peak = None
-            grid = drf._check_grid(np.unique(np.concatenate(rates)))
-            R, _, _, gap, gap_ub, gap_lb, *_ = drf._columns(model, grid)
+            model, (R, _, _, gap, gap_ub, gap_lb, *_), peak = columns(a, b)
             region = drf.equality_region(model)
             positive = gap > 0.0
             pairs.append(Pair(a, b, region.unconditional,
@@ -61,7 +66,7 @@ def plane() -> list[Pair]:
                               bool((positive & ((gap_lb > gap) | (gap > gap_ub))).any()),
                               bool(positive.any()),
                               None if peak is None or region.unconditional
-                              else gap.max() / peak - 1.0))
+                              else gap.max() / peak[1] - 1.0))
     return pairs
 
 

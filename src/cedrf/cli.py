@@ -36,7 +36,8 @@ three and passes every check.  The stdlib ``json`` decoder, reading integers
 as doubles, rules on every other file and gives its result or message.  Both
 round every number correctly, so a model's doubles do not depend on which
 one read it.  Rates are bits unless ``--nats`` is given, in
-which case rate-valued inputs and outputs are converted on the way in/out.
+which case rate-valued inputs are divided by one factor, ln 2, on the way in
+and outputs multiplied by it on the way out.
 The ``analyze`` text spells floats ``"%.12g"``, one ``%`` per list
 (``_fnums``).  Both JSON files are orjson's RFC 8259 bytes: each float in
 the shortest digits that read back as the same double, in orjson's layout,
@@ -76,18 +77,13 @@ class InvalidModel(ValueError):
     """Model file violates a model invariant."""
 
 
-def _to_bits(rate: float, nats: bool, option: str) -> float:
-    """``rate`` in bits; a finite nats rate whose bits overflow is an error naming ``option``."""
-    if not nats:
-        return rate
-    bits = rate / _LN2  # Python floats: inf, no warning
+def _to_bits(rate: float, unit: float, option: str) -> float:
+    """``rate / unit``, a typed rate in bits, where ``unit`` is one bit in the typed unit (``_LN2``
+    nats, or 1.0); a finite nats rate whose bits overflow is an error naming ``option``."""
+    bits = rate / unit  # Python floats: inf, no warning
     if math.isinf(bits) and math.isfinite(rate):
         raise ValueError(f"{option} must convert to a finite rate in bits, got {rate} nats")
     return bits
-
-
-def _from_bits(rate: float, nats: bool) -> float:
-    return rate * _LN2 if nats else rate
 
 
 def _json_indent2(doc) -> bytes:
@@ -189,12 +185,12 @@ def example_model() -> ObservationModel:
 
 def _analysis_report(model: ObservationModel, rate: float, nats: bool) -> dict:
     """The ``analyze`` report at a valid ``rate`` in its typed unit, which ``point.R`` echoes."""
-    rate_bits = _to_bits(rate, nats, "--rate")
+    units, unit = ("nats", _LN2) if nats else ("bits", 1.0)
+    rate_bits = _to_bits(rate, unit, "--rate")
     region = drf.equality_region(model)
-    point = drf.sweep(model, [rate_bits])[0]
-    unit = "nats" if nats else "bits"
+    point = drf._points(model, np.array([rate_bits]))[0]
     return {
-        "units": unit,
+        "units": units,
         "model": {
             "M": model.M,
             "L": model.L,
@@ -206,15 +202,13 @@ def _analysis_report(model: ObservationModel, rate: float, nats: bool) -> dict:
         },
         "spectra": {name: getattr(model, name).values.tolist()
                     for name in ("gram", "observation", "conditional")},
-        "thresholds": {name: [_from_bits(t, nats) for t in getattr(model, name).thresholds.tolist()]
+        "thresholds": {name: [t * unit for t in getattr(model, name).thresholds.tolist()]
                        for name in ("observation", "conditional")},
-        "equality_region": dict(region._asdict(), R_limit=_from_bits(region.R_limit, nats)),
+        "equality_region": dict(region._asdict(), R_limit=region.R_limit * unit),
         "point": dict(point._asdict(), R=rate),
         "rates": {
-            "idrf": [_from_bits(r, nats)
-                     for r in waterfill._rates(model.conditional, rate_bits, point.k_idrf)],
-            "ce": [_from_bits(r, nats)
-                   for r in waterfill._rates(model.observation, rate_bits, point.k_ce)],
+            "idrf": [r * unit for r in waterfill._rates(model.conditional, rate_bits, point.k_idrf)],
+            "ce": [r * unit for r in waterfill._rates(model.observation, rate_bits, point.k_ce)],
         },
     }
 
@@ -524,13 +518,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise drf.InvalidGrid(f"--max must be finite, got {args.max}")
     if not (0.0 <= args.min < args.max):
         raise drf.InvalidGrid(f"need 0 <= min < max, got min={args.min}, max={args.max}")
+    unit = _LN2 if args.nats else 1.0
     for option, rate in (("--min", args.min), ("--max", args.max)):  # raises, before numpy warns
-        _to_bits(rate, args.nats, option)
+        _to_bits(rate, unit, option)
     try:  # numpy refuses a size past its limit, and memory it cannot get, before filling
         grid = np.linspace(args.min, args.max, args.steps)
     except (MemoryError, ValueError) as exc:
         raise drf.InvalidGrid(f"cannot allocate a grid of {args.steps} steps") from exc
-    columns = drf._columns(model, drf._check_grid(grid / _LN2 if args.nats else grid))
+    columns = drf._columns(model, drf._check_grid(grid / unit))
     columns = (grid, *columns[1:])  # the R column in the input unit
     with open(args.out, "wb") as out:
         out.writelines(_csv(CSV_HEADER, columns) if args.format == "csv" else _json(columns))

@@ -14,7 +14,7 @@ unit scale, divided by a power of two, and the oracle's stacked SVDs take
 matrices that are already scale-free.  What is left here whitens a
 source covariance (:func:`sym_eig`) and holds the rank rule that the model,
 whitening and :func:`pinv` share (:func:`above_noise`, :func:`noise_level`).  :func:`pinv` has
-no caller in the library: the tests check the decoder against it.  It and
+no caller in the library; the benchmark's tracer wraps it by name.  It and
 :func:`sym_eig` take plain arrays, check that they are finite, square and
 symmetric, then diagonalize them with LAPACK's symmetric eigensolver
 through :func:`numpy.linalg.eigh`.  Results are bit-identical from run to
@@ -89,9 +89,6 @@ class _Rectangular:
 rectangular = _Rectangular()
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
 def _shown(value) -> str:
     """``value``'s type and a repr cut to a few dozen characters, for an error message."""
     return f"{type(value).__name__} {reprlib.repr(value)}"
@@ -115,15 +112,13 @@ def real(name: str, value) -> float:
 def reals(name: str, value) -> np.ndarray:
     """``value`` as a float64 array, if numpy reads it with ``dtype.kind`` in ``"iuf"``; else a
     :class:`TypeError` naming ``name``.  Nested sequences of unequal lengths raise numpy's
-    :class:`ValueError`.  An array that is float64 already is returned as it is, not copied.
+    :class:`ValueError`.  ``astype(copy=False)`` returns a float64 array as it is, not copied.
     A Python int that neither int64 nor uint64 holds makes numpy's array one of objects, so it
     is that :class:`TypeError`, where :func:`real` reads it alone as an infinity."""
     arr = np.asarray(value)
-    if arr.dtype is not _FLOAT64:
-        if arr.dtype.kind not in "iuf":
-            raise TypeError(f"{name} must be an array of real numbers, got {_shown(value)}")
-        arr = arr.astype(np.float64)
-    return arr
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must be an array of real numbers, got {_shown(value)}")
+    return arr.astype(np.float64, copy=False)
 
 
 def vector(name: str, value) -> np.ndarray:

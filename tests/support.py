@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from cedrf import cli
 from cedrf.linalg import Matrix
 from cedrf.spectral import ObservationModel
 
@@ -25,7 +26,7 @@ UB_AT_2 = 1.3125
 
 
 def example_model() -> ObservationModel:
-    return ObservationModel(Matrix(np.diag([math.sqrt(20.0), math.sqrt(0.5)])), 1.0)
+    return cli.example_model()
 
 
 def model_from_eigs(lambdas, sigma2) -> ObservationModel:

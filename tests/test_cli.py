@@ -152,6 +152,25 @@ def test_analyze_nats_conversion(model_file, tmp_path, capsys):
     )
 
 
+def test_the_nats_report_is_the_bits_report_times_ln2_exactly():
+    # --nats divides the typed rate by ln 2 once and multiplies each rate the program
+    # computes by ln 2 once, so at the same rate in bits every other field is the same bits
+    ln2 = math.log(2.0)
+    rng = np.random.default_rng(2)
+    for i in range(200):
+        model = cli._random_verify_model(rng)
+        for x in (0.0, 0.3, 1.0, 2.5, 12.0):
+            nats = cli._analysis_report(model, x, True)
+            bits = cli._analysis_report(model, float(repr(x / ln2)), False)
+            assert (nats.pop("units"), bits.pop("units")) == ("nats", "bits")
+            for key in ("thresholds", "rates"):
+                want = {name: [v * ln2 for v in values] for name, values in bits.pop(key).items()}
+                assert nats.pop(key) == want, (i, x, key)
+            assert nats["equality_region"].pop("R_limit") == bits["equality_region"].pop("R_limit") * ln2
+            assert nats["point"].pop("R") == x and bits["point"].pop("R") == x / ln2
+            assert nats == bits, (i, x)
+
+
 def test_a_rate_of_minus_zero_is_read_as_zero(model_file, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     for unit in ("bits", "nats"):

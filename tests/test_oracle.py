@@ -351,7 +351,7 @@ def test_decoder_is_the_pseudoinverse_form():
         for r, e in zip(rates, _ce_grid(model, rates).decoder, strict=True):
             p = ce_matrix_parts(model, r)
             cov = p.channel @ p.channel.T + np.diag(p.noise_cov)
-            want = p.channel.T @ linalg.pinv((cov + cov.T) / 2.0)
+            want = p.channel.T @ np.linalg.pinv((cov + cov.T) / 2.0, hermitian=True)
             assert np.max(np.abs(e - want)) <= 1e-12, (i, r)
             assert np.all(e[:, p.noise_cov == 0.0] == 0.0), (i, r)
 

@@ -77,11 +77,21 @@ def _unexpected(results: list[dict]) -> list[dict]:
 
 
 @pytest.mark.parametrize("workload", ["curves", "large-models", "verify-random"])
+def test_round_zero_passes_the_benchmark_gate(workload, monkeypatch, tmp_path):
+    # round 0 of each workload through `cli.main` and the benchmark's own
+    # checks, as its worker runs them: a program change that breaks an op
+    # fails here, not first in a benchmark run
+    worker = _worker(monkeypatch)
+    runner = worker.Runner(cli, {"workload": workload, "seed": 1, "work_dir": str(tmp_path)})
+    results = runner.run_round(runner.make_round(0), 0)
+    assert results and _unexpected(results) == []
+
+
+@pytest.mark.parametrize("workload", ["curves", "large-models", "verify-random"])
 def test_a_traced_round_passes_the_benchmark_gate(workload, monkeypatch, tmp_path):
-    # round 0 of each workload through `cli.main` and the benchmark's own checks, run
-    # untraced and then twice through the worker's tracer, which reads arguments of the
-    # traced functions (`A.rows`, `R_grid`, `n_samples`): a change that breaks an op or
-    # one of those reads fails here, not first in a benchmark run
+    # round 0 through the worker's tracer, which reads arguments of the traced functions
+    # (`A.rows`, `R_grid`, `n_samples`): a change that breaks one of those reads fails
+    # here, not first in a `--trace 1` run
     worker = _worker(monkeypatch)
     spans_path = tmp_path / "trace" / "spans.npz"
     runner = worker.Runner(cli, {"workload": workload, "seed": 1, "work_dir": str(tmp_path),
